@@ -367,55 +367,8 @@ let print_scaling () =
   Stats.Table.print table;
   print_newline ()
 
-(* --- fault tolerance: the chaos sweep --- *)
-
-let fault_points_cache = ref None
-
-let fault_points () =
-  match !fault_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.fault_sweep () in
-    fault_points_cache := Some points;
-    points
-
-let print_fault_sweep () =
-  let table =
-    t
-      ~title:
-        "Fault sweep: S_8 f_medium under seeded crash/reclaim/slowdown plans          (inflation = elapsed / fault-free elapsed on the same pool)"
-      ~columns:
-        [
-          "stations @ rate";
-          "elapsed (min)";
-          "inflation";
-          "retries";
-          "fallbacks";
-          "lost";
-          "wasted cpu (min)";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.fault_point) ->
-        Stats.Table.add_float_row table
-          ~label:
-            (Printf.sprintf "%2d @ %.2f" p.Experiment.fp_stations
-               p.Experiment.fp_rate)
-          [
-            minutes p.Experiment.fp_elapsed;
-            p.Experiment.fp_inflation;
-            float_of_int p.Experiment.fp_retries;
-            float_of_int p.Experiment.fp_fallbacks;
-            float_of_int p.Experiment.fp_lost;
-            minutes p.Experiment.fp_wasted_cpu;
-          ])
-      table (fault_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- machine-readable perf trajectories: the BENCH_*.json emitter --- *)
+(* --- sweeps: one table printer and one BENCH_*.json writer for every
+   row list --- *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -428,15 +381,55 @@ let json_escape s =
     s;
   Buffer.contents b
 
+let rec json_value = function
+  | Experiment.Int n -> string_of_int n
+  | Experiment.Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
+  | Experiment.Exact x -> Printf.sprintf "%.17g" x
+  | Experiment.Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Experiment.Obj row -> Printf.sprintf "{%s}" (json_fields row)
+
+and json_fields row =
+  String.concat ", "
+    (List.map
+       (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (json_value v))
+       row)
+
+(* One column per field; nested objects flatten to "key.field" columns
+   over every row's fields, "-" where a row lacks one. *)
+let print_rows title (rows : Experiment.row list) =
+  let rec flat prefix row =
+    List.concat_map
+      (fun (k, v) ->
+        match v with
+        | Experiment.Obj sub -> flat (prefix ^ k ^ ".") sub
+        | v -> [ (prefix ^ k, v) ])
+      row
+  in
+  let rows = List.map (flat "") rows in
+  let columns =
+    List.fold_left
+      (fun cols row ->
+        cols @ List.filter (fun k -> not (List.mem k cols)) (List.map fst row))
+      [] rows
+  in
+  let cell = function
+    | Some (Experiment.Exact x) -> Printf.sprintf "%.3f" x
+    | Some (Experiment.Str s) -> s
+    | Some v -> json_value v
+    | None -> "-"
+  in
+  Stats.Table.print
+    (List.fold_left
+       (fun table row ->
+         Stats.Table.add_row table
+           (List.map (fun c -> cell (List.assoc_opt c row)) columns))
+       (t ~title ~columns) rows);
+  print_newline ()
+
 (* [--out PATH] redirects the next writer; [None] keeps the default
    filename (which CI's regression gates key on). *)
 let out_override : string option ref = ref None
 
-(* Every BENCH_*.json writer funnels through this emitter: it owns the
-   buffer, the schema header, the enclosing braces, the output file and
-   the "wrote ..." log line.  [body b] appends the schema-specific
-   fields with {!bpr}; arrays go through {!json_array} so the comma
-   discipline lives in one place. *)
 let bpr b fmt = Printf.ksprintf (Buffer.add_string b) fmt
 
 let json_array b ~key items row =
@@ -463,605 +456,38 @@ let write_json ~schema ~default ~summary body =
   close_out oc;
   Printf.printf "wrote %s (%s)\n\n" path summary
 
-(* --- scheduling policies: FCFS vs LPT vs LPT + tiny batching --- *)
+(* A sweep target: its BENCH file's schema and name, the top-level
+   fields written before the row arrays, and each array's key, console
+   title and rows. *)
+type sweep = {
+  schema : string;
+  file : string;
+  header : Experiment.row;
+  groups : (string * string * Experiment.row list Lazy.t) list;
+}
 
-let sched_points_cache = ref None
-
-let sched_points () =
-  match !sched_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.sched_sweep () in
-    sched_points_cache := Some points;
-    points
-
-let print_sched_sweep () =
-  let table =
-    t
-      ~title:
-        (Printf.sprintf
-           "Scheduling policies on oversubscribed pools (batch threshold %.0f s;          speedup = FCFS elapsed / policy elapsed on the same point)"
-           Config.default.Config.batch_threshold)
-      ~columns:
-        [ "series @ policy"; "pool"; "units"; "elapsed (min)"; "speedup vs fcfs" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.sched_point) ->
-        Stats.Table.add_float_row table
-          ~label:
-            (Printf.sprintf "%-8s @ %s" p.Experiment.sp_series
-               (Sched.policy_name p.Experiment.sp_policy))
-          [
-            float_of_int p.Experiment.sp_pool;
-            float_of_int p.Experiment.sp_units;
-            minutes p.Experiment.sp_elapsed;
-            p.Experiment.sp_speedup_vs_fcfs;
-          ])
-      table (sched_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_sched_json () =
-  let points = sched_points () in
-  write_json ~schema:"warpcc-bench-sched/1" ~default:"BENCH_sched.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      bpr b ",\n  \"batch_threshold\": %.1f"
-        Config.default.Config.batch_threshold;
-      json_array b ~key:"points" points
-        (fun (p : Experiment.sched_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"policy\": \"%s\", \"pool\": %d, \
-             \"dispatch_units\": %d, \"elapsed\": %.3f, \"speedup_vs_fcfs\": \
-             %.4f}"
-            (json_escape p.Experiment.sp_series)
-            (json_escape (Sched.policy_name p.Experiment.sp_policy))
-            p.Experiment.sp_pool p.Experiment.sp_units p.Experiment.sp_elapsed
-            p.Experiment.sp_speedup_vs_fcfs))
-
-(* --- dependence-aware dispatch: FCFS vs DAG vs DAG + LPT --- *)
-
-let dag_points_cache = ref None
-
-let dag_points () =
-  match !dag_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.dag_sweep () in
-    dag_points_cache := Some points;
-    points
-
-let print_dag_sweep () =
-  let table =
-    t
-      ~title:
-        "Dependence-aware dispatch (licensed = fraction of same-section         function pairs the analyzer lets overlap; speedup = FCFS         elapsed / policy elapsed on the same point)"
-      ~columns:
-        [
-          "series @ policy";
-          "pool";
-          "units";
-          "edges";
-          "licensed";
-          "elapsed (min)";
-          "speedup vs fcfs";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.dag_point) ->
-        Stats.Table.add_float_row table
-          ~label:
-            (Printf.sprintf "%-8s @ %s" p.Experiment.dg_series
-               (Sched.policy_name p.Experiment.dg_policy))
-          [
-            float_of_int p.Experiment.dg_pool;
-            float_of_int p.Experiment.dg_units;
-            float_of_int p.Experiment.dg_edges;
-            p.Experiment.dg_licensed;
-            minutes p.Experiment.dg_elapsed;
-            p.Experiment.dg_speedup_vs_fcfs;
-          ])
-      table (dag_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_deps_json () =
-  let points = dag_points () in
-  write_json ~schema:"warpcc-bench-deps/1" ~default:"BENCH_deps.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      bpr b ",\n  \"batch_threshold\": %.1f"
-        Config.default.Config.batch_threshold;
-      json_array b ~key:"points" points
-        (fun (p : Experiment.dag_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"policy\": \"%s\", \"pool\": %d, \
-             \"dispatch_units\": %d, \"edges\": %d, \"licensed_fraction\": \
-             %.4f, \"elapsed\": %.3f, \"speedup_vs_fcfs\": %.4f}"
-            (json_escape p.Experiment.dg_series)
-            (json_escape (Sched.policy_name p.Experiment.dg_policy))
-            p.Experiment.dg_pool p.Experiment.dg_units p.Experiment.dg_edges
-            p.Experiment.dg_licensed p.Experiment.dg_elapsed
-            p.Experiment.dg_speedup_vs_fcfs))
-
-(* --- abstract-interpretation refinement: pruning, end to end --- *)
-
-let absint_points_cache = ref None
-
-let absint_points () =
-  match !absint_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.absint_sweep () in
-    absint_points_cache := Some points;
-    points
-
-let print_absint_sweep () =
-  let table =
-    t
-      ~title:
-        "Abstract-interpretation refinement (edges/licensed: base analysis         -> after pruning; elapsed under dag+lpt; races = dynamic ordering         violations on the pruned run, always 0)"
-      ~columns:
-        [
-          "series";
-          "funcs";
-          "edges off";
-          "edges on";
-          "pruned";
-          "licensed off";
-          "licensed on";
-          "elapsed off (min)";
-          "elapsed on (min)";
-          "speedup";
-          "races";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.absint_point) ->
-        Stats.Table.add_float_row table ~label:p.Experiment.ap_series
-          [
-            float_of_int p.Experiment.ap_functions;
-            float_of_int p.Experiment.ap_edges_off;
-            float_of_int p.Experiment.ap_edges_on;
-            float_of_int p.Experiment.ap_pruned;
-            p.Experiment.ap_licensed_off;
-            p.Experiment.ap_licensed_on;
-            minutes p.Experiment.ap_elapsed_off;
-            minutes p.Experiment.ap_elapsed_on;
-            p.Experiment.ap_speedup;
-            float_of_int p.Experiment.ap_race_violations;
-          ])
-      table (absint_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_absint_json () =
-  let points = absint_points () in
-  write_json ~schema:"warpcc-bench-absint/1" ~default:"BENCH_absint.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      bpr b ",\n  \"pool\": 4";
-      json_array b ~key:"points" points
-        (fun (p : Experiment.absint_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"functions\": %d, \"edges_off\": %d, \
-             \"edges_on\": %d, \"pruned\": %d, \"licensed_off\": %.4f, \
-             \"licensed_on\": %.4f, \"elapsed_off\": %.3f, \"elapsed_on\": \
-             %.3f, \"speedup\": %.4f, \"race_violations\": %d}"
-            (json_escape p.Experiment.ap_series)
-            p.Experiment.ap_functions p.Experiment.ap_edges_off
-            p.Experiment.ap_edges_on p.Experiment.ap_pruned
-            p.Experiment.ap_licensed_off p.Experiment.ap_licensed_on
-            p.Experiment.ap_elapsed_off p.Experiment.ap_elapsed_on
-            p.Experiment.ap_speedup p.Experiment.ap_race_violations))
-
-(* --- speculative dispatch: dag+lpt versus dag+spec --- *)
-
-let spec_points_cache = ref None
-
-let spec_points () =
-  match !spec_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.spec_sweep () in
-    spec_points_cache := Some points;
-    points
-
-let print_spec_sweep () =
-  let table =
-    t
-      ~title:
-        "Speculative dispatch (spec/hot = speculative and genuinely         conflicting edges in the plan; speedup = dag+lpt elapsed /         dag+spec elapsed; races = commit-protocol ordering violations,         always 0)"
-      ~columns:
-        [
-          "series";
-          "funcs";
-          "spec edges";
-          "hot edges";
-          "lpt (min)";
-          "spec (min)";
-          "speedup";
-          "dispatched";
-          "committed";
-          "rolled back";
-          "races";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.spec_point) ->
-        Stats.Table.add_float_row table ~label:p.Experiment.zp_series
-          [
-            float_of_int p.Experiment.zp_functions;
-            float_of_int p.Experiment.zp_spec_edges;
-            float_of_int p.Experiment.zp_hot_edges;
-            minutes p.Experiment.zp_elapsed_lpt;
-            minutes p.Experiment.zp_elapsed_spec;
-            p.Experiment.zp_speedup;
-            float_of_int p.Experiment.zp_dispatched;
-            float_of_int p.Experiment.zp_committed;
-            float_of_int p.Experiment.zp_rolled_back;
-            float_of_int p.Experiment.zp_race_violations;
-          ])
-      table (spec_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_spec_json () =
-  let points = spec_points () in
-  write_json ~schema:"warpcc-bench-spec/1" ~default:"BENCH_spec.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      bpr b ",\n  \"spec_budget\": %d" Config.default.Config.spec_budget;
-      json_array b ~key:"points" points
-        (fun (p : Experiment.spec_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"functions\": %d, \"spec_edges\": %d, \
-             \"hot_edges\": %d, \"elapsed_lpt\": %.3f, \"elapsed_spec\": \
-             %.3f, \"speedup\": %.4f, \"spec_dispatched\": %d, \
-             \"spec_committed\": %d, \"spec_rolled_back\": %d, \
-             \"race_violations\": %d}"
-            (json_escape p.Experiment.zp_series)
-            p.Experiment.zp_functions p.Experiment.zp_spec_edges
-            p.Experiment.zp_hot_edges p.Experiment.zp_elapsed_lpt
-            p.Experiment.zp_elapsed_spec p.Experiment.zp_speedup
-            p.Experiment.zp_dispatched p.Experiment.zp_committed
-            p.Experiment.zp_rolled_back p.Experiment.zp_race_violations))
-
-(* --- critical-path profile: where does the second go --- *)
-
-let profile_points_cache = ref None
-
-let profile_points () =
-  match !profile_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.profile_sweep () in
-    profile_points_cache := Some points;
-    points
-
-let print_profile_sweep () =
-  let table =
-    t
-      ~title:
-        "Critical-path attribution (buckets fold to elapsed exactly;         dominant = largest bucket: shrinking the pool shifts it from         compute toward pool-wait)"
-      ~columns:
-        [
-          "series @ policy";
-          "pool";
-          "segs";
-          "elapsed (min)";
-          "cpu %";
-          "pool %";
-          "comms %";
-          "dominant";
-        ]
-  in
-  let share buckets name elapsed =
-    100.0 *. List.assoc name buckets /. elapsed
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.profile_point) ->
-        Stats.Table.add_row table
-          [
-            Printf.sprintf "%-8s @ %s" p.Experiment.fp_series
-              (Sched.policy_name p.Experiment.fp_policy);
-            string_of_int p.Experiment.fp_pool;
-            string_of_int p.Experiment.fp_segments;
-            Printf.sprintf "%.2f" (minutes p.Experiment.fp_elapsed);
-            Printf.sprintf "%.1f"
-              (share p.Experiment.fp_buckets "cpu" p.Experiment.fp_elapsed);
-            Printf.sprintf "%.1f"
-              (share p.Experiment.fp_buckets "pool_wait"
-                 p.Experiment.fp_elapsed);
-            Printf.sprintf "%.1f"
-              (share p.Experiment.fp_buckets "ether" p.Experiment.fp_elapsed
-              +. share p.Experiment.fp_buckets "fs" p.Experiment.fp_elapsed);
-            p.Experiment.fp_dominant;
-          ])
-      table (profile_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_profile_json () =
-  let points = profile_points () in
-  write_json ~schema:"warpcc-bench-profile/1" ~default:"BENCH_profile.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      (* Buckets round-trip at full precision so consumers can re-fold
-         them and reproduce the elapsed time bit for bit. *)
-      json_array b ~key:"points" points
-        (fun (p : Experiment.profile_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"policy\": \"%s\", \"pool\": %d, \
-             \"segments\": %d, \"dominant\": \"%s\", \"elapsed\": %.17g, \
-             \"buckets\": {"
-            (json_escape p.Experiment.fp_series)
-            (json_escape (Sched.policy_name p.Experiment.fp_policy))
-            p.Experiment.fp_pool p.Experiment.fp_segments
-            (json_escape p.Experiment.fp_dominant)
-            p.Experiment.fp_elapsed;
-          List.iteri
-            (fun i (name, v) ->
-              bpr b "%s\"%s\": %.17g"
-                (if i = 0 then "" else ", ")
-                (json_escape name) v)
-            p.Experiment.fp_buckets;
-          bpr b "}}"))
-
-(* --- content-addressed compile cache: cold / warm / one-edit --- *)
-
-let cache_points_cache = ref None
-
-let cache_points () =
-  match !cache_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.cache_sweep () in
-    cache_points_cache := Some points;
-    points
-
-let print_cache_sweep () =
-  let table =
-    t
-      ~title:
-        "Compile cache (one store per series: the cold run misses every         lookup, the warm run hits every lookup, and the one-edit run         recompiles exactly the edited function's invalidation closure)"
-      ~columns:
-        [
-          "series";
-          "pool";
-          "funcs";
-          "cold (min)";
-          "warm (min)";
-          "warm speedup";
-          "edit (min)";
-          "edited";
-          "closure";
-          "edit misses";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.cache_point) ->
-        Stats.Table.add_row table
-          [
-            p.Experiment.cp_series;
-            string_of_int p.Experiment.cp_pool;
-            string_of_int p.Experiment.cp_functions;
-            Printf.sprintf "%.2f" (minutes p.Experiment.cp_cold_elapsed);
-            Printf.sprintf "%.2f" (minutes p.Experiment.cp_warm_elapsed);
-            Printf.sprintf "%.2f" p.Experiment.cp_warm_speedup;
-            Printf.sprintf "%.2f" (minutes p.Experiment.cp_edit_elapsed);
-            p.Experiment.cp_edited;
-            string_of_int p.Experiment.cp_closure;
-            string_of_int p.Experiment.cp_edit_misses;
-          ])
-      table (cache_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_cache_json () =
-  let points = cache_points () in
-  write_json ~schema:"warpcc-bench-cache/1" ~default:"BENCH_cache.json"
-    ~summary:(Printf.sprintf "%d points" (List.length points))
-    (fun b ->
-      json_array b ~key:"points" points
-        (fun (p : Experiment.cache_point) ->
-          bpr b
-            "{\"series\": \"%s\", \"pool\": %d, \"functions\": %d, \
-             \"edited\": \"%s\", \"closure\": %d, \"cold_elapsed\": %.3f, \
-             \"warm_elapsed\": %.3f, \"edit_elapsed\": %.3f, \
-             \"warm_speedup\": %.4f, \"cold_hits\": %d, \"cold_misses\": \
-             %d, \"warm_hits\": %d, \"warm_misses\": %d, \"edit_hits\": %d, \
-             \"edit_misses\": %d, \"edit_invalidated\": %d}"
-            (json_escape p.Experiment.cp_series)
-            p.Experiment.cp_pool p.Experiment.cp_functions
-            (json_escape p.Experiment.cp_edited)
-            p.Experiment.cp_closure p.Experiment.cp_cold_elapsed
-            p.Experiment.cp_warm_elapsed p.Experiment.cp_edit_elapsed
-            p.Experiment.cp_warm_speedup p.Experiment.cp_cold_hits
-            p.Experiment.cp_cold_misses p.Experiment.cp_warm_hits
-            p.Experiment.cp_warm_misses p.Experiment.cp_edit_hits
-            p.Experiment.cp_edit_misses p.Experiment.cp_edit_invalidated))
-
-(* --- modular cross-module analysis: summary composition + project
-   scheduling --- *)
-
-let link_compose_points_cache = ref None
-
-let link_compose_points () =
-  match !link_compose_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.link_compose_sweep () in
-    link_compose_points_cache := Some points;
-    points
-
-let link_sched_points_cache = ref None
-
-let link_sched_points () =
-  match !link_sched_points_cache with
-  | Some points -> points
-  | None ->
-    let points = Experiment.link_sched_sweep () in
-    link_sched_points_cache := Some points;
-    points
-
-let print_link_sweep () =
-  let table =
-    t
-      ~title:
-        "Link-time composition from interface summaries (no source         crosses the module boundary after summarization)"
-      ~columns:
-        [
-          "shape @ modules";
-          "functions";
-          "edges";
-          "cross";
-          "levels";
-          "licensed";
-          "lints";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.link_compose_point) ->
-        Stats.Table.add_float_row table
-          ~label:
-            (Printf.sprintf "%-9s @ %d" p.Experiment.lc_shape
-               p.Experiment.lc_modules)
-          [
-            float_of_int p.Experiment.lc_functions;
-            float_of_int p.Experiment.lc_edges;
-            float_of_int p.Experiment.lc_cross_edges;
-            float_of_int p.Experiment.lc_levels;
-            p.Experiment.lc_licensed;
-            float_of_int
-              (List.fold_left (fun n (_, k) -> n + k) 0 p.Experiment.lc_diags);
-          ])
-      table (link_compose_points ())
-  in
-  Stats.Table.print table;
-  print_newline ();
-  let table =
-    t
-      ~title:
-        "Project scheduling on the composed DAG (speedup = FCFS elapsed         / policy elapsed on the same project)"
-      ~columns:
-        [
-          "shape @ modules, policy";
-          "funcs";
-          "pool";
-          "units";
-          "elapsed (min)";
-          "speedup";
-          "races";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.link_sched_point) ->
-        Stats.Table.add_float_row table
-          ~label:
-            (Printf.sprintf "%-9s @ %2d, %s" p.Experiment.lp_shape
-               p.Experiment.lp_modules
-               (Sched.policy_name p.Experiment.lp_policy))
-          [
-            float_of_int p.Experiment.lp_functions;
-            float_of_int p.Experiment.lp_pool;
-            float_of_int p.Experiment.lp_units;
-            minutes p.Experiment.lp_elapsed;
-            p.Experiment.lp_speedup_vs_fcfs;
-            float_of_int p.Experiment.lp_race_violations;
-          ])
-      table (link_sched_points ())
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-let write_link_json () =
-  let compose = link_compose_points () in
-  let sched = link_sched_points () in
-  write_json ~schema:"warpcc-bench-link/1" ~default:"BENCH_link.json"
+let run_sweep s =
+  List.iter (fun (_, title, rows) -> print_rows title (Lazy.force rows)) s.groups;
+  write_json ~schema:s.schema ~default:s.file
     ~summary:
-      (Printf.sprintf "%d compose points, %d sched points"
-         (List.length compose) (List.length sched))
+      (String.concat ", "
+         (List.map
+            (fun (key, _, rows) ->
+              Printf.sprintf "%d %s" (List.length (Lazy.force rows)) key)
+            s.groups))
     (fun b ->
-      json_array b ~key:"compose" compose
-        (fun (p : Experiment.link_compose_point) ->
-          bpr b
-            "{\"shape\": \"%s\", \"modules\": %d, \"functions\": %d, \
-             \"edges\": %d, \"cross_edges\": %d, \"levels\": %d, \
-             \"module_levels\": %d, \"licensed\": %.4f, \"missing\": %d, \
-             \"diags\": {%s}}"
-            (json_escape p.Experiment.lc_shape)
-            p.Experiment.lc_modules p.Experiment.lc_functions
-            p.Experiment.lc_edges p.Experiment.lc_cross_edges
-            p.Experiment.lc_levels p.Experiment.lc_module_levels
-            p.Experiment.lc_licensed p.Experiment.lc_missing
-            (String.concat ", "
-               (List.map
-                  (fun (c, n) ->
-                    Printf.sprintf "\"%s\": %d" (json_escape c) n)
-                  p.Experiment.lc_diags)));
-      json_array b ~key:"sched" sched
-        (fun (p : Experiment.link_sched_point) ->
-          bpr b
-            "{\"shape\": \"%s\", \"modules\": %d, \"functions\": %d, \
-             \"policy\": \"%s\", \"pool\": %d, \"units\": %d, \"elapsed\": \
-             %.3f, \"speedup_vs_fcfs\": %.4f, \"cross_edges\": %d, \
-             \"spec_edges\": %d, \"race_violations\": %d}"
-            (json_escape p.Experiment.lp_shape)
-            p.Experiment.lp_modules p.Experiment.lp_functions
-            (json_escape (Sched.policy_name p.Experiment.lp_policy))
-            p.Experiment.lp_pool p.Experiment.lp_units p.Experiment.lp_elapsed
-            p.Experiment.lp_speedup_vs_fcfs p.Experiment.lp_cross_edges
-            p.Experiment.lp_spec_edges p.Experiment.lp_race_violations))
+      List.iter (fun (k, v) -> bpr b ",\n  \"%s\": %s" k (json_value v)) s.header;
+      List.iter
+        (fun (key, _, rows) ->
+          json_array b ~key (Lazy.force rows) (fun row ->
+              bpr b "{%s}" (json_fields row)))
+        s.groups)
 
-let write_bench_json () =
-  let speedup_rows =
-    List.concat_map
-      (fun size ->
-        List.map (fun p -> (size, p)) (points_for size))
-      W2.Gen.all_sizes
-  in
-  write_json ~schema:"warpcc-bench-parallel/1" ~default:"BENCH_parallel.json"
-    ~summary:
-      (Printf.sprintf "%d speedup points, %d fault points"
-         (List.length speedup_rows)
-         (List.length (fault_points ())))
-    (fun b ->
-      json_array b ~key:"speedup" speedup_rows
-        (fun (size, (p : Experiment.point)) ->
-          let c = p.Experiment.comparison in
-          bpr b
-            "{\"size\": \"%s\", \"functions\": %d, \"elapsed_seq\": %.3f, \
-             \"elapsed_par\": %.3f, \"speedup\": %.4f, \"retries\": %d, \
-             \"fallback_tasks\": %d}"
-            (json_escape (W2.Gen.size_name size))
-            p.Experiment.n_functions c.Timings.seq.Timings.elapsed
-            c.Timings.par.Timings.elapsed c.Timings.speedup
-            c.Timings.par.Timings.retries c.Timings.par.Timings.fallback_tasks);
-      json_array b ~key:"fault_sweep" (fault_points ())
-        (fun (p : Experiment.fault_point) ->
-          bpr b
-            "{\"stations\": %d, \"rate\": %.2f, \"elapsed\": %.3f, \
-             \"inflation\": %.4f, \"retries\": %d, \"fallback_tasks\": %d, \
-             \"stations_lost\": %d, \"wasted_cpu\": %.3f}"
-            p.Experiment.fp_stations p.Experiment.fp_rate
-            p.Experiment.fp_elapsed p.Experiment.fp_inflation
-            p.Experiment.fp_retries p.Experiment.fp_fallbacks
-            p.Experiment.fp_lost p.Experiment.fp_wasted_cpu))
+let fault_rows = lazy (Experiment.fault_sweep ())
+
+let fault_title =
+  "Fault sweep: S_8 f_medium under seeded crash/reclaim/slowdown plans \
+   (inflation = elapsed / fault-free elapsed on the same pool)"
 
 (* --- code quality: what the optimizer levels buy on the machine --- *)
 
@@ -1254,18 +680,25 @@ let all_figures () =
   print_saturation ();
   print_summary ()
 
+type action = Run of (unit -> unit) | Sweep of sweep
+
 (* The bench-registration table: one row per target — name, the
    one-line doc `--help` prints, whether `all` (the default) includes
-   it, and the runner.  Adding a sweep means adding one row here;
-   dispatch, the help listing and the `all` sequence all derive from
-   the table, so they cannot drift apart. *)
-let targets : (string * string * bool * (unit -> unit)) list =
-  let fig n doc run = (Printf.sprintf "fig%d" n, doc, false, run) in
+   it, and the action: a printer, or a sweep whose row groups are
+   printed and written to its BENCH file.  Adding a sweep means adding
+   one row here; dispatch, the help listing and the `all` sequence all
+   derive from the table, so they cannot drift apart. *)
+let targets : (string * string * bool * action) list =
+  let fig n doc run = (Printf.sprintf "fig%d" n, doc, false, Run run) in
+  let batch_threshold =
+    ("batch_threshold", Experiment.Fixed (1, Config.default.Config.batch_threshold))
+  in
+  let points title sweep = [ ("points", title, lazy (sweep ())) ] in
   [
     ( "figures",
       "figures 3-16, the saturation sweep and the headline summary",
       true,
-      all_figures );
+      Run all_figures );
     fig 3 "execution times, f_tiny" (fun () ->
         print_time_series ~fig:"3" W2.Gen.Tiny);
     fig 4 "execution times, f_large" (fun () ->
@@ -1293,67 +726,148 @@ let targets : (string * string * bool * (unit -> unit)) list =
     fig 16 "absolute overheads, f_huge" (fun () ->
         print_overheads ~fig:"16" ~relative:false [ W2.Gen.Huge ]);
     ("saturation", "section 4.2.2 processor-saturation sweep", false,
-     print_saturation);
-    ("summary", "the abstract's headline numbers", false, print_summary);
+     Run print_saturation);
+    ("summary", "the abstract's headline numbers", false, Run print_summary);
     ("scaling", "section-6 scaling limit, capped and uncapped pools", true,
-     print_scaling);
+     Run print_scaling);
     ("codegen", "generated-code quality by optimization level", true,
-     print_codegen_ablation);
+     Run print_codegen_ablation);
     ("makestudy", "section-3.4 parallel-make coexistence study", true,
-     print_make_study);
-    ("grain", "finer-grain (phase-pipelined) study", true, print_grain_study);
+     Run print_make_study);
+    ("grain", "finer-grain (phase-pipelined) study", true, Run print_grain_study);
     ("inlining", "section-5.1 inlining as grain coarsening", true,
-     print_inlining_study);
-    ("ablations", "DESIGN.md section-5 ablations", true, print_ablations);
+     Run print_inlining_study);
+    ("ablations", "DESIGN.md section-5 ablations", true, Run print_ablations);
     ("faults", "seeded fault/recovery sweep (docs/FAULTS.md)", true,
-     print_fault_sweep);
+     Run (fun () -> print_rows fault_title (Lazy.force fault_rows)));
     ( "sched",
       "scheduling-policy sweep + BENCH_sched.json",
       true,
-      fun () ->
-        print_sched_sweep ();
-        write_sched_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-sched/1";
+          file = "BENCH_sched.json";
+          header = [ batch_threshold ];
+          groups =
+            points
+              "Scheduling policies on oversubscribed pools (speedup = FCFS \
+               elapsed / policy elapsed on the same point)"
+              Experiment.sched_sweep;
+        } );
     ( "deps",
       "dependence-aware dispatch sweep + BENCH_deps.json",
       true,
-      fun () ->
-        print_dag_sweep ();
-        write_deps_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-deps/1";
+          file = "BENCH_deps.json";
+          header = [ batch_threshold ];
+          groups =
+            points
+              "Dependence-aware dispatch (licensed = fraction of same-section \
+               function pairs the analyzer lets overlap)"
+              Experiment.dag_sweep;
+        } );
     ( "absint",
       "abstract-interpretation pruning sweep + BENCH_absint.json",
       true,
-      fun () ->
-        print_absint_sweep ();
-        write_absint_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-absint/1";
+          file = "BENCH_absint.json";
+          header = [ ("pool", Experiment.Int 4) ];
+          groups =
+            points
+              "Abstract-interpretation refinement (base analysis vs pruned; \
+               elapsed under dag+lpt; races always 0)"
+              (fun () -> Experiment.absint_sweep ~pool:4 ());
+        } );
     ( "spec",
       "speculative-dispatch sweep + BENCH_spec.json",
       true,
-      fun () ->
-        print_spec_sweep ();
-        write_spec_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-spec/1";
+          file = "BENCH_spec.json";
+          header =
+            [ ("spec_budget", Experiment.Int Config.default.Config.spec_budget) ];
+          groups =
+            points
+              "Speculative dispatch (speedup = dag+lpt elapsed / dag+spec \
+               elapsed; races always 0)"
+              Experiment.spec_sweep;
+        } );
     ( "profile",
       "critical-path attribution sweep + BENCH_profile.json",
       true,
-      fun () ->
-        print_profile_sweep ();
-        write_profile_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-profile/1";
+          file = "BENCH_profile.json";
+          header = [];
+          groups =
+            points
+              "Critical-path attribution (buckets fold to elapsed exactly; \
+               dominant = largest bucket)"
+              Experiment.profile_sweep;
+        } );
     ( "cache",
       "compile-cache cold/warm/one-edit sweep + BENCH_cache.json",
       true,
-      fun () ->
-        print_cache_sweep ();
-        write_cache_json () );
+      Sweep
+        {
+          schema = "warpcc-bench-cache/1";
+          file = "BENCH_cache.json";
+          header = [];
+          groups =
+            points
+              "Compile cache (cold misses every lookup, warm hits every \
+               lookup, one edit recompiles exactly its closure)"
+              Experiment.cache_sweep;
+        } );
     ( "link",
       "cross-module composition + project scheduling + BENCH_link.json",
       true,
-      fun () ->
-        print_link_sweep ();
-        write_link_json () );
-    ("json", "machine-readable BENCH_parallel.json", true, write_bench_json);
+      Sweep
+        {
+          schema = "warpcc-bench-link/1";
+          file = "BENCH_link.json";
+          header = [];
+          groups =
+            [
+              ( "compose",
+                "Link-time composition from interface summaries",
+                lazy (Experiment.link_compose_sweep ()) );
+              ( "sched",
+                "Project scheduling on the composed DAG (speedup = FCFS \
+                 elapsed / policy elapsed)",
+                lazy (Experiment.link_sched_sweep ()) );
+            ];
+        } );
+    ( "json",
+      "machine-readable BENCH_parallel.json",
+      true,
+      Sweep
+        {
+          schema = "warpcc-bench-parallel/1";
+          file = "BENCH_parallel.json";
+          header = [];
+          groups =
+            [
+              ( "speedup",
+                "Speedup over the sequential compiler, every size",
+                lazy
+                  (List.concat_map
+                     (fun size ->
+                       List.map (Experiment.speedup_row size) (points_for size))
+                     W2.Gen.all_sizes) );
+              ("fault_sweep", fault_title, fault_rows);
+            ];
+        } );
     ("trace", "traced parallel run: warpcc_trace.json + Gantt", false,
-     print_trace_demo);
+     Run print_trace_demo);
     ("bechamel", "Bechamel micro-benchmarks of the real compiler", true,
-     print_bechamel);
+     Run print_bechamel);
   ]
 
 let print_help () =
@@ -1387,12 +901,13 @@ let () =
   in
   let args = split_args [] (List.tl (Array.to_list Sys.argv)) in
   let run name =
+    let act = function Run f -> f () | Sweep s -> run_sweep s in
     match List.find_opt (fun (n, _, _, _) -> n = name) targets with
-    | Some (_, _, _, f) -> f ()
+    | Some (_, _, _, a) -> act a
     | None -> (
       match name with
       | "all" ->
-        List.iter (fun (_, _, in_all, f) -> if in_all then f ()) targets
+        List.iter (fun (_, _, in_all, a) -> if in_all then act a) targets
       | "--help" | "-h" | "help" -> print_help ()
       | other ->
         Printf.eprintf "unknown target %S (try --help)\n" other;

@@ -1010,14 +1010,8 @@ let profile_cmd =
           else Netsim.Fault.none
         in
         let tr = Trace.create () in
-        let run =
-          (Parrun.run { cfg with Config.faults; trace = tr } mw plan).Parrun.run
-        in
-        let splan =
-          Sched.schedule ~static:cfg.Config.static_cost
-            ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
-            ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations
-            plan
+        let { Parrun.run; scheduled = splan; _ } =
+          Parrun.run { cfg with Config.faults; trace = tr } mw plan
         in
         let p =
           Critpath.of_trace ~plan:splan ~elapsed:run.Timings.elapsed tr

@@ -8,14 +8,15 @@
    sections independent, phase 1 and phase 4 sequential — exactly the
    structure of figure 2.
 
-   Wall-clock speedups obviously depend on available cores; the driver
-   reports them but the tests only check functional equivalence. *)
+   A function master that raises does not take its worker down: every
+   task stores [Ok mfunc | Error exn], the master blocks on a countdown
+   until all tasks have reported, and then re-raises the first error in
+   source order — the exception the sequential compiler raises.
 
-type result = {
-  images : (string * Warp.Mcode.image) list; (* per section *)
-  functions_compiled : int;
-  wall_seconds : float;
-}
+   Wall-clock speedups obviously depend on available cores; the tests
+   only check functional equivalence. *)
+
+type result = { images : (string * Warp.Mcode.image) list (* per section *) }
 
 (* A bounded pool of worker domains processing thunks FCFS — the analog
    of the workstation pool. *)
@@ -75,11 +76,32 @@ module Pool = struct
     List.iter Domain.join pool.domains
 end
 
+(* A countdown latch: [wait] blocks until [count_down] has been called
+   as many times as the latch was created with. *)
+module Latch = struct
+  type t = { mutable left : int; mutex : Mutex.t; zero : Condition.t }
+
+  let create n = { left = n; mutex = Mutex.create (); zero = Condition.create () }
+
+  let count_down l =
+    Mutex.lock l.mutex;
+    l.left <- l.left - 1;
+    if l.left <= 0 then Condition.broadcast l.zero;
+    Mutex.unlock l.mutex
+
+  let wait l =
+    Mutex.lock l.mutex;
+    while l.left > 0 do
+      Condition.wait l.zero l.mutex
+    done;
+    Mutex.unlock l.mutex
+end
+
 (* Compile [m] with up to [workers] function masters running as domains.
    Raises [Driver.Compile.Compile_error] on phase-1 failure, like the
-   sequential master. *)
+   sequential master, and any function master's exception once every
+   task has finished. *)
 let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
-  let t0 = Sys.time () in
   (* Phase 1: sequential master. *)
   (match W2.Semcheck.check_module m with
   | [] -> ()
@@ -88,48 +110,46 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
       (Driver.Compile.Compile_error
          (String.concat "\n" (List.map W2.Semcheck.error_to_string errors))));
   let pool = Pool.create workers in
+  let latch = Latch.create (W2.Ast.func_count m) in
   (* Section masters fork function masters; results are collected in
      per-function slots (no ordering dependence). *)
   let sections =
     List.map
       (fun (sec : W2.Ast.section) ->
         let funcs = Array.of_list sec.W2.Ast.funcs in
-        let slots = Array.make (Array.length funcs) None in
-        let outstanding = Atomic.make (Array.length funcs) in
+        let slots = Array.make (Array.length funcs) (Error Exit) in
         let func_rets = Driver.Compile.func_rets_of sec in
         Array.iteri
           (fun i f ->
             Pool.submit pool (fun () ->
-                let _work, mfunc, _ir =
-                  Driver.Compile.compile_function ~level
-                    ~globals:sec.W2.Ast.globals ~func_rets
-                    ~section:sec.W2.Ast.sname f
-                in
-                slots.(i) <- Some mfunc;
-                Atomic.decr outstanding))
+                (slots.(i) <-
+                   try
+                     let _work, mfunc, _ir =
+                       Driver.Compile.compile_function ~level
+                         ~globals:sec.W2.Ast.globals ~func_rets
+                         ~section:sec.W2.Ast.sname f
+                     in
+                     Ok mfunc
+                   with e -> Error e);
+                Latch.count_down latch))
           funcs;
-        (sec, slots, outstanding))
+        (sec, slots))
       m.W2.Ast.sections
   in
   (* The master waits for all section masters. *)
-  List.iter
-    (fun (_, _, outstanding) ->
-      while Atomic.get outstanding > 0 do
-        Domain.cpu_relax ()
-      done)
-    sections;
+  Latch.wait latch;
   Pool.shutdown pool;
+  List.iter
+    (fun (_, slots) ->
+      Array.iter (function Error e -> raise e | Ok _ -> ()) slots)
+    sections;
   (* Phase 4: sequential assembly and linking. *)
   let images =
     List.map
-      (fun ((sec : W2.Ast.section), slots, _) ->
-        let mfuncs = Array.to_list slots |> List.map Option.get in
+      (fun ((sec : W2.Ast.section), slots) ->
+        let mfuncs = Array.to_list slots |> List.map Result.get_ok in
         ( sec.W2.Ast.sname,
           Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells mfuncs ))
       sections
   in
-  {
-    images;
-    functions_compiled = W2.Ast.func_count m;
-    wall_seconds = Sys.time () -. t0;
-  }
+  { images }

@@ -8,13 +8,12 @@
     sections independent, phases 1 and 4 sequential — the structure of
     the paper's figure 2. *)
 
-type result = {
-  images : (string * Warp.Mcode.image) list; (** per section *)
-  functions_compiled : int;
-  wall_seconds : float;
-}
+type result = { images : (string * Warp.Mcode.image) list (** per section *) }
 
 val compile_parallel :
   ?workers:int -> ?level:int -> W2.Ast.modul -> result
 (** Compile with up to [workers] function masters running as domains.
+    A raising function master does not stop the others: the master
+    waits for every task, then re-raises the first failure in source
+    order, as the sequential compiler would.
     @raise Driver.Compile.Compile_error on phase-1 failure. *)

@@ -12,25 +12,24 @@ type point = {
 
 (* --- compilation cache: measuring work is deterministic, do it once --- *)
 
+let memo tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Hashtbl.replace tbl key v;
+    v
+
 let cache : (string, Driver.Compile.module_work) Hashtbl.t = Hashtbl.create 32
 
 let s_program_work ?(level = 2) ~size ~count () : Driver.Compile.module_work =
-  let key = Printf.sprintf "s:%s:%d:%d" (W2.Gen.size_name size) count level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.s_program ~size ~count ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache
+    (Printf.sprintf "s:%s:%d:%d" (W2.Gen.size_name size) count level)
+    (fun () -> Driver.Compile.compile_module ~level (W2.Gen.s_program ~size ~count ()))
 
 let user_program_work ?(level = 2) () : Driver.Compile.module_work =
-  let key = Printf.sprintf "user:%d" level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.user_program ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache (Printf.sprintf "user:%d" level) (fun () ->
+      Driver.Compile.compile_module ~level (W2.Gen.user_program ()))
 
 (* --- one measurement (sequential vs parallel), repeated and averaged --- *)
 
@@ -198,14 +197,11 @@ let run_inlining_study ?(cfg = Config.default) () : inlining_study =
 let make_modules ?(level = 2) () : Driver.Compile.module_work list =
   List.map
     (fun (size, count, tag) ->
-      let key = Printf.sprintf "make:%s:%d:%d" (W2.Gen.size_name size) count level in
-      match Hashtbl.find_opt cache key with
-      | Some mw -> mw
-      | None ->
-        let m = W2.Gen.s_program ~name:tag ~size ~count () in
-        let mw = Driver.Compile.compile_module ~level m in
-        Hashtbl.replace cache key mw;
-        mw)
+      memo cache
+        (Printf.sprintf "make:%s:%d:%d" (W2.Gen.size_name size) count level)
+        (fun () ->
+          Driver.Compile.compile_module ~level
+            (W2.Gen.s_program ~name:tag ~size ~count ())))
     [
       (W2.Gen.Medium, 3, "libA");
       (W2.Gen.Small, 4, "libB");
@@ -246,20 +242,90 @@ let run_grain_study ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8)
       { gp_stations = stations; coarse = elapsed false; fine = elapsed true })
     [ 3; 5; 9 ]
 
+(* --- section 6: how far does this scale? --- *)
+
+(* "For the style of parallelism exploited by this compiler, on the
+   order of 8 to 16 processors can be used comfortably.  For our domain
+   of application programs, extending the number of processors beyond
+   this range is unlikely to yield any additional speedup." *)
+let run_scaling_study ?(cfg = Config.default) ?(size = W2.Gen.Large)
+    ?max_stations () : point list =
+  List.map
+    (fun count ->
+      let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
+      let comparison =
+        match max_stations with
+        | Some cap when count > cap -> measure ~cfg ~processors:cap mw
+        | Some _ | None -> measure ~cfg mw
+      in
+      { n_functions = count; comparison })
+    [ 1; 2; 4; 8; 12; 16; 24; 32 ]
+
+(* --- sweep rows --- *)
+
+type value =
+  | Int of int
+  | Fixed of int * float
+  | Exact of float
+  | Str of string
+  | Obj of row
+
+and row = (string * value) list
+
+(* Simulated seconds and ratios, at the precision every BENCH file
+   writes them. *)
+let secs x = Fixed (3, x)
+let ratio x = Fixed (4, x)
+let policy p = Str (Sched.policy_name p)
+
+let speedup_row size (p : point) : row =
+  let c = p.comparison in
+  [
+    ("size", Str (W2.Gen.size_name size));
+    ("functions", Int p.n_functions);
+    ("elapsed_seq", secs c.Timings.seq.Timings.elapsed);
+    ("elapsed_par", secs c.Timings.par.Timings.elapsed);
+    ("speedup", ratio c.Timings.speedup);
+    ("retries", Int c.Timings.par.Timings.retries);
+    ("fallback_tasks", Int c.Timings.par.Timings.fallback_tasks);
+  ]
+
+(* Every sweep's simulated run: [mw] under [plan] on [pool] function-
+   master stations plus the master's, noise seed 3, on a fresh trace
+   (which arms [Parrun.run]'s own accounting and race checks). *)
+let play ?(cfg = Config.default) ~pool policy mw plan =
+  let trace = Trace.create () in
+  let o =
+    Parrun.run
+      { cfg with Config.stations = pool + 1; noise_seed = 3; sched_policy = policy; trace }
+      mw plan
+  in
+  (o, trace)
+
+let elapsed ((o : Parrun.outcome), _) = o.Parrun.run.Timings.elapsed
+
+(* Dependence-order violations of a played run against the plan its
+   master dispatched.  FCFS-family policies promise no order. *)
+let races ((o : Parrun.outcome), tr) policy =
+  let plan = o.Parrun.scheduled in
+  if policy = Sched.Dag_spec then List.length (Traceview.race_check_spec tr ~plan)
+  else if Sched.dag_gated policy then List.length (Traceview.race_check tr ~plan)
+  else 0
+
+(* Each policy played on one point, paired with its elapsed-time
+   speedup over FCFS on the same point. *)
+let versus_fcfs ?cfg ~pool policies mw plan =
+  let fcfs = play ?cfg ~pool Sched.Fcfs mw plan in
+  List.map
+    (fun p ->
+      let run = if p = Sched.Fcfs then fcfs else play ?cfg ~pool p mw plan in
+      (p, run, elapsed fcfs /. elapsed run))
+    policies
+
+let count_edges per_section =
+  List.fold_left (fun n (_, es) -> n + List.length es) 0 per_section
+
 (* --- fault tolerance: elapsed-time inflation under faults --- *)
-
-type fault_point = {
-  fp_stations : int;
-  fp_rate : float;
-  fp_elapsed : float;
-  fp_inflation : float; (* elapsed / fault-free elapsed *)
-  fp_retries : int;
-  fp_fallbacks : int;
-  fp_lost : int;
-  fp_wasted_cpu : float;
-}
-
-let fault_rates = [ 0.0; 0.25; 0.5; 1.0 ]
 
 (* In the spirit of the paper's S_n series: the same module compiled on
    pools of 2/4/8/16 stations while the crash rate grows.  The plan for
@@ -268,15 +334,13 @@ let fault_rates = [ 0.0; 0.25; 0.5; 1.0 ]
    elapsed time, placing every event inside (or near) the useful part
    of the run. *)
 let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
-    : fault_point list =
+    : row list =
   let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
   let plan = Plan.one_per_station mw in
   List.concat_map
     (fun pool ->
-      let base =
-        { cfg with Config.stations = pool + 1; noise_seed = 3; faults = Netsim.Fault.none }
-      in
-      let free = (Parrun.run base mw plan).Parrun.run.Timings.elapsed in
+      let cfg = { cfg with Config.faults = Netsim.Fault.none } in
+      let free = elapsed (play ~cfg ~pool cfg.Config.sched_policy mw plan) in
       List.map
         (fun rate ->
           let faults =
@@ -285,30 +349,24 @@ let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
               Netsim.Fault.random ~seed:(41 + pool) ~stations:(pool + 1) ~rate
                 ~horizon:(free *. 1.5) ()
           in
-          let r = (Parrun.run { base with Config.faults } mw plan).Parrun.run in
-          {
-            fp_stations = pool;
-            fp_rate = rate;
-            fp_elapsed = r.Timings.elapsed;
-            fp_inflation = r.Timings.elapsed /. free;
-            fp_retries = r.Timings.retries;
-            fp_fallbacks = r.Timings.fallback_tasks;
-            fp_lost = r.Timings.stations_lost;
-            fp_wasted_cpu = r.Timings.wasted_cpu;
-          })
-        fault_rates)
+          let o, _ =
+            play ~cfg:{ cfg with Config.faults } ~pool cfg.Config.sched_policy mw plan
+          in
+          let r = o.Parrun.run in
+          [
+            ("stations", Int pool);
+            ("rate", Fixed (2, rate));
+            ("elapsed", secs r.Timings.elapsed);
+            ("inflation", ratio (r.Timings.elapsed /. free));
+            ("retries", Int r.Timings.retries);
+            ("fallback_tasks", Int r.Timings.fallback_tasks);
+            ("stations_lost", Int r.Timings.stations_lost);
+            ("wasted_cpu", secs r.Timings.wasted_cpu);
+          ])
+        [ 0.0; 0.25; 0.5; 1.0 ])
     [ 2; 4; 8; 16 ]
 
 (* --- scheduling policies: FCFS vs LPT vs LPT + tiny batching --- *)
-
-type sched_point = {
-  sp_series : string;
-  sp_policy : Sched.policy;
-  sp_pool : int;
-  sp_units : int;
-  sp_elapsed : float;
-  sp_speedup_vs_fcfs : float;
-}
 
 (* The points where scheduling can matter: pools smaller than the task
    count, so dispatch units queue.  With a pool per task (the paper's
@@ -318,60 +376,34 @@ type sched_point = {
    oversubscribed regime.  [user4] is the section-4.3 program, whose
    sections hold one task each — a witness that per-section reordering
    is a no-op there. *)
-let sched_series ?(level = 2) () =
-  [
-    ("tiny4p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:4 (), 2);
-    ("tiny8p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 2);
-    ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
-    ("tiny16p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:16 (), 4);
-    ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
-    ("large8p4", s_program_work ~level ~size:W2.Gen.Large ~count:8 (), 4);
-    ("huge8p4", s_program_work ~level ~size:W2.Gen.Huge ~count:8 (), 4);
-    ("user4", user_program_work ~level (), 4);
-  ]
-
-let sched_sweep ?(cfg = Config.default) () : sched_point list =
+let sched_sweep ?(cfg = Config.default) () : row list =
+  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, mw, pool) ->
-      let plan = Plan.one_per_station mw in
-      let play policy =
-        let cfg_run =
-          {
-            cfg with
-            Config.stations = pool + 1;
-            noise_seed = 3;
-            sched_policy = policy;
-          }
-        in
-        (Parrun.run cfg_run mw plan).Parrun.run
-      in
-      let fcfs = play Sched.Fcfs in
       List.map
-        (fun policy ->
-          let r = if policy = Sched.Fcfs then fcfs else play policy in
-          {
-            sp_series = name;
-            sp_policy = policy;
-            sp_pool = pool;
-            sp_units = r.Timings.dispatch_units;
-            sp_elapsed = r.Timings.elapsed;
-            sp_speedup_vs_fcfs = fcfs.Timings.elapsed /. r.Timings.elapsed;
-          })
-        Sched.all)
-    (sched_series ~level:cfg.Config.opt_level ())
+        (fun (p, (o, _), speedup) ->
+          let r = o.Parrun.run in
+          [
+            ("series", Str name);
+            ("policy", policy p);
+            ("pool", Int pool);
+            ("dispatch_units", Int r.Timings.dispatch_units);
+            ("elapsed", secs r.Timings.elapsed);
+            ("speedup_vs_fcfs", ratio speedup);
+          ])
+        (versus_fcfs ~cfg ~pool Sched.all mw (Plan.one_per_station mw)))
+    [
+      ("tiny4p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:4 (), 2);
+      ("tiny8p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 2);
+      ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
+      ("tiny16p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:16 (), 4);
+      ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
+      ("large8p4", s_program_work ~level ~size:W2.Gen.Large ~count:8 (), 4);
+      ("huge8p4", s_program_work ~level ~size:W2.Gen.Huge ~count:8 (), 4);
+      ("user4", user_program_work ~level (), 4);
+    ]
 
 (* --- dependence-aware dispatch: FCFS vs DAG vs DAG + LPT --- *)
-
-type dag_point = {
-  dg_series : string;
-  dg_policy : Sched.policy;
-  dg_pool : int;
-  dg_units : int;
-  dg_elapsed : float;
-  dg_speedup_vs_fcfs : float;
-  dg_edges : int;
-  dg_licensed : float;
-}
 
 let module_edges (t : Analysis.Depan.t) =
   List.fold_left
@@ -393,118 +425,47 @@ let module_licensed (t : Analysis.Depan.t) =
   if pairs = 0.0 then 1.0 else licensed /. pairs
 
 let helper_program_work ?(level = 2) () : Driver.Compile.module_work =
-  let key = Printf.sprintf "helpers:%d" level in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw = Driver.Compile.compile_module ~level (W2.Gen.helper_program ()) in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache (Printf.sprintf "helpers:%d" level) (fun () ->
+      Driver.Compile.compile_module ~level (W2.Gen.helper_program ()))
 
 (* Three regimes for the dependence-aware policies: an edge-free S_n
    (the DAG is a no-op and must cost nothing), the helper program
    (whose call graph the analyzer turns into inline_of edges, the
    paper's section 5.1 coupling), and the section-4.3 user program. *)
-let dag_series ?(level = 2) () =
-  [
-    ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
-    ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
-    ("helpers4", helper_program_work ~level (), 4);
-    ("user4", user_program_work ~level (), 4);
-  ]
-
-let dag_sweep ?(cfg = Config.default) () : dag_point list =
+let dag_sweep ?(cfg = Config.default) () : row list =
+  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, (mw : Driver.Compile.module_work), pool) ->
       let analysis = mw.Driver.Compile.mw_analysis in
-      let plan = Plan.one_per_station mw in
-      let play policy =
-        let cfg_run =
-          {
-            cfg with
-            Config.stations = pool + 1;
-            noise_seed = 3;
-            sched_policy = policy;
-          }
-        in
-        (Parrun.run cfg_run mw plan).Parrun.run
-      in
-      let fcfs = play Sched.Fcfs in
       List.map
-        (fun policy ->
-          let r = if policy = Sched.Fcfs then fcfs else play policy in
-          {
-            dg_series = name;
-            dg_policy = policy;
-            dg_pool = pool;
-            dg_units = r.Timings.dispatch_units;
-            dg_elapsed = r.Timings.elapsed;
-            dg_speedup_vs_fcfs = fcfs.Timings.elapsed /. r.Timings.elapsed;
-            dg_edges = module_edges analysis;
-            dg_licensed = module_licensed analysis;
-          })
-        (Sched.Fcfs :: Sched.dag_policies))
-    (dag_series ~level:cfg.Config.opt_level ())
-
-(* --- section 6: how far does this scale? --- *)
-
-(* "For the style of parallelism exploited by this compiler, on the
-   order of 8 to 16 processors can be used comfortably.  For our domain
-   of application programs, extending the number of processors beyond
-   this range is unlikely to yield any additional speedup." *)
-let run_scaling_study ?(cfg = Config.default) ?(size = W2.Gen.Large)
-    ?max_stations () : point list =
-  List.map
-    (fun count ->
-      let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
-      let comparison =
-        match max_stations with
-        | Some cap when count > cap -> measure ~cfg ~processors:cap mw
-        | Some _ | None -> measure ~cfg mw
-      in
-      { n_functions = count; comparison })
-    [ 1; 2; 4; 8; 12; 16; 24; 32 ]
+        (fun (p, (o, _), speedup) ->
+          let r = o.Parrun.run in
+          [
+            ("series", Str name);
+            ("policy", policy p);
+            ("pool", Int pool);
+            ("dispatch_units", Int r.Timings.dispatch_units);
+            ("edges", Int (module_edges analysis));
+            ("licensed_fraction", ratio (module_licensed analysis));
+            ("elapsed", secs r.Timings.elapsed);
+            ("speedup_vs_fcfs", ratio speedup);
+          ])
+        (versus_fcfs ~cfg ~pool (Sched.Fcfs :: Sched.dag_policies) mw
+           (Plan.one_per_station mw)))
+    [
+      ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
+      ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
+      ("helpers4", helper_program_work ~level (), 4);
+      ("user4", user_program_work ~level (), 4);
+    ]
 
 (* --- abstract-interpretation refinement: pruned edges, end to end --- *)
 
-type absint_point = {
-  ap_series : string;
-  ap_functions : int;
-  ap_edges_off : int; (* dependence edges, base analysis *)
-  ap_edges_on : int; (* after the absint refinement *)
-  ap_pruned : int; (* edge reasons refuted (region + protocol) *)
-  ap_licensed_off : float;
-  ap_licensed_on : float;
-  ap_elapsed_off : float; (* dag+lpt elapsed on the unpruned DAG *)
-  ap_elapsed_on : float; (* dag+lpt elapsed on the pruned DAG *)
-  ap_speedup : float; (* off / on: what the pruning buys *)
-  ap_race_violations : int;
-      (* dynamic oracle over the pruned run's trace: dependence edges
-         dispatched out of order.  Soundness means this is always 0 *)
-}
-
-let absint_series () =
-  [
-    ("partitioned", fun () -> W2.Gen.partitioned_program ());
-    ("histogram", fun () -> W2.Gen.histogram_program ());
-    ("deadchan", fun () -> W2.Gen.deadchan_program ());
-    (* witness: every edge here is inline_of/sig_agreement, which the
-       refinement never touches — the point must be a no-op *)
-    ("helpers4", fun () -> W2.Gen.helper_program ~drivers:4 ());
-  ]
-
 let absint_program_work ?(level = 2) ~absint ~name (make : unit -> W2.Ast.modul)
     : Driver.Compile.module_work =
-  let key = Printf.sprintf "absint:%s:%d:%b" name level absint in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw =
+  memo cache (Printf.sprintf "absint:%s:%d:%b" name level absint) (fun () ->
       Driver.Compile.compile_source ~level ~absint
-        (W2.Pretty.module_to_string (make ()))
-    in
-    Hashtbl.replace cache key mw;
-    mw
+        (W2.Pretty.module_to_string (make ())))
 
 let module_pruned (t : Analysis.Depan.t) =
   List.fold_left
@@ -514,110 +475,63 @@ let module_pruned (t : Analysis.Depan.t) =
 (* Each program is compiled twice — refinement off and on — and both
    DAGs are played under dag+lpt on a 4-station pool with the race
    oracle armed: the pruned schedule must be faster (or at worst equal)
-   and every surviving edge must still be honoured dynamically. *)
-let absint_sweep ?(cfg = Config.default) ?(pool = 4) () : absint_point list =
+   and every surviving edge must still be honoured dynamically.  The
+   helper program is a witness: every edge there is
+   inline_of/sig_agreement, which the refinement never touches, so the
+   point must be a no-op. *)
+let absint_sweep ?(cfg = Config.default) ?(pool = 4) () : row list =
   List.map
     (fun (name, make) ->
       let level = cfg.Config.opt_level in
       let off = absint_program_work ~level ~absint:false ~name make in
       let on = absint_program_work ~level ~absint:true ~name make in
-      let play (mw : Driver.Compile.module_work) =
-        let plan = Plan.one_per_station mw in
-        let tr = Trace.create () in
-        let cfg_run =
-          {
-            cfg with
-            Config.stations = pool + 1;
-            noise_seed = 3;
-            sched_policy = Sched.Dag_lpt;
-            trace = tr;
-          }
-        in
-        let r = (Parrun.run cfg_run mw plan).Parrun.run in
-        let scheduled =
-          Sched.schedule ~static:cfg.Config.static_cost ~policy:Sched.Dag_lpt
-            ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-            ~stations:(pool + 1) plan
-        in
-        (r.Timings.elapsed, List.length (Traceview.race_check tr ~plan:scheduled))
+      let play_dag (mw : Driver.Compile.module_work) =
+        play ~cfg ~pool Sched.Dag_lpt mw (Plan.one_per_station mw)
       in
-      let elapsed_off, _ = play off in
-      let elapsed_on, violations = play on in
-      {
-        ap_series = name;
-        ap_functions = List.length (Driver.Compile.all_funcs on);
-        ap_edges_off = module_edges off.Driver.Compile.mw_analysis;
-        ap_edges_on = module_edges on.Driver.Compile.mw_analysis;
-        ap_pruned = module_pruned on.Driver.Compile.mw_analysis;
-        ap_licensed_off = module_licensed off.Driver.Compile.mw_analysis;
-        ap_licensed_on = module_licensed on.Driver.Compile.mw_analysis;
-        ap_elapsed_off = elapsed_off;
-        ap_elapsed_on = elapsed_on;
-        ap_speedup = elapsed_off /. elapsed_on;
-        ap_race_violations = violations;
-      })
-    (absint_series ())
+      let run_off = play_dag off and run_on = play_dag on in
+      let a_off = off.Driver.Compile.mw_analysis
+      and a_on = on.Driver.Compile.mw_analysis in
+      [
+        ("series", Str name);
+        ("functions", Int (List.length (Driver.Compile.all_funcs on)));
+        ("edges_off", Int (module_edges a_off));
+        ("edges_on", Int (module_edges a_on));
+        ("pruned", Int (module_pruned a_on));
+        ("licensed_off", ratio (module_licensed a_off));
+        ("licensed_on", ratio (module_licensed a_on));
+        ("elapsed_off", secs (elapsed run_off));
+        ("elapsed_on", secs (elapsed run_on));
+        ("speedup", ratio (elapsed run_off /. elapsed run_on));
+        ("race_violations", Int (races run_on Sched.Dag_lpt));
+      ])
+    [
+      ("partitioned", fun () -> W2.Gen.partitioned_program ());
+      ("histogram", fun () -> W2.Gen.histogram_program ());
+      ("deadchan", fun () -> W2.Gen.deadchan_program ());
+      ("helpers4", fun () -> W2.Gen.helper_program ~drivers:4 ());
+    ]
 
 (* --- speculative dispatch (dag+spec) --- *)
 
-type spec_point = {
-  zp_series : string;
-  zp_functions : int;
-  zp_spec_edges : int; (* speculative edges in the plan *)
-  zp_hot_edges : int; (* genuinely conflicting speculative edges *)
-  zp_elapsed_lpt : float; (* dag+lpt elapsed (every edge gated) *)
-  zp_elapsed_spec : float; (* dag+spec elapsed *)
-  zp_speedup : float; (* lpt / spec: what speculation buys *)
-  zp_dispatched : int;
-  zp_committed : int;
-  zp_rolled_back : int;
-  zp_race_violations : int;
-}
+let spec_program_work ?(level = 2) ?max_tracked ~absint ~name
+    (make : unit -> W2.Ast.modul) : Driver.Compile.module_work =
+  memo cache
+    (Printf.sprintf "spec:%s:%d:%b:%d" name level absint
+       (Option.value ~default:(-1) max_tracked))
+    (fun () ->
+      Driver.Compile.compile_source ~level ?max_tracked ~absint
+        (W2.Pretty.module_to_string (make ())))
 
 (* The "blinded" programs are dynamically independent but compiled with
    the abstract interpretation off and the summary tracking cap below
    the write fan-out, so the analyzer pins every pair with
    summary_limit — the conservative-analysis regime speculation is for.
    The racy program is the adversarial control: its conflicts are real,
-   so dag+spec must roll attempts back and still finish correctly. *)
-let spec_series () =
-  [
-    ( "blinded4",
-      (fun () -> W2.Gen.speculative_program ~workers:4 ~fanout:24 ()),
-      Some 8,
-      false,
-      4 );
-    ( "blinded8",
-      (fun () -> W2.Gen.speculative_program ~workers:8 ~fanout:24 ()),
-      Some 8,
-      false,
-      8 );
-    ("racy3", (fun () -> W2.Gen.racy_program ~scatters:3 ()), None, true, 3);
-  ]
-
-let spec_program_work ?(level = 2) ?max_tracked ~absint ~name
-    (make : unit -> W2.Ast.modul) : Driver.Compile.module_work =
-  let key =
-    Printf.sprintf "spec:%s:%d:%b:%d" name level absint
-      (Option.value ~default:(-1) max_tracked)
-  in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let mw =
-      Driver.Compile.compile_source ~level ?max_tracked ~absint
-        (W2.Pretty.module_to_string (make ()))
-    in
-    Hashtbl.replace cache key mw;
-    mw
-
-(* Each program is played under dag+lpt (every dependence edge gated)
-   and dag+spec (speculative edges overlapped under the commit
-   protocol) on a pool matching its width, traced, with the
-   speculation-aware race oracle counting violations on the dag+spec
-   trace.  [Parrun.run] already asserts both runs race-free; the
+   so dag+spec must roll attempts back and still finish correctly.
+   Each program is played under dag+lpt and dag+spec on a pool matching
+   its width; [Parrun.run] already asserts both runs race-free, the
    explicit count lands in the benchmark artifact. *)
-let spec_sweep ?(cfg = Config.default) () : spec_point list =
+let spec_sweep ?(cfg = Config.default) () : row list =
   List.map
     (fun (name, make, max_tracked, absint, pool) ->
       let mw =
@@ -625,151 +539,87 @@ let spec_sweep ?(cfg = Config.default) () : spec_point list =
           ~name make
       in
       let plan = Plan.one_per_station mw in
-      let play policy =
-        let tr = Trace.create () in
-        let cfg_run =
-          {
-            cfg with
-            Config.stations = pool + 1;
-            noise_seed = 3;
-            sched_policy = policy;
-            trace = tr;
-          }
-        in
-        let r = (Parrun.run cfg_run mw plan).Parrun.run in
-        let scheduled =
-          Sched.schedule ~static:cfg.Config.static_cost ~policy
-            ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-            ~stations:(pool + 1) plan
-        in
-        let violations =
-          if policy = Sched.Dag_spec then
-            List.length (Traceview.race_check_spec tr ~plan:scheduled)
-          else List.length (Traceview.race_check tr ~plan:scheduled)
-        in
-        (r, violations)
-      in
-      let lpt, _ = play Sched.Dag_lpt in
-      let spec, violations = play Sched.Dag_spec in
-      {
-        zp_series = name;
-        zp_functions = List.length (Driver.Compile.all_funcs mw);
-        zp_spec_edges =
-          List.fold_left
-            (fun n (_, es) -> n + List.length es)
-            0 plan.Plan.spec_edges;
-        zp_hot_edges =
-          List.fold_left
-            (fun n (_, es) -> n + List.length es)
-            0 plan.Plan.hot_edges;
-        zp_elapsed_lpt = lpt.Timings.elapsed;
-        zp_elapsed_spec = spec.Timings.elapsed;
-        zp_speedup = lpt.Timings.elapsed /. spec.Timings.elapsed;
-        zp_dispatched = spec.Timings.spec_dispatched;
-        zp_committed = spec.Timings.spec_committed;
-        zp_rolled_back = spec.Timings.spec_rolled_back;
-        zp_race_violations = violations;
-      })
-    (spec_series ())
+      let lpt = play ~cfg ~pool Sched.Dag_lpt mw plan in
+      let spec = play ~cfg ~pool Sched.Dag_spec mw plan in
+      let r = (fst spec).Parrun.run in
+      [
+        ("series", Str name);
+        ("functions", Int (List.length (Driver.Compile.all_funcs mw)));
+        ("spec_edges", Int (count_edges plan.Plan.spec_edges));
+        ("hot_edges", Int (count_edges plan.Plan.hot_edges));
+        ("elapsed_lpt", secs (elapsed lpt));
+        ("elapsed_spec", secs (elapsed spec));
+        ("speedup", ratio (elapsed lpt /. elapsed spec));
+        ("spec_dispatched", Int r.Timings.spec_dispatched);
+        ("spec_committed", Int r.Timings.spec_committed);
+        ("spec_rolled_back", Int r.Timings.spec_rolled_back);
+        ("race_violations", Int (races spec Sched.Dag_spec));
+      ])
+    [
+      ( "blinded4",
+        (fun () -> W2.Gen.speculative_program ~workers:4 ~fanout:24 ()),
+        Some 8,
+        false,
+        4 );
+      ( "blinded8",
+        (fun () -> W2.Gen.speculative_program ~workers:8 ~fanout:24 ()),
+        Some 8,
+        false,
+        8 );
+      ("racy3", (fun () -> W2.Gen.racy_program ~scatters:3 ()), None, true, 3);
+    ]
 
 (* --- critical-path profile sweep --- *)
-
-type profile_point = {
-  fp_series : string;
-  fp_policy : Sched.policy;
-  fp_pool : int;
-  fp_elapsed : float;
-  fp_buckets : (string * float) list; (* canonical order, exact sum *)
-  fp_dominant : string;
-  fp_segments : int;
-}
 
 (* Three bottleneck regimes: the overhead-dominated tiny S_8, the
    dependence-coupled helper program, and the speculation-exercising
    blinded program.  One function master per function on pools smaller
    than the task count, so shrinking the pool turns compute time into
    pool-wait time and the dominant bucket shifts. *)
-let profile_series ?(level = 2) () =
-  [
-    ("tiny8", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 ());
-    ("helpers", helper_program_work ~level ());
-    ( "blinded8",
-      spec_program_work ~level ~max_tracked:8 ~absint:false ~name:"blinded8"
-        (fun () -> W2.Gen.speculative_program ~workers:8 ~fanout:24 ()) );
-  ]
-
-let profile_pools = [ 2; 4; 8 ]
-let profile_policies = [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ]
-
-let profile_sweep ?(cfg = Config.default) () : profile_point list =
+let profile_sweep ?(cfg = Config.default) () : row list =
+  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, mw) ->
       let plan = Plan.one_per_station mw in
       List.concat_map
         (fun pool ->
           List.map
-            (fun policy ->
-              let tr = Trace.create () in
-              let cfg_run =
-                {
-                  cfg with
-                  Config.stations = pool + 1;
-                  noise_seed = 3;
-                  sched_policy = policy;
-                  trace = tr;
-                }
+            (fun p ->
+              let ((o, tr) as run) = play ~cfg ~pool p mw plan in
+              let prof =
+                Critpath.of_trace ~plan:o.Parrun.scheduled ~elapsed:(elapsed run) tr
               in
-              let r = (Parrun.run cfg_run mw plan).Parrun.run in
-              let scheduled =
-                Sched.schedule ~static:cfg.Config.static_cost ~policy
-                  ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-                  ~stations:(pool + 1) plan
-              in
-              let p =
-                Critpath.of_trace ~plan:scheduled ~elapsed:r.Timings.elapsed
-                  tr
-              in
-              Critpath.assert_exact p;
+              Critpath.assert_exact prof;
               let dominant =
                 fst
                   (List.fold_left
                      (fun (bn, bv) (n, v) ->
                        if v > bv then (n, v) else (bn, bv))
-                     ("", neg_infinity) p.Critpath.p_buckets)
+                     ("", neg_infinity) prof.Critpath.p_buckets)
               in
-              {
-                fp_series = name;
-                fp_policy = policy;
-                fp_pool = pool;
-                fp_elapsed = p.Critpath.p_elapsed;
-                fp_buckets = p.Critpath.p_buckets;
-                fp_dominant = dominant;
-                fp_segments = List.length p.Critpath.p_segments;
-              })
-            profile_policies)
-        profile_pools)
-    (profile_series ())
+              [
+                ("series", Str name);
+                ("policy", policy p);
+                ("pool", Int pool);
+                ("segments", Int (List.length prof.Critpath.p_segments));
+                ("dominant", Str dominant);
+                ("elapsed", Exact prof.Critpath.p_elapsed);
+                ( "buckets",
+                  Obj
+                    (List.map (fun (b, v) -> (b, Exact v)) prof.Critpath.p_buckets)
+                );
+              ])
+            [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ])
+        [ 2; 4; 8 ])
+    [
+      ("tiny8", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 ());
+      ("helpers", helper_program_work ~level ());
+      ( "blinded8",
+        spec_program_work ~level ~max_tracked:8 ~absint:false ~name:"blinded8"
+          (fun () -> W2.Gen.speculative_program ~workers:8 ~fanout:24 ()) );
+    ]
 
 (* --- content-addressed compile cache: cold / warm / one-edit --- *)
-
-type cache_point = {
-  cp_series : string;
-  cp_pool : int;
-  cp_functions : int;
-  cp_edited : string;
-  cp_closure : int;
-  cp_cold_elapsed : float;
-  cp_warm_elapsed : float;
-  cp_edit_elapsed : float;
-  cp_warm_speedup : float;
-  cp_cold_hits : int;
-  cp_cold_misses : int;
-  cp_warm_hits : int;
-  cp_warm_misses : int;
-  cp_edit_hits : int;
-  cp_edit_misses : int;
-  cp_edit_invalidated : int;
-}
 
 (* The invalidation closure of editing [name]: the function itself plus
    every transitive dependent in the analyzer's dependence DAG — by the
@@ -810,113 +660,65 @@ let widest_edit (mw : Driver.Compile.module_work) : string =
     (Driver.Compile.all_funcs mw);
   fst !best
 
-(* An edge-free point (closure of any edit = 1), the inline-coupled
-   helper program (editing a shared helper invalidates its drivers),
-   and the section-4.3 user program. *)
-let cache_series () =
-  [
-    ("medium8", (fun () -> W2.Gen.s_program ~size:W2.Gen.Medium ~count:8 ()), 4);
-    ("helpers", (fun () -> W2.Gen.helper_program ()), 4);
-    ("user", (fun () -> W2.Gen.user_program ()), 4);
-  ]
-
 let cache_program_work ?(level = 2) ~name ?edit (make : unit -> W2.Ast.modul) :
     Driver.Compile.module_work =
-  let key =
-    Printf.sprintf "cachebench:%s:%d:%s" name level
-      (Option.value ~default:"" edit)
-  in
-  match Hashtbl.find_opt cache key with
-  | Some mw -> mw
-  | None ->
-    let m = make () in
-    let m = match edit with None -> m | Some f -> W2.Gen.touch_in m f in
-    let mw = Driver.Compile.compile_module ~level m in
-    Hashtbl.replace cache key mw;
-    mw
+  memo cache
+    (Printf.sprintf "cachebench:%s:%d:%s" name level
+       (Option.value ~default:"" edit))
+    (fun () ->
+      let m = make () in
+      let m = match edit with None -> m | Some f -> W2.Gen.touch_in m f in
+      Driver.Compile.compile_module ~level m)
 
 (* Cold, warm and one-edit runs against a single store, dag+lpt on a
    small pool.  The cold run populates (every lookup misses), the warm
    run must hit on every function, and the edit run must recompile
    exactly the edited function's closure — each such miss flagged as an
-   invalidation — while hitting on everything else. *)
-let cache_sweep ?(cfg = Config.default) () : cache_point list =
+   invalidation — while hitting on everything else.  The points: an
+   edge-free S_8 (closure of any edit = 1), the inline-coupled helper
+   program (editing a shared helper invalidates its drivers), and the
+   section-4.3 user program. *)
+let cache_sweep ?(cfg = Config.default) () : row list =
   List.map
     (fun (name, make, pool) ->
       let level = cfg.Config.opt_level in
       let mw = cache_program_work ~level ~name make in
       let edited = widest_edit mw in
       let mw_edit = cache_program_work ~level ~name ~edit:edited make in
-      let store = Cache.create () in
-      let play (mw' : Driver.Compile.module_work) =
-        let plan = Plan.one_per_station mw' in
-        let cfg_run =
-          {
-            cfg with
-            Config.stations = pool + 1;
-            noise_seed = 3;
-            sched_policy = Sched.Dag_lpt;
-            cache = Some store;
-          }
-        in
-        (Parrun.run cfg_run mw' plan).Parrun.run
+      let cfg = { cfg with Config.cache = Some (Cache.create ()) } in
+      let run (mw' : Driver.Compile.module_work) =
+        (fst (play ~cfg ~pool Sched.Dag_lpt mw' (Plan.one_per_station mw')))
+          .Parrun.run
       in
-      let cold = play mw in
-      let warm = play mw in
-      let edit = play mw_edit in
-      {
-        cp_series = name;
-        cp_pool = pool;
-        cp_functions = List.length (Driver.Compile.all_funcs mw);
-        cp_edited = edited;
-        cp_closure = edit_closure mw_edit.Driver.Compile.mw_analysis edited;
-        cp_cold_elapsed = cold.Timings.elapsed;
-        cp_warm_elapsed = warm.Timings.elapsed;
-        cp_edit_elapsed = edit.Timings.elapsed;
-        cp_warm_speedup = cold.Timings.elapsed /. warm.Timings.elapsed;
-        cp_cold_hits = cold.Timings.cache_hits;
-        cp_cold_misses = cold.Timings.cache_misses;
-        cp_warm_hits = warm.Timings.cache_hits;
-        cp_warm_misses = warm.Timings.cache_misses;
-        cp_edit_hits = edit.Timings.cache_hits;
-        cp_edit_misses = edit.Timings.cache_misses;
-        cp_edit_invalidated = edit.Timings.cache_invalidated;
-      })
-    (cache_series ())
+      let cold = run mw in
+      let warm = run mw in
+      let edit = run mw_edit in
+      [
+        ("series", Str name);
+        ("pool", Int pool);
+        ("functions", Int (List.length (Driver.Compile.all_funcs mw)));
+        ("edited", Str edited);
+        ("closure", Int (edit_closure mw_edit.Driver.Compile.mw_analysis edited));
+        ("cold_elapsed", secs cold.Timings.elapsed);
+        ("warm_elapsed", secs warm.Timings.elapsed);
+        ("edit_elapsed", secs edit.Timings.elapsed);
+        ("warm_speedup", ratio (cold.Timings.elapsed /. warm.Timings.elapsed));
+        ("cold_hits", Int cold.Timings.cache_hits);
+        ("cold_misses", Int cold.Timings.cache_misses);
+        ("warm_hits", Int warm.Timings.cache_hits);
+        ("warm_misses", Int warm.Timings.cache_misses);
+        ("edit_hits", Int edit.Timings.cache_hits);
+        ("edit_misses", Int edit.Timings.cache_misses);
+        ("edit_invalidated", Int edit.Timings.cache_invalidated);
+      ])
+    [
+      ("medium8", (fun () -> W2.Gen.s_program ~size:W2.Gen.Medium ~count:8 ()), 4);
+      ("helpers", (fun () -> W2.Gen.helper_program ()), 4);
+      ("user", (fun () -> W2.Gen.user_program ()), 4);
+    ]
 
 (* --- modular cross-module analysis: compose from summaries, then
    schedule the whole link as one project --- *)
-
-type link_compose_point = {
-  lc_shape : string;
-  lc_modules : int;
-  lc_functions : int;
-  lc_edges : int;
-  lc_cross_edges : int;
-  lc_levels : int;
-  lc_module_levels : int;
-  lc_licensed : float;
-  lc_missing : int;
-  lc_diags : (string * int) list;
-}
-
-type link_sched_point = {
-  lp_shape : string;
-  lp_modules : int;
-  lp_functions : int;
-  lp_policy : Sched.policy;
-  lp_pool : int;
-  lp_units : int;
-  lp_elapsed : float;
-  lp_speedup_vs_fcfs : float;
-  lp_cross_edges : int;
-  lp_spec_edges : int;
-  lp_race_violations : int;
-}
-
-let link_compose_sizes = [ 100; 200; 400 ]
-let link_sched_sizes = [ 24; 48 ]
-let link_pool = 8
 
 (* Summarize each module separately (providers accumulate as [deps]
    for the cross-module content keys), then force every summary
@@ -937,7 +739,10 @@ let link_cross_edges (link : Analysis.Modan.link) =
          e.Analysis.Modan.x_from_module <> e.Analysis.Modan.x_to_module)
        link.Analysis.Modan.lk_edges)
 
-let link_compose_sweep () : link_compose_point list =
+(* Every shape at 100/200/400 modules, composed from summaries alone —
+   no source text or AST crosses the module boundary after
+   summarization. *)
+let link_compose_sweep () : row list =
   List.concat_map
     (fun shape ->
       List.map
@@ -954,19 +759,19 @@ let link_compose_sweep () : link_compose_point list =
                    | None -> (c, 1) :: acc)
                  [] link.Analysis.Modan.lk_diags)
           in
-          {
-            lc_shape = W2.Gen.shape_name shape;
-            lc_modules = n;
-            lc_functions = List.length link.Analysis.Modan.lk_funcs;
-            lc_edges = List.length link.Analysis.Modan.lk_edges;
-            lc_cross_edges = link_cross_edges link;
-            lc_levels = List.length link.Analysis.Modan.lk_levels;
-            lc_module_levels = List.length link.Analysis.Modan.lk_module_levels;
-            lc_licensed = link.Analysis.Modan.lk_licensed;
-            lc_missing = List.length link.Analysis.Modan.lk_missing;
-            lc_diags = diags;
-          })
-        link_compose_sizes)
+          [
+            ("shape", Str (W2.Gen.shape_name shape));
+            ("modules", Int n);
+            ("functions", Int (List.length link.Analysis.Modan.lk_funcs));
+            ("edges", Int (List.length link.Analysis.Modan.lk_edges));
+            ("cross_edges", Int (link_cross_edges link));
+            ("levels", Int (List.length link.Analysis.Modan.lk_levels));
+            ("module_levels", Int (List.length link.Analysis.Modan.lk_module_levels));
+            ("licensed", ratio link.Analysis.Modan.lk_licensed);
+            ("missing", Int (List.length link.Analysis.Modan.lk_missing));
+            ("diags", Obj (List.map (fun (c, k) -> (c, Int k)) diags));
+          ])
+        [ 100; 200; 400 ])
     W2.Gen.all_shapes
 
 let link_cache :
@@ -975,20 +780,14 @@ let link_cache :
 
 let link_program_work ?(level = 2) ~shape ~modules () :
     Driver.Compile.module_work * Analysis.Modan.link =
-  let key =
-    Printf.sprintf "link:%s:%d:%d" (W2.Gen.shape_name shape) modules level
-  in
-  match Hashtbl.find_opt link_cache key with
-  | Some r -> r
-  | None ->
-    let mods = W2.Gen.project_program ~modules ~seed:1 ~shape () in
-    let link = Analysis.Modan.compose (link_summaries mods) in
-    let merged = Analysis.Modan.inline_project mods in
-    let mw =
-      Driver.Compile.compile_source ~level (W2.Pretty.module_to_string merged)
-    in
-    Hashtbl.replace link_cache key (mw, link);
-    (mw, link)
+  memo link_cache
+    (Printf.sprintf "link:%s:%d:%d" (W2.Gen.shape_name shape) modules level)
+    (fun () ->
+      let mods = W2.Gen.project_program ~modules ~seed:1 ~shape () in
+      let link = Analysis.Modan.compose (link_summaries mods) in
+      let merged = Analysis.Modan.inline_project mods in
+      ( Driver.Compile.compile_source ~level (W2.Pretty.module_to_string merged),
+        link ))
 
 (* The project plan: one master per function over the inlined program,
    with the whole-program DAG replaced by the composed one.  The
@@ -1016,7 +815,9 @@ let link_plan (mw : Driver.Compile.module_work) (link : Analysis.Modan.link) :
     hot_edges = hot;
   }
 
-let link_sched_sweep ?(cfg = Config.default) () : link_sched_point list =
+(* Every shape at 24 and 48 modules under FCFS, dag+lpt and dag+spec on
+   an 8-station pool. *)
+let link_sched_sweep ?(cfg = Config.default) () : row list =
   List.concat_map
     (fun shape ->
       List.concat_map
@@ -1025,60 +826,24 @@ let link_sched_sweep ?(cfg = Config.default) () : link_sched_point list =
             link_program_work ~level:cfg.Config.opt_level ~shape ~modules ()
           in
           let plan = link_plan mw link in
-          let pool = link_pool in
-          let play policy =
-            let tr = Trace.create () in
-            let cfg_run =
-              {
-                cfg with
-                Config.stations = pool + 1;
-                noise_seed = 3;
-                sched_policy = policy;
-                trace = tr;
-              }
-            in
-            let r = (Parrun.run cfg_run mw plan).Parrun.run in
-            let violations =
-              if policy = Sched.Fcfs then 0
-                (* FCFS ignores the DAG; the oracle only judges the
-                   DAG-gated policies *)
-              else
-                let scheduled =
-                  Sched.schedule ~static:cfg.Config.static_cost ~policy
-                    ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-                    ~stations:(pool + 1) plan
-                in
-                if policy = Sched.Dag_spec then
-                  List.length (Traceview.race_check_spec tr ~plan:scheduled)
-                else List.length (Traceview.race_check tr ~plan:scheduled)
-            in
-            (r, violations)
-          in
-          let fcfs, _ = play Sched.Fcfs in
-          let spec_edge_count =
-            List.fold_left
-              (fun n (_, es) -> n + List.length es)
-              0 plan.Plan.spec_edges
-          in
+          let pool = 8 in
           List.map
-            (fun policy ->
-              let r, violations =
-                if policy = Sched.Fcfs then (fcfs, 0) else play policy
-              in
-              {
-                lp_shape = W2.Gen.shape_name shape;
-                lp_modules = modules;
-                lp_functions = List.length (Driver.Compile.all_funcs mw);
-                lp_policy = policy;
-                lp_pool = pool;
-                lp_units = r.Timings.dispatch_units;
-                lp_elapsed = r.Timings.elapsed;
-                lp_speedup_vs_fcfs =
-                  fcfs.Timings.elapsed /. r.Timings.elapsed;
-                lp_cross_edges = link_cross_edges link;
-                lp_spec_edges = spec_edge_count;
-                lp_race_violations = violations;
-              })
-            [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ])
-        link_sched_sizes)
+            (fun (p, ((o, _) as run), speedup) ->
+              let r = o.Parrun.run in
+              [
+                ("shape", Str (W2.Gen.shape_name shape));
+                ("modules", Int modules);
+                ("functions", Int (List.length (Driver.Compile.all_funcs mw)));
+                ("policy", policy p);
+                ("pool", Int pool);
+                ("units", Int r.Timings.dispatch_units);
+                ("elapsed", secs r.Timings.elapsed);
+                ("speedup_vs_fcfs", ratio speedup);
+                ("cross_edges", Int (link_cross_edges link));
+                ("spec_edges", Int (count_edges plan.Plan.spec_edges));
+                ("race_violations", Int (races run p));
+              ])
+            (versus_fcfs ~cfg ~pool [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ]
+               mw plan))
+        [ 24; 48 ])
     W2.Gen.all_shapes

@@ -81,77 +81,55 @@ type grain_point = {
 val run_grain_study :
   ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> grain_point list
 
+(** {1 Sweep rows}
+
+    Every sweep below returns one row per simulated point: an ordered
+    list of named values, written to its [BENCH_*.json] file as one
+    JSON object per row, fields in list order.  Every sweep is seeded
+    (noise seed 3) and therefore reproducible bit for bit. *)
+
+type value =
+  | Int of int
+  | Fixed of int * float  (** written with that many decimals *)
+  | Exact of float  (** written [%.17g]: round-trips bit for bit *)
+  | Str of string
+  | Obj of row  (** a nested object *)
+
+and row = (string * value) list
+
+val speedup_row : W2.Gen.size -> point -> row
+(** One {!size_series} point as a [BENCH_parallel.json] speedup row. *)
+
 (** {1 Fault tolerance} *)
 
-type fault_point = {
-  fp_stations : int; (** pool size available to function masters *)
-  fp_rate : float; (** crash rate fed to {!Netsim.Fault.random} *)
-  fp_elapsed : float;
-  fp_inflation : float; (** elapsed / fault-free elapsed (1.0 = free) *)
-  fp_retries : int;
-  fp_fallbacks : int;
-  fp_lost : int; (** stations crashed or reclaimed *)
-  fp_wasted_cpu : float;
-}
-
-val fault_rates : float list
-(** 0, 0.25, 0.5, 1.0. *)
-
-val fault_sweep :
-  ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> fault_point list
-(** Elapsed-time inflation, recovery work and wasted CPU of the
-    parallel compiler on 2/4/8/16-station pools as the fault rate
-    grows; seeded, so the series is reproducible. *)
+val fault_sweep : ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> row list
+(** Elapsed-time inflation (elapsed / fault-free elapsed), recovery work
+    and wasted CPU of the parallel compiler on 2/4/8/16-station pools
+    as the crash rate ({!Netsim.Fault.random}) grows through 0, 0.25,
+    0.5 and 1.0. *)
 
 (** {1 Scheduling policies} *)
 
-type sched_point = {
-  sp_series : string; (** e.g. ["tiny8p4"] = S_8 of tiny functions, pool of 4 *)
-  sp_policy : Sched.policy;
-  sp_pool : int; (** stations available to function masters *)
-  sp_units : int; (** dispatch units launched (after any batching) *)
-  sp_elapsed : float;
-  sp_speedup_vs_fcfs : float;
-      (** FCFS elapsed / this elapsed on the same point (1.0 for FCFS) *)
-}
-
-val sched_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work * int) list
-(** The sweep's (name, module, pool) points: tiny/small/large/huge S_n
-    programs and the user program on pools smaller than the task count,
-    the regime where scheduling order and batching can matter. *)
-
-val sched_sweep : ?cfg:Config.t -> unit -> sched_point list
-(** Every {!sched_series} point under every {!Sched.policy}, with
-    [cfg]'s batch threshold; seeded (noise seed 3), so reproducible. *)
+val sched_sweep : ?cfg:Config.t -> unit -> row list
+(** Tiny/small/large/huge S_n programs and the user program on pools
+    smaller than the task count, the regime where scheduling order and
+    batching can matter, under every {!Sched.policy} with [cfg]'s batch
+    threshold.  Series names read e.g. ["tiny8p4"] = S_8 of tiny
+    functions, pool of 4; [speedup_vs_fcfs] is 1.0 for FCFS. *)
 
 (** {1 Dependence-aware dispatch} *)
-
-type dag_point = {
-  dg_series : string;
-  dg_policy : Sched.policy; (** [Fcfs] baseline, [Dag] or [Dag_lpt] *)
-  dg_pool : int;
-  dg_units : int;
-  dg_elapsed : float;
-  dg_speedup_vs_fcfs : float; (** 1.0 for the baseline row *)
-  dg_edges : int; (** dependence edges over the whole module *)
-  dg_licensed : float; (** pairs-weighted licensed-parallelism fraction *)
-}
 
 val helper_program_work : ?level:int -> unit -> Driver.Compile.module_work
 (** The section-5.1 helper program (cached) — the sweep's coupled
     module: its call graph becomes inline_of dependence edges. *)
 
-val dag_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work * int) list
-(** (name, module, pool) points spanning licensed fractions: edge-free
-    S_8 programs (DAG dispatch must be free), the helper program, and
-    the user program. *)
-
-val dag_sweep : ?cfg:Config.t -> unit -> dag_point list
-(** Every {!dag_series} point under FCFS and both {!Sched.dag_policies};
-    seeded (noise seed 3), so reproducible.  On the edge-free points the
-    [dag] rows reproduce the FCFS elapsed times bit for bit. *)
+val dag_sweep : ?cfg:Config.t -> unit -> row list
+(** Edge-free S_8 programs (DAG dispatch must be free), the helper
+    program and the user program under FCFS and both
+    {!Sched.dag_policies}, with the module's dependence edges and
+    pairs-weighted licensed-parallelism fraction.  On the edge-free
+    points the [dag] rows reproduce the FCFS elapsed times bit for
+    bit. *)
 
 (** {1 Section 6: scaling limit} *)
 
@@ -164,58 +142,16 @@ val run_scaling_study :
 
 (** {1 Abstract-interpretation refinement} *)
 
-type absint_point = {
-  ap_series : string;
-  ap_functions : int;
-  ap_edges_off : int; (** dependence edges, base (flow-insensitive) analysis *)
-  ap_edges_on : int; (** after the {!Analysis.Absint} refinement *)
-  ap_pruned : int; (** edge reasons refuted (region + protocol) *)
-  ap_licensed_off : float;
-  ap_licensed_on : float; (** pairs-weighted licensed fractions *)
-  ap_elapsed_off : float; (** dag+lpt elapsed on the unpruned DAG *)
-  ap_elapsed_on : float; (** dag+lpt elapsed on the pruned DAG *)
-  ap_speedup : float; (** off / on — what the pruning buys *)
-  ap_race_violations : int;
-      (** {!Traceview.race_check} violations on the pruned run's trace;
-          soundness of the refutations means this is always 0 *)
-}
-
-val absint_series : unit -> (string * (unit -> W2.Ast.modul)) list
-(** The sweep's programs: the partitioned lattice, the histogram and
-    the dead-channel program (each with refutable couplings) plus the
-    4-driver helper program as a no-op witness (all of its edges are
-    inline/signature edges, which the refinement never touches). *)
-
-val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> absint_point list
-(** Each program compiled with the refinement off and on, both DAGs
-    played under dag+lpt on a [pool]-station cluster (default 4) with
-    the race oracle armed; seeded (noise seed 3), so reproducible. *)
+val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> row list
+(** The partitioned lattice, the histogram and the dead-channel program
+    (each with refutable couplings) plus the 4-driver helper program as
+    a no-op witness, each compiled with the {!Analysis.Absint}
+    refinement off and on and both DAGs played under dag+lpt on a
+    [pool]-station cluster (default 4).  [race_violations] counts
+    {!Traceview.race_check} violations on the pruned run; soundness of
+    the refutations means it is always 0. *)
 
 (** {1 Speculative dispatch (dag+spec)} *)
-
-type spec_point = {
-  zp_series : string;
-  zp_functions : int;
-  zp_spec_edges : int; (** speculative edges in the plan *)
-  zp_hot_edges : int; (** genuinely conflicting speculative edges *)
-  zp_elapsed_lpt : float; (** dag+lpt elapsed (every edge gated) *)
-  zp_elapsed_spec : float; (** dag+spec elapsed *)
-  zp_speedup : float; (** lpt / spec — what speculation buys *)
-  zp_dispatched : int; (** speculative attempts launched *)
-  zp_committed : int; (** staged outputs promoted to durable *)
-  zp_rolled_back : int; (** staged outputs quarantined *)
-  zp_race_violations : int;
-      (** {!Traceview.race_check_spec} violations on the dag+spec
-          trace; the commit protocol's soundness means this is 0 *)
-}
-
-val spec_series :
-  unit -> (string * (unit -> W2.Ast.modul) * int option * bool * int) list
-(** The sweep's (name, program, max_tracked, absint, pool) points: two
-    "blinded" programs — dynamically independent but compiled with the
-    refinement off and the tracking cap below their write fan-out, so
-    every pair is pinned by [summary_limit] — plus the deliberately
-    racy scatter program whose conflicts are real. *)
 
 val spec_program_work :
   ?level:int ->
@@ -227,66 +163,28 @@ val spec_program_work :
 (** Compile one sweep program (cached on every knob that shapes the
     analysis, [max_tracked] and [absint] included). *)
 
-val spec_sweep : ?cfg:Config.t -> unit -> spec_point list
-(** Each program played under dag+lpt and dag+spec on a pool matching
-    its width, traced, with the speculation-aware race oracle armed;
-    seeded (noise seed 3), so reproducible.  On the blinded points
-    every speculation commits and dag+spec beats dag+lpt; on the racy
-    point attempts roll back and the run still terminates with every
-    task written back exactly once. *)
+val spec_sweep : ?cfg:Config.t -> unit -> row list
+(** Two "blinded" programs — dynamically independent but compiled with
+    the refinement off and the tracking cap below their write fan-out,
+    so every pair is pinned by [summary_limit] — plus the deliberately
+    racy scatter program, each played under dag+lpt and dag+spec on a
+    pool matching its width.  On the blinded points every speculation
+    commits and dag+spec beats dag+lpt; on the racy point attempts roll
+    back and the run still terminates with every task written back
+    exactly once. *)
 
 (** {1 Critical-path profile sweep} *)
 
-type profile_point = {
-  fp_series : string;
-  fp_policy : Sched.policy;
-  fp_pool : int;
-  fp_elapsed : float;
-  fp_buckets : (string * float) list;
-      (** {!Critpath.bucket_names} order; folds to [fp_elapsed] exactly *)
-  fp_dominant : string; (** largest bucket — the bottleneck regime *)
-  fp_segments : int;
-}
-
-val profile_series :
-  ?level:int -> unit -> (string * Driver.Compile.module_work) list
-(** Three bottleneck regimes: the overhead-dominated tiny S_8, the
-    dependence-coupled helper program, and the speculation-exercising
-    blinded program. *)
-
-val profile_pools : int list
-val profile_policies : Sched.policy list
-
-val profile_sweep : ?cfg:Config.t -> unit -> profile_point list
-(** Every {!profile_series} program, one master per function, on each
-    pool size under each policy, traced and profiled with
-    {!Critpath.of_trace} ({!Critpath.assert_exact} armed); seeded
-    (noise seed 3), so reproducible.  Shrinking the pool below the task
-    count shifts the dominant bucket from compute/overhead toward
-    pool-wait — the bottleneck-migration story the artifact records. *)
+val profile_sweep : ?cfg:Config.t -> unit -> row list
+(** The overhead-dominated tiny S_8, the dependence-coupled helper
+    program and the speculation-exercising blinded program, one master
+    per function on 2/4/8-station pools under FCFS, dag+lpt and
+    dag+spec, profiled with {!Critpath.of_trace}
+    ({!Critpath.assert_exact} armed).  [buckets] fold to [elapsed]
+    exactly; [dominant] names the largest, which shifts from
+    compute/overhead toward pool-wait as the pool shrinks. *)
 
 (** {1 Content-addressed compile cache} *)
-
-type cache_point = {
-  cp_series : string;
-  cp_pool : int;
-  cp_functions : int;
-  cp_edited : string; (** the function the one-edit run touched *)
-  cp_closure : int;
-      (** edited function + transitive dependence dependents: the set
-          whose keys change, hence the expected recompile count *)
-  cp_cold_elapsed : float; (** empty store: every lookup misses *)
-  cp_warm_elapsed : float; (** same module again: every lookup hits *)
-  cp_edit_elapsed : float; (** after {!W2.Gen.touch_in} on [cp_edited] *)
-  cp_warm_speedup : float; (** cold / warm — what memoization buys *)
-  cp_cold_hits : int;
-  cp_cold_misses : int;
-  cp_warm_hits : int;
-  cp_warm_misses : int;
-  cp_edit_hits : int;
-  cp_edit_misses : int; (** = [cp_closure] when the cache is correct *)
-  cp_edit_invalidated : int; (** misses attributed to the edit; = misses *)
-}
 
 val edit_closure : Analysis.Depan.t -> string -> int
 (** Size of the named function's invalidation closure (itself plus
@@ -295,11 +193,6 @@ val edit_closure : Analysis.Depan.t -> string -> int
 val widest_edit : Driver.Compile.module_work -> string
 (** The function whose edit invalidates the largest closure — the
     sweep's deterministic "programmer edit" target. *)
-
-val cache_series :
-  unit -> (string * (unit -> W2.Ast.modul) * int) list
-(** (name, program, pool): an edge-free S_8 (closure 1), the
-    inline-coupled helper program, and the user program. *)
 
 val cache_program_work :
   ?level:int ->
@@ -310,64 +203,19 @@ val cache_program_work :
 (** Compile one sweep program (cached), optionally after
     {!W2.Gen.touch_in} on [edit]. *)
 
-val cache_sweep : ?cfg:Config.t -> unit -> cache_point list
-(** Cold, warm and one-edit runs of each {!cache_series} point against
-    a single {!Cache.t}, dag+lpt on the point's pool; seeded (noise
-    seed 3), so reproducible.  Warm elapsed is strictly below cold on
-    every point, and the edit run recompiles exactly the closure. *)
+val cache_sweep : ?cfg:Config.t -> unit -> row list
+(** Cold, warm and one-edit runs of an edge-free S_8, the helper
+    program and the user program against a single {!Cache.t}, dag+lpt
+    on a 4-station pool.  Warm elapsed is strictly below cold on every
+    point, and the edit run recompiles exactly the {!widest_edit}
+    target's closure. *)
 
 (** {1 Modular cross-module analysis (link-time composition)} *)
 
-type link_compose_point = {
-  lc_shape : string; (** {!W2.Gen.shape_name} *)
-  lc_modules : int;
-  lc_functions : int;
-  lc_edges : int; (** composed dependence edges, intra + cross *)
-  lc_cross_edges : int; (** edges whose endpoints live in different modules *)
-  lc_levels : int; (** function antichains of the composed DAG *)
-  lc_module_levels : int; (** antichains of the module condensation *)
-  lc_licensed : float; (** project-wide licensed-parallelism fraction *)
-  lc_missing : int; (** imported calls no module of the link defines *)
-  lc_diags : (string * int) list; (** cross-module lints, counted by code *)
-}
-
-type link_sched_point = {
-  lp_shape : string;
-  lp_modules : int;
-  lp_functions : int;
-  lp_policy : Sched.policy; (** [Fcfs] baseline, [Dag_lpt] or [Dag_spec] *)
-  lp_pool : int;
-  lp_units : int;
-  lp_elapsed : float;
-  lp_speedup_vs_fcfs : float; (** 1.0 for the baseline row *)
-  lp_cross_edges : int;
-  lp_spec_edges : int; (** speculative edges in the composed plan *)
-  lp_race_violations : int;
-      (** race-oracle violations on the DAG-gated policies' traces;
-          the composed DAG's superset property means this is 0 *)
-}
-
-val link_compose_sizes : int list
-(** 100, 200, 400 modules — the summary-space composition axis. *)
-
-val link_sched_sizes : int list
-(** 24, 48 modules — the end-to-end project-scheduling axis. *)
-
-val link_pool : int
-(** Stations available to function masters in the scheduling sweep
-    (8). *)
-
-val link_summaries :
-  W2.Ast.modul list -> Analysis.Modan.module_summary list
-(** Separately summarize each module (accumulating provider summaries
-    for the cross-module content keys) and round-trip every summary
-    through the [.wsi] artifact, so composition sees exactly what a
-    separate build persists. *)
-
-val link_compose_sweep : unit -> link_compose_point list
-(** Every {!W2.Gen.shape} at every {!link_compose_sizes} count,
-    composed from summaries alone — no source text or AST crosses the
-    module boundary after summarization.  Deterministic (seed 1). *)
+val link_compose_sweep : unit -> row list
+(** Every {!W2.Gen.shape} at 100, 200 and 400 modules, each module
+    summarized separately and round-tripped through its [.wsi]
+    artifact, then composed from the summaries alone (seed 1). *)
 
 val link_program_work :
   ?level:int ->
@@ -386,8 +234,8 @@ val link_plan :
     proven-sharing pairs restricted to edges the composed DAG still
     speculates past (so hot ⊆ spec is preserved). *)
 
-val link_sched_sweep : ?cfg:Config.t -> unit -> link_sched_point list
-(** Every shape at every {!link_sched_sizes} count played under FCFS,
-    dag+lpt and dag+spec on a {!link_pool}-station pool, traced, with
-    the race oracle armed on the DAG-gated policies; seeded (noise
-    seed 3), so reproducible. *)
+val link_sched_sweep : ?cfg:Config.t -> unit -> row list
+(** Every shape at 24 and 48 modules played under FCFS, dag+lpt and
+    dag+spec on an 8-station pool, with the race oracle armed on the
+    DAG-gated policies (0 violations: the composed DAG is a superset
+    of the whole-program one). *)

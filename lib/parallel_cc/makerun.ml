@@ -66,7 +66,8 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
   let par_body ~salt mw =
     traced mw
       (Parrun.master_process cfg sim cluster ~noise ~salt mw
-         (Plan.one_per_station mw) ~stats ~on_finish)
+         (Parrun.schedule cfg (Plan.one_per_station mw))
+         ~stats ~on_finish)
   in
   (match strategy with
   | Sequential ->

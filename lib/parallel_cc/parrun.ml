@@ -52,6 +52,7 @@ let set_resident = Seqrun.set_resident
 type outcome = {
   run : Timings.run;
   station_of_task : (string * int) list; (* task head function -> station *)
+  scheduled : Plan.t; (* the plan the master dispatched *)
 }
 
 type stats = {
@@ -114,21 +115,21 @@ let spec_meta_bytes = 256.0
 
 (* The master process body; spawnable so that several modules can be
    compiled concurrently on one cluster (the parallel-make study). *)
+(* Apply the dispatch policy.  A pure plan-to-plan transformation:
+   [Sched.Fcfs] (the default) returns the plan physically unchanged,
+   so the event schedule is bit-identical to the unscheduled
+   compiler. *)
+let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
+  Sched.schedule ~static:cfg.Config.static_cost
+    ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
+    ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
+
+(* [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
 let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(stats : stats)
     ~on_finish () =
   let cost = cfg.Config.cost in
-  (* Apply the dispatch policy.  A pure plan-to-plan transformation:
-     [Sched.Fcfs] (the default) returns the plan physically unchanged,
-     so the event schedule below is bit-identical to the unscheduled
-     compiler.  Applied here rather than in [run] so the parallel-make
-     study (which spawns master processes directly) is scheduled
-     too. *)
   let policy = Config.effective_policy cfg in
-  let plan =
-    Sched.schedule ~static:cfg.Config.static_cost ~policy ~cost
-      ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
-  in
   stats.dispatch_units <- stats.dispatch_units + Plan.task_count plan;
   (* Under a DAG policy each task gets a one-shot completion event;
      dependent tasks await their predecessors' events before claiming
@@ -902,8 +903,9 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   let noise = Config.noise cfg in
   let finish = ref 0.0 in
   let stats = fresh_stats () in
+  let scheduled = schedule cfg plan in
   Netsim.Des.spawn sim
-    (master_process cfg sim cluster ~noise ~salt:0 mw plan ~stats
+    (master_process cfg sim cluster ~noise ~salt:0 mw scheduled ~stats
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
   let cpu = Netsim.Host.cpu_times cluster in
@@ -931,26 +933,19 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   if fresh_trace then begin
     Traceview.assert_matches_run tr run;
     (* Under a DAG policy the schedule promises dependence order; let
-       the trace prove it kept that promise.  [Sched.schedule] is pure
-       and deterministic, so re-deriving the scheduled plan here sees
-       exactly the task queues the master dispatched.  dag+spec makes a
-       weaker promise — proven edges ordered, speculative edges ordered
-       only for the winning attempt of genuinely conflicting pairs —
-       checked by the speculation-aware oracle. *)
+       the trace prove it kept that promise.  dag+spec makes a weaker
+       promise — proven edges ordered, speculative edges ordered only
+       for the winning attempt of genuinely conflicting pairs — checked
+       by the speculation-aware oracle. *)
     let policy = Config.effective_policy cfg in
-    if Sched.dag_gated policy then begin
-      let scheduled =
-        Sched.schedule ~static:cfg.Config.static_cost ~policy
-          ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold
-          ~stations:cfg.Config.stations plan
-      in
-      if policy = Sched.Dag_spec then
-        Traceview.assert_race_free_spec tr ~plan:scheduled
-      else Traceview.assert_race_free tr ~plan:scheduled
-    end
+    if policy = Sched.Dag_spec then
+      Traceview.assert_race_free_spec tr ~plan:scheduled
+    else if Sched.dag_gated policy then
+      Traceview.assert_race_free tr ~plan:scheduled
   end;
   {
     run;
+    scheduled;
     (* Placements report in (task, station) order rather than
        completion order, which under supervision depends on the racing
        attempts — sorted output is stable across fault plans. *)

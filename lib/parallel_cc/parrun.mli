@@ -40,6 +40,9 @@ type outcome = {
   station_of_task : (string * int) list;
       (** head function of each task → workstation id; fine-grained
           phase-3 placements appear as ["name#p3"] *)
+  scheduled : Plan.t;
+      (** the plan the master dispatched: {!schedule} of the input
+          plan, whose task labels the trace spans carry *)
 }
 
 type stats = {
@@ -67,6 +70,10 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+val schedule : Config.t -> Plan.t -> Plan.t
+(** {!Sched.schedule} under {!Config.effective_policy} and the
+    config's cost model, batch threshold and pool size. *)
+
 val master_process :
   Config.t ->
   Netsim.Des.t ->
@@ -80,7 +87,8 @@ val master_process :
   unit ->
   unit
 (** The spawnable master body; several can share a cluster (the
-    combined strategy of the parallel-make study). *)
+    combined strategy of the parallel-make study).  The plan is
+    dispatched as given, so pass it through {!schedule} first. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
 (** One parallel compilation on a fresh cluster. *)

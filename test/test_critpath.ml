@@ -44,22 +44,14 @@ let cfg_for ?(policy = Sched.Fcfs) ?(faults = Netsim.Fault.none) ~pool () =
     faults;
   }
 
-let scheduled cfg plan =
-  Sched.schedule ~static:cfg.Config.static_cost
-    ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
-    ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
-
 (* One traced run and its profile, anchored at the run's elapsed time
    (straggler attempts may record spans past it) with the scheduled
    plan wired in. *)
 let run_and_profile cfg mw plan =
   let tr = Trace.create () in
   let cfg = { cfg with Config.trace = tr } in
-  let run = (Parrun.run cfg mw plan).Parrun.run in
-  let p =
-    Critpath.of_trace ~plan:(scheduled cfg plan) ~elapsed:run.Timings.elapsed
-      tr
-  in
+  let { Parrun.run; scheduled; _ } = Parrun.run cfg mw plan in
+  let p = Critpath.of_trace ~plan:scheduled ~elapsed:run.Timings.elapsed tr in
   (tr, run, p)
 
 let check_exact label (run : Timings.run) (p : Critpath.profile) =
@@ -233,15 +225,11 @@ let test_profile_never_perturbs () =
   let plan = Plan.grouped mw ~processors:2 in
   let play () =
     let tr = Trace.create () in
-    let run =
-      (Parrun.run { (cfg_for ~pool:2 ()) with Config.trace = tr } mw plan)
-        .Parrun.run
-    in
-    (tr, run)
+    (tr, Parrun.run { (cfg_for ~pool:2 ()) with Config.trace = tr } mw plan)
   in
-  let tr1, run1 = play () in
+  let tr1, { Parrun.run = run1; scheduled; _ } = play () in
   let before = (Trace.span_count tr1, Trace.instant_count tr1) in
-  let p = Critpath.of_trace ~plan:(scheduled (cfg_for ~pool:2 ()) plan) tr1 in
+  let p = Critpath.of_trace ~plan:scheduled tr1 in
   Critpath.assert_exact p;
   ignore (Critpath.what_ifs p);
   ignore (Critpath.top p);
@@ -251,7 +239,7 @@ let test_profile_never_perturbs () =
     (Trace.span_count tr1, Trace.instant_count tr1);
   (* And a fresh identical run — with no profiler anywhere near it —
      reproduces the same timings bit for bit. *)
-  let _, run2 = play () in
+  let _, { Parrun.run = run2; _ } = play () in
   Alcotest.(check (float 0.0)) "elapsed bit-identical" run1.Timings.elapsed
     run2.Timings.elapsed;
   Alcotest.(check (list (float 0.0))) "per-station CPU bit-identical"

@@ -446,13 +446,8 @@ let test_project_schedule_race_free () =
       trace = tr;
     }
   in
-  let r = (Parrun.run cfg mw plan).Parrun.run in
+  let { Parrun.run = r; scheduled; _ } = Parrun.run cfg mw plan in
   Alcotest.(check bool) "made progress" true (r.Timings.elapsed > 0.0);
-  let scheduled =
-    Sched.schedule ~static:cfg.Config.static_cost ~policy:Sched.Dag_lpt
-      ~cost:cfg.Config.cost ~threshold:cfg.Config.batch_threshold ~stations:5
-      plan
-  in
   Alcotest.(check int) "race oracle clean" 0
     (List.length (Traceview.race_check tr ~plan:scheduled))
 

@@ -319,12 +319,41 @@ let test_domains_equivalent () =
     Alcotest.(check (float 1e-9)) "same value" expected v
   | _ -> Alcotest.fail "domain-compiled image failed"
 
+(* A function with more parameters than the register file holds passes
+   semantic checking but fails in register allocation.  The parallel
+   compiler must surface that failure like the sequential one instead
+   of losing it with the worker domain. *)
+let test_domains_task_failure () =
+  let params =
+    String.concat ", " (List.init 80 (fun i -> Printf.sprintf "p%d: int" i))
+  in
+  let source =
+    Printf.sprintf
+      "module wide\n  section s cells 1\n  function f(%s) : int\n  begin\n\
+      \    return p0;\n  end\n  function g(x: int) : int\n  begin\n\
+      \    return x;\n  end\n  end\nend\n"
+      params
+  in
+  let m = W2.Parser.module_of_string source in
+  Alcotest.(check int) "semcheck accepts" 0
+    (List.length (W2.Semcheck.check_module m));
+  let outcome f = try ignore (f ()); None with e -> Some e in
+  let seq = outcome (fun () -> Driver.Compile.compile_source source) in
+  let par = outcome (fun () -> Domains.compile_parallel ~workers:2 m) in
+  Alcotest.(check (option string)) "sequential raises"
+    (Some (Printexc.to_string (Warp.Regalloc.Too_many_params "f")))
+    (Option.map Printexc.to_string seq);
+  Alcotest.(check (option string)) "parallel raises the same"
+    (Option.map Printexc.to_string seq)
+    (Option.map Printexc.to_string par)
+
 let extension_suites =
   [
     ( "parallel.extensions",
       [
         Alcotest.test_case "inlining study" `Slow test_inlining_study;
         Alcotest.test_case "domains equivalence" `Slow test_domains_equivalent;
+        Alcotest.test_case "domains task failure" `Quick test_domains_task_failure;
       ] );
   ]
 

@@ -84,44 +84,47 @@ let test_structural_edges_stay_proven () =
 (* --- the sweep: speculation wins where analysis was conservative --- *)
 
 let test_spec_sweep () =
-  let points = Experiment.spec_sweep () in
-  Alcotest.(check int) "three series" 3 (List.length points);
+  let rows = Experiment.spec_sweep () in
+  Alcotest.(check int) "three series" 3 (List.length rows);
   List.iter
-    (fun (p : Experiment.spec_point) ->
-      Alcotest.(check int)
-        (p.Experiment.zp_series ^ ": race-free")
-        0 p.Experiment.zp_race_violations;
+    (fun (row : Experiment.row) ->
+      let int key =
+        match List.assoc key row with
+        | Experiment.Int n -> n
+        | _ -> Alcotest.failf "%s is not an Int" key
+      in
+      let float key =
+        match List.assoc key row with
+        | Experiment.Fixed (_, x) | Experiment.Exact x -> x
+        | _ -> Alcotest.failf "%s is not a float" key
+      in
+      let series =
+        match List.assoc "series" row with
+        | Experiment.Str s -> s
+        | _ -> Alcotest.fail "series is not a Str"
+      in
+      let spec = float "elapsed_spec" and lpt = float "elapsed_lpt" in
+      Alcotest.(check int) (series ^ ": race-free") 0 (int "race_violations");
       Alcotest.(check bool)
-        (Printf.sprintf "%s: dag+spec %.1f <= dag+lpt %.1f"
-           p.Experiment.zp_series p.Experiment.zp_elapsed_spec
-           p.Experiment.zp_elapsed_lpt)
-        true
-        (p.Experiment.zp_elapsed_spec <= p.Experiment.zp_elapsed_lpt);
-      if String.length p.Experiment.zp_series >= 7
-         && String.sub p.Experiment.zp_series 0 7 = "blinded"
-      then begin
+        (Printf.sprintf "%s: dag+spec %.1f <= dag+lpt %.1f" series spec lpt)
+        true (spec <= lpt);
+      if String.length series >= 7 && String.sub series 0 7 = "blinded" then begin
         Alcotest.(check bool)
-          (p.Experiment.zp_series ^ ": strictly faster than dag+lpt")
-          true
-          (p.Experiment.zp_elapsed_spec < p.Experiment.zp_elapsed_lpt);
+          (series ^ ": strictly faster than dag+lpt")
+          true (spec < lpt);
         Alcotest.(check int)
-          (p.Experiment.zp_series ^ ": every speculation committed")
-          p.Experiment.zp_dispatched p.Experiment.zp_committed;
-        Alcotest.(check int)
-          (p.Experiment.zp_series ^ ": no rollbacks")
-          0 p.Experiment.zp_rolled_back
+          (series ^ ": every speculation committed")
+          (int "spec_dispatched") (int "spec_committed");
+        Alcotest.(check int) (series ^ ": no rollbacks") 0 (int "spec_rolled_back")
       end
       else begin
         Alcotest.(check bool)
-          (p.Experiment.zp_series ^ ": misspeculation detected")
+          (series ^ ": misspeculation detected")
           true
-          (p.Experiment.zp_rolled_back >= 1);
-        Alcotest.(check bool)
-          (p.Experiment.zp_series ^ ": hot edges present")
-          true
-          (p.Experiment.zp_hot_edges > 0)
+          (int "spec_rolled_back" >= 1);
+        Alcotest.(check bool) (series ^ ": hot edges present") true (int "hot_edges" > 0)
       end)
-    points
+    rows
 
 (* --- the racy program: rollback, exactly-once, identical artifact --- *)
 
