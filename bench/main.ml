@@ -655,8 +655,7 @@ let print_trace_demo () =
   Stats.Table.print (Metrics.to_table (Metrics.of_trace tr));
   print_newline ();
   Stats.Table.print
-    (Traceview.decomposition_table
-       (Traceview.decompose ~processors:n_fm ~seq_elapsed:seq.Timings.elapsed tr));
+    (Timings.comparison_table (Timings.compare_runs ~processors:n_fm ~seq ~par));
   Printf.printf "parallel elapsed %.1f s, speedup %.2f\n\n" par.Timings.elapsed
     (seq.Timings.elapsed /. par.Timings.elapsed)
 
@@ -830,7 +829,7 @@ let targets : (string * string * bool * action) list =
       true,
       Sweep
         {
-          schema = "warpcc-bench-link/1";
+          schema = "warpcc-bench-link/2";
           file = "BENCH_link.json";
           header = [];
           groups =

@@ -694,8 +694,8 @@ let gantt =
 
 let metrics =
   Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Print the metrics registry and the trace-derived overhead \
-               decomposition of the traced run")
+         ~doc:"Print the metrics registry of the traced run and its \
+               overhead decomposition")
 
 let json_out =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
@@ -845,8 +845,7 @@ let simulate_cmd =
           else Netsim.Fault.none
         in
         if trace_out <> None || gantt || metrics then begin
-          (* One traced parallel run with the span sink wired in; the
-             run itself asserts that the trace reproduces its counters. *)
+          (* One traced parallel run with the span sink wired in. *)
           let tr = Trace.create () in
           let traced =
             (Parrun.run { cfg with Config.faults; trace = tr } mw plan).Parrun.run
@@ -869,9 +868,9 @@ let simulate_cmd =
             Stats.Table.print (Metrics.to_table (Metrics.of_trace tr));
             print_newline ();
             Stats.Table.print
-              (Traceview.decomposition_table
-                 (Traceview.decompose ~processors:n_fm
-                    ~seq_elapsed:c.Timings.seq.Timings.elapsed tr));
+              (Timings.comparison_table
+                 (Timings.compare_runs ~processors:n_fm ~seq:c.Timings.seq
+                    ~par:traced));
             Printf.printf "traced elapsed     : %8.1f s\n" traced.Timings.elapsed
           end
         end;

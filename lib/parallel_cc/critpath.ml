@@ -45,8 +45,7 @@
    reassociation residue (an iterated ulp-nudge), cross-checked against
    its raw sum at rounding scale (1e-9 relative) so the nudge can never
    hide an attribution bug.  [assert_exact] checks the invariant, the
-   tiling, and bucket non-negativity in the spirit of
-   [Traceview.assert_matches_run].
+   tiling, and bucket non-negativity.
 
    Everything here only reads a finished trace: profiling can never
    perturb a timing. *)

@@ -8,8 +8,7 @@
     along the DES's exact shared timestamps.  The result is the
     end-to-end critical path as a chain of {!segment}s that tiles
     [0, end_time] exactly, with every second attributed to one
-    {!bucket}; {!assert_exact} checks the float-exact sum invariant in
-    the spirit of [Traceview.assert_matches_run].
+    {!bucket}; {!assert_exact} checks the float-exact sum invariant.
 
     On top of the path: {!what_ifs} projects upper-bound speedups with
     one cost class zeroed, {!dag_bound} computes the analysis-side

@@ -842,6 +842,9 @@ let link_sched_sweep ?(cfg = Config.default) () : row list =
                 ("cross_edges", Int (link_cross_edges link));
                 ("spec_edges", Int (count_edges plan.Plan.spec_edges));
                 ("race_violations", Int (races run p));
+                ("retries", Int r.Timings.retries);
+                ("spec_rolled_back", Int r.Timings.spec_rolled_back);
+                ("wasted_cpu", secs r.Timings.wasted_cpu);
               ])
             (versus_fcfs ~cfg ~pool [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ]
                mw plan))

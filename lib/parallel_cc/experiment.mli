@@ -238,4 +238,5 @@ val link_sched_sweep : ?cfg:Config.t -> unit -> row list
 (** Every shape at 24 and 48 modules played under FCFS, dag+lpt and
     dag+spec on an 8-station pool, with the race oracle armed on the
     DAG-gated policies (0 violations: the composed DAG is a superset
-    of the whole-program one). *)
+    of the whole-program one).  Each row also carries the run's
+    retries, speculative rollbacks and wasted CPU. *)

@@ -47,7 +47,7 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
     incr done_count;
     if !done_count = total then finish := t
   in
-  let stats = Parrun.fresh_stats () in
+  let log = Parrun.empty_log () in
   (* One ["make"] span per module compilation on track 0, so a traced
      study shows the per-module schedule of each strategy. *)
   let traced (mw : Driver.Compile.module_work) body () =
@@ -67,7 +67,7 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
     traced mw
       (Parrun.master_process cfg sim cluster ~noise ~salt mw
          (Parrun.schedule cfg (Plan.one_per_station mw))
-         ~stats ~on_finish)
+         ~log ~on_finish)
   in
   (match strategy with
   | Sequential ->

@@ -32,20 +32,25 @@
    claims one, so stages of different tasks pipeline through a small
    pool — at the price of a second Lisp startup and the IR shipping.
 
-   Fault tolerance.  When the configuration carries a fault plan, each
-   task runs under a supervisor: the section master gives every attempt
-   a deadline (Config.deadline_factor times the cost-model estimate),
-   detects crashes ([Fault.Station_failed] from the attempt) and
-   timeouts (a watchdog process), and re-dispatches the task FCFS to
-   another pool station with exponential backoff, up to
-   [Config.retry_budget] times.  Write-back is idempotent: a
+   Fault tolerance.  Every task runs under a supervisor in its section
+   master, which detects crashes ([Fault.Station_failed] from the
+   attempt) and re-dispatches the task FCFS to another pool station
+   with exponential backoff, up to [Config.retry_budget] times.  Under
+   a fault plan each attempt also gets a deadline
+   ([Config.deadline_factor] times the cost-model estimate) enforced by
+   a watchdog process; without one no watchdog is armed, because a
+   fault-free attempt cannot be lost.  Write-back is idempotent: a
    [completed] token makes the first finishing attempt win; stragglers
    only add to the wasted-CPU account.  When the budget is exhausted
    the task degrades to a sequential compile in the master's own Lisp
    (whose workstation is never faulted), so every compilation
-   terminates with the same output — only slower.  With an empty fault
-   plan the legacy unsupervised code path runs, preserving today's
-   event schedule (and therefore timings) bit for bit. *)
+   terminates with the same output — only slower.
+
+   Accounting.  Every counted event (overhead CPU, retries, timeouts,
+   lost and wasted attempts, fallbacks, speculation verdicts, compile-
+   cache lookups, placements) goes through one [record] call, which
+   appends it to the run log and emits its trace instant or span.
+   [Timings.run] is a fold over the log in append order. *)
 
 let set_resident = Seqrun.set_resident
 
@@ -55,40 +60,64 @@ type outcome = {
   scheduled : Plan.t; (* the plan the master dispatched *)
 }
 
-type stats = {
-  mutable master_cpu : float;
-  mutable section_cpu : float;
-  mutable extra_parse_cpu : float;
-  mutable placements : (string * int) list;
-  mutable dispatch_units : int;
-  mutable retries : int;
-  mutable fallback_tasks : int;
-  mutable wasted_cpu : float;
-  mutable spec_dispatched : int;
-  mutable spec_committed : int;
-  mutable spec_rolled_back : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_invalidated : int;
-}
+(* The implementation-overhead CPU of section 4.2.3: the master's
+   setup parse and scheduling, the section masters' work, and the
+   function masters' re-parsing. *)
+type overhead = Master | Section | Reparse
 
-let fresh_stats () =
-  {
-    master_cpu = 0.0;
-    section_cpu = 0.0;
-    extra_parse_cpu = 0.0;
-    placements = [];
-    dispatch_units = 0;
-    retries = 0;
-    fallback_tasks = 0;
-    wasted_cpu = 0.0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-    spec_rolled_back = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_invalidated = 0;
-  }
+(* One run-log entry.  [Overhead] carries nominal seconds, [Wasted] the
+   CPU an attempt burned for nothing. *)
+type event =
+  | Overhead of overhead * float
+  | Retry
+  | Timeout
+  | Attempt_lost
+  | Wasted of float
+  | Fallback
+  | Spec_dispatch
+  | Spec_commit
+  | Spec_abort
+  | Cache_hit of { func : string; key : string }
+  | Cache_miss of { func : string; key : string; invalidated : bool }
+  | Cache_store of { func : string; key : string }
+  | Placement of (string * int)
+
+type log = event Queue.t
+
+let empty_log () : log = Queue.create ()
+
+(* The run's counters and placements as one fold over the log.  Append
+   order is the order the events happened in, so every float sum is
+   reproducible bit for bit. *)
+let tally (log : log) (r : Timings.run) =
+  Queue.fold
+    (fun ((r : Timings.run), placed) ev ->
+      match ev with
+      | Overhead (Master, s) ->
+        ({ r with master_cpu = r.master_cpu +. s }, placed)
+      | Overhead (Section, s) ->
+        ({ r with section_cpu = r.section_cpu +. s }, placed)
+      | Overhead (Reparse, s) ->
+        ({ r with extra_parse_cpu = r.extra_parse_cpu +. s }, placed)
+      | Retry -> ({ r with retries = r.retries + 1 }, placed)
+      | Wasted s -> ({ r with wasted_cpu = r.wasted_cpu +. s }, placed)
+      | Fallback -> ({ r with fallback_tasks = r.fallback_tasks + 1 }, placed)
+      | Spec_dispatch ->
+        ({ r with spec_dispatched = r.spec_dispatched + 1 }, placed)
+      | Spec_commit -> ({ r with spec_committed = r.spec_committed + 1 }, placed)
+      | Spec_abort ->
+        ({ r with spec_rolled_back = r.spec_rolled_back + 1 }, placed)
+      | Cache_hit _ -> ({ r with cache_hits = r.cache_hits + 1 }, placed)
+      | Cache_miss { invalidated; _ } ->
+        ( {
+            r with
+            cache_misses = r.cache_misses + 1;
+            cache_invalidated = r.cache_invalidated + Bool.to_int invalidated;
+          },
+          placed )
+      | Placement p -> (r, p :: placed)
+      | Timeout | Attempt_lost | Cache_store _ -> (r, placed))
+    (r, []) log
 
 (* A function-master attempt lost its station.  Raised and caught
    within the same simulated process — it never escapes the DES. *)
@@ -113,8 +142,7 @@ type sup_msg =
    the staged payload itself was already charged at staging time. *)
 let spec_meta_bytes = 256.0
 
-(* The master process body; spawnable so that several modules can be
-   compiled concurrently on one cluster (the parallel-make study). *)
+
 (* Apply the dispatch policy.  A pure plan-to-plan transformation:
    [Sched.Fcfs] (the default) returns the plan physically unchanged,
    so the event schedule is bit-identical to the unscheduled
@@ -124,13 +152,14 @@ let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
     ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
     ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
 
-(* [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
+(* The master process body; spawnable so that several modules can be
+   compiled concurrently on one cluster (the parallel-make study).
+   [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
 let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
-    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(stats : stats)
+    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : log)
     ~on_finish () =
   let cost = cfg.Config.cost in
   let policy = Config.effective_policy cfg in
-  stats.dispatch_units <- stats.dispatch_units + Plan.task_count plan;
   (* Under a DAG policy each task gets a one-shot completion event;
      dependent tasks await their predecessors' events before claiming
      a station.  Everything is a no-op for edge-free sections (and for
@@ -140,13 +169,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
 
      Under [Dag_spec] only the PROVEN edges gate; attempts dispatched
      past speculative edges stage their write-back and run the commit
-     protocol below.  Speculation needs the supervisor even on a
-     fault-free host (aborted attempts re-dispatch through it). *)
+     protocol below. *)
   let gated = Sched.dag_gated policy in
   let spec_mode = policy = Sched.Dag_spec in
-  let supervised =
-    (not (Netsim.Fault.is_none cfg.Config.faults)) || spec_mode
-  in
+  let faulty = not (Netsim.Fault.is_none cfg.Config.faults) in
   let tr = cfg.Config.trace in
   let ether = cluster.Netsim.Host.ether in
   (* Fetches identify the client station and a file label so the
@@ -175,6 +201,44 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   let core_file = "core" in
   let src_file = "src:" ^ mw.Driver.Compile.mw_name in
   let ws_m = Netsim.Host.claim sim cluster in
+  (* The one place an event is counted and traced: appended to the run
+     log, and emitted on the master's track as its instant, or as its
+     span from [t0] to now.  Overhead CPU is traced by the
+     [Host.compute] span that burned it, placements by the claim
+     spans. *)
+  let record ?(task = "") ?(attempt = 0) ?(t0 = 0.0) ev =
+    Queue.push ev log;
+    if Trace.enabled tr then begin
+      let track = ws_m.Netsim.Host.ws_id and now = Netsim.Des.now sim in
+      let args = [ ("task", task); ("attempt", string_of_int attempt) ] in
+      let instant ?(cat = "task") ?(args = args) name =
+        Trace.instant tr ~track ~cat ~name ~args ~at:now ()
+      in
+      let span name = Trace.span tr ~track ~cat:"task" ~name ~args ~t0 ~t1:now () in
+      (* Compile-cache index events live in their own category: the
+         "cache-hit" task instant is the byte-level locality cache. *)
+      let indexed name ~func ~key extra =
+        instant ~cat:"cache"
+          ~args:(("task", task) :: ("func", func) :: ("key", key) :: extra)
+          name
+      in
+      match ev with
+      | Overhead _ | Placement _ -> ()
+      | Retry -> instant "retry"
+      | Timeout -> instant "timeout"
+      | Attempt_lost -> instant "attempt-lost"
+      | Wasted cpu -> instant ~args:(args @ [ ("cpu", Trace.farg cpu) ]) "wasted"
+      | Spec_dispatch -> instant "spec-dispatch"
+      | Fallback -> span "fallback"
+      | Spec_commit -> span "spec-commit"
+      | Spec_abort -> span "spec-abort"
+      | Cache_hit { func; key } -> indexed "cache-hit" ~func ~key []
+      | Cache_miss { func; key; invalidated } ->
+        indexed "cache-miss" ~func ~key
+          [ ("invalidated", if invalidated then "1" else "0") ]
+      | Cache_store { func; key } -> indexed "cache-store" ~func ~key []
+    end
+  in
   let factor w = Config.cluster_slowdown cfg cluster w in
   (* The master's workstation is never faulted (Host wires station 0
      out of the plan); anything else is a simulation bug. *)
@@ -185,10 +249,15 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
         (Printf.sprintf "Parrun: master workstation %d failed at %.1fs"
            f.Netsim.Fault.failed_station f.Netsim.Fault.failed_at)
   in
-  let compute_m ?tag seconds salt' =
+  let compute_m ~tag seconds salt' =
     must
-      (Netsim.Host.compute sim ws_m ~factor ?tag
+      (Netsim.Host.compute sim ws_m ~factor ~tag
          ~seconds:(seconds *. noise (salt + salt')))
+  in
+  (* Implementation-overhead CPU on the master's workstation. *)
+  let overhead_m kind ~tag seconds =
+    must (Netsim.Host.compute sim ws_m ~factor ~tag ~seconds);
+    record (Overhead (kind, seconds))
   in
   (* C master: cheap startup, then read the source. *)
   Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
@@ -206,13 +275,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
   compute_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 11;
   compute_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 12;
-  let setup = Driver.Cost.setup_parse_seconds cost mw *. noise (salt + 13) in
-  must (Netsim.Host.compute sim ws_m ~factor ~tag:"setup-parse" ~seconds:setup);
-  stats.master_cpu <- stats.master_cpu +. setup;
+  overhead_m Master ~tag:"setup-parse"
+    (Driver.Cost.setup_parse_seconds cost mw *. noise (salt + 13));
   (* Scheduling: derive the task placement directives. *)
-  let sched = 0.1 *. float_of_int (Plan.task_count plan) *. noise (salt + 14) in
-  must (Netsim.Host.compute sim ws_m ~factor ~tag:"sched" ~seconds:sched);
-  stats.master_cpu <- stats.master_cpu +. sched;
+  overhead_m Master ~tag:"sched"
+    (0.1 *. float_of_int (Plan.task_count plan) *. noise (salt + 14));
   (* Fork the section masters. *)
   let sections_done = Netsim.Sync.join (List.length plan.Plan.tasks_per_section) in
   List.iteri
@@ -220,13 +287,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
       Netsim.Des.spawn sim (fun () ->
           (* Section masters are C processes on the master's host. *)
           Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
-          let interpret =
-            0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si)
-          in
-          must
-            (Netsim.Host.compute sim ws_m ~factor ~tag:"sect-interpret"
-               ~seconds:interpret);
-          stats.section_cpu <- stats.section_cpu +. interpret;
+          overhead_m Section ~tag:"sect-interpret"
+            (0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
           (* [deps] gates dispatch.  Under [Dag_spec] only the proven
              edges gate; the speculative remainder ([spec_deps]) is
@@ -291,6 +353,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
               let task_label =
                 match head_name with Some name -> name | None -> "<empty>"
               in
+              let record = record ~task:task_label in
               (* Task-lifecycle span: recorded on the executing
                  station's track so Gantt/Chrome views show the
                  claim → write-back chain per attempt. *)
@@ -301,45 +364,19 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       [ ("task", task_label); ("attempt", string_of_int attempt_n) ]
                     ~t0 ~t1:(Netsim.Des.now sim) ()
               in
-              let linstant ~name ~attempt_n ?(extra = []) () =
-                if Trace.enabled tr then
-                  Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"task"
-                    ~name
-                    ~args:
-                      (("task", task_label)
-                      :: ("attempt", string_of_int attempt_n)
-                      :: extra)
-                    ~at:(Netsim.Des.now sim) ()
-              in
-              (* Compile-cache bookkeeping for this task.  Index events
-                 live in their own "cache" category (the "cache-hit"
-                 instant under "task" above is the unrelated byte-level
-                 locality cache) and are emitted 1:1 with the counter
-                 increments, so the trace recovery stays exact. *)
-              let cache_instant ~name (fw : Driver.Compile.func_work) ~key
-                  ~extra =
-                if Trace.enabled tr then
-                  Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"cache"
-                    ~name
-                    ~args:
-                      (("task", task_label)
-                      :: ("func", fw.Driver.Compile.fw_name)
-                      :: ("key", key) :: extra)
-                    ~at:(Netsim.Des.now sim) ()
-              in
               let cache_owner (fw : Driver.Compile.func_work) =
                 Cache.owner ~modul:mw.Driver.Compile.mw_name
                   ~section:section_name ~func:fw.Driver.Compile.fw_name
               in
               (* Durable publication of this task's artifacts into the
                  compile cache.  Called exactly where the task's output
-                 becomes durable — the unsupervised attempt's return,
-                 the winning supervised attempt, a speculative commit,
-                 the sequential fallback — and never for a superseded
-                 straggler or a quarantined speculative artifact, so
-                 each key is stored at most once.  Only newly stored
-                 artifacts cost anything: one store of payload+index
-                 bytes, alongside the durable copy already written. *)
+                 becomes durable — the winning attempt, a speculative
+                 commit, the sequential fallback — and never for a
+                 superseded straggler or a quarantined speculative
+                 artifact, so each key is stored at most once.  Only
+                 newly stored artifacts cost anything: one store of
+                 payload+index bytes, alongside the durable copy
+                 already written. *)
               let cache_publish () =
                 match cache with
                 | None -> ()
@@ -353,7 +390,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                           let bytes = Cache.artifact_bytes fw in
                           if Cache.populate c ~owner:(cache_owner fw) ~key ~bytes
                           then begin
-                            cache_instant ~name:"cache-store" fw ~key ~extra:[];
+                            record
+                              (Cache_store { func = fw.Driver.Compile.fw_name; key });
                             acc +. bytes +. Cache.meta_bytes
                           end
                           else acc)
@@ -361,35 +399,39 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   in
                   if stored > 0.0 then store stored
               in
+              (* Supervisor state: the completion token, the attempt
+                 counter, and the commit oracle's aborts so far and
+                 whether the task's speculative edges have hardened to
+                 gated. *)
+              let completed = ref false in
+              let attempt_no = ref 0 in
+              let spec_fails = ref 0 in
+              let hardened = ref false in
               (* --- one function-master attempt ---
-                 [note] records a placement; [spent] accumulates the
-                 CPU this attempt burned (for the wasted-work account
-                 if its output is lost).  [Lost] is raised when the
-                 attempt's station crashes (checked by [compute] during
-                 CPU work and explicitly after network operations,
-                 which do not touch the station's CPU).  On the
-                 fault-free path every check is a no-op, so the event
-                 schedule is exactly the pre-fault-tolerance one.
+                 [noted] collects its placements; [spent] accumulates
+                 the CPU it burned (for the wasted-work account if its
+                 output is lost).  [Lost] is raised when the attempt's
+                 station crashes (checked by [compute] during CPU work
+                 and explicitly after network operations, which do not
+                 touch the station's CPU).  On a fault-free host every
+                 check is a no-op.
 
-                 [hardened] suppresses speculation for this attempt
-                 (its task exhausted [Config.spec_budget]); [staged]
-                 tells the watchdog a speculative attempt has parked
-                 its output on the server and is merely awaiting the
-                 commit verdict; [spec_pending] reports back which
-                 speculative predecessors were still incomplete when
-                 the attempt claimed its station — empty means the
-                 attempt wrote back durably, non-empty means the
-                 caller must run the commit protocol.  On every policy
-                 but dag+spec [spec_deps] is all-empty, so the pending
-                 set is always empty and none of this executes. *)
-              let attempt ~note ~spent ~attempt_n ~hardened ~staged
-                  ~spec_pending () =
+                 [staged] tells the watchdog a speculative attempt has
+                 parked its output on the server and is merely awaiting
+                 the commit verdict.  The result is the speculative
+                 predecessors still incomplete when the attempt claimed
+                 its station: empty means the attempt wrote back
+                 durably, non-empty means the caller must run the
+                 commit protocol.  On every policy but dag+spec
+                 [spec_deps] is all-empty, so the result always is. *)
+              let attempt ~attempt_n ~noted ~spent ~staged =
                 let alive ws =
                   match Netsim.Host.crashed ws ~now:(Netsim.Des.now sim) with
                   | Some f -> raise (Lost f)
                   | None -> ()
                 in
                 let lspan ws ~name ~t0 = lspan ws ~name ~attempt_n ~t0 in
+                let note name id = noted := (name, id) :: !noted in
                 (* Pool stations are held exclusively, so the
                    busy-seconds delta around one compute call is
                    exactly this attempt's CPU (partial work of a
@@ -400,14 +442,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   spent := !spent +. (w.Netsim.Host.busy_seconds -. before);
                   check r
                 in
-                let compute_f ?tag w seconds salt' =
+                let compute_f ~tag w seconds salt' =
                   charged w (fun () ->
-                      Netsim.Host.compute sim w ~factor ?tag
+                      Netsim.Host.compute sim w ~factor ~tag
                         ~seconds:(seconds *. noise (salt + salt')))
                 in
                 (* Locality-aware re-dispatch: on a retry under a
                    non-FCFS policy, prefer a pool station that already
-                   holds this module's source bytes (then one holding
+                   holds the bytes the master needs (then one holding
                    the core image), and skip the re-download of
                    whatever the granted station has.  First attempts
                    and the FCFS policy never reach these branches, so
@@ -418,58 +460,88 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 in
                 let cache_hit ws file =
                   let hit = locality && has ws file in
-                  if hit then
-                    linstant ~name:"cache-hit" ~attempt_n
-                      ~extra:[ ("file", file); ("station", string_of_int ws.Netsim.Host.ws_id) ]
-                      ();
+                  if hit && Trace.enabled tr then
+                    Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"task"
+                      ~name:"cache-hit"
+                      ~args:
+                        [
+                          ("task", task_label);
+                          ("attempt", string_of_int attempt_n);
+                          ("file", file);
+                          ("station", string_of_int ws.Netsim.Host.ws_id);
+                        ]
+                      ~at:(Netsim.Des.now sim) ();
                   hit
+                in
+                (* Claim a pool station for a master that reads [file],
+                   noting the placement under the head name plus
+                   [suffix]. *)
+                let claim ~file suffix =
+                  let t0 = Netsim.Des.now sim in
+                  let ws =
+                    if locality then
+                      Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
+                          (if has w file then 2 else 0)
+                          + (if has w core_file then 1 else 0))
+                    else Netsim.Host.claim sim cluster
+                  in
+                  lspan ws ~name:"claim" ~t0;
+                  (match head_name with
+                  | Some name -> note (name ^ suffix) ws.Netsim.Host.ws_id
+                  | None -> ());
+                  ws
+                in
+                (* Lisp startup: every function master downloads the
+                   core image and initializes (a warm station maps the
+                   image it already holds: same resident set, no
+                   wire). *)
+                let start_lisp ws salt' =
+                  (if cfg.Config.core_download && not (cache_hit ws core_file)
+                   then begin
+                     let t0 = Netsim.Des.now sim in
+                     fetch ~client:ws.Netsim.Host.ws_id ~file:core_file
+                       cost.Driver.Cost.lisp_core_bytes;
+                     lspan ws ~name:"transfer" ~t0
+                   end);
+                  alive ws;
+                  set_resident ws cost.Driver.Cost.lisp_core_mb;
+                  compute_f ~tag:"lisp-init" ws cost.Driver.Cost.lisp_init_seconds
+                    salt'
+                in
+                (* One phase over the task's functions on [ws], traced
+                   as one span named by its tag; [cached] (a compile-
+                   cache lookup) may skip a function's compute. *)
+                let phase ?(cached = fun _ -> false) ws ~tag seconds base =
+                  let t0 = Netsim.Des.now sim in
+                  List.iteri
+                    (fun fi (fw : Driver.Compile.func_work) ->
+                      if not (cached fw) then begin
+                        set_resident ws (Driver.Cost.function_master_mb cost fw);
+                        compute_f ~tag ws (seconds cost fw) (base + (31 * ti) + fi)
+                      end)
+                    task.Plan.t_funcs;
+                  lspan ws ~name:tag ~t0
                 in
                 (* --- the function master proper --- *)
                 let t_claim = Netsim.Des.now sim in
-                let ws =
-                  if locality then
-                    Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
-                        (if has w src_file then 2 else 0)
-                        + (if has w core_file then 1 else 0))
-                  else Netsim.Host.claim sim cluster
-                in
-                lspan ws ~name:"claim" ~t0:t_claim;
-                (match head_name with
-                | Some name -> note name ws.Netsim.Host.ws_id
-                | None -> ());
+                let ws = claim ~file:src_file "" in
                 (* Speculation decision, made once the station is
                    granted: any speculative predecessor not yet durably
                    complete makes this attempt speculative — its output
                    will be staged, not written back, and the commit
-                   oracle rules at predecessor write-back time. *)
+                   oracle rules at predecessor write-back time.  A
+                   hardened task (past [Config.spec_budget]) no longer
+                   speculates. *)
                 let pending =
-                  if spec_mode && not hardened then
+                  if spec_mode && not !hardened then
                     List.filter
                       (fun d -> not (Netsim.Sync.is_set completion.(d)))
                       spec_deps.(ti)
                   else []
                 in
-                spec_pending := pending;
                 let speculative = pending <> [] in
-                if speculative then begin
-                  stats.spec_dispatched <- stats.spec_dispatched + 1;
-                  linstant ~name:"spec-dispatch" ~attempt_n ()
-                end;
-                (* Lisp startup: every function master downloads the
-                   core image and initializes (a warm station maps the
-                   image it already holds: same resident set, no
-                   wire). *)
-                (if cfg.Config.core_download && not (cache_hit ws core_file)
-                 then begin
-                   let t0 = Netsim.Des.now sim in
-                   fetch ~client:ws.Netsim.Host.ws_id ~file:core_file
-                     cost.Driver.Cost.lisp_core_bytes;
-                   lspan ws ~name:"transfer" ~t0
-                 end);
-                alive ws;
-                set_resident ws cost.Driver.Cost.lisp_core_mb;
-                compute_f ~tag:"lisp-init" ws cost.Driver.Cost.lisp_init_seconds
-                  (100 + ti);
+                if speculative then record ~attempt:attempt_n Spec_dispatch;
+                start_lisp ws (100 + ti);
                 (* Read and re-parse its share of the source. *)
                 let t_parse = Netsim.Des.now sim in
                 (if not (cache_hit ws src_file) then
@@ -484,77 +556,57 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                     Netsim.Host.compute sim ws ~factor ~tag:"reparse"
                       ~seconds:reparse);
                 lspan ws ~name:"parse" ~t0:t_parse;
-                stats.extra_parse_cpu <- stats.extra_parse_cpu +. reparse;
+                record (Overhead (Reparse, reparse));
+                (* Output: staged into a versioned buffer when
+                   speculative — the station is released immediately,
+                   the commit verdict is awaited off-station, so
+                   speculation never holds a pool slot hostage — else
+                   the durable write-back. *)
+                let write_back ws =
+                  let t0 = Netsim.Des.now sim in
+                  store output_bytes;
+                  alive ws;
+                  if speculative then begin
+                    lspan ws ~name:"stage" ~t0;
+                    staged := true;
+                    lspan ws ~name:"spec-attempt" ~t0:t_claim
+                  end
+                  else lspan ws ~name:"write-back" ~t0;
+                  set_resident ws 0.0;
+                  Netsim.Host.release_station sim cluster ws
+                in
                 if not cfg.Config.fine_grained then begin
                   (* Coarse grain (the paper): phases 2+3 together.
                      With the compile cache on, each function is first
                      looked up by content key: a hit transfers the
                      memoized artifact — free when this station's byte
                      cache still holds it — instead of computing. *)
-                  let t_p23 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      let hit =
-                        match (cache, fw.Driver.Compile.fw_key) with
-                        | Some c, Some key -> (
-                          match Cache.find c ~owner:(cache_owner fw) ~key with
-                          | Cache.Hit e ->
-                            stats.cache_hits <- stats.cache_hits + 1;
-                            cache_instant ~name:"cache-hit" fw ~key ~extra:[];
-                            let file = "art:" ^ key in
-                            (if not (has ws file) then
-                               fetch ~client:ws.Netsim.Host.ws_id ~file
-                                 (Cache.meta_bytes +. e.Cache.e_bytes));
-                            alive ws;
-                            true
-                          | Cache.Miss { stale } ->
-                            stats.cache_misses <- stats.cache_misses + 1;
-                            if stale then
-                              stats.cache_invalidated <-
-                                stats.cache_invalidated + 1;
-                            cache_instant ~name:"cache-miss" fw ~key
-                              ~extra:
-                                [ ("invalidated", if stale then "1" else "0") ];
-                            false)
-                        | _ -> false
-                      in
-                      if not hit then begin
-                        set_resident ws (Driver.Cost.function_master_mb cost fw);
-                        compute_f ~tag:"phase23" ws
-                          (Driver.Cost.phase23_seconds cost fw)
-                          (300 + (31 * ti) + fi)
-                      end)
-                    task.Plan.t_funcs;
-                  lspan ws ~name:"phase23" ~t0:t_p23;
-                  let t_wb = Netsim.Des.now sim in
-                  store output_bytes;
-                  alive ws;
-                  if speculative then begin
-                    (* Stage into a versioned buffer and release the
-                       station immediately: the commit verdict is
-                       awaited off-station, so speculation never holds
-                       a pool slot hostage. *)
-                    lspan ws ~name:"stage" ~t0:t_wb;
-                    staged := true;
-                    lspan ws ~name:"spec-attempt" ~t0:t_claim
-                  end
-                  else lspan ws ~name:"write-back" ~t0:t_wb;
-                  set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws
+                  let cached (fw : Driver.Compile.func_work) =
+                    let func = fw.Driver.Compile.fw_name in
+                    match (cache, fw.Driver.Compile.fw_key) with
+                    | Some c, Some key -> (
+                      match Cache.find c ~owner:(cache_owner fw) ~key with
+                      | Cache.Hit e ->
+                        record (Cache_hit { func; key });
+                        let file = "art:" ^ key in
+                        (if not (has ws file) then
+                           fetch ~client:ws.Netsim.Host.ws_id ~file
+                             (Cache.meta_bytes +. e.Cache.e_bytes));
+                        alive ws;
+                        true
+                      | Cache.Miss { stale } ->
+                        record (Cache_miss { func; key; invalidated = stale });
+                        false)
+                    | _ -> false
+                  in
+                  phase ~cached ws ~tag:"phase23" Driver.Cost.phase23_seconds 300;
+                  write_back ws
                 end
                 else begin
                   (* Fine grain: phase 2 here, then hand the IR to a
                      phase-3 master on a (possibly different) pool
                      station. *)
-                  let t_p2 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      set_resident ws (Driver.Cost.function_master_mb cost fw);
-                      compute_f ~tag:"phase2" ws
-                        (Driver.Cost.phase2_seconds cost fw)
-                        (300 + (31 * ti) + fi))
-                    task.Plan.t_funcs;
-                  lspan ws ~name:"phase2" ~t0:t_p2;
+                  phase ws ~tag:"phase2" Driver.Cost.phase2_seconds 300;
                   let ir_bytes =
                     List.fold_left
                       (fun acc fw -> acc +. Driver.Cost.ir_bytes fw)
@@ -566,289 +618,203 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   lspan ws ~name:"write-ir" ~t0:t_ir;
                   set_resident ws 0.0;
                   Netsim.Host.release_station sim cluster ws;
-                  (* Phase-3 master: a fresh Lisp on a pool station
-                     (on a locality retry, preferably one that held
-                     this task's IR or the core image before). *)
+                  (* Phase-3 master: a fresh Lisp on a pool station. *)
                   let ir_file = "ir:" ^ task_label in
-                  let t_claim3 = Netsim.Des.now sim in
-                  let ws3 =
-                    if locality then
-                      Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
-                          (if has w ir_file then 2 else 0)
-                          + (if has w core_file then 1 else 0))
-                    else Netsim.Host.claim sim cluster
-                  in
-                  lspan ws3 ~name:"claim" ~t0:t_claim3;
-                  (match head_name with
-                  | Some name -> note (name ^ "#p3") ws3.Netsim.Host.ws_id
-                  | None -> ());
-                  (if cfg.Config.core_download && not (cache_hit ws3 core_file)
-                   then begin
-                     let t0 = Netsim.Des.now sim in
-                     fetch ~client:ws3.Netsim.Host.ws_id ~file:core_file
-                       cost.Driver.Cost.lisp_core_bytes;
-                     lspan ws3 ~name:"transfer" ~t0
-                   end);
-                  alive ws3;
-                  set_resident ws3 cost.Driver.Cost.lisp_core_mb;
-                  compute_f ~tag:"lisp-init" ws3 cost.Driver.Cost.lisp_init_seconds
-                    (400 + ti);
+                  let ws3 = claim ~file:ir_file "#p3" in
+                  start_lisp ws3 (400 + ti);
                   let t_fir = Netsim.Des.now sim in
                   (if not (cache_hit ws3 ir_file) then
                      fetch ~client:ws3.Netsim.Host.ws_id ~file:ir_file ir_bytes);
                   alive ws3;
                   lspan ws3 ~name:"fetch-ir" ~t0:t_fir;
-                  let t_p3 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      set_resident ws3 (Driver.Cost.function_master_mb cost fw);
-                      compute_f ~tag:"phase3" ws3
-                        (Driver.Cost.phase3_seconds cost fw)
-                        (500 + (31 * ti) + fi))
-                    task.Plan.t_funcs;
-                  lspan ws3 ~name:"phase3" ~t0:t_p3;
-                  let t_wb = Netsim.Des.now sim in
-                  store output_bytes;
-                  alive ws3;
-                  if speculative then begin
-                    lspan ws3 ~name:"stage" ~t0:t_wb;
-                    staged := true;
-                    lspan ws3 ~name:"spec-attempt" ~t0:t_claim
-                  end
-                  else lspan ws3 ~name:"write-back" ~t0:t_wb;
-                  set_resident ws3 0.0;
-                  Netsim.Host.release_station sim cluster ws3
-                end
+                  phase ws3 ~tag:"phase3" Driver.Cost.phase3_seconds 500;
+                  write_back ws3
+                end;
+                pending
+              in
+              (* Supervision: attempts run under a retry budget (and,
+                 under a fault plan, a deadline), then the task falls
+                 back to the master's own Lisp. *)
+              let work_estimate =
+                cost.Driver.Cost.lisp_init_seconds
+                +. (cost.Driver.Cost.sec_per_token *. float_of_int task_tokens)
+                +. Driver.Cost.task_phase23_seconds cost task.Plan.t_funcs
+                +. (if cfg.Config.fine_grained then
+                      cost.Driver.Cost.lisp_init_seconds
+                    else 0.0)
+                +. 60.0 (* grace for downloads and queueing *)
+              in
+              let deadline = cfg.Config.deadline_factor *. work_estimate in
+              let sup : sup_msg Netsim.Sync.mailbox = Netsim.Sync.mailbox () in
+              let launch () =
+                incr attempt_no;
+                let n = !attempt_no in
+                let record = record ~attempt:n in
+                let staged = ref false in
+                (* Watchdog: the section master presumes the attempt
+                   lost if it has not reported by the deadline.  A
+                   staged speculative attempt is off-station merely
+                   awaiting its commit verdict — the oracle, not the
+                   clock, rules on it.  Only a fault plan can lose an
+                   attempt; on a fault-free host the deadline would
+                   only count time queued for a pool station. *)
+                if faulty then
+                  Netsim.Des.spawn sim (fun () ->
+                      Netsim.Des.delay deadline;
+                      if (not !completed) && not !staged then begin
+                        record Timeout;
+                        Netsim.Sync.send sup (Msg_timed_out n)
+                      end);
+                let noted = ref [] in
+                let spent = ref 0.0 in
+                let wasted () = record (Wasted !spent) in
+                (* The attempt's output became durable: claim the
+                   completion token, publish the output and its
+                   placements. *)
+                let win () =
+                  completed := true;
+                  cache_publish ();
+                  List.iter (fun p -> record (Placement p)) !noted;
+                  Netsim.Sync.send sup Msg_completed
+                in
+                Netsim.Des.spawn sim (fun () ->
+                    match attempt ~attempt_n:n ~noted ~spent ~staged with
+                    | [] ->
+                      (* Durable write-back already happened inside the
+                         attempt. *)
+                      if !completed then
+                        (* A re-dispatch beat this straggler: its
+                           write-back is superseded, not repeated. *)
+                        wasted ()
+                      else win ()
+                    | pending -> (
+                      (* Commit protocol, off-station.  The online race
+                         check is per involved edge: a pending
+                         predecessor the attempt overlapped is a race
+                         exactly when the pair really shares state
+                         (hot); cold edges are conservative artifacts
+                         and commit without waiting. *)
+                      match
+                        List.filter (fun d -> List.mem d hot_deps.(ti)) pending
+                      with
+                      | d :: _ ->
+                        (* Conflict: rule at predecessor write-back time,
+                           then quarantine the stale staged artifact (a
+                           version-pointer flip on the file server) and
+                           surrender the attempt's CPU to the wasted
+                           account. *)
+                        Netsim.Sync.await completion.(d);
+                        if !completed then wasted ()
+                        else begin
+                          let t0 = Netsim.Des.now sim in
+                          store spec_meta_bytes;
+                          record ~t0 Spec_abort;
+                          wasted ();
+                          Netsim.Sync.send sup (Msg_aborted n)
+                        end
+                      | [] ->
+                        if !completed then wasted ()
+                        else begin
+                          (* Commit: claim the completion token before
+                             the pointer flip yields, so the staged
+                             artifact becomes the durable write-back
+                             exactly once. *)
+                          completed := true;
+                          let t0 = Netsim.Des.now sim in
+                          store spec_meta_bytes;
+                          record ~t0 Spec_commit;
+                          win ()
+                        end)
+                    | exception Lost _ ->
+                      record Attempt_lost;
+                      wasted ();
+                      Netsim.Sync.send sup (Msg_failed n))
+              in
+              let fallback () =
+                (* Budget exhausted: compile the task in the master's
+                   Lisp, which already holds the parsed module — the
+                   sequential degradation rung.  Claim the completion
+                   token first so any straggler counts as wasted. *)
+                completed := true;
+                let t0 = Netsim.Des.now sim in
+                List.iteri
+                  (fun fi (fw : Driver.Compile.func_work) ->
+                    let mb =
+                      cost.Driver.Cost.data_mb_per_loc
+                      *. float_of_int fw.Driver.Compile.fw_loc
+                    in
+                    Netsim.Host.add_resident ws_m mb;
+                    must
+                      (Netsim.Host.compute sim ws_m ~factor
+                         ~tag:"fallback-phase23"
+                         ~seconds:
+                           (Driver.Cost.phase23_seconds cost fw
+                           *. noise (salt + 600 + (31 * ti) + fi)));
+                    Netsim.Host.remove_resident ws_m mb)
+                  task.Plan.t_funcs;
+                store output_bytes;
+                cache_publish ();
+                record ~attempt:(!attempt_no + 1) ~t0 Fallback;
+                match head_name with
+                | Some name -> record (Placement (name, ws_m.Netsim.Host.ws_id))
+                | None -> ()
               in
               (* Dependence gating happens inside the spawned process,
                  so the section master keeps forking the rest of its
                  queue while a gated task parks. *)
-              let await_deps () =
-                List.iter (fun d -> Netsim.Sync.await completion.(d)) deps.(ti)
-              in
-              if not supervised then
-                (* Legacy path: no supervisor, no watchdog — the exact
-                   event schedule (and timings) of the fault-free
-                   compiler. *)
-                Netsim.Des.spawn sim (fun () ->
-                    await_deps ();
-                    attempt
-                      ~note:(fun name id ->
-                        stats.placements <- (name, id) :: stats.placements)
-                      ~spent:(ref 0.0) ~attempt_n:1 ~hardened:true
-                      ~staged:(ref false) ~spec_pending:(ref []) ();
-                    cache_publish ();
-                    Netsim.Sync.set completion.(ti);
-                    Netsim.Sync.signal tasks_done)
-              else begin
-                (* Supervised path: attempts run under a deadline and a
-                   retry budget, then the task falls back to the
-                   master's own Lisp. *)
-                let work_estimate =
-                  cost.Driver.Cost.lisp_init_seconds
-                  +. (cost.Driver.Cost.sec_per_token *. float_of_int task_tokens)
-                  +. Driver.Cost.task_phase23_seconds cost task.Plan.t_funcs
-                  +. (if cfg.Config.fine_grained then
-                        cost.Driver.Cost.lisp_init_seconds
-                      else 0.0)
-                  +. 60.0 (* grace for downloads and queueing *)
-                in
-                let deadline = cfg.Config.deadline_factor *. work_estimate in
-                let sup : sup_msg Netsim.Sync.mailbox = Netsim.Sync.mailbox () in
-                let completed = ref false in
-                let attempt_no = ref 0 in
-                (* Commit-oracle state: aborts so far, and whether the
-                   task's speculative edges have hardened to gated. *)
-                let spec_fails = ref 0 in
-                let hardened = ref false in
-                let launch () =
-                  incr attempt_no;
-                  let n = !attempt_no in
-                  let staged = ref false in
-                  (* Watchdog: the section master presumes the attempt
-                     lost if it has not reported by the deadline.  A
-                     staged speculative attempt is off-station merely
-                     awaiting its commit verdict — the oracle, not the
-                     clock, rules on it. *)
-                  Netsim.Des.spawn sim (fun () ->
-                      Netsim.Des.delay deadline;
-                      if (not !completed) && not !staged then begin
-                        linstant ~name:"timeout" ~attempt_n:n ();
-                        Netsim.Sync.send sup (Msg_timed_out n)
-                      end);
-                  let noted = ref [] in
-                  let spent = ref 0.0 in
-                  let spec_pending = ref [] in
-                  let note name id = noted := (name, id) :: !noted in
-                  let wasted () =
-                    stats.wasted_cpu <- stats.wasted_cpu +. !spent;
-                    linstant ~name:"wasted" ~attempt_n:n
-                      ~extra:[ ("cpu", Trace.farg !spent) ]
-                      ()
-                  in
-                  let win () =
-                    completed := true;
-                    cache_publish ();
-                    stats.placements <- !noted @ stats.placements;
-                    Netsim.Sync.send sup Msg_completed
-                  in
-                  Netsim.Des.spawn sim (fun () ->
-                      match
-                        attempt ~note ~spent ~attempt_n:n
-                          ~hardened:!hardened ~staged ~spec_pending ()
-                      with
-                      | () -> (
-                        match !spec_pending with
-                        | [] ->
-                          (* Durable write-back already happened inside
-                             the attempt. *)
-                          if !completed then
-                            (* A re-dispatch beat this straggler: its
-                               write-back is superseded, not
-                               repeated. *)
-                            wasted ()
-                          else win ()
-                        | pending -> (
-                          (* Commit protocol, off-station.  The online
-                             race check is per involved edge: a pending
-                             predecessor the attempt overlapped is a
-                             race exactly when the pair really shares
-                             state (hot); cold edges are conservative
-                             artifacts and commit without waiting. *)
-                          match
-                            List.filter
-                              (fun d -> List.mem d hot_deps.(ti))
-                              pending
-                          with
-                          | d :: _ ->
-                            (* Conflict: rule at predecessor write-back
-                               time, then quarantine the stale staged
-                               artifact (a version-pointer flip on the
-                               file server) and surrender the attempt's
-                               CPU to the wasted account. *)
-                            Netsim.Sync.await completion.(d);
-                            if !completed then wasted ()
-                            else begin
-                              let t_ab = Netsim.Des.now sim in
-                              store spec_meta_bytes;
-                              stats.spec_rolled_back <-
-                                stats.spec_rolled_back + 1;
-                              lspan ws_m ~name:"spec-abort" ~attempt_n:n
-                                ~t0:t_ab;
-                              wasted ();
-                              Netsim.Sync.send sup (Msg_aborted n)
-                            end
-                          | [] ->
-                            if !completed then wasted ()
-                            else begin
-                              (* Commit: claim the completion token
-                                 before the pointer flip yields, so the
-                                 staged artifact becomes the durable
-                                 write-back exactly once. *)
-                              completed := true;
-                              let t_cm = Netsim.Des.now sim in
-                              store spec_meta_bytes;
-                              stats.spec_committed <-
-                                stats.spec_committed + 1;
-                              lspan ws_m ~name:"spec-commit" ~attempt_n:n
-                                ~t0:t_cm;
-                              cache_publish ();
-                              stats.placements <- !noted @ stats.placements;
-                              Netsim.Sync.send sup Msg_completed
-                            end))
-                      | exception Lost _ ->
-                        linstant ~name:"attempt-lost" ~attempt_n:n ();
-                        wasted ();
-                        Netsim.Sync.send sup (Msg_failed n))
-                in
-                let fallback () =
-                  (* Budget exhausted: compile the task in the master's
-                     Lisp, which already holds the parsed module — the
-                     sequential degradation rung.  Claim the completion
-                     token first so any straggler counts as wasted. *)
-                  completed := true;
-                  stats.fallback_tasks <- stats.fallback_tasks + 1;
-                  let t_fb = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
-                      let mb =
-                        cost.Driver.Cost.data_mb_per_loc
-                        *. float_of_int fw.Driver.Compile.fw_loc
-                      in
-                      Netsim.Host.add_resident ws_m mb;
-                      must
-                        (Netsim.Host.compute sim ws_m ~factor
-                           ~tag:"fallback-phase23"
-                           ~seconds:
-                             (Driver.Cost.phase23_seconds cost fw
-                             *. noise (salt + 600 + (31 * ti) + fi)));
-                      Netsim.Host.remove_resident ws_m mb)
-                    task.Plan.t_funcs;
-                  store output_bytes;
-                  cache_publish ();
-                  lspan ws_m ~name:"fallback" ~attempt_n:(!attempt_no + 1)
-                    ~t0:t_fb;
-                  match head_name with
-                  | Some name ->
-                    stats.placements <-
-                      (name, ws_m.Netsim.Host.ws_id) :: stats.placements
-                  | None -> ()
-                in
-                Netsim.Des.spawn sim (fun () ->
-                    await_deps ();
-                    launch ();
-                    let rec await budget =
-                      match Netsim.Sync.recv sup with
-                      | Msg_completed -> ()
-                      | (Msg_failed n | Msg_timed_out n)
-                        when n = !attempt_no && not !completed ->
-                        if budget > 0 then begin
-                          let step = cfg.Config.retry_budget - budget in
-                          Netsim.Des.delay (Config.backoff_delay cfg ~step);
-                          (* A straggler may have finished during the
-                             backoff; its Msg_completed is queued. *)
-                          if !completed then ()
-                          else begin
-                            stats.retries <- stats.retries + 1;
-                            linstant ~name:"retry" ~attempt_n:(!attempt_no + 1) ();
-                            launch ();
-                            await (budget - 1)
-                          end
+              Netsim.Des.spawn sim (fun () ->
+                  List.iter (fun d -> Netsim.Sync.await completion.(d)) deps.(ti);
+                  launch ();
+                  let rec await budget =
+                    match Netsim.Sync.recv sup with
+                    | Msg_completed -> ()
+                    | (Msg_failed n | Msg_timed_out n)
+                      when n = !attempt_no && not !completed ->
+                      if budget > 0 then begin
+                        let step = cfg.Config.retry_budget - budget in
+                        Netsim.Des.delay (Config.backoff_delay cfg ~step);
+                        (* A straggler may have finished during the
+                           backoff; its Msg_completed is queued. *)
+                        if !completed then ()
+                        else begin
+                          record ~attempt:(!attempt_no + 1) Retry;
+                          launch ();
+                          await (budget - 1)
                         end
-                        else fallback ()
-                      | Msg_aborted n when n = !attempt_no && not !completed ->
-                        (* Misspeculation.  The conflicting predecessor
-                           just wrote back durably, so an immediate
-                           relaunch cannot re-conflict on it: no
-                           backoff, and the retry budget (which pays for
-                           faults, not oracle verdicts) is untouched.
-                           Past the speculation budget the task hardens:
-                           further launches gate on every erstwhile
-                           speculative edge, which is the dag+lpt
-                           discipline for this task. *)
-                        spec_fails := !spec_fails + 1;
-                        if !spec_fails >= cfg.Config.spec_budget then begin
-                          hardened := true;
-                          List.iter
-                            (fun d -> Netsim.Sync.await completion.(d))
-                            spec_deps.(ti)
-                        end;
-                        launch ();
-                        await budget
-                      | Msg_failed _ | Msg_timed_out _ | Msg_aborted _ ->
-                        (* Stale attempt, or the task completed since
-                           this verdict was posted. *)
-                        await budget
-                    in
-                    await cfg.Config.retry_budget;
-                    (* The task's output is durably written back —
-                       whether by a surviving attempt or the fallback —
-                       only here, so the completion event fires exactly
-                       once per task, after the write that dependents
-                       are allowed to read. *)
-                    Netsim.Sync.set completion.(ti);
-                    Netsim.Sync.signal tasks_done)
-              end)
+                      end
+                      else fallback ()
+                    | Msg_aborted n when n = !attempt_no && not !completed ->
+                      (* Misspeculation.  The conflicting predecessor
+                         just wrote back durably, so an immediate
+                         relaunch cannot re-conflict on it: no backoff,
+                         and the retry budget (which pays for faults,
+                         not oracle verdicts) is untouched.  Past the
+                         speculation budget the task hardens: further
+                         launches gate on every erstwhile speculative
+                         edge, which is the dag+lpt discipline for this
+                         task. *)
+                      spec_fails := !spec_fails + 1;
+                      if !spec_fails >= cfg.Config.spec_budget then begin
+                        hardened := true;
+                        List.iter
+                          (fun d -> Netsim.Sync.await completion.(d))
+                          spec_deps.(ti)
+                      end;
+                      launch ();
+                      await budget
+                    | Msg_failed _ | Msg_timed_out _ | Msg_aborted _ ->
+                      (* Stale attempt, or the task completed since
+                         this verdict was posted. *)
+                      await budget
+                  in
+                  await cfg.Config.retry_budget;
+                  (* The task's output is durably written back —
+                     whether by a surviving attempt or the fallback —
+                     only here, so the completion event fires exactly
+                     once per task, after the write that dependents
+                     are allowed to read. *)
+                  Netsim.Sync.set completion.(ti);
+                  Netsim.Sync.signal tasks_done))
             tasks;
           Netsim.Sync.wait tasks_done;
           (* Combine per-function results and diagnostics. *)
@@ -871,11 +837,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                            s.Driver.Compile.sw_name)
                          mw.Driver.Compile.mw_sections)))
           in
-          let combine = Driver.Cost.combine_seconds sw *. noise (salt + 40 + si) in
-          must
-            (Netsim.Host.compute sim ws_m ~factor ~tag:"combine"
-               ~seconds:combine);
-          stats.section_cpu <- stats.section_cpu +. combine;
+          overhead_m Section ~tag:"combine"
+            (Driver.Cost.combine_seconds sw *. noise (salt + 40 + si));
           Netsim.Sync.signal sections_done))
     plan.Plan.tasks_per_section;
   Netsim.Sync.wait sections_done;
@@ -891,10 +854,6 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
 
 let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : outcome =
   let sim = Netsim.Des.create () in
-  (* When this run starts on an empty trace, the recorded spans must
-     reproduce the mutable-counter bookkeeping exactly — checked below
-     (the check is skipped for traces shared across runs, e.g. the
-     parallel-make study). *)
   let tr = cfg.Config.trace in
   let fresh_trace =
     Trace.enabled tr && Trace.span_count tr = 0 && Trace.instant_count tr = 0
@@ -902,52 +861,42 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   let cluster = Config.cluster cfg in
   let noise = Config.noise cfg in
   let finish = ref 0.0 in
-  let stats = fresh_stats () in
+  let log = empty_log () in
   let scheduled = schedule cfg plan in
   Netsim.Des.spawn sim
-    (master_process cfg sim cluster ~noise ~salt:0 mw scheduled ~stats
+    (master_process cfg sim cluster ~noise ~salt:0 mw scheduled ~log
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
   let cpu = Netsim.Host.cpu_times cluster in
-  let run =
-    {
-      Timings.elapsed = !finish;
-      cpu_per_station = cpu;
-      master_cpu = stats.master_cpu;
-      section_cpu = stats.section_cpu;
-      extra_parse_cpu = stats.extra_parse_cpu;
-      stations_used = List.length cpu;
-      dispatch_units = stats.dispatch_units;
-      retries = stats.retries;
-      stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
-      fallback_tasks = stats.fallback_tasks;
-      wasted_cpu = stats.wasted_cpu;
-      spec_dispatched = stats.spec_dispatched;
-      spec_committed = stats.spec_committed;
-      spec_rolled_back = stats.spec_rolled_back;
-      cache_hits = stats.cache_hits;
-      cache_misses = stats.cache_misses;
-      cache_invalidated = stats.cache_invalidated;
-    }
+  let run, placed =
+    tally log
+      {
+        Timings.zero with
+        elapsed = !finish;
+        cpu_per_station = cpu;
+        stations_used = List.length cpu;
+        dispatch_units = Plan.task_count scheduled;
+        stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
+      }
   in
-  if fresh_trace then begin
-    Traceview.assert_matches_run tr run;
-    (* Under a DAG policy the schedule promises dependence order; let
-       the trace prove it kept that promise.  dag+spec makes a weaker
-       promise — proven edges ordered, speculative edges ordered only
-       for the winning attempt of genuinely conflicting pairs — checked
-       by the speculation-aware oracle. *)
-    let policy = Config.effective_policy cfg in
-    if policy = Sched.Dag_spec then
-      Traceview.assert_race_free_spec tr ~plan:scheduled
-    else if Sched.dag_gated policy then
-      Traceview.assert_race_free tr ~plan:scheduled
-  end;
+  (* Under a DAG policy the schedule promises dependence order; when
+     this run starts on an empty trace, let the trace prove it kept
+     that promise (traces shared across runs, e.g. the parallel-make
+     study, are skipped).  dag+spec makes a weaker promise — proven
+     edges ordered, speculative edges ordered only for the winning
+     attempt of genuinely conflicting pairs — checked by the
+     speculation-aware oracle. *)
+  (if fresh_trace then
+     let policy = Config.effective_policy cfg in
+     if policy = Sched.Dag_spec then
+       Traceview.assert_race_free_spec tr ~plan:scheduled
+     else if Sched.dag_gated policy then
+       Traceview.assert_race_free tr ~plan:scheduled);
   {
     run;
     scheduled;
     (* Placements report in (task, station) order rather than
        completion order, which under supervision depends on the racing
        attempts — sorted output is stable across fault plans. *)
-    station_of_task = List.sort compare stats.placements;
+    station_of_task = List.sort compare placed;
   }

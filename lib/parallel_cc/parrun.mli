@@ -14,26 +14,31 @@
     and a phase-3 task connected by an IR file on the server — the
     "finer grain parallelism" the paper's section 5 anticipates.
 
-    When {!Config.t.faults} is non-empty, every task runs under a
-    supervisor in its section master: per-attempt deadlines from the
-    cost model, crash/timeout detection, FCFS re-dispatch with
-    exponential backoff up to {!Config.t.retry_budget}, idempotent
-    write-back, and — once the budget is exhausted — sequential
-    fallback in the master's own Lisp, so the compilation terminates
-    with identical output no matter the fault plan.  With an empty
-    plan the legacy unsupervised schedule runs bit-for-bit.
+    Every task runs under a supervisor in its section master:
+    crash detection, FCFS re-dispatch with exponential backoff up to
+    {!Config.t.retry_budget}, idempotent write-back, and — once the
+    budget is exhausted — sequential fallback in the master's own Lisp,
+    so the compilation terminates with identical output no matter the
+    fault plan.  When {!Config.t.faults} is non-empty, each attempt
+    also gets a deadline from the cost model, enforced by a watchdog;
+    a fault-free attempt cannot be lost, so none is armed without a
+    fault plan.
 
     Under {!Sched.Dag_spec} (as resolved by {!Config.effective_policy})
-    tasks also run supervised, fault plan or not: an attempt whose
-    speculative predecessors are not all durably complete at claim time
-    stages its output in a versioned buffer on the file server instead
-    of writing back, and a commit protocol rules on it — commit (a
-    version-pointer flip promotes the staged artifact, exactly once)
-    when no genuinely conflicting ("hot") predecessor was pending,
-    abort (quarantine the stale version, charge the attempt's CPU to
-    [wasted_cpu], re-dispatch) at the first hot predecessor's
-    write-back.  After {!Config.t.spec_budget} aborts a task hardens:
-    further launches gate on every speculative edge, dag+lpt style. *)
+    an attempt whose speculative predecessors are not all durably
+    complete at claim time stages its output in a versioned buffer on
+    the file server instead of writing back, and a commit protocol
+    rules on it — commit (a version-pointer flip promotes the staged
+    artifact, exactly once) when no genuinely conflicting ("hot")
+    predecessor was pending, abort (quarantine the stale version,
+    charge the attempt's CPU to [wasted_cpu], re-dispatch) at the first
+    hot predecessor's write-back.  After {!Config.t.spec_budget} aborts
+    a task hardens: further launches gate on every speculative edge,
+    dag+lpt style.
+
+    Every counted event is appended to a run {!log} by the same call
+    that emits its trace instant or span, and {!Timings.run} is one
+    fold over that log. *)
 
 type outcome = {
   run : Timings.run;
@@ -45,30 +50,11 @@ type outcome = {
           plan, whose task labels the trace spans carry *)
 }
 
-type stats = {
-  mutable master_cpu : float;
-  mutable section_cpu : float;
-  mutable extra_parse_cpu : float;
-  mutable placements : (string * int) list;
-  mutable dispatch_units : int;
-      (** tasks launched after scheduling (batching merges tasks, so
-          this can be below the input plan's task count) *)
-  mutable retries : int;
-  mutable fallback_tasks : int;
-  mutable wasted_cpu : float;
-  mutable spec_dispatched : int;
-  mutable spec_committed : int;
-  mutable spec_rolled_back : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_invalidated : int;
-      (** compile-cache tallies ({!Config.t.cache}); invalidated is the
-          subset of misses whose function had published a different key *)
-}
-(** Mutable counters one or more master processes accumulate into;
-    {!run} folds them into the {!Timings.run}. *)
+type log
+(** The append-only run log: every counted event of one or more master
+    processes, in the order it happened. *)
 
-val fresh_stats : unit -> stats
+val empty_log : unit -> log
 
 val schedule : Config.t -> Plan.t -> Plan.t
 (** {!Sched.schedule} under {!Config.effective_policy} and the
@@ -82,13 +68,18 @@ val master_process :
   salt:int ->
   Driver.Compile.module_work ->
   Plan.t ->
-  stats:stats ->
+  log:log ->
   on_finish:(float -> unit) ->
   unit ->
   unit
 (** The spawnable master body; several can share a cluster (the
-    combined strategy of the parallel-make study).  The plan is
-    dispatched as given, so pass it through {!schedule} first. *)
+    combined strategy of the parallel-make study) and a [log].  The
+    plan is dispatched as given, so pass it through {!schedule}
+    first. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
-(** One parallel compilation on a fresh cluster. *)
+(** One parallel compilation on a fresh cluster, its {!Timings.run}
+    folded from the run's log.  When the run starts on an empty trace
+    under a DAG policy, the trace must pass the dependence-order oracle
+    ({!Traceview.assert_race_free}, or {!Traceview.assert_race_free_spec}
+    under dag+spec). *)

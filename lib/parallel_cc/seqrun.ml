@@ -189,20 +189,11 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) : Timings.run =
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
   {
-    Timings.elapsed = !finish;
+    Timings.zero with
+    elapsed = !finish;
     cpu_per_station = Netsim.Host.cpu_times cluster;
-    master_cpu = 0.0;
-    section_cpu = 0.0;
-    extra_parse_cpu = 0.0;
     stations_used = 1;
     dispatch_units = 1;
-    retries = 0;
-    stations_lost = 0;
-    fallback_tasks = 0;
-    wasted_cpu = 0.0;
-    spec_dispatched = 0;
-    spec_committed = 0;
-    spec_rolled_back = 0;
     cache_hits = counters.cc_hits;
     cache_misses = counters.cc_misses;
     cache_invalidated = counters.cc_invalidated;

@@ -38,6 +38,27 @@ type run = {
                               invalidations, a subset of cache_misses *)
 }
 
+let zero =
+  {
+    elapsed = 0.0;
+    cpu_per_station = [];
+    master_cpu = 0.0;
+    section_cpu = 0.0;
+    extra_parse_cpu = 0.0;
+    stations_used = 0;
+    dispatch_units = 0;
+    retries = 0;
+    stations_lost = 0;
+    fallback_tasks = 0;
+    wasted_cpu = 0.0;
+    spec_dispatched = 0;
+    spec_committed = 0;
+    spec_rolled_back = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    cache_invalidated = 0;
+  }
+
 type comparison = {
   processors : int; (* function masters running in parallel *)
   seq : run;
@@ -71,6 +92,22 @@ let compare_runs ~processors ~(seq : run) ~(par : run) : comparison =
     rel_total_overhead = Stats.percent_of ~part:total_overhead ~total:par.elapsed;
     rel_sys_overhead = Stats.percent_of ~part:sys_overhead ~total:par.elapsed;
   }
+
+let comparison_table (c : comparison) : Stats.Table.t =
+  List.fold_left
+    (fun table (label, v) ->
+      Stats.Table.add_row table [ label; Printf.sprintf "%.2f" v ])
+    (Stats.Table.make ~title:"Overhead decomposition"
+       ~columns:[ "quantity"; "seconds" ])
+    [
+      ("elapsed", c.par.elapsed);
+      ("ideal", ideal_time ~seq:c.seq ~processors:c.processors);
+      ("total overhead", c.total_overhead);
+      ("implementation overhead", c.impl_overhead);
+      ("system overhead", c.sys_overhead);
+      ("total overhead %", c.rel_total_overhead);
+      ("system overhead %", c.rel_sys_overhead);
+    ]
 
 let max_cpu (r : run) =
   match r.cpu_per_station with [] -> 0.0 | l -> Stats.maximum l

@@ -41,6 +41,9 @@ type run = {
           of [cache_misses] *)
 }
 
+val zero : run
+(** Every field zero or empty: the base the runners fill in. *)
+
 type comparison = {
   processors : int; (** stations available to function masters *)
   seq : run;
@@ -59,6 +62,10 @@ val ideal_time : seq:run -> processors:int -> float
     processors carrying function masters. *)
 
 val compare_runs : processors:int -> seq:run -> par:run -> comparison
+
+val comparison_table : comparison -> Stats.Table.t
+(** The section 4.2.3 decomposition of the parallel run as a
+    quantity/seconds table (the two percentages in percent). *)
 
 val max_cpu : run -> float
 (** The busiest station's CPU seconds — the per-processor CPU time the

@@ -1,203 +1,6 @@
-(* Trace-derived views of a parallel run.
+(* Dependence-order oracles over the trace of a parallel run.
 
-   [recover] recomputes the [Timings.run] recovery bookkeeping (master/
-   section/re-parse CPU, retries, fallbacks, wasted CPU, lost stations)
-   purely from the recorded spans, and [assert_matches_run] checks the
-   two agree — the spans carry their nominal seconds formatted to
-   round-trip exactly ([Trace.farg]) and are summed in emission order,
-   which is also the order the mutable counters accumulated in, so the
-   float sums must match bit for bit.  Any divergence means an emit
-   site and a counter site fell out of step.
-
-   [decompose] then rebuilds the paper's section 4.2.3 overhead
-   decomposition (Figures 8-10) from the trace alone, mirroring
-   [Timings.compare_runs] formula for formula. *)
-
-type recovered = {
-  r_master_cpu : float; (* setup parse + scheduling *)
-  r_section_cpu : float; (* directive interpretation + combining *)
-  r_extra_parse_cpu : float; (* function masters re-parsing *)
-  r_retries : int;
-  r_timeouts : int;
-  r_attempts_lost : int;
-  r_fallback_tasks : int;
-  r_wasted_cpu : float;
-  r_stations_lost : int;
-  r_spec_dispatched : int; (* "spec-dispatch" instants *)
-  r_spec_committed : int; (* "spec-commit" spans *)
-  r_spec_rolled_back : int; (* "spec-abort" spans *)
-  r_cache_hits : int; (* "cache"/"cache-hit" instants *)
-  r_cache_misses : int; (* "cache"/"cache-miss" instants *)
-  r_cache_invalidated : int; (* the misses flagged invalidated=1 *)
-  r_cache_stores : int; (* "cache"/"cache-store" instants; no run
-                           counter — the store itself is the ledger
-                           ([Cache.store_count]) *)
-}
-
-let span_tag (s : Trace.span) =
-  match List.assoc_opt "tag" s.Trace.args with Some t -> t | None -> "cpu"
-
-let span_ok (s : Trace.span) =
-  match List.assoc_opt "outcome" s.Trace.args with
-  | Some "ok" -> true
-  | _ -> false
-
-let nominal (s : Trace.span) =
-  match Trace.arg_float "nominal" s.Trace.args with Some v -> v | None -> 0.0
-
-let recover ?elapsed (tr : Trace.t) : recovered =
-  let elapsed =
-    match elapsed with Some e -> e | None -> Trace.end_time tr
-  in
-  let master = ref 0.0 and section = ref 0.0 and parse = ref 0.0 in
-  let fallbacks = ref 0 in
-  let commits = ref 0 and aborts = ref 0 in
-  List.iter
-    (fun (s : Trace.span) ->
-      match s.Trace.cat with
-      | "cpu" when span_ok s -> (
-        (* Only completed computes reach the counters: a crashed slice
-           is charged to busy seconds but not to the overhead account. *)
-        match span_tag s with
-        | "setup-parse" | "sched" -> master := !master +. nominal s
-        | "sect-interpret" | "combine" -> section := !section +. nominal s
-        | "reparse" -> parse := !parse +. nominal s
-        | _ -> ())
-      | "task" when s.Trace.name = "fallback" -> incr fallbacks
-      | "task" when s.Trace.name = "spec-commit" -> incr commits
-      | "task" when s.Trace.name = "spec-abort" -> incr aborts
-      | _ -> ())
-    (Trace.spans tr);
-  let retries = ref 0 and timeouts = ref 0 and lost_attempts = ref 0 in
-  let dispatched = ref 0 in
-  let wasted = ref 0.0 in
-  let hits = ref 0 and misses = ref 0 and invalidated = ref 0 in
-  let stores = ref 0 in
-  let lost = Hashtbl.create 8 in
-  List.iter
-    (fun (i : Trace.instant) ->
-      match (i.Trace.i_cat, i.Trace.i_name) with
-      | "task", "retry" -> incr retries
-      | "task", "timeout" -> incr timeouts
-      | "task", "attempt-lost" -> incr lost_attempts
-      | "task", "spec-dispatch" -> incr dispatched
-      | "task", "wasted" -> (
-        match Trace.arg_float "cpu" i.Trace.i_args with
-        | Some v -> wasted := !wasted +. v
-        | None -> ())
-      | "cache", "cache-hit" -> incr hits
-      | "cache", "cache-miss" ->
-        incr misses;
-        if List.assoc_opt "invalidated" i.Trace.i_args = Some "1" then
-          incr invalidated
-      | "cache", "cache-store" -> incr stores
-      | "fault", ("crash" | "reclaim") ->
-        if i.Trace.at <= elapsed then Hashtbl.replace lost i.Trace.i_track ()
-      | _ -> ())
-    (Trace.instants tr);
-  {
-    r_master_cpu = !master;
-    r_section_cpu = !section;
-    r_extra_parse_cpu = !parse;
-    r_retries = !retries;
-    r_timeouts = !timeouts;
-    r_attempts_lost = !lost_attempts;
-    r_fallback_tasks = !fallbacks;
-    r_wasted_cpu = !wasted;
-    r_stations_lost = Hashtbl.length lost;
-    r_spec_dispatched = !dispatched;
-    r_spec_committed = !commits;
-    r_spec_rolled_back = !aborts;
-    r_cache_hits = !hits;
-    r_cache_misses = !misses;
-    r_cache_invalidated = !invalidated;
-    r_cache_stores = !stores;
-  }
-
-let assert_matches_run (tr : Trace.t) (run : Timings.run) : unit =
-  let r = recover ~elapsed:run.Timings.elapsed tr in
-  let fail what expected got =
-    failwith
-      (Printf.sprintf
-         "Traceview: trace-derived %s = %s disagrees with run counter %s" what
-         got expected)
-  in
-  let check_f what expected got =
-    if got <> expected then
-      fail what (Printf.sprintf "%.17g" expected) (Printf.sprintf "%.17g" got)
-  in
-  let check_i what expected got =
-    if got <> expected then
-      fail what (string_of_int expected) (string_of_int got)
-  in
-  check_f "master CPU" run.Timings.master_cpu r.r_master_cpu;
-  check_f "section CPU" run.Timings.section_cpu r.r_section_cpu;
-  check_f "extra-parse CPU" run.Timings.extra_parse_cpu r.r_extra_parse_cpu;
-  check_f "wasted CPU" run.Timings.wasted_cpu r.r_wasted_cpu;
-  check_i "retries" run.Timings.retries r.r_retries;
-  check_i "fallback tasks" run.Timings.fallback_tasks r.r_fallback_tasks;
-  check_i "stations lost" run.Timings.stations_lost r.r_stations_lost;
-  check_i "speculative dispatches" run.Timings.spec_dispatched
-    r.r_spec_dispatched;
-  check_i "speculative commits" run.Timings.spec_committed r.r_spec_committed;
-  check_i "speculative rollbacks" run.Timings.spec_rolled_back
-    r.r_spec_rolled_back;
-  check_i "cache hits" run.Timings.cache_hits r.r_cache_hits;
-  check_i "cache misses" run.Timings.cache_misses r.r_cache_misses;
-  check_i "cache invalidations" run.Timings.cache_invalidated
-    r.r_cache_invalidated
-
-type decomposition = {
-  d_processors : int;
-  d_elapsed : float; (* latest non-fault span end *)
-  d_ideal : float;
-  d_total_overhead : float;
-  d_impl_overhead : float;
-  d_sys_overhead : float;
-  d_rel_total_overhead : float;
-  d_rel_sys_overhead : float;
-}
-
-let decompose ~processors ~seq_elapsed (tr : Trace.t) : decomposition =
-  let elapsed = Trace.end_time tr in
-  let r = recover ~elapsed tr in
-  let ideal = seq_elapsed /. float_of_int (max 1 processors) in
-  let total = elapsed -. ideal in
-  let impl = r.r_master_cpu +. r.r_section_cpu +. r.r_extra_parse_cpu in
-  let sys = total -. impl in
-  {
-    d_processors = processors;
-    d_elapsed = elapsed;
-    d_ideal = ideal;
-    d_total_overhead = total;
-    d_impl_overhead = impl;
-    d_sys_overhead = sys;
-    d_rel_total_overhead = Stats.percent_of ~part:total ~total:elapsed;
-    d_rel_sys_overhead = Stats.percent_of ~part:sys ~total:elapsed;
-  }
-
-let decomposition_table (d : decomposition) : Stats.Table.t =
-  let table =
-    Stats.Table.make ~title:"Trace-derived overhead decomposition"
-      ~columns:[ "quantity"; "seconds" ]
-  in
-  List.fold_left
-    (fun table (label, v) ->
-      Stats.Table.add_row table [ label; Printf.sprintf "%.2f" v ])
-    table
-    [
-      ("elapsed", d.d_elapsed);
-      ("ideal", d.d_ideal);
-      ("total overhead", d.d_total_overhead);
-      ("implementation overhead", d.d_impl_overhead);
-      ("system overhead", d.d_sys_overhead);
-      ("total overhead %", d.d_rel_total_overhead);
-      ("system overhead %", d.d_rel_sys_overhead);
-    ]
-
-(* --- dependence-order oracle --- *)
-
-(* The DAG policies promise that a task claims its station only after
+   The DAG policies promise that a task claims its station only after
    every predecessor's output is durably written back.  This oracle
    re-derives that ordering from the span store alone: each task gets a
    logical clock that ticks at its first claim and at its earliest

@@ -1,62 +1,6 @@
-(** Trace-derived views of a parallel run: the recovery bookkeeping
-    recomputed from spans, an equivalence check against the
-    {!Timings.run} counters, and the paper's section 4.2.3 overhead
-    decomposition rebuilt from the trace alone. *)
-
-type recovered = {
-  r_master_cpu : float; (** setup parse + scheduling *)
-  r_section_cpu : float; (** directive interpretation + combining *)
-  r_extra_parse_cpu : float; (** function masters re-parsing *)
-  r_retries : int;
-  r_timeouts : int;
-  r_attempts_lost : int;
-  r_fallback_tasks : int;
-  r_wasted_cpu : float;
-  r_stations_lost : int;
-  r_spec_dispatched : int; (** "spec-dispatch" instants *)
-  r_spec_committed : int; (** "spec-commit" spans *)
-  r_spec_rolled_back : int; (** "spec-abort" spans *)
-  r_cache_hits : int; (** "cache"/"cache-hit" instants *)
-  r_cache_misses : int; (** "cache"/"cache-miss" instants *)
-  r_cache_invalidated : int; (** the misses flagged [invalidated=1] *)
-  r_cache_stores : int;
-      (** "cache"/"cache-store" instants — checked against the store's
-          own ledger by the tests, not against {!Timings.run} (which
-          has no store counter) *)
-}
-
-val recover : ?elapsed:float -> Trace.t -> recovered
-(** Recompute the bookkeeping from recorded spans and instants.
-    Nominal CPU seconds are summed in emission order — the same order
-    the mutable counters accumulated in — so with {!Trace.farg}'s exact
-    round-trip the sums are bit-identical to the counters.  [elapsed]
-    (default {!Trace.end_time}) bounds which fault events count as lost
-    stations. *)
-
-val assert_matches_run : Trace.t -> Timings.run -> unit
-(** Check that {!recover} reproduces the run's counters exactly; any
-    divergence (an emit site out of step with a counter site) raises
-    [Failure].  Called by {!Parrun.run} whenever a run starts on an
-    empty trace. *)
-
-type decomposition = {
-  d_processors : int;
-  d_elapsed : float; (** latest non-fault span end *)
-  d_ideal : float; (** sequential elapsed / processors *)
-  d_total_overhead : float;
-  d_impl_overhead : float;
-  d_sys_overhead : float;
-  d_rel_total_overhead : float; (** percent of elapsed *)
-  d_rel_sys_overhead : float;
-}
-
-val decompose : processors:int -> seq_elapsed:float -> Trace.t -> decomposition
-(** Rebuild the Figures 8-10 decomposition from the trace, mirroring
-    {!Timings.compare_runs} formula for formula. *)
-
-val decomposition_table : decomposition -> Stats.Table.t
-
-(** {1 Dependence-order oracle} *)
+(** Dependence-order oracles: check, from the span store of a traced
+    parallel run alone, that the run kept the ordering its schedule
+    promised. *)
 
 type ordering_violation = {
   ov_section : string;

@@ -4,8 +4,7 @@
    derivation [of_trace] that recomputes operational metrics (pool wait
    time, queue depth, per-phase CPU, paging-slowdown distribution,
    recovery counters) purely from the recorded spans — nothing is
-   accumulated twice.  [Parallel_cc.Traceview] asserts that the derived
-   recovery counters agree with the [Timings] bookkeeping. *)
+   accumulated twice. *)
 
 type histogram = {
   mutable h_count : int;

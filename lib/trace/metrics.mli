@@ -6,12 +6,10 @@
     paging-slowdown distribution, network and file-server traffic, and
     the recovery counters (retries, timeouts, fallbacks, wasted CPU,
     stations lost) and the speculation counters ([spec_dispatched] /
-    [spec_committed] / [spec_rolled_back], from the same spans
-    [Parallel_cc.Traceview.recover] reads) — purely from recorded
-    spans, so nothing is
-    accumulated twice.  [Parallel_cc.Traceview.assert_matches_run]
-    asserts the derived recovery counters agree with the [Timings]
-    bookkeeping. *)
+    [spec_committed] / [spec_rolled_back]) — purely from recorded
+    spans, so nothing is accumulated twice.  The parallel runner emits
+    each of those events in the same call that counts it, so the
+    derived counters equal its [Timings] bookkeeping. *)
 
 type histogram = {
   mutable h_count : int;

@@ -140,8 +140,8 @@ let test_spec_rollback_profiled () =
   let tr, run, p = run_and_profile cfg mw plan in
   check_exact "racy dag+spec" run p;
   Alcotest.(check bool) "attempts rolled back" true (run.Timings.spec_rolled_back >= 1);
-  (* Satellite: Metrics.of_trace now carries the speculation counters,
-     derived from the same spans Traceview.recover reads. *)
+  (* Metrics.of_trace carries the speculation counters, derived from
+     the spec-dispatch instants and spec-commit/spec-abort spans. *)
   let m = Metrics.of_trace tr in
   Alcotest.(check (float 0.0)) "spec_dispatched derived"
     (float_of_int run.Timings.spec_dispatched)

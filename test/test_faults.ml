@@ -91,16 +91,53 @@ let test_plan_never_faults_master () =
 (* --- zero-fault exactness and determinism --- *)
 
 let test_zero_fault_exact () =
-  (* An empty plan takes the legacy code path: elapsed is bit-identical
-     run to run and equal to the pre-fault-tolerance schedule. *)
+  (* With an empty plan no watchdog is armed, so elapsed is
+     bit-identical run to run and nothing is ever retried or wasted —
+     under every policy and grain. *)
   let a = fault_free_elapsed ~fine:false in
   let b = fault_free_elapsed ~fine:false in
   Alcotest.(check (float 0.0)) "bit-identical elapsed" a b;
-  let r = (run_with ~fine:false Netsim.Fault.none).Parrun.run in
-  Alcotest.(check int) "no retries" 0 r.Timings.retries;
-  Alcotest.(check int) "no fallbacks" 0 r.Timings.fallback_tasks;
-  Alcotest.(check int) "no stations lost" 0 r.Timings.stations_lost;
-  Alcotest.(check (float 0.0)) "no wasted cpu" 0.0 r.Timings.wasted_cpu
+  let check label cfg mw plan =
+    let trace = Trace.create () in
+    let r = (Parrun.run { cfg with Config.trace } mw plan).Parrun.run in
+    Alcotest.(check int) (label ^ ": no retries") 0 r.Timings.retries;
+    Alcotest.(check int) (label ^ ": no fallbacks") 0 r.Timings.fallback_tasks;
+    Alcotest.(check int) (label ^ ": no stations lost") 0 r.Timings.stations_lost;
+    Alcotest.(check (float 0.0)) (label ^ ": no wasted cpu") 0.0
+      r.Timings.wasted_cpu;
+    Alcotest.(check int) (label ^ ": no timeouts traced") 0
+      (List.length
+         (List.filter
+            (fun (i : Trace.instant) -> i.Trace.i_name = "timeout")
+            (Trace.instants trace)))
+  in
+  let mw = work () in
+  List.iter
+    (fun fine ->
+      List.iter
+        (fun policy ->
+          check
+            (Printf.sprintf "%s %s" (Sched.policy_name policy)
+               (if fine then "fine" else "coarse"))
+            { (base_cfg ~fine) with Config.sched_policy = policy }
+            mw (Plan.one_per_station mw))
+        Sched.all_policies)
+    [ false; true ];
+  (* Pool queueing on the layered 48-module project outlasts the
+     per-attempt deadline: a watchdog armed without a fault plan would
+     time attempts out and re-dispatch them. *)
+  let mw, link =
+    Experiment.link_program_work ~shape:W2.Gen.Layered ~modules:48 ()
+  in
+  check "layered/48 dag+spec"
+    {
+      Config.default with
+      Config.stations = 9;
+      noise_seed = 3;
+      sched_policy = Sched.Dag_spec;
+    }
+    mw
+    (Experiment.link_plan mw link)
 
 let test_faulty_run_deterministic () =
   let plan =

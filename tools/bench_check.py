@@ -129,7 +129,7 @@ def check_cache(fresh, committed):
 
 
 def check_link(bench, committed):
-    assert bench["schema"] == "warpcc-bench-link/1", bench["schema"]
+    assert bench["schema"] == "warpcc-bench-link/2", bench["schema"]
     compose, sched = bench["compose"], bench["sched"]
     assert compose and sched, "BENCH_link.json sweep is empty"
     for p in compose:
@@ -145,6 +145,13 @@ def check_link(bench, committed):
         assert p["race_violations"] == 0, p
         if p["policy"] == "dag+lpt":
             assert p["speedup_vs_fcfs"] > 1.0, p
+        # With no speculative edge, dag+spec has nothing to speculate
+        # past and must replay dag+lpt exactly.
+        if p["policy"] == "dag+spec" and p["spec_edges"] == 0:
+            lpt = next(q for q in sched
+                       if (q["shape"], q["modules"], q["policy"])
+                       == (p["shape"], p["modules"], "dag+lpt"))
+            assert p["elapsed"] == lpt["elapsed"], (p, lpt)
     print("BENCH_link.json ok:", len(compose), "compose +",
           len(sched), "sched points")
 
