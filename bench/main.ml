@@ -1,374 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (section 4) on the simulated 1989 host, plus Bechamel
-   micro-benchmarks of the real compiler phases.
-
-   Usage:
-     main.exe                 all figures, ablations, Bechamel benches
-     main.exe fig3 ... fig16  individual figures
-     main.exe saturation      section 4.2.2 processor-saturation sweep
-     main.exe ablations       DESIGN.md section-5 ablations
-     main.exe summary         the abstract's headline numbers
-     main.exe faults          seeded fault/recovery sweep (docs/FAULTS.md)
-     main.exe sched           scheduling-policy sweep + BENCH_sched.json
-     main.exe deps            dependence-aware dispatch sweep + BENCH_deps.json
-     main.exe absint          abstract-interpretation pruning sweep
-                              + BENCH_absint.json
-     main.exe spec            speculative-dispatch sweep + BENCH_spec.json
-     main.exe profile         critical-path attribution sweep + BENCH_profile.json
-     main.exe cache           compile-cache cold/warm/one-edit sweep
-                              + BENCH_cache.json
-     main.exe json            write machine-readable BENCH_parallel.json
-     main.exe trace           traced parallel run: warpcc_trace.json + Gantt
-     main.exe bechamel        only the micro-benchmarks
-     main.exe --help          the full target table (see [targets] below)
-
-   The flag --out PATH redirects the JSON writer of a single-target
-   invocation (e.g. main.exe spec --out /tmp/spec.json); without it
-   every writer keeps its default BENCH_*.json filename, which the CI
-   regression gates depend on.
-*)
+   evaluation (section 4) on the simulated 1989 host, and the seeded
+   BENCH_*.json sweeps.  `main.exe --help` lists the targets. *)
 
 open Parallel_cc
 
-let t = Stats.Table.make
-
-(* Experiment results are deterministic; compute one series per size. *)
-let series_cache : (W2.Gen.size, Experiment.point list) Hashtbl.t = Hashtbl.create 5
-
-let points_for size =
-  match Hashtbl.find_opt series_cache size with
-  | Some points -> points
-  | None ->
-    let points = Experiment.size_series size in
-    Hashtbl.replace series_cache size points;
-    points
-
-let point_at size n =
-  List.find (fun (p : Experiment.point) -> p.Experiment.n_functions = n) (points_for size)
-
-let minutes x = x /. 60.0
-
-(* --- figures 3, 4, 5, 12, 13: execution times --- *)
-
-let print_time_series ~fig (size : W2.Gen.size) =
-  let points = points_for size in
-  let table =
-    t
-      ~title:
-        (Printf.sprintf "Figure %s: execution times for %s (minutes)" fig
-           (W2.Gen.size_name size))
-      ~columns:
-        [ "functions"; "elapsed seq"; "cpu seq"; "elapsed par"; "cpu par (max/proc)" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.point) ->
-        let c = p.Experiment.comparison in
-        Stats.Table.add_float_row table
-          ~label:(string_of_int p.Experiment.n_functions)
-          [
-            minutes c.Timings.seq.Timings.elapsed;
-            minutes (Timings.max_cpu c.Timings.seq);
-            minutes c.Timings.par.Timings.elapsed;
-            minutes (Timings.max_cpu c.Timings.par);
-          ])
-      table points
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- figure 6: speedup over the sequential compiler --- *)
-
-let print_fig6 () =
-  let table =
-    t ~title:"Figure 6: speedup over sequential compiler"
-      ~columns:("functions" :: List.map W2.Gen.size_name W2.Gen.all_sizes)
-  in
-  let table =
-    List.fold_left
-      (fun table n ->
-        let row =
-          List.map
-            (fun size -> (point_at size n).Experiment.comparison.Timings.speedup)
-            W2.Gen.all_sizes
-        in
-        Stats.Table.add_float_row table ~label:(string_of_int n) row)
-      table Experiment.function_counts
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- figure 7: speedup versus function size --- *)
-
-let print_fig7 () =
-  let table =
-    t ~title:"Figure 7: speedup versus function size (lines of code)"
-      ~columns:
-        ("lines"
-        :: List.map (fun n -> Printf.sprintf "%d function(s)" n) Experiment.function_counts)
-  in
-  let table =
-    List.fold_left
-      (fun table size ->
-        let row =
-          List.map
-            (fun n -> (point_at size n).Experiment.comparison.Timings.speedup)
-            Experiment.function_counts
-        in
-        Stats.Table.add_float_row table
-          ~label:(string_of_int (W2.Gen.size_lines size))
-          row)
-      table W2.Gen.all_sizes
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- figures 8-10: relative overheads; 14-16: absolute overheads --- *)
-
-let overhead_columns sizes kind =
-  "functions"
-  :: List.concat_map
-       (fun size ->
-         [
-           Printf.sprintf "%s total%s" (W2.Gen.size_name size) kind;
-           Printf.sprintf "%s system%s" (W2.Gen.size_name size) kind;
-         ])
-       sizes
-
-let print_overheads ~fig ~relative sizes =
-  let kind = if relative then " %" else " (s)" in
-  let what = if relative then "percentage of parallel elapsed time" else "seconds" in
-  let table =
-    t
-      ~title:
-        (Printf.sprintf "Figure %s: %s overhead (%s)" fig
-           (if relative then "relative" else "absolute")
-           what)
-      ~columns:(overhead_columns sizes kind)
-  in
-  let table =
-    List.fold_left
-      (fun table n ->
-        let row =
-          List.concat_map
-            (fun size ->
-              let c = (point_at size n).Experiment.comparison in
-              if relative then [ c.Timings.rel_total_overhead; c.Timings.rel_sys_overhead ]
-              else [ c.Timings.total_overhead; c.Timings.sys_overhead ])
-            sizes
-        in
-        Stats.Table.add_float_row table ~label:(string_of_int n) row)
-      table Experiment.function_counts
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- figure 11: the user program --- *)
-
-let print_fig11 () =
-  let points = Experiment.user_program () in
-  let table =
-    t
-      ~title:
-        "Figure 11: speedup for a user program (3 sections x 3 functions, \
-         grouped by the load-balancing heuristic)"
-      ~columns:[ "processors"; "elapsed seq (min)"; "elapsed par (min)"; "speedup" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (p : Experiment.point) ->
-        let c = p.Experiment.comparison in
-        Stats.Table.add_float_row table
-          ~label:(string_of_int p.Experiment.n_functions)
-          [
-            minutes c.Timings.seq.Timings.elapsed;
-            minutes c.Timings.par.Timings.elapsed;
-            c.Timings.speedup;
-          ])
-      table points
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- section 4.2.2: saturation --- *)
-
-let print_saturation () =
-  let points = Experiment.saturation () in
-  let table =
-    t
-      ~title:
-        "Saturation (cf. section 4.2.2): elapsed time of S_8 f_medium versus \
-         workstation pool size"
-      ~columns:[ "stations"; "elapsed par (min)" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (stations, elapsed) ->
-        Stats.Table.add_float_row table ~label:(string_of_int stations)
-          [ minutes elapsed ])
-      table points
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- ablations --- *)
-
-let print_ablations () =
-  let table =
-    t ~title:"Ablations (DESIGN.md section 5): what breaks each paper phenomenon"
-      ~columns:
-        [
-          "configuration";
-          "medium n=1 sys ov %";
-          "tiny n=4 speedup";
-          "huge n=8 rel ov %";
-          "large n=8 speedup";
-        ]
-  in
-  let table =
-    List.fold_left
-      (fun table (ab : Experiment.ablation) ->
-        let cfg = ab.Experiment.ab_cfg in
-        let med =
-          Experiment.measure ~cfg (Experiment.s_program_work ~size:W2.Gen.Medium ~count:1 ())
-        in
-        let tiny =
-          Experiment.measure ~cfg (Experiment.s_program_work ~size:W2.Gen.Tiny ~count:4 ())
-        in
-        let huge =
-          Experiment.measure ~cfg (Experiment.s_program_work ~size:W2.Gen.Huge ~count:8 ())
-        in
-        let large =
-          Experiment.measure ~cfg (Experiment.s_program_work ~size:W2.Gen.Large ~count:8 ())
-        in
-        Stats.Table.add_float_row table ~label:ab.Experiment.ab_name
-          [
-            med.Timings.rel_sys_overhead;
-            tiny.Timings.speedup;
-            huge.Timings.rel_total_overhead;
-            large.Timings.speedup;
-          ])
-      table Experiment.ablations
-  in
-  Stats.Table.print table;
-  print_newline ();
-  (* Grouping ablation: the section-4.3 heuristic versus one function
-     per processor on the user program. *)
-  let mw = Experiment.user_program_work () in
-  let grouped5 = Experiment.measure ~processors:5 mw in
-  let one_per = Experiment.measure mw in
-  let table2 = t ~title:"Ablation: load balancing on the user program"
-      ~columns:[ "policy"; "processors"; "speedup" ] in
-  let table2 =
-    Stats.Table.add_float_row table2 ~label:"one function per processor"
-      [ float_of_int one_per.Timings.processors; one_per.Timings.speedup ]
-  in
-  let table2 =
-    Stats.Table.add_float_row table2 ~label:"grouped (LoC x nesting, LPT)"
-      [ float_of_int grouped5.Timings.processors; grouped5.Timings.speedup ]
-  in
-  Stats.Table.print table2;
-  print_newline ()
-
-(* --- section 3.4: parallel make coexistence --- *)
-
-let print_make_study () =
-  let results = Experiment.run_make_study () in
-  let table =
-    t
-      ~title:
-        "Build strategies for a 4-module system (cf. section 3.4: 'both          approaches could coexist')"
-      ~columns:[ "strategy"; "elapsed (min)" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (r : Makerun.result) ->
-        Stats.Table.add_float_row table
-          ~label:(Makerun.strategy_name r.Makerun.strategy)
-          [ minutes r.Makerun.elapsed ])
-      table results
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- section 5: finer-grain parallelism --- *)
-
-let print_grain_study () =
-  let points = Experiment.run_grain_study () in
-  let table =
-    t
-      ~title:
-        "Finer grain (phase-pipelined) vs the paper's coarse grain, S_8          f_medium (cf. section 5: 'further advances have to explore finer          grain parallelism')"
-      ~columns:[ "stations"; "coarse (min)"; "fine (min)" ]
-  in
-  let table =
-    List.fold_left
-      (fun table (g : Experiment.grain_point) ->
-        Stats.Table.add_float_row table
-          ~label:(string_of_int g.Experiment.gp_stations)
-          [ minutes g.Experiment.coarse; minutes g.Experiment.fine ])
-      table points
-  in
-  Stats.Table.print table;
-  print_endline
-    "On this host the extra Lisp startup and IR shipping outweigh the";
-  print_endline
-    "stage pipelining — which is exactly why the authors chose functions";
-  print_endline "as the grain (section 3.3).";
-  print_newline ()
-
-(* --- section 5.1: inlining --- *)
-
-let print_inlining_study () =
-  let study = Experiment.run_inlining_study () in
-  let table =
-    t ~title:"Inlining as grain coarsening (section 5.1)"
-      ~columns:[ "variant"; "functions"; "seq (min)"; "par (min)"; "speedup" ]
-  in
-  let row name funcs (c : Timings.comparison) table =
-    Stats.Table.add_float_row table ~label:name
-      [
-        float_of_int funcs;
-        minutes c.Timings.seq.Timings.elapsed;
-        minutes c.Timings.par.Timings.elapsed;
-        c.Timings.speedup;
-      ]
-  in
-  let table = row "as written" study.Experiment.baseline_functions study.Experiment.baseline table in
-  let table = row "inlined + pruned" study.Experiment.inlined_functions study.Experiment.inlined table in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- section 6: scaling limit --- *)
-
-let print_scaling () =
-  let unlimited = Experiment.run_scaling_study () in
-  let capped = Experiment.run_scaling_study ~max_stations:15 () in
-  let table =
-    t
-      ~title:
-        "Scaling (section 6: '8 to 16 processors can be used comfortably'),          f_large"
-      ~columns:
-        [ "functions"; "speedup (pool = n)"; "efficiency"; "speedup (pool <= 15)" ]
-  in
-  let table =
-    List.fold_left2
-      (fun table (u : Experiment.point) (c : Experiment.point) ->
-        let su = u.Experiment.comparison.Timings.speedup in
-        Stats.Table.add_float_row table
-          ~label:(string_of_int u.Experiment.n_functions)
-          [
-            su;
-            su /. float_of_int u.Experiment.n_functions;
-            c.Experiment.comparison.Timings.speedup;
-          ])
-      table unlimited capped
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- sweeps: one table printer and one BENCH_*.json writer for every
-   row list --- *)
+(* --- one table printer for every figure and sweep --- *)
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -395,8 +31,9 @@ and json_fields row =
        row)
 
 (* One column per field; nested objects flatten to "key.field" columns
-   over every row's fields, "-" where a row lacks one. *)
-let print_rows title (rows : Experiment.row list) =
+   over every row's fields, "-" where a row lacks one.  [notes] print
+   under the table. *)
+let print_rows ?(notes = []) title (rows : Experiment.row list) =
   let rec flat prefix row =
     List.concat_map
       (fun (k, v) ->
@@ -423,8 +60,319 @@ let print_rows title (rows : Experiment.row list) =
        (fun table row ->
          Stats.Table.add_row table
            (List.map (fun c -> cell (List.assoc_opt c row)) columns))
-       (t ~title ~columns) rows);
+       (Stats.Table.make ~title ~columns)
+       rows);
+  List.iter print_endline notes;
   print_newline ()
+
+(* --- the paper's figures as rows --- *)
+
+(* Figure cells print with two decimals; times in minutes. *)
+let fixed x = Experiment.Fixed (2, x)
+let minutes x = fixed (x /. 60.0)
+
+(* Experiment results are deterministic; compute one series per size. *)
+let series =
+  List.map
+    (fun size -> (size, lazy (Experiment.size_series size)))
+    W2.Gen.all_sizes
+
+let size_points size = Lazy.force (List.assoc size series)
+
+let point_at size n =
+  List.find
+    (fun (p : Experiment.point) -> p.Experiment.n_functions = n)
+    (size_points size)
+
+let speedup (p : Experiment.point) = p.Experiment.comparison.Timings.speedup
+
+(* Each figure: its `--help` line, its title and its rows. *)
+let time_series size =
+  let name = W2.Gen.size_name size in
+  ( "execution times, " ^ name,
+    Printf.sprintf "execution times for %s (minutes)" name,
+    fun () ->
+      List.map
+        (fun (p : Experiment.point) ->
+          let c = p.Experiment.comparison in
+          [
+            ("functions", Experiment.Int p.Experiment.n_functions);
+            ("elapsed seq", minutes c.Timings.seq.Timings.elapsed);
+            ("cpu seq", minutes (Timings.max_cpu c.Timings.seq));
+            ("elapsed par", minutes c.Timings.par.Timings.elapsed);
+            ("cpu par (max/proc)", minutes (Timings.max_cpu c.Timings.par));
+          ])
+        (size_points size) )
+
+let overheads ~relative sizes =
+  let kind = if relative then " %" else " (s)" in
+  ( Printf.sprintf "%s overheads, %s"
+      (if relative then "relative" else "absolute")
+      (String.concat " + " (List.map W2.Gen.size_name sizes)),
+    (if relative then "relative overhead (percentage of parallel elapsed time)"
+     else "absolute overhead (seconds)"),
+    fun () ->
+      List.map
+        (fun n ->
+          ("functions", Experiment.Int n)
+          :: List.concat_map
+               (fun size ->
+                 let c = (point_at size n).Experiment.comparison in
+                 let name = W2.Gen.size_name size in
+                 let total, system =
+                   if relative then
+                     (c.Timings.rel_total_overhead, c.Timings.rel_sys_overhead)
+                   else (c.Timings.total_overhead, c.Timings.sys_overhead)
+                 in
+                 [
+                   (name ^ " total" ^ kind, fixed total);
+                   (name ^ " system" ^ kind, fixed system);
+                 ])
+               sizes)
+        Experiment.function_counts )
+
+let figures =
+  [
+    (3, time_series W2.Gen.Tiny);
+    (4, time_series W2.Gen.Large);
+    (5, time_series W2.Gen.Huge);
+    ( 6,
+      ( "speedup over the sequential compiler",
+        "speedup over sequential compiler",
+        fun () ->
+          List.map
+            (fun n ->
+              ("functions", Experiment.Int n)
+              :: List.map
+                   (fun size ->
+                     (W2.Gen.size_name size, fixed (speedup (point_at size n))))
+                   W2.Gen.all_sizes)
+            Experiment.function_counts ) );
+    ( 7,
+      ( "speedup versus function size",
+        "speedup versus function size (lines of code)",
+        fun () ->
+          List.map
+            (fun size ->
+              ("lines", Experiment.Int (W2.Gen.size_lines size))
+              :: List.map
+                   (fun n ->
+                     ( Printf.sprintf "%d function(s)" n,
+                       fixed (speedup (point_at size n)) ))
+                   Experiment.function_counts)
+            W2.Gen.all_sizes ) );
+    (8, overheads ~relative:true [ W2.Gen.Tiny; W2.Gen.Small ]);
+    (9, overheads ~relative:true [ W2.Gen.Medium; W2.Gen.Large ]);
+    (10, overheads ~relative:true [ W2.Gen.Huge ]);
+    ( 11,
+      ( "speedup for the user program",
+        "speedup for a user program (3 sections x 3 functions, grouped by \
+         the load-balancing heuristic)",
+        fun () ->
+          List.map
+            (fun (p : Experiment.point) ->
+              let c = p.Experiment.comparison in
+              [
+                ("processors", Experiment.Int p.Experiment.n_functions);
+                ("elapsed seq (min)", minutes c.Timings.seq.Timings.elapsed);
+                ("elapsed par (min)", minutes c.Timings.par.Timings.elapsed);
+                ("speedup", fixed c.Timings.speedup);
+              ])
+            (Experiment.user_program ()) ) );
+    (12, time_series W2.Gen.Small);
+    (13, time_series W2.Gen.Medium);
+    (14, overheads ~relative:false [ W2.Gen.Tiny; W2.Gen.Small ]);
+    (15, overheads ~relative:false [ W2.Gen.Medium; W2.Gen.Large ]);
+    (16, overheads ~relative:false [ W2.Gen.Huge ]);
+  ]
+
+let print_figure (n, (_, title, rows)) =
+  print_rows (Printf.sprintf "Figure %d: %s" n title) (rows ())
+
+(* --- section 4.2.2: saturation --- *)
+
+let print_saturation () =
+  print_rows
+    "Saturation (cf. section 4.2.2): elapsed time of S_8 f_medium versus \
+     workstation pool size"
+    (List.map
+       (fun (stations, elapsed) ->
+         [
+           ("stations", Experiment.Int stations);
+           ("elapsed par (min)", minutes elapsed);
+         ])
+       (Experiment.saturation ()))
+
+(* --- ablations --- *)
+
+let print_ablations () =
+  let at ~cfg size count =
+    Experiment.measure ~cfg (Experiment.s_program_work ~size ~count ())
+  in
+  print_rows "Ablations (DESIGN.md section 5): what breaks each paper phenomenon"
+    (List.map
+       (fun (ab : Experiment.ablation) ->
+         let cfg = ab.Experiment.ab_cfg in
+         [
+           ("configuration", Experiment.Str ab.Experiment.ab_name);
+           ( "medium n=1 sys ov %",
+             fixed (at ~cfg W2.Gen.Medium 1).Timings.rel_sys_overhead );
+           ("tiny n=4 speedup", fixed (at ~cfg W2.Gen.Tiny 4).Timings.speedup);
+           ( "huge n=8 rel ov %",
+             fixed (at ~cfg W2.Gen.Huge 8).Timings.rel_total_overhead );
+           ("large n=8 speedup", fixed (at ~cfg W2.Gen.Large 8).Timings.speedup);
+         ])
+       Experiment.ablations);
+  (* Grouping ablation: the section-4.3 heuristic versus one function
+     per processor on the user program. *)
+  let mw = Experiment.user_program_work () in
+  print_rows "Ablation: load balancing on the user program"
+    (List.map
+       (fun (policy, (c : Timings.comparison)) ->
+         [
+           ("policy", Experiment.Str policy);
+           ("processors", Experiment.Int c.Timings.processors);
+           ("speedup", fixed c.Timings.speedup);
+         ])
+       [
+         ("one function per processor", Experiment.measure mw);
+         ("grouped (LoC x nesting, LPT)", Experiment.measure ~processors:5 mw);
+       ])
+
+(* --- section 3.4: parallel make coexistence --- *)
+
+let print_make_study () =
+  print_rows
+    "Build strategies for a 4-module system (cf. section 3.4: 'both          \
+     approaches could coexist')"
+    (List.map
+       (fun (r : Makerun.result) ->
+         [
+           ("strategy", Experiment.Str (Makerun.strategy_name r.Makerun.strategy));
+           ("elapsed (min)", minutes r.Makerun.elapsed);
+         ])
+       (Experiment.run_make_study ()))
+
+(* --- section 5: finer-grain parallelism --- *)
+
+let print_grain_study () =
+  print_rows
+    "Finer grain (phase-pipelined) vs the paper's coarse grain, S_8          \
+     f_medium (cf. section 5: 'further advances have to explore finer          \
+     grain parallelism')"
+    ~notes:
+      [
+        "On this host the extra Lisp startup and IR shipping outweigh the";
+        "stage pipelining — which is exactly why the authors chose functions";
+        "as the grain (section 3.3).";
+      ]
+    (List.map
+       (fun (g : Experiment.grain_point) ->
+         [
+           ("stations", Experiment.Int g.Experiment.gp_stations);
+           ("coarse (min)", minutes g.Experiment.coarse);
+           ("fine (min)", minutes g.Experiment.fine);
+         ])
+       (Experiment.run_grain_study ()))
+
+(* --- section 5.1: inlining --- *)
+
+let print_inlining_study () =
+  let study = Experiment.run_inlining_study () in
+  print_rows "Inlining as grain coarsening (section 5.1)"
+    (List.map
+       (fun (variant, funcs, (c : Timings.comparison)) ->
+         [
+           ("variant", Experiment.Str variant);
+           ("functions", Experiment.Int funcs);
+           ("seq (min)", minutes c.Timings.seq.Timings.elapsed);
+           ("par (min)", minutes c.Timings.par.Timings.elapsed);
+           ("speedup", fixed c.Timings.speedup);
+         ])
+       [
+         ( "as written",
+           study.Experiment.baseline_functions,
+           study.Experiment.baseline );
+         ( "inlined + pruned",
+           study.Experiment.inlined_functions,
+           study.Experiment.inlined );
+       ])
+
+(* --- section 6: scaling limit --- *)
+
+let print_scaling () =
+  let unlimited = Experiment.run_scaling_study () in
+  let capped = Experiment.run_scaling_study ~max_stations:15 () in
+  print_rows
+    "Scaling (section 6: '8 to 16 processors can be used comfortably'),          \
+     f_large"
+    (List.map2
+       (fun (u : Experiment.point) (c : Experiment.point) ->
+         let n = u.Experiment.n_functions in
+         [
+           ("functions", Experiment.Int n);
+           ("speedup (pool = n)", fixed (speedup u));
+           ("efficiency", fixed (speedup u /. float_of_int n));
+           ("speedup (pool <= 15)", fixed (speedup c));
+         ])
+       unlimited capped)
+
+(* --- code quality: what the optimizer levels buy on the machine --- *)
+
+let print_codegen_ablation () =
+  let measure level =
+    let m =
+      W2.Gen.module_of_function (W2.Gen.sized_function ~name:"k" W2.Gen.Small)
+    in
+    let sec = List.hd (Midend.Lower.lower_module m) in
+    List.iter (fun f -> ignore (Midend.Opt.optimize ~level f)) sec.Midend.Ir.funcs;
+    let compiled =
+      List.map
+        (fun f -> (Warp.Codegen.compile_function f).Warp.Codegen.mfunc)
+        sec.Midend.Ir.funcs
+    in
+    let image = Warp.Link.link ~section:"s" ~cells:1 compiled in
+    let _, cycles =
+      Warp.Cellsim.run ~fuel:50_000_000 image ~name:"k"
+        ~args:[ Midend.Ir_interp.Vi 5; Midend.Ir_interp.Vi 1 ]
+    in
+    (Warp.Mcode.image_wide_count image, cycles)
+  in
+  let _, base_cycles = measure 0 in
+  print_rows
+    "Generated-code quality by optimization level (f_small kernel on the \
+     cycle simulator)"
+    (List.map
+       (fun level ->
+         let wides, cycles = measure level in
+         [
+           ("level", Experiment.Str (Printf.sprintf "-O%d" level));
+           ("wide instrs", Experiment.Int wides);
+           ("cycles", Experiment.Int cycles);
+           ( "cycles vs -O0",
+             fixed (float_of_int cycles /. float_of_int base_cycles) );
+         ])
+       [ 0; 1; 2; 3 ])
+
+(* --- headline summary --- *)
+
+let print_summary () =
+  let speedup_at size n = speedup (point_at size n) in
+  let user9 =
+    speedup
+      (List.find
+         (fun (p : Experiment.point) -> p.Experiment.n_functions = 9)
+         (Experiment.user_program ()))
+  in
+  Printf.printf
+    "Headline (abstract): 'a speedup ranging from 3 to 6 using not more than 9 \
+     processors'\n";
+  Printf.printf "  f_medium, 8 functions : %.2f\n" (speedup_at W2.Gen.Medium 8);
+  Printf.printf "  f_large,  8 functions : %.2f\n" (speedup_at W2.Gen.Large 8);
+  Printf.printf "  f_huge,   8 functions : %.2f\n" (speedup_at W2.Gen.Huge 8);
+  Printf.printf "  user program, 9 procs : %.2f\n" user9;
+  Printf.printf "  f_tiny is of no use   : %.2f (4 functions)\n\n"
+    (speedup_at W2.Gen.Tiny 4)
 
 (* [--out PATH] redirects the next writer; [None] keeps the default
    filename (which CI's regression gates key on). *)
@@ -489,143 +437,6 @@ let fault_title =
   "Fault sweep: S_8 f_medium under seeded crash/reclaim/slowdown plans \
    (inflation = elapsed / fault-free elapsed on the same pool)"
 
-(* --- code quality: what the optimizer levels buy on the machine --- *)
-
-let print_codegen_ablation () =
-  let table =
-    t
-      ~title:
-        "Generated-code quality by optimization level (f_small kernel on the cycle simulator)"
-      ~columns:[ "level"; "wide instrs"; "cycles"; "cycles vs -O0" ]
-  in
-  let measure level =
-    let m =
-      W2.Gen.module_of_function (W2.Gen.sized_function ~name:"k" W2.Gen.Small)
-    in
-    let sec = List.hd (Midend.Lower.lower_module m) in
-    List.iter (fun f -> ignore (Midend.Opt.optimize ~level f)) sec.Midend.Ir.funcs;
-    let compiled =
-      List.map
-        (fun f -> (Warp.Codegen.compile_function f).Warp.Codegen.mfunc)
-        sec.Midend.Ir.funcs
-    in
-    let image = Warp.Link.link ~section:"s" ~cells:1 compiled in
-    let _, cycles =
-      Warp.Cellsim.run ~fuel:50_000_000 image ~name:"k"
-        ~args:[ Midend.Ir_interp.Vi 5; Midend.Ir_interp.Vi 1 ]
-    in
-    (Warp.Mcode.image_wide_count image, cycles)
-  in
-  let _, base_cycles = measure 0 in
-  let table =
-    List.fold_left
-      (fun table level ->
-        let wides, cycles = measure level in
-        Stats.Table.add_float_row table
-          ~label:(Printf.sprintf "-O%d" level)
-          [
-            float_of_int wides;
-            float_of_int cycles;
-            float_of_int cycles /. float_of_int base_cycles;
-          ])
-      table [ 0; 1; 2; 3 ]
-  in
-  Stats.Table.print table;
-  print_newline ()
-
-(* --- headline summary --- *)
-
-let print_summary () =
-  let speedup_at size n = (point_at size n).Experiment.comparison.Timings.speedup in
-  let user = Experiment.user_program () in
-  let user9 =
-    (List.find (fun (p : Experiment.point) -> p.Experiment.n_functions = 9) user)
-      .Experiment.comparison.Timings.speedup
-  in
-  Printf.printf
-    "Headline (abstract): 'a speedup ranging from 3 to 6 using not more than 9 \
-     processors'\n";
-  Printf.printf "  f_medium, 8 functions : %.2f\n" (speedup_at W2.Gen.Medium 8);
-  Printf.printf "  f_large,  8 functions : %.2f\n" (speedup_at W2.Gen.Large 8);
-  Printf.printf "  f_huge,   8 functions : %.2f\n" (speedup_at W2.Gen.Huge 8);
-  Printf.printf "  user program, 9 procs : %.2f\n" user9;
-  Printf.printf "  f_tiny is of no use   : %.2f (4 functions)\n\n"
-    (speedup_at W2.Gen.Tiny 4)
-
-(* --- Bechamel micro-benchmarks of the real compiler --- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let source size =
-    W2.Pretty.module_to_string
-      (W2.Gen.module_of_function (W2.Gen.sized_function ~name:"bench" size))
-  in
-  let medium_src = source W2.Gen.Medium in
-  let small_src = source W2.Gen.Small in
-  let parsed = W2.Parser.module_of_string medium_src in
-  let lowered () = List.hd (Midend.Lower.lower_module parsed) in
-  [
-    (* one Test.make per table/figure driver *)
-    Test.make ~name:"fig3-5+12-13 size-series cell (tiny,n=2)"
-      (Staged.stage (fun () ->
-           ignore
-             (Experiment.measure (Experiment.s_program_work ~size:W2.Gen.Tiny ~count:2 ()))));
-    Test.make ~name:"fig6-7 speedup cell (medium,n=2)"
-      (Staged.stage (fun () ->
-           ignore
-             (Experiment.measure
-                (Experiment.s_program_work ~size:W2.Gen.Medium ~count:2 ()))));
-    Test.make ~name:"fig8-10+14-16 overhead cell (small,n=4)"
-      (Staged.stage (fun () ->
-           ignore
-             (Experiment.measure (Experiment.s_program_work ~size:W2.Gen.Small ~count:4 ()))));
-    Test.make ~name:"fig11 user program (5 procs)"
-      (Staged.stage (fun () ->
-           ignore (Experiment.measure ~processors:5 (Experiment.user_program_work ()))));
-    (* real compiler phases *)
-    Test.make ~name:"phase1 lex+parse+check (medium)"
-      (Staged.stage (fun () ->
-           let m = W2.Parser.module_of_string medium_src in
-           ignore (W2.Semcheck.check_module m)));
-    Test.make ~name:"phase2 lower+optimize (medium)"
-      (Staged.stage (fun () ->
-           let sec = lowered () in
-           List.iter (fun f -> ignore (Midend.Opt.optimize f)) sec.Midend.Ir.funcs));
-    Test.make ~name:"phase2+3+4 full compile (small)"
-      (Staged.stage (fun () ->
-           let mw = Driver.Compile.compile_source small_src in
-           ignore (Driver.Compile.total_image_bytes mw)));
-    Test.make ~name:"netsim seq+par runs (small,n=4)"
-      (Staged.stage (fun () ->
-           let mw = Experiment.s_program_work ~size:W2.Gen.Small ~count:4 () in
-           let plan = Plan.one_per_station mw in
-           ignore (Seqrun.run { Config.default with Config.stations = 1 } mw);
-           ignore (Parrun.run { Config.default with Config.stations = 5 } mw plan)));
-  ]
-
-let print_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "Bechamel micro-benchmarks (monotonic clock per run):";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:None () in
-  let instances = Instance.[ monotonic_clock ] in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some (x :: _) -> x
-            | Some [] | None -> nan
-          in
-          Printf.printf "  %-44s %12.3f ms/run\n%!" name (estimate /. 1e6))
-        analyzed)
-    (bechamel_tests ());
-  print_newline ()
-
 (* --- traced demo run: Chrome trace, Gantt timeline, metrics --- *)
 
 let print_trace_demo () =
@@ -662,20 +473,7 @@ let print_trace_demo () =
 (* --- main --- *)
 
 let all_figures () =
-  print_time_series ~fig:"3" W2.Gen.Tiny;
-  print_time_series ~fig:"4" W2.Gen.Large;
-  print_time_series ~fig:"5" W2.Gen.Huge;
-  print_fig6 ();
-  print_fig7 ();
-  print_overheads ~fig:"8" ~relative:true [ W2.Gen.Tiny; W2.Gen.Small ];
-  print_overheads ~fig:"9" ~relative:true [ W2.Gen.Medium; W2.Gen.Large ];
-  print_overheads ~fig:"10" ~relative:true [ W2.Gen.Huge ];
-  print_fig11 ();
-  print_time_series ~fig:"12" W2.Gen.Small;
-  print_time_series ~fig:"13" W2.Gen.Medium;
-  print_overheads ~fig:"14" ~relative:false [ W2.Gen.Tiny; W2.Gen.Small ];
-  print_overheads ~fig:"15" ~relative:false [ W2.Gen.Medium; W2.Gen.Large ];
-  print_overheads ~fig:"16" ~relative:false [ W2.Gen.Huge ];
+  List.iter print_figure figures;
   print_saturation ();
   print_summary ()
 
@@ -688,42 +486,19 @@ type action = Run of (unit -> unit) | Sweep of sweep
    one row here; dispatch, the help listing and the `all` sequence all
    derive from the table, so they cannot drift apart. *)
 let targets : (string * string * bool * action) list =
-  let fig n doc run = (Printf.sprintf "fig%d" n, doc, false, Run run) in
   let batch_threshold =
     ("batch_threshold", Experiment.Fixed (1, Config.default.Config.batch_threshold))
   in
   let points title sweep = [ ("points", title, lazy (sweep ())) ] in
-  [
-    ( "figures",
-      "figures 3-16, the saturation sweep and the headline summary",
-      true,
-      Run all_figures );
-    fig 3 "execution times, f_tiny" (fun () ->
-        print_time_series ~fig:"3" W2.Gen.Tiny);
-    fig 4 "execution times, f_large" (fun () ->
-        print_time_series ~fig:"4" W2.Gen.Large);
-    fig 5 "execution times, f_huge" (fun () ->
-        print_time_series ~fig:"5" W2.Gen.Huge);
-    fig 6 "speedup over the sequential compiler" print_fig6;
-    fig 7 "speedup versus function size" print_fig7;
-    fig 8 "relative overheads, f_tiny + f_small" (fun () ->
-        print_overheads ~fig:"8" ~relative:true [ W2.Gen.Tiny; W2.Gen.Small ]);
-    fig 9 "relative overheads, f_medium + f_large" (fun () ->
-        print_overheads ~fig:"9" ~relative:true [ W2.Gen.Medium; W2.Gen.Large ]);
-    fig 10 "relative overheads, f_huge" (fun () ->
-        print_overheads ~fig:"10" ~relative:true [ W2.Gen.Huge ]);
-    fig 11 "speedup for the user program" print_fig11;
-    fig 12 "execution times, f_small" (fun () ->
-        print_time_series ~fig:"12" W2.Gen.Small);
-    fig 13 "execution times, f_medium" (fun () ->
-        print_time_series ~fig:"13" W2.Gen.Medium);
-    fig 14 "absolute overheads, f_tiny + f_small" (fun () ->
-        print_overheads ~fig:"14" ~relative:false [ W2.Gen.Tiny; W2.Gen.Small ]);
-    fig 15 "absolute overheads, f_medium + f_large" (fun () ->
-        print_overheads ~fig:"15" ~relative:false
-          [ W2.Gen.Medium; W2.Gen.Large ]);
-    fig 16 "absolute overheads, f_huge" (fun () ->
-        print_overheads ~fig:"16" ~relative:false [ W2.Gen.Huge ]);
+  ( "figures",
+    "figures 3-16, the saturation sweep and the headline summary",
+    true,
+    Run all_figures )
+  :: List.map
+       (fun ((n, (doc, _, _)) as fig) ->
+         (Printf.sprintf "fig%d" n, doc, false, Run (fun () -> print_figure fig)))
+       figures
+  @ [
     ("saturation", "section 4.2.2 processor-saturation sweep", false,
      Run print_saturation);
     ("summary", "the abstract's headline numbers", false, Run print_summary);
@@ -858,15 +633,13 @@ let targets : (string * string * bool * action) list =
                 lazy
                   (List.concat_map
                      (fun size ->
-                       List.map (Experiment.speedup_row size) (points_for size))
+                       List.map (Experiment.speedup_row size) (size_points size))
                      W2.Gen.all_sizes) );
               ("fault_sweep", fault_title, fault_rows);
             ];
         } );
     ("trace", "traced parallel run: warpcc_trace.json + Gantt", false,
      Run print_trace_demo);
-    ("bechamel", "Bechamel micro-benchmarks of the real compiler", true,
-     Run print_bechamel);
   ]
 
 let print_help () =

@@ -16,7 +16,7 @@
 
      warpcc simulate prog.w2 [--processors N] [--sched POLICY]
             [--no-absint] [--static-cost] [--deadline-factor F]
-            [--retry-backoff S] [--spec-budget N] [--no-spec]
+            [--retry-backoff S] [--spec-budget N]
          Replay sequential and parallel compilation of the module on the
          simulated 1989 workstation network and report the speedup and
          overhead decomposition of the paper.
@@ -643,24 +643,29 @@ let retry_backoff =
                  SECONDS times 2^k")
 
 let spec_budget =
+  let at_least_one =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ ->
+            Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))),
+        Format.pp_print_int )
+  in
   Arg.(value
-       & opt int Parallel_cc.Config.default.Parallel_cc.Config.spec_budget
+       & opt at_least_one
+           Parallel_cc.Config.default.Parallel_cc.Config.spec_budget
        & info [ "spec-budget" ] ~docv:"N"
            ~doc:"Misspeculations (speculative-attempt aborts) per task \
                  before its speculative edges harden to gated dispatch \
-                 under $(b,--sched dag+spec); 0 disables speculation, \
-                 making the run bit-identical to $(b,--sched dag+lpt)")
-
-let no_spec =
-  Arg.(value & flag & info [ "no-spec" ]
-         ~doc:"Disable speculative dispatch entirely; shorthand for \
-               $(b,--spec-budget 0)")
+                 under $(b,--sched dag+spec); at least 1 (for no \
+                 speculation, use $(b,--sched dag+lpt))")
 
 let sched =
   let policies =
     List.map
       (fun p -> (Parallel_cc.Sched.policy_name p, p))
-      Parallel_cc.Sched.all_policies
+      Parallel_cc.Sched.policies
   in
   Arg.(value & opt (enum policies) Parallel_cc.Sched.Fcfs
        & info [ "sched" ] ~docv:"POLICY"
@@ -724,13 +729,6 @@ let use_cache =
                parallel runs against one content-addressed compile cache \
                (docs/CACHING.md) and print each run's hit/miss counters")
 
-let no_cache =
-  Arg.(value & flag & info [ "no-cache" ]
-         ~doc:"Force the compile cache off.  This is the default — the \
-               standard pipeline never consults a cache, so every run \
-               without $(b,--cache) is bit-identical to the pre-cache \
-               compiler — but the flag overrides an earlier $(b,--cache)")
-
 let cache_seed_edit =
   Arg.(value & opt (some string) None
        & info [ "cache-seed-edit" ] ~docv:"FUNC"
@@ -739,29 +737,88 @@ let cache_seed_edit =
                  but not the dependence DAG); default: the function \
                  whose edit invalidates the widest closure")
 
-let simulate_cmd =
-  let action file processors level fault_seed fault_rate retries sched
+(* The replay [simulate] and [profile] share, so the profiled trace is
+   the trace [simulate --trace] writes: the compiled module, its plan
+   on the requested processors, the parallel runs' configuration and,
+   when a fault was asked for, the seeded fault plan sized by a
+   fault-free run ([fault_free]). *)
+type replay = {
+  file : string;
+  compile : string -> Driver.Compile.module_work;
+      (* a source text at the requested level and analysis *)
+  mw : Driver.Compile.module_work;
+  processors : int option;
+  plan : Parallel_cc.Plan.t;
+  n_fm : int; (* function-master stations *)
+  cfg : Parallel_cc.Config.t; (* fault-free *)
+  fault_seed : int;
+  faults : Netsim.Fault.plan;
+  fault_free : Parallel_cc.Timings.run option;
+}
+
+let replay_term =
+  let setup file processors level fault_seed fault_rate retries sched
       batch_threshold no_absint static_cost deadline_factor retry_backoff
-      spec_budget no_spec trace_out gantt gantt_width metrics json_out
-      use_cache no_cache cache_seed_edit =
+      spec_budget () =
+    let open Parallel_cc in
+    let compile =
+      Driver.Compile.compile_source ~level ~file ~absint:(not no_absint)
+    in
+    let mw = compile (read_file file) in
+    let plan, n_fm = Plan.for_processors ?processors mw in
+    let cfg =
+      {
+        Config.default with
+        Config.sched_policy = sched;
+        batch_threshold;
+        static_cost;
+        deadline_factor;
+        retry_backoff_seconds = retry_backoff;
+        spec_budget;
+        stations = n_fm + 1;
+        noise_seed = 1 + (17 * n_fm);
+        retry_budget = retries;
+      }
+    in
+    let faults, fault_free =
+      if fault_seed = 0 && fault_rate <= 0.0 then (Netsim.Fault.none, None)
+      else
+        let free = (Parrun.run cfg mw plan).Parrun.run in
+        ( Netsim.Fault.random
+            ~seed:(if fault_seed = 0 then 1 else fault_seed)
+            ~stations:(n_fm + 1)
+            ~rate:(if fault_rate > 0.0 then fault_rate else 0.5)
+            ~horizon:(free.Timings.elapsed *. 1.5) (),
+          Some free )
+    in
+    {
+      file;
+      compile;
+      mw;
+      processors;
+      plan;
+      n_fm;
+      cfg;
+      fault_seed;
+      faults;
+      fault_free;
+    }
+  in
+  Term.(
+    const setup $ file $ processors $ level $ fault_seed $ fault_rate
+    $ retries $ sched $ batch_threshold $ no_absint $ static_cost
+    $ deadline_factor $ retry_backoff $ spec_budget)
+
+let simulate_cmd =
+  let action replay trace_out gantt gantt_width metrics json_out use_cache
+      cache_seed_edit =
     or_compile_error (fun () ->
-        let mw =
-          Driver.Compile.compile_source ~level ~file ~absint:(not no_absint)
-            (read_file file)
+        let { file; compile; mw; processors; plan; n_fm; cfg; fault_seed; faults;
+              fault_free } =
+          replay ()
         in
         let open Parallel_cc in
-        let base_cfg =
-          {
-            Config.default with
-            Config.sched_policy = sched;
-            batch_threshold;
-            static_cost;
-            deadline_factor;
-            retry_backoff_seconds = retry_backoff;
-            spec_budget = (if no_spec then 0 else spec_budget);
-          }
-        in
-        let c = Experiment.measure ~cfg:base_cfg ?processors mw in
+        let c = Experiment.measure ~cfg ?processors mw in
         Printf.printf "module %s: %d function(s), %d line(s)\n"
           mw.Driver.Compile.mw_name
           (List.length (Driver.Compile.all_funcs mw))
@@ -770,15 +827,16 @@ let simulate_cmd =
         Printf.printf "parallel elapsed   : %8.1f s  (%d processors)\n"
           c.Timings.par.Timings.elapsed c.Timings.processors;
         Printf.printf "dispatch units     : %8d  (--sched %s)\n"
-          c.Timings.par.Timings.dispatch_units (Sched.policy_name sched);
-        (if Config.effective_policy base_cfg = Sched.Dag_spec then
+          c.Timings.par.Timings.dispatch_units
+          (Sched.policy_name cfg.Config.sched_policy);
+        (if Sched.gating cfg.Config.sched_policy = Sched.Proven then
            Printf.printf
              "speculation        : %8d dispatched, %d committed, %d rolled \
               back  (budget %d per task)\n"
              c.Timings.par.Timings.spec_dispatched
              c.Timings.par.Timings.spec_committed
              c.Timings.par.Timings.spec_rolled_back
-             base_cfg.Config.spec_budget);
+             cfg.Config.spec_budget);
         Printf.printf "speedup            : %8.2f\n" c.Timings.speedup;
         Printf.printf "total overhead     : %8.1f s (%.1f%% of parallel elapsed)\n"
           c.Timings.total_overhead c.Timings.rel_total_overhead;
@@ -796,54 +854,24 @@ let simulate_cmd =
           close_out oc;
           Printf.printf "wrote %s\n" path
         | None -> ());
-        (* The fault-injection replay and the traced replay share the
-           plan choice and configuration of the comparison above. *)
-        let plan, n_fm =
-          match processors with
-          | None ->
-            let plan = Plan.one_per_station mw in
-            (plan, Plan.task_count plan)
-          | Some p -> (Plan.grouped mw ~processors:p, p)
-        in
-        let cfg =
-          {
-            base_cfg with
-            Config.stations = n_fm + 1;
-            noise_seed = 1 + (17 * n_fm);
-            retry_budget = retries;
-          }
-        in
-        let fault_requested = fault_seed <> 0 || fault_rate > 0.0 in
-        let faults =
-          if fault_requested then begin
-            (* Fault-free run first, to size the fault horizon. *)
-            let free = (Parrun.run cfg mw plan).Parrun.run in
-            let faults =
-              Netsim.Fault.random
-                ~seed:(if fault_seed = 0 then 1 else fault_seed)
-                ~stations:(n_fm + 1)
-                ~rate:(if fault_rate > 0.0 then fault_rate else 0.5)
-                ~horizon:(free.Timings.elapsed *. 1.5) ()
-            in
-            let faulty =
-              (Parrun.run { cfg with Config.faults } mw plan).Parrun.run
-            in
-            Printf.printf "\nfault injection (seed %d):\n" fault_seed;
-            List.iter
-              (fun line -> Printf.printf "  %s\n" line)
-              (Netsim.Fault.describe faults);
-            Printf.printf "faulty elapsed     : %8.1f s  (%.2fx fault-free)\n"
-              faulty.Timings.elapsed
-              (faulty.Timings.elapsed /. free.Timings.elapsed);
-            Printf.printf "retries            : %8d\n" faulty.Timings.retries;
-            Printf.printf "stations lost      : %8d\n" faulty.Timings.stations_lost;
-            Printf.printf "fallback tasks     : %8d  (budget %d per task)\n"
-              faulty.Timings.fallback_tasks retries;
-            Printf.printf "wasted CPU         : %8.1f s\n" faulty.Timings.wasted_cpu;
-            faults
-          end
-          else Netsim.Fault.none
-        in
+        (match fault_free with
+        | Some free ->
+          let faulty =
+            (Parrun.run { cfg with Config.faults } mw plan).Parrun.run
+          in
+          Printf.printf "\nfault injection (seed %d):\n" fault_seed;
+          List.iter
+            (fun line -> Printf.printf "  %s\n" line)
+            (Netsim.Fault.describe faults);
+          Printf.printf "faulty elapsed     : %8.1f s  (%.2fx fault-free)\n"
+            faulty.Timings.elapsed
+            (faulty.Timings.elapsed /. free.Timings.elapsed);
+          Printf.printf "retries            : %8d\n" faulty.Timings.retries;
+          Printf.printf "stations lost      : %8d\n" faulty.Timings.stations_lost;
+          Printf.printf "fallback tasks     : %8d  (budget %d per task)\n"
+            faulty.Timings.fallback_tasks cfg.Config.retry_budget;
+          Printf.printf "wasted CPU         : %8.1f s\n" faulty.Timings.wasted_cpu
+        | None -> ());
         if trace_out <> None || gantt || metrics then begin
           (* One traced parallel run with the span sink wired in. *)
           let tr = Trace.create () in
@@ -874,19 +902,15 @@ let simulate_cmd =
             Printf.printf "traced elapsed     : %8.1f s\n" traced.Timings.elapsed
           end
         end;
-        if use_cache && not no_cache then begin
+        if use_cache then begin
           (* Cold/warm/one-edit trio against a single store; the runs
              above stay cache-free, so everything printed before this
              block is bit-identical with or without --cache. *)
           let store = Cache.create () in
           let ccfg = { cfg with Config.cache = Some store } in
           let play mw' =
-            let plan' =
-              match processors with
-              | None -> Plan.one_per_station mw'
-              | Some p -> Plan.grouped mw' ~processors:p
-            in
-            (Parrun.run ccfg mw' plan').Parrun.run
+            (Parrun.run ccfg mw' (fst (Plan.for_processors ?processors mw')))
+              .Parrun.run
           in
           let cold = play mw in
           let warm = play mw in
@@ -902,10 +926,7 @@ let simulate_cmd =
             | exception Invalid_argument msg ->
               raise (Driver.Compile.Compile_error msg)
           in
-          let mw_edit =
-            Driver.Compile.compile_source ~level ~file
-              ~absint:(not no_absint) edited_src
-          in
+          let mw_edit = compile edited_src in
           let edit = play mw_edit in
           let closure =
             Experiment.edit_closure mw_edit.Driver.Compile.mw_analysis edited
@@ -930,11 +951,8 @@ let simulate_cmd =
   let term =
     Term.(
       term_result
-        (const action $ file $ processors $ level $ fault_seed $ fault_rate
-        $ retries $ sched $ batch_threshold $ no_absint $ static_cost
-        $ deadline_factor $ retry_backoff $ spec_budget $ no_spec $ trace_out
-        $ gantt $ gantt_width $ metrics $ json_out $ use_cache $ no_cache
-        $ cache_seed_edit))
+        (const action $ replay_term $ trace_out $ gantt $ gantt_width
+        $ metrics $ json_out $ use_cache $ cache_seed_edit))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -964,50 +982,11 @@ let profile_cmd =
            ~doc:"Write the profiled run as Chrome trace-event JSON with the \
                  critical path rendered as flow arrows between tracks")
   in
-  let action file processors level fault_seed fault_rate retries sched
-      batch_threshold no_absint static_cost deadline_factor retry_backoff
-      spec_budget no_spec top_k what_if prof_json prof_trace =
+  let action replay top_k what_if prof_json prof_trace =
     or_compile_error (fun () ->
-        let mw =
-          Driver.Compile.compile_source ~level ~file ~absint:(not no_absint)
-            (read_file file)
-        in
+        let { mw; plan; n_fm; cfg; faults; _ } = replay () in
         let open Parallel_cc in
-        (* Same plan and configuration derivation as [simulate], so the
-           profiled trace is the trace [simulate --trace] writes. *)
-        let plan, n_fm =
-          match processors with
-          | None ->
-            let plan = Plan.one_per_station mw in
-            (plan, Plan.task_count plan)
-          | Some p -> (Plan.grouped mw ~processors:p, p)
-        in
-        let cfg =
-          {
-            Config.default with
-            Config.sched_policy = sched;
-            batch_threshold;
-            static_cost;
-            deadline_factor;
-            retry_backoff_seconds = retry_backoff;
-            spec_budget = (if no_spec then 0 else spec_budget);
-            stations = n_fm + 1;
-            noise_seed = 1 + (17 * n_fm);
-            retry_budget = retries;
-          }
-        in
-        let fault_requested = fault_seed <> 0 || fault_rate > 0.0 in
-        let faults =
-          if fault_requested then
-            (* Fault-free run first, to size the fault horizon. *)
-            let free = (Parrun.run cfg mw plan).Parrun.run in
-            Netsim.Fault.random
-              ~seed:(if fault_seed = 0 then 1 else fault_seed)
-              ~stations:(n_fm + 1)
-              ~rate:(if fault_rate > 0.0 then fault_rate else 0.5)
-              ~horizon:(free.Timings.elapsed *. 1.5) ()
-          else Netsim.Fault.none
-        in
+        let sched = cfg.Config.sched_policy in
         let tr = Trace.create () in
         let { Parrun.run; scheduled = splan; _ } =
           Parrun.run { cfg with Config.faults; trace = tr } mw plan
@@ -1067,10 +1046,8 @@ let profile_cmd =
   let term =
     Term.(
       term_result
-        (const action $ file $ processors $ level $ fault_seed $ fault_rate
-        $ retries $ sched $ batch_threshold $ no_absint $ static_cost
-        $ deadline_factor $ retry_backoff $ spec_budget $ no_spec $ top_k
-        $ what_if $ prof_json $ prof_trace))
+        (const action $ replay_term $ top_k $ what_if $ prof_json
+        $ prof_trace))
   in
   Cmd.v
     (Cmd.info "profile"

@@ -19,14 +19,16 @@ let () =
     study.Experiment.baseline_functions study.Experiment.calls_inlined
     study.Experiment.inlined_functions;
   let row name (c : Timings.comparison) table =
-    Stats.Table.add_float_row table ~label:name
-      [
-        float_of_int c.Timings.processors;
-        c.Timings.seq.Timings.elapsed /. 60.0;
-        c.Timings.par.Timings.elapsed /. 60.0;
-        c.Timings.speedup;
-        c.Timings.rel_total_overhead;
-      ]
+    Stats.Table.add_row table
+      (name
+      :: List.map (Printf.sprintf "%.2f")
+           [
+             float_of_int c.Timings.processors;
+             c.Timings.seq.Timings.elapsed /. 60.0;
+             c.Timings.par.Timings.elapsed /. 60.0;
+             c.Timings.speedup;
+             c.Timings.rel_total_overhead;
+           ])
   in
   let table =
     Stats.Table.make ~title:"Inlining as grain coarsening"

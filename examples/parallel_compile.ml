@@ -28,14 +28,16 @@ let () =
       (fun table n ->
         let mw = Experiment.s_program_work ~size:W2.Gen.Medium ~count:n () in
         let c = Experiment.measure mw in
-        Stats.Table.add_float_row table ~label:(string_of_int n)
-          [
-            c.Timings.seq.Timings.elapsed /. 60.0;
-            c.Timings.par.Timings.elapsed /. 60.0;
-            c.Timings.speedup;
-            c.Timings.rel_total_overhead;
-            c.Timings.rel_sys_overhead;
-          ])
+        Stats.Table.add_row table
+          (string_of_int n
+          :: List.map (Printf.sprintf "%.2f")
+               [
+                 c.Timings.seq.Timings.elapsed /. 60.0;
+                 c.Timings.par.Timings.elapsed /. 60.0;
+                 c.Timings.speedup;
+                 c.Timings.rel_total_overhead;
+                 c.Timings.rel_sys_overhead;
+               ]))
       table [ 1; 2; 4; 8 ]
   in
   Stats.Table.print table;

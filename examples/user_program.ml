@@ -49,13 +49,14 @@ let () =
     List.fold_left
       (fun table (p : Experiment.point) ->
         let c = p.Experiment.comparison in
-        Stats.Table.add_float_row table
-          ~label:(string_of_int p.Experiment.n_functions)
-          [
-            c.Timings.seq.Timings.elapsed /. 60.0;
-            c.Timings.par.Timings.elapsed /. 60.0;
-            c.Timings.speedup;
-          ])
+        Stats.Table.add_row table
+          (string_of_int p.Experiment.n_functions
+          :: List.map (Printf.sprintf "%.2f")
+               [
+                 c.Timings.seq.Timings.elapsed /. 60.0;
+                 c.Timings.par.Timings.elapsed /. 60.0;
+                 c.Timings.speedup;
+               ]))
       table (Experiment.user_program ())
   in
   Stats.Table.print table;

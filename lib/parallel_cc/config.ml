@@ -22,8 +22,8 @@ type t = {
   retry_budget : int; (* re-dispatches before sequential fallback *)
   retry_backoff_seconds : float; (* base of the exponential backoff *)
   spec_budget : int; (* misspeculations per task before its speculative
-                        edges harden to gated; 0 disables speculation
-                        entirely (dag+spec degrades to dag+lpt) *)
+                        edges harden to gated; at least 1 under
+                        dag+spec *)
   cache : Cache.t option; (* content-addressed compile cache shared
                              across runs; None (the default) charges no
                              lookups and skips nothing — bit-identical
@@ -58,15 +58,6 @@ let default =
     cache = None;
     trace = Trace.none;
   }
-
-(* The policy the runner actually executes: dag+spec with a zero (or
-   negative) misspeculation budget cannot speculate at all, so it IS
-   dag+lpt — mapping it here, before scheduling, makes `--spec-budget
-   0` bit-identical to dag+lpt by construction. *)
-let effective_policy (cfg : t) : Sched.policy =
-  match cfg.sched_policy with
-  | Sched.Dag_spec when cfg.spec_budget <= 0 -> Sched.Dag_lpt
-  | p -> p
 
 (* Exponential backoff before re-dispatching a timed-out attempt:
    [step] counts prior re-dispatches of the task (0 for the first

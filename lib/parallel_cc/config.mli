@@ -35,9 +35,9 @@ type t = {
   spec_budget : int;
       (** misspeculations (speculative-attempt aborts) per task before
           the task's speculative edges harden to gated dispatch
-          (default 2).  [0] disables speculation: {!effective_policy}
-          maps [Sched.Dag_spec] to [Sched.Dag_lpt], so such runs are
-          bit-identical to [dag+lpt]. *)
+          (default 2).  Must be at least 1 under [Sched.Dag_spec]
+          ({!Parrun.run} rejects anything less); a run that should not
+          speculate uses [Sched.Dag_lpt]. *)
   cache : Cache.t option;
       (** content-addressed compile cache ({!Cache}) shared across runs
           — pass the same store to successive runs to memoize phase-2/3
@@ -55,12 +55,6 @@ type t = {
 }
 
 val default : t
-
-val effective_policy : t -> Sched.policy
-(** The policy the runner actually executes: [sched_policy], except
-    {!Sched.Dag_spec} with [spec_budget <= 0] degrades to
-    {!Sched.Dag_lpt} before any scheduling happens.  Both {!Parrun} and
-    its trace oracles consult this, never [sched_policy] directly. *)
 
 val backoff_delay : t -> step:int -> float
 (** Exponential backoff before re-dispatching a timed-out attempt:

@@ -41,15 +41,7 @@ let measure ?(cfg = Config.default) ?processors (mw : Driver.Compile.module_work
     Timings.comparison =
   (* [processors] is the number of workstations available to function
      masters; with fewer processors than tasks, tasks queue FCFS. *)
-  let plan, n_fm =
-    match processors with
-    | None ->
-      let plan = Plan.one_per_station mw in
-      (plan, Plan.task_count plan)
-    | Some p ->
-      let plan = Plan.grouped mw ~processors:p in
-      (plan, p)
-  in
+  let plan, n_fm = Plan.for_processors ?processors mw in
   let runs =
     List.init repetitions (fun i ->
         let seed = 1 + (1000 * i) + (17 * n_fm) in
@@ -305,12 +297,10 @@ let play ?(cfg = Config.default) ~pool policy mw plan =
 let elapsed ((o : Parrun.outcome), _) = o.Parrun.run.Timings.elapsed
 
 (* Dependence-order violations of a played run against the plan its
-   master dispatched.  FCFS-family policies promise no order. *)
+   master dispatched.  Ungated policies promise no order. *)
 let races ((o : Parrun.outcome), tr) policy =
-  let plan = o.Parrun.scheduled in
-  if policy = Sched.Dag_spec then List.length (Traceview.race_check_spec tr ~plan)
-  else if Sched.dag_gated policy then List.length (Traceview.race_check tr ~plan)
-  else 0
+  List.length
+    (Traceview.violations (Sched.gating policy) tr ~plan:o.Parrun.scheduled)
 
 (* Each policy played on one point, paired with its elapsed-time
    speedup over FCFS on the same point. *)
@@ -391,7 +381,9 @@ let sched_sweep ?(cfg = Config.default) () : row list =
             ("elapsed", secs r.Timings.elapsed);
             ("speedup_vs_fcfs", ratio speedup);
           ])
-        (versus_fcfs ~cfg ~pool Sched.all mw (Plan.one_per_station mw)))
+        (versus_fcfs ~cfg ~pool
+           [ Sched.Fcfs; Sched.Lpt; Sched.Lpt_batch ]
+           mw (Plan.one_per_station mw)))
     [
       ("tiny4p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:4 (), 2);
       ("tiny8p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 2);
@@ -450,8 +442,9 @@ let dag_sweep ?(cfg = Config.default) () : row list =
             ("elapsed", secs r.Timings.elapsed);
             ("speedup_vs_fcfs", ratio speedup);
           ])
-        (versus_fcfs ~cfg ~pool (Sched.Fcfs :: Sched.dag_policies) mw
-           (Plan.one_per_station mw)))
+        (versus_fcfs ~cfg ~pool
+           [ Sched.Fcfs; Sched.Dag; Sched.Dag_lpt ]
+           mw (Plan.one_per_station mw)))
     [
       ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
       ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);

@@ -113,8 +113,8 @@ val fault_sweep : ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> ro
 val sched_sweep : ?cfg:Config.t -> unit -> row list
 (** Tiny/small/large/huge S_n programs and the user program on pools
     smaller than the task count, the regime where scheduling order and
-    batching can matter, under every {!Sched.policy} with [cfg]'s batch
-    threshold.  Series names read e.g. ["tiny8p4"] = S_8 of tiny
+    batching can matter, under [fcfs], [lpt] and [lpt+batch] with
+    [cfg]'s batch threshold.  Series names read e.g. ["tiny8p4"] = S_8 of tiny
     functions, pool of 4; [speedup_vs_fcfs] is 1.0 for FCFS. *)
 
 (** {1 Dependence-aware dispatch} *)
@@ -125,8 +125,8 @@ val helper_program_work : ?level:int -> unit -> Driver.Compile.module_work
 
 val dag_sweep : ?cfg:Config.t -> unit -> row list
 (** Edge-free S_8 programs (DAG dispatch must be free), the helper
-    program and the user program under FCFS and both
-    {!Sched.dag_policies}, with the module's dependence edges and
+    program and the user program under [fcfs], [dag] and [dag+lpt],
+    with the module's dependence edges and
     pairs-weighted licensed-parallelism fraction.  On the edge-free
     points the [dag] rows reproduce the FCFS elapsed times bit for
     bit. *)

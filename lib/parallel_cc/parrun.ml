@@ -148,8 +148,15 @@ let spec_meta_bytes = 256.0
    so the event schedule is bit-identical to the unscheduled
    compiler. *)
 let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
+  if
+    Sched.gating cfg.Config.sched_policy = Sched.Proven
+    && cfg.Config.spec_budget < 1
+  then
+    invalid_arg
+      "Parrun: dag+spec needs spec_budget >= 1 (use dag+lpt for no \
+       speculation)";
   Sched.schedule ~static:cfg.Config.static_cost
-    ~policy:(Config.effective_policy cfg) ~cost:cfg.Config.cost
+    ~policy:cfg.Config.sched_policy ~cost:cfg.Config.cost
     ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
 
 (* The master process body; spawnable so that several modules can be
@@ -159,7 +166,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : log)
     ~on_finish () =
   let cost = cfg.Config.cost in
-  let policy = Config.effective_policy cfg in
+  let gating = Sched.gating cfg.Config.sched_policy in
   (* Under a DAG policy each task gets a one-shot completion event;
      dependent tasks await their predecessors' events before claiming
      a station.  Everything is a no-op for edge-free sections (and for
@@ -167,11 +174,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
      an already-set event never suspends and setting an event nobody
      awaits schedules nothing, so the event schedule is untouched.
 
-     Under [Dag_spec] only the PROVEN edges gate; attempts dispatched
-     past speculative edges stage their write-back and run the commit
-     protocol below. *)
-  let gated = Sched.dag_gated policy in
-  let spec_mode = policy = Sched.Dag_spec in
+     Under [Proven] gating only the proven edges gate; attempts
+     dispatched past speculative edges stage their write-back and run
+     the commit protocol below. *)
+  let gated = gating <> Sched.Ungated in
+  let spec_mode = gating = Sched.Proven in
   let faulty = not (Netsim.Fault.is_none cfg.Config.faults) in
   let tr = cfg.Config.trace in
   let ether = cluster.Netsim.Host.ether in
@@ -290,8 +297,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
           overhead_m Section ~tag:"sect-interpret"
             (0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
-          (* [deps] gates dispatch.  Under [Dag_spec] only the proven
-             edges gate; the speculative remainder ([spec_deps]) is
+          (* [deps] gates dispatch.  Under [Proven] gating only the
+             proven edges gate; the speculative remainder ([spec_deps]) is
              checked by the commit protocol instead, and its hot subset
              ([hot_deps]) — pairs the uncapped analysis proves really
              share state — is what forces an abort. *)
@@ -454,7 +461,9 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    whatever the granted station has.  First attempts
                    and the FCFS policy never reach these branches, so
                    their schedule is untouched. *)
-                let locality = attempt_n > 1 && policy <> Sched.Fcfs in
+                let locality =
+                  attempt_n > 1 && cfg.Config.sched_policy <> Sched.Fcfs
+                in
                 let has w file =
                   Netsim.Net.cached ether ~client:w.Netsim.Host.ws_id ~file
                 in
@@ -879,19 +888,21 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
         stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
       }
   in
-  (* Under a DAG policy the schedule promises dependence order; when
-     this run starts on an empty trace, let the trace prove it kept
-     that promise (traces shared across runs, e.g. the parallel-make
-     study, are skipped).  dag+spec makes a weaker promise — proven
-     edges ordered, speculative edges ordered only for the winning
-     attempt of genuinely conflicting pairs — checked by the
-     speculation-aware oracle. *)
+  (* A gated schedule promises dependence order; when this run starts
+     on an empty trace, let the trace prove it kept that promise
+     (traces shared across runs, e.g. the parallel-make study, are
+     skipped). *)
   (if fresh_trace then
-     let policy = Config.effective_policy cfg in
-     if policy = Sched.Dag_spec then
-       Traceview.assert_race_free_spec tr ~plan:scheduled
-     else if Sched.dag_gated policy then
-       Traceview.assert_race_free tr ~plan:scheduled);
+     match
+       Traceview.violations
+         (Sched.gating cfg.Config.sched_policy)
+         tr ~plan:scheduled
+     with
+     | [] -> ()
+     | vs ->
+       failwith
+         ("Parrun.run: dependence-order violation(s):\n"
+         ^ String.concat "\n" (List.map Traceview.violation_to_string vs)));
   {
     run;
     scheduled;

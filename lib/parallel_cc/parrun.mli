@@ -24,9 +24,9 @@
     a fault-free attempt cannot be lost, so none is armed without a
     fault plan.
 
-    Under {!Sched.Dag_spec} (as resolved by {!Config.effective_policy})
-    an attempt whose speculative predecessors are not all durably
-    complete at claim time stages its output in a versioned buffer on
+    Under {!Sched.Proven} gating ({!Sched.Dag_spec}) an attempt whose
+    speculative predecessors are not all durably complete at claim
+    time stages its output in a versioned buffer on
     the file server instead of writing back, and a commit protocol
     rules on it — commit (a version-pointer flip promotes the staged
     artifact, exactly once) when no genuinely conflicting ("hot")
@@ -57,8 +57,10 @@ type log
 val empty_log : unit -> log
 
 val schedule : Config.t -> Plan.t -> Plan.t
-(** {!Sched.schedule} under {!Config.effective_policy} and the
-    config's cost model, batch threshold and pool size. *)
+(** {!Sched.schedule} under the config's policy, cost model, batch
+    threshold and pool size.
+    @raise Invalid_argument under {!Sched.Dag_spec} with
+    {!Config.t.spec_budget} below 1. *)
 
 val master_process :
   Config.t ->
@@ -79,7 +81,9 @@ val master_process :
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
 (** One parallel compilation on a fresh cluster, its {!Timings.run}
-    folded from the run's log.  When the run starts on an empty trace
-    under a DAG policy, the trace must pass the dependence-order oracle
-    ({!Traceview.assert_race_free}, or {!Traceview.assert_race_free_spec}
-    under dag+spec). *)
+    folded from the run's log.  When the run starts on an empty trace,
+    the trace must show no {!Traceview.violations} of the policy's
+    gating.
+    @raise Invalid_argument under {!Sched.Dag_spec} with
+    {!Config.t.spec_budget} below 1.
+    @raise Failure listing the violations otherwise. *)

@@ -185,3 +185,13 @@ let task_count (plan : t) =
 
 let task_loc (task : task) =
   List.fold_left (fun acc fw -> acc + fw.Driver.Compile.fw_loc) 0 task.t_funcs
+
+(* The plan for [processors] function-master stations, with that
+   station count: [grouped] onto them, or one per function when
+   absent. *)
+let for_processors ?processors (mw : Driver.Compile.module_work) : t * int =
+  match processors with
+  | None ->
+    let plan = one_per_station mw in
+    (plan, task_count plan)
+  | Some p -> (grouped mw ~processors:p, p)

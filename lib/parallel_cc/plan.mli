@@ -53,5 +53,11 @@ val grouped : Driver.Compile.module_work -> processors:int -> t
 val task_count : t -> int
 (** Total tasks across all sections. *)
 
+val for_processors :
+  ?processors:int -> Driver.Compile.module_work -> t * int
+(** The plan for [processors] function-master stations and that
+    station count: {!grouped} onto them, or {!one_per_station} (one
+    station per task) when [processors] is absent. *)
+
 val task_loc : task -> int
 (** Lines of code a task compiles (summed over its functions). *)

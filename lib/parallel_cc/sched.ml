@@ -21,20 +21,34 @@
                  (first-fit decreasing into bins of the threshold's
                  capacity), amortizing the claim/transfer/write-back
                  overhead over several functions.
+   - [Dag], [Dag_lpt], [Dag_spec] the same orders over the phase-1
+                 dependence DAG, with [Parrun] gating dispatch on all
+                 edges ([Dag], [Dag_lpt]) or on the proven ones only
+                 ([Dag_spec]); see [schedule] below.
 
    Everything here is a pure plan-to-plan function: fault supervision,
    exactly-once write-back and tracing in [Parrun] see the scheduled
    plan and work unchanged. *)
 
 type policy = Fcfs | Lpt | Lpt_batch | Dag | Dag_lpt | Dag_spec
+type gating = Ungated | All | Proven
 
-let all = [ Fcfs; Lpt; Lpt_batch ]
-let dag_policies = [ Dag; Dag_lpt ]
-let all_policies = all @ dag_policies @ [ Dag_spec ]
+let policies = [ Fcfs; Lpt; Lpt_batch; Dag; Dag_lpt; Dag_spec ]
 
-let dag_gated = function
-  | Dag | Dag_lpt | Dag_spec -> true
-  | Fcfs | Lpt | Lpt_batch -> false
+(* What each named policy switches on: which dependence edges gate
+   dispatch, LPT ordering, and tiny-task batching.  Kept private so the
+   six named policies stay the only reachable configurations. *)
+type traits = { gating : gating; lpt : bool; batch : bool }
+
+let traits = function
+  | Fcfs -> { gating = Ungated; lpt = false; batch = false }
+  | Lpt -> { gating = Ungated; lpt = true; batch = false }
+  | Lpt_batch -> { gating = Ungated; lpt = true; batch = true }
+  | Dag -> { gating = All; lpt = false; batch = false }
+  | Dag_lpt -> { gating = All; lpt = true; batch = true }
+  | Dag_spec -> { gating = Proven; lpt = true; batch = true }
+
+let gating p = (traits p).gating
 
 let policy_name = function
   | Fcfs -> "fcfs"
@@ -159,50 +173,55 @@ let task_deps ~(func_deps : (string * (string * string) list) list) ~section
     edges;
   Array.map (List.sort_uniq compare) deps
 
-(* Order a task's functions so every function-level edge inside the
-   task points forward (stable Kahn; ties keep the existing order).
-   Needed after merging: batching can put a dependent pair into one
-   dispatch unit, and the unit must compile them dependence-first. *)
-let order_funcs_by_deps (edges : (string * string) list)
-    (funcs : Driver.Compile.func_work list) : Driver.Compile.func_work list =
-  let arr = Array.of_list funcs in
-  let n = Array.length arr in
-  let index = Hashtbl.create 16 in
-  Array.iteri
-    (fun i fw -> Hashtbl.replace index fw.Driver.Compile.fw_name i)
-    arr;
+(* Stable Kahn over [n] nodes and index edges [(i, j)] (i before j):
+   repeatedly emit the smallest-index ready node, so an order that
+   already respects every edge comes back unchanged.  Residual cycles
+   (none once task cycles are merged; the analysis emits a DAG) are
+   broken at the first unemitted node, keeping the function total. *)
+let stable_topo n (edges : (int * int) list) : int list =
   let indeg = Array.make n 0 in
   let succs = Array.make n [] in
   List.iter
-    (fun (a, b) ->
-      match (Hashtbl.find_opt index a, Hashtbl.find_opt index b) with
-      | Some i, Some j when i <> j ->
-        succs.(i) <- j :: succs.(i);
-        indeg.(j) <- indeg.(j) + 1
-      | _ -> ())
+    (fun (i, j) ->
+      succs.(i) <- j :: succs.(i);
+      indeg.(j) <- indeg.(j) + 1)
     edges;
-  let emitted = ref [] in
-  let remaining = ref n in
   let taken = Array.make n false in
-  while !remaining > 0 do
-    (* smallest-index ready function first: a no-op permutation when
-       the task is already in dependence order *)
+  let out = ref [] in
+  for _ = 1 to n do
     let next = ref (-1) in
     for i = n - 1 downto 0 do
       if (not taken.(i)) && indeg.(i) = 0 then next := i
     done;
-    (* cycle-free by construction (the analysis emits a DAG), but stay
-       total: break a residual tie by taking the first unemitted *)
     if !next < 0 then
       for i = n - 1 downto 0 do
         if not taken.(i) then next := i
       done;
     taken.(!next) <- true;
     List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(!next);
-    emitted := arr.(!next) :: !emitted;
-    decr remaining
+    out := !next :: !out
   done;
-  List.rev !emitted
+  List.rev !out
+
+(* Order a task's functions so every function-level edge inside the
+   task points forward.  Needed after merging: batching can put a
+   dependent pair into one dispatch unit, and the unit must compile
+   them dependence-first. *)
+let order_funcs_by_deps (edges : (string * string) list)
+    (funcs : Driver.Compile.func_work list) : Driver.Compile.func_work list =
+  let arr = Array.of_list funcs in
+  let index = Hashtbl.create 16 in
+  Array.iteri
+    (fun i fw -> Hashtbl.replace index fw.Driver.Compile.fw_name i)
+    arr;
+  List.filter_map
+    (fun (a, b) ->
+      match (Hashtbl.find_opt index a, Hashtbl.find_opt index b) with
+      | Some i, Some j when i <> j -> Some (i, j)
+      | _ -> None)
+    edges
+  |> stable_topo (Array.length arr)
+  |> List.map (Array.get arr)
 
 (* Merge task-level dependence cycles into single dispatch units.  A
    grouped plan can pack coupled functions apart (f with h, g alone,
@@ -282,41 +301,17 @@ let merge_task_cycles (edges : (string * string) list)
              ]
          end))
 
-(* Stable topological FCFS: repeatedly dispatch the smallest-index
-   ready task.  On an edge-free section this is the identity
-   permutation, so the plan — and with it the whole event schedule —
-   matches FCFS bit for bit. *)
+(* Stable topological FCFS over a task graph: on an edge-free section
+   this is the identity permutation, so the plan — and with it the
+   whole event schedule — matches FCFS bit for bit. *)
 let topo_fcfs (deps : int list array) (tasks : Plan.task list) :
     Plan.task list =
   let arr = Array.of_list tasks in
-  let n = Array.length arr in
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  Array.iteri
-    (fun j ds ->
-      List.iter
-        (fun i ->
-          succs.(i) <- j :: succs.(i);
-          indeg.(j) <- indeg.(j) + 1)
-        ds)
-    deps;
-  let taken = Array.make n false in
-  let out = ref [] in
-  for _ = 1 to n do
-    let next = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not taken.(i)) && indeg.(i) = 0 then next := i
-    done;
-    if !next < 0 then
-      (* unreachable once cycles are merged; stay total anyway *)
-      for i = n - 1 downto 0 do
-        if not taken.(i) then next := i
-      done;
-    taken.(!next) <- true;
-    List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(!next);
-    out := arr.(!next) :: !out
-  done;
-  List.rev !out
+  Array.to_list deps
+  |> List.mapi (fun j ds -> List.map (fun i -> (i, j)) ds)
+  |> List.concat
+  |> stable_topo (Array.length arr)
+  |> List.map (Array.get arr)
 
 (* Antichain levels of the task graph (longest-path depth).  Tasks in
    one level are pairwise independent, so LPT ordering and tiny-task
@@ -344,100 +339,67 @@ let task_levels (deps : int list array) : int list list =
       List.filter (fun i -> depth.(i) = d) (List.init n (fun i -> i)))
   |> List.filter (fun l -> l <> [])
 
-(* The [Dag] policy: merge task cycles, then dispatch in stable
-   topological FCFS order.  [Dag_lpt] additionally applies LPT and
-   tiny-task batching within each antichain level, composing the
-   overhead amortization of [Lpt_batch] with dependence safety.
-
-   [level_func_deps] narrows the edge set used for levelling (and the
-   topological order) without touching the cycle merge: [Dag_spec]
-   passes the proven-only edges here, so speculative successors land in
-   the same level as their predecessors and dispatch immediately, while
-   cycles are still merged over the FULL edge set — scheduling past a
-   speculative edge whose reverse is proven would otherwise deadlock
-   the commit protocol (the attempt awaits a predecessor that gates on
-   the attempt's own completion). *)
-let schedule_dag ~lpt ~costf ~threshold ~max_bins ?level_func_deps
-    ~(func_deps : (string * (string * string) list) list) ~section tasks =
-  let edges =
-    match List.assoc_opt section func_deps with Some e -> e | None -> []
-  in
-  let tasks =
-    merge_task_cycles edges (task_deps ~func_deps ~section tasks) tasks
-  in
-  let level_func_deps =
-    match level_func_deps with Some d -> d | None -> func_deps
-  in
-  let deps = task_deps ~func_deps:level_func_deps ~section tasks in
-  if not lpt then topo_fcfs deps tasks
-  else
-    let arr = Array.of_list tasks in
-    task_levels deps
-    |> List.concat_map (fun level ->
-           let level_tasks = List.map (fun i -> arr.(i)) level in
-           order_lpt costf (batch_tiny costf ~threshold ~max_bins level_tasks)
-           |> List.map (fun (t : Plan.task) ->
-                  { t with Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs }))
-
+(* Every policy but [Fcfs] runs one pipeline per section, switched by
+   its traits:
+   - merge task-level cycles over the gating edges (none when
+     ungated);
+   - level the task graph, over the proven edges only under [Proven]:
+     speculative successors then land in their predecessors' level and
+     dispatch immediately, while cycles are still merged over the FULL
+     edge set — scheduling past a speculative edge whose reverse is
+     proven would otherwise deadlock the commit protocol (the attempt
+     awaits a predecessor that gates on the attempt's own completion);
+   - without LPT, dispatch in stable topological order; with it, batch
+     tiny tasks (threshold [neg_infinity] when the policy does not
+     batch) and LPT-order them within each antichain level, then put
+     each unit's functions in dependence order.
+   An ungated section is one level with no edges, so LPT and batching
+   act on the whole queue. *)
 let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
     ~stations (plan : Plan.t) : Plan.t =
-  let costf = task_cost ~static cost in
   match policy with
   | Fcfs -> plan (* physically unchanged: timings stay bit-identical *)
-  | Lpt ->
-    {
-      plan with
-      Plan.tasks_per_section =
-        List.map
-          (fun (s, tasks) -> (s, order_lpt costf tasks))
-          plan.Plan.tasks_per_section;
-    }
-  | Lpt_batch ->
+  | _ ->
+    let { gating; lpt; batch } = traits policy in
+    let costf = task_cost ~static cost in
+    let threshold = if batch then threshold else neg_infinity in
     (* One dispatch unit per pool station at most ([stations] counts
        the master's own machine, which carries no function masters). *)
     let max_bins = max 1 (stations - 1) in
+    let gate_deps, level_deps =
+      match gating with
+      | Ungated -> ([], [])
+      | All -> (plan.Plan.func_deps, plan.Plan.func_deps)
+      | Proven -> (plan.Plan.func_deps, Plan.proven_deps plan)
+    in
+    let section_schedule section tasks =
+      let edges =
+        match List.assoc_opt section gate_deps with Some e -> e | None -> []
+      in
+      let tasks =
+        merge_task_cycles edges
+          (task_deps ~func_deps:gate_deps ~section tasks)
+          tasks
+      in
+      let deps = task_deps ~func_deps:level_deps ~section tasks in
+      if not lpt then topo_fcfs deps tasks
+      else
+        let arr = Array.of_list tasks in
+        task_levels deps
+        |> List.concat_map (fun level ->
+               let level_tasks = List.map (Array.get arr) level in
+               order_lpt costf
+                 (batch_tiny costf ~threshold ~max_bins level_tasks)
+               |> List.map (fun (t : Plan.task) ->
+                      {
+                        t with
+                        Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs;
+                      }))
+    in
     {
       plan with
       Plan.tasks_per_section =
         List.map
-          (fun (s, tasks) ->
-            (s, order_lpt costf (batch_tiny costf ~threshold ~max_bins tasks)))
-          plan.Plan.tasks_per_section;
-    }
-  | Dag ->
-    {
-      plan with
-      Plan.tasks_per_section =
-        List.map
-          (fun (s, tasks) ->
-            ( s,
-              schedule_dag ~lpt:false ~costf ~threshold ~max_bins:1
-                ~func_deps:plan.Plan.func_deps ~section:s tasks ))
-          plan.Plan.tasks_per_section;
-    }
-  | Dag_lpt ->
-    let max_bins = max 1 (stations - 1) in
-    {
-      plan with
-      Plan.tasks_per_section =
-        List.map
-          (fun (s, tasks) ->
-            ( s,
-              schedule_dag ~lpt:true ~costf ~threshold ~max_bins
-                ~func_deps:plan.Plan.func_deps ~section:s tasks ))
-          plan.Plan.tasks_per_section;
-    }
-  | Dag_spec ->
-    let max_bins = max 1 (stations - 1) in
-    let proven = Plan.proven_deps plan in
-    {
-      plan with
-      Plan.tasks_per_section =
-        List.map
-          (fun (s, tasks) ->
-            ( s,
-              schedule_dag ~lpt:true ~costf ~threshold ~max_bins
-                ~level_func_deps:proven ~func_deps:plan.Plan.func_deps
-                ~section:s tasks ))
+          (fun (s, tasks) -> (s, section_schedule s tasks))
           plan.Plan.tasks_per_section;
     }

@@ -43,26 +43,27 @@ type policy =
           proven edges (task cycles are still merged over the full
           set), so speculative successors dispatch immediately and
           {!Parrun} runs them under a staged write-back/commit/abort
-          protocol bounded by {!Config.t.spec_budget}.  Worst case —
-          every speculation aborts — degrades to [Dag_lpt] behaviour. *)
+          protocol bounded by {!Config.t.spec_budget} (at least 1).
+          Worst case — every speculation aborts — degrades to [Dag_lpt]
+          behaviour. *)
 
-val all : policy list
-(** The classic dispatch policies, in ascending sophistication:
-    [Fcfs; Lpt; Lpt_batch] — the set swept by
-    {!Experiment.sched_sweep} (kept stable so its bench artifact
-    schema is, too). *)
+val policies : policy list
+(** All six policies, in ascending sophistication: [Fcfs; Lpt;
+    Lpt_batch; Dag; Dag_lpt; Dag_spec] — the CLI's choice set. *)
 
-val dag_policies : policy list
-(** [[Dag; Dag_lpt]] — swept by {!Experiment.dag_sweep} (kept stable so
-    its bench artifact schema is, too; [Dag_spec] is swept separately
-    by {!Experiment.spec_sweep}). *)
+type gating =
+  | Ungated  (** dispatch never waits on a dependence edge *)
+  | All  (** every dependence edge gates its successor's dispatch *)
+  | Proven
+      (** only the proven edges gate; dispatch runs past the
+          speculative ones under {!Parrun}'s commit protocol *)
 
-val all_policies : policy list
-(** [all @ dag_policies @ [Dag_spec]], the full CLI choice set. *)
-
-val dag_gated : policy -> bool
-(** Does the policy require {!Parrun} to gate dispatch on task
-    completion events? *)
+val gating : policy -> gating
+(** Which dependence edges a policy promises to honour: {!Parrun}
+    gates dispatch and arms speculation by it, and
+    {!Traceview.violations} picks the matching race oracle.  [Ungated]
+    for [Fcfs], [Lpt] and [Lpt_batch]; [All] for [Dag] and [Dag_lpt];
+    [Proven] for [Dag_spec]. *)
 
 val policy_name : policy -> string
 (** ["fcfs"], ["lpt"], ["lpt+batch"], ["dag"], ["dag+lpt"],
@@ -99,10 +100,14 @@ val schedule :
   stations:int ->
   Plan.t ->
   Plan.t
-(** Apply [policy] to a plan.  [static] selects the statically bounded
-    cost signal (see {!task_cost}).  [threshold] is the batching
-    cut-off in
-    estimated seconds (tasks strictly below it are merged);
+(** Apply [policy] to a plan: [Fcfs] returns it physically unchanged;
+    every other policy runs one pipeline per section — merge task
+    cycles, level the task graph, then order (stable topological, or
+    LPT with tiny-task batching within each antichain level).  [static]
+    selects the statically bounded cost signal (see {!task_cost}).
+    [threshold] is the batching cut-off in estimated seconds (tasks
+    strictly below it are merged; ignored by policies that do not
+    batch);
     [stations] is the cluster size including the master's own machine,
     capping batched dispatch units at one per pool station.  Function
     multisets per section are preserved by construction: scheduling

@@ -168,18 +168,11 @@ let race_check_spec (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
   @ edge_violations m ~plan ~func_deps:plan.Plan.hot_edges
       ~start_of:winning_claim
 
-let assert_race_free (tr : Trace.t) ~(plan : Plan.t) : unit =
-  match race_check tr ~plan with
-  | [] -> ()
-  | vs ->
-    failwith
-      ("Traceview.race_check: dependence-order violation(s):\n"
-      ^ String.concat "\n" (List.map violation_to_string vs))
-
-let assert_race_free_spec (tr : Trace.t) ~(plan : Plan.t) : unit =
-  match race_check_spec tr ~plan with
-  | [] -> ()
-  | vs ->
-    failwith
-      ("Traceview.race_check_spec: dependence-order violation(s):\n"
-      ^ String.concat "\n" (List.map violation_to_string vs))
+(* The oracle matching what a policy's gating promises; ungated
+   policies promise no order. *)
+let violations (gating : Sched.gating) (tr : Trace.t) ~(plan : Plan.t) :
+    ordering_violation list =
+  match gating with
+  | Sched.Ungated -> []
+  | Sched.All -> race_check tr ~plan
+  | Sched.Proven -> race_check_spec tr ~plan

@@ -19,12 +19,8 @@ val race_check : Trace.t -> plan:Plan.t -> ordering_violation list
     write-back — the winning attempt's; superseded stragglers are
     ignored exactly as their outputs are — must not be later than the
     successor's first station claim.  Task labels reused across
-    sections cannot be attributed to spans and are skipped.  Only the
-    DAG policies promise this ordering; {!Parrun.run} auto-runs the
-    oracle on every fresh traced run under those policies. *)
-
-val assert_race_free : Trace.t -> plan:Plan.t -> unit
-(** @raise Failure listing every {!race_check} violation. *)
+    sections cannot be attributed to spans and are skipped.  This is
+    the promise of {!Sched.All} gating. *)
 
 val race_check_spec : Trace.t -> plan:Plan.t -> ordering_violation list
 (** The dag+spec variant of {!race_check}, enforcing the weaker
@@ -38,7 +34,12 @@ val race_check_spec : Trace.t -> plan:Plan.t -> ordering_violation list
     speculative edges (conservative analysis artifacts) are
     unconstrained.  Tasks finished by the sequential fallback have no
     winning claim span and their incoming speculative edges are vacuous
-    (the fallback reruns in the master's own Lisp). *)
+    (the fallback reruns in the master's own Lisp).  This is the
+    promise of {!Sched.Proven} gating. *)
 
-val assert_race_free_spec : Trace.t -> plan:Plan.t -> unit
-(** @raise Failure listing every {!race_check_spec} violation. *)
+val violations :
+  Sched.gating -> Trace.t -> plan:Plan.t -> ordering_violation list
+(** The violations of whatever a gating promises: none for
+    {!Sched.Ungated}, {!race_check} for {!Sched.All}, {!race_check_spec}
+    for {!Sched.Proven}.  {!Parrun.run} asserts this is empty on every
+    fresh traced run. *)

@@ -41,7 +41,7 @@ val geomean : float list -> float
 val lerp : float -> float -> float -> float
 (** [lerp a b t] is the linear interpolation [a + (b - a) * t]. *)
 
-(** ASCII tables and labelled series for the benchmark output. *)
+(** ASCII tables for the benchmark output. *)
 module Table : sig
   type t
   (** A table under construction: a title, a header row and data rows. *)
@@ -54,22 +54,9 @@ module Table : sig
       @raise Invalid_argument if the cell count differs from the
       column count. *)
 
-  val add_float_row : t -> label:string -> float list -> t
-  (** Append a row whose first cell is [label] and whose remaining
-      cells are the values formatted with two decimals. *)
-
   val render : t -> string
   (** The table as boxed ASCII art, title first. *)
 
   val print : t -> unit
   (** [print t] writes {!render}[ t] to standard output. *)
-
-  type series = { name : string; points : (float * float) list }
-  (** One named line of a figure: (x, y) pairs. *)
-
-  val series : string -> (float * float) list -> series
-
-  val of_series : title:string -> x_label:string -> series list -> t
-  (** Merge several series sharing x points into one table, one column
-      per series (missing points render as ["-"]). *)
 end

@@ -1,5 +1,5 @@
-(* ASCII rendering of the tables and series that the benchmark harness
-   prints.  Every figure of the paper is reproduced as a table whose rows
+(* ASCII rendering of the tables that the benchmark harness and the CLI
+   print.  Every figure of the paper is reproduced as a table whose rows
    are the x-axis points (number of functions, processors, or lines of
    code) and whose columns are the measured series. *)
 
@@ -15,9 +15,6 @@ let add_row table cells =
   if List.length cells <> List.length table.columns then
     invalid_arg "Table.add_row: cell count does not match column count";
   { table with rows = table.rows @ [ cells ] }
-
-let add_float_row table ~label cells =
-  add_row table (label :: List.map (fun x -> Printf.sprintf "%.2f" x) cells)
 
 let column_widths table =
   let update widths cells =
@@ -49,30 +46,3 @@ let render table =
   Buffer.contents buf
 
 let print table = print_string (render table)
-
-(* A labelled series: one (x, y) sequence per named line of a figure. *)
-type series = { name : string; points : (float * float) list }
-
-let series name points = { name; points }
-
-(* Render several series sharing the same x points as one table. *)
-let of_series ~title ~x_label all =
-  let xs =
-    match all with
-    | [] -> []
-    | s :: _ -> List.map fst s.points
-  in
-  let columns = x_label :: List.map (fun s -> s.name) all in
-  let table = make ~title ~columns in
-  List.fold_left
-    (fun table x ->
-      let cells =
-        List.map
-          (fun s ->
-            match List.assoc_opt x s.points with
-            | Some y -> Printf.sprintf "%.2f" y
-            | None -> "-")
-          all
-      in
-      add_row table (Printf.sprintf "%g" x :: cells))
-    table xs

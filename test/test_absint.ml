@@ -459,7 +459,7 @@ let test_chaos_pruned_dag () =
               { station = 3; from_ = 0.1 *. ff; until = 0.6 *. ff; factor = 3.0 }
           );
         ])
-    Sched.dag_policies
+    [ Sched.Dag; Sched.Dag_lpt ]
 
 let test_static_schedule_runs () =
   (* --static-cost end to end: the dispatcher must complete exactly the

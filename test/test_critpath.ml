@@ -104,7 +104,7 @@ let test_exact_sum_matrix () =
                (fun acc (_, v) -> acc +. v)
                0.0 pd.Critpath.p_buckets))
         [ 0.0; 0.5; 1.0 ])
-    Sched.all_policies
+    Sched.policies
 
 (* The same property under QCheck-driven seeds, budgets and pools. *)
 let test_exact_sum_chaos () =
@@ -113,7 +113,7 @@ let test_exact_sum_chaos () =
     ~name:"profile buckets fold to end_time under random faults"
     QCheck.(triple (int_range 1 10_000) (int_range 0 5) (int_range 2 5))
     (fun (seed, policy_ix, pool) ->
-      let policy = List.nth Sched.all_policies policy_ix in
+      let policy = List.nth Sched.policies policy_ix in
       let plan = Plan.grouped mw ~processors:pool in
       let free =
         (Parrun.run (cfg_for ~policy ~pool ()) mw plan).Parrun.run

@@ -486,7 +486,7 @@ let test_chaos_dag () =
                 expected (completed_heads o))
             [ 0; 2 ])
         plans)
-    Sched.dag_policies
+    [ Sched.Dag; Sched.Dag_lpt ]
 
 let suites =
   [

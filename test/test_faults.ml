@@ -121,7 +121,7 @@ let test_zero_fault_exact () =
                (if fine then "fine" else "coarse"))
             { (base_cfg ~fine) with Config.sched_policy = policy }
             mw (Plan.one_per_station mw))
-        Sched.all_policies)
+        Sched.policies)
     [ false; true ];
   (* Pool queueing on the layered 48-module project outlasts the
      per-attempt deadline: a watchdog armed without a fault plan would

@@ -53,9 +53,16 @@ let test_policy_names () =
         (Sched.policy_name p ^ " round-trips")
         true
         (Sched.policy_of_string (Sched.policy_name p) = Some p))
-    Sched.all;
-  Alcotest.(check bool) "lpt-batch alias" true
-    (Sched.policy_of_string "lpt-batch" = Some Sched.Lpt_batch);
+    Sched.policies;
+  List.iter
+    (fun (alias, p) ->
+      Alcotest.(check bool) (alias ^ " alias") true
+        (Sched.policy_of_string alias = Some p))
+    [
+      ("lpt-batch", Sched.Lpt_batch);
+      ("dag-lpt", Sched.Dag_lpt);
+      ("dag-spec", Sched.Dag_spec);
+    ];
   Alcotest.(check bool) "unknown rejected" true
     (Sched.policy_of_string "sjf" = None)
 
@@ -92,15 +99,15 @@ let test_schedule_preserves_functions () =
                     (section_funcs scheduled = reference))
                 [ 2; 3; 5; 9 ])
             [ 0.0; 30.0; 60.0; 1000.0; 1e9 ])
-        Sched.all)
+        Sched.policies)
     (plans ())
 
 let test_schedule_preserves_functions_random () =
   QCheck.Test.make ~count:100 ~name:"random threshold/pool preserve functions"
     QCheck.(
-      triple (float_bound_inclusive 2000.0) (int_range 2 12) (int_range 0 2))
+      triple (float_bound_inclusive 2000.0) (int_range 2 12) (int_range 0 5))
     (fun (threshold, stations, p) ->
-      let policy = List.nth Sched.all p in
+      let policy = List.nth Sched.policies p in
       let plan = Plan.one_per_station (tiny 8) in
       let scheduled = Sched.schedule ~policy ~cost ~threshold ~stations plan in
       section_funcs scheduled = section_funcs plan)

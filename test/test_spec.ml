@@ -13,8 +13,9 @@
    - On the deliberately racy program the commit oracle rolls attempts
      back, the run terminates, every task is written back exactly once,
      and the compiled artifact is bit-identical to a sequential build.
-   - spec_budget 0 degrades to dag+lpt bit for bit; the whole chaos
-     matrix passes under dag+spec with the trace oracles armed. *)
+   - dag+spec refuses a budget below 1 (no speculation is dag+lpt);
+     the whole chaos matrix passes under dag+spec with the trace
+     oracles armed. *)
 
 open Parallel_cc
 
@@ -213,26 +214,13 @@ let test_racy_artifact_schedule_independent () =
         (sa.Driver.Compile.sw_image = sb.Driver.Compile.sw_image))
     a.Driver.Compile.mw_sections b.Driver.Compile.mw_sections
 
-(* --- degradation: spec_budget 0 is dag+lpt, bit for bit --- *)
+(* --- degradation: a dag+spec run must be allowed to speculate --- *)
 
-let test_budget_zero_is_dag_lpt () =
-  List.iter
-    (fun (name, mw) ->
-      let plan = Plan.one_per_station mw in
-      let lpt_cfg =
-        { (spec_cfg ()) with Config.sched_policy = Sched.Dag_lpt }
-      in
-      let lpt = (Parrun.run lpt_cfg mw plan).Parrun.run in
-      let off = (Parrun.run (spec_cfg ~budget:0 ()) mw plan).Parrun.run in
-      Alcotest.(check (float 0.0))
-        (name ^ ": --spec-budget 0 elapsed bit-identical to dag+lpt")
-        lpt.Timings.elapsed off.Timings.elapsed;
-      Alcotest.(check int) (name ^ ": no speculative dispatches") 0
-        off.Timings.spec_dispatched;
-      Alcotest.(check int)
-        (name ^ ": dag+lpt itself never speculates")
-        0 lpt.Timings.spec_dispatched)
-    [ ("racy", racy ()); ("blinded", blinded ()) ]
+let test_budget_zero_rejected () =
+  let mw = racy () in
+  match Parrun.run (spec_cfg ~budget:0 ()) mw (Plan.one_per_station mw) with
+  | _ -> Alcotest.fail "dag+spec ran with spec_budget 0"
+  | exception Invalid_argument _ -> ()
 
 let test_nonspec_policies_keep_zero_counters () =
   let mw = blinded () in
@@ -383,8 +371,8 @@ let suites =
           test_racy_rolls_back_and_recovers;
         Alcotest.test_case "racy artifact schedule-independent" `Quick
           test_racy_artifact_schedule_independent;
-        Alcotest.test_case "spec-budget 0 is dag+lpt" `Quick
-          test_budget_zero_is_dag_lpt;
+        Alcotest.test_case "spec-budget 0 rejected" `Quick
+          test_budget_zero_rejected;
         Alcotest.test_case "non-spec policies keep zero counters" `Quick
           test_nonspec_policies_keep_zero_counters;
       ] );

@@ -51,13 +51,6 @@ let test_table_mismatch () =
     (Invalid_argument "Table.add_row: cell count does not match column count")
     (fun () -> ignore (Stats.Table.add_row table [ "only one" ]))
 
-let test_of_series () =
-  let s1 = Stats.Table.series "a" [ (1.0, 2.0); (2.0, 4.0) ] in
-  let s2 = Stats.Table.series "b" [ (1.0, 3.0); (2.0, 6.0) ] in
-  let table = Stats.Table.of_series ~title:"fig" ~x_label:"n" [ s1; s2 ] in
-  let text = Stats.Table.render table in
-  Alcotest.(check bool) "has b column" true (Tutil.contains text "6.00")
-
 let prop_mean_bounds =
   QCheck.Test.make ~name:"mean lies between min and max" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 20) (float_range (-1000.) 1000.))
@@ -84,7 +77,6 @@ let suites =
         Alcotest.test_case "min max" `Quick test_min_max;
         Alcotest.test_case "table render" `Quick test_table_render;
         Alcotest.test_case "table mismatch" `Quick test_table_mismatch;
-        Alcotest.test_case "table of series" `Quick test_of_series;
         QCheck_alcotest.to_alcotest prop_mean_bounds;
         QCheck_alcotest.to_alcotest prop_speedup_inverse;
       ] );
