@@ -99,6 +99,7 @@ type func_info = {
   fi_hash : string;
   fi_purity : Absint.purity option;
   fi_cost : Absint.itv option;
+  fi_absint : Absint.summary option;
 }
 
 type section_info = {
@@ -549,6 +550,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
       fi_hash = hash.(i);
       fi_purity = None;
       fi_cost = None;
+      fi_absint = None;
     }
   in
   {
@@ -684,6 +686,7 @@ let refine_section ~max_intervals (sec : Ast.section) (si : section_info) :
           fi with
           fi_purity = Some (Absint.summary_purity sums.(i));
           fi_cost = Some sums.(i).Absint.s_cost;
+          fi_absint = Some sums.(i);
         })
       si.si_funcs
   in

@@ -120,6 +120,9 @@ type func_info = {
   fi_cost : Absint.itv option;
       (** statically bounded statement executions per call; [None] when
           absint is off *)
+  fi_absint : Absint.summary option;
+      (** the summary [fi_purity] and [fi_cost] come from; [None] when
+          absint is off *)
 }
 
 type section_info = {

@@ -51,11 +51,6 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
   let sec = List.hd m.Ast.sections in
   let dp = Depan.analyze ?sound ?max_tracked ~absint ?absint_max_intervals m in
   let si = List.hd dp.Depan.dp_sections in
-  let ai =
-    if absint then
-      Absint.analyze_section ?max_intervals:absint_max_intervals sec
-    else []
-  in
   let local = Hashtbl.create 16 in
   Array.iter
     (fun fi -> Hashtbl.replace local fi.Depan.fi_name ())
@@ -99,7 +94,7 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
           ws_xcalls = xcalls;
           ws_hash = fi.Depan.fi_hash;
           ws_key = key;
-          ws_absint = List.assoc_opt fi.Depan.fi_name ai;
+          ws_absint = fi.Depan.fi_absint;
         })
       si.Depan.si_funcs
   in

@@ -6,7 +6,11 @@
    orchestration runs the *actual* compiler in parallel on today's
    hardware: one domain per function master, FCFS over a bounded pool,
    sections independent, phase 1 and phase 4 sequential — exactly the
-   structure of figure 2.
+   structure of figure 2.  The calling domain is one of the function
+   masters: it spawns [workers − 1] domains, queues every function,
+   compiles from the queue itself until it is empty, and only then
+   blocks.  A blocked master would leave one core idle, and on a small
+   machine that idle core costs more than cheap functions gain.
 
    A function master that raises does not take its worker down: every
    task stores [Ok mfunc | Error exn], the master blocks on a countdown
@@ -19,7 +23,8 @@
 type result = { images : (string * Warp.Mcode.image) list (* per section *) }
 
 (* A bounded pool of worker domains processing thunks FCFS — the analog
-   of the workstation pool. *)
+   of the workstation pool.  The domain that submits can work the queue
+   too ([drain]). *)
 module Pool = struct
   type task = Task of (unit -> unit) | Stop
 
@@ -50,7 +55,8 @@ module Pool = struct
     in
     loop ()
 
-  let rec create n =
+  (* [n] spawned domains; [n = 0] leaves all the work to [drain]. *)
+  let create n =
     let pool =
       {
         queue = Queue.create ();
@@ -59,8 +65,18 @@ module Pool = struct
         domains = [];
       }
     in
-    if n < 1 then create 1
-    else { pool with domains = List.init n (fun _ -> Domain.spawn (worker pool)) }
+    { pool with domains = List.init (max 0 n) (fun _ -> Domain.spawn (worker pool)) }
+
+  (* Run queued tasks on the calling domain until the queue is empty. *)
+  let rec drain pool =
+    Mutex.lock pool.mutex;
+    let task = Queue.take_opt pool.queue in
+    Mutex.unlock pool.mutex;
+    match task with
+    | Some (Task f) ->
+      f ();
+      drain pool
+    | Some Stop | None -> ()
 
   let submit pool f =
     Mutex.lock pool.mutex;
@@ -97,7 +113,8 @@ module Latch = struct
     Mutex.unlock l.mutex
 end
 
-(* Compile [m] with up to [workers] function masters running as domains.
+(* Compile [m] with up to [workers] function masters running at once,
+   the calling domain included.
    Raises [Driver.Compile.Compile_error] on phase-1 failure, like the
    sequential master, and any function master's exception once every
    task has finished. *)
@@ -109,7 +126,8 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
     raise
       (Driver.Compile.Compile_error
          (String.concat "\n" (List.map W2.Semcheck.error_to_string errors))));
-  let pool = Pool.create workers in
+  (* The calling domain is one of the [workers] function masters. *)
+  let pool = Pool.create (workers - 1) in
   let latch = Latch.create (W2.Ast.func_count m) in
   (* Section masters fork function masters; results are collected in
      per-function slots (no ordering dependence). *)
@@ -136,7 +154,9 @@ let compile_parallel ?(workers = 4) ?(level = 2) (m : W2.Ast.modul) : result =
         (sec, slots))
       m.W2.Ast.sections
   in
-  (* The master waits for all section masters. *)
+  (* The master compiles functions too until none is left queued, then
+     waits for the ones still running elsewhere. *)
+  Pool.drain pool;
   Latch.wait latch;
   Pool.shutdown pool;
   List.iter

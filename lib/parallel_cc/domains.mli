@@ -6,13 +6,16 @@
     orchestration runs the {e actual} compiler in parallel on today's
     hardware: one domain per function master, FCFS over a bounded pool,
     sections independent, phases 1 and 4 sequential — the structure of
-    the paper's figure 2. *)
+    the paper's figure 2.  The calling domain is one of the function
+    masters: it spawns [workers − 1] domains and compiles from the queue
+    itself until the queue is empty, then waits for the rest. *)
 
 type result = { images : (string * Warp.Mcode.image) list (** per section *) }
 
 val compile_parallel :
   ?workers:int -> ?level:int -> W2.Ast.modul -> result
-(** Compile with up to [workers] function masters running as domains.
+(** Compile with up to [workers] function masters running at once, the
+    calling domain included ([workers] below 1 counts as 1).
     A raising function master does not stop the others: the master
     waits for every task, then re-raises the first failure in source
     order, as the sequential compiler would.

@@ -78,13 +78,18 @@ let lex_number lexer =
     | Some n -> Token.INT n
     | None -> error lexer ("integer literal out of range: " ^ text)
 
+let keywords =
+  let table = Hashtbl.create (2 * List.length Token.keyword_table) in
+  List.iter (fun (text, kw) -> Hashtbl.replace table text kw) Token.keyword_table;
+  table
+
 let lex_ident lexer =
   let start = lexer.pos in
   while is_alnum (peek lexer) do
     advance lexer
   done;
   let text = String.sub lexer.src start (lexer.pos - start) in
-  match List.assoc_opt (String.lowercase_ascii text) Token.keyword_table with
+  match Hashtbl.find_opt keywords (String.lowercase_ascii text) with
   | Some kw -> kw
   | None -> Token.IDENT text
 

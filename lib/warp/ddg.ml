@@ -17,7 +17,12 @@
      load -> store            0
      store -> store           1
      queue op -> queue op     1                    (strict queue order)
-*)
+
+   Each operation is reduced once to a footprint (what it defines,
+   reads, touches and how long it takes), and [build] pairs an op only
+   with the ops that share a register, an array or the queues with it,
+   so its cost follows the dependences that exist rather than all
+   pairs. *)
 
 open Midend
 
@@ -30,58 +35,134 @@ type t = {
   preds : (int * int * int) list array; (* src, delay, dist *)
 }
 
-let regs_def instr = match Ir.def_of instr with Some d -> [ d ] | None -> []
-let regs_use instr = Ir.uses_of instr
+type footprint = {
+  def : int; (* defined register, -1 for none *)
+  uses : int array; (* registers read *)
+  arr : string option; (* local-memory array touched *)
+  store : bool;
+  qio : bool;
+  lat : int;
+}
 
-let touched_array = function
-  | Ir.Load (_, a, _) -> Some (a, `Load)
-  | Ir.Store (a, _, _) -> Some (a, `Store)
-  | _ -> None
+let footprint (op : Ir.instr) : footprint =
+  let arr, store =
+    match op with
+    | Ir.Load (_, a, _) -> (Some a, false)
+    | Ir.Store (a, _, _) -> (Some a, true)
+    | _ -> (None, false)
+  in
+  {
+    def = (match Ir.def_of op with Some d -> d | None -> -1);
+    uses = Array.of_list (Ir.uses_of op);
+    arr;
+    store;
+    qio = (match op with Ir.Send _ | Ir.Recv _ -> true | _ -> false);
+    lat = Machine.latency op;
+  }
 
-let is_qio = function Ir.Send _ | Ir.Recv _ -> true | _ -> false
+let independent = min_int
+
+let reads r (f : footprint) =
+  let rec go k = k < Array.length f.uses && (f.uses.(k) = r || go (k + 1)) in
+  go 0
 
 (* Maximum delay of the hazards between [a] (first) and [b] (second);
-   None when independent. *)
-let hazard_delay a b : int option =
-  let lat = Machine.latency in
-  let delays = ref [] in
-  let add d = delays := d :: !delays in
-  let da = regs_def a and ua = regs_use a in
-  let db = regs_def b and ub = regs_use b in
-  List.iter (fun r -> if List.mem r ub then add (lat a)) da; (* true *)
-  List.iter (fun r -> if List.mem r db then add (1 - lat b)) ua; (* anti *)
-  List.iter (fun r -> if List.mem r db then add (lat a - lat b + 1)) da; (* output *)
-  (match (touched_array a, touched_array b) with
-  | Some (arr_a, ka), Some (arr_b, kb) when arr_a = arr_b -> (
-    match (ka, kb) with
-    | `Store, `Load -> add 1
-    | `Load, `Store -> add 0
-    | `Store, `Store -> add 1
-    | `Load, `Load -> ())
-  | _ -> ());
-  if is_qio a && is_qio b then add 1;
-  match !delays with [] -> None | ds -> Some (List.fold_left max min_int ds)
+   [independent] when there is none.  Allocates nothing. *)
+let hazard (a : footprint) (b : footprint) : int =
+  let d = ref independent in
+  if a.def >= 0 then begin
+    if reads a.def b then d := a.lat; (* true *)
+    if a.def = b.def then d := max !d (a.lat - b.lat + 1) (* output *)
+  end;
+  if b.def >= 0 && reads b.def a then d := max !d (1 - b.lat); (* anti *)
+  (match a.arr with
+  | Some x -> (
+    match b.arr with
+    | Some y when String.equal x y ->
+      if a.store then d := max !d 1 (* store -> load/store *)
+      else if b.store then d := max !d 0 (* load -> store *)
+    | _ -> ())
+  | None -> ());
+  if a.qio && b.qio then d := max !d 1;
+  !d
 
-(* Build the graph.  [loop] adds the wrap-around distance-1 edges. *)
+(* The ops that may have a hazard with op [i] in either order, in
+   ascending index order: writers of what [i] reads or writes, readers
+   of what [i] writes, the stores (or, for a store, every access) of
+   its array, and every queue op if [i] is one. *)
+let partners (fps : footprint array) : int -> int array =
+  let n = Array.length fps in
+  let max_reg =
+    Array.fold_left
+      (fun acc f -> Array.fold_left max (max acc f.def) f.uses)
+      (-1) fps
+  in
+  let writers = Array.make (max_reg + 1) [] in
+  let readers = Array.make (max_reg + 1) [] in
+  let accesses = Hashtbl.create 8 in (* array -> (every access, stores) *)
+  let queue = ref [] in
+  for i = n - 1 downto 0 do
+    let f = fps.(i) in
+    if f.def >= 0 then writers.(f.def) <- i :: writers.(f.def);
+    Array.iter (fun r -> readers.(r) <- i :: readers.(r)) f.uses;
+    (match f.arr with
+    | Some a ->
+      let all, stores = Option.value ~default:([], []) (Hashtbl.find_opt accesses a) in
+      Hashtbl.replace accesses a (i :: all, if f.store then i :: stores else stores)
+    | None -> ());
+    if f.qio then queue := i :: !queue
+  done;
+  let stamp = Array.make n (-1) in
+  let buf = Array.make n 0 in
+  fun i ->
+    let k = ref 0 in
+    let add =
+      List.iter (fun j ->
+          if stamp.(j) <> i then begin
+            stamp.(j) <- i;
+            buf.(!k) <- j;
+            incr k
+          end)
+    in
+    let f = fps.(i) in
+    Array.iter (fun r -> add writers.(r)) f.uses;
+    if f.def >= 0 then begin
+      add writers.(f.def);
+      add readers.(f.def)
+    end;
+    (match f.arr with
+    | Some a ->
+      let all, stores = Hashtbl.find accesses a in
+      add (if f.store then all else stores)
+    | None -> ());
+    if f.qio then add !queue;
+    let found = Array.sub buf 0 !k in
+    Array.sort Int.compare found;
+    found
+
+(* Build the graph.  [loop] adds the wrap-around distance-1 edges.
+   Edges are produced in the order of a scan over all pairs (i, j) —
+   distance 0 first, then distance 1 — because the order of [succs]
+   and [preds] steers the modulo scheduler's ejections. *)
 let build ?(loop = false) (ops : Ir.instr array) : t =
   let n = Array.length ops in
+  let fps = Array.map footprint ops in
+  let partners = Array.init n (partners fps) in
   let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      match hazard_delay ops.(i) ops.(j) with
-      | Some delay -> edges := { src = i; dst = j; delay; dist = 0 } :: !edges
-      | None -> ()
-    done
-  done;
-  if loop then
+  let scan ~dist =
     for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        (* (i, iter k) happens before (j, iter k+1) for every pair. *)
-        match hazard_delay ops.(i) ops.(j) with
-        | Some delay -> edges := { src = i; dst = j; delay; dist = 1 } :: !edges
-        | None -> ()
-      done
-    done;
+      Array.iter
+        (fun j ->
+          if dist = 1 || j > i then begin
+            let delay = hazard fps.(i) fps.(j) in
+            if delay <> independent then edges := { src = i; dst = j; delay; dist } :: !edges
+          end)
+        partners.(i)
+    done
+  in
+  scan ~dist:0;
+  (* (i, iter k) happens before (j, iter k+1) for every pair. *)
+  if loop then scan ~dist:1;
   let succs = Array.make n [] in
   let preds = Array.make n [] in
   List.iter
@@ -90,7 +171,6 @@ let build ?(loop = false) (ops : Ir.instr array) : t =
       preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
     !edges;
   { ops; edges = !edges; succs; preds }
-
 (* Critical-path height over distance-0 edges: the scheduling priority.
    The height of an op is its latency plus the maximum height reachable
    through its same-iteration successors. *)

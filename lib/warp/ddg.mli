@@ -16,12 +16,27 @@ type t = {
   preds : (int * int * int) list array; (** (src, delay, dist) *)
 }
 
-val hazard_delay : Midend.Ir.instr -> Midend.Ir.instr -> int option
+type footprint
+(** What one operation defines, reads and touches: everything a hazard
+    depends on, computed once per operation. *)
+
+val footprint : Midend.Ir.instr -> footprint
+(** @raise Invalid_argument on a call (calls are control flow). *)
+
+val independent : int
+(** What {!hazard} returns for an independent pair. *)
+
+val hazard : footprint -> footprint -> int
 (** Maximum delay of the register/memory/queue hazards between a first
-    and a second operation; [None] when independent. *)
+    and a second operation, or {!independent}.  Allocates nothing. *)
 
 val build : ?loop:bool -> Midend.Ir.instr array -> t
-(** [build ~loop:true] adds the wrapped distance-1 edges. *)
+(** [build ~loop:true] adds the wrapped distance-1 edges.  Each op is
+    paired only with the ops that share a register, an array or the
+    queues with it; the edges come out in the order of an all-pairs
+    scan (distance 0, then distance 1, each by ascending source and
+    destination), which the modulo scheduler's ejection order relies
+    on. *)
 
 val heights : t -> int array
 (** Critical-path height over distance-0 edges — the scheduling

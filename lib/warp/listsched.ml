@@ -24,24 +24,27 @@ let run (ops : Ir.instr array) : schedule =
     let g = Ddg.build ~loop:false ops in
     let height = Ddg.heights g in
     let issue = Array.make n (-1) in
+    (* Per op: predecessors (all distance 0 here) not yet scheduled, and the first
+       cycle all the scheduled ones allow.  A predecessor placed in an
+       earlier cycle is always at least one cycle back, so an op's
+       earliest cycle is the maximum of issue(p) + max(delay, 1). *)
+    let waiting = Array.map List.length g.preds in
+    let earliest = Array.make n 0 in
+    (* Unscheduled ops with no unscheduled predecessor, in any order:
+       the priority order below is total. *)
+    let free = ref (List.filter (fun i -> waiting.(i) = 0) (List.init n Fun.id)) in
+    let by_priority a b =
+      if height.(a) <> height.(b) then Int.compare height.(b) height.(a) else Int.compare a b
+    in
     let scheduled = ref 0 in
     let attempts = ref 0 in
     let wides = ref [] in (* reversed *)
     let cycle = ref 0 in
     while !scheduled < n do
       (* Ready ops: unscheduled, all preds done with delays satisfied. *)
-      let ready =
-        List.filter
-          (fun i ->
-            issue.(i) < 0
-            && List.for_all
-                 (fun (p, delay, dist) ->
-                   dist > 0 || (issue.(p) >= 0 && !cycle >= issue.(p) + delay))
-                 g.preds.(i))
-          (List.init n Fun.id)
-        |> List.sort (fun a b -> compare (height.(b), a) (height.(a), b))
-      in
+      let ready, later = List.partition (fun i -> earliest.(i) <= !cycle) !free in
       let wide = ref Mcode.empty_wide in
+      let next = ref later in
       List.iter
         (fun i ->
           incr attempts;
@@ -49,9 +52,19 @@ let run (ops : Ir.instr array) : schedule =
           if Mcode.slot !wide fu = None then begin
             wide := Mcode.with_slot !wide fu ops.(i);
             issue.(i) <- !cycle;
-            incr scheduled
-          end)
-        ready;
+            incr scheduled;
+            (* Released successors become ready next cycle at the
+               earliest, so this cycle's ready set is unaffected. *)
+            List.iter
+              (fun (s, delay, _) ->
+                earliest.(s) <- max earliest.(s) (!cycle + max delay 1);
+                waiting.(s) <- waiting.(s) - 1;
+                if waiting.(s) = 0 then next := s :: !next)
+              g.succs.(i)
+          end
+          else next := i :: !next)
+        (List.sort by_priority ready);
+      free := !next;
       wides := !wide :: !wides;
       incr cycle
     done;

@@ -44,26 +44,39 @@ let self_rec_mii (g : Ddg.t) : int =
       if e.src = e.dst && e.dist = 1 then max acc e.delay else acc)
     1 g.edges
 
+(* The edges as flat arrays, for the Bellman–Ford runs of the MII
+   search. *)
+type flat = { src : int array; dst : int array; delay : int array; dist : int array }
+
+let flatten (g : Ddg.t) : flat =
+  let es = Array.of_list g.edges in
+  {
+    src = Array.map (fun (e : Ddg.edge) -> e.src) es;
+    dst = Array.map (fun (e : Ddg.edge) -> e.dst) es;
+    delay = Array.map (fun (e : Ddg.edge) -> e.delay) es;
+    dist = Array.map (fun (e : Ddg.edge) -> e.dist) es;
+  }
+
 (* Is [ii] consistent with every dependence cycle?  With edge weights
    delay − II·dist, a schedule exists iff the graph has no positive
    cycle (Bellman–Ford).  This exact recurrence test lets the search
    skip infeasible IIs without running the expensive placement loop. *)
-let feasible_ii (g : Ddg.t) ~ii : bool =
-  let n = Array.length g.ops in
-  let dist = Array.make n 0 in
+let feasible n (e : flat) ~ii : bool =
+  let m = Array.length e.src in
+  let weight = Array.init m (fun k -> e.delay.(k) - (ii * e.dist.(k))) in
+  let longest = Array.make n 0 in
   let changed = ref true in
   let rounds = ref 0 in
   while !changed && !rounds <= n do
     changed := false;
     incr rounds;
-    List.iter
-      (fun (e : Ddg.edge) ->
-        let w = e.delay - (ii * e.dist) in
-        if dist.(e.src) + w > dist.(e.dst) then begin
-          dist.(e.dst) <- dist.(e.src) + w;
-          changed := true
-        end)
-      g.edges
+    for k = 0 to m - 1 do
+      let via = longest.(e.src.(k)) + weight.(k) in
+      if via > longest.(e.dst.(k)) then begin
+        longest.(e.dst.(k)) <- via;
+        changed := true
+      end
+    done
   done;
   not !changed
 
@@ -157,6 +170,29 @@ let max_ii_slack = 32
    counts as phase-3 compilation time). *)
 exception No_schedule of int
 
+(* Exact MII: the least II from the resource/self-edge lower bound up
+   to [max_ii_slack] above it that passes the recurrence test.  Edge
+   weights delay − II·dist only fall as II grows, so feasibility is
+   monotone in II: the top of the range is tested first and the rest
+   is bisected.  The work charged is what a linear search upwards from
+   the lower bound would spend, (nedges/8 + 1) per II tried. *)
+let mii (g : Ddg.t) : int * int =
+  let n = Array.length g.ops in
+  let e = flatten g in
+  let per_test = (Array.length e.src / 8) + 1 in
+  let lower = max (res_mii g.ops) (self_rec_mii g) in
+  let top = lower + max_ii_slack in
+  if not (feasible n e ~ii:top) then raise (No_schedule ((max_ii_slack + 1) * per_test));
+  (* Invariant: [hi] is feasible; everything below [lo] is not. *)
+  let rec bisect lo hi =
+    if lo >= hi then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if feasible n e ~ii:mid then bisect lo mid else bisect (mid + 1) hi
+  in
+  let ii = bisect lower top in
+  (ii, (ii - lower + 1) * per_test)
+
 (* Modulo-schedule [ops]; raises [No_schedule] if no II up to
    MII + slack succeeds (callers fall back to list scheduling).
 
@@ -168,19 +204,8 @@ let run (ops : Ir.instr array) : result =
   let g = Ddg.build ~loop:true ops in
   let height = Ddg.heights g in
   let critical_path = Array.fold_left max 0 height in
-  let attempts = ref 0 in
-  let nedges = List.length g.edges in
-  (* Exact MII: raise the resource/self-edge lower bound until the
-     recurrence test passes.  Each Bellman–Ford run is charged as work. *)
-  let lower = max (res_mii ops) (self_rec_mii g) in
-  let rec tighten ii =
-    if ii > lower + max_ii_slack then raise (No_schedule !attempts)
-    else begin
-      attempts := !attempts + (nedges / 8) + 1;
-      if feasible_ii g ~ii then ii else tighten (ii + 1)
-    end
-  in
-  let mii = tighten lower in
+  let mii, work = mii g in
+  let attempts = ref work in
   (* Overlap can shrink the per-iteration time from the critical path
      towards MII; if less than half the path can be recovered the
      (expensive) search is not worth running — a profitability cut-off

@@ -12,7 +12,10 @@
     The search computes the exact recurrence-constrained MII with a
     Bellman–Ford feasibility test, applies a profitability cut-off
     (overlap must be able to recover at least half the critical path),
-    and bounds its total effort. *)
+    and bounds its total effort.  Feasibility is monotone in II (edge
+    weights delay − II·dist only fall as II grows), so the MII is found
+    by testing the top of the range and bisecting, while the work
+    charged is that of a linear search up from the lower bound. *)
 
 type result = {
   ii : int; (** achieved initiation interval *)
@@ -32,11 +35,15 @@ val res_mii : Midend.Ir.instr array -> int
 val self_rec_mii : Ddg.t -> int
 (** Self-edge recurrence lower bound. *)
 
-val feasible_ii : Ddg.t -> ii:int -> bool
-(** Exact recurrence test: no positive cycle under weights
-    delay − II·dist. *)
-
 val max_ii_slack : int
+
+val mii : Ddg.t -> int * int
+(** [(ii, work)]: the least II from [max res_mii self_rec_mii] to
+    [max_ii_slack] above it that passes the exact recurrence test (no
+    positive cycle under weights delay − II·dist), and the work a
+    linear search up to it is charged, (edges/8 + 1) per II tried.
+    @raise No_schedule with the work of trying the whole range when no
+    II in it passes. *)
 
 val run : Midend.Ir.instr array -> result
 (** @raise No_schedule as described above. *)

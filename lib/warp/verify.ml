@@ -25,9 +25,10 @@ type violation = {
 let violation_to_string v =
   Printf.sprintf "%s/B%d: %s" v.v_func v.v_block v.v_message
 
+(* [ctx] is only built when there is something to report. *)
 let check_reg out ~ctx r =
   if r < 0 || r >= Machine.num_regs then
-    out (Printf.sprintf "%s: register r%d outside the window" ctx r)
+    out (Printf.sprintf "%s: register r%d outside the window" (ctx ()) r)
 
 let check_operand out ~ctx = function
   | Midend.Ir.Reg r -> check_reg out ~ctx r
@@ -52,13 +53,13 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
           match Mcode.slot wide fu with
           | None -> ()
           | Some op ->
-            let ctx = Printf.sprintf "cycle %d (%s)" cycle (Machine.fu_to_string fu) in
+            let ctx () = Printf.sprintf "cycle %d (%s)" cycle (Machine.fu_to_string fu) in
             (match op with
-            | Midend.Ir.Call _ -> out (ctx ^ ": call inside wide code")
+            | Midend.Ir.Call _ -> out (ctx () ^ ": call inside wide code")
             | _ ->
               if Machine.fu_of op <> fu then
                 out
-                  (Printf.sprintf "%s: operation belongs on %s" ctx
+                  (Printf.sprintf "%s: operation belongs on %s" (ctx ())
                      (Machine.fu_to_string (Machine.fu_of op)));
               (match Midend.Ir.def_of op with
               | Some d -> check_reg out ~ctx d
@@ -67,7 +68,7 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
               (match op with
               | Midend.Ir.Load (_, a, _) | Midend.Ir.Store (a, _, _) ->
                 if not (array_declared a) then
-                  out (Printf.sprintf "%s: undeclared array %s" ctx a)
+                  out (Printf.sprintf "%s: undeclared array %s" (ctx ()) a)
               | _ -> ());
               timed := (cycle, op) :: !timed))
         Machine.all_fus)
@@ -85,31 +86,30 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
      land on the same cycle. *)
   let ops = Array.of_list (List.rev !timed) in
   let n = Array.length ops in
-  if not b.Mcode.mb_pipelined then
+  if not b.Mcode.mb_pipelined then begin
+    let fps = Array.map (fun (_, op) -> Ddg.footprint op) ops in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         let ci, oi = ops.(i) and cj, oj = ops.(j) in
+        let fwd = Ddg.hazard fps.(i) fps.(j) in
         if ci = cj then begin
-          let fwd = Ddg.hazard_delay oi oj in
-          let bwd = Ddg.hazard_delay oj oi in
-          let ok = function None -> true | Some d -> d <= 0 in
-          if not (ok fwd || ok bwd) then
+          let bwd = Ddg.hazard fps.(j) fps.(i) in
+          (* [independent] is below 0, so it passes too. *)
+          if fwd > 0 && bwd > 0 then
             out
               (Printf.sprintf "cycle %d: irreconcilable same-cycle hazard (%s | %s)"
                  ci
                  (Midend.Ir.instr_to_string oi)
                  (Midend.Ir.instr_to_string oj))
         end
-        else
-          match Ddg.hazard_delay oi oj with
-          | Some d when cj < ci + d ->
-            out
-              (Printf.sprintf
-                 "dependence violated: %s @%d -> %s @%d needs delay %d"
-                 (Midend.Ir.instr_to_string oi) ci (Midend.Ir.instr_to_string oj) cj d)
-          | Some _ | None -> ()
+        else if fwd <> Ddg.independent && cj < ci + fwd then
+          out
+            (Printf.sprintf
+               "dependence violated: %s @%d -> %s @%d needs delay %d"
+               (Midend.Ir.instr_to_string oi) ci (Midend.Ir.instr_to_string oj) cj fwd)
       done
     done
+  end
   else begin
     (* Well-definedness: writes to one register land at distinct
        cycles. *)
@@ -132,15 +132,15 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
   match b.Mcode.mterm with
   | Mcode.Tjump l -> check_target l
   | Mcode.Tbranch (c, a, b') ->
-    check_operand out ~ctx:"branch" c;
+    check_operand out ~ctx:(fun () -> "branch") c;
     check_target a;
     check_target b'
-  | Mcode.Tret (Some v) -> check_operand out ~ctx:"ret" v
+  | Mcode.Tret (Some v) -> check_operand out ~ctx:(fun () -> "ret") v
   | Mcode.Tret None -> ()
   | Mcode.Tcall { callee; args; dst; cont } -> (
     check_target cont;
-    List.iter (check_operand out ~ctx:"call argument") args;
-    (match dst with Some d -> check_reg out ~ctx:"call result" d | None -> ());
+    List.iter (check_operand out ~ctx:(fun () -> "call argument")) args;
+    (match dst with Some d -> check_reg out ~ctx:(fun () -> "call result") d | None -> ());
     match Mcode.find_func image callee with
     | None -> out (Printf.sprintf "call to unresolved %s" callee)
     | Some target ->

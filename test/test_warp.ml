@@ -824,3 +824,294 @@ let machine_suites =
   ]
 
 let suites = suites @ machine_suites
+
+(* --- the indexed DDG, the incremental list scheduler and the bisected
+   MII search, against test-only copies of the code they replaced --- *)
+
+(* Oracle: the list-based hazard test of the all-pairs builder. *)
+let oracle_hazard_delay a b : int option =
+  let lat = Warp.Machine.latency in
+  let delays = ref [] in
+  let add d = delays := d :: !delays in
+  let regs_def i = match Ir.def_of i with Some d -> [ d ] | None -> [] in
+  let touched_array = function
+    | Ir.Load (_, a, _) -> Some (a, `Load)
+    | Ir.Store (a, _, _) -> Some (a, `Store)
+    | _ -> None
+  in
+  let is_qio = function Ir.Send _ | Ir.Recv _ -> true | _ -> false in
+  let da = regs_def a and ua = Ir.uses_of a in
+  let db = regs_def b and ub = Ir.uses_of b in
+  List.iter (fun r -> if List.mem r ub then add (lat a)) da;
+  List.iter (fun r -> if List.mem r db then add (1 - lat b)) ua;
+  List.iter (fun r -> if List.mem r db then add (lat a - lat b + 1)) da;
+  (match (touched_array a, touched_array b) with
+  | Some (arr_a, ka), Some (arr_b, kb) when arr_a = arr_b -> (
+    match (ka, kb) with
+    | `Store, `Load -> add 1
+    | `Load, `Store -> add 0
+    | `Store, `Store -> add 1
+    | `Load, `Load -> ())
+  | _ -> ());
+  if is_qio a && is_qio b then add 1;
+  match !delays with [] -> None | ds -> Some (List.fold_left max min_int ds)
+
+(* Oracle: the all-pairs DDG builder. *)
+let oracle_ddg ?(loop = false) (ops : Ir.instr array) : Warp.Ddg.t =
+  let n = Array.length ops in
+  let edges = ref [] in
+  let add ~dist i j =
+    match oracle_hazard_delay ops.(i) ops.(j) with
+    | Some delay -> edges := { Warp.Ddg.src = i; dst = j; delay; dist } :: !edges
+    | None -> ()
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      add ~dist:0 i j
+    done
+  done;
+  if loop then
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        add ~dist:1 i j
+      done
+    done;
+  let succs = Array.make n [] and preds = Array.make n [] in
+  List.iter
+    (fun (e : Warp.Ddg.edge) ->
+      succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
+      preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
+    !edges;
+  { Warp.Ddg.ops; edges = !edges; succs; preds }
+
+(* Oracle: the list scheduler that rescans every op on every cycle. *)
+let oracle_listsched (ops : Ir.instr array) : Warp.Listsched.schedule =
+  let n = Array.length ops in
+  if n = 0 then { Warp.Listsched.code = [||]; issue = [||]; attempts = 0 }
+  else begin
+    let g = oracle_ddg ops in
+    let height = Warp.Ddg.heights g in
+    let issue = Array.make n (-1) in
+    let scheduled = ref 0 and attempts = ref 0 in
+    let wides = ref [] and cycle = ref 0 in
+    while !scheduled < n do
+      let ready =
+        List.filter
+          (fun i ->
+            issue.(i) < 0
+            && List.for_all
+                 (fun (p, delay, dist) ->
+                   dist > 0 || (issue.(p) >= 0 && !cycle >= issue.(p) + delay))
+                 g.Warp.Ddg.preds.(i))
+          (List.init n Fun.id)
+        |> List.sort (fun a b -> compare (height.(b), a) (height.(a), b))
+      in
+      let wide = ref Warp.Mcode.empty_wide in
+      List.iter
+        (fun i ->
+          incr attempts;
+          let fu = Warp.Machine.fu_of ops.(i) in
+          if Warp.Mcode.slot !wide fu = None then begin
+            wide := Warp.Mcode.with_slot !wide fu ops.(i);
+            issue.(i) <- !cycle;
+            incr scheduled
+          end)
+        ready;
+      wides := !wide :: !wides;
+      incr cycle
+    done;
+    let finish =
+      Array.to_list (Array.mapi (fun i op -> issue.(i) + Warp.Machine.latency op) ops)
+      |> List.fold_left max !cycle
+    in
+    let code = Array.make finish Warp.Mcode.empty_wide in
+    List.iteri (fun k w -> code.(!cycle - 1 - k) <- w) !wides;
+    { Warp.Listsched.code; issue; attempts = !attempts }
+  end
+
+(* Oracle: the linear MII search over the edge list.  [Ok (ii, work)],
+   or [Error work] when no II in range passes. *)
+let oracle_mii (g : Warp.Ddg.t) : (int * int, int) result =
+  let n = Array.length g.Warp.Ddg.ops in
+  let feasible ii =
+    let dist = Array.make n 0 in
+    let changed = ref true and rounds = ref 0 in
+    while !changed && !rounds <= n do
+      changed := false;
+      incr rounds;
+      List.iter
+        (fun (e : Warp.Ddg.edge) ->
+          let w = e.delay - (ii * e.dist) in
+          if dist.(e.src) + w > dist.(e.dst) then begin
+            dist.(e.dst) <- dist.(e.src) + w;
+            changed := true
+          end)
+        g.Warp.Ddg.edges
+    done;
+    not !changed
+  in
+  let nedges = List.length g.Warp.Ddg.edges in
+  let lower = max (Warp.Modsched.res_mii g.Warp.Ddg.ops) (Warp.Modsched.self_rec_mii g) in
+  let work = ref 0 in
+  let rec tighten ii =
+    if ii > lower + Warp.Modsched.max_ii_slack then Error !work
+    else begin
+      work := !work + (nedges / 8) + 1;
+      if feasible ii then Ok (ii, !work) else tighten (ii + 1)
+    end
+  in
+  tighten lower
+
+let mii_outcome g =
+  match Warp.Modsched.mii g with
+  | r -> Ok r
+  | exception Warp.Modsched.No_schedule w -> Error w
+
+(* Random straight-line blocks over few registers and two arrays, so
+   that register, memory and queue hazards (self-dependences included)
+   are dense. *)
+let gen_instr =
+  let open QCheck.Gen in
+  let reg = int_range 0 5 in
+  let opnd =
+    frequency [ (4, map (fun r -> Ir.Reg r) reg); (1, map (fun k -> Ir.Imm_int k) (int_range 0 3)) ]
+  in
+  let arr = oneofl [ "a"; "b" ] in
+  let chan = oneofl [ W2.Ast.Chan_x; W2.Ast.Chan_y ] in
+  let binop = oneofl Ir.[ Iadd; Isub; Imul; Idiv; Fadd; Fmul; Fdiv; Icmp Clt ] in
+  frequency
+    [
+      (6, map3 (fun o d (a, b) -> Ir.Bin (o, d, a, b)) binop reg (pair opnd opnd));
+      (1, map2 (fun d a -> Ir.Un (Ir.Fsqrt, d, a)) reg opnd);
+      (1, map2 (fun d a -> Ir.Mov (d, a)) reg opnd);
+      (1, map3 (fun d c (a, b) -> Ir.Sel (d, c, a, b)) reg opnd (pair opnd opnd));
+      (2, map3 (fun d a i -> Ir.Load (d, a, i)) reg arr opnd);
+      (2, map3 (fun a i v -> Ir.Store (a, i, v)) arr opnd opnd);
+      (1, map2 (fun c v -> Ir.Send (c, v)) chan opnd);
+      (1, map2 (fun c d -> Ir.Recv (c, d)) chan reg);
+    ]
+
+let print_block ops = String.concat "; " (Array.to_list (Array.map Ir.instr_to_string ops))
+let arb_block = QCheck.make ~print:print_block QCheck.Gen.(array_size (int_range 1 40) gen_instr)
+
+let prop_ddg_matches_all_pairs =
+  QCheck.Test.make ~name:"indexed DDG = all-pairs DDG, edge for edge" ~count:300 arb_block
+    (fun ops ->
+      List.for_all
+        (fun loop ->
+          let g = Warp.Ddg.build ~loop ops and o = oracle_ddg ~loop ops in
+          g.Warp.Ddg.edges = o.Warp.Ddg.edges
+          && g.Warp.Ddg.succs = o.Warp.Ddg.succs
+          && g.Warp.Ddg.preds = o.Warp.Ddg.preds)
+        [ false; true ])
+
+let prop_hazard_matches_list_based =
+  QCheck.Test.make ~name:"footprint hazard = list-based hazard" ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_block [| a; b |])
+       QCheck.Gen.(pair gen_instr gen_instr))
+    (fun (a, b) ->
+      Warp.Ddg.hazard (Warp.Ddg.footprint a) (Warp.Ddg.footprint b)
+      = Option.value ~default:Warp.Ddg.independent (oracle_hazard_delay a b))
+
+let prop_listsched_matches_rescan =
+  QCheck.Test.make ~name:"incremental list scheduler = rescanning one" ~count:300 arb_block
+    (fun ops ->
+      let s = Warp.Listsched.run ops and o = oracle_listsched ops in
+      s.Warp.Listsched.issue = o.Warp.Listsched.issue
+      && s.Warp.Listsched.code = o.Warp.Listsched.code
+      && s.Warp.Listsched.attempts = o.Warp.Listsched.attempts)
+
+let prop_mii_matches_linear =
+  QCheck.Test.make ~name:"bisected MII = linear MII, work included" ~count:300 arb_block
+    (fun ops ->
+      let g = Warp.Ddg.build ~loop:true ops in
+      mii_outcome g = oracle_mii g)
+
+let test_mii_out_of_range () =
+  (* A five-divide recurrence needs II >= 60, far above ResMII (5) plus
+     the slack: no II in range passes, and the whole range is charged. *)
+  let ops =
+    Array.init 5 (fun k -> Ir.Bin (Ir.Idiv, (k + 1) mod 5, Ir.Reg k, Ir.Imm_int 2))
+  in
+  let g = Warp.Ddg.build ~loop:true ops in
+  let per_test = (List.length g.Warp.Ddg.edges / 8) + 1 in
+  Alcotest.(check bool) "same as linear" true (mii_outcome g = oracle_mii g);
+  Alcotest.(check bool) "whole range charged" true
+    (mii_outcome g = Error ((Warp.Modsched.max_ii_slack + 1) * per_test))
+
+(* Work units and image bytes of the paper's five sizes, recorded before
+   the schedulers' data structures were rebuilt: none may move. *)
+let test_paper_sizes_golden () =
+  List.iter
+    (fun (size, sched_work, wides, md5) ->
+      let name = W2.Gen.size_name size in
+      let mw = Driver.Compile.compile_module (W2.Gen.module_of_function (W2.Gen.sized_function ~name size)) in
+      let sw = List.hd mw.Driver.Compile.mw_sections in
+      let fw = List.hd sw.Driver.Compile.sw_funcs in
+      Alcotest.(check int) (name ^ " fw_sched_work") sched_work fw.Driver.Compile.fw_sched_work;
+      Alcotest.(check int) (name ^ " fw_wides") wides fw.Driver.Compile.fw_wides;
+      Alcotest.(check string) (name ^ " image MD5") md5
+        (Digest.to_hex (Digest.string (Warp.Asm.encode sw.Driver.Compile.sw_image))))
+    W2.Gen.
+      [
+        (Tiny, 3, 15, "f9e15d18aa5eece399384d099d068a09");
+        (Small, 19016, 139, "76cb500b4dd376b5329a902c22aa8b81");
+        (Medium, 19754, 516, "83dc6fc50794de418d818765983c6b0e");
+        (Large, 1014, 1604, "cd820355eed9a0133b80a79bb4f897e7");
+        (Huge, 1313, 1934, "9ed8ad188b0c20dd5a74a92762c5d70d");
+      ]
+
+(* A one-block function whose ops issue at the given cycles. *)
+let verify_placed (placed : (int * Ir.instr) list) =
+  let len = 1 + List.fold_left (fun acc (c, _) -> max acc c) 0 placed in
+  let code = Array.make len Warp.Mcode.empty_wide in
+  List.iter
+    (fun (c, op) -> code.(c) <- Warp.Mcode.with_slot code.(c) (Warp.Machine.fu_of op) op)
+    placed;
+  let mf =
+    {
+      Warp.Mcode.mf_name = "f";
+      param_locs = [];
+      mf_arrays = [ ("a", 16, Ir.Float) ];
+      mblocks = [| { Warp.Mcode.code; mterm = Warp.Mcode.Tret None; mb_pipelined = false } |];
+    }
+  in
+  Warp.Verify.image
+    { Warp.Mcode.img_section = "s"; img_cells = 1; funcs = [| mf |]; symbols = [ ("f", 0) ] }
+  |> List.map Warp.Verify.violation_to_string
+
+let test_verify_rejects_early_consumer () =
+  (* fadd reads the fmul's result, which lands 5 cycles after issue. *)
+  let mul = Ir.Bin (Ir.Fmul, 2, Ir.Reg 0, Ir.Reg 1) in
+  let add = Ir.Bin (Ir.Fadd, 3, Ir.Reg 2, Ir.Reg 0) in
+  Alcotest.(check (list string)) "legal at its delay" [] (verify_placed [ (0, mul); (5, add) ]);
+  match verify_placed [ (0, mul); (4, add) ] with
+  | [ v ] -> Alcotest.(check bool) v true (Tutil.contains v "dependence violated")
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+let test_verify_rejects_same_cycle_cycle () =
+  (* Each op reads what the other writes: no order within one cycle
+     satisfies both true dependences. *)
+  let load = Ir.Load (1, "a", Ir.Reg 0) in
+  let add = Ir.Bin (Ir.Fadd, 0, Ir.Reg 1, Ir.Imm_float 1.0) in
+  match verify_placed [ (0, load); (0, add) ] with
+  | [ v ] -> Alcotest.(check bool) v true (Tutil.contains v "irreconcilable")
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+let oracle_suites =
+  [
+    ( "warp.oracles",
+      [
+        QCheck_alcotest.to_alcotest prop_ddg_matches_all_pairs;
+        QCheck_alcotest.to_alcotest prop_hazard_matches_list_based;
+        QCheck_alcotest.to_alcotest prop_listsched_matches_rescan;
+        QCheck_alcotest.to_alcotest prop_mii_matches_linear;
+        Alcotest.test_case "mii out of range" `Quick test_mii_out_of_range;
+        Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
+        Alcotest.test_case "verify: early consumer" `Quick test_verify_rejects_early_consumer;
+        Alcotest.test_case "verify: same-cycle cycle" `Quick test_verify_rejects_same_cycle_cycle;
+      ] );
+  ]
+
+let suites = suites @ oracle_suites
