@@ -28,20 +28,9 @@ type key =
   | Kun of Ir.unop * Ir.operand
   | Ksel of Ir.operand * Ir.operand * Ir.operand
 
-let commutative = function
-  | Ir.Iadd | Ir.Imul | Ir.Fadd | Ir.Fmul | Ir.Band | Ir.Bor | Ir.Imin
-  | Ir.Imax | Ir.Fmin | Ir.Fmax
-  | Ir.Icmp (Ir.Ceq | Ir.Cne)
-  | Ir.Fcmp (Ir.Ceq | Ir.Cne) ->
-    true
-  | Ir.Isub | Ir.Idiv | Ir.Imod | Ir.Fsub | Ir.Fdiv
-  | Ir.Icmp (Ir.Clt | Ir.Cle | Ir.Cgt | Ir.Cge)
-  | Ir.Fcmp (Ir.Clt | Ir.Cle | Ir.Cgt | Ir.Cge) ->
-    false
-
 let key_of = function
   | Ir.Bin (op, _, x, y) ->
-    let x, y = if commutative op && x > y then (y, x) else (x, y) in
+    let x, y = if Ir.commutative op && x > y then (y, x) else (x, y) in
     Some (Kbin (op, x, y))
   | Ir.Un (op, _, x) -> Some (Kun (op, x))
   | Ir.Sel (_, c, a, b) -> Some (Ksel (c, a, b))

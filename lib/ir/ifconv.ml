@@ -34,11 +34,6 @@ let arm_convertible (instrs : Ir.instr list) =
          && match instr with Ir.Load _ -> false | _ -> true)
        instrs
 
-let fresh_reg (f : Ir.func) ty =
-  let r = Array.length f.reg_ty in
-  f.reg_ty <- Array.append f.reg_ty [| ty |];
-  r
-
 (* Rewrite an arm's instructions onto fresh destinations; returns the
    rewritten instructions (in order) and the final substitution
    original-reg -> fresh-reg. *)
@@ -69,7 +64,7 @@ let rename_arm (f : Ir.func) (instrs : Ir.instr list) =
         match Ir.def_of instr' with
         | None -> instr'
         | Some d ->
-          let d' = fresh_reg f f.Ir.reg_ty.(d) in
+          let d' = Ir.fresh_reg f f.Ir.reg_ty.(d) in
           Hashtbl.replace subst d d';
           (match instr' with
           | Ir.Bin (op, _, x, y) -> Ir.Bin (op, d', x, y)
@@ -117,7 +112,7 @@ let try_convert (f : Ir.func) preds h : bool =
         if List.exists (fun r -> List.mem r merged) cond_regs then begin
           match cond with
           | Ir.Reg r ->
-            let c' = fresh_reg f f.Ir.reg_ty.(r) in
+            let c' = Ir.fresh_reg f f.Ir.reg_ty.(r) in
             (Ir.Reg c', [ Ir.Mov (c', Ir.Reg r) ])
           | _ -> (cond, [])
         end

@@ -79,6 +79,11 @@ let entry_block = 0
 
 let num_regs f = Array.length f.reg_ty
 
+let fresh_reg f ty =
+  let r = num_regs f in
+  f.reg_ty <- Array.append f.reg_ty [| ty |];
+  r
+
 let def_of = function
   | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Sel (d, _, _, _)
   | Load (d, _, _) | Recv (_, d) ->
@@ -127,6 +132,16 @@ let may_trap = function
   | Bin ((Idiv | Imod), _, _, Imm_int _) -> false (* non-zero constant *)
   | Un (Fsqrt, _, _) -> true (* sqrt of negative reports an error *)
   | Bin _ | Un _ | Mov _ | Sel _ | Load _ | Store _ | Call _ | Send _ | Recv _ ->
+    false
+
+let commutative = function
+  | Iadd | Imul | Fadd | Fmul | Band | Bor | Imin | Imax | Fmin | Fmax
+  | Icmp (Ceq | Cne)
+  | Fcmp (Ceq | Cne) ->
+    true
+  | Isub | Idiv | Imod | Fsub | Fdiv
+  | Icmp (Clt | Cle | Cgt | Cge)
+  | Fcmp (Clt | Cle | Cgt | Cge) ->
     false
 
 (* --- printing --- *)

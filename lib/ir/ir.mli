@@ -76,6 +76,9 @@ val entry_block : int
 
 val num_regs : func -> int
 
+val fresh_reg : func -> ty -> reg
+(** Appends a virtual register of the given type to [reg_ty]. *)
+
 val def_of : instr -> reg option
 (** The register an instruction writes, if any. *)
 
@@ -94,6 +97,9 @@ val has_side_effect : instr -> bool
 val may_trap : instr -> bool
 (** Instructions that can fault at runtime (division by a possibly-zero
     operand, square root) and therefore must not be speculated. *)
+
+val commutative : binop -> bool
+(** [op x y = op y x]: LVN and GCSE sort such operands. *)
 
 val cmp_to_string : cmp -> string
 val binop_to_string : binop -> string

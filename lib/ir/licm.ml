@@ -37,15 +37,11 @@ let ensure_preheader (f : Ir.func) (l : Loops.loop) : int =
 
 (* Definition counts per register within the loop body. *)
 let loop_def_counts (f : Ir.func) (l : Loops.loop) =
-  let counts = Hashtbl.create 32 in
+  let counts = Array.make (Ir.num_regs f) 0 in
   Iset.iter
     (fun bi ->
       List.iter
-        (fun instr ->
-          match Ir.def_of instr with
-          | Some d ->
-            Hashtbl.replace counts d (1 + Option.value ~default:0 (Hashtbl.find_opt counts d))
-          | None -> ())
+        (fun instr -> Option.iter (fun d -> counts.(d) <- counts.(d) + 1) (Ir.def_of instr))
         f.blocks.(bi).instrs)
     l.body;
   counts
@@ -71,29 +67,24 @@ let hoist_loop (f : Ir.func) (l : Loops.loop) : int =
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let liveness = Liveness.compute f in
+    let liveness = lazy (Liveness.compute f) in
     let def_counts = loop_def_counts f l in
     let stored = stores_and_calls f l in
-    let invariant_operand = function
-      | Ir.Imm_int _ | Ir.Imm_float _ -> true
-      | Ir.Reg r -> not (Hashtbl.mem def_counts r)
-    in
     let live_in_blocks =
       l.header :: List.map snd l.exits
     in
     let dst_blocked d =
       List.exists
-        (fun b -> Liveness.Rset.mem d liveness.Liveness.live_in.(b))
+        (fun b -> Liveness.mem (Lazy.force liveness).Liveness.live_in.(b) d)
         live_in_blocks
     in
     let candidate instr =
       (not (Ir.has_side_effect instr))
       && (not (Ir.may_trap instr))
-      && List.for_all invariant_operand
-           (List.map (fun r -> Ir.Reg r) (Ir.uses_of instr))
+      && List.for_all (fun r -> def_counts.(r) = 0) (Ir.uses_of instr)
       &&
       match Ir.def_of instr with
-      | Some d -> Hashtbl.find_opt def_counts d = Some 1 && not (dst_blocked d)
+      | Some d -> def_counts.(d) = 1 && not (dst_blocked d)
       | None -> false
     in
     let load_safe = function
@@ -101,17 +92,12 @@ let hoist_loop (f : Ir.func) (l : Loops.loop) : int =
       | _ -> true
     in
     (* Find the first hoistable instruction in the loop. *)
-    let found = ref None in
-    Iset.iter
-      (fun bi ->
-        if !found = None then
-          List.iteri
-            (fun k instr ->
-              if !found = None && candidate instr && load_safe instr then
-                found := Some (bi, k))
-            f.blocks.(bi).instrs)
-      l.body;
-    match !found with
+    let rec first bi k = function
+      | [] -> None
+      | instr :: rest ->
+        if candidate instr && load_safe instr then Some (bi, k) else first bi (k + 1) rest
+    in
+    match Seq.find_map (fun bi -> first bi 0 f.blocks.(bi).instrs) (Iset.to_seq l.body) with
     | None -> ()
     | Some (bi, k) ->
       let pre = ensure_preheader f l in

@@ -1,85 +1,90 @@
-(* Backward liveness dataflow over virtual registers.  Drives dead-code
-   elimination, the loop-invariant safety checks and, in the back end,
-   live-interval construction for register allocation. *)
+(* Backward liveness dataflow over virtual registers, on word bitsets.
+   Drives dead-code elimination, the loop-invariant safety checks and,
+   in the back end, live-interval construction and block-local renaming.
 
-module Rset = Set.Make (Int)
+   A set is an [int array] with one bit per register, [Sys.int_size]
+   bits to a word.  The solver iterates to the least fixpoint, so the
+   sets do not depend on the visiting order. *)
 
-type t = {
-  live_in : Rset.t array;
-  live_out : Rset.t array;
-}
+type set = int array
 
-(* use/def of a whole block, computed backwards. *)
-let block_use_def (b : Ir.block) =
-  let use = ref Rset.empty and def = ref Rset.empty in
-  let step_instr instr =
-    (* Backward: a def kills earlier uses... but we scan forward, so an
-       upward-exposed use is one not preceded by a def. *)
-    List.iter
-      (fun r -> if not (Rset.mem r !def) then use := Rset.add r !use)
-      (Ir.uses_of instr);
-    match Ir.def_of instr with
-    | Some d -> def := Rset.add d !def
-    | None -> ()
-  in
-  List.iter step_instr b.instrs;
-  List.iter
-    (fun r -> if not (Rset.mem r !def) then use := Rset.add r !use)
-    (Ir.term_uses b.term);
-  (!use, !def)
+let bits = Sys.int_size
+let create nregs : set = Array.make ((nregs + bits - 1) / bits) 0
+
+let mem (s : set) r = s.(r / bits) land (1 lsl (r mod bits)) <> 0
+
+let add (s : set) r =
+  let w = r / bits in
+  s.(w) <- s.(w) lor (1 lsl (r mod bits))
+
+let remove (s : set) r =
+  let w = r / bits in
+  s.(w) <- s.(w) land lnot (1 lsl (r mod bits))
+
+let iter f (s : set) =
+  Array.iteri
+    (fun w word ->
+      let word = ref word and r = ref (w * bits) in
+      while !word <> 0 do
+        if !word land 1 <> 0 then f !r;
+        word := !word lsr 1;
+        incr r
+      done)
+    s
+
+type t = { live_in : set array; live_out : set array }
 
 let compute (f : Ir.func) : t =
-  let n = Array.length f.blocks in
-  let use = Array.make n Rset.empty and def = Array.make n Rset.empty in
+  let n = Array.length f.blocks and nregs = Ir.num_regs f in
+  let words = (nregs + bits - 1) / bits in
+  let use = Array.init n (fun _ -> create nregs) in
+  let def = Array.init n (fun _ -> create nregs) in
   Array.iteri
-    (fun i b ->
-      let u, d = block_use_def b in
-      use.(i) <- u;
-      def.(i) <- d)
+    (fun i (b : Ir.block) ->
+      (* Forward: an upward-exposed use is one no earlier def covers. *)
+      let use = use.(i) and def = def.(i) in
+      let use_reg r = if not (mem def r) then add use r in
+      List.iter
+        (fun instr ->
+          List.iter use_reg (Ir.uses_of instr);
+          Option.iter (add def) (Ir.def_of instr))
+        b.instrs;
+      List.iter use_reg (Ir.term_uses b.term))
     f.blocks;
-  let live_in = Array.make n Rset.empty in
-  let live_out = Array.make n Rset.empty in
-  let succs = Cfg.successors f in
+  let live_in = Array.init n (fun _ -> create nregs) in
+  let live_out = Array.init n (fun _ -> create nregs) in
+  let succs = Array.map (fun (b : Ir.block) -> Array.of_list (Ir.successors b.term)) f.blocks in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* Iterate in reverse block order as a cheap approximation of
-       postorder; convergence does not depend on it. *)
+    (* Reverse block order approximates postorder. *)
     for i = n - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc s -> Rset.union acc live_in.(s))
-          Rset.empty succs.(i)
-      in
-      let inn = Rset.union use.(i) (Rset.diff out def.(i)) in
-      if not (Rset.equal out live_out.(i) && Rset.equal inn live_in.(i)) then begin
-        live_out.(i) <- out;
-        live_in.(i) <- inn;
-        changed := true
-      end
+      let out = live_out.(i) and inn = live_in.(i) and use = use.(i) and def = def.(i) in
+      let ss = succs.(i) in
+      for w = 0 to words - 1 do
+        let o = ref 0 in
+        for k = 0 to Array.length ss - 1 do
+          o := !o lor live_in.(ss.(k)).(w)
+        done;
+        let o = !o in
+        let x = use.(w) lor (o land lnot def.(w)) in
+        if o <> out.(w) || x <> inn.(w) then begin
+          out.(w) <- o;
+          inn.(w) <- x;
+          changed := true
+        end
+      done
     done
   done;
   { live_in; live_out }
 
-(* Liveness at each instruction boundary within a block:
-   [per_instr liveness f i] returns an array where slot [k] is the set of
-   registers live immediately *after* instruction [k] of block [i]
-   (slot [length instrs] would be the block's live-out; the terminator's
-   uses are already included in the last slot). *)
-let per_instr t (f : Ir.func) i =
+let sweep t (f : Ir.func) i visit =
   let b = f.blocks.(i) in
-  let instrs = Array.of_list b.instrs in
-  let n = Array.length instrs in
-  let after = Array.make n Rset.empty in
-  let live = ref (Rset.union t.live_out.(i) (Rset.of_list (Ir.term_uses b.term))) in
-  (* [live_out] already contains the terminator uses via block use sets
-     only when they flow out; add them explicitly to be safe. *)
-  for k = n - 1 downto 0 do
-    after.(k) <- !live;
-    let instr = instrs.(k) in
-    (match Ir.def_of instr with
-    | Some d -> live := Rset.remove d !live
-    | None -> ());
-    List.iter (fun r -> live := Rset.add r !live) (Ir.uses_of instr)
-  done;
-  after
+  let live = Array.copy t.live_out.(i) in
+  List.iter (add live) (Ir.term_uses b.term);
+  List.iter
+    (fun instr ->
+      visit instr live;
+      Option.iter (remove live) (Ir.def_of instr);
+      List.iter (add live) (Ir.uses_of instr))
+    (List.rev b.instrs)

@@ -1,17 +1,32 @@
-(** Backward liveness dataflow over virtual registers.  Drives
-    dead-code elimination, the loop-invariant safety checks and, in the
-    back end, live-interval construction for register allocation. *)
+(** Backward liveness dataflow over virtual registers, on word bitsets.
+    Drives dead-code elimination, the loop-invariant safety checks and,
+    in the back end, live-interval construction for register allocation
+    and block-local renaming.
 
-module Rset : Set.S with type elt = int
+    A register set is an [int array] with one bit per register,
+    [Sys.int_size] registers to a word, sized by {!Ir.num_regs}.  The
+    solver reaches the least fixpoint of the usual equations
+    ([out = ∪ in(succ)], [in = use ∪ (out − def)]). *)
+
+type set = int array
+
+val mem : set -> int -> bool
+val add : set -> int -> unit
+
+val iter : (int -> unit) -> set -> unit
+(** In increasing register order. *)
 
 type t = {
-  live_in : Rset.t array; (** registers live at each block entry *)
-  live_out : Rset.t array; (** registers live at each block exit *)
+  live_in : set array; (** registers live at each block entry *)
+  live_out : set array; (** registers live at each block exit *)
 }
 
 val compute : Ir.func -> t
 
-val per_instr : t -> Ir.func -> int -> Rset.t array
-(** [per_instr t f b] — slot [k] is the set of registers live
-    immediately {e after} instruction [k] of block [b] (terminator uses
-    included). *)
+val sweep : t -> Ir.func -> int -> (Ir.instr -> set -> unit) -> unit
+(** [sweep t f b visit] walks block [b] backwards from its live-out
+    plus its terminator's uses, calling [visit instr after] with the
+    registers live immediately {e after} [instr].  [after] is one
+    mutable set, updated in place between calls: copy it to keep it.
+    Every instruction's uses count, whether or not [visit] deems it
+    dead. *)

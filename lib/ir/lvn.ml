@@ -8,7 +8,14 @@
 
    Calls define fresh values but do *not* invalidate array loads: the
    language has no aliasing, so a callee can never write the caller's
-   arrays. *)
+   arrays.
+
+   One state serves the whole function.  Register -> value number is an
+   array whose entries count only when their stamp is the current
+   block's; value numbers restart at 0 in every block and each gets its
+   representative when it is born, so vn -> representative is a plain
+   growable array.  The expression and store-generation tables are
+   cleared between blocks. *)
 
 type key =
   | Kbin of Ir.binop * int * int
@@ -18,180 +25,130 @@ type key =
   | Kimm_int of int
   | Kimm_float of float
 
-let commutative = function
-  | Ir.Iadd | Ir.Imul | Ir.Fadd | Ir.Fmul | Ir.Band | Ir.Bor | Ir.Imin
-  | Ir.Imax | Ir.Fmin | Ir.Fmax
-  | Ir.Icmp (Ir.Ceq | Ir.Cne)
-  | Ir.Fcmp (Ir.Ceq | Ir.Cne) ->
-    true
-  | Ir.Isub | Ir.Idiv | Ir.Imod | Ir.Fsub | Ir.Fdiv
-  | Ir.Icmp (Ir.Clt | Ir.Cle | Ir.Cgt | Ir.Cge)
-  | Ir.Fcmp (Ir.Clt | Ir.Cle | Ir.Cgt | Ir.Cge) ->
-    false
-
 type state = {
   mutable next_vn : int;
-  reg_vn : (Ir.reg, int) Hashtbl.t; (* current value number of a register *)
+  mutable stamp : int; (* the current block's *)
+  reg_vn : int array; (* current value number of a register... *)
+  reg_stamp : int array; (* ...if its stamp is current *)
+  mutable rep : Ir.operand array; (* representative operand of a vn *)
   expr_vn : (key, int) Hashtbl.t; (* value number of an expression *)
-  rep : (int, Ir.operand) Hashtbl.t; (* representative operand of a vn *)
   mem_gen : (string, int) Hashtbl.t; (* store generation per array *)
 }
 
-let fresh st =
+(* The current value number of [r], or -1. *)
+let current st r = if st.reg_stamp.(r) = st.stamp then st.reg_vn.(r) else -1
+
+let set_vn st r v =
+  st.reg_vn.(r) <- v;
+  st.reg_stamp.(r) <- st.stamp
+
+(* A new value number whose representative is [rep]. *)
+let fresh st rep =
   let v = st.next_vn in
+  if v = Array.length st.rep then
+    st.rep <- Array.append st.rep (Array.make (max 16 v) rep);
+  st.rep.(v) <- rep;
   st.next_vn <- v + 1;
   v
 
-let vn_of_reg st r =
-  match Hashtbl.find_opt st.reg_vn r with
+let vn_of_expr st k rep =
+  match Hashtbl.find_opt st.expr_vn k with
   | Some v -> v
   | None ->
-    let v = fresh st in
-    Hashtbl.replace st.reg_vn r v;
-    Hashtbl.replace st.rep v (Ir.Reg r);
+    let v = fresh st rep in
+    Hashtbl.replace st.expr_vn k v;
     v
 
 let vn_of_operand st = function
-  | Ir.Reg r -> vn_of_reg st r
-  | Ir.Imm_int n -> (
-    let k = Kimm_int n in
-    match Hashtbl.find_opt st.expr_vn k with
-    | Some v -> v
-    | None ->
-      let v = fresh st in
-      Hashtbl.replace st.expr_vn k v;
-      Hashtbl.replace st.rep v (Ir.Imm_int n);
-      v)
-  | Ir.Imm_float f -> (
-    let k = Kimm_float f in
-    match Hashtbl.find_opt st.expr_vn k with
-    | Some v -> v
-    | None ->
-      let v = fresh st in
-      Hashtbl.replace st.expr_vn k v;
-      Hashtbl.replace st.rep v (Ir.Imm_float f);
-      v)
+  | Ir.Reg r ->
+    let v = current st r in
+    if v >= 0 then v
+    else
+      let v = fresh st (Ir.Reg r) in
+      set_vn st r v;
+      v
+  | Ir.Imm_int n as imm -> vn_of_expr st (Kimm_int n) imm
+  | Ir.Imm_float f as imm -> vn_of_expr st (Kimm_float f) imm
 
-(* The representative of [vn], if it is still valid: an immediate always
-   is; a register only while its current vn is unchanged. *)
-let valid_rep st vn =
-  match Hashtbl.find_opt st.rep vn with
-  | Some (Ir.Reg r) ->
-    if Hashtbl.find_opt st.reg_vn r = Some vn then Some (Ir.Reg r) else None
-  | Some imm -> Some imm
-  | None -> None
+(* Is the representative of [vn] still valid?  An immediate always is;
+   a register only while its current vn is unchanged. *)
+let valid st vn =
+  match st.rep.(vn) with
+  | Ir.Reg r -> current st r = vn
+  | Ir.Imm_int _ | Ir.Imm_float _ -> true
 
 let canon st changed operand =
   let vn = vn_of_operand st operand in
-  match valid_rep st vn with
-  | Some rep when rep <> operand ->
+  let rep = st.rep.(vn) in
+  if valid st vn && rep <> operand then begin
     incr changed;
     rep
-  | Some _ | None -> operand
+  end
+  else operand
 
+(* [d] takes value [vn]; it becomes the representative only if the old
+   one is a register that no longer holds [vn] (an immediate
+   representative is strictly better). *)
 let define st d vn =
-  Hashtbl.replace st.reg_vn d vn;
-  (* Prefer register representatives only if none exists (an immediate
-     representative is strictly better). *)
-  match Hashtbl.find_opt st.rep vn with
-  | Some (Ir.Reg r) when Hashtbl.find_opt st.reg_vn r <> Some vn ->
-    Hashtbl.replace st.rep vn (Ir.Reg d)
-  | None -> Hashtbl.replace st.rep vn (Ir.Reg d)
-  | Some _ -> ()
+  set_vn st d vn;
+  match st.rep.(vn) with
+  | Ir.Reg r when current st r <> vn -> st.rep.(vn) <- Ir.Reg d
+  | Ir.Reg _ | Ir.Imm_int _ | Ir.Imm_float _ -> ()
 
-let define_fresh st d =
-  let v = fresh st in
-  Hashtbl.replace st.reg_vn d v;
-  Hashtbl.replace st.rep v (Ir.Reg d)
+let define_fresh st d = set_vn st d (fresh st (Ir.Reg d))
 
-let gen_of st arr =
-  match Hashtbl.find_opt st.mem_gen arr with Some g -> g | None -> 0
+let gen_of st arr = Option.value ~default:0 (Hashtbl.find_opt st.mem_gen arr)
+
+(* A pure computation of [d] keyed by [k]: a move from a live
+   representative of [k]'s value, or [instr] with [d] numbered afresh. *)
+let number st changed d k instr =
+  match Hashtbl.find_opt st.expr_vn k with
+  | Some vn when valid st vn ->
+    incr changed;
+    let rep = st.rep.(vn) in
+    define st d vn;
+    Ir.Mov (d, rep)
+  | Some _ | None ->
+    let vn = fresh st (Ir.Reg d) in
+    Hashtbl.replace st.expr_vn k vn;
+    set_vn st d vn;
+    instr
 
 let run_block st (b : Ir.block) changed =
+  let canon = canon st changed in
   let instrs =
     List.map
       (fun instr ->
         match instr with
-        | Ir.Bin (op, d, x, y) -> (
-          let x = canon st changed x and y = canon st changed y in
+        | Ir.Bin (op, d, x, y) ->
+          let x = canon x and y = canon y in
           let vx = vn_of_operand st x and vy = vn_of_operand st y in
-          let vx, vy =
-            if commutative op && vx > vy then (vy, vx) else (vx, vy)
-          in
-          let k = Kbin (op, vx, vy) in
-          match Option.bind (Hashtbl.find_opt st.expr_vn k) (valid_rep st) with
-          | Some rep ->
-            incr changed;
-            let vn = Hashtbl.find st.expr_vn k in
-            define st d vn;
-            Ir.Mov (d, rep)
-          | None ->
-            let vn = fresh st in
-            Hashtbl.replace st.expr_vn k vn;
-            Hashtbl.replace st.reg_vn d vn;
-            Hashtbl.replace st.rep vn (Ir.Reg d);
-            Ir.Bin (op, d, x, y))
-        | Ir.Un (op, d, x) -> (
-          let x = canon st changed x in
-          let k = Kun (op, vn_of_operand st x) in
-          match Option.bind (Hashtbl.find_opt st.expr_vn k) (valid_rep st) with
-          | Some rep ->
-            incr changed;
-            let vn = Hashtbl.find st.expr_vn k in
-            define st d vn;
-            Ir.Mov (d, rep)
-          | None ->
-            let vn = fresh st in
-            Hashtbl.replace st.expr_vn k vn;
-            Hashtbl.replace st.reg_vn d vn;
-            Hashtbl.replace st.rep vn (Ir.Reg d);
-            Ir.Un (op, d, x))
+          let vx, vy = if Ir.commutative op && vx > vy then (vy, vx) else (vx, vy) in
+          number st changed d (Kbin (op, vx, vy)) (Ir.Bin (op, d, x, y))
+        | Ir.Un (op, d, x) ->
+          let x = canon x in
+          number st changed d (Kun (op, vn_of_operand st x)) (Ir.Un (op, d, x))
         | Ir.Mov (d, x) ->
-          let x = canon st changed x in
-          let vn = vn_of_operand st x in
-          define st d vn;
+          let x = canon x in
+          define st d (vn_of_operand st x);
           Ir.Mov (d, x)
-        | Ir.Sel (d, c, a, b) -> (
-          let c = canon st changed c
-          and a = canon st changed a
-          and b = canon st changed b in
+        | Ir.Sel (d, c, a, b) ->
+          let c = canon c and a = canon a and b = canon b in
           let k = Ksel (vn_of_operand st c, vn_of_operand st a, vn_of_operand st b) in
-          match Option.bind (Hashtbl.find_opt st.expr_vn k) (valid_rep st) with
-          | Some rep ->
-            incr changed;
-            let vn = Hashtbl.find st.expr_vn k in
-            define st d vn;
-            Ir.Mov (d, rep)
-          | None ->
-            let vn = fresh st in
-            Hashtbl.replace st.expr_vn k vn;
-            Hashtbl.replace st.reg_vn d vn;
-            Hashtbl.replace st.rep vn (Ir.Reg d);
-            Ir.Sel (d, c, a, b))
-        | Ir.Load (d, arr, idx) -> (
-          let idx = canon st changed idx in
+          number st changed d k (Ir.Sel (d, c, a, b))
+        | Ir.Load (d, arr, idx) ->
+          let idx = canon idx in
           let k = Kload (arr, vn_of_operand st idx, gen_of st arr) in
-          match Option.bind (Hashtbl.find_opt st.expr_vn k) (valid_rep st) with
-          | Some rep ->
-            incr changed;
-            let vn = Hashtbl.find st.expr_vn k in
-            define st d vn;
-            Ir.Mov (d, rep)
-          | None ->
-            let vn = fresh st in
-            Hashtbl.replace st.expr_vn k vn;
-            Hashtbl.replace st.reg_vn d vn;
-            Hashtbl.replace st.rep vn (Ir.Reg d);
-            Ir.Load (d, arr, idx))
+          number st changed d k (Ir.Load (d, arr, idx))
         | Ir.Store (arr, idx, v) ->
-          let idx = canon st changed idx and v = canon st changed v in
+          let idx = canon idx and v = canon v in
           Hashtbl.replace st.mem_gen arr (gen_of st arr + 1);
           Ir.Store (arr, idx, v)
         | Ir.Call (d, name, args) ->
-          let args = List.map (canon st changed) args in
+          let args = List.map canon args in
           Option.iter (define_fresh st) d;
           Ir.Call (d, name, args)
-        | Ir.Send (c, v) -> Ir.Send (c, canon st changed v)
+        | Ir.Send (c, v) -> Ir.Send (c, canon v)
         | Ir.Recv (c, d) ->
           define_fresh st d;
           Ir.Recv (c, d))
@@ -199,26 +156,33 @@ let run_block st (b : Ir.block) changed =
   in
   let term =
     match b.term with
-    | Ir.Branch (c, t, e) -> Ir.Branch (canon st changed c, t, e)
-    | Ir.Ret (Some v) -> Ir.Ret (Some (canon st changed v))
+    | Ir.Branch (c, t, e) -> Ir.Branch (canon c, t, e)
+    | Ir.Ret (Some v) -> Ir.Ret (Some (canon v))
     | (Ir.Jump _ | Ir.Ret None) as t -> t
   in
   { Ir.instrs; term }
 
-(* One sweep over all blocks; local state is reset per block. *)
+(* One sweep over all blocks; numbering starts afresh in each. *)
 let run (f : Ir.func) : int =
   let changed = ref 0 in
+  let nregs = Ir.num_regs f in
+  let st =
+    {
+      next_vn = 0;
+      stamp = 0;
+      reg_vn = Array.make nregs 0;
+      reg_stamp = Array.make nregs (-1);
+      rep = Array.make 64 (Ir.Imm_int 0);
+      expr_vn = Hashtbl.create 64;
+      mem_gen = Hashtbl.create 4;
+    }
+  in
   Array.iteri
     (fun i b ->
-      let st =
-        {
-          next_vn = 0;
-          reg_vn = Hashtbl.create 64;
-          expr_vn = Hashtbl.create 64;
-          rep = Hashtbl.create 64;
-          mem_gen = Hashtbl.create 4;
-        }
-      in
+      st.next_vn <- 0;
+      st.stamp <- i;
+      Hashtbl.clear st.expr_vn;
+      Hashtbl.clear st.mem_gen;
       f.blocks.(i) <- run_block st b changed)
     f.blocks;
   !changed

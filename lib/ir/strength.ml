@@ -40,11 +40,6 @@ let basic_ivs (f : Ir.func) (l : Loops.loop) =
     (fun r site acc -> match site with Some s -> (r, s) :: acc | None -> acc)
     defs []
 
-let fresh_reg (f : Ir.func) ty =
-  let r = Array.length f.reg_ty in
-  f.reg_ty <- Array.append f.reg_ty [| ty |];
-  r
-
 (* Rewrite one multiply; returns true on success. *)
 let reduce_one (f : Ir.func) (l : Loops.loop) =
   let ivs = basic_ivs f l in
@@ -67,7 +62,7 @@ let reduce_one (f : Ir.func) (l : Loops.loop) =
   match !found with
   | None -> false
   | Some (bi, k, d, v, c, ib, ik, s) ->
-    let t = fresh_reg f Ir.Int in
+    let t = Ir.fresh_reg f Ir.Int in
     let pre = Licm.ensure_preheader f l in
     (* preheader: t := v * c *)
     let pb = f.blocks.(pre) in

@@ -33,17 +33,13 @@ type interval = {
 }
 
 let intervals_of (f : Ir.func) : interval list =
-  let nregs = Ir.num_regs f in
-  let params = List.map (fun (_, _, r) -> r) f.params in
-  let table = Hashtbl.create 64 in
+  let table = Array.make (Ir.num_regs f) None in
   let touch r pos =
-    match Hashtbl.find_opt table r with
+    match table.(r) with
     | Some itv ->
       itv.lo <- min itv.lo pos;
       itv.hi <- max itv.hi (pos + 1)
-    | None ->
-      Hashtbl.replace table r
-        { vreg = r; lo = pos; hi = pos + 1; is_param = List.mem r params }
+    | None -> table.(r) <- Some { vreg = r; lo = pos; hi = pos + 1; is_param = false }
   in
   let liveness = Liveness.compute f in
   let pos = ref 0 in
@@ -60,22 +56,17 @@ let intervals_of (f : Ir.func) : interval list =
       List.iter (fun r -> touch r !pos) (Ir.term_uses b.term);
       let block_end = !pos in
       incr pos;
-      Liveness.Rset.iter
-        (fun r -> touch r block_start)
-        liveness.Liveness.live_in.(bi);
-      Liveness.Rset.iter
-        (fun r -> touch r block_end)
-        liveness.Liveness.live_out.(bi))
+      Liveness.iter (fun r -> touch r block_start) liveness.Liveness.live_in.(bi);
+      Liveness.iter (fun r -> touch r block_end) liveness.Liveness.live_out.(bi))
     f.blocks;
   (* Parameters are live from function entry. *)
   List.iter
-    (fun r ->
-      match Hashtbl.find_opt table r with
-      | Some itv -> itv.lo <- 0
-      | None -> Hashtbl.replace table r { vreg = r; lo = 0; hi = 1; is_param = true })
-    params;
-  ignore nregs;
-  Hashtbl.fold (fun _ itv acc -> itv :: acc) table []
+    (fun (_, _, r) ->
+      let hi = match table.(r) with Some itv -> itv.hi | None -> 1 in
+      table.(r) <- Some { vreg = r; lo = 0; hi; is_param = true })
+    f.params;
+  Array.to_list table
+  |> List.filter_map Fun.id
   |> List.sort (fun a b -> compare (a.lo, a.vreg) (b.lo, b.vreg))
 
 (* --- one allocation attempt --- *)
@@ -135,11 +126,7 @@ let try_allocate ~reg_limit (f : Ir.func) : attempt =
    Scratch registers are fresh *virtual* registers here (they get
    allocated in the next attempt — they have tiny intervals). *)
 let insert_spill_code (f : Ir.func) spills slot_of =
-  let fresh ty =
-    let r = Array.length f.Ir.reg_ty in
-    f.Ir.reg_ty <- Array.append f.Ir.reg_ty [| ty |];
-    r
-  in
+  let fresh = Ir.fresh_reg f in
   let is_spilled r = List.mem r spills in
   Array.iteri
     (fun bi (b : Ir.block) ->

@@ -17,19 +17,15 @@
 
 open Midend
 
-module Rset = Liveness.Rset
-
-(* All registers mentioned by the block (defs, uses, terminator). *)
-let mentioned (b : Ir.block) =
-  let acc = ref Rset.empty in
-  let add r = acc := Rset.add r !acc in
+(* The registers the block mentions (defs, uses, terminator) added to
+   [acc]. *)
+let add_mentioned acc (b : Ir.block) =
   List.iter
     (fun instr ->
-      List.iter add (Ir.uses_of instr);
-      match Ir.def_of instr with Some d -> add d | None -> ())
+      List.iter (Liveness.add acc) (Ir.uses_of instr);
+      Option.iter (Liveness.add acc) (Ir.def_of instr))
     b.instrs;
-  List.iter add (Ir.term_uses b.term);
-  !acc
+  List.iter (Liveness.add acc) (Ir.term_uses b.term)
 
 (* Uses must be rewritten against the substitution as of *before* the
    instruction, so operands are computed strictly before [def_to] (which
@@ -66,20 +62,18 @@ let rewrite_instr ~use_of ~def_to instr =
 let run (f : Ir.func) bi =
   let liveness = Liveness.compute f in
   let b = f.Ir.blocks.(bi) in
-  let live_in = liveness.Liveness.live_in.(bi) in
-  let live_out = liveness.Liveness.live_out.(bi) in
-  let term_used = Rset.of_list (Ir.term_uses b.Ir.term) in
-  let keep = Rset.union live_out term_used in
+  (* Values live out or used by the terminator keep their registers. *)
+  let keep = Array.copy liveness.Liveness.live_out.(bi) in
+  List.iter (Liveness.add keep) (Ir.term_uses b.Ir.term);
   let pool =
     (* Ring registers must be untouched by the block AND hold no value
        that lives into or out of it — a register can carry a live value
        straight through a block without being mentioned by it. *)
-    let off_limits =
-      Rset.union (mentioned b) (Rset.union live_in (Rset.union live_out term_used))
-    in
+    let off_limits = Array.map2 ( lor ) keep liveness.Liveness.live_in.(bi) in
+    add_mentioned off_limits b;
     let rec collect r acc =
       if r < 0 then acc
-      else collect (r - 1) (if Rset.mem r off_limits then acc else r :: acc)
+      else collect (r - 1) (if Liveness.mem off_limits r then acc else r :: acc)
     in
     Queue.of_seq (List.to_seq (collect (Machine.num_regs - 1) []))
   in
@@ -88,34 +82,22 @@ let run (f : Ir.func) bi =
      original register (the end of this value's uses); rings freed at
      that point go to the back of the queue. *)
   let subst = Hashtbl.create 16 in (* original reg -> ring reg *)
-  let owner = Hashtbl.create 16 in (* ring reg -> original reg *)
   let use_of r = match Hashtbl.find_opt subst r with Some n -> n | None -> r in
-  let instrs =
-    List.map
-      (fun instr ->
-        (* Rewrite uses against the substitution as of *before* this
-           instruction, then retire/install the def's mapping. *)
-        let def = Ir.def_of instr in
-        let def_to d =
-          (* The previous value of [d] dies here; its ring register (if
-             any) becomes reusable. *)
-          (match Hashtbl.find_opt subst d with
-          | Some ring ->
-            Hashtbl.remove subst d;
-            Hashtbl.remove owner ring;
-            Queue.push ring pool
-          | None -> ());
-          if Rset.mem d keep then d
-          else
-            match Queue.take_opt pool with
-            | Some ring ->
-              Hashtbl.replace subst d ring;
-              Hashtbl.replace owner ring d;
-              ring
-            | None -> d
-        in
-        ignore def;
-        rewrite_instr ~use_of ~def_to instr)
-      b.Ir.instrs
+  let def_to d =
+    (* The previous value of [d] dies here; its ring register (if any)
+       becomes reusable. *)
+    (match Hashtbl.find_opt subst d with
+    | Some ring ->
+      Hashtbl.remove subst d;
+      Queue.push ring pool
+    | None -> ());
+    if Liveness.mem keep d then d
+    else
+      match Queue.take_opt pool with
+      | Some ring ->
+        Hashtbl.replace subst d ring;
+        ring
+      | None -> d
   in
+  let instrs = List.map (rewrite_instr ~use_of ~def_to) b.Ir.instrs in
   f.Ir.blocks.(bi) <- { b with Ir.instrs }

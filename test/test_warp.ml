@@ -1062,6 +1062,35 @@ let test_paper_sizes_golden () =
         (Huge, 1313, 1934, "9ed8ad188b0c20dd5a74a92762c5d70d");
       ]
 
+(* Phase-2 work units and the optimized IR of the paper's five sizes at
+   -O2 and -O3, recorded before liveness, DCE and value numbering were
+   rebuilt on bitsets and arrays: none may move. *)
+let test_paper_sizes_phase2_golden () =
+  List.iter
+    (fun (level, size, opt_work, md5) ->
+      let name = W2.Gen.size_name size in
+      let sec = List.hd (W2.Gen.module_of_function (W2.Gen.sized_function ~name size)).W2.Ast.sections in
+      let fw, _, ir =
+        Driver.Compile.compile_function ~level ~func_rets:(Driver.Compile.func_rets_of sec)
+          ~section:sec.W2.Ast.sname (List.hd sec.W2.Ast.funcs)
+      in
+      let what = Printf.sprintf "%s -O%d" name level in
+      Alcotest.(check int) (what ^ " fw_opt_work") opt_work fw.Driver.Compile.fw_opt_work;
+      Alcotest.(check string) (what ^ " IR MD5") md5 (Digest.to_hex (Digest.string (Ir.func_to_string ir))))
+    W2.Gen.
+      [
+        (2, Tiny, 117, "875ad4f00afb6b4f603b3205cd5566e1");
+        (2, Small, 3145, "1364dfc81fd9df132e6cabf0a167c7d8");
+        (2, Medium, 8995, "98f0e9c1bb2393b82366f1cb32c4509f");
+        (2, Large, 29647, "5ce4a4df1fb0cda56290e6ba4cb9c111");
+        (2, Huge, 38643, "392e0dab1005c75939c68e4e69b6540c");
+        (3, Tiny, 149, "875ad4f00afb6b4f603b3205cd5566e1");
+        (3, Small, 6549, "c04ac49b1bbc77a3244d066bb18b479e");
+        (3, Medium, 11019, "98f0e9c1bb2393b82366f1cb32c4509f");
+        (3, Large, 36343, "5ce4a4df1fb0cda56290e6ba4cb9c111");
+        (3, Huge, 47371, "392e0dab1005c75939c68e4e69b6540c");
+      ]
+
 (* A one-block function whose ops issue at the given cycles. *)
 let verify_placed (placed : (int * Ir.instr) list) =
   let len = 1 + List.fold_left (fun acc (c, _) -> max acc c) 0 placed in
@@ -1109,6 +1138,7 @@ let oracle_suites =
         QCheck_alcotest.to_alcotest prop_mii_matches_linear;
         Alcotest.test_case "mii out of range" `Quick test_mii_out_of_range;
         Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
+        Alcotest.test_case "paper sizes phase-2 golden" `Quick test_paper_sizes_phase2_golden;
         Alcotest.test_case "verify: early consumer" `Quick test_verify_rejects_early_consumer;
         Alcotest.test_case "verify: same-cycle cycle" `Quick test_verify_rejects_same_cycle_cycle;
       ] );
