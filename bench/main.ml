@@ -6,16 +6,7 @@ open Parallel_cc
 
 (* --- one table printer for every figure and sweep --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = W2.Sarif.escape
 
 let rec json_value = function
   | Experiment.Int n -> string_of_int n

@@ -261,56 +261,15 @@ let cap_eff ~max_tracked e =
     in
     { e with r = SS.inter e.r kept; w = SS.inter e.w kept; lim = true }
 
-(* --- Tarjan SCCs over the intra-section call graph --- *)
-
-(* Deterministic: roots are tried in section order and successors are
-   visited in sorted-name order, so SCC ids depend only on the source.
-   The classic invariant gives us exactly the order we want: when an
-   edge caller->callee crosses SCCs, the callee's SCC is numbered
-   first. *)
-let tarjan (succs : int list array) : int array =
-  let n = Array.length succs in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let scc = Array.make n (-1) in
-  let next_index = ref 0 in
-  let next_scc = ref 0 in
-  let rec visit v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun u ->
-        if index.(u) < 0 then begin
-          visit u;
-          lowlink.(v) <- min lowlink.(v) lowlink.(u)
-        end
-        else if on_stack.(u) then lowlink.(v) <- min lowlink.(v) index.(u))
-      succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-          stack := rest;
-          on_stack.(u) <- false;
-          scc.(u) <- !next_scc;
-          if u <> v then pop ()
-      in
-      pop ();
-      incr next_scc
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then visit v
-  done;
-  scc
-
 (* --- per-section analysis --- *)
+
+let predecessors n edges =
+  let preds = Array.make n [] in
+  List.iter (fun e -> preds.(e.e_to) <- e.e_from :: preds.(e.e_to)) edges;
+  preds
+
+(* Antichain levels: longest-path depth over the edges. *)
+let edge_levels n edges = Digraph.levels (predecessors n edges)
 
 (* Canonical one-line rendering of an effect summary; shared by the
    report and the effect-summary hash. *)
@@ -351,35 +310,35 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
         |> List.filter_map (fun name -> Hashtbl.find_opt by_name name))
       direct
   in
-  let scc = tarjan succs in
-  let num_sccs = Array.fold_left (fun m s -> max m (s + 1)) 0 scc in
+  (* Successors are in sorted-name order, so SCC ids depend only on the
+     source, and callee SCCs are numbered before their callers'. *)
+  let scc = Digraph.sccs succs in
+  let scc_members = Digraph.members scc in
   (* Bottom-up SCC fixpoint: callee SCCs (lower ids) first, then
      iterate each SCC until its members' summaries stop changing. *)
   let sweeps = ref 0 in
   let close ~tally base =
     let summary = Array.copy base in
-    for s = 0 to num_sccs - 1 do
-      let members =
-        List.filter (fun i -> scc.(i) = s) (List.init n (fun i -> i))
-      in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        if tally then incr sweeps;
-        List.iter
-          (fun i ->
-            let fresh =
-              List.fold_left
-                (fun acc j -> eff_union acc summary.(j))
-                base.(i) succs.(i)
-            in
-            if not (eff_equal fresh summary.(i)) then begin
-              summary.(i) <- fresh;
-              changed := true
-            end)
-          members
-      done
-    done;
+    Array.iter
+      (fun members ->
+        let changed = ref true in
+        while !changed do
+          changed := false;
+          if tally then incr sweeps;
+          List.iter
+            (fun i ->
+              let fresh =
+                List.fold_left
+                  (fun acc j -> eff_union acc summary.(j))
+                  base.(i) succs.(i)
+              in
+              if not (eff_equal fresh summary.(i)) then begin
+                summary.(i) <- fresh;
+                changed := true
+              end)
+            members
+        done)
+      scc_members;
     summary
   in
   let summary = close ~tally:true direct in
@@ -391,11 +350,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   in
   (* Canonical rank: SCC id first (callees before callers), section
      order second.  Every edge points from lower rank to higher. *)
-  let order =
-    List.sort
-      (fun a b -> compare (scc.(a), a) (scc.(b), b))
-      (List.init n (fun i -> i))
-  in
+  let order = List.concat (Array.to_list scc_members) in
   let rankpos = Array.make n 0 in
   List.iteri (fun pos i -> rankpos.(i) <- pos) order;
   let edge_tbl : (int * int, reason list ref) Hashtbl.t =
@@ -425,18 +380,13 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   (* Same-SCC members genuinely need each other; serialize them as a
      chain in section order (any topological serialization of a cycle
      is equally conservative). *)
-  for s = 0 to num_sccs - 1 do
-    let members =
-      List.filter (fun i -> scc.(i) = s) (List.init n (fun i -> i))
-    in
-    let rec chain = function
-      | a :: (b :: _ as rest) ->
-        add_edge a b Sig_agreement;
-        chain rest
-      | _ -> ()
-    in
-    chain members
-  done;
+  let rec chain = function
+    | a :: (b :: _ as rest) ->
+      add_edge a b Sig_agreement;
+      chain rest
+    | _ -> ()
+  in
+  Array.iter chain scc_members;
   (* Data coupling, over summarized effects: write/any-access global
      conflicts and shared-channel pairs. *)
   for i = 0 to n - 1 do
@@ -497,21 +447,6 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
     done
   done;
   let si_hot = List.sort compare !hot in
-  (* Antichain levels: longest-path depth.  Ranks only grow along
-     edges, so one pass in rank order suffices. *)
-  let depth = Array.make n 0 in
-  List.iter
-    (fun v ->
-      List.iter
-        (fun e -> if e.e_to = v then depth.(v) <- max depth.(v) (depth.(e.e_from) + 1))
-        edges)
-    order;
-  let max_depth = Array.fold_left max 0 depth in
-  let levels =
-    List.init (max_depth + 1) (fun d ->
-        List.filter (fun i -> depth.(i) = d) (List.init n (fun i -> i)))
-    |> List.filter (fun l -> l <> [])
-  in
   (* Stable effect-summary hash, the groundwork for content-addressed
      compilation caching: a function's key covers its own rendered
      source, its closed effect summary, and — in rank order, so callees
@@ -558,7 +493,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
     si_cells = sec.cells;
     si_funcs = Array.mapi func_info funcs;
     si_edges = edges;
-    si_levels = levels;
+    si_levels = edge_levels n edges;
     si_fixpoint_sweeps = !sweeps;
     si_pruned = [];
     si_disjoint = [];
@@ -623,31 +558,6 @@ let refine_section ~max_intervals (sec : Ast.section) (si : section_info) :
       si.si_edges
   in
   let pruned = List.rev !pruned in
-  (* Levels over the pruned DAG, walked in the original canonical rank
-     order (edges only ever point forward in it, and deleting edges
-     cannot break that). *)
-  let order =
-    List.sort
-      (fun a b ->
-        compare
-          (si.si_funcs.(a).fi_scc, a)
-          (si.si_funcs.(b).fi_scc, b))
-      (List.init n (fun i -> i))
-  in
-  let depth = Array.make n 0 in
-  List.iter
-    (fun v ->
-      List.iter
-        (fun e ->
-          if e.e_to = v then depth.(v) <- max depth.(v) (depth.(e.e_from) + 1))
-        edges)
-    order;
-  let max_depth = Array.fold_left max 0 depth in
-  let levels =
-    List.init (max_depth + 1) (fun d ->
-        List.filter (fun i -> depth.(i) = d) (List.init n (fun i -> i)))
-    |> List.filter (fun l -> l <> [])
-  in
   (* Globals every write/access pair of which is element-disjoint: the
      W008 false-positive fix downgrades their coupling warning to a
      note.  Pairing is over the functions whose direct effects touch
@@ -694,7 +604,7 @@ let refine_section ~max_intervals (sec : Ast.section) (si : section_info) :
     si with
     si_funcs = funcs;
     si_edges = edges;
-    si_levels = levels;
+    si_levels = edge_levels n edges;
     si_pruned = pruned;
     si_disjoint = disjoint;
   }
@@ -726,52 +636,21 @@ let successors (si : section_info) : int list array =
   List.iter (fun e -> adj.(e.e_from) <- e.e_to :: adj.(e.e_from)) si.si_edges;
   adj
 
-let reaches adj i j =
-  let seen = Array.make (Array.length adj) false in
-  let rec go v =
-    v = j
-    || List.exists
-         (fun u ->
-           if seen.(u) then false
-           else begin
-             seen.(u) <- true;
-             go u
-           end)
-         adj.(v)
-  in
-  go i
-
 let dependent si i j =
   let adj = successors si in
-  reaches adj i j || reaches adj j i
+  (Digraph.reach adj i).(j) || (Digraph.reach adj j).(i)
 
 let independent si i j = not (dependent si i j)
 
+(* Edges only point forward in rank, so each dependent unordered pair
+   is one ordered reachable pair. *)
 let licensed_fraction (si : section_info) : float =
   let n = Array.length si.si_funcs in
   if n < 2 then 1.0
-  else begin
-    let adj = successors si in
-    let dependent_pairs = ref 0 in
-    for i = 0 to n - 1 do
-      let seen = Array.make n false in
-      let rec go v =
-        List.iter
-          (fun u ->
-            if not seen.(u) then begin
-              seen.(u) <- true;
-              incr dependent_pairs;
-              go u
-            end)
-          adj.(v)
-      in
-      go i
-    done;
-    (* Edges only point forward in rank, so each dependent unordered
-       pair is counted exactly once (from its lower-ranked end). *)
-    let total = n * (n - 1) / 2 in
-    1.0 -. (float_of_int !dependent_pairs /. float_of_int total)
-  end
+  else
+    1.0
+    -. float_of_int (Digraph.dependent_pairs (successors si))
+       /. float_of_int (n * (n - 1) / 2)
 
 let edges_by_name (si : section_info) =
   List.map
@@ -801,8 +680,7 @@ let cache_salt ~opt_level ~verify_each =
 
 let cache_keys ~salt (si : section_info) : string array =
   let n = Array.length si.si_funcs in
-  let preds = Array.make n [] in
-  List.iter (fun e -> preds.(e.e_to) <- e.e_from :: preds.(e.e_to)) si.si_edges;
+  let preds = predecessors n si.si_edges in
   let keys = Array.make n "" in
   (* [si_edges] form a DAG by construction, so the recursion grounds
      out; predecessor keys are concatenated in ascending index order
@@ -1013,20 +891,7 @@ let to_dot (t : t) : string =
 
 (* --- JSON (schema warpcc-analyze/3) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = W2.Sarif.escape
 
 let json_strings items =
   "[" ^ String.concat ", "

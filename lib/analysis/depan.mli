@@ -184,6 +184,9 @@ val analyze :
 
 val section : t -> string -> section_info option
 
+val successors : section_info -> int list array
+(** [si_edges] as a successor array indexed like [si_funcs]. *)
+
 val dependent : section_info -> int -> int -> bool
 (** Is there a directed path between the two functions (either way)? *)
 
@@ -262,3 +265,7 @@ val to_json : t -> string
     here, ["project"] for {!Modan.to_json}).  The absint fields stay
     present under [--no-absint]: ["pruned"] and ["disjoint_globals"]
     are empty arrays, ["purity"] and ["cost"] are [null]. *)
+
+val json_strings : string list -> string
+(** A JSON array of string literals, items escaped by
+    {!W2.Sarif.escape} and separated by [", "]. *)

@@ -570,7 +570,6 @@ type clo = {
 
 let compose (modules : module_summary list) : link =
   let mods = Array.of_list modules in
-  let nm = Array.length mods in
   let mod_idx = Hashtbl.create 64 in
   Array.iteri
     (fun i m ->
@@ -588,70 +587,24 @@ let compose (modules : module_summary list) : link =
           Hashtbl.replace def_of w.ws_name (i, j))
         m.ms_funcs)
     mods;
-  (* module condensation: Tarjan over importer -> provider edges.  An
-     SCC pops only after every SCC it reaches (its providers), so SCC
-     ids ascend from providers to importers and double as the
-     condensation's topological rank. *)
-  let providers i =
-    List.filter_map
-      (fun (p, _, _) -> Hashtbl.find_opt mod_idx p)
-      mods.(i).ms_imports
+  (* module condensation over importer -> provider edges: provider SCCs
+     get lower ids, so the ids double as the condensation's
+     topological rank *)
+  let providers =
+    Array.map
+      (fun m -> List.filter_map (fun (p, _, _) -> Hashtbl.find_opt mod_idx p) m.ms_imports)
+      mods
   in
-  let idx = Array.make nm (-1) in
-  let low = Array.make nm 0 in
-  let onstack = Array.make nm false in
-  let scc_of = Array.make nm (-1) in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let nscc = ref 0 in
-  let sccs_rev = ref [] in
-  let rec strongconnect v =
-    idx.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    onstack.(v) <- true;
-    List.iter
-      (fun w ->
-        if idx.(w) < 0 then begin
-          strongconnect w;
-          low.(v) <- min low.(v) low.(w)
-        end
-        else if onstack.(w) then low.(v) <- min low.(v) idx.(w))
-      (providers v);
-    if low.(v) = idx.(v) then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          onstack.(w) <- false;
-          scc_of.(w) <- !nscc;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> assert false
-      in
-      let comp = List.sort compare (pop []) in
-      sccs_rev := comp :: !sccs_rev;
-      incr nscc
-    end
-  in
-  for v = 0 to nm - 1 do
-    if idx.(v) < 0 then strongconnect v
-  done;
-  let mod_rank = Array.make nm 0 in
-  let order =
-    List.sort
-      (fun a b -> compare (scc_of.(a), a) (scc_of.(b), b))
-      (List.init nm (fun i -> i))
-  in
-  List.iteri (fun r i -> mod_rank.(i) <- r) order;
-  let lk_order = List.map (fun i -> mods.(i).ms_module) order in
+  let scc_of = Digraph.sccs providers in
+  let scc_members = Digraph.members scc_of in
+  let order = List.concat (Array.to_list scc_members) in
+  let mod_name i = mods.(i).ms_module in
+  let lk_order = List.map mod_name order in
   let lk_sccs =
-    List.filter_map
-      (fun comp ->
-        if List.length comp > 1 then
-          Some (List.map (fun i -> mods.(i).ms_module) comp)
-        else None)
-      (List.rev !sccs_rev)
+    Array.to_list scc_members
+    |> List.filter_map (function
+         | _ :: _ :: _ as comp -> Some (List.map mod_name comp)
+         | _ -> None)
   in
   (* global function ranks: modules in condensation order, functions in
      their module's own canonical order (local SCC id, then section
@@ -856,57 +809,30 @@ let compose (modules : module_summary list) : link =
       preds.(b) <- a :: preds.(b);
       succs.(a) <- b :: succs.(a))
     edge_tbl;
-  let level = Array.make nfuncs 0 in
-  for r = 0 to nfuncs - 1 do
-    level.(r) <-
-      List.fold_left (fun acc p -> max acc (level.(p) + 1)) 0 preds.(r)
-  done;
-  let max_level = Array.fold_left max 0 level in
   let lk_levels =
-    List.init (max_level + 1) (fun l ->
-        let names = ref [] in
-        for r = nfuncs - 1 downto 0 do
-          if level.(r) = l then names := (fsum r).ws_name :: !names
-        done;
-        !names)
-    |> List.filter (fun l -> l <> [])
+    List.map (List.map (fun r -> (fsum r).ws_name)) (Digraph.levels preds)
   in
-  let mlevel = Array.make nm 0 in
-  List.iter
-    (fun i ->
-      mlevel.(i) <-
-        List.fold_left
-          (fun acc p -> if scc_of.(p) <> scc_of.(i) then max acc (mlevel.(p) + 1) else acc)
-          0 (providers i))
-    order;
-  let max_mlevel = Array.fold_left max 0 mlevel in
+  (* antichains of the condensation: a cycle shares one level *)
+  let scc_preds =
+    Array.map
+      (List.concat_map (fun i ->
+           List.filter_map
+             (fun p -> if scc_of.(p) <> scc_of.(i) then Some scc_of.(p) else None)
+             providers.(i)))
+      scc_members
+  in
   let lk_module_levels =
-    List.init (max_mlevel + 1) (fun l ->
-        List.filter_map
-          (fun i -> if mlevel.(i) = l then Some mods.(i).ms_module else None)
-          order)
-    |> List.filter (fun l -> l <> [])
+    List.map
+      (List.concat_map (fun s -> List.map mod_name scc_members.(s)))
+      (Digraph.levels scc_preds)
   in
-  let dependent_pairs = ref 0 in
-  let seen = Bytes.create nfuncs in
-  for r = 0 to nfuncs - 1 do
-    Bytes.fill seen 0 nfuncs '\000';
-    let rec visit v =
-      List.iter
-        (fun s ->
-          if Bytes.get seen s = '\000' then begin
-            Bytes.set seen s '\001';
-            incr dependent_pairs;
-            visit s
-          end)
-        succs.(v)
-    in
-    visit r
-  done;
   let total_pairs = nfuncs * (nfuncs - 1) / 2 in
   let lk_licensed =
     if total_pairs = 0 then 1.0
-    else 1.0 -. (float_of_int !dependent_pairs /. float_of_int total_pairs)
+    else
+      1.0
+      -. float_of_int (Digraph.dependent_pairs succs)
+         /. float_of_int total_pairs
   in
   let lk_funcs =
     List.init nfuncs (fun r ->
@@ -1206,23 +1132,8 @@ let to_dot link =
   line "}";
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (spf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_strings l =
-  "[" ^ String.concat ", " (List.map (fun s -> spf "\"%s\"" (json_escape s)) l) ^ "]"
+let json_escape = Sarif.escape
+let json_strings = Depan.json_strings
 
 let to_json link =
   let buf = Buffer.create 4096 in

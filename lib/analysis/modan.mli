@@ -176,7 +176,10 @@ type link = {
   lk_levels : string list list;
       (** function antichains of the composed DAG *)
   lk_module_levels : string list list;
-      (** antichains of the module condensation *)
+      (** antichains of the module condensation: a module's level is
+          the length of the longest provider chain below its SCC, so
+          every member of an import cycle sits on one level.  Each
+          level lists its modules in [lk_order] order. *)
   lk_licensed : float;
       (** fraction of unordered function pairs with no path either way
           — the project-wide analogue of

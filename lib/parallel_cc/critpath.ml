@@ -675,18 +675,7 @@ let whatif_table ?bound (p : profile) : Stats.Table.t =
 
 (* --- JSON (schema warpcc-profile/1) --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = W2.Sarif.escape
 
 (* Buckets and elapsed print with %.17g so the exact-sum invariant
    survives the round-trip: a consumer can re-add the buckets in schema

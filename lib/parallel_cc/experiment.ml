@@ -622,23 +622,15 @@ let profile_sweep ?(cfg = Config.default) () : row list =
 let edit_closure (t : Analysis.Depan.t) name : int =
   List.fold_left
     (fun acc (si : Analysis.Depan.section_info) ->
-      if
-        Array.exists
+      match
+        Array.find_index
           (fun fi -> fi.Analysis.Depan.fi_name = name)
           si.Analysis.Depan.si_funcs
-      then begin
-        let edges = Analysis.Depan.edges_by_name si in
-        let reached = Hashtbl.create 8 in
-        let rec go n =
-          if not (Hashtbl.mem reached n) then begin
-            Hashtbl.replace reached n ();
-            List.iter (fun (f, t', _) -> if f = n then go t') edges
-          end
-        in
-        go name;
-        acc + Hashtbl.length reached
-      end
-      else acc)
+      with
+      | Some i ->
+        let reached = Analysis.Digraph.reach (Analysis.Depan.successors si) i in
+        acc + Array.fold_left (fun k r -> if r then k + 1 else k) 0 reached
+      | None -> acc)
     0 t.Analysis.Depan.dp_sections
 
 (* The most coupled function of the module: editing it invalidates the

@@ -173,36 +173,6 @@ let task_deps ~(func_deps : (string * (string * string) list) list) ~section
     edges;
   Array.map (List.sort_uniq compare) deps
 
-(* Stable Kahn over [n] nodes and index edges [(i, j)] (i before j):
-   repeatedly emit the smallest-index ready node, so an order that
-   already respects every edge comes back unchanged.  Residual cycles
-   (none once task cycles are merged; the analysis emits a DAG) are
-   broken at the first unemitted node, keeping the function total. *)
-let stable_topo n (edges : (int * int) list) : int list =
-  let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  List.iter
-    (fun (i, j) ->
-      succs.(i) <- j :: succs.(i);
-      indeg.(j) <- indeg.(j) + 1)
-    edges;
-  let taken = Array.make n false in
-  let out = ref [] in
-  for _ = 1 to n do
-    let next = ref (-1) in
-    for i = n - 1 downto 0 do
-      if (not taken.(i)) && indeg.(i) = 0 then next := i
-    done;
-    if !next < 0 then
-      for i = n - 1 downto 0 do
-        if not taken.(i) then next := i
-      done;
-    taken.(!next) <- true;
-    List.iter (fun j -> indeg.(j) <- indeg.(j) - 1) succs.(!next);
-    out := !next :: !out
-  done;
-  List.rev !out
-
 (* Order a task's functions so every function-level edge inside the
    task points forward.  Needed after merging: batching can put a
    dependent pair into one dispatch unit, and the unit must compile
@@ -214,14 +184,14 @@ let order_funcs_by_deps (edges : (string * string) list)
   Array.iteri
     (fun i fw -> Hashtbl.replace index fw.Driver.Compile.fw_name i)
     arr;
-  List.filter_map
+  let preds = Array.make (Array.length arr) [] in
+  List.iter
     (fun (a, b) ->
       match (Hashtbl.find_opt index a, Hashtbl.find_opt index b) with
-      | Some i, Some j when i <> j -> Some (i, j)
-      | _ -> None)
-    edges
-  |> stable_topo (Array.length arr)
-  |> List.map (Array.get arr)
+      | Some i, Some j when i <> j -> preds.(j) <- i :: preds.(j)
+      | _ -> ())
+    edges;
+  List.map (Array.get arr) (Analysis.Digraph.stable_topo preds)
 
 (* Merge task-level dependence cycles into single dispatch units.  A
    grouped plan can pack coupled functions apart (f with h, g alone,
@@ -237,69 +207,22 @@ let merge_task_cycles (edges : (string * string) list)
   let succs = Array.make n [] in
   Array.iteri (fun j ds -> List.iter (fun i -> succs.(i) <- j :: succs.(i)) ds) deps;
   Array.iteri (fun i l -> succs.(i) <- List.sort_uniq compare l) succs;
-  (* Tarjan, deterministic by index order. *)
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let scc = Array.make n (-1) in
-  let next_index = ref 0 in
-  let next_scc = ref 0 in
-  let rec visit v =
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    List.iter
-      (fun u ->
-        if index.(u) < 0 then begin
-          visit u;
-          lowlink.(v) <- min lowlink.(v) lowlink.(u)
-        end
-        else if on_stack.(u) then lowlink.(v) <- min lowlink.(v) index.(u))
-      succs.(v);
-    if lowlink.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-          stack := rest;
-          on_stack.(u) <- false;
-          scc.(u) <- !next_scc;
-          if u <> v then pop ()
-      in
-      pop ();
-      incr next_scc
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then visit v
-  done;
+  let scc = Analysis.Digraph.sccs succs in
+  let members = Analysis.Digraph.members scc in
   (* Emit one task per SCC, at the position of its first member. *)
-  let seen = Hashtbl.create 8 in
   List.concat
     (List.init n (fun i ->
-         let s = scc.(i) in
-         if Hashtbl.mem seen s then []
-         else begin
-           Hashtbl.replace seen s ();
-           let members =
-             List.filter (fun j -> scc.(j) = s) (List.init n (fun j -> j))
-           in
-           match members with
-           | [ j ] -> [ arr.(j) ]
-           | _ ->
-             let funcs =
-               List.concat_map (fun j -> arr.(j).Plan.t_funcs) members
-             in
-             [
-               {
-                 Plan.t_section = arr.(i).Plan.t_section;
-                 t_funcs = order_funcs_by_deps edges funcs;
-               };
-             ]
-         end))
+         match members.(scc.(i)) with
+         | [ j ] -> [ arr.(j) ]
+         | first :: _ as ms when first = i ->
+           let funcs = List.concat_map (fun j -> arr.(j).Plan.t_funcs) ms in
+           [
+             {
+               Plan.t_section = arr.(i).Plan.t_section;
+               t_funcs = order_funcs_by_deps edges funcs;
+             };
+           ]
+         | _ -> []))
 
 (* Stable topological FCFS over a task graph: on an edge-free section
    this is the identity permutation, so the plan — and with it the
@@ -307,37 +230,7 @@ let merge_task_cycles (edges : (string * string) list)
 let topo_fcfs (deps : int list array) (tasks : Plan.task list) :
     Plan.task list =
   let arr = Array.of_list tasks in
-  Array.to_list deps
-  |> List.mapi (fun j ds -> List.map (fun i -> (i, j)) ds)
-  |> List.concat
-  |> stable_topo (Array.length arr)
-  |> List.map (Array.get arr)
-
-(* Antichain levels of the task graph (longest-path depth).  Tasks in
-   one level are pairwise independent, so LPT ordering and tiny-task
-   batching may permute and merge freely inside a level without
-   breaking dependence order. *)
-let task_levels (deps : int list array) : int list list =
-  let n = Array.length deps in
-  let depth = Array.make n (-1) in
-  let rec depth_of i =
-    if depth.(i) >= 0 then depth.(i)
-    else begin
-      (* longest path over predecessors; deps form a DAG here *)
-      let d =
-        List.fold_left (fun acc j -> max acc (depth_of j + 1)) 0 deps.(i)
-      in
-      depth.(i) <- d;
-      d
-    end
-  in
-  for i = 0 to n - 1 do
-    ignore (depth_of i)
-  done;
-  let max_depth = Array.fold_left max 0 depth in
-  List.init (max_depth + 1) (fun d ->
-      List.filter (fun i -> depth.(i) = d) (List.init n (fun i -> i)))
-  |> List.filter (fun l -> l <> [])
+  List.map (Array.get arr) (Analysis.Digraph.stable_topo deps)
 
 (* Every policy but [Fcfs] runs one pipeline per section, switched by
    its traits:
@@ -385,7 +278,7 @@ let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
       if not lpt then topo_fcfs deps tasks
       else
         let arr = Array.of_list tasks in
-        task_levels deps
+        Analysis.Digraph.levels deps
         |> List.concat_map (fun level ->
                let level_tasks = List.map (Array.get arr) level in
                order_lpt costf

@@ -270,6 +270,62 @@ let test_compose_pins () =
   Alcotest.(check bool) "func_deps carries it" true
     (List.mem ("pf", "main") (Analysis.Modan.func_deps link))
 
+(* --- an import cycle is one antichain --- *)
+
+(* ma and mb import each other and mb imports mc: module levels are
+   antichains of the condensation, so the cycle sits on one level above
+   mc, while function levels stay the function DAG's. *)
+let cycle_modules () =
+  List.map parse
+    [
+      {|module ma
+  import mb (fb(int) : int);
+  export fa;
+  section sa cells 1
+  function fa(n: int) : int
+  begin
+    return fb(n) + 1;
+  end
+  end
+end
+|};
+      {|module mb
+  import ma (fa(int) : int);
+  import mc (fc(int) : int);
+  export fb;
+  section sb cells 1
+  function fb(n: int) : int
+  begin
+    if n > 0 then
+      return fa(n - 1);
+    end;
+    return fc(n);
+  end
+  end
+end
+|};
+      {|module mc
+  export fc;
+  section sc cells 1
+  function fc(n: int) : int
+  begin
+    return n * 2;
+  end
+  end
+end
+|};
+    ]
+
+let test_import_cycle_levels () =
+  let link = compose_modules (cycle_modules ()) in
+  let names = Alcotest.(list (list string)) in
+  Alcotest.(check (list string)) "order" [ "mc"; "ma"; "mb" ] link.Analysis.Modan.lk_order;
+  Alcotest.check names "sccs" [ [ "ma"; "mb" ] ] link.Analysis.Modan.lk_sccs;
+  Alcotest.check names "module levels" [ [ "mc" ]; [ "ma"; "mb" ] ]
+    link.Analysis.Modan.lk_module_levels;
+  Alcotest.check names "function levels" [ [ "fc"; "fa" ]; [ "fb" ] ]
+    link.Analysis.Modan.lk_levels
+
 (* --- cross-module lints --- *)
 
 let test_w010_absent_provider () =
@@ -503,6 +559,8 @@ let suites =
         Alcotest.test_case "generated projects lint" `Quick
           test_generated_projects_lint;
         QCheck_alcotest.to_alcotest prop_composed_superset;
+        Alcotest.test_case "import cycle is one level" `Quick
+          test_import_cycle_levels;
       ] );
     ( "modan.sched",
       [
