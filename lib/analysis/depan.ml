@@ -179,71 +179,20 @@ let direct_effects ~globals (f : Ast.func) : eff =
   in
   let is_global n = SS.mem n globals && not (SS.mem n bound) in
   let e = ref eff_empty in
-  let read n = if is_global n then e := { !e with r = SS.add n !e.r } in
-  let write n = if is_global n then e := { !e with w = SS.add n !e.w } in
-  let call n =
-    if not (Ast.is_builtin n) then e := { !e with cs = SS.add n !e.cs }
-  in
-  let send = function
-    | Ast.Chan_x -> e := { !e with sx = true }
-    | Ast.Chan_y -> e := { !e with sy = true }
-  in
-  let recv = function
-    | Ast.Chan_x -> e := { !e with rx = true }
-    | Ast.Chan_y -> e := { !e with ry = true }
-  in
-  let rec expr (x : Ast.expr) =
-    match x.e with
-    | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ -> ()
-    | Ast.Var n -> read n
-    | Ast.Index (n, i) ->
-      read n;
-      expr i
-    | Ast.Unary (_, a) -> expr a
-    | Ast.Binary (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Call (n, args) ->
-      call n;
-      List.iter expr args
-  in
-  let lvalue = function
-    | Ast.Lvar n -> write n
-    | Ast.Lindex (n, i) ->
-      write n;
-      expr i
-  in
-  let rec stmt (s : Ast.stmt) =
-    match s.s with
-    | Ast.Assign (lv, x) ->
-      expr x;
-      lvalue lv
-    | Ast.If (c, t, f) ->
-      expr c;
-      List.iter stmt t;
-      List.iter stmt f
-    | Ast.While (c, b) ->
-      expr c;
-      List.iter stmt b
-    | Ast.For (v, lo, hi, b) ->
-      write v;
-      (* no-op unless v is (illegally) a global *)
-      expr lo;
-      expr hi;
-      List.iter stmt b
-    | Ast.Send (c, x) ->
-      send c;
-      expr x
-    | Ast.Receive (c, lv) ->
-      recv c;
-      lvalue lv
-    | Ast.Return None -> ()
-    | Ast.Return (Some x) -> expr x
-    | Ast.Call_stmt (n, args) ->
-      call n;
-      List.iter expr args
-  in
-  List.iter stmt f.body;
+  Ast.iter_stmts
+    (fun o ->
+      let x = !e in
+      e :=
+        match o with
+        | Ast.Read n when is_global n -> { x with r = SS.add n x.r }
+        | Ast.Write n when is_global n -> { x with w = SS.add n x.w }
+        | Ast.Call n when not (Ast.is_builtin n) -> { x with cs = SS.add n x.cs }
+        | Ast.Send Ast.Chan_x -> { x with sx = true }
+        | Ast.Send Ast.Chan_y -> { x with sy = true }
+        | Ast.Recv Ast.Chan_x -> { x with rx = true }
+        | Ast.Recv Ast.Chan_y -> { x with ry = true }
+        | Ast.Read _ | Ast.Write _ | Ast.Call _ -> x)
+    f.body;
   !e
 
 (* Cap the tracked-global footprint.  Keeping the lexicographically
@@ -449,9 +398,11 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   let si_hot = List.sort compare !hot in
   (* Stable effect-summary hash, the groundwork for content-addressed
      compilation caching: a function's key covers its own rendered
-     source, its closed effect summary, and — in rank order, so callees
-     are already hashed — the keys of everything it calls.  Members of
-     a call cycle reference each other by name (their own source is
+     source, its closed effect summary, the declarations of the globals
+     Lower localizes into it (name and type, in the section order Lower
+     lays their storage out in), and — in rank order, so callees are
+     already hashed — the keys of everything it calls.  Members of a
+     call cycle reference each other by name (their own source is
      already under the digest, so the cycle stays stable). *)
   let hash = Array.make n "" in
   List.iter
@@ -469,6 +420,11 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
              (String.concat "\x00"
                 (W2.Pretty.func_to_string funcs.(i)
                 :: effects_line (effects_of_eff summary.(i))
+                :: String.concat ","
+                     (List.map
+                        (fun (d : Ast.decl) ->
+                          d.dname ^ ":" ^ Ast.ty_to_string d.dty)
+                        (Ast.localized_globals sec.globals funcs.(i)))
                 :: callee_keys))))
     order;
   let func_info i (f : Ast.func) =
@@ -664,18 +620,18 @@ let edges_by_name (si : section_info) =
 
    A function's compile-cache key must change exactly when its
    phase-2/3 artifact could: when its own resolved source changes
-   ([fi_hash] covers the rendered text, the closed summary and the
-   callees' hashes), when any dependence predecessor changes (an edge
-   means "compile that first" — its output is an input of this
-   compilation), or when the compiler configuration changes (the
-   salt).  Folding the predecessors' KEYS (not merely their hashes)
+   ([fi_hash] covers the rendered text, the closed summary, the
+   declarations of the globals it localizes and the callees' hashes),
+   when any dependence predecessor changes (an edge means "compile
+   that first" — its output is an input of this compilation), or when
+   the compiler configuration changes (the salt).  Folding the predecessors' KEYS (not merely their hashes)
    into the digest closes the derivation over the whole [si_edges]
    ancestry, so a one-function edit invalidates precisely the function
    and its transitive dependents — the invalidation contract
    [Parallel_cc.Cache] documents. *)
 
 let cache_salt ~opt_level ~verify_each =
-  Printf.sprintf "warpcc-cache/1:-O%d%s" opt_level
+  Printf.sprintf "warpcc-cache/2:-O%d%s" opt_level
     (if verify_each then ":verify-each" else "")
 
 let cache_keys ~salt (si : section_info) : string array =

@@ -112,9 +112,11 @@ type func_info = {
   fi_summary : effects; (** closed over everything it calls *)
   fi_hash : string;
       (** stable effect-summary hash (MD5 hex over the function's
-          rendered source, its closed summary, and its callees' hashes
-          in rank order) — the groundwork for content-addressed
-          compilation caching *)
+          rendered source, its closed summary, the declarations of the
+          globals it localizes ({!W2.Ast.localized_globals}: name and
+          type, in section order) and its callees' hashes in rank
+          order) — the groundwork for content-addressed compilation
+          caching *)
   fi_purity : Absint.purity option;
       (** abstract-interpretation verdict; [None] when absint is off *)
   fi_cost : Absint.itv option;

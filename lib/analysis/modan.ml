@@ -987,8 +987,8 @@ let inline_project ?(name = "linked") (modules : Ast.modul list) : Ast.modul =
     modules;
   let rename_func rename (f : Ast.func) =
     (* parameters and locals shadow section globals (W2 scoping is
-       function-level: no block scoping, and for-variables are declared
-       locals), so shadowed names stay untouched *)
+       function-level, with no block scoping), so shadowed names stay
+       untouched; a global for variable follows its global *)
     let shadow =
       SS.of_list
         (List.map (fun (p : Ast.param) -> p.Ast.pname) f.Ast.params
@@ -998,39 +998,7 @@ let inline_project ?(name = "linked") (modules : Ast.modul list) : Ast.modul =
       if SS.mem v shadow then v
       else match Hashtbl.find_opt rename v with Some v' -> v' | None -> v
     in
-    let rec rx (e : Ast.expr) =
-      {
-        e with
-        Ast.e =
-          (match e.Ast.e with
-          | Ast.Var v -> Ast.Var (rn v)
-          | Ast.Index (v, i) -> Ast.Index (rn v, rx i)
-          | Ast.Unary (o, a) -> Ast.Unary (o, rx a)
-          | Ast.Binary (o, a, b) -> Ast.Binary (o, rx a, rx b)
-          | Ast.Call (f, args) -> Ast.Call (f, List.map rx args)
-          | (Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _) as n -> n);
-      }
-    in
-    let rlv = function
-      | Ast.Lvar v -> Ast.Lvar (rn v)
-      | Ast.Lindex (v, i) -> Ast.Lindex (rn v, rx i)
-    in
-    let rec rs (s : Ast.stmt) =
-      {
-        s with
-        Ast.s =
-          (match s.Ast.s with
-          | Ast.Assign (lv, e) -> Ast.Assign (rlv lv, rx e)
-          | Ast.If (c, t, f) -> Ast.If (rx c, List.map rs t, List.map rs f)
-          | Ast.While (c, b) -> Ast.While (rx c, List.map rs b)
-          | Ast.For (v, lo, hi, b) -> Ast.For (v, rx lo, rx hi, List.map rs b)
-          | Ast.Send (c, e) -> Ast.Send (c, rx e)
-          | Ast.Receive (c, lv) -> Ast.Receive (c, rlv lv)
-          | Ast.Return e -> Ast.Return (Option.map rx e)
-          | Ast.Call_stmt (f, args) -> Ast.Call_stmt (f, List.map rx args));
-      }
-    in
-    { f with Ast.body = List.map rs f.Ast.body }
+    { f with Ast.body = Ast.rename rn f.Ast.body }
   in
   let globals = ref [] and funcs = ref [] and cells = ref 1 in
   List.iter

@@ -281,54 +281,6 @@ let rec lower_stmt b (stmt : W2.Ast.stmt) =
 
 let scalar_default = Ir.Imm_int 0
 
-(* Variable names a function body mentions; used to decide which section
-   globals it localizes. *)
-let referenced_names (f : W2.Ast.func) =
-  let names = Hashtbl.create 16 in
-  let add n = Hashtbl.replace names n () in
-  let rec expr (e : W2.Ast.expr) =
-    match e.e with
-    | W2.Ast.Var v -> add v
-    | W2.Ast.Index (v, i) ->
-      add v;
-      expr i
-    | W2.Ast.Unary (_, x) -> expr x
-    | W2.Ast.Binary (_, a, b) ->
-      expr a;
-      expr b
-    | W2.Ast.Call (_, args) -> List.iter expr args
-    | W2.Ast.Int_lit _ | W2.Ast.Float_lit _ | W2.Ast.Bool_lit _ -> ()
-  and lvalue = function
-    | W2.Ast.Lvar v -> add v
-    | W2.Ast.Lindex (v, i) ->
-      add v;
-      expr i
-  and stmt (s : W2.Ast.stmt) =
-    match s.s with
-    | W2.Ast.Assign (lv, e) ->
-      lvalue lv;
-      expr e
-    | W2.Ast.If (c, a, b) ->
-      expr c;
-      List.iter stmt a;
-      List.iter stmt b
-    | W2.Ast.While (c, b) ->
-      expr c;
-      List.iter stmt b
-    | W2.Ast.For (v, lo, hi, b) ->
-      add v;
-      expr lo;
-      expr hi;
-      List.iter stmt b
-    | W2.Ast.Send (_, e) -> expr e
-    | W2.Ast.Receive (_, lv) -> lvalue lv
-    | W2.Ast.Return (Some e) -> expr e
-    | W2.Ast.Return None -> ()
-    | W2.Ast.Call_stmt (_, args) -> List.iter expr args
-  in
-  List.iter stmt f.body;
-  names
-
 let lower_function ~func_rets ?(globals = []) (f : W2.Ast.func) : Ir.func =
   let b =
     {
@@ -370,11 +322,7 @@ let lower_function ~func_rets ?(globals = []) (f : W2.Ast.func) : Ir.func =
   (* Section globals the body mentions are localized: each activation
      gets its own default-initialized storage, matching the reference
      interpreter and the cell simulator's register-window model. *)
-  (let used = referenced_names f in
-   List.iter
-     (fun (d : W2.Ast.decl) ->
-       if Hashtbl.mem used d.dname then declare_storage d)
-     globals);
+  List.iter declare_storage (W2.Ast.localized_globals globals f);
   List.iter declare_storage f.locals;
   List.iter (lower_stmt b) f.body;
   terminate b (Ir.Ret None);

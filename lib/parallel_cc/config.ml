@@ -10,7 +10,6 @@ type t = {
   fine_grained : bool; (* split phases 2 and 3 into separate tasks *)
   opt_level : int;
   noise_seed : int; (* 0 = no measurement noise *)
-  noise_amplitude : float; (* +/- fraction on CPU times *)
   sched_policy : Sched.policy; (* dispatch order/batching; [Fcfs] =
                                   the paper's behaviour, bit-identical *)
   batch_threshold : float; (* tasks under this many estimated seconds
@@ -43,7 +42,6 @@ let default =
     fine_grained = false;
     opt_level = 2;
     noise_seed = 0;
-    noise_amplitude = 0.04;
     (* FCFS keeps the paper's timings; 60 s separates f_tiny/f_small
        tasks (≈10/78 estimated seconds) from everything the paper
        calls worth a processor of its own. *)
@@ -66,7 +64,10 @@ let backoff_delay (cfg : t) ~step =
   cfg.retry_backoff_seconds *. (2.0 ** float_of_int step)
 
 (* Deterministic multiplicative noise, mirroring the paper's repeated
-   measurements (individual runs deviate a few percent; section 4.2). *)
+   measurements (individual runs deviate a few percent; section 4.2):
+   +/- this fraction on CPU times. *)
+let noise_amplitude = 0.04
+
 let noise (cfg : t) : int -> float =
   if cfg.noise_seed = 0 then fun _ -> 1.0
   else begin
@@ -74,7 +75,7 @@ let noise (cfg : t) : int -> float =
     fun _salt ->
       state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
       let u = float_of_int !state /. 1073741824.0 in
-      1.0 +. (cfg.noise_amplitude *. ((2.0 *. u) -. 1.0))
+      1.0 +. (noise_amplitude *. ((2.0 *. u) -. 1.0))
   end
 
 let cluster (cfg : t) : Netsim.Host.cluster =

@@ -10,7 +10,6 @@ type t = {
   fine_grained : bool; (** split phases 2 and 3 into separate tasks *)
   opt_level : int;
   noise_seed : int; (** 0 = no measurement noise *)
-  noise_amplitude : float; (** +/- fraction on CPU times *)
   sched_policy : Sched.policy;
       (** dispatch scheduling applied to the plan before the section
           masters fork ({!Sched.Fcfs}, the default, keeps the paper's
@@ -64,7 +63,9 @@ val backoff_delay : t -> step:int -> float
 
 val noise : t -> int -> float
 (** Deterministic multiplicative noise stream, mirroring the paper's
-    repeated measurements (§4.2); the argument salts the sequence. *)
+    repeated measurements (§4.2): a factor within ±4% of 1 on CPU
+    times, or exactly 1 when [noise_seed = 0].  Each call advances the
+    stream; the argument is ignored. *)
 
 val cluster : t -> Netsim.Host.cluster
 (** A fresh cluster per the configuration. *)

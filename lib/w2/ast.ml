@@ -30,6 +30,16 @@ type unop = Neg | Not
    neighbour. *)
 type channel = Chan_x | Chan_y
 
+(* One variable, call or channel position of a body.  Declared before
+   [expr] and [stmt] so their [Call] and [Send] stay the default
+   constructors of those names. *)
+type occurrence =
+  | Read of string
+  | Write of string
+  | Call of string
+  | Send of channel
+  | Recv of channel
+
 type expr = { e : expr_node; eloc : Loc.t }
 
 and expr_node =
@@ -162,6 +172,104 @@ let binop_to_string = function
   | Or -> "or"
 
 let channel_to_string = function Chan_x -> "X" | Chan_y -> "Y"
+
+(* The one syntactic walk over bodies.  An indexed array is read by
+   [Index] and written by [Lindex]; a for variable is written; an
+   assignment's value comes before its target; every call, builtins
+   included, is reported and the consumer filters. *)
+let rec iter_expr (f : occurrence -> unit) (x : expr) =
+  match x.e with
+  | Int_lit _ | Float_lit _ | Bool_lit _ -> ()
+  | Var n -> f (Read n)
+  | Index (n, i) ->
+    f (Read n);
+    iter_expr f i
+  | Unary (_, a) -> iter_expr f a
+  | Binary (_, a, b) ->
+    iter_expr f a;
+    iter_expr f b
+  | Call (n, args) ->
+    f (Call n : occurrence);
+    List.iter (iter_expr f) args
+
+let iter_lvalue f = function
+  | Lvar n -> f (Write n)
+  | Lindex (n, i) ->
+    f (Write n);
+    iter_expr f i
+
+let rec iter_stmts (f : occurrence -> unit) (stmts : stmt list) =
+  List.iter
+    (fun (st : stmt) ->
+      match st.s with
+      | Assign (lv, x) ->
+        iter_expr f x;
+        iter_lvalue f lv
+      | If (c, t, e) ->
+        iter_expr f c;
+        iter_stmts f t;
+        iter_stmts f e
+      | While (c, b) ->
+        iter_expr f c;
+        iter_stmts f b
+      | For (v, lo, hi, b) ->
+        f (Write v);
+        iter_expr f lo;
+        iter_expr f hi;
+        iter_stmts f b
+      | Send (c, x) ->
+        f (Send c : occurrence);
+        iter_expr f x
+      | Receive (c, lv) ->
+        f (Recv c);
+        iter_lvalue f lv
+      | Return x -> Option.iter (iter_expr f) x
+      | Call_stmt (n, args) ->
+        f (Call n : occurrence);
+        List.iter (iter_expr f) args)
+    stmts
+
+let rename (f : string -> string) (stmts : stmt list) =
+  let rec expr (x : expr) =
+    let e =
+      match x.e with
+      | (Int_lit _ | Float_lit _ | Bool_lit _) as lit -> lit
+      | Var n -> Var (f n)
+      | Index (n, i) -> Index (f n, expr i)
+      | Unary (op, a) -> Unary (op, expr a)
+      | Binary (op, a, b) -> Binary (op, expr a, expr b)
+      | Call (n, args) -> Call (n, List.map expr args)
+    in
+    { x with e }
+  in
+  let lvalue = function
+    | Lvar n -> Lvar (f n)
+    | Lindex (n, i) -> Lindex (f n, expr i)
+  in
+  let rec stmt (st : stmt) =
+    let s =
+      match st.s with
+      | Assign (lv, x) -> Assign (lvalue lv, expr x)
+      | If (c, t, e) -> If (expr c, List.map stmt t, List.map stmt e)
+      | While (c, b) -> While (expr c, List.map stmt b)
+      | For (v, lo, hi, b) -> For (f v, expr lo, expr hi, List.map stmt b)
+      | Send (c, x) -> Send (c, expr x)
+      | Receive (c, lv) -> Receive (c, lvalue lv)
+      | Return x -> Return (Option.map expr x)
+      | Call_stmt (n, args) -> Call_stmt (n, List.map expr args)
+    in
+    { st with s }
+  in
+  List.map stmt stmts
+
+let localized_globals (globals : decl list) (fn : func) =
+  let mentioned = Hashtbl.create 16 in
+  iter_stmts
+    (function
+      | Read n | Write n -> Hashtbl.replace mentioned n ()
+      | Call _ | Send _ | Recv _ -> ())
+    fn.body;
+  List.filter (fun d -> Hashtbl.mem mentioned d.dname) globals
 
 (* Structural metrics used by the load-balancing heuristic of section 4.3
    ("a combination of lines of code and loop nesting can serve as

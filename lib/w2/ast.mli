@@ -29,6 +29,15 @@ type channel = Chan_x | Chan_y
 (** The two systolic data channels of a cell.  X flows left to right
     through the array; Y flows right to left. *)
 
+(** One variable, call or channel position of a body, as reported by
+    {!iter_stmts}. *)
+type occurrence =
+  | Read of string
+  | Write of string
+  | Call of string  (** every call, builtins included *)
+  | Send of channel
+  | Recv of channel
+
 type expr = { e : expr_node; eloc : Loc.t }
 
 and expr_node =
@@ -123,6 +132,27 @@ val is_builtin : string -> bool
 val ty_to_string : ty -> string
 val binop_to_string : binop -> string
 val channel_to_string : channel -> string
+
+(** {1 Names, calls and channels}
+
+    The one syntactic walk every analysis of a body shares.  It reports
+    the array of an [Index] as a [Read] and of an [Lindex] as a
+    [Write], a for variable as a [Write], an assignment's value before
+    its target, and every call including builtins.  Scoping is the
+    consumer's business: a name is reported whether it is a parameter,
+    a local or a global. *)
+
+val iter_expr : (occurrence -> unit) -> expr -> unit
+val iter_stmts : (occurrence -> unit) -> stmt list -> unit
+
+val rename : (string -> string) -> stmt list -> stmt list
+(** Apply a renaming to every variable position, for variables
+    included; call names and channels are untouched. *)
+
+val localized_globals : decl list -> func -> decl list
+(** The section globals (given in declaration order) a function body
+    mentions, in that order: the storage the backend localizes into
+    each activation. *)
 
 (** {1 Structural metrics}
 

@@ -7,7 +7,7 @@
    function operated upon will also improve the speedup obtained by the
    parallel compiler."
 
-   A callee is inlinable when it is small, has no calls of its own, and
+   A callee is inlinable when it is small, calls no user function, and
    returns only as its last statement.  A call site is expanded when its
    evaluation point is unconditional within its statement: anywhere in
    an assignment right-hand side, a return, a send, an if condition or
@@ -24,34 +24,6 @@ type stats = { mutable inlined : int; mutable skipped : int }
 let dummy = Loc.dummy
 
 (* --- inlinability --- *)
-
-let rec has_calls_stmts stmts = List.exists has_calls_stmt stmts
-
-and has_calls_stmt (s : Ast.stmt) =
-  match s.s with
-  | Ast.Assign (lv, e) -> has_calls_lvalue lv || has_calls_expr e
-  | Ast.If (c, a, b) -> has_calls_expr c || has_calls_stmts a || has_calls_stmts b
-  | Ast.While (c, b) -> has_calls_expr c || has_calls_stmts b
-  | Ast.For (_, lo, hi, b) ->
-    has_calls_expr lo || has_calls_expr hi || has_calls_stmts b
-  | Ast.Send (_, e) -> has_calls_expr e
-  | Ast.Receive (_, lv) -> has_calls_lvalue lv
-  | Ast.Return (Some e) -> has_calls_expr e
-  | Ast.Return None -> false
-  | Ast.Call_stmt _ -> true
-
-and has_calls_expr (e : Ast.expr) =
-  match e.e with
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _ -> false
-  | Ast.Index (_, i) -> has_calls_expr i
-  | Ast.Unary (_, x) -> has_calls_expr x
-  | Ast.Binary (_, a, b) -> has_calls_expr a || has_calls_expr b
-  | Ast.Call (name, args) ->
-    (not (Ast.is_builtin name)) || List.exists has_calls_expr args
-
-and has_calls_lvalue = function
-  | Ast.Lvar _ -> false
-  | Ast.Lindex (_, i) -> has_calls_expr i
 
 (* Returns appear only as the very last statement. *)
 let rec no_early_returns = function
@@ -77,60 +49,24 @@ and no_returns stmts =
       | Ast.Assign _ | Ast.Send _ | Ast.Receive _ | Ast.Call_stmt _ -> true)
     stmts
 
-(* A variable mentioned by the body that is neither a parameter nor a
-   local must be a section global (semcheck admits nothing else). *)
-let has_free_vars (f : Ast.func) =
+(* Inlinable bodies call no user function and mention only parameters
+   and locals: any other variable is a section global (semcheck admits
+   nothing else). *)
+let leaf_and_closed (f : Ast.func) =
   let bound = Hashtbl.create 8 in
   List.iter (fun (p : Ast.param) -> Hashtbl.replace bound p.pname ()) f.params;
   List.iter (fun (d : Ast.decl) -> Hashtbl.replace bound d.dname ()) f.locals;
-  let free = ref false in
-  let name n = if not (Hashtbl.mem bound n) then free := true in
-  let rec expr (e : Ast.expr) =
-    match e.e with
-    | Ast.Var v -> name v
-    | Ast.Index (v, i) ->
-      name v;
-      expr i
-    | Ast.Unary (_, x) -> expr x
-    | Ast.Binary (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Call (_, args) -> List.iter expr args
-    | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ -> ()
-  and lvalue = function
-    | Ast.Lvar v -> name v
-    | Ast.Lindex (v, i) ->
-      name v;
-      expr i
-  and stmt (s : Ast.stmt) =
-    match s.s with
-    | Ast.Assign (lv, e) ->
-      lvalue lv;
-      expr e
-    | Ast.If (c, a, b) ->
-      expr c;
-      List.iter stmt a;
-      List.iter stmt b
-    | Ast.While (c, b) ->
-      expr c;
-      List.iter stmt b
-    | Ast.For (v, lo, hi, b) ->
-      name v;
-      expr lo;
-      expr hi;
-      List.iter stmt b
-    | Ast.Send (_, e) -> expr e
-    | Ast.Receive (_, lv) -> lvalue lv
-    | Ast.Return (Some e) -> expr e
-    | Ast.Return None -> ()
-    | Ast.Call_stmt (_, args) -> List.iter expr args
-  in
-  List.iter stmt f.body;
-  !free
+  let ok = ref true in
+  Ast.iter_stmts
+    (function
+      | Ast.Call n -> if not (Ast.is_builtin n) then ok := false
+      | Ast.Read n | Ast.Write n -> if not (Hashtbl.mem bound n) then ok := false
+      | Ast.Send _ | Ast.Recv _ -> ())
+    f.body;
+  !ok
 
 let inlinable ~max_lines (f : Ast.func) =
   Ast.func_lines f <= max_lines
-  && (not (has_calls_stmts f.body))
   && no_early_returns f.body
   (* Array locals would need per-activation zeroing loops at every
      splice point; such callees stay out of line. *)
@@ -142,47 +78,7 @@ let inlinable ~max_lines (f : Ast.func) =
        f.locals
   (* Globals are localized per activation; splicing the body into a
      caller would silently merge the two activations' copies. *)
-  && not (has_free_vars f)
-
-(* --- renaming --- *)
-
-let rec rename_expr table (e : Ast.expr) : Ast.expr =
-  let node =
-    match e.e with
-    | Ast.Var v -> Ast.Var (try Hashtbl.find table v with Not_found -> v)
-    | Ast.Index (v, i) ->
-      Ast.Index ((try Hashtbl.find table v with Not_found -> v), rename_expr table i)
-    | Ast.Unary (op, x) -> Ast.Unary (op, rename_expr table x)
-    | Ast.Binary (op, a, b) -> Ast.Binary (op, rename_expr table a, rename_expr table b)
-    | Ast.Call (name, args) -> Ast.Call (name, List.map (rename_expr table) args)
-    | (Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _) as lit -> lit
-  in
-  { e with Ast.e = node }
-
-let rename_lvalue table = function
-  | Ast.Lvar v -> Ast.Lvar (try Hashtbl.find table v with Not_found -> v)
-  | Ast.Lindex (v, i) ->
-    Ast.Lindex ((try Hashtbl.find table v with Not_found -> v), rename_expr table i)
-
-let rec rename_stmt table (s : Ast.stmt) : Ast.stmt =
-  let node =
-    match s.s with
-    | Ast.Assign (lv, e) -> Ast.Assign (rename_lvalue table lv, rename_expr table e)
-    | Ast.If (c, a, b) ->
-      Ast.If (rename_expr table c, List.map (rename_stmt table) a, List.map (rename_stmt table) b)
-    | Ast.While (c, b) -> Ast.While (rename_expr table c, List.map (rename_stmt table) b)
-    | Ast.For (v, lo, hi, b) ->
-      Ast.For
-        ( (try Hashtbl.find table v with Not_found -> v),
-          rename_expr table lo,
-          rename_expr table hi,
-          List.map (rename_stmt table) b )
-    | Ast.Send (c, e) -> Ast.Send (c, rename_expr table e)
-    | Ast.Receive (c, lv) -> Ast.Receive (c, rename_lvalue table lv)
-    | Ast.Return e -> Ast.Return (Option.map (rename_expr table) e)
-    | Ast.Call_stmt (name, args) -> Ast.Call_stmt (name, List.map (rename_expr table) args)
-  in
-  { s with Ast.s = node }
+  && leaf_and_closed f
 
 (* --- expansion --- *)
 
@@ -235,7 +131,9 @@ let expand_call ctx (callee : Ast.func) (args : Ast.expr list) :
   let result =
     fresh ctx ("ret_" ^ callee.fname) (Option.value ~default:Ast.Tint callee.ret)
   in
-  let body = List.map (rename_stmt table) callee.body in
+  let body =
+    Ast.rename (fun v -> Option.value ~default:v (Hashtbl.find_opt table v)) callee.body
+  in
   (* The last statement is the (only) return; turn it into an
      assignment to the result temporary. *)
   let rec replace_tail = function
@@ -380,49 +278,13 @@ let prune_section ~roots (sec : Ast.section) : Ast.section =
       Hashtbl.replace live name ();
       match Hashtbl.find_opt by_name name with
       | None -> ()
-      | Some f -> List.iter visit (called_names f)
+      | Some f ->
+        Ast.iter_stmts
+          (function
+            | Ast.Call n when not (Ast.is_builtin n) -> visit n
+            | _ -> ())
+          f.body
     end
-  and called_names (f : Ast.func) =
-    let acc = ref [] in
-    let rec expr (e : Ast.expr) =
-      match e.e with
-      | Ast.Call (name, args) ->
-        if not (Ast.is_builtin name) then acc := name :: !acc;
-        List.iter expr args
-      | Ast.Binary (_, a, b) ->
-        expr a;
-        expr b
-      | Ast.Unary (_, x) | Ast.Index (_, x) -> expr x
-      | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _ -> ()
-    and lvalue = function
-      | Ast.Lvar _ -> ()
-      | Ast.Lindex (_, i) -> expr i
-    and stmt (s : Ast.stmt) =
-      match s.s with
-      | Ast.Assign (lv, e) ->
-        lvalue lv;
-        expr e
-      | Ast.If (c, a, b) ->
-        expr c;
-        List.iter stmt a;
-        List.iter stmt b
-      | Ast.While (c, b) ->
-        expr c;
-        List.iter stmt b
-      | Ast.For (_, lo, hi, b) ->
-        expr lo;
-        expr hi;
-        List.iter stmt b
-      | Ast.Send (_, e) -> expr e
-      | Ast.Receive (_, lv) -> lvalue lv
-      | Ast.Return (Some e) -> expr e
-      | Ast.Return None -> ()
-      | Ast.Call_stmt (name, args) ->
-        if not (Ast.is_builtin name) then acc := name :: !acc;
-        List.iter expr args
-    in
-    List.iter stmt f.body;
-    !acc
   in
   List.iter visit roots;
   { sec with Ast.funcs = List.filter (fun (f : Ast.func) -> Hashtbl.mem live f.fname) sec.funcs }

@@ -1,7 +1,8 @@
 (** Procedure inlining (the paper's section 5.1) and call-graph
     pruning.
 
-    A callee is inlinable when it is small, has no calls of its own,
+    A callee is inlinable when it is small, calls no user function
+    (builtins are fine, in expressions and as statements),
     declares no array locals, and returns only as its last statement.
     A call site is expanded when its evaluation point is unconditional
     within its statement — not under the short-circuit right operand of

@@ -19,18 +19,8 @@ let warn out ?func ~code ~loc message =
 
 (* --- expression reads --- *)
 
-let rec expr_reads f (expr : Ast.expr) =
-  match expr.e with
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ -> ()
-  | Ast.Var name -> f name
-  | Ast.Index (name, index) ->
-    f name;
-    expr_reads f index
-  | Ast.Unary (_, operand) -> expr_reads f operand
-  | Ast.Binary (_, left, right) ->
-    expr_reads f left;
-    expr_reads f right
-  | Ast.Call (_, args) -> List.iter (expr_reads f) args
+let iter_reads f =
+  Ast.iter_expr (function Ast.Read name -> f name | _ -> ())
 
 (* Is an expression a compile-time constant?  Calls are excluded even
    for builtins: sqrt(-1.0) is a runtime error, not a constant. *)
@@ -64,7 +54,7 @@ let lint_func out (f : Ast.func) =
     | Ast.Lvar name -> write name
     | Ast.Lindex (name, index) ->
       write name;
-      expr_reads read index
+      iter_reads read index
   in
   (* Straight-line dead stores: a scalar assigned twice with no
      intervening read.  [pending] maps a variable to the location of its
@@ -74,7 +64,7 @@ let lint_func out (f : Ast.func) =
   let rec walk_stmts ~loop_vars stmts =
     let pending : (string, Loc.t) Hashtbl.t = Hashtbl.create 8 in
     let read_clears name = Hashtbl.remove pending name in
-    let reads_of_expr e = expr_reads (fun n -> read n; read_clears n) e in
+    let reads_of_expr e = iter_reads (fun n -> read n; read_clears n) e in
     let unreachable_reported = ref false in
     let returned = ref false in
     List.iter
@@ -101,7 +91,7 @@ let lint_func out (f : Ast.func) =
             | None -> ());
             Hashtbl.replace pending name stmt.sloc
           | Ast.Lindex (name, index) ->
-            expr_reads (fun n -> read n; read_clears n) index;
+            reads_of_expr index;
             read_clears name (* array cells are not tracked individually *));
           lvalue_write lv
         | Ast.If (cond, then_branch, else_branch) ->
@@ -134,7 +124,7 @@ let lint_func out (f : Ast.func) =
                 ("receive into enclosing for-loop variable '" ^ name ^ "'");
             Hashtbl.replace pending name stmt.sloc
           | Ast.Lindex (name, index) ->
-            expr_reads (fun n -> read n; read_clears n) index;
+            reads_of_expr index;
             read_clears name);
           lvalue_write target
         | Ast.Return None -> returned := true
@@ -168,47 +158,6 @@ let lint_func out (f : Ast.func) =
 
 (* --- section-level analysis --- *)
 
-let rec stmt_calls f (stmt : Ast.stmt) =
-  let expr e = expr_calls f e in
-  match stmt.s with
-  | Ast.Assign (lv, value) ->
-    lvalue_calls f lv;
-    expr value
-  | Ast.If (cond, t, e) ->
-    expr cond;
-    List.iter (stmt_calls f) t;
-    List.iter (stmt_calls f) e
-  | Ast.While (cond, body) ->
-    expr cond;
-    List.iter (stmt_calls f) body
-  | Ast.For (_, lo, hi, body) ->
-    expr lo;
-    expr hi;
-    List.iter (stmt_calls f) body
-  | Ast.Send (_, value) -> expr value
-  | Ast.Receive (_, target) -> lvalue_calls f target
-  | Ast.Return None -> ()
-  | Ast.Return (Some value) -> expr value
-  | Ast.Call_stmt (name, args) ->
-    f name;
-    List.iter expr args
-
-and expr_calls f (expr : Ast.expr) =
-  match expr.e with
-  | Ast.Int_lit _ | Ast.Float_lit _ | Ast.Bool_lit _ | Ast.Var _ -> ()
-  | Ast.Index (_, index) -> expr_calls f index
-  | Ast.Unary (_, operand) -> expr_calls f operand
-  | Ast.Binary (_, left, right) ->
-    expr_calls f left;
-    expr_calls f right
-  | Ast.Call (name, args) ->
-    f name;
-    List.iter (expr_calls f) args
-
-and lvalue_calls f = function
-  | Ast.Lvar _ -> ()
-  | Ast.Lindex (_, index) -> expr_calls f index
-
 (* The first function of a section is its entry point by convention
    (any function can be invoked from the host, but the download module
    needs at least the first one); helpers beyond it should be reachable
@@ -218,8 +167,8 @@ let lint_section out (sec : Ast.section) =
   let called = Hashtbl.create 16 in
   List.iter
     (fun (f : Ast.func) ->
-      List.iter
-        (stmt_calls (fun name -> Hashtbl.replace called name ()))
+      Ast.iter_stmts
+        (function Ast.Call name -> Hashtbl.replace called name () | _ -> ())
         f.body)
     sec.funcs;
   match sec.funcs with

@@ -345,6 +345,75 @@ let test_chaos_spec_quarantine () =
     (warm.Timings.cache_hits >= n);
   Alcotest.(check int) "racy warm: no misses" 0 warm.Timings.cache_misses
 
+(* --- keys cover the globals Lower localizes --- *)
+
+(* One function [f] over [decls]; [body] mentions some of them. *)
+let global_module decls body =
+  Printf.sprintf
+    {|module m
+  section s cells 1
+  %s
+  function f(i: int) : int
+  begin
+    %s
+    return i;
+  end
+  end
+end|}
+    decls body
+
+let sole_key src =
+  match keys_of (Driver.Compile.compile_source ~level:2 src) with
+  | [ (_, k) ] -> k
+  | keys -> Alcotest.failf "expected one key, got %d" (List.length keys)
+
+(* The phase-2/3 output of [f] alone, as encoded image bytes. *)
+let sole_bytes src =
+  let m = W2.Parser.module_of_string src in
+  let sec = List.hd m.W2.Ast.sections in
+  let _, mf, _ =
+    Driver.Compile.compile_function ~level:2 ~globals:sec.W2.Ast.globals
+      ~func_rets:(Driver.Compile.func_rets_of sec) ~section:sec.W2.Ast.sname
+      (List.hd sec.W2.Ast.funcs)
+  in
+  Warp.Asm.encode
+    (Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells [ mf ])
+
+(* An edit changes the key exactly when it changes the bytes. *)
+let check_global_edit label ~before ~after ~changes =
+  Alcotest.(check bool) (label ^ ": bytes change") changes
+    (sole_bytes before <> sole_bytes after);
+  Alcotest.(check bool) (label ^ ": key changes") changes
+    (sole_key before <> sole_key after)
+
+let test_global_resize () =
+  let body = "g[i] := g[i] + 1.0;" in
+  check_global_edit "array[16] -> array[64]" ~changes:true
+    ~before:(global_module "var g : array[16] of float;" body)
+    ~after:(global_module "var g : array[64] of float;" body)
+
+let test_global_retype () =
+  let body = "g[i] := g[i + 1];" in
+  check_global_edit "of float -> of int" ~changes:true
+    ~before:(global_module "var g : array[16] of float;" body)
+    ~after:(global_module "var g : array[16] of int;" body)
+
+let test_global_reorder () =
+  let body = "a[i] := b[i];" in
+  check_global_edit "a, b -> b, a" ~changes:true
+    ~before:
+      (global_module "var a : array[8] of float;\n  var b : array[8] of float;" body)
+    ~after:
+      (global_module "var b : array[8] of float;\n  var a : array[8] of float;" body)
+
+let test_unmentioned_global () =
+  let body = "g[i] := g[i] + 1.0;" in
+  check_global_edit "unmentioned h resized" ~changes:false
+    ~before:
+      (global_module "var g : array[16] of float;\n  var h : array[4] of int;" body)
+    ~after:
+      (global_module "var g : array[16] of float;\n  var h : array[32] of int;" body)
+
 (* --- properties --- *)
 
 (* The tentpole property: one semantics-neutral edit changes exactly
@@ -380,6 +449,14 @@ let suites =
           test_edit_invalidates_exactly_closure;
         Alcotest.test_case "untouched keys are stable" `Quick
           test_untouched_keys_stable;
+        Alcotest.test_case "global resize changes key and bytes" `Quick
+          test_global_resize;
+        Alcotest.test_case "global retype changes key and bytes" `Quick
+          test_global_retype;
+        Alcotest.test_case "global reorder changes key and bytes" `Quick
+          test_global_reorder;
+        Alcotest.test_case "unmentioned global keeps key and bytes" `Quick
+          test_unmentioned_global;
       ] );
     ( "cache.runtime",
       [

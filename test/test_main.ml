@@ -6,4 +6,5 @@ let () =
     @ Test_sched.suites @ Test_spec.suites @ Test_depan.suites
     @ Test_absint.suites @ Test_fuzz.suites @ Test_stats.suites
     @ Test_trace.suites @ Test_critpath.suites @ Test_cache.suites
-    @ Test_modan.suites @ Test_lintfix.suites @ Test_digraph.suites)
+    @ Test_modan.suites @ Test_lintfix.suites @ Test_digraph.suites
+    @ Test_ast.suites)

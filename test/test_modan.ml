@@ -181,6 +181,40 @@ let test_artifact_rejects_garbage () =
       | _ -> Alcotest.fail "expected Artifact_error")
     [ ""; "not an artifact"; "warpcc-wsi/999\nmodule m\n" ]
 
+(* Corruptions of real artifacts: every truncation at a line boundary,
+   every single-line drop and duplication, and one bit flip per byte
+   (the flipped bit cycling through the byte).  [of_artifact] may
+   accept a corrupted artifact or raise [Artifact_error]; nothing else
+   may escape. *)
+let artifact_corruptions a =
+  let lines = String.split_on_char '\n' a in
+  let n = List.length lines in
+  let keep f = String.concat "\n" (List.concat (List.mapi f lines)) in
+  List.init n (fun k -> keep (fun i l -> if i < k then [ l ] else []))
+  @ List.init n (fun k -> keep (fun i l -> if i = k then [] else [ l ]))
+  @ List.init n (fun k -> keep (fun i l -> if i = k then [ l; l ] else [ l ]))
+  @ List.init (String.length a) (fun k ->
+        String.mapi
+          (fun i c -> if i = k then Char.chr (Char.code c lxor (1 lsl (k mod 8))) else c)
+          a)
+
+let check_artifact_input src =
+  match Analysis.Modan.of_artifact src with
+  | _ | (exception Analysis.Modan.Artifact_error _) -> ()
+  | exception e ->
+    Alcotest.failf "of_artifact raised %s on:\n%s" (Printexc.to_string e) src
+
+let test_artifact_fuzz () =
+  List.iter
+    (fun shape ->
+      let mods = W2.Gen.project_program ~modules:4 ~seed:3 ~shape () in
+      List.iter
+        (fun s ->
+          List.iter check_artifact_input
+            (artifact_corruptions (Analysis.Modan.to_artifact s)))
+        (summarize_all mods))
+    W2.Gen.all_shapes
+
 let test_compose_from_artifacts () =
   let mods = W2.Gen.project_program ~modules:8 ~seed:5 ~shape:W2.Gen.Clustered () in
   let direct = compose_modules mods in
@@ -541,6 +575,8 @@ let suites =
         Alcotest.test_case "artifact round-trip" `Quick test_artifact_roundtrip;
         Alcotest.test_case "artifact rejects garbage" `Quick
           test_artifact_rejects_garbage;
+        Alcotest.test_case "artifact fuzz: only Artifact_error escapes"
+          `Quick test_artifact_fuzz;
         Alcotest.test_case "compose from artifacts" `Quick
           test_compose_from_artifacts;
         Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
