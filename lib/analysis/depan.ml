@@ -247,11 +247,8 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   Array.iteri
     (fun i (f : Ast.func) -> Hashtbl.replace by_name f.fname i)
     funcs;
-  let direct =
-    Array.map
-      (fun f -> cap_eff ~max_tracked (direct_effects ~globals f))
-      funcs
-  in
+  let full_direct = Array.map (direct_effects ~globals) funcs in
+  let direct = Array.map (cap_eff ~max_tracked) full_direct in
   let succs =
     Array.map
       (fun e ->
@@ -294,9 +291,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   (* Full-precision closure over the UNCAPPED direct effects (the call
      sets are never capped, so the graph is the same): the commit
      oracle's ground truth for whether a pair actually shares state. *)
-  let full_summary =
-    close ~tally:false (Array.map (direct_effects ~globals) funcs)
-  in
+  let full_summary = close ~tally:false full_direct in
   (* Canonical rank: SCC id first (callees before callers), section
      order second.  Every edge points from lower rank to higher. *)
   let order = List.concat (Array.to_list scc_members) in

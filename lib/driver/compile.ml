@@ -57,7 +57,7 @@ type module_work = {
 let all_diags (mw : module_work) : W2.Diag.t list =
   W2.Diag.sort (List.concat_map (fun s -> s.sw_diags) mw.mw_sections)
 
-let count_tokens source = List.length (W2.Lexer.tokenize source)
+let count_tokens source = W2.Lexer.count source
 
 let ast_nodes (f : W2.Ast.func) =
   W2.Ast.stmt_count f.W2.Ast.body + List.length f.W2.Ast.locals
@@ -85,12 +85,14 @@ let compile_function ?(level = 2) ?(verify_each = false) ?(diags = [])
   | [] -> ()
   | violations -> raise (verify_failure violations));
   let compiled = Warp.Codegen.compile_function ir in
+  (* The size figures come from one rendering of the function. *)
+  let text = W2.Pretty.func_to_string f in
   let work =
     {
       fw_name = f.W2.Ast.fname;
       fw_section = section;
-      fw_loc = W2.Pretty.func_loc f;
-      fw_tokens = count_tokens (W2.Pretty.func_to_string f);
+      fw_loc = W2.Pretty.source_lines text;
+      fw_tokens = count_tokens text;
       fw_ast_nodes = ast_nodes f;
       fw_ir_instrs;
       fw_opt_work = stats.Midend.Opt.work;

@@ -28,23 +28,23 @@ exception Error of string * Loc.t
 type t = {
   lexer : Lexer.t;
   mutable tok : Token.t;
-  mutable loc : Loc.t;
 }
 
-let advance p =
-  let tok, loc = Lexer.next p.lexer in
-  p.tok <- tok;
-  p.loc <- loc
+let advance p = p.tok <- Lexer.scan p.lexer
 
 let create ?file src =
   let lexer = Lexer.create ?file src in
-  let tok, loc = Lexer.next lexer in
-  { lexer; tok; loc }
+  { lexer; tok = Lexer.scan lexer }
 
-let error p msg = raise (Error (msg, p.loc))
+(* The location of the current token, built only where a node keeps it. *)
+let loc p = Lexer.loc p.lexer
+let error p msg = raise (Error (msg, loc p))
 
+(* Tokens are compared only against constant constructors, which
+   physical equality decides without a call to the polymorphic
+   comparison. *)
 let expect p tok =
-  if p.tok = tok then advance p
+  if p.tok == tok then advance p
   else
     error p
       (Printf.sprintf "expected '%s' but found '%s'" (Token.to_string tok)
@@ -99,8 +99,8 @@ let rec parse_expr p = parse_or p
 
 and parse_or p =
   let left = parse_and p in
-  if p.tok = Token.OR then begin
-    let loc = p.loc in
+  if p.tok == Token.OR then begin
+    let loc = loc p in
     advance p;
     let right = parse_or p in
     { Ast.e = Ast.Binary (Ast.Or, left, right); eloc = loc }
@@ -109,8 +109,8 @@ and parse_or p =
 
 and parse_and p =
   let left = parse_cmp p in
-  if p.tok = Token.AND then begin
-    let loc = p.loc in
+  if p.tok == Token.AND then begin
+    let loc = loc p in
     advance p;
     let right = parse_and p in
     { Ast.e = Ast.Binary (Ast.And, left, right); eloc = loc }
@@ -132,7 +132,7 @@ and parse_cmp p =
   match op with
   | None -> left
   | Some op ->
-    let loc = p.loc in
+    let loc = loc p in
     advance p;
     let right = parse_additive p in
     { Ast.e = Ast.Binary (op, left, right); eloc = loc }
@@ -141,8 +141,8 @@ and parse_additive p =
   let rec loop left =
     match p.tok with
     | Token.PLUS | Token.MINUS ->
-      let op = if p.tok = Token.PLUS then Ast.Add else Ast.Sub in
-      let loc = p.loc in
+      let op = match p.tok with Token.PLUS -> Ast.Add | _ -> Ast.Sub in
+      let loc = loc p in
       advance p;
       let right = parse_multiplicative p in
       loop { Ast.e = Ast.Binary (op, left, right); eloc = loc }
@@ -160,7 +160,7 @@ and parse_multiplicative p =
         | Token.SLASH -> Ast.Div
         | _ -> Ast.Mod
       in
-      let loc = p.loc in
+      let loc = loc p in
       advance p;
       let right = parse_unary p in
       loop { Ast.e = Ast.Binary (op, left, right); eloc = loc }
@@ -171,20 +171,27 @@ and parse_multiplicative p =
 and parse_unary p =
   match p.tok with
   | Token.MINUS ->
-    let loc = p.loc in
+    let loc = loc p in
     advance p;
     let operand = parse_unary p in
     { Ast.e = Ast.Unary (Ast.Neg, operand); eloc = loc }
   | Token.NOT ->
-    let loc = p.loc in
+    let loc = loc p in
     advance p;
     let operand = parse_unary p in
     { Ast.e = Ast.Unary (Ast.Not, operand); eloc = loc }
   | _ -> parse_primary p
 
 and parse_primary p =
-  let loc = p.loc in
   match p.tok with
+  | Token.LPAREN ->
+    advance p;
+    let inner = parse_expr p in
+    expect p Token.RPAREN;
+    inner
+  | tok -> parse_atom p (loc p) tok
+
+and parse_atom p loc = function
   | Token.INT n ->
     advance p;
     { Ast.e = Ast.Int_lit n; eloc = loc }
@@ -197,11 +204,6 @@ and parse_primary p =
   | Token.FALSE ->
     advance p;
     { Ast.e = Ast.Bool_lit false; eloc = loc }
-  | Token.LPAREN ->
-    advance p;
-    let inner = parse_expr p in
-    expect p Token.RPAREN;
-    inner
   | Token.TFLOAT ->
     (* The int->float conversion builtin shares its name with the type
        keyword. *)
@@ -229,11 +231,11 @@ and parse_primary p =
     error p ("expected an expression but found '" ^ Token.to_string tok ^ "'")
 
 and parse_args p =
-  if p.tok = Token.RPAREN then []
+  if p.tok == Token.RPAREN then []
   else
     let rec loop acc =
       let arg = parse_expr p in
-      if p.tok = Token.COMMA then begin
+      if p.tok == Token.COMMA then begin
         advance p;
         loop (arg :: acc)
       end
@@ -245,7 +247,7 @@ and parse_args p =
 
 let parse_lvalue p =
   let name = expect_ident p in
-  if p.tok = Token.LBRACKET then begin
+  if p.tok == Token.LBRACKET then begin
     advance p;
     let index = parse_expr p in
     expect p Token.RBRACKET;
@@ -254,7 +256,7 @@ let parse_lvalue p =
   else Ast.Lvar name
 
 let rec parse_stmt p =
-  let loc = p.loc in
+  let loc = loc p in
   match p.tok with
   | Token.IF ->
     advance p;
@@ -262,7 +264,7 @@ let rec parse_stmt p =
     expect p Token.THEN;
     let then_branch = parse_stmts p in
     let else_branch =
-      if p.tok = Token.ELSE then begin
+      if p.tok == Token.ELSE then begin
         advance p;
         parse_stmts p
       end
@@ -311,7 +313,7 @@ let rec parse_stmt p =
     { Ast.s = Ast.Receive (chan, target); sloc = loc }
   | Token.RETURN ->
     advance p;
-    if p.tok = Token.SEMI then begin
+    if p.tok == Token.SEMI then begin
       advance p;
       { Ast.s = Ast.Return None; sloc = loc }
     end
@@ -365,12 +367,12 @@ and parse_stmts p =
 
 let parse_decls p =
   let rec loop acc =
-    if p.tok = Token.VAR then begin
+    if p.tok == Token.VAR then begin
       advance p;
       let rec names acc =
-        let loc = p.loc in
+        let loc = loc p in
         let name = expect_ident p in
-        if p.tok = Token.COMMA then begin
+        if p.tok == Token.COMMA then begin
           advance p;
           names ((name, loc) :: acc)
         end
@@ -390,15 +392,15 @@ let parse_decls p =
   loop []
 
 let parse_params p =
-  if p.tok = Token.RPAREN then []
+  if p.tok == Token.RPAREN then []
   else
     let rec loop acc =
-      let loc = p.loc in
+      let loc = loc p in
       let name = expect_ident p in
       expect p Token.COLON;
       let ty = parse_type p in
       let param = { Ast.pname = name; pty = ty; ploc = loc } in
-      if p.tok = Token.COMMA then begin
+      if p.tok == Token.COMMA then begin
         advance p;
         loop (param :: acc)
       end
@@ -407,14 +409,14 @@ let parse_params p =
     loop []
 
 let parse_function p =
-  let loc = p.loc in
+  let loc = loc p in
   expect p Token.FUNCTION;
   let name = expect_ident p in
   expect p Token.LPAREN;
   let params = parse_params p in
   expect p Token.RPAREN;
   let ret =
-    if p.tok = Token.COLON then begin
+    if p.tok == Token.COLON then begin
       advance p;
       Some (parse_type p)
     end
@@ -427,7 +429,7 @@ let parse_function p =
   { Ast.fname = name; params; ret; locals; body; floc = loc }
 
 let parse_section p =
-  let loc = p.loc in
+  let loc = loc p in
   expect p Token.SECTION;
   let name = expect_ident p in
   expect p Token.CELLS;
@@ -436,27 +438,27 @@ let parse_section p =
      function, sharing the declaration grammar of function locals. *)
   let globals = parse_decls p in
   let rec loop acc =
-    if p.tok = Token.FUNCTION then loop (parse_function p :: acc)
+    if p.tok == Token.FUNCTION then loop (parse_function p :: acc)
     else List.rev acc
   in
   let funcs = loop [] in
   expect p Token.END;
-  if funcs = [] then error p ("section '" ^ name ^ "' declares no function");
+  if funcs == [] then error p ("section '" ^ name ^ "' declares no function");
   { Ast.sname = name; cells; globals; funcs; secloc = loc }
 
 (* One imported-function signature: name, parameter types, optional
    return type.  The signature is restated at the import site so the
    module checks without its dependencies' sources. *)
 let parse_import_sig p =
-  let loc = p.loc in
+  let loc = loc p in
   let name = expect_ident p in
   expect p Token.LPAREN;
   let tys =
-    if p.tok = Token.RPAREN then []
+    if p.tok == Token.RPAREN then []
     else
       let rec loop acc =
         let ty = parse_type p in
-        if p.tok = Token.COMMA then begin
+        if p.tok == Token.COMMA then begin
           advance p;
           loop (ty :: acc)
         end
@@ -466,7 +468,7 @@ let parse_import_sig p =
   in
   expect p Token.RPAREN;
   let ret =
-    if p.tok = Token.COLON then begin
+    if p.tok == Token.COLON then begin
       advance p;
       Some (parse_type p)
     end
@@ -475,13 +477,13 @@ let parse_import_sig p =
   { Ast.is_name = name; is_params = tys; is_ret = ret; is_loc = loc }
 
 let parse_import p =
-  let loc = p.loc in
+  let loc = loc p in
   expect p Token.IMPORT;
   let from = expect_ident p in
   expect p Token.LPAREN;
   let rec loop acc =
     let s = parse_import_sig p in
-    if p.tok = Token.COMMA then begin
+    if p.tok == Token.COMMA then begin
       advance p;
       loop (s :: acc)
     end
@@ -495,9 +497,9 @@ let parse_import p =
 let parse_export p =
   expect p Token.EXPORT;
   let rec loop acc =
-    let loc = p.loc in
+    let loc = loc p in
     let name = expect_ident p in
-    if p.tok = Token.COMMA then begin
+    if p.tok == Token.COMMA then begin
       advance p;
       loop ({ Ast.ex_name = name; ex_loc = loc } :: acc)
     end
@@ -508,27 +510,27 @@ let parse_export p =
   exports
 
 let parse_module p =
-  let loc = p.loc in
+  let loc = loc p in
   expect p Token.MODULE;
   let name = expect_ident p in
   let rec imports acc =
-    if p.tok = Token.IMPORT then imports (parse_import p :: acc)
+    if p.tok == Token.IMPORT then imports (parse_import p :: acc)
     else List.rev acc
   in
   let imports = imports [] in
   let rec exports acc =
-    if p.tok = Token.EXPORT then exports (List.rev_append (parse_export p) acc)
+    if p.tok == Token.EXPORT then exports (List.rev_append (parse_export p) acc)
     else List.rev acc
   in
   let exports = exports [] in
   let rec loop acc =
-    if p.tok = Token.SECTION then loop (parse_section p :: acc)
+    if p.tok == Token.SECTION then loop (parse_section p :: acc)
     else List.rev acc
   in
   let sections = loop [] in
   expect p Token.END;
   expect p Token.EOF;
-  if sections = [] then error p ("module '" ^ name ^ "' declares no section");
+  if sections == [] then error p ("module '" ^ name ^ "' declares no section");
   { Ast.mname = name; imports; exports; sections; mloc = loc }
 
 (* Entry points. *)

@@ -2,16 +2,8 @@
 
     Round-tripping through {!Parser.module_of_string} is a test
     invariant, and the line count of the rendered text is the "lines of
-    code" metric of the paper's section 4.1. *)
-
-val pp_ty : Format.formatter -> Ast.ty -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_lvalue : Format.formatter -> Ast.lvalue -> unit
-val pp_stmt : indent:int -> Format.formatter -> Ast.stmt -> unit
-val pp_stmts : indent:int -> Format.formatter -> Ast.stmt list -> unit
-val pp_func : indent:int -> Format.formatter -> Ast.func -> unit
-val pp_section : Format.formatter -> Ast.section -> unit
-val pp_module : Format.formatter -> Ast.modul -> unit
+    code" metric of the paper's section 4.1.  Output is built in one
+    buffer with direct appends. *)
 
 val module_to_string : Ast.modul -> string
 val func_to_string : Ast.func -> string

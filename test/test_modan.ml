@@ -272,6 +272,69 @@ let test_key_invalidation () =
     (key_of before "m4" "m4_f0")
     (key_of after "m4" "m4_f0")
 
+(* A callee's key comes from the last summary in [deps] that defines
+   its name, "unresolved:NAME" when none does: the rule of a table that
+   took every function of every dependency in order.  Checked against
+   that table over dependency lists reversed, duplicated, missing a
+   provider, and ending in an edited copy of a provider (same names,
+   new keys). *)
+let test_dep_keys_last_summary_wins () =
+  let oracle_key deps (w : Analysis.Modan.func_summary) =
+    let table = Hashtbl.create 64 in
+    List.iter
+      (fun d ->
+        Array.iter
+          (fun (v : Analysis.Modan.func_summary) ->
+            Hashtbl.replace table v.Analysis.Modan.ws_name v.Analysis.Modan.ws_key)
+          d.Analysis.Modan.ms_funcs)
+      deps;
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (w.Analysis.Modan.ws_hash
+            :: List.map
+                 (fun x ->
+                   match Hashtbl.find_opt table x with
+                   | Some k -> k
+                   | None -> "unresolved:" ^ x)
+                 w.Analysis.Modan.ws_xcalls)))
+  in
+  List.iter
+    (fun shape ->
+      let mods = W2.Gen.project_program ~modules:8 ~seed:5 ~shape () in
+      let summaries = summarize_all mods in
+      let edited =
+        List.map
+          (fun (s : Analysis.Modan.module_summary) ->
+            let m =
+              List.find
+                (fun (m : W2.Ast.modul) -> m.W2.Ast.mname = s.Analysis.Modan.ms_module)
+                mods
+            in
+            let f = s.Analysis.Modan.ms_funcs.(0).Analysis.Modan.ws_name in
+            Analysis.Modan.summarize ~deps:summaries (W2.Gen.touch_in m f))
+          summaries
+      in
+      let orders =
+        [ summaries; List.rev summaries; summaries @ summaries;
+          List.tl summaries; summaries @ [ List.hd edited ]; edited @ summaries;
+          summaries @ List.rev edited ]
+      in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun deps ->
+              let s = Analysis.Modan.summarize ~deps m in
+              Array.iter
+                (fun (w : Analysis.Modan.func_summary) ->
+                  Alcotest.(check string)
+                    (m.W2.Ast.mname ^ "." ^ w.Analysis.Modan.ws_name)
+                    (oracle_key deps w) w.Analysis.Modan.ws_key)
+                s.Analysis.Modan.ms_funcs)
+            orders)
+        mods)
+    W2.Gen.all_shapes
+
 (* --- composed edges, pinned --- *)
 
 let test_compose_pins () =
@@ -580,6 +643,8 @@ let suites =
         Alcotest.test_case "compose from artifacts" `Quick
           test_compose_from_artifacts;
         Alcotest.test_case "key invalidation" `Quick test_key_invalidation;
+        Alcotest.test_case "dependency keys: last summary wins" `Quick
+          test_dep_keys_last_summary_wins;
       ] );
     ( "modan.compose",
       [
