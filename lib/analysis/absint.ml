@@ -359,7 +359,7 @@ let u_cost n u = { u with ucost = itv_add u.ucost (itv_const n) }
 
 type ctx = {
   garr : (string, bool) Hashtbl.t; (* global name -> is it an array? *)
-  sums : (string, summary) Hashtbl.t; (* current interprocedural table *)
+  sums : string -> summary option; (* current interprocedural summaries *)
   max_intervals : int;
   mutable creads : region SM.t;
   mutable cwrites : region SM.t;
@@ -404,7 +404,7 @@ let havoc ctx =
 let apply_call ctx name =
   if Ast.is_builtin name then u_zero
   else
-    match Hashtbl.find_opt ctx.sums name with
+    match ctx.sums name with
     | None -> havoc ctx
     | Some s ->
       List.iter (fun (g, r) -> record `Read ctx g r) s.s_reads;
@@ -653,9 +653,9 @@ let summary_equal a b =
   && a.s_x = b.s_x && a.s_y = b.s_y && itv_equal a.s_cost b.s_cost
 
 (* Round-limit widening for the interprocedural fixpoint: a recursive
-   cycle grows cost and multiplicities every round, so past the limit
+   cycle grows cost and multiplicities every sweep, so past the limit
    any still-moving interval jumps to infinity and any still-moving
-   region to All, after which the table is stationary. *)
+   region to All, after which the cycle is stationary. *)
 let widen_summary old fresh =
   let widen_regions o f =
     List.map
@@ -683,30 +683,23 @@ let analyze_section ?(max_intervals = default_max_intervals)
       Hashtbl.replace garr d.dname
         (match d.dty with Ast.Tarray _ -> true | _ -> false))
     sec.globals;
-  let sums = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ast.func) -> Hashtbl.replace sums f.fname bottom)
-    sec.funcs;
-  let ctx =
-    { garr; sums; max_intervals; creads = SM.empty; cwrites = SM.empty }
+  let funcs = Array.of_list sec.funcs in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i (f : Ast.func) -> Hashtbl.replace index f.fname i) funcs;
+  let callees (f : Ast.func) =
+    let cs = ref [] in
+    Ast.iter_stmts (function Ast.Call n -> cs := n :: !cs | _ -> ()) f.body;
+    List.filter_map (Hashtbl.find_opt index) !cs
   in
-  let limit = (2 * List.length sec.funcs) + 4 in
-  let changed = ref true in
-  let round = ref 0 in
-  while !changed do
-    incr round;
-    changed := false;
-    List.iter
-      (fun (f : Ast.func) ->
-        let old = Hashtbl.find sums f.fname in
-        let fresh = summarize ctx f in
-        let fresh =
-          if !round > limit then widen_summary old fresh else fresh
-        in
-        if not (summary_equal old fresh) then begin
-          Hashtbl.replace sums f.fname fresh;
-          changed := true
-        end)
-      sec.funcs
-  done;
-  List.map (fun (f : Ast.func) -> (f.fname, Hashtbl.find sums f.fname)) sec.funcs
+  let sums, _ =
+    Digraph.solve
+      ~widen:((2 * Array.length funcs) + 4, widen_summary)
+      (Array.map callees funcs) ~equal:summary_equal
+      ~init:(fun _ -> bottom)
+      ~step:(fun get i ->
+        let sums n = Option.map get (Hashtbl.find_opt index n) in
+        summarize
+          { garr; sums; max_intervals; creads = SM.empty; cwrites = SM.empty }
+          funcs.(i))
+  in
+  List.mapi (fun i (f : Ast.func) -> (f.fname, sums.(i))) sec.funcs

@@ -131,6 +131,10 @@ val default_max_intervals : int
 val analyze_section :
   ?max_intervals:int -> W2.Ast.section -> (string * summary) list
 (** One summary per function, in section order, interprocedurally
-    closed over intra-section calls (widened on recursion).  Parameters
-    are unknown ([top]), so summaries are context-insensitive and a
-    single fixpoint serves every call site. *)
+    closed over intra-section calls by {!Digraph.solve}, the solver
+    Depan and Modan close their summaries with: callee SCCs first, so
+    a caller is summarized over its callees' final summaries.  Widening
+    is per SCC: from a cycle's [(2n + 5)]-th sweep on ([n] the
+    section's function count), a still-moving summary is widened.
+    Parameters are unknown ([top]), so summaries are
+    context-insensitive and a single fixpoint serves every call site. *)

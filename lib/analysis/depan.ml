@@ -63,11 +63,12 @@ type confidence = Proven | Speculative
    the runs they order may be dynamically independent, so edges
    carrying only those are speculative and a dag+spec schedule may
    dispatch past them under the commit protocol. *)
+let reason_proven = function
+  | Inline_of | Sig_agreement -> true
+  | Global_conflict _ | Channel_pair _ | Summary_limit -> false
+
 let edge_confidence (e : edge) : confidence =
-  if List.exists (function Inline_of | Sig_agreement -> true | _ -> false)
-       e.reasons
-  then Proven
-  else Speculative
+  if List.exists reason_proven e.reasons then Proven else Speculative
 
 let confidence_to_string = function
   | Proven -> "proven"
@@ -153,6 +154,15 @@ let eff_union a b =
 let eff_equal a b =
   SS.equal a.r b.r && SS.equal a.w b.w && a.sx = b.sx && a.sy = b.sy
   && a.rx = b.rx && a.ry = b.ry && SS.equal a.cs b.cs && a.lim = b.lim
+
+(* The couplings of two summaries: globals one writes and the other
+   accesses, and the channels both operate on. *)
+let couplings a b =
+  ( SS.union
+      (SS.inter a.w (SS.union b.r b.w))
+      (SS.inter (SS.union a.r a.w) b.w),
+    (if (a.sx || a.rx) && (b.sx || b.rx) then [ Ast.Chan_x ] else [])
+    @ if (a.sy || a.ry) && (b.sy || b.ry) then [ Ast.Chan_y ] else [] )
 
 let effects_of_eff e =
   {
@@ -260,38 +270,18 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
      source, and callee SCCs are numbered before their callers'. *)
   let scc = Digraph.sccs succs in
   let scc_members = Digraph.members scc in
-  (* Bottom-up SCC fixpoint: callee SCCs (lower ids) first, then
-     iterate each SCC until its members' summaries stop changing. *)
-  let sweeps = ref 0 in
-  let close ~tally base =
-    let summary = Array.copy base in
-    Array.iter
-      (fun members ->
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          if tally then incr sweeps;
-          List.iter
-            (fun i ->
-              let fresh =
-                List.fold_left
-                  (fun acc j -> eff_union acc summary.(j))
-                  base.(i) succs.(i)
-              in
-              if not (eff_equal fresh summary.(i)) then begin
-                summary.(i) <- fresh;
-                changed := true
-              end)
-            members
-        done)
-      scc_members;
-    summary
+  (* Bottom-up SCC fixpoint: a summary is its direct effects joined
+     with its callees' summaries. *)
+  let close base =
+    Digraph.solve succs ~equal:eff_equal ~init:(Array.get base)
+      ~step:(fun get i ->
+        List.fold_left (fun acc j -> eff_union acc (get j)) base.(i) succs.(i))
   in
-  let summary = close ~tally:true direct in
+  let summary, sweeps = close direct in
   (* Full-precision closure over the UNCAPPED direct effects (the call
      sets are never capped, so the graph is the same): the commit
      oracle's ground truth for whether a pair actually shares state. *)
-  let full_summary = close ~tally:false full_direct in
+  let full_summary, _ = close full_direct in
   (* Canonical rank: SCC id first (callees before callers), section
      order second.  Every edge points from lower rank to higher. *)
   let order = List.concat (Array.to_list scc_members) in
@@ -335,17 +325,9 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
      conflicts and shared-channel pairs. *)
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let a = summary.(i) and b = summary.(j) in
-      let conflicts =
-        SS.union
-          (SS.inter a.w (SS.union b.r b.w))
-          (SS.inter (SS.union a.r a.w) b.w)
-      in
-      SS.iter (fun g -> add_edge i j (Global_conflict g)) conflicts;
-      if (a.sx || a.rx) && (b.sx || b.rx) then
-        add_edge i j (Channel_pair Ast.Chan_x);
-      if (a.sy || a.ry) && (b.sy || b.ry) then
-        add_edge i j (Channel_pair Ast.Chan_y)
+      let gs, cs = couplings summary.(i) summary.(j) in
+      SS.iter (fun g -> add_edge i j (Global_conflict g)) gs;
+      List.iter (fun c -> add_edge i j (Channel_pair c)) cs
     done
   done;
   (* Sound mode: a truncated summary could hide any of the couplings
@@ -374,19 +356,8 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   let hot = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let a = full_summary.(i) and b = full_summary.(j) in
-      let data =
-        not
-          (SS.is_empty
-             (SS.union
-                (SS.inter a.w (SS.union b.r b.w))
-                (SS.inter (SS.union a.r a.w) b.w)))
-      in
-      let chan =
-        ((a.sx || a.rx) && (b.sx || b.rx))
-        || ((a.sy || a.ry) && (b.sy || b.ry))
-      in
-      if data || chan then
+      let gs, cs = couplings full_summary.(i) full_summary.(j) in
+      if not (SS.is_empty gs && cs = []) then
         hot := (if rankpos.(i) <= rankpos.(j) then (i, j) else (j, i)) :: !hot
     done
   done;
@@ -445,7 +416,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
     si_funcs = Array.mapi func_info funcs;
     si_edges = edges;
     si_levels = edge_levels n edges;
-    si_fixpoint_sweeps = !sweeps;
+    si_fixpoint_sweeps = sweeps;
     si_pruned = [];
     si_disjoint = [];
     si_hot;

@@ -73,7 +73,12 @@ type confidence =
           be dynamically independent, so a [dag+spec] schedule may
           dispatch past the edge under the commit protocol *)
 
+val reason_proven : reason -> bool
+(** The reason is structural ([Inline_of] / [Sig_agreement]); the one
+    test behind {!edge_confidence} and [Modan.xedge_confidence]. *)
+
 val edge_confidence : edge -> confidence
+(** [Proven] when some reason is {!reason_proven}. *)
 
 val confidence_to_string : confidence -> string
 (** ["proven"] / ["speculative"]. *)

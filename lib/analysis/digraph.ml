@@ -102,6 +102,30 @@ let dependent_pairs succs =
   Array.iteri (fun v _ -> pairs := !pairs + mark succs seen v v - 1) succs;
   !pairs
 
+(* Bottom-up summaries: SCCs in id order, so callees are final before
+   any caller reads them; each SCC is swept in ascending member order,
+   updating in place, until one sweep changes nothing. *)
+let solve ?widen succs ~equal ~init ~step =
+  let value = Array.init (Array.length succs) init in
+  let sweeps = ref 0 in
+  let update k moved i =
+    let fresh = step (Array.get value) i in
+    let fresh =
+      match widen with
+      | Some (limit, w) when k > limit -> w value.(i) fresh
+      | _ -> fresh
+    in
+    let stable = equal fresh value.(i) in
+    if not stable then value.(i) <- fresh;
+    moved || not stable
+  in
+  let rec sweep k members =
+    incr sweeps;
+    if List.fold_left (update k) false members then sweep (k + 1) members
+  in
+  Array.iter (sweep 1) (members (sccs succs));
+  (value, !sweeps)
+
 (* Stable Kahn: repeatedly emit the smallest-index ready node.  A
    residual cycle is broken at its smallest unemitted node. *)
 let stable_topo (preds : int list array) : int list =

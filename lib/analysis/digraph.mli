@@ -30,6 +30,23 @@ val dependent_pairs : int list array -> int
     [u] to [v].  On a DAG this is the number of unordered pairs that
     must not run in parallel. *)
 
+val solve :
+  ?widen:int * ('a -> 'a -> 'a) ->
+  int list array ->
+  equal:('a -> 'a -> bool) ->
+  init:(int -> 'a) ->
+  step:((int -> 'a) -> int -> 'a) ->
+  'a array * int
+(** [solve succs ~equal ~init ~step]: the interprocedural summary
+    fixpoint every analyzer closes over its call graph.  Node [i]
+    starts at [init i]; [step get i] recomputes it from the current
+    values ([get j] for any [j]; [succs.(i)] are the ones it reads).
+    SCCs are visited bottom-up, callees first, and each is swept in
+    ascending member order, updating in place, until a sweep changes
+    nothing.  With [~widen:(k, w)], from an SCC's [(k+1)]-th sweep on a
+    value that still moves becomes [w old fresh].  Returns the values
+    and the total number of sweeps. *)
+
 val stable_topo : int list array -> int list
 (** A topological order of a predecessor array that always emits the
     smallest-index ready node, so an order that already respects every

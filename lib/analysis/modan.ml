@@ -528,12 +528,9 @@ let xreason_rank = function
   | Xsummary_limit -> (8, "")
 
 let xreason_proven = function
-  | Import_of | Local Depan.Inline_of | Local Depan.Sig_agreement -> true
-  | Local (Depan.Global_conflict _)
-  | Local (Depan.Channel_pair _)
-  | Local Depan.Summary_limit | Xmodule_global _ | Xmodule_channel _
-  | Xsummary_limit ->
-    false
+  | Local r -> Depan.reason_proven r
+  | Import_of -> true
+  | Xmodule_global _ | Xmodule_channel _ | Xsummary_limit -> false
 
 type xedge = {
   x_from : string;
@@ -568,19 +565,22 @@ type link = {
   lk_diags : Diag.t list;
 }
 
-(* Per-function cross-module closure over module-qualified globals.
-   [aug] records whether anything beyond the module-local summary
-   flowed in; intra-module pairs whose closures are purely local are
-   left to the per-module analysis (which includes its absint
-   refutations — re-deriving them here would undo the pruning). *)
+(* Per-function cross-module closure over module-qualified globals. *)
 type clo = {
-  mutable cr : SS.t; (* qualified "module.global" reads *)
-  mutable cw : SS.t;
-  mutable cx : bool; (* may operate on channel X *)
-  mutable cy : bool;
-  mutable clim : bool;
-  mutable aug : bool;
+  cr : SS.t; (* qualified "module.global" reads *)
+  cw : SS.t;
+  cx : bool; (* may operate on channel X *)
+  cy : bool;
+  clim : bool;
 }
+
+let clo_union a b =
+  { cr = SS.union a.cr b.cr; cw = SS.union a.cw b.cw; cx = a.cx || b.cx;
+    cy = a.cy || b.cy; clim = a.clim || b.clim }
+
+let clo_equal a b =
+  SS.equal a.cr b.cr && SS.equal a.cw b.cw && a.cx = b.cx && a.cy = b.cy
+  && a.clim = b.clim
 
 let compose (modules : module_summary list) : link =
   let mods = Array.of_list modules in
@@ -644,61 +644,47 @@ let compose (modules : module_summary list) : link =
         locals)
     order;
   let fsum r = match fsum.(r) with Some w -> w | None -> assert false in
-  (* cross-module effect closure over qualified globals *)
-  let qualify mi names =
-    SS.of_list (List.map (fun g -> mods.(mi).ms_module ^ "." ^ g) names)
+  (* cross-module effect closure over qualified globals: every
+     cross-module call is resolved once; a call no module of the link
+     defines makes the caller's closure limited *)
+  let missing = ref [] in
+  let xcallees =
+    Array.init nfuncs (fun r ->
+        List.filter_map
+          (fun x ->
+            let found = Hashtbl.find_opt rank_of x in
+            if found = None then
+              missing := (mods.(fmod.(r)).ms_module, x) :: !missing;
+            found)
+          (fsum r).ws_xcalls)
   in
-  let clos =
+  let lk_missing = List.sort_uniq compare !missing in
+  let base =
     Array.init nfuncs (fun r ->
         let w = fsum r in
-        let mi = fmod.(r) in
         let e = w.ws_effects in
-        let has c l = List.mem c l in
+        let qualify names =
+          SS.of_list (List.map (fun g -> mods.(fmod.(r)).ms_module ^ "." ^ g) names)
+        in
+        let has c = List.mem c e.Depan.sends || List.mem c e.Depan.recvs in
         {
-          cr = qualify mi e.Depan.greads;
-          cw = qualify mi e.Depan.gwrites;
-          cx = has Ast.Chan_x e.Depan.sends || has Ast.Chan_x e.Depan.recvs;
-          cy = has Ast.Chan_y e.Depan.sends || has Ast.Chan_y e.Depan.recvs;
-          clim = e.Depan.limited;
-          aug = false;
+          cr = qualify e.Depan.greads;
+          cw = qualify e.Depan.gwrites;
+          cx = has Ast.Chan_x;
+          cy = has Ast.Chan_y;
+          clim =
+            e.Depan.limited
+            || List.compare_lengths xcallees.(r) w.ws_xcalls < 0;
         })
   in
-  let missing = Hashtbl.create 8 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for r = 0 to nfuncs - 1 do
-      let w = fsum r in
-      let c = clos.(r) in
-      List.iter
-        (fun x ->
-          match Hashtbl.find_opt rank_of x with
-          | None ->
-            Hashtbl.replace missing (mods.(fmod.(r)).ms_module, x) ();
-            if not (c.clim && c.aug) then begin
-              c.clim <- true;
-              c.aug <- true;
-              changed := true
-            end
-          | Some r' ->
-            let d = clos.(r') in
-            let before = (SS.cardinal c.cr, SS.cardinal c.cw, c.cx, c.cy, c.clim, c.aug) in
-            c.cr <- SS.union c.cr d.cr;
-            c.cw <- SS.union c.cw d.cw;
-            c.cx <- c.cx || d.cx;
-            c.cy <- c.cy || d.cy;
-            c.clim <- c.clim || d.clim;
-            c.aug <- true;
-            if
-              before
-              <> (SS.cardinal c.cr, SS.cardinal c.cw, c.cx, c.cy, c.clim, c.aug)
-            then changed := true)
-        w.ws_xcalls
-    done
-  done;
-  let lk_missing =
-    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) missing [])
+  let clos, _ =
+    Digraph.solve xcallees ~equal:clo_equal ~init:(Array.get base)
+      ~step:(fun get r ->
+        List.fold_left (fun acc r' -> clo_union acc (get r')) base.(r)
+          xcallees.(r))
   in
+  (* a closure is augmented iff its function calls out of its module *)
+  let aug r = (fsum r).ws_xcalls <> [] in
   (* edge accumulation, keyed and oriented by rank *)
   let edge_tbl : (int * int, xreason list ref) Hashtbl.t =
     Hashtbl.create 256
@@ -741,7 +727,7 @@ let compose (modules : module_summary list) : link =
      the per-module analysis (absint pruning included) is authoritative
      for the pair. *)
   let consider a b =
-    fmod.(a) <> fmod.(b) || clos.(a).aug || clos.(b).aug
+    fmod.(a) <> fmod.(b) || aug a || aug b
   in
   let writers = Hashtbl.create 256 (* qualified global -> rank list *) in
   let accessors = Hashtbl.create 256 in
@@ -794,7 +780,7 @@ let compose (modules : module_summary list) : link =
      every other module — the cross-module analogue of sound mode's
      sibling pinning *)
   for r = 0 to nfuncs - 1 do
-    if clos.(r).clim && clos.(r).aug then
+    if clos.(r).clim && aug r then
       for r' = 0 to nfuncs - 1 do
         if fmod.(r') <> fmod.(r) then add_edge r r' Xsummary_limit
       done

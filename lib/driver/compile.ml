@@ -216,7 +216,6 @@ let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
     ?max_tracked ?(absint = true)
     ?(absint_max_intervals = Analysis.Absint.default_max_intervals)
     (source : string) : module_work =
-  let tokens = count_tokens source in
   let m =
     try W2.Parser.module_of_string ~file source with
     | W2.Parser.Error (msg, loc) ->
@@ -239,7 +238,7 @@ let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
   {
     mw_name = m.W2.Ast.mname;
     mw_loc = W2.Pretty.source_lines source;
-    mw_tokens = tokens;
+    mw_tokens = count_tokens source;
     mw_sections =
       List.map2
         (fun depan sec -> compile_section ~level ~verify_each ~depan sec)

@@ -117,8 +117,10 @@ let task_phase23_seconds m (funcs : Compile.func_work list) =
    has to {e rank} functions like the measured signal does (the
    scheduler compares costs, it never adds them to the clock), so one
    abstract statement execution ~ one phase-2 work unit is close
-   enough.  Falls back to the measured estimate when the bound is
-   missing (absint off, or a function the domain widened to top). *)
+   enough.  Falls back to the measured estimate only when the bound is
+   missing, i.e. absint is off.  A cost widened to top is not missing:
+   [Absint.cost_units] prices an unbounded cost at 4 × its lower bound,
+   so top itself is 4 units. *)
 let static_phase23_seconds m (fw : Compile.func_work) =
   match fw.Compile.fw_static_units with
   | Some units ->

@@ -2,6 +2,8 @@
    before Analysis.Digraph replaced it.  The differential properties in
    test_digraph.ml check that the shared module agrees with these. *)
 
+module IS = Set.Make (Int)
+
 (* Tarjan as Depan, Modan and Sched each wrote it. *)
 let tarjan (succs : int list array) : int array =
   let n = Array.length succs in
@@ -117,3 +119,81 @@ let dependent_pairs adj =
     go i
   done;
   !pairs
+
+(* Depan's summary closure, over integer sets instead of effect
+   records: bottom-up over the SCCs, each swept until stable, with the
+   sweep tally that became [si_fixpoint_sweeps]. *)
+let close (succs : int list array) ~tally (base : IS.t array) : IS.t array * int =
+  let n = Array.length succs in
+  let scc = tarjan succs in
+  let scc_members =
+    Array.init
+      (Array.fold_left (fun m s -> max m (s + 1)) 0 scc)
+      (fun s -> List.filter (fun v -> scc.(v) = s) (List.init n Fun.id))
+  in
+  let sweeps = ref 0 in
+  let summary = Array.copy base in
+  Array.iter
+    (fun members ->
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        if tally then incr sweeps;
+        List.iter
+          (fun i ->
+            let fresh =
+              List.fold_left
+                (fun acc j -> IS.union acc summary.(j))
+                base.(i) succs.(i)
+            in
+            if not (IS.equal fresh summary.(i)) then begin
+              summary.(i) <- fresh;
+              changed := true
+            end)
+          members
+      done)
+    scc_members;
+  (summary, !sweeps)
+
+(* Modan's cross-module closure as compose swept it: every function
+   round-robin until nothing moves, resolving each call on every sweep.
+   [xcalls.(r)] are callee ids; an id outside [0..n-1] is a call no
+   module of the link defines, which marks the caller limited and is
+   reported as missing.  Returns each closure's (set, limited, aug)
+   and the sorted (caller, callee) missing pairs. *)
+type clo = { mutable cr : IS.t; mutable clim : bool; mutable aug : bool }
+
+let round_robin (base : IS.t array) (lim : bool array) (xcalls : int list array) =
+  let nfuncs = Array.length base in
+  let clos =
+    Array.init nfuncs (fun r -> { cr = base.(r); clim = lim.(r); aug = false })
+  in
+  let missing = Hashtbl.create 8 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for r = 0 to nfuncs - 1 do
+      let c = clos.(r) in
+      List.iter
+        (fun x ->
+          if x < 0 || x >= nfuncs then begin
+            Hashtbl.replace missing (r, x) ();
+            if not (c.clim && c.aug) then begin
+              c.clim <- true;
+              c.aug <- true;
+              changed := true
+            end
+          end
+          else begin
+            let d = clos.(x) in
+            let before = (IS.cardinal c.cr, c.clim, c.aug) in
+            c.cr <- IS.union c.cr d.cr;
+            c.clim <- c.clim || d.clim;
+            c.aug <- true;
+            if before <> (IS.cardinal c.cr, c.clim, c.aug) then changed := true
+          end)
+        xcalls.(r)
+    done
+  done;
+  ( Array.map (fun c -> (c.cr, c.clim, c.aug)) clos,
+    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) missing []) )

@@ -127,6 +127,47 @@ let test_widening_blocks_refutation () =
        (D.edges_by_name si));
   Alcotest.(check int) "nothing is pruned" 0 (List.length si.D.si_pruned)
 
+(* A recursive cycle whose cost never converges ([odd] calls [even]
+   twice), and a caller listed before it.  Summaries are solved
+   bottom-up, so [top] is summarized over the cycle's final, widened
+   summary: its lower bound is [even]'s plus its own return, not the
+   stale half a round-robin sweep would have frozen it at. *)
+let cycle_src =
+  {|module cycle
+  section s cells 1
+  function top(n: int) : int
+  begin
+    return even(n);
+  end
+  function even(n: int) : int
+  begin
+    if n = 0 then
+      return 0;
+    end;
+    return odd(n - 1);
+  end
+  function odd(n: int) : int
+  begin
+    if n = 0 then
+      return 1;
+    end;
+    return even(n - 1) + even(n - 1);
+  end
+  end
+end|}
+
+let test_caller_of_widened_cycle () =
+  let m = W2.Parser.module_of_string ~file:"cycle.w2" cycle_src in
+  W2.Semcheck.check_module_exn m;
+  let sums = A.analyze_section (List.hd m.W2.Ast.sections) in
+  let cost name = (List.assoc name sums).A.s_cost in
+  Alcotest.check itv "even widens to an unbounded cost"
+    { A.lo = Some 3068; hi = None } (cost "even");
+  Alcotest.check itv "top costs even's cost plus its return"
+    { A.lo = Some 3069; hi = None } (cost "top");
+  Alcotest.check itv "odd is the cycle's final round"
+    { A.lo = Some 6138; hi = None } (cost "odd")
+
 (* --- refutations pinned on the refinement programs --- *)
 
 let edge_pairs si =
@@ -484,6 +525,8 @@ let suites =
         Alcotest.test_case "cost scalarization pinned" `Quick test_cost_units;
         Alcotest.test_case "widening blocks refutation" `Quick
           test_widening_blocks_refutation;
+        Alcotest.test_case "caller of a widened cycle sees its final summary"
+          `Quick test_caller_of_widened_cycle;
       ] );
     ( "absint.prune",
       [

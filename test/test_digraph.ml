@@ -1,8 +1,9 @@
 (* Analysis.Digraph against the copies it replaced (digraph_oracle.ml):
-   the same SCC numbering on graphs with cycles, and the same levels,
+   the same SCC numbering on graphs with cycles; the same levels,
    reachability and dependent-pair counts on DAGs whose edges all point
    from a lower index to a higher one, the shape every caller's rank
-   order gives. *)
+   order gives; and the same summaries (and sweep counts) as Depan's
+   and Modan's hand-written closures on graphs with cycles. *)
 
 module D = Analysis.Digraph
 module O = Digraph_oracle
@@ -69,6 +70,78 @@ let prop_reach =
              List.for_all (fun j -> r.(j) = O.reaches succs i j) (List.init n Fun.id))
            (List.init n Fun.id))
 
+(* A digraph with, per node, a base set, a limited flag and a number
+   (0-2) of calls nothing resolves. *)
+let arb_summaries =
+  let row f a = String.concat "; " (Array.to_list (Array.map f a)) in
+  let print (g, base, lim, miss) =
+    Printf.sprintf "%s base=[%s] lim=[%s] missing=[%s]" (print_graph g)
+      (row (fun l -> String.concat "," (List.map string_of_int l)) base)
+      (row string_of_bool lim) (row string_of_int miss)
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      QCheck.gen arb_digraph >>= fun ((n, _) as g) ->
+      array_repeat n (list_size (int_bound 3) (int_bound 9)) >>= fun base ->
+      array_repeat n (int_bound 4 >|= fun k -> k = 0) >>= fun lim ->
+      array_repeat n (int_bound 5 >|= fun k -> max 0 (k - 3)) >|= fun miss ->
+      (g, base, lim, miss))
+
+let prop_solve_close =
+  QCheck.Test.make ~name:"solve = Depan's closure, values and sweeps" ~count:500
+    arb_summaries (fun (g, base, _, _) ->
+      let succs = succs_of g in
+      let base = Array.map O.IS.of_list base in
+      let values, sweeps =
+        D.solve succs ~equal:O.IS.equal ~init:(Array.get base)
+          ~step:(fun get i ->
+            List.fold_left (fun acc j -> O.IS.union acc (get j)) base.(i) succs.(i))
+      in
+      let values', sweeps' = O.close succs ~tally:true base in
+      Array.for_all2 O.IS.equal values values' && sweeps = sweeps')
+
+(* Compose's way: resolve every call once, start a caller with an
+   unresolvable call limited, then solve over the resolved calls. *)
+let prop_solve_round_robin =
+  QCheck.Test.make ~name:"solve = Modan's round-robin closure" ~count:500
+    arb_summaries (fun (((n, _) as g), base, lim, miss) ->
+      let succs = succs_of g in
+      let xcalls =
+        Array.mapi (fun i js -> js @ List.init miss.(i) (fun k -> n + k)) succs
+      in
+      let init i = (O.IS.of_list base.(i), lim.(i) || miss.(i) > 0) in
+      let values, _ =
+        D.solve succs
+          ~equal:(fun (a, l) (b, m) -> O.IS.equal a b && l = m)
+          ~init
+          ~step:(fun get i ->
+            List.fold_left
+              (fun (s, l) j ->
+                let s', l' = get j in
+                (O.IS.union s s', l || l'))
+              (init i) succs.(i))
+      in
+      let oracle, missing =
+        O.round_robin (Array.map O.IS.of_list base) lim xcalls
+      in
+      missing
+      = List.concat (List.init n (fun i -> List.init miss.(i) (fun k -> (i, n + k))))
+      && Array.for_all2
+           (fun (s, l) (s', l', _) -> O.IS.equal s s' && l = l')
+           values oracle
+      && Array.for_all2 (fun (_, _, aug) xs -> aug = (xs <> [])) oracle xcalls)
+
+(* Widening: a self-loop that would count to 100 one step per sweep
+   jumps there on its fourth sweep, and one more sweep confirms it. *)
+let test_solve_widens () =
+  let values, sweeps =
+    D.solve ~widen:(3, fun _ _ -> 100) [| [ 0 ] |] ~equal:( = )
+      ~init:(fun _ -> 0)
+      ~step:(fun get i -> min 100 (get i + 1))
+  in
+  Alcotest.(check (array int)) "widened value" [| 100 |] values;
+  Alcotest.(check int) "sweeps" 5 sweeps
+
 (* A two-node cycle feeding a sink: the sink's SCC is numbered first,
    the cycle shares one id, and the members table lists it in index
    order. *)
@@ -91,6 +164,9 @@ let suites =
       [
         Alcotest.test_case "sccs pinned" `Quick test_sccs_pinned;
         Alcotest.test_case "stable topo" `Quick test_stable_topo;
+        Alcotest.test_case "solve widens" `Quick test_solve_widens;
       ]
-      @ List.map QCheck_alcotest.to_alcotest [ prop_sccs; prop_levels; prop_reach ] );
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_sccs; prop_levels; prop_reach; prop_solve_close;
+            prop_solve_round_robin ] );
   ]

@@ -108,6 +108,27 @@ let test_compile_error_reported () =
   | exception Driver.Compile.Compile_error _ -> ()
   | _ -> Alcotest.fail "expected a compile error"
 
+(* A lexing error is a compile error located in the named file, like a
+   parse error, not a lexer exception located in the source string. *)
+let test_lex_error_located () =
+  let src =
+    {|module m
+  section s cells 1
+  function f()
+    var x : float;
+  begin
+    x := 1.0e+;
+  end
+  end
+end
+|}
+  in
+  match Driver.Compile.compile_source ~file:"bad.w2" src with
+  | exception Driver.Compile.Compile_error msg ->
+    Alcotest.(check string)
+      "file, line and column" "bad.w2:6:15: malformed exponent" msg
+  | _ -> Alcotest.fail "expected a lexing error"
+
 let test_semantic_error_reported () =
   let src =
     {|
@@ -146,6 +167,7 @@ let suites =
         Alcotest.test_case "loc matches" `Quick test_loc_matches_gen;
         Alcotest.test_case "images runnable" `Quick test_compiled_images_runnable;
         Alcotest.test_case "parse errors" `Quick test_compile_error_reported;
+        Alcotest.test_case "lexing errors name the file" `Quick test_lex_error_located;
         Alcotest.test_case "semantic errors" `Quick test_semantic_error_reported;
       ] );
     ( "driver.cost",
