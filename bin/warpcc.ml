@@ -362,24 +362,7 @@ let analyze_project ~dir ~sound ~max_tracked ~absint ~absint_max_intervals =
               | None -> false))
           (W2.Lint.lint_module m)
       in
-      let couplings =
-        Array.to_list s.Analysis.Modan.ms_funcs
-        |> List.map (fun (w : Analysis.Modan.func_summary) ->
-               {
-                 W2.Lint.c_func = w.Analysis.Modan.ws_name;
-                 c_loc = w.Analysis.Modan.ws_loc;
-                 c_greads = w.Analysis.Modan.ws_direct.Analysis.Depan.greads;
-                 c_gwrites = w.Analysis.Modan.ws_direct.Analysis.Depan.gwrites;
-                 c_sends = w.Analysis.Modan.ws_direct.Analysis.Depan.sends;
-                 c_recvs = w.Analysis.Modan.ws_direct.Analysis.Depan.recvs;
-               })
-      in
-      let coupling =
-        W2.Lint.coupling_warnings ~section:s.Analysis.Modan.ms_section
-          ~cells:s.Analysis.Modan.ms_cells
-          ~disjoint:s.Analysis.Modan.ms_disjoint couplings
-      in
-      module_diags := !module_diags @ local @ coupling;
+      module_diags := !module_diags @ local @ Analysis.Modan.lint s;
       summaries := !summaries @ [ s ])
     order;
   let link = Analysis.Modan.compose !summaries in

@@ -52,7 +52,7 @@ let reason_key = function
   | Channel_pair c -> (3, Ast.channel_to_string c)
   | Summary_limit -> (4, "")
 
-type edge = { e_from : int; e_to : int; reasons : reason list }
+type edge = { e_from : int; e_to : int; reasons : reason list; e_hot : bool }
 
 type confidence = Proven | Speculative
 
@@ -112,7 +112,6 @@ type section_info = {
   si_fixpoint_sweeps : int;
   si_pruned : pruned list;
   si_disjoint : string list;
-  si_hot : (int * int) list;
 }
 
 type t = {
@@ -122,7 +121,7 @@ type t = {
   dp_sections : section_info list;
 }
 
-(* --- effect sets (internal representation) --- *)
+(* --- effect sets, and the coupling enumerator shared with Modan --- *)
 
 type eff = {
   r : SS.t; (* globals read *)
@@ -155,14 +154,60 @@ let eff_equal a b =
   SS.equal a.r b.r && SS.equal a.w b.w && a.sx = b.sx && a.sy = b.sy
   && a.rx = b.rx && a.ry = b.ry && SS.equal a.cs b.cs && a.lim = b.lim
 
-(* The couplings of two summaries: globals one writes and the other
-   accesses, and the channels both operate on. *)
-let couplings a b =
-  ( SS.union
-      (SS.inter a.w (SS.union b.r b.w))
-      (SS.inter (SS.union a.r a.w) b.w),
-    (if (a.sx || a.rx) && (b.sx || b.rx) then [ Ast.Chan_x ] else [])
-    @ if (a.sy || a.ry) && (b.sy || b.ry) then [ Ast.Chan_y ] else [] )
+let on_x e = e.sx || e.rx
+let on_y e = e.sy || e.ry
+
+(* Do two summaries couple: a global one writes and the other
+   accesses, or a channel both operate on? *)
+let couples a b =
+  let touched e = SS.union e.r e.w in
+  (not (SS.disjoint a.w (touched b) && SS.disjoint (touched a) b.w))
+  || (on_x a && on_x b)
+  || (on_y a && on_y b)
+
+type 'r edge_acc = { rank : int -> int; pairs : (int * int, 'r list) Hashtbl.t }
+
+let edge_acc ~rank = { rank; pairs = Hashtbl.create 64 }
+
+let add_reason acc i j r =
+  if i <> j then begin
+    let k = if acc.rank i < acc.rank j then (i, j) else (j, i) in
+    Hashtbl.replace acc.pairs k
+      (r :: Option.value ~default:[] (Hashtbl.find_opt acc.pairs k))
+  end
+
+let acc_edges acc ~key =
+  Hashtbl.fold
+    (fun k rs l -> (k, List.sort_uniq (fun a b -> compare (key a) (key b)) rs) :: l)
+    acc.pairs []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* Index-based, never all pairs: the writers and accessors of each
+   global meet only each other, then the functions on each channel
+   pair up. *)
+let add_couplings ?(consider = fun _ _ -> true) acc effs ~global ~channel =
+  let writers = Hashtbl.create 64 and accessors = Hashtbl.create 64 in
+  Array.iteri
+    (fun i e ->
+      SS.iter (fun g -> Hashtbl.add writers g i) e.w;
+      SS.iter (fun g -> Hashtbl.add accessors g i) (SS.union e.r e.w))
+    effs;
+  let pair i j r = if i <> j && consider i j then add_reason acc i j r in
+  Hashtbl.iter
+    (fun g w ->
+      List.iter (fun a -> pair w a (global g)) (Hashtbl.find_all accessors g))
+    writers;
+  List.iter
+    (fun (c, on) ->
+      let rec pairs = function
+        | a :: rest ->
+          List.iter (fun b -> pair a b (channel c)) rest;
+          pairs rest
+        | [] -> ()
+      in
+      pairs
+        (List.filter (fun i -> on effs.(i)) (List.init (Array.length effs) Fun.id)))
+    [ (Ast.Chan_x, on_x); (Ast.Chan_y, on_y) ]
 
 let effects_of_eff e =
   {
@@ -287,16 +332,8 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   let order = List.concat (Array.to_list scc_members) in
   let rankpos = Array.make n 0 in
   List.iteri (fun pos i -> rankpos.(i) <- pos) order;
-  let edge_tbl : (int * int, reason list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let add_edge i j reason =
-    let i, j = if rankpos.(i) <= rankpos.(j) then (i, j) else (j, i) in
-    if i <> j then
-      match Hashtbl.find_opt edge_tbl (i, j) with
-      | Some rs -> rs := reason :: !rs
-      | None -> Hashtbl.replace edge_tbl (i, j) (ref [ reason ])
-  in
+  let acc = edge_acc ~rank:(Array.get rankpos) in
+  let add_edge = add_reason acc in
   let inlinable =
     Array.map
       (W2.Inline.inlinable ~max_lines:W2.Inline.default_max_lines)
@@ -323,45 +360,28 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
   Array.iter chain scc_members;
   (* Data coupling, over summarized effects: write/any-access global
      conflicts and shared-channel pairs. *)
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let gs, cs = couplings summary.(i) summary.(j) in
-      SS.iter (fun g -> add_edge i j (Global_conflict g)) gs;
-      List.iter (fun c -> add_edge i j (Channel_pair c)) cs
-    done
-  done;
+  add_couplings acc summary
+    ~global:(fun g -> Global_conflict g)
+    ~channel:(fun c -> Channel_pair c);
   (* Sound mode: a truncated summary could hide any of the couplings
      above, so pin the limited function against every sibling. *)
   if sound then
     for i = 0 to n - 1 do
       if summary.(i).lim then
         for j = 0 to n - 1 do
-          if j <> i then add_edge i j Summary_limit
+          add_edge i j Summary_limit
         done
     done;
+  (* An edge is hot when its endpoints' uncapped summaries really share
+     written state or a channel: speculating past a hot edge aborts at
+     commit time, past a cold one it always commits. *)
   let edges =
-    Hashtbl.fold
-      (fun (i, j) rs acc ->
-        let reasons =
-          List.sort_uniq (fun a b -> compare (reason_key a) (reason_key b)) !rs
-        in
-        { e_from = i; e_to = j; reasons } :: acc)
-      edge_tbl []
-    |> List.sort (fun a b -> compare (a.e_from, a.e_to) (b.e_from, b.e_to))
+    List.map
+      (fun ((i, j), reasons) ->
+        { e_from = i; e_to = j; reasons;
+          e_hot = couples full_summary.(i) full_summary.(j) })
+      (acc_edges acc ~key:reason_key)
   in
-  (* Hot pairs: pairs whose uncapped summaries really share written
-     state or a channel.  A speculative edge over a hot pair aborts at
-     commit time; over a cold pair it always commits.  Oriented like
-     edges: lower canonical rank first. *)
-  let hot = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let gs, cs = couplings full_summary.(i) full_summary.(j) in
-      if not (SS.is_empty gs && cs = []) then
-        hot := (if rankpos.(i) <= rankpos.(j) then (i, j) else (j, i)) :: !hot
-    done
-  done;
-  let si_hot = List.sort compare !hot in
   (* Stable effect-summary hash, the groundwork for content-addressed
      compilation caching: a function's key covers its own rendered
      source, its closed effect summary, the declarations of the globals
@@ -419,7 +439,6 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
     si_fixpoint_sweeps = sweeps;
     si_pruned = [];
     si_disjoint = [];
-    si_hot;
   }
 
 (* --- the abstract-interpretation refinement pass --- *)
@@ -564,15 +583,7 @@ let dependent si i j =
 
 let independent si i j = not (dependent si i j)
 
-(* Edges only point forward in rank, so each dependent unordered pair
-   is one ordered reachable pair. *)
-let licensed_fraction (si : section_info) : float =
-  let n = Array.length si.si_funcs in
-  if n < 2 then 1.0
-  else
-    1.0
-    -. float_of_int (Digraph.dependent_pairs (successors si))
-       /. float_of_int (n * (n - 1) / 2)
+let licensed_fraction si = Digraph.licensed_fraction (successors si)
 
 let edges_by_name (si : section_info) =
   List.map
@@ -631,36 +642,26 @@ let pruned_by_name (si : section_info) =
         p.p_refuted_by ))
     si.si_pruned
 
-let spec_edges_by_name (si : section_info) =
-  List.filter_map
-    (fun e ->
-      if edge_confidence e = Speculative then
-        Some (si.si_funcs.(e.e_from).fi_name, si.si_funcs.(e.e_to).fi_name)
-      else None)
-    si.si_edges
-
-let hot_pairs_by_name (si : section_info) =
-  List.map
-    (fun (i, j) -> (si.si_funcs.(i).fi_name, si.si_funcs.(j).fi_name))
-    si.si_hot
-
 (* --- lint bridge (W008/W009) --- *)
 
+let lint_couplings ~section ~cells ~disjoint funcs =
+  W2.Lint.coupling_warnings ~section ~cells ~disjoint
+    (List.map
+       (fun (name, loc, e) ->
+         {
+           W2.Lint.c_func = name;
+           c_loc = loc;
+           c_greads = e.greads;
+           c_gwrites = e.gwrites;
+           c_sends = e.sends;
+           c_recvs = e.recvs;
+         })
+       funcs)
+
 let lint_section (si : section_info) : W2.Diag.t list =
-  let couplings =
-    Array.to_list si.si_funcs
-    |> List.map (fun fi ->
-           {
-             W2.Lint.c_func = fi.fi_name;
-             c_loc = fi.fi_loc;
-             c_greads = fi.fi_direct.greads;
-             c_gwrites = fi.fi_direct.gwrites;
-             c_sends = fi.fi_direct.sends;
-             c_recvs = fi.fi_direct.recvs;
-           })
-  in
-  W2.Lint.coupling_warnings ~section:si.si_name ~cells:si.si_cells
-    ~disjoint:si.si_disjoint couplings
+  lint_couplings ~section:si.si_name ~cells:si.si_cells ~disjoint:si.si_disjoint
+    (Array.to_list si.si_funcs
+    |> List.map (fun fi -> (fi.fi_name, fi.fi_loc, fi.fi_direct)))
 
 let lint (t : t) : W2.Diag.t list =
   List.concat_map lint_section t.dp_sections |> W2.Diag.sort

@@ -60,6 +60,12 @@ type edge = {
   e_from : int; (** index into [si_funcs]: compile this first *)
   e_to : int;
   reasons : reason list; (** deduplicated, in a fixed display order *)
+  e_hot : bool;
+      (** the endpoints' {e uncapped} closed summaries really share
+          written state or a channel — the commit oracle's ground
+          truth: speculating past a hot {!Speculative} edge aborts
+          when the attempt overlapped its predecessor, past a cold one
+          it always commits *)
 }
 
 type confidence =
@@ -149,13 +155,6 @@ type section_info = {
   si_disjoint : string list;
       (** globals whose every write/access pair is element-disjoint —
           the W008 downgrade set *)
-  si_hot : (int * int) list;
-      (** function pairs whose {e uncapped} closed summaries really
-          share written state or a channel, oriented like edges (lower
-          canonical rank first) and sorted — the commit oracle's ground
-          truth: a speculative edge over a hot pair must abort when the
-          attempt overlapped its predecessor, over a cold pair it
-          always commits *)
 }
 
 type t = {
@@ -202,8 +201,8 @@ val independent : section_info -> int -> int -> bool
     bit-identical results, and the pair's interpretations commute. *)
 
 val licensed_fraction : section_info -> float
-(** Fraction of unordered function pairs the DAG licenses to run in
-    parallel ([1.0] for sections with fewer than two functions) — the
+(** {!Digraph.licensed_fraction} of [si_edges]: the fraction of
+    unordered function pairs the DAG licenses to run in parallel — the
     analysis-side bound on the speedup a DAG-aware schedule can keep. *)
 
 val edges_by_name : section_info -> (string * string * reason list) list
@@ -231,17 +230,20 @@ val pruned_by_name :
   section_info -> (string * string * reason * refuter) list
 (** [si_pruned] with indices resolved to function names. *)
 
-val spec_edges_by_name : section_info -> (string * string) list
-(** The {!Speculative} subset of [si_edges], indices resolved to
-    function names. *)
-
-val hot_pairs_by_name : section_info -> (string * string) list
-(** [si_hot] with indices resolved to function names. *)
+val lint_couplings :
+  section:string ->
+  cells:int ->
+  disjoint:string list ->
+  (string * W2.Loc.t * effects) list ->
+  W2.Diag.t list
+(** W008/W009 via {!W2.Lint.coupling_warnings} over (function, location,
+    direct effects) triples: the one bridge from effect records to the
+    coupling lint, shared by {!lint_section} and [Modan.lint]. *)
 
 val lint_section : section_info -> W2.Diag.t list
-(** W008/W009 for one section via {!W2.Lint.coupling_warnings}, fed
-    from the direct (not summarized) effects so each warning blames
-    the function whose source performs the coupled operation. *)
+(** {!lint_couplings} for one section, fed from the direct (not
+    summarized) effects so each warning blames the function whose
+    source performs the coupled operation. *)
 
 val lint : t -> W2.Diag.t list
 (** {!lint_section} over every section, merged in file order. *)
@@ -276,3 +278,53 @@ val to_json : t -> string
 val json_strings : string list -> string
 (** A JSON array of string literals, items escaped by
     {!W2.Sarif.escape} and separated by [", "]. *)
+
+(** {1 Building blocks shared with [Modan]}
+
+    Both analyzers close set-based effect records over a call graph,
+    find data couplings with one index-based enumerator, and collect
+    rank-oriented edges with deduplicated reasons in one accumulator. *)
+
+module SS : Set.S with type elt = string
+
+type eff = {
+  r : SS.t;  (** globals read *)
+  w : SS.t;  (** globals written *)
+  sx : bool;  (** sends on X *)
+  sy : bool;
+  rx : bool;  (** receives on X *)
+  ry : bool;
+  cs : SS.t;  (** user functions called *)
+  lim : bool;  (** the summary lost precision *)
+}
+
+val eff_empty : eff
+val eff_union : eff -> eff -> eff
+val eff_equal : eff -> eff -> bool
+
+type 'r edge_acc
+(** Edges under construction, each with a bag of reasons. *)
+
+val edge_acc : rank:(int -> int) -> 'r edge_acc
+(** Empty; its edges will point from lower [rank] to higher. *)
+
+val add_reason : 'r edge_acc -> int -> int -> 'r -> unit
+(** [add_reason acc i j r] files [r] under the pair [{i, j}], oriented
+    by rank; a self-pair is ignored. *)
+
+val acc_edges : 'r edge_acc -> key:('r -> 'k) -> ((int * int) * 'r list) list
+(** Every accumulated (from, to) pair, sorted, with its reasons
+    deduplicated and sorted by [key]. *)
+
+val add_couplings :
+  ?consider:(int -> int -> bool) ->
+  'r edge_acc ->
+  eff array ->
+  global:(string -> 'r) ->
+  channel:(W2.Ast.channel -> 'r) ->
+  unit
+(** Add every data coupling among the effects: [global g] between a
+    writer of [g] and each other function accessing [g], then
+    [channel c] between every two functions operating on channel [c].
+    Works from per-global writer and accessor indexes, never all
+    pairs.  Only pairs [consider] accepts (default all) are added. *)

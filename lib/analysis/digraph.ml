@@ -102,6 +102,15 @@ let dependent_pairs succs =
   Array.iteri (fun v _ -> pairs := !pairs + mark succs seen v v - 1) succs;
   !pairs
 
+(* Edges only point forward in rank, so each dependent unordered pair
+   is one ordered reachable pair. *)
+let licensed_fraction succs =
+  let n = Array.length succs in
+  if n < 2 then 1.0
+  else
+    1.0
+    -. float_of_int (dependent_pairs succs) /. float_of_int (n * (n - 1) / 2)
+
 (* Bottom-up summaries: SCCs in id order, so callees are final before
    any caller reads them; each SCC is swept in ascending member order,
    updating in place, until one sweep changes nothing. *)

@@ -30,6 +30,11 @@ val dependent_pairs : int list array -> int
     [u] to [v].  On a DAG this is the number of unordered pairs that
     must not run in parallel. *)
 
+val licensed_fraction : int list array -> float
+(** Fraction of unordered node pairs of a DAG with no path either way —
+    the pairs a dependence-aware schedule may run in parallel; [1.0]
+    below two nodes. *)
+
 val solve :
   ?widen:int * ('a -> 'a -> 'a) ->
   int list array ->

@@ -10,7 +10,7 @@ open W2
 let spf = Printf.sprintf
 let md5 s = Digest.to_hex (Digest.string s)
 
-module SS = Set.Make (String)
+module SS = Depan.SS
 
 type func_summary = {
   ws_name : string;
@@ -132,6 +132,12 @@ let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
     ms_funcs = funcs;
     ms_edges = Depan.edges_by_name si;
   }
+
+let lint ms =
+  Depan.lint_couplings ~section:ms.ms_section ~cells:ms.ms_cells
+    ~disjoint:ms.ms_disjoint
+    (Array.to_list ms.ms_funcs
+    |> List.map (fun w -> (w.ws_name, w.ws_loc, w.ws_direct)))
 
 (* ---------- the warpcc-wsi/1 artifact ---------- *)
 
@@ -565,23 +571,6 @@ type link = {
   lk_diags : Diag.t list;
 }
 
-(* Per-function cross-module closure over module-qualified globals. *)
-type clo = {
-  cr : SS.t; (* qualified "module.global" reads *)
-  cw : SS.t;
-  cx : bool; (* may operate on channel X *)
-  cy : bool;
-  clim : bool;
-}
-
-let clo_union a b =
-  { cr = SS.union a.cr b.cr; cw = SS.union a.cw b.cw; cx = a.cx || b.cx;
-    cy = a.cy || b.cy; clim = a.clim || b.clim }
-
-let clo_equal a b =
-  SS.equal a.cr b.cr && SS.equal a.cw b.cw && a.cx = b.cx && a.cy = b.cy
-  && a.clim = b.clim
-
 let compose (modules : module_summary list) : link =
   let mods = Array.of_list modules in
   let mod_idx = Hashtbl.create 64 in
@@ -659,6 +648,8 @@ let compose (modules : module_summary list) : link =
           (fsum r).ws_xcalls)
   in
   let lk_missing = List.sort_uniq compare !missing in
+  (* the closure reuses Depan's effect record, over module-qualified
+     globals; calls are already resolved into [xcallees] *)
   let base =
     Array.init nfuncs (fun r ->
         let w = fsum r in
@@ -666,37 +657,30 @@ let compose (modules : module_summary list) : link =
         let qualify names =
           SS.of_list (List.map (fun g -> mods.(fmod.(r)).ms_module ^ "." ^ g) names)
         in
-        let has c = List.mem c e.Depan.sends || List.mem c e.Depan.recvs in
         {
-          cr = qualify e.Depan.greads;
-          cw = qualify e.Depan.gwrites;
-          cx = has Ast.Chan_x;
-          cy = has Ast.Chan_y;
-          clim =
+          Depan.eff_empty with
+          r = qualify e.Depan.greads;
+          w = qualify e.Depan.gwrites;
+          sx = List.mem Ast.Chan_x e.Depan.sends;
+          sy = List.mem Ast.Chan_y e.Depan.sends;
+          rx = List.mem Ast.Chan_x e.Depan.recvs;
+          ry = List.mem Ast.Chan_y e.Depan.recvs;
+          lim =
             e.Depan.limited
             || List.compare_lengths xcallees.(r) w.ws_xcalls < 0;
         })
   in
   let clos, _ =
-    Digraph.solve xcallees ~equal:clo_equal ~init:(Array.get base)
+    Digraph.solve xcallees ~equal:Depan.eff_equal ~init:(Array.get base)
       ~step:(fun get r ->
-        List.fold_left (fun acc r' -> clo_union acc (get r')) base.(r)
+        List.fold_left (fun acc r' -> Depan.eff_union acc (get r')) base.(r)
           xcallees.(r))
   in
   (* a closure is augmented iff its function calls out of its module *)
   let aug r = (fsum r).ws_xcalls <> [] in
-  (* edge accumulation, keyed and oriented by rank *)
-  let edge_tbl : (int * int, xreason list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let add_edge a b reason =
-    if a <> b then begin
-      let key = if a < b then (a, b) else (b, a) in
-      match Hashtbl.find_opt edge_tbl key with
-      | Some rs -> if not (List.mem reason !rs) then rs := reason :: !rs
-      | None -> Hashtbl.replace edge_tbl key (ref [ reason ])
-    end
-  in
+  (* edge accumulation: ranks are the indices *)
+  let acc = Depan.edge_acc ~rank:Fun.id in
+  let add_edge = Depan.add_reason acc in
   (* (a) the modules' own edges, carried over *)
   Array.iter
     (fun m ->
@@ -726,89 +710,40 @@ let compose (modules : module_summary list) : link =
      pairs are only considered when a closure was augmented — otherwise
      the per-module analysis (absint pruning included) is authoritative
      for the pair. *)
-  let consider a b =
-    fmod.(a) <> fmod.(b) || aug a || aug b
-  in
-  let writers = Hashtbl.create 256 (* qualified global -> rank list *) in
-  let accessors = Hashtbl.create 256 in
-  let push tbl k v =
-    match Hashtbl.find_opt tbl k with
-    | Some l -> l := v :: !l
-    | None -> Hashtbl.replace tbl k (ref [ v ])
-  in
-  for r = 0 to nfuncs - 1 do
-    let c = clos.(r) in
-    SS.iter
-      (fun g ->
-        push writers g r;
-        push accessors g r)
-      c.cw;
-    SS.iter (fun g -> if not (SS.mem g c.cw) then push accessors g r) c.cr
-  done;
-  Hashtbl.iter
-    (fun g ws ->
-      let accs = match Hashtbl.find_opt accessors g with
-        | Some l -> !l
-        | None -> []
-      in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun a ->
-              if w <> a && consider w a then
-                add_edge w a (Xmodule_global g))
-            accs)
-        !ws)
-    writers;
-  let chan_pairs get chan =
-    let touchers = ref [] in
-    for r = nfuncs - 1 downto 0 do
-      if get clos.(r) then touchers := r :: !touchers
-    done;
-    let ts = !touchers in
-    List.iteri
-      (fun i a ->
-        List.iteri
-          (fun j b ->
-            if j > i && consider a b then add_edge a b (Xmodule_channel chan))
-          ts)
-      ts
-  in
-  chan_pairs (fun c -> c.cx) Ast.Chan_x;
-  chan_pairs (fun c -> c.cy) Ast.Chan_y;
+  Depan.add_couplings acc clos
+    ~consider:(fun a b -> fmod.(a) <> fmod.(b) || aug a || aug b)
+    ~global:(fun g -> Xmodule_global g)
+    ~channel:(fun c -> Xmodule_channel c);
   (* (d) blanket pins for limited closures, against every function of
      every other module — the cross-module analogue of sound mode's
      sibling pinning *)
   for r = 0 to nfuncs - 1 do
-    if clos.(r).clim && aug r then
+    if clos.(r).Depan.lim && aug r then
       for r' = 0 to nfuncs - 1 do
         if fmod.(r') <> fmod.(r) then add_edge r r' Xsummary_limit
       done
   done;
+  let edges = Depan.acc_edges acc ~key:xreason_rank in
   let lk_edges =
-    Hashtbl.fold (fun k rs acc -> (k, !rs) :: acc) edge_tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map (fun ((a, b), rs) ->
-           let wa = fsum a and wb = fsum b in
-           {
-             x_from = wa.ws_name;
-             x_from_module = mods.(fmod.(a)).ms_module;
-             x_to = wb.ws_name;
-             x_to_module = mods.(fmod.(b)).ms_module;
-             x_reasons =
-               List.sort_uniq
-                 (fun x y -> compare (xreason_rank x) (xreason_rank y))
-                 rs;
-           })
+    List.map
+      (fun ((a, b), x_reasons) ->
+        {
+          x_from = (fsum a).ws_name;
+          x_from_module = mods.(fmod.(a)).ms_module;
+          x_to = (fsum b).ws_name;
+          x_to_module = mods.(fmod.(b)).ms_module;
+          x_reasons;
+        })
+      edges
   in
   (* levels, licensed fraction, func list *)
   let preds = Array.make nfuncs [] in
   let succs = Array.make nfuncs [] in
-  Hashtbl.iter
-    (fun (a, b) _ ->
+  List.iter
+    (fun ((a, b), _) ->
       preds.(b) <- a :: preds.(b);
       succs.(a) <- b :: succs.(a))
-    edge_tbl;
+    edges;
   let lk_levels =
     List.map (List.map (fun r -> (fsum r).ws_name)) (Digraph.levels preds)
   in
@@ -826,14 +761,7 @@ let compose (modules : module_summary list) : link =
       (List.concat_map (fun s -> List.map mod_name scc_members.(s)))
       (Digraph.levels scc_preds)
   in
-  let total_pairs = nfuncs * (nfuncs - 1) / 2 in
-  let lk_licensed =
-    if total_pairs = 0 then 1.0
-    else
-      1.0
-      -. float_of_int (Digraph.dependent_pairs succs)
-         /. float_of_int total_pairs
-  in
+  let lk_licensed = Digraph.licensed_fraction succs in
   let lk_funcs =
     List.init nfuncs (fun r ->
         let w = fsum r in
@@ -842,7 +770,7 @@ let compose (modules : module_summary list) : link =
           xf_module = mods.(fmod.(r)).ms_module;
           xf_rank = r;
           xf_exported = w.ws_exported;
-          xf_limited = clos.(r).clim;
+          xf_limited = clos.(r).Depan.lim;
         })
   in
   (* ---- cross-module lints ---- *)
@@ -893,7 +821,7 @@ let compose (modules : module_summary list) : link =
   (* W011: cross-module write to a global another module localizes *)
   let global_owners = Hashtbl.create 64 in
   Array.iteri
-    (fun i m -> List.iter (fun g -> push global_owners g i) m.ms_globals)
+    (fun i m -> List.iter (fun g -> Hashtbl.add global_owners g i) m.ms_globals)
     mods;
   let w011_seen = Hashtbl.create 16 in
   Array.iteri
@@ -902,19 +830,16 @@ let compose (modules : module_summary list) : link =
         (fun w ->
           List.iter
             (fun g ->
-              match Hashtbl.find_opt global_owners g with
-              | Some owners ->
-                List.iter
-                  (fun o ->
-                    if o <> i && not (Hashtbl.mem w011_seen (i, g, o)) then begin
-                      Hashtbl.replace w011_seen (i, g, o) ();
-                      warn ~func:w.ws_name ~code:"W011" ~loc:w.ws_loc
-                        (spf
-                           "write to global '%s', which module '%s' also localizes; section globals are per-module state — rename one to avoid confusion"
-                           g mods.(o).ms_module)
-                    end)
-                  (List.rev !owners)
-              | None -> ())
+              List.iter
+                (fun o ->
+                  if o <> i && not (Hashtbl.mem w011_seen (i, g, o)) then begin
+                    Hashtbl.replace w011_seen (i, g, o) ();
+                    warn ~func:w.ws_name ~code:"W011" ~loc:w.ws_loc
+                      (spf
+                         "write to global '%s', which module '%s' also localizes; section globals are per-module state — rename one to avoid confusion"
+                         g mods.(o).ms_module)
+                  end)
+                (List.rev (Hashtbl.find_all global_owners g)))
             w.ws_direct.Depan.gwrites)
         m.ms_funcs)
     mods;
@@ -951,15 +876,6 @@ let compose (modules : module_summary list) : link =
     lk_licensed;
     lk_diags = Diag.sort !diags;
   }
-
-let func_deps link = List.map (fun e -> (e.x_from, e.x_to)) link.lk_edges
-
-let spec_deps link =
-  List.filter_map
-    (fun e ->
-      if xedge_confidence e = Depan.Speculative then Some (e.x_from, e.x_to)
-      else None)
-    link.lk_edges
 
 (* ---------- whole-program reference ---------- *)
 

@@ -83,6 +83,10 @@ type module_summary = {
           ({!Depan.edges_by_name}) *)
 }
 
+val lint : module_summary -> W2.Diag.t list
+(** The module's W008/W009 coupling warnings, from its summary alone
+    ({!Depan.lint_couplings} over the direct effects). *)
+
 val summarize :
   ?deps:module_summary list ->
   ?sound:bool ->
@@ -197,14 +201,6 @@ val compose : module_summary list -> link
     edges a single module cannot see.
     @raise Link_error on a duplicate module name or a duplicate
     function name across modules. *)
-
-val func_deps : link -> (string * string) list
-(** Every composed edge as (before, after) function-name pairs — the
-    project-wide [Plan.func_deps] input. *)
-
-val spec_deps : link -> (string * string) list
-(** The {!Depan.Speculative} subset of {!func_deps} — the project-wide
-    [Plan.spec_edges] input. *)
 
 (** {1 Cross-module lints}
 

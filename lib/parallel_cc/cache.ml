@@ -17,7 +17,8 @@
    consulting or populating the store (index fetches, artifact
    transfers, store writes) are charged by the runners through
    [Netsim.Net] at the simulated moment they happen; nothing in here
-   touches the event schedule.
+   touches the event schedule except through the [store] a runner
+   hands to [publish].
 
    Population discipline (exactly-once): only a durable publication may
    populate — the winning attempt's write-back, a speculative commit,
@@ -51,8 +52,9 @@ let create () =
     store_log = Hashtbl.create 64;
   }
 
-let owner ~modul ~section ~func =
-  String.concat "/" [ modul; section; func ]
+let owner ~modul (fw : Driver.Compile.func_work) =
+  String.concat "/"
+    [ modul; fw.Driver.Compile.fw_section; fw.Driver.Compile.fw_name ]
 
 let artifact_bytes (fw : Driver.Compile.func_work) =
   16.0 *. float_of_int fw.Driver.Compile.fw_wides
@@ -77,6 +79,26 @@ let populate (t : t) ~owner ~key ~bytes : bool =
       (1 + Option.value ~default:0 (Hashtbl.find_opt t.store_log key));
     true
   end
+
+(* The publication fold both runners share: newly stored artifacts are
+   recorded one by one and written in one store of payload+index
+   bytes. *)
+let publish (t : t) ~modul ~record ~store funcs =
+  let stored =
+    List.fold_left
+      (fun acc (fw : Driver.Compile.func_work) ->
+        match fw.Driver.Compile.fw_key with
+        | None -> acc
+        | Some key ->
+          let bytes = artifact_bytes fw in
+          if populate t ~owner:(owner ~modul fw) ~key ~bytes then begin
+            record (Timings.Cache_store { func = fw.Driver.Compile.fw_name; key });
+            acc +. bytes +. meta_bytes
+          end
+          else acc)
+      0.0 funcs
+  in
+  if stored > 0.0 then store stored
 
 let mem (t : t) key = Hashtbl.mem t.entries key
 let size (t : t) = Hashtbl.length t.entries

@@ -6,12 +6,13 @@
     {!Analysis.Depan.cache_keys} — salted with the optimization
     configuration and closed over the dependence ancestry — so
     invalidation is purely content-addressed: an edit changes the keys
-    of exactly the edited function and its transitive [func_deps]
+    of exactly the edited function and its transitive [Plan.edges]
     dependents, and changed keys simply miss.
 
     This module is bookkeeping only.  The simulated costs of consulting
     and populating the store are charged by {!Parrun}/{!Seqrun} through
-    {!Netsim.Net} at the simulated moment they occur; nothing here
+    {!Netsim.Net} at the simulated moment they occur (a {!publish}
+    writes through the runner's own [store]); nothing else here
     touches the event schedule, so a configuration whose
     {!Config.t.cache} is [None] is bit-identical to a build without the
     cache. *)
@@ -38,9 +39,10 @@ val meta_bytes : float
     by a remote hit, written (on top of the payload copy) by each
     population. *)
 
-val owner : modul:string -> section:string -> func:string -> string
-(** The stable identity of a function across edits — what attributes a
-    miss to invalidation rather than cold start. *)
+val owner : modul:string -> Driver.Compile.func_work -> string
+(** The stable identity of a function across edits (module, section,
+    name) — what attributes a miss to invalidation rather than cold
+    start. *)
 
 val artifact_bytes : Driver.Compile.func_work -> float
 (** Payload size of one function's phase-2/3 artifact: its code in wide
@@ -58,6 +60,20 @@ val populate : t -> owner:string -> key:string -> bytes:float -> bool
     must only invoke this from a durable publication site (winning
     write-back, speculative commit, sequential fallback) — never for a
     superseded straggler or a quarantined speculative artifact. *)
+
+val publish :
+  t ->
+  modul:string ->
+  record:(Timings.event -> unit) ->
+  store:(float -> unit) ->
+  Driver.Compile.func_work list ->
+  unit
+(** Durable publication of the functions' artifacts, the one fold both
+    runners call: {!populate} every keyed function, [record] a
+    [Cache_store] for each newly stored key, then [store] the new
+    payload and index bytes in one write (no write when nothing was
+    new).  The same discipline as {!populate}: call it only from a
+    durable publication site. *)
 
 val mem : t -> string -> bool
 val size : t -> int

@@ -18,7 +18,7 @@
    second of elapsed time to exactly one bucket:
 
      cpu              compute on the critical path, split by phase tag
-     dependence_wait  dispatch released by a Plan.func_deps edge whose
+     dependence_wait  dispatch released by a plan dependence edge whose
                       predecessor published before the claim (rare: a
                       gated successor usually chains straight into its
                       predecessor's write-back, which is the honest
@@ -225,11 +225,6 @@ let of_trace ?plan ?elapsed (tr : Trace.t) : profile =
                     head.Driver.Compile.fw_name)
                 t.Plan.t_funcs)
           tasks;
-        let edges =
-          match List.assoc_opt section p.Plan.func_deps with
-          | Some e -> e
-          | None -> []
-        in
         List.iter
           (fun (a, b) ->
             match (Hashtbl.find_opt owner a, Hashtbl.find_opt owner b) with
@@ -239,7 +234,7 @@ let of_trace ?plan ?elapsed (tr : Trace.t) : profile =
               in
               if not (List.mem la prev) then Hashtbl.replace preds_of lb (la :: prev)
             | _ -> ())
-          edges)
+          (Plan.section_edges p section))
       p.Plan.tasks_per_section);
   (* Gap context: retry instants mark backoff-window ends (the instant
      is emitted at the relaunch's own DES time); claim-span starts name

@@ -19,7 +19,7 @@
 type bucket =
   | Cpu  (** compute on the path; split by phase tag in the profile *)
   | Dependence_wait
-      (** dispatch released by a [Plan.func_deps] edge whose
+      (** dispatch released by a dependence edge ([Plan.edges]) whose
           predecessor published strictly before the claim.  Rare by
           construction: a gated successor usually chains straight into
           its predecessor's write-back, which then carries the blame

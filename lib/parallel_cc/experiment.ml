@@ -312,8 +312,11 @@ let versus_fcfs ?cfg ~pool policies mw plan =
       (p, run, elapsed fcfs /. elapsed run))
     policies
 
-let count_edges per_section =
-  List.fold_left (fun n (_, es) -> n + List.length es) 0 per_section
+(* The plan's edges of the classes [keep] accepts, over all sections. *)
+let count_edges keep (plan : Plan.t) =
+  List.fold_left
+    (fun n (s, _) -> n + List.length (Plan.section_edges ~keep plan s))
+    0 plan.Plan.edges
 
 (* --- fault tolerance: elapsed-time inflation under faults --- *)
 
@@ -538,8 +541,8 @@ let spec_sweep ?(cfg = Config.default) () : row list =
       [
         ("series", Str name);
         ("functions", Int (List.length (Driver.Compile.all_funcs mw)));
-        ("spec_edges", Int (count_edges plan.Plan.spec_edges));
-        ("hot_edges", Int (count_edges plan.Plan.hot_edges));
+        ("spec_edges", Int (count_edges (( <> ) Plan.Proven) plan));
+        ("hot_edges", Int (count_edges (( = ) Plan.Hot) plan));
         ("elapsed_lpt", secs (elapsed lpt));
         ("elapsed_spec", secs (elapsed spec));
         ("speedup", ratio (elapsed lpt /. elapsed spec));
@@ -778,26 +781,30 @@ let link_program_work ?(level = 2) ~shape ~modules () :
    with the whole-program DAG replaced by the composed one.  The
    composed edge set is a superset of what the whole-program analyzer
    finds (the modan soundness theorem), so gating on it stays
-   conservative; hot edges keep the merged analysis's proof of real
-   sharing, restricted to pairs the composed DAG still speculates
-   past. *)
+   conservative; a composed speculative edge is hot exactly when the
+   merged analysis has the same oriented pair as hot, its proof of real
+   sharing. *)
 let link_plan (mw : Driver.Compile.module_work) (link : Analysis.Modan.link) :
     Plan.t =
   let plan = Plan.one_per_station mw in
-  let deps = Analysis.Modan.func_deps link in
-  let specs = Analysis.Modan.spec_deps link in
-  let spec_set = Hashtbl.create (1 + List.length specs) in
-  List.iter (fun p -> Hashtbl.replace spec_set p ()) specs;
-  let hot =
-    List.map
-      (fun (s, es) -> (s, List.filter (Hashtbl.mem spec_set) es))
-      plan.Plan.hot_edges
-  in
   {
     plan with
-    Plan.func_deps = List.map (fun (s, _) -> (s, deps)) plan.Plan.func_deps;
-    spec_edges = List.map (fun (s, _) -> (s, specs)) plan.Plan.spec_edges;
-    hot_edges = hot;
+    Plan.edges =
+      List.map
+        (fun (s, merged) ->
+          ( s,
+            List.map
+              (fun (e : Analysis.Modan.xedge) ->
+                let c =
+                  match Analysis.Modan.xedge_confidence e with
+                  | Analysis.Depan.Proven -> Plan.Proven
+                  | Analysis.Depan.Speculative ->
+                    if List.mem (e.x_from, e.x_to, Plan.Hot) merged then Plan.Hot
+                    else Plan.Cold
+                in
+                (e.x_from, e.x_to, c))
+              link.Analysis.Modan.lk_edges ))
+        plan.Plan.edges;
   }
 
 (* Every shape at 24 and 48 modules under FCFS, dag+lpt and dag+spec on
@@ -825,7 +832,7 @@ let link_sched_sweep ?(cfg = Config.default) () : row list =
                 ("elapsed", secs r.Timings.elapsed);
                 ("speedup_vs_fcfs", ratio speedup);
                 ("cross_edges", Int (link_cross_edges link));
-                ("spec_edges", Int (count_edges plan.Plan.spec_edges));
+                ("spec_edges", Int (count_edges (( <> ) Plan.Proven) plan));
                 ("race_violations", Int (races run p));
                 ("retries", Int r.Timings.retries);
                 ("spec_rolled_back", Int r.Timings.spec_rolled_back);

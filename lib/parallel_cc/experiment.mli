@@ -228,11 +228,11 @@ val link_program_work :
 
 val link_plan :
   Driver.Compile.module_work -> Analysis.Modan.link -> Plan.t
-(** One master per function with [Plan.func_deps] / [spec_edges]
-    replaced by the composed {!Analysis.Modan.func_deps} /
-    {!Analysis.Modan.spec_deps}; hot edges keep the merged analysis's
-    proven-sharing pairs restricted to edges the composed DAG still
-    speculates past (so hot ⊆ spec is preserved). *)
+(** One master per function with [Plan.edges] replaced by the composed
+    {!Analysis.Modan.link.lk_edges}, classed by
+    {!Analysis.Modan.xedge_confidence}; a composed speculative edge is
+    {!Plan.Hot} exactly when the merged analysis classes the same
+    oriented pair [Hot]. *)
 
 val link_sched_sweep : ?cfg:Config.t -> unit -> row list
 (** Every shape at 24 and 48 modules played under FCFS, dag+lpt and

@@ -47,7 +47,7 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
     incr done_count;
     if !done_count = total then finish := t
   in
-  let log = Parrun.empty_log () in
+  let log = Timings.empty_log () in
   (* One ["make"] span per module compilation on track 0, so a traced
      study shows the per-module schedule of each strategy. *)
   let traced (mw : Driver.Compile.module_work) body () =
@@ -61,7 +61,7 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
         ~t0 ~t1:(Netsim.Des.now sim) ()
   in
   let seq_body ~salt mw =
-    traced mw (Seqrun.compile_process cfg sim cluster ~noise ~salt mw ~on_finish)
+    traced mw (Seqrun.compile_process cfg sim cluster ~noise ~salt mw ~log ~on_finish)
   in
   let par_body ~salt mw =
     traced mw

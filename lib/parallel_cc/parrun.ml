@@ -60,65 +60,6 @@ type outcome = {
   scheduled : Plan.t; (* the plan the master dispatched *)
 }
 
-(* The implementation-overhead CPU of section 4.2.3: the master's
-   setup parse and scheduling, the section masters' work, and the
-   function masters' re-parsing. *)
-type overhead = Master | Section | Reparse
-
-(* One run-log entry.  [Overhead] carries nominal seconds, [Wasted] the
-   CPU an attempt burned for nothing. *)
-type event =
-  | Overhead of overhead * float
-  | Retry
-  | Timeout
-  | Attempt_lost
-  | Wasted of float
-  | Fallback
-  | Spec_dispatch
-  | Spec_commit
-  | Spec_abort
-  | Cache_hit of { func : string; key : string }
-  | Cache_miss of { func : string; key : string; invalidated : bool }
-  | Cache_store of { func : string; key : string }
-  | Placement of (string * int)
-
-type log = event Queue.t
-
-let empty_log () : log = Queue.create ()
-
-(* The run's counters and placements as one fold over the log.  Append
-   order is the order the events happened in, so every float sum is
-   reproducible bit for bit. *)
-let tally (log : log) (r : Timings.run) =
-  Queue.fold
-    (fun ((r : Timings.run), placed) ev ->
-      match ev with
-      | Overhead (Master, s) ->
-        ({ r with master_cpu = r.master_cpu +. s }, placed)
-      | Overhead (Section, s) ->
-        ({ r with section_cpu = r.section_cpu +. s }, placed)
-      | Overhead (Reparse, s) ->
-        ({ r with extra_parse_cpu = r.extra_parse_cpu +. s }, placed)
-      | Retry -> ({ r with retries = r.retries + 1 }, placed)
-      | Wasted s -> ({ r with wasted_cpu = r.wasted_cpu +. s }, placed)
-      | Fallback -> ({ r with fallback_tasks = r.fallback_tasks + 1 }, placed)
-      | Spec_dispatch ->
-        ({ r with spec_dispatched = r.spec_dispatched + 1 }, placed)
-      | Spec_commit -> ({ r with spec_committed = r.spec_committed + 1 }, placed)
-      | Spec_abort ->
-        ({ r with spec_rolled_back = r.spec_rolled_back + 1 }, placed)
-      | Cache_hit _ -> ({ r with cache_hits = r.cache_hits + 1 }, placed)
-      | Cache_miss { invalidated; _ } ->
-        ( {
-            r with
-            cache_misses = r.cache_misses + 1;
-            cache_invalidated = r.cache_invalidated + Bool.to_int invalidated;
-          },
-          placed )
-      | Placement p -> (r, p :: placed)
-      | Timeout | Attempt_lost | Cache_store _ -> (r, placed))
-    (r, []) log
-
 (* A function-master attempt lost its station.  Raised and caught
    within the same simulated process — it never escapes the DES. *)
 exception Lost of Netsim.Fault.failure
@@ -163,7 +104,7 @@ let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
    compiled concurrently on one cluster (the parallel-make study).
    [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
 let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
-    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : log)
+    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : Timings.log)
     ~on_finish () =
   let cost = cfg.Config.cost in
   let gating = Sched.gating cfg.Config.sched_policy in
@@ -177,7 +118,6 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
      Under [Proven] gating only the proven edges gate; attempts
      dispatched past speculative edges stage their write-back and run
      the commit protocol below. *)
-  let gated = gating <> Sched.Ungated in
   let spec_mode = gating = Sched.Proven in
   let faulty = not (Netsim.Fault.is_none cfg.Config.faults) in
   let tr = cfg.Config.trace in
@@ -208,43 +148,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   let core_file = "core" in
   let src_file = "src:" ^ mw.Driver.Compile.mw_name in
   let ws_m = Netsim.Host.claim sim cluster in
-  (* The one place an event is counted and traced: appended to the run
-     log, and emitted on the master's track as its instant, or as its
-     span from [t0] to now.  Overhead CPU is traced by the
-     [Host.compute] span that burned it, placements by the claim
-     spans. *)
-  let record ?(task = "") ?(attempt = 0) ?(t0 = 0.0) ev =
-    Queue.push ev log;
-    if Trace.enabled tr then begin
-      let track = ws_m.Netsim.Host.ws_id and now = Netsim.Des.now sim in
-      let args = [ ("task", task); ("attempt", string_of_int attempt) ] in
-      let instant ?(cat = "task") ?(args = args) name =
-        Trace.instant tr ~track ~cat ~name ~args ~at:now ()
-      in
-      let span name = Trace.span tr ~track ~cat:"task" ~name ~args ~t0 ~t1:now () in
-      (* Compile-cache index events live in their own category: the
-         "cache-hit" task instant is the byte-level locality cache. *)
-      let indexed name ~func ~key extra =
-        instant ~cat:"cache"
-          ~args:(("task", task) :: ("func", func) :: ("key", key) :: extra)
-          name
-      in
-      match ev with
-      | Overhead _ | Placement _ -> ()
-      | Retry -> instant "retry"
-      | Timeout -> instant "timeout"
-      | Attempt_lost -> instant "attempt-lost"
-      | Wasted cpu -> instant ~args:(args @ [ ("cpu", Trace.farg cpu) ]) "wasted"
-      | Spec_dispatch -> instant "spec-dispatch"
-      | Fallback -> span "fallback"
-      | Spec_commit -> span "spec-commit"
-      | Spec_abort -> span "spec-abort"
-      | Cache_hit { func; key } -> indexed "cache-hit" ~func ~key []
-      | Cache_miss { func; key; invalidated } ->
-        indexed "cache-miss" ~func ~key
-          [ ("invalidated", if invalidated then "1" else "0") ]
-      | Cache_store { func; key } -> indexed "cache-store" ~func ~key []
-    end
+  (* The one place an event is counted and traced, on the master's
+     track. *)
+  let record ?task ?attempt ?t0 ev =
+    Timings.record log tr ~track:ws_m.Netsim.Host.ws_id
+      ~now:(Netsim.Des.now sim) ?task ?attempt ?t0 ev
   in
   let factor w = Config.cluster_slowdown cfg cluster w in
   (* The master's workstation is never faulted (Host wires station 0
@@ -298,32 +206,18 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
             (0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
           (* [deps] gates dispatch.  Under [Proven] gating only the
-             proven edges gate; the speculative remainder ([spec_deps]) is
-             checked by the commit protocol instead, and its hot subset
-             ([hot_deps]) — pairs the uncapped analysis proves really
-             share state — is what forces an abort. *)
-          let deps =
-            if gated then
-              Sched.task_deps
-                ~func_deps:
-                  (if spec_mode then Plan.proven_deps plan
-                   else plan.Plan.func_deps)
-                ~section:section_name tasks
-            else Array.make (List.length tasks) []
+             proven edges gate; the speculative remainder ([spec_deps])
+             is checked by the commit protocol instead, and its hot
+             subset ([hot_deps]) is what forces an abort.  A task pair
+             joined by edges of both kinds is in [deps] and
+             [spec_deps]; it is complete before any attempt claims, so
+             the commit protocol never sees it pending. *)
+          let deps_where keep =
+            Sched.task_deps (Plan.section_edges ~keep plan section_name) tasks
           in
-          let spec_deps, hot_deps =
-            if spec_mode then
-              ( Array.mapi
-                  (fun i full ->
-                    List.filter (fun d -> not (List.mem d deps.(i))) full)
-                  (Sched.task_deps ~func_deps:plan.Plan.func_deps
-                     ~section:section_name tasks),
-                Sched.task_deps ~func_deps:plan.Plan.hot_edges
-                  ~section:section_name tasks )
-            else
-              ( Array.make (List.length tasks) [],
-                Array.make (List.length tasks) [] )
-          in
+          let deps = deps_where (Sched.gates gating) in
+          let spec_deps = deps_where (fun c -> spec_mode && c <> Plan.Proven) in
+          let hot_deps = deps_where (fun c -> spec_mode && c = Plan.Hot) in
           let completion =
             Array.init (List.length tasks) (fun _ -> Netsim.Sync.event ())
           in
@@ -371,10 +265,6 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       [ ("task", task_label); ("attempt", string_of_int attempt_n) ]
                     ~t0 ~t1:(Netsim.Des.now sim) ()
               in
-              let cache_owner (fw : Driver.Compile.func_work) =
-                Cache.owner ~modul:mw.Driver.Compile.mw_name
-                  ~section:section_name ~func:fw.Driver.Compile.fw_name
-              in
               (* Durable publication of this task's artifacts into the
                  compile cache.  Called exactly where the task's output
                  becomes durable — the winning attempt, a speculative
@@ -385,26 +275,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                  payload+index bytes, alongside the durable copy
                  already written. *)
               let cache_publish () =
-                match cache with
-                | None -> ()
-                | Some c ->
-                  let stored =
-                    List.fold_left
-                      (fun acc (fw : Driver.Compile.func_work) ->
-                        match fw.Driver.Compile.fw_key with
-                        | None -> acc
-                        | Some key ->
-                          let bytes = Cache.artifact_bytes fw in
-                          if Cache.populate c ~owner:(cache_owner fw) ~key ~bytes
-                          then begin
-                            record
-                              (Cache_store { func = fw.Driver.Compile.fw_name; key });
-                            acc +. bytes +. Cache.meta_bytes
-                          end
-                          else acc)
-                      0.0 task.Plan.t_funcs
-                  in
-                  if stored > 0.0 then store stored
+                Option.iter
+                  (fun c ->
+                    Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record
+                      ~store task.Plan.t_funcs)
+                  cache
               in
               (* Supervisor state: the completion token, the attempt
                  counter, and the commit oracle's aborts so far and
@@ -594,7 +469,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                     let func = fw.Driver.Compile.fw_name in
                     match (cache, fw.Driver.Compile.fw_key) with
                     | Some c, Some key -> (
-                      match Cache.find c ~owner:(cache_owner fw) ~key with
+                      let owner = Cache.owner ~modul:mw.Driver.Compile.mw_name fw in
+                      match Cache.find c ~owner ~key with
                       | Cache.Hit e ->
                         record (Cache_hit { func; key });
                         let file = "art:" ^ key in
@@ -870,7 +746,7 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   let cluster = Config.cluster cfg in
   let noise = Config.noise cfg in
   let finish = ref 0.0 in
-  let log = empty_log () in
+  let log = Timings.empty_log () in
   let scheduled = schedule cfg plan in
   Netsim.Des.spawn sim
     (master_process cfg sim cluster ~noise ~salt:0 mw scheduled ~log
@@ -878,7 +754,7 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   ignore (Netsim.Des.run sim);
   let cpu = Netsim.Host.cpu_times cluster in
   let run, placed =
-    tally log
+    Timings.tally log
       {
         Timings.zero with
         elapsed = !finish;

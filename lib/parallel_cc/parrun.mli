@@ -36,9 +36,9 @@
     a task hardens: further launches gate on every speculative edge,
     dag+lpt style.
 
-    Every counted event is appended to a run {!log} by the same call
-    that emits its trace instant or span, and {!Timings.run} is one
-    fold over that log. *)
+    Every counted event is appended to a run {!Timings.log} by the
+    same call that emits its trace instant or span, and
+    {!Timings.run} is one fold over that log. *)
 
 type outcome = {
   run : Timings.run;
@@ -49,12 +49,6 @@ type outcome = {
       (** the plan the master dispatched: {!schedule} of the input
           plan, whose task labels the trace spans carry *)
 }
-
-type log
-(** The append-only run log: every counted event of one or more master
-    processes, in the order it happened. *)
-
-val empty_log : unit -> log
 
 val schedule : Config.t -> Plan.t -> Plan.t
 (** {!Sched.schedule} under the config's policy, cost model, batch
@@ -70,7 +64,7 @@ val master_process :
   salt:int ->
   Driver.Compile.module_work ->
   Plan.t ->
-  log:log ->
+  log:Timings.log ->
   on_finish:(float -> unit) ->
   unit ->
   unit

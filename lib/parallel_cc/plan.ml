@@ -16,64 +16,43 @@ type task = {
   t_funcs : Driver.Compile.func_work list; (* compiled together, in order *)
 }
 
+type edge_class = Proven | Hot | Cold
+
 type t = {
   tasks_per_section : (string * task list) list;
   estimate_used : bool;
-  func_deps : (string * (string * string) list) list;
+  edges : (string * (string * string * edge_class) list) list;
   (* per section: the analyzer's function-level dependence edges,
-     (compile-first, compile-second) by name.  FCFS/LPT policies ignore
-     them; the DAG-aware policies in [Sched] order and gate by them. *)
-  spec_edges : (string * (string * string) list) list;
-  (* the speculative subset of [func_deps]: edges whose only reasons
-     are data over-approximations.  [dag+spec] dispatches past them
-     under the commit protocol; every other policy treats them exactly
-     like the rest of [func_deps]. *)
-  hot_edges : (string * (string * string) list) list;
-  (* the subset of [spec_edges] whose endpoints the uncapped analysis
-     proves really share state: speculating past one of these aborts
-     when the attempt overlapped its predecessor. *)
+     (compile-first, compile-second, class) by name, in analysis
+     order.  FCFS/LPT policies ignore them; the DAG-aware policies in
+     [Sched] order and gate by them. *)
 }
+
+(* The one place an analyzer edge gets its class: structural edges are
+   proven, data-only ones speculative, and a speculative edge is hot
+   when the uncapped summaries really couple its endpoints. *)
+let classify (e : Analysis.Depan.edge) =
+  match Analysis.Depan.edge_confidence e with
+  | Analysis.Depan.Proven -> Proven
+  | Analysis.Depan.Speculative -> if e.Analysis.Depan.e_hot then Hot else Cold
 
 (* The dependence edges come straight from the phase-1 analysis the
    driver already ran; deriving them here keeps every plan carrying its
    DAG without a separate wiring step. *)
-let deps_of (mw : Driver.Compile.module_work) :
-    (string * (string * string) list) list =
+let edges_of (analysis : Analysis.Depan.t) =
   List.map
-    (fun si ->
-      ( si.Analysis.Depan.si_name,
+    (fun (si : Analysis.Depan.section_info) ->
+      let name i = si.si_funcs.(i).Analysis.Depan.fi_name in
+      ( si.si_name,
         List.map
-          (fun (from_name, to_name, _) -> (from_name, to_name))
-          (Analysis.Depan.edges_by_name si) ))
-    mw.Driver.Compile.mw_analysis.Analysis.Depan.dp_sections
+          (fun (e : Analysis.Depan.edge) -> (name e.e_from, name e.e_to, classify e))
+          si.si_edges ))
+    analysis.Analysis.Depan.dp_sections
 
-let spec_deps_of (mw : Driver.Compile.module_work) :
-    (string * (string * string) list) list =
-  List.map
-    (fun si ->
-      (si.Analysis.Depan.si_name, Analysis.Depan.spec_edges_by_name si))
-    mw.Driver.Compile.mw_analysis.Analysis.Depan.dp_sections
-
-let hot_deps_of (mw : Driver.Compile.module_work) :
-    (string * (string * string) list) list =
-  List.map
-    (fun si ->
-      let hot = Analysis.Depan.hot_pairs_by_name si in
-      ( si.Analysis.Depan.si_name,
-        List.filter (fun e -> List.mem e hot)
-          (Analysis.Depan.spec_edges_by_name si) ))
-    mw.Driver.Compile.mw_analysis.Analysis.Depan.dp_sections
-
-let proven_deps (plan : t) : (string * (string * string) list) list =
-  List.map
-    (fun (sec, edges) ->
-      let spec =
-        match List.assoc_opt sec plan.spec_edges with
-        | Some s -> s
-        | None -> []
-      in
-      (sec, List.filter (fun e -> not (List.mem e spec)) edges))
-    plan.func_deps
+let section_edges ?(keep = fun _ -> true) (plan : t) section =
+  match List.assoc_opt section plan.edges with
+  | None -> []
+  | Some es -> List.filter_map (fun (a, b, c) -> if keep c then Some (a, b) else None) es
 
 (* The paper's proxy for compile time: "a combination of lines of code
    and loop nesting". *)
@@ -98,9 +77,7 @@ let one_per_station (mw : Driver.Compile.module_work) : t =
               sw.Driver.Compile.sw_funcs ))
         mw.Driver.Compile.mw_sections;
     estimate_used = false;
-    func_deps = deps_of mw;
-    spec_edges = spec_deps_of mw;
-    hot_edges = hot_deps_of mw;
+    edges = edges_of mw.Driver.Compile.mw_analysis;
   }
 
 (* LPT bin packing of all functions of one section onto [bins]
@@ -175,9 +152,7 @@ let grouped (mw : Driver.Compile.module_work) ~processors : t =
           (sw.Driver.Compile.sw_name, pack_section sw ~bins))
         sections bins_per_section;
     estimate_used = true;
-    func_deps = deps_of mw;
-    spec_edges = spec_deps_of mw;
-    hot_edges = hot_deps_of mw;
+    edges = edges_of mw.Driver.Compile.mw_analysis;
   }
 
 let task_count (plan : t) =

@@ -13,30 +13,44 @@ type task = {
   t_funcs : Driver.Compile.func_work list; (** compiled together, in order *)
 }
 
+type edge_class =
+  | Proven
+      (** a structural edge ({!Analysis.Depan.Proven}): every DAG-aware
+          policy gates on it *)
+  | Hot
+      (** a {!Analysis.Depan.Speculative} edge whose endpoints the
+          uncapped analysis proves really share state
+          ({!Analysis.Depan.edge.e_hot}): [dag+spec] may dispatch past
+          it, but such an attempt aborts whenever it overlapped its
+          predecessor *)
+  | Cold
+      (** a speculative edge over a pair that shares no state: an
+          attempt dispatched past it always commits *)
+
 type t = {
   tasks_per_section : (string * task list) list;
   estimate_used : bool;
-  func_deps : (string * (string * string) list) list;
+  edges : (string * (string * string * edge_class) list) list;
       (** per section: the phase-1 analyzer's function-level dependence
-          edges by name — compile the first before the second.  Both
-          plan constructors copy them from
-          {!Driver.Compile.module_work.mw_analysis}, so every plan
-          carries its DAG; FCFS/LPT ignore it, the DAG-aware policies
-          in {!Sched} order and gate dispatch by it. *)
-  spec_edges : (string * (string * string) list) list;
-      (** the {!Analysis.Depan.Speculative} subset of [func_deps]:
-          edges whose only reasons are data over-approximations.  The
-          [dag+spec] policy dispatches past them under the commit
-          protocol; every other policy gates on them as usual. *)
-  hot_edges : (string * (string * string) list) list;
-      (** the subset of [spec_edges] whose endpoints the uncapped
-          analysis proves really share state — speculating past one
-          aborts whenever the attempt overlapped its predecessor *)
+          edges by name — compile the first before the second — each
+          with its class, in analysis order.  Both plan constructors
+          copy them from {!Driver.Compile.module_work.mw_analysis}, so
+          every plan carries its DAG; FCFS/LPT ignore it, the DAG-aware
+          policies in {!Sched} order and gate dispatch by it, and the
+          [dag+spec] commit oracle reads the classes. *)
 }
 
-val proven_deps : t -> (string * (string * string) list) list
-(** [func_deps] minus [spec_edges]: the edges [dag+spec] still gates
-    on. *)
+val edges_of :
+  Analysis.Depan.t -> (string * (string * string * edge_class) list) list
+(** The [edges] field both plan constructors fill in: every section's
+    [si_edges] by name, [Proven] when {!Analysis.Depan.edge_confidence}
+    says so, else [Hot] or [Cold] by {!Analysis.Depan.edge.e_hot}. *)
+
+val section_edges :
+  ?keep:(edge_class -> bool) -> t -> string -> (string * string) list
+(** One section's edges of the classes [keep] accepts (default all), as
+    (before, after) pairs in analysis order; [[]] for an unknown
+    section. *)
 
 val estimate : Driver.Compile.func_work -> float
 (** The paper's compile-time proxy: lines of code weighted by

@@ -50,6 +50,9 @@ let traits = function
 
 let gating p = (traits p).gating
 
+let gates gating (c : Plan.edge_class) =
+  match gating with Ungated -> false | All -> true | Proven -> c = Plan.Proven
+
 let policy_name = function
   | Fcfs -> "fcfs"
   | Lpt -> "lpt"
@@ -150,11 +153,8 @@ let batch_tiny costf ~threshold ~max_bins (tasks : Plan.task list) :
    task A when some function of A must compile before some function of
    B.  Edges between functions of the same task vanish (a function
    master compiles its functions sequentially, in order). *)
-let task_deps ~(func_deps : (string * (string * string) list) list) ~section
-    (tasks : Plan.task list) : int list array =
-  let edges =
-    match List.assoc_opt section func_deps with Some e -> e | None -> []
-  in
+let task_deps (edges : (string * string) list) (tasks : Plan.task list) :
+    int list array =
   let arr = Array.of_list tasks in
   let owner = Hashtbl.create 32 in
   Array.iteri
@@ -259,22 +259,14 @@ let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
     (* One dispatch unit per pool station at most ([stations] counts
        the master's own machine, which carries no function masters). *)
     let max_bins = max 1 (stations - 1) in
-    let gate_deps, level_deps =
-      match gating with
-      | Ungated -> ([], [])
-      | All -> (plan.Plan.func_deps, plan.Plan.func_deps)
-      | Proven -> (plan.Plan.func_deps, Plan.proven_deps plan)
-    in
     let section_schedule section tasks =
       let edges =
-        match List.assoc_opt section gate_deps with Some e -> e | None -> []
+        if gating = Ungated then [] else Plan.section_edges plan section
       in
-      let tasks =
-        merge_task_cycles edges
-          (task_deps ~func_deps:gate_deps ~section tasks)
-          tasks
+      let tasks = merge_task_cycles edges (task_deps edges tasks) tasks in
+      let deps =
+        task_deps (Plan.section_edges ~keep:(gates gating) plan section) tasks
       in
-      let deps = task_deps ~func_deps:level_deps ~section tasks in
       if not lpt then topo_fcfs deps tasks
       else
         let arr = Array.of_list tasks in

@@ -65,6 +65,11 @@ val gating : policy -> gating
     for [Fcfs], [Lpt] and [Lpt_batch]; [All] for [Dag] and [Dag_lpt];
     [Proven] for [Dag_spec]. *)
 
+val gates : gating -> Plan.edge_class -> bool
+(** Does an edge of this class gate dispatch under the gating?  Never
+    when [Ungated], always under [All], only {!Plan.Proven} edges under
+    [Proven]. *)
+
 val policy_name : policy -> string
 (** ["fcfs"], ["lpt"], ["lpt+batch"], ["dag"], ["dag+lpt"],
     ["dag+spec"] — the names used by [warpcc simulate --sched] and the
@@ -80,17 +85,13 @@ val task_cost : ?static:bool -> Driver.Cost.model -> Plan.task -> float
     are replaced by {!Driver.Cost.static_task_seconds}, the abstract
     interpretation's statically derived bound (default [false]). *)
 
-val task_deps :
-  func_deps:(string * (string * string) list) list ->
-  section:string ->
-  Plan.task list ->
-  int list array
+val task_deps : (string * string) list -> Plan.task list -> int list array
 (** Task-level dependence adjacency for one section's task queue,
-    projected from the plan's function-level edges: entry [j] lists
-    the task indices that must complete before task [j] may start.
-    Edges between functions of the same task vanish.  {!Parrun} uses
-    this on the scheduled plan to gate dispatch under the DAG
-    policies. *)
+    projected from function-level (before, after) edges — usually
+    {!Plan.section_edges} of the scheduled plan: entry [j] lists, in
+    ascending order, the task indices that must complete before task
+    [j] may start.  Edges between functions of the same task vanish.
+    {!Parrun} uses this to gate dispatch under the DAG policies. *)
 
 val schedule :
   ?static:bool ->

@@ -14,24 +14,12 @@ let set_resident ws mb =
   Netsim.Host.remove_resident ws ws.Netsim.Host.resident_mb;
   Netsim.Host.add_resident ws mb
 
-(* Compile-cache tallies of one sequential compilation; the caller
-   owns the record so [run] can fold them into the timings while the
-   parallel-make study, which spawns [compile_process] directly, can
-   ignore them. *)
-type cache_counters = {
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-  mutable cc_invalidated : int;
-}
-
-let fresh_counters () = { cc_hits = 0; cc_misses = 0; cc_invalidated = 0 }
-
 (* One sequential compilation of [mw]: claims a workstation, runs the
    four phases, releases the station and reports its completion time.
-   [salt] decorrelates the noise of concurrent instances. *)
-let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
-    (cluster : Netsim.Host.cluster) ~noise ~salt
-    (mw : Driver.Compile.module_work) ~on_finish () =
+   [salt] decorrelates the noise of concurrent instances; the counted
+   events go to [log]. *)
+let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
+    ~noise ~salt (mw : Driver.Compile.module_work) ~log ~on_finish () =
   let cost = cfg.Config.cost in
   let tr = cfg.Config.trace in
   (* The compile cache memoizes whole-function artifacts, which the
@@ -44,19 +32,6 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
     | Some c when not cfg.Config.fine_grained -> Some c
     | _ -> None
   in
-  let cache_instant ~ws ~name (fw : Driver.Compile.func_work) ~key ~extra =
-    if Trace.enabled tr then
-      Trace.instant tr ~track:ws.Netsim.Host.ws_id ~cat:"cache" ~name
-        ~args:
-          (("task", mw.Driver.Compile.mw_name)
-          :: ("func", fw.Driver.Compile.fw_name)
-          :: ("key", key) :: extra)
-        ~at:(Netsim.Des.now sim) ()
-  in
-  let owner_of (fw : Driver.Compile.func_work) =
-    Cache.owner ~modul:mw.Driver.Compile.mw_name
-      ~section:fw.Driver.Compile.fw_section ~func:fw.Driver.Compile.fw_name
-  in
   let t_claim = Netsim.Des.now sim in
   let ws = Netsim.Host.claim sim cluster in
   let lspan ~name ~t0 =
@@ -66,6 +41,12 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
         ~t0 ~t1:(Netsim.Des.now sim) ()
   in
   lspan ~name:"claim" ~t0:t_claim;
+  (* Counted events go to the run log, traced on this station's
+     track. *)
+  let record ev =
+    Timings.record log tr ~track:ws.Netsim.Host.ws_id ~now:(Netsim.Des.now sim)
+      ~task:mw.Driver.Compile.mw_name ev
+  in
   let factor w = Config.cluster_slowdown cfg cluster w in
   (* The sequential compiler has no recovery protocol: it is only run
      on fault-free stations (fault plans are a Parrun concern). *)
@@ -116,21 +97,18 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
           let hit =
             match (cache, fw.Driver.Compile.fw_key) with
             | Some c, Some key -> (
-              match Cache.find c ~owner:(owner_of fw) ~key with
+              let func = fw.Driver.Compile.fw_name in
+              let owner = Cache.owner ~modul:mw.Driver.Compile.mw_name fw in
+              match Cache.find c ~owner ~key with
               | Cache.Hit e ->
-                counters.cc_hits <- counters.cc_hits + 1;
-                cache_instant ~ws ~name:"cache-hit" fw ~key ~extra:[];
+                record (Cache_hit { func; key });
                 Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id
                   ~file:("art:" ^ key) sim cluster.Netsim.Host.fs
                   cluster.Netsim.Host.ether
                   ~bytes:(Cache.meta_bytes +. e.Cache.e_bytes);
                 true
               | Cache.Miss { stale } ->
-                counters.cc_misses <- counters.cc_misses + 1;
-                if stale then
-                  counters.cc_invalidated <- counters.cc_invalidated + 1;
-                cache_instant ~ws ~name:"cache-miss" fw ~key
-                  ~extra:[ ("invalidated", if stale then "1" else "0") ];
+                record (Cache_miss { func; key; invalidated = stale });
                 false)
             | _ -> false
           in
@@ -152,27 +130,14 @@ let compile_process ?(counters = fresh_counters ()) (cfg : Config.t) sim
   (* Durable publication: the sequential compiler's outputs all become
      durable here, so this is where newly computed artifacts enter the
      compile cache (already-durable keys are skipped and free). *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-    let stored =
-      List.fold_left
-        (fun acc (fw : Driver.Compile.func_work) ->
-          match fw.Driver.Compile.fw_key with
-          | None -> acc
-          | Some key ->
-            let bytes = Cache.artifact_bytes fw in
-            if Cache.populate c ~owner:(owner_of fw) ~key ~bytes then begin
-              cache_instant ~ws ~name:"cache-store" fw ~key ~extra:[];
-              acc +. bytes +. Cache.meta_bytes
-            end
-            else acc)
-        0.0
-        (Driver.Compile.all_funcs mw)
-    in
-    if stored > 0.0 then
-      Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether
-        ~bytes:stored);
+  Option.iter
+    (fun c ->
+      Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record
+        ~store:(fun bytes ->
+          Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether
+            ~bytes)
+        (Driver.Compile.all_funcs mw))
+    cache;
   lspan ~name:"write-back" ~t0:t_wb;
   set_resident ws 0.0;
   Netsim.Host.release_station sim cluster ws;
@@ -183,18 +148,17 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) : Timings.run =
   let cluster = Config.cluster cfg in
   let noise = Config.noise cfg in
   let finish = ref 0.0 in
-  let counters = fresh_counters () in
+  let log = Timings.empty_log () in
   Netsim.Des.spawn sim
-    (compile_process ~counters cfg sim cluster ~noise ~salt:0 mw
+    (compile_process cfg sim cluster ~noise ~salt:0 mw ~log
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
-  {
-    Timings.zero with
-    elapsed = !finish;
-    cpu_per_station = Netsim.Host.cpu_times cluster;
-    stations_used = 1;
-    dispatch_units = 1;
-    cache_hits = counters.cc_hits;
-    cache_misses = counters.cc_misses;
-    cache_invalidated = counters.cc_invalidated;
-  }
+  fst
+    (Timings.tally log
+       {
+         Timings.zero with
+         elapsed = !finish;
+         cpu_per_station = Netsim.Host.cpu_times cluster;
+         stations_used = 1;
+         dispatch_units = 1;
+       })

@@ -7,33 +7,24 @@
 val set_resident : Netsim.Host.workstation -> float -> unit
 (** Replace a station's resident set (helper shared with {!Parrun}). *)
 
-type cache_counters = {
-  mutable cc_hits : int;
-  mutable cc_misses : int;
-  mutable cc_invalidated : int;
-}
-(** Compile-cache tallies of one sequential compilation (see
-    {!Config.t.cache}); all zero when no cache is configured. *)
-
-val fresh_counters : unit -> cache_counters
-
 val compile_process :
-  ?counters:cache_counters ->
   Config.t ->
   Netsim.Des.t ->
   Netsim.Host.cluster ->
   noise:(int -> float) ->
   salt:int ->
   Driver.Compile.module_work ->
+  log:Timings.log ->
   on_finish:(float -> unit) ->
   unit ->
   unit
 (** The spawnable body of one sequential compilation: claims a
     workstation, runs the four phases, releases it, and reports its
     completion time.  Reused by the parallel-make study, where several
-    instances share a cluster ([salt] decorrelates their noise).
-    [counters] receives the compile-cache tallies; omit it to discard
-    them. *)
+    instances share a cluster ([salt] decorrelates their noise).  Its
+    compile-cache events are appended to [log], traced on the claimed
+    station's track. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Timings.run
-(** One sequential compilation on a fresh cluster. *)
+(** One sequential compilation on a fresh cluster, its counters folded
+    from its run log by {!Timings.tally}. *)

@@ -59,6 +59,103 @@ let zero =
     cache_invalidated = 0;
   }
 
+(* --- the run log ---
+
+   The implementation-overhead CPU of section 4.2.3: the master's setup
+   parse and scheduling, the section masters' work, and the function
+   masters' re-parsing. *)
+type overhead = Master | Section | Reparse
+
+(* One run-log entry.  [Overhead] carries nominal seconds, [Wasted] the
+   CPU an attempt burned for nothing. *)
+type event =
+  | Overhead of overhead * float
+  | Retry
+  | Timeout
+  | Attempt_lost
+  | Wasted of float
+  | Fallback
+  | Spec_dispatch
+  | Spec_commit
+  | Spec_abort
+  | Cache_hit of { func : string; key : string }
+  | Cache_miss of { func : string; key : string; invalidated : bool }
+  | Cache_store of { func : string; key : string }
+  | Placement of (string * int)
+
+type log = event Queue.t
+
+let empty_log () : log = Queue.create ()
+
+(* Append [ev] to the log and emit it on [track] as its trace instant,
+   or as its span from [t0] to [now].  Overhead CPU is traced by the
+   compute span that burned it, placements by the claim spans. *)
+let record (log : log) tr ~track ~now ?(task = "") ?(attempt = 0) ?(t0 = 0.0)
+    ev =
+  Queue.push ev log;
+  if Trace.enabled tr then begin
+    let args = [ ("task", task); ("attempt", string_of_int attempt) ] in
+    let instant ?(cat = "task") ?(args = args) name =
+      Trace.instant tr ~track ~cat ~name ~args ~at:now ()
+    in
+    let span name = Trace.span tr ~track ~cat:"task" ~name ~args ~t0 ~t1:now () in
+    (* Compile-cache index events live in their own category: the
+       "cache-hit" task instant is the byte-level locality cache. *)
+    let indexed name ~func ~key extra =
+      instant ~cat:"cache"
+        ~args:(("task", task) :: ("func", func) :: ("key", key) :: extra)
+        name
+    in
+    match ev with
+    | Overhead _ | Placement _ -> ()
+    | Retry -> instant "retry"
+    | Timeout -> instant "timeout"
+    | Attempt_lost -> instant "attempt-lost"
+    | Wasted cpu -> instant ~args:(args @ [ ("cpu", Trace.farg cpu) ]) "wasted"
+    | Spec_dispatch -> instant "spec-dispatch"
+    | Fallback -> span "fallback"
+    | Spec_commit -> span "spec-commit"
+    | Spec_abort -> span "spec-abort"
+    | Cache_hit { func; key } -> indexed "cache-hit" ~func ~key []
+    | Cache_miss { func; key; invalidated } ->
+      indexed "cache-miss" ~func ~key
+        [ ("invalidated", if invalidated then "1" else "0") ]
+    | Cache_store { func; key } -> indexed "cache-store" ~func ~key []
+  end
+
+(* The run's counters and placements as one fold over the log.  Append
+   order is the order the events happened in, so every float sum is
+   reproducible bit for bit. *)
+let tally (log : log) (r : run) =
+  Queue.fold
+    (fun ((r : run), placed) ev ->
+      match ev with
+      | Overhead (Master, s) ->
+        ({ r with master_cpu = r.master_cpu +. s }, placed)
+      | Overhead (Section, s) ->
+        ({ r with section_cpu = r.section_cpu +. s }, placed)
+      | Overhead (Reparse, s) ->
+        ({ r with extra_parse_cpu = r.extra_parse_cpu +. s }, placed)
+      | Retry -> ({ r with retries = r.retries + 1 }, placed)
+      | Wasted s -> ({ r with wasted_cpu = r.wasted_cpu +. s }, placed)
+      | Fallback -> ({ r with fallback_tasks = r.fallback_tasks + 1 }, placed)
+      | Spec_dispatch ->
+        ({ r with spec_dispatched = r.spec_dispatched + 1 }, placed)
+      | Spec_commit -> ({ r with spec_committed = r.spec_committed + 1 }, placed)
+      | Spec_abort ->
+        ({ r with spec_rolled_back = r.spec_rolled_back + 1 }, placed)
+      | Cache_hit _ -> ({ r with cache_hits = r.cache_hits + 1 }, placed)
+      | Cache_miss { invalidated; _ } ->
+        ( {
+            r with
+            cache_misses = r.cache_misses + 1;
+            cache_invalidated = r.cache_invalidated + Bool.to_int invalidated;
+          },
+          placed )
+      | Placement p -> (r, p :: placed)
+      | Timeout | Attempt_lost | Cache_store _ -> (r, placed))
+    (r, []) log
+
 type comparison = {
   processors : int; (* function masters running in parallel *)
   seq : run;

@@ -44,6 +44,61 @@ type run = {
 val zero : run
 (** Every field zero or empty: the base the runners fill in. *)
 
+(** {1 The run log}
+
+    Both runners count through one log: every counted event is appended
+    by the same call that emits its trace instant or span, and a
+    {!run}'s counters are one {!tally} over the log. *)
+
+type overhead =
+  | Master  (** the master's setup parse and scheduling *)
+  | Section  (** section-master work *)
+  | Reparse  (** function masters re-parsing their share *)
+(** The implementation-overhead CPU of the paper's section 4.2.3. *)
+
+type event =
+  | Overhead of overhead * float  (** nominal CPU seconds *)
+  | Retry
+  | Timeout
+  | Attempt_lost
+  | Wasted of float  (** CPU an attempt burned for nothing *)
+  | Fallback
+  | Spec_dispatch
+  | Spec_commit
+  | Spec_abort
+  | Cache_hit of { func : string; key : string }
+  | Cache_miss of { func : string; key : string; invalidated : bool }
+  | Cache_store of { func : string; key : string }
+  | Placement of (string * int)  (** task head function, station *)
+
+type log
+(** Append-only: the counted events of one or more compilations, in the
+    order they happened. *)
+
+val empty_log : unit -> log
+
+val record :
+  log ->
+  Trace.t ->
+  track:int ->
+  now:float ->
+  ?task:string ->
+  ?attempt:int ->
+  ?t0:float ->
+  event ->
+  unit
+(** Append the event and, when tracing, emit it on [track]: as an
+    instant at [now] (category ["cache"] for the compile-cache events,
+    ["task"] otherwise), or as a span from [t0] to [now] for
+    [Fallback], [Spec_commit] and [Spec_abort].  [Overhead] and
+    [Placement] emit nothing: the compute and claim spans already show
+    them. *)
+
+val tally : log -> run -> run * (string * int) list
+(** Fold the log's counters into the given run, in append order (so
+    every float sum is reproducible bit for bit), and collect its
+    placements. *)
+
 type comparison = {
   processors : int; (** stations available to function masters *)
   seq : run;

@@ -95,17 +95,17 @@ let collect_marks (tr : Trace.t) : marks =
     (Trace.spans tr);
   m
 
-(* Check every [func_deps] edge of [plan] as finish(before) <=
-   start(after), where the successor's start is chosen by [start_of]
-   (first claim for gated edges; the winning attempt's claim for
-   speculative ones). *)
-let edge_violations (m : marks) ~(plan : Plan.t) ~func_deps ~start_of :
+(* Check every edge of [plan] whose class [keep] accepts as
+   finish(before) <= start(after), where the successor's start is
+   chosen by [start_of] (first claim for gated edges; the winning
+   attempt's claim for speculative ones). *)
+let edge_violations (m : marks) ~(plan : Plan.t) ~keep ~start_of :
     ordering_violation list =
   let unambiguous = unambiguous_labels plan in
   let violations = ref [] in
   List.iter
     (fun (section, tasks) ->
-      let deps = Sched.task_deps ~func_deps ~section tasks in
+      let deps = Sched.task_deps (Plan.section_edges ~keep plan section) tasks in
       let arr = Array.of_list tasks in
       Array.iteri
         (fun j ds ->
@@ -148,7 +148,7 @@ let winning_claim (m : marks) label =
   | Some (_, attempt) -> Hashtbl.find_opt m.m_claim_of_attempt (label, attempt)
 
 let race_check (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
-  edge_violations (collect_marks tr) ~plan ~func_deps:plan.Plan.func_deps
+  edge_violations (collect_marks tr) ~plan ~keep:(fun _ -> true)
     ~start_of:first_claim
 
 (* The dag+spec promise is weaker than the gated one, and different per
@@ -163,10 +163,8 @@ let race_check (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
      pairs that share no state) are unconstrained. *)
 let race_check_spec (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
   let m = collect_marks tr in
-  edge_violations m ~plan ~func_deps:(Plan.proven_deps plan)
-    ~start_of:first_claim
-  @ edge_violations m ~plan ~func_deps:plan.Plan.hot_edges
-      ~start_of:winning_claim
+  edge_violations m ~plan ~keep:(( = ) Plan.Proven) ~start_of:first_claim
+  @ edge_violations m ~plan ~keep:(( = ) Plan.Hot) ~start_of:winning_claim
 
 (* The oracle matching what a policy's gating promises; ungated
    policies promise no order. *)

@@ -31,45 +31,55 @@ let racy () =
 
 (* --- edge confidence and the hot-pair oracle --- *)
 
+(* The plan's edges of the classes [keep] accepts, per section. *)
+let edges_where keep (plan : Plan.t) =
+  List.map (fun (s, _) -> (s, Plan.section_edges ~keep plan s)) plan.Plan.edges
+
+let count keep plan =
+  List.fold_left (fun n (_, es) -> n + List.length es) 0 (edges_where keep plan)
+
 let test_confidence_classification () =
   let mw = blinded () in
   let plan = Plan.one_per_station mw in
-  let spec_count =
-    List.fold_left (fun n (_, es) -> n + List.length es) 0 plan.Plan.spec_edges
-  in
-  let hot_count =
-    List.fold_left (fun n (_, es) -> n + List.length es) 0 plan.Plan.hot_edges
-  in
+  let spec_count = count (( <> ) Plan.Proven) plan in
   Alcotest.(check bool)
     (Printf.sprintf "blinded: summary_limit edges are speculative (%d)"
        spec_count)
     true (spec_count > 0);
-  Alcotest.(check int) "blinded: no pair really conflicts (cold)" 0 hot_count;
-  (* Proven = full minus speculative, per section. *)
-  let proven = Plan.proven_deps plan in
+  Alcotest.(check int) "blinded: no pair really conflicts (cold)" 0
+    (count (( = ) Plan.Hot) plan);
+  (* The classes follow Depan's confidence and hot flag edge by edge. *)
   List.iter
-    (fun (s, es) ->
-      let full = List.assoc s plan.Plan.func_deps in
-      let spec = List.assoc s plan.Plan.spec_edges in
-      Alcotest.(check int)
-        (s ^ ": proven + speculative = all edges")
-        (List.length full)
-        (List.length es + List.length spec))
-    proven
+    (fun (si : Analysis.Depan.section_info) ->
+      Alcotest.(check (list string))
+        (si.si_name ^ ": one class per analyzer edge")
+        (List.map
+           (fun (e : Analysis.Depan.edge) ->
+             match Analysis.Depan.edge_confidence e with
+             | Analysis.Depan.Proven -> "proven"
+             | Analysis.Depan.Speculative -> if e.e_hot then "hot" else "cold")
+           si.si_edges)
+        (List.map
+           (fun (_, _, c) ->
+             match c with
+             | Plan.Proven -> "proven"
+             | Plan.Hot -> "hot"
+             | Plan.Cold -> "cold")
+           (List.assoc si.si_name plan.Plan.edges)))
+    mw.Driver.Compile.mw_analysis.Analysis.Depan.dp_sections
 
 let test_racy_edges_hot () =
   let mw = racy () in
   let plan = Plan.one_per_station mw in
   List.iter
     (fun (s, es) ->
-      let hot = List.assoc s plan.Plan.hot_edges in
       Alcotest.(check bool)
         (s ^ ": racy conflicts survive as speculative edges")
         true (es <> []);
       Alcotest.(check (list (pair string string)))
         (s ^ ": every racy speculative edge is hot")
-        (List.sort compare es) (List.sort compare hot))
-    plan.Plan.spec_edges
+        es (Plan.section_edges ~keep:(( = ) Plan.Hot) plan s))
+    (edges_where (( <> ) Plan.Proven) plan)
 
 let test_structural_edges_stay_proven () =
   (* The helper program's edges are all inline_of/sig_agreement:
@@ -80,7 +90,7 @@ let test_structural_edges_stay_proven () =
   List.iter
     (fun (s, es) ->
       Alcotest.(check int) (s ^ ": no speculative edges") 0 (List.length es))
-    plan.Plan.spec_edges
+    (edges_where (( <> ) Plan.Proven) plan)
 
 (* --- the sweep: speculation wins where analysis was conservative --- *)
 

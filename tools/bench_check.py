@@ -90,6 +90,11 @@ def check_spec(fresh, committed):
         assert p["race_violations"] == 0, p
         assert p["spec_dispatched"] == p["spec_committed"] + p["spec_rolled_back"], p
         assert p["elapsed_spec"] <= p["elapsed_lpt"], p
+        # Hot edges are a subset of the speculative ones, and a series
+        # with no hot edge has nothing to abort on: both catch an edge
+        # class mix-up in either direction.
+        assert 0 <= p["hot_edges"] <= p["spec_edges"], p
+        assert p["hot_edges"] > 0 or p["spec_rolled_back"] == 0, p
         if p["elapsed_spec"] < p["elapsed_lpt"] and p["spec_rolled_back"] == 0:
             faster += 1
     assert faster >= 2, f"dag+spec strictly faster with all commits on only {faster} point(s)"
