@@ -82,9 +82,15 @@ let fold_un op x =
   | Ir.Iabs, Ir.Imm_int n -> Some (Ir.Imm_int (abs n))
   | _ -> None
 
-(* One folding sweep; returns the number of rewrites. *)
+(* One folding sweep; returns the number of rewrites.  A rewrite that
+   would leave [d := d] drops the instruction at once: a self-move in
+   the IR reads a register the verifier may see as uninitialized. *)
 let run (f : Ir.func) : int =
   let changed = ref 0 in
+  let mov d v =
+    incr changed;
+    if v = Ir.Reg d then None else Some (Ir.Mov (d, v))
+  in
   Array.iteri
     (fun i (b : Ir.block) ->
       let instrs =
@@ -93,33 +99,21 @@ let run (f : Ir.func) : int =
             match instr with
             | Ir.Bin (op, d, x, y) -> (
               match fold_bin op x y with
-              | Some v ->
-                incr changed;
-                Some (Ir.Mov (d, v))
+              | Some v -> mov d v
               | None -> (
                 match identity op x y with
-                | Some v ->
-                  incr changed;
-                  Some (Ir.Mov (d, v))
+                | Some v -> mov d v
                 | None -> Some instr))
             | Ir.Un (op, d, x) -> (
               match fold_un op x with
-              | Some v ->
-                incr changed;
-                Some (Ir.Mov (d, v))
+              | Some v -> mov d v
               | None -> Some instr)
             | Ir.Mov (d, Ir.Reg s) when d = s ->
               incr changed;
               None
-            | Ir.Sel (d, Ir.Imm_int c, a, b) ->
-              incr changed;
-              Some (Ir.Mov (d, if c <> 0 then a else b))
-            | Ir.Sel (d, Ir.Imm_float c, a, b) ->
-              incr changed;
-              Some (Ir.Mov (d, if c <> 0.0 then a else b))
-            | Ir.Sel (d, Ir.Reg _, a, b) when a = b ->
-              incr changed;
-              Some (Ir.Mov (d, a))
+            | Ir.Sel (d, Ir.Imm_int c, a, b) -> mov d (if c <> 0 then a else b)
+            | Ir.Sel (d, Ir.Imm_float c, a, b) -> mov d (if c <> 0.0 then a else b)
+            | Ir.Sel (d, Ir.Reg _, a, b) when a = b -> mov d a
             | Ir.Sel _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ | Ir.Call _
             | Ir.Send _ | Ir.Recv _ ->
               Some instr)

@@ -81,9 +81,16 @@ type _ Effect.t +=
   | Delay : float -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
-let delay dt =
+(* With no event due by the wake-up time, the wake-up would fire next:
+   resume in place instead of through the queue. *)
+let delay sim dt =
   if dt < 0.0 then invalid_arg "Des.delay: negative delay";
-  Effect.perform (Delay dt)
+  let at = sim.now +. dt in
+  if sim.queue.Pq.size = 0 || sim.queue.Pq.data.(0).time > at then begin
+    sim.now <- at;
+    sim.events_processed <- sim.events_processed + 1
+  end
+  else Effect.perform (Delay dt)
 
 (* [suspend register] parks the caller; [register] receives a [wake]
    function that resumes it (with a value) at the simulation time at
@@ -117,21 +124,17 @@ let spawn sim (body : unit -> unit) : unit =
   in
   schedule sim ~at:sim.now run
 
-(* Run until the event queue drains (or [until] simulated seconds).
-   Returns the final simulation time. *)
-let run ?until sim : float =
-  let horizon = Option.value ~default:infinity until in
+(* Run until the event queue drains.  Returns the final simulation
+   time. *)
+let run sim : float =
   let rec loop () =
     match Pq.pop sim.queue with
     | None -> ()
     | Some e ->
-      if e.time > horizon then sim.now <- horizon
-      else begin
-        sim.now <- e.time;
-        sim.events_processed <- sim.events_processed + 1;
-        e.action ();
-        loop ()
-      end
+      sim.now <- e.time;
+      sim.events_processed <- sim.events_processed + 1;
+      e.action ();
+      loop ()
   in
   loop ();
   sim.now

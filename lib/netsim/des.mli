@@ -25,9 +25,13 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Run a callback at absolute virtual time [at].
     @raise Invalid_argument if [at] is in the past. *)
 
-val delay : float -> unit
-(** Suspend the calling process for the given number of simulated
-    seconds.  Must be performed inside a process started by {!spawn}.
+val delay : t -> float -> unit
+(** [delay sim dt] suspends the calling process for [dt] simulated
+    seconds.  Must be called inside a process started by {!spawn}.
+    When no pending event falls at or before [now sim +. dt], the
+    process resumes in place: the clock advances to that time and one
+    event is counted, exactly as if its wake-up had fired next.
+    Otherwise the wake-up is queued behind every event due by then.
     @raise Invalid_argument on negative durations. *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
@@ -42,6 +46,6 @@ exception Dead_process of string
 val spawn : t -> (unit -> unit) -> unit
 (** Start a new process at the current simulation time. *)
 
-val run : ?until:float -> t -> float
-(** Process events until the queue drains (or until the given virtual
-    time); returns the final simulation time. *)
+val run : t -> float
+(** Process events until the queue drains; returns the final
+    simulation time. *)

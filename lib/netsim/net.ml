@@ -59,7 +59,7 @@ let transfer sim (e : ethernet) ~bytes =
       (1.0 +. (e.contention_alpha *. float_of_int (e.active - 1)))
       *. max 1.0 (e.degrade (Des.now sim))
     in
-    Des.delay (chunk /. e.bytes_per_sec *. factor);
+    Des.delay sim (chunk /. e.bytes_per_sec *. factor);
     remaining := !remaining -. chunk
   done;
   e.active <- e.active - 1;

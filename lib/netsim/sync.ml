@@ -62,7 +62,7 @@ let release (r : resource) =
 (* Hold the resource for [amount] simulated seconds. *)
 let use sim (r : resource) amount =
   acquire sim r;
-  Des.delay amount;
+  Des.delay sim amount;
   r.total_service <- r.total_service +. amount;
   r.served <- r.served + 1;
   release r

@@ -175,7 +175,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     record (Overhead (kind, seconds))
   in
   (* C master: cheap startup, then read the source. *)
-  Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
+  Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
   fetch ~client:ws_m.Netsim.Host.ws_id ~file:src_file
     (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
   (* The master's Lisp process: phase 1 proper plus the extra
@@ -201,7 +201,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     (fun si (section_name, tasks) ->
       Netsim.Des.spawn sim (fun () ->
           (* Section masters are C processes on the master's host. *)
-          Netsim.Des.delay cost.Driver.Cost.c_process_seconds;
+          Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
           overhead_m Section ~tag:"sect-interpret"
             (0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
@@ -226,7 +226,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
               (* Remote process creation is serialized in the forking
                  parent (rsh-style), a real cost of UNIX process
                  hierarchies the paper complains about. *)
-              Netsim.Des.delay cost.Driver.Cost.fm_fork_seconds;
+              Netsim.Des.delay sim cost.Driver.Cost.fm_fork_seconds;
               (* Per-task quantities (pure, shared by every attempt). *)
               let head_name =
                 match task.Plan.t_funcs with
@@ -545,7 +545,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    only count time queued for a pool station. *)
                 if faulty then
                   Netsim.Des.spawn sim (fun () ->
-                      Netsim.Des.delay deadline;
+                      Netsim.Des.delay sim deadline;
                       if (not !completed) && not !staged then begin
                         record Timeout;
                         Netsim.Sync.send sup (Msg_timed_out n)
@@ -657,7 +657,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       when n = !attempt_no && not !completed ->
                       if budget > 0 then begin
                         let step = cfg.Config.retry_budget - budget in
-                        Netsim.Des.delay (Config.backoff_delay cfg ~step);
+                        Netsim.Des.delay sim (Config.backoff_delay cfg ~step);
                         (* A straggler may have finished during the
                            backoff; its Msg_completed is queued. *)
                         if !completed then ()

@@ -19,10 +19,11 @@
      queue op -> queue op     1                    (strict queue order)
 
    Each operation is reduced once to a footprint (what it defines,
-   reads, touches and how long it takes), and [build] pairs an op only
-   with the ops that share a register, an array or the queues with it,
-   so its cost follows the dependences that exist rather than all
-   pairs. *)
+   reads, touches and how long it takes).  [build], the modulo
+   scheduler's loop graph, pairs an op only with the ops that share a
+   register, an array or the queues with it; [straight], the list
+   scheduler's graph, keeps only each op's nearest accesses.  Both cost
+   what the dependences cost rather than all pairs. *)
 
 open Midend
 
@@ -86,19 +87,16 @@ let hazard (a : footprint) (b : footprint) : int =
   if a.qio && b.qio then d := max !d 1;
   !d
 
+let max_reg fps = Array.fold_left (fun acc f -> Array.fold_left max (max acc f.def) f.uses) (-1) fps
+
 (* The ops that may have a hazard with op [i] in either order, in
    ascending index order: writers of what [i] reads or writes, readers
    of what [i] writes, the stores (or, for a store, every access) of
    its array, and every queue op if [i] is one. *)
 let partners (fps : footprint array) : int -> int array =
   let n = Array.length fps in
-  let max_reg =
-    Array.fold_left
-      (fun acc f -> Array.fold_left max (max acc f.def) f.uses)
-      (-1) fps
-  in
-  let writers = Array.make (max_reg + 1) [] in
-  let readers = Array.make (max_reg + 1) [] in
+  let writers = Array.make (max_reg fps + 1) [] in
+  let readers = Array.make (max_reg fps + 1) [] in
   let accesses = Hashtbl.create 8 in (* array -> (every access, stores) *)
   let queue = ref [] in
   for i = n - 1 downto 0 do
@@ -140,11 +138,22 @@ let partners (fps : footprint array) : int -> int array =
     Array.sort Int.compare found;
     found
 
-(* Build the graph.  [loop] adds the wrap-around distance-1 edges.
-   Edges are produced in the order of a scan over all pairs (i, j) —
-   distance 0 first, then distance 1 — because the order of [succs]
-   and [preds] steers the modulo scheduler's ejections. *)
-let build ?(loop = false) (ops : Ir.instr array) : t =
+let of_edges ops edges =
+  let n = Array.length ops in
+  let succs = Array.make n [] in
+  let preds = Array.make n [] in
+  List.iter
+    (fun e ->
+      succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
+      preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
+    edges;
+  { ops; edges; succs; preds }
+
+(* The loop graph: every hazard pair at distance 0, and every pair at
+   distance 1.  Edges are produced in the order of a scan over all
+   pairs (i, j) — distance 0 first, then distance 1 — because the order
+   of [succs] and [preds] steers the modulo scheduler's ejections. *)
+let build (ops : Ir.instr array) : t =
   let n = Array.length ops in
   let fps = Array.map footprint ops in
   let partners = Array.init n (partners fps) in
@@ -162,15 +171,65 @@ let build ?(loop = false) (ops : Ir.instr array) : t =
   in
   scan ~dist:0;
   (* (i, iter k) happens before (j, iter k+1) for every pair. *)
-  if loop then scan ~dist:1;
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  List.iter
-    (fun e ->
-      succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
-      preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
-    !edges;
-  { ops; edges = !edges; succs; preds }
+  scan ~dist:1;
+  of_edges ops !edges
+
+(* The straight-line graph: an edge into op j from the last writer of
+   each register j reads or writes, from the readers since that writer
+   of the register j defines, from the last store of j's array (and,
+   for a store, the loads since it), and from the previous queue op.
+   Any other hazard pair (a, b) is implied by a chain of kept edges
+   a -> c -> ... -> b whose raw delays sum to at least its own: output
+   delays lat(w) - lat(w') + 1 between successive writers telescope, so
+   a true dependence past later writers sums to at least lat(a) and an
+   anti dependence to at least 1 - lat(b); stores and queue ops chain
+   with delay 1, a load reaches the next store with delay 0.  So the
+   chain bounds a's height and b's earliest cycle as the pair did, and
+   a issues before the chain's last op, so b is released in the same
+   cycle: the list schedule, attempts included, is the all-pairs one. *)
+let straight (ops : Ir.instr array) : t =
+  let n = Array.length ops in
+  let fps = Array.map footprint ops in
+  let nregs = max_reg fps + 1 in
+  let last_writer = Array.make nregs (-1) in
+  let readers = Array.make nregs [] in (* since the last writer *)
+  let mem = Hashtbl.create 8 in (* array -> last store, loads since *)
+  let last_queue = ref (-1) in
+  let stamp = Array.make n (-1) in
+  let edges = ref [] in
+  for j = 0 to n - 1 do
+    let f = fps.(j) in
+    let add i =
+      if i >= 0 && stamp.(i) <> j then begin
+        stamp.(i) <- j;
+        let delay = hazard fps.(i) f in
+        if delay <> independent then edges := { src = i; dst = j; delay; dist = 0 } :: !edges
+      end
+    in
+    Array.iter (fun r -> add last_writer.(r)) f.uses;
+    if f.def >= 0 then begin
+      add last_writer.(f.def);
+      List.iter add readers.(f.def)
+    end;
+    Array.iter (fun r -> readers.(r) <- j :: readers.(r)) f.uses;
+    if f.def >= 0 then begin
+      last_writer.(f.def) <- j;
+      readers.(f.def) <- []
+    end;
+    Option.iter
+      (fun a ->
+        let last, loads = Option.value ~default:(-1, []) (Hashtbl.find_opt mem a) in
+        add last;
+        if f.store then List.iter add loads;
+        Hashtbl.replace mem a (if f.store then (j, []) else (last, j :: loads)))
+      f.arr;
+    if f.qio then begin
+      add !last_queue;
+      last_queue := j
+    end
+  done;
+  of_edges ops !edges
+
 (* Critical-path height over distance-0 edges: the scheduling priority.
    The height of an op is its latency plus the maximum height reachable
    through its same-iteration successors. *)

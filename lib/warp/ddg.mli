@@ -30,13 +30,23 @@ val hazard : footprint -> footprint -> int
 (** Maximum delay of the register/memory/queue hazards between a first
     and a second operation, or {!independent}.  Allocates nothing. *)
 
-val build : ?loop:bool -> Midend.Ir.instr array -> t
-(** [build ~loop:true] adds the wrapped distance-1 edges.  Each op is
-    paired only with the ops that share a register, an array or the
-    queues with it; the edges come out in the order of an all-pairs
-    scan (distance 0, then distance 1, each by ascending source and
-    destination), which the modulo scheduler's ejection order relies
-    on. *)
+val build : Midend.Ir.instr array -> t
+(** The modulo scheduler's loop graph: every hazard pair at distance 0
+    and the wrapped pairs at distance 1.  Each op is paired only with
+    the ops that share a register, an array or the queues with it; the
+    edges come out in the order of an all-pairs scan (distance 0, then
+    distance 1, each by ascending source and destination), which the
+    modulo scheduler's ejection order relies on. *)
+
+val straight : Midend.Ir.instr array -> t
+(** The list scheduler's graph, distance 0 only: each op keeps an edge,
+    with its full {!hazard} delay, from its nearest accesses only — the
+    last writer of each register it reads or writes, the readers since
+    that writer of the register it defines, the last store of its array
+    (and, for a store, the loads since), and the previous queue op.
+    Every dropped pair is implied by a chain of kept edges whose delays
+    sum to at least its own, so heights, earliest cycles and release
+    cycles, hence list schedules, are those over every hazard pair. *)
 
 val heights : t -> int array
 (** Critical-path height over distance-0 edges — the scheduling

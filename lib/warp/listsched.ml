@@ -6,6 +6,11 @@
    height.  The block is padded so that every result has been written by
    the time the terminator executes (clean block boundaries).
 
+   The graph is [Ddg.straight]: each op's nearest accesses imply every
+   other hazard pair through a chain of kept edges, so the schedule and
+   its attempts are those over all pairs, at a cost that follows the
+   block's accesses rather than their square.
+
    Returns the wide code and the number of placement attempts, which
    feeds the phase-3 cost model. *)
 
@@ -21,7 +26,7 @@ let run (ops : Ir.instr array) : schedule =
   let n = Array.length ops in
   if n = 0 then { code = [||]; issue = [||]; attempts = 0 }
   else begin
-    let g = Ddg.build ~loop:false ops in
+    let g = Ddg.straight ops in
     let height = Ddg.heights g in
     let issue = Array.make n (-1) in
     (* Per op: predecessors (all distance 0 here) not yet scheduled, and the first

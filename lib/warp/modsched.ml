@@ -201,7 +201,7 @@ let mii (g : Ddg.t) : int * int =
    list scheduling, so the search is skipped — wide loop bodies
    saturate the functional units on their own. *)
 let run (ops : Ir.instr array) : result =
-  let g = Ddg.build ~loop:true ops in
+  let g = Ddg.build ops in
   let height = Ddg.heights g in
   let critical_path = Array.fold_left max 0 height in
   let mii, work = mii g in

@@ -78,7 +78,10 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
      Non-pipelined blocks are single-instance straight-line schedules:
      every hazard pair must be separated by its delay (same-cycle pairs
      need at least one delay-free direction — the hardware's
-     reads-before-writes order realizes it).
+     reads-before-writes order realizes it).  No hazard delay exceeds
+     the block's longest latency, and ops are in issue order, so op i
+     is compared only with the ops issued less than that many cycles
+     after it: the violations, in order, are those of all pairs.
 
      Flat-emitted pipelined blocks interleave loop iterations, so the
      per-iteration delays do not apply pairwise; for them only
@@ -88,12 +91,14 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
   let n = Array.length ops in
   if not b.Mcode.mb_pipelined then begin
     let fps = Array.map (fun (_, op) -> Ddg.footprint op) ops in
+    let window = Array.fold_left (fun acc (_, op) -> max acc (Machine.latency op)) 0 ops in
     for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let ci, oi = ops.(i) and cj, oj = ops.(j) in
-        let fwd = Ddg.hazard fps.(i) fps.(j) in
+      let j = ref (i + 1) in
+      while !j < n && fst ops.(!j) < fst ops.(i) + window do
+        let ci, oi = ops.(i) and cj, oj = ops.(!j) in
+        let fwd = Ddg.hazard fps.(i) fps.(!j) in
         if ci = cj then begin
-          let bwd = Ddg.hazard fps.(j) fps.(i) in
+          let bwd = Ddg.hazard fps.(!j) fps.(i) in
           (* [independent] is below 0, so it passes too. *)
           if fwd > 0 && bwd > 0 then
             out
@@ -106,7 +111,8 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
           out
             (Printf.sprintf
                "dependence violated: %s @%d -> %s @%d needs delay %d"
-               (Midend.Ir.instr_to_string oi) ci (Midend.Ir.instr_to_string oj) cj fwd)
+               (Midend.Ir.instr_to_string oi) ci (Midend.Ir.instr_to_string oj) cj fwd);
+        incr j
       done
     done
   end

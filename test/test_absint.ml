@@ -516,6 +516,147 @@ let test_static_schedule_runs () =
     (scheduled_heads ~static:true ~policy:Sched.Dag_lpt mw)
     (completed_heads o)
 
+(* --- one body pass per converged loop, against the old re-executing
+   interpreter in absint_oracle.ml --- *)
+
+(* A section of [funcs] whose local arrays become section globals, so
+   that loops record array regions as well as cost and channel use. *)
+let hoisted_section (funcs : W2.Ast.func list) : W2.Ast.section =
+  let is_array (d : W2.Ast.decl) = match d.dty with W2.Ast.Tarray _ -> true | _ -> false in
+  let globals =
+    List.fold_left
+      (fun acc (d : W2.Ast.decl) ->
+        if List.exists (fun (g : W2.Ast.decl) -> g.dname = d.dname) acc then acc else acc @ [ d ])
+      []
+      (List.concat_map (fun (f : W2.Ast.func) -> List.filter is_array f.locals) funcs)
+  in
+  {
+    W2.Ast.sname = "s";
+    cells = 1;
+    globals;
+    funcs =
+      List.map
+        (fun (f : W2.Ast.func) -> { f with locals = List.filter (fun d -> not (is_array d)) f.locals })
+        funcs;
+    secloc = W2.Loc.dummy;
+  }
+
+let same_summaries ~max_intervals sec =
+  A.analyze_section ~max_intervals sec = Absint_oracle.analyze_section ~max_intervals sec
+
+(* Random loop nests whose loop bounds, array indices and conditions
+   read integers the loops themselves update, so each fixpoint round
+   sees different trip counts and regions.  The analysis never runs the
+   code, so the nests need not terminate. *)
+let gen_nest name : W2.Ast.func QCheck.Gen.t =
+  let open QCheck.Gen in
+  let ex e = { W2.Ast.e; eloc = W2.Loc.dummy } and st s = { W2.Ast.s; sloc = W2.Loc.dummy } in
+  let ints = [ "n"; "k"; "m" ] in
+  let iexpr loops =
+    let v = oneofl (ints @ loops) in
+    frequency
+      [
+        (1, map (fun c -> ex (W2.Ast.Int_lit c)) (int_range (-2) 9));
+        (2, map (fun v -> ex (W2.Ast.Var v)) v);
+        ( 2,
+          map2
+            (fun v c -> ex (W2.Ast.Binary (W2.Ast.Add, ex (W2.Ast.Var v), ex (W2.Ast.Int_lit c))))
+            v (int_range (-3) 3) );
+      ]
+  in
+  let rec stmts depth loops = list_size (int_range 1 3) (stmt depth loops)
+  and stmt depth loops =
+    let leaves =
+      [
+        (3, map2 (fun v e -> st (W2.Ast.Assign (W2.Ast.Lvar v, e))) (oneofl ints) (iexpr loops));
+        ( 2,
+          map
+            (fun i -> st (W2.Ast.Assign (W2.Ast.Lindex ("g", i), ex (W2.Ast.Float_lit 1.0))))
+            (iexpr loops) );
+        (1, map (fun i -> st (W2.Ast.Assign (W2.Ast.Lvar "x", ex (W2.Ast.Index ("h", i))))) (iexpr loops));
+        (1, return (st (W2.Ast.Send (W2.Ast.Chan_x, ex (W2.Ast.Float_lit 0.0)))));
+        (1, return (st (W2.Ast.Receive (W2.Ast.Chan_y, W2.Ast.Lvar "x"))));
+      ]
+    in
+    if depth = 0 then frequency leaves
+    else
+      let v = Printf.sprintf "i%d" depth in
+      frequency
+        (leaves
+        @ [
+            ( 3,
+              map3
+                (fun lo hi body -> st (W2.Ast.For (v, lo, hi, body)))
+                (iexpr loops) (iexpr loops)
+                (stmts (depth - 1) (v :: loops)) );
+            ( 2,
+              map2
+                (fun c body ->
+                  st (W2.Ast.While (ex (W2.Ast.Binary (W2.Ast.Gt, ex (W2.Ast.Var c), ex (W2.Ast.Int_lit 0))), body)))
+                (oneofl ints) (stmts (depth - 1) loops) );
+            ( 1,
+              map3
+                (fun c t f -> st (W2.Ast.If (ex (W2.Ast.Binary (W2.Ast.Lt, ex (W2.Ast.Var "k"), c)), t, f)))
+                (iexpr loops) (stmts (depth - 1) loops) (stmts (depth - 1) loops) );
+          ])
+  in
+  let decl dname dty = { W2.Ast.dname; dty; dloc = W2.Loc.dummy } in
+  map
+    (fun body ->
+      {
+        W2.Ast.fname = name;
+        params = [ { W2.Ast.pname = "n"; pty = W2.Ast.Tint; ploc = W2.Loc.dummy } ];
+        ret = None;
+        locals =
+          [ decl "k" W2.Ast.Tint; decl "m" W2.Ast.Tint; decl "x" W2.Ast.Tfloat;
+            decl "g" (W2.Ast.Tarray (16, W2.Ast.Tfloat)); decl "h" (W2.Ast.Tarray (16, W2.Ast.Tfloat)) ];
+        body;
+        floc = W2.Loc.dummy;
+      })
+    (stmts 3 [])
+
+let prop_absint_last_round =
+  QCheck.Test.make ~name:"last-round loop usage = re-executed body, summary for summary"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (fs, k) ->
+         Printf.sprintf "max %d intervals\n%s" k (String.concat "\n" (List.map W2.Pretty.func_to_string fs)))
+       QCheck.Gen.(pair (list_size (int_range 1 3) (gen_nest "nest")) (int_range 1 8)))
+    (fun (nests, max_intervals) ->
+      let funcs = List.mapi (fun i (f : W2.Ast.func) -> { f with fname = Printf.sprintf "nest%d" i }) nests in
+      same_summaries ~max_intervals (hoisted_section funcs))
+
+let test_absint_last_round_skeletons () =
+  let skeletons =
+    List.map (fun size -> W2.Gen.sized_function ~name:(W2.Gen.size_name size) size) W2.Gen.all_sizes
+    @ List.init 12 (fun k -> W2.Gen.function_of_lines ~name:(Printf.sprintf "f%d" k) (4 + (k * 9)))
+    @ List.init 40 (fun seed ->
+          W2.Gen.random_function ~allow_channels:true ~seed ~size:(5 + seed) ())
+  in
+  let sections =
+    List.map (fun f -> hoisted_section [ f ]) skeletons
+    @ List.concat_map
+        (fun (m : W2.Ast.modul) -> m.sections)
+        (W2.Gen.
+           [
+             partitioned_program ();
+             histogram_program ();
+             deadchan_program ();
+             racy_program ();
+             user_program ();
+           ]
+        @ W2.Gen.project_program ~modules:16 ~shape:W2.Gen.Clustered ())
+  in
+  List.iter
+    (fun max_intervals ->
+      List.iteri
+        (fun i sec ->
+          Alcotest.(check bool)
+            (Printf.sprintf "section %d, max %d intervals" i max_intervals)
+            true (same_summaries ~max_intervals sec))
+        sections)
+    [ 1; 2; A.default_max_intervals ]
+
 let suites =
   [
     ( "absint.domains",
@@ -527,6 +668,9 @@ let suites =
           test_widening_blocks_refutation;
         Alcotest.test_case "caller of a widened cycle sees its final summary"
           `Quick test_caller_of_widened_cycle;
+        QCheck_alcotest.to_alcotest prop_absint_last_round;
+        Alcotest.test_case "last-round loop usage: skeletons and programs" `Quick
+          test_absint_last_round_skeletons;
       ] );
     ( "absint.prune",
       [

@@ -97,6 +97,21 @@ let prop_optimized_ir_verifies =
             Midend.Irverify.check_section sec = [])
           (Midend.Lower.lower_module m))
 
+(* A draw of the property above that once failed at -O2 and -O3:
+   constant folding turned a [sel] with equal arms into [d := d], which
+   the verifier saw as a use of a possibly-uninitialized register. *)
+let test_constfold_no_self_move () =
+  List.iter
+    (fun level ->
+      let m = Gen.module_of_function (Gen.random_function ~seed:30 ~size:5 ()) in
+      List.iter
+        (fun sec ->
+          ignore (Midend.Opt.optimize_section ~level ~verify_each:true sec);
+          Alcotest.(check int) (Printf.sprintf "-O%d violations" level) 0
+            (List.length (Midend.Irverify.check_section sec)))
+        (Midend.Lower.lower_module m))
+    [ 2; 3 ]
+
 (* Pretty-printing is idempotent: print (parse (print m)) = print m. *)
 let prop_pretty_idempotent =
   QCheck.Test.make ~name:"pretty printing is idempotent" ~count:150
@@ -117,6 +132,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_loader_total;
         QCheck_alcotest.to_alcotest prop_loader_random_bytes;
         QCheck_alcotest.to_alcotest prop_optimized_ir_verifies;
+        Alcotest.test_case "constfold leaves no self-move" `Quick test_constfold_no_self_move;
         QCheck_alcotest.to_alcotest prop_pretty_idempotent;
       ] );
   ]

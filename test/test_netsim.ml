@@ -8,10 +8,10 @@ let test_delay_ordering () =
   let sim = Des.create () in
   let trace = ref [] in
   Des.spawn sim (fun () ->
-      Des.delay 5.0;
+      Des.delay sim 5.0;
       trace := ("b", Des.now sim) :: !trace);
   Des.spawn sim (fun () ->
-      Des.delay 2.0;
+      Des.delay sim 2.0;
       trace := ("a", Des.now sim) :: !trace);
   let finish = Des.run sim in
   Alcotest.check feq "final time" 5.0 finish;
@@ -34,7 +34,7 @@ let test_negative_delay_rejected () =
   let sim = Des.create () in
   let failed = ref false in
   Des.spawn sim (fun () ->
-      match Des.delay (-1.0) with
+      match Des.delay sim (-1.0) with
       | () -> ()
       | exception Invalid_argument _ -> failed := true);
   ignore (Des.run sim);
@@ -49,9 +49,9 @@ let test_mailbox () =
       got := Sync.recv mb :: !got;
       got := Sync.recv mb :: !got);
   Des.spawn sim (fun () ->
-      Des.delay 1.0;
+      Des.delay sim 1.0;
       Sync.send mb 42;
-      Des.delay 1.0;
+      Des.delay sim 1.0;
       Sync.send mb 43);
   ignore (Des.run sim);
   Alcotest.(check (list int)) "messages in order" [ 42; 43 ] (List.rev !got)
@@ -91,7 +91,7 @@ let test_join () =
       released_at := Des.now sim);
   for i = 1 to 3 do
     Des.spawn sim (fun () ->
-        Des.delay (float_of_int i);
+        Des.delay sim (float_of_int i);
         Sync.signal j)
   done;
   ignore (Des.run sim);
@@ -175,7 +175,7 @@ let test_cluster_claim_fcfs () =
   for i = 1 to 3 do
     Des.spawn sim (fun () ->
         let ws = Host.claim sim cluster in
-        Des.delay 10.0;
+        Des.delay sim 10.0;
         order := (i, ws.Host.ws_id, Des.now sim) :: !order;
         Host.release_station sim cluster ws)
   done;
@@ -202,11 +202,11 @@ let test_cluster_claim_storm () =
   in
   for i = 1 to 40 do
     Des.spawn sim (fun () ->
-        Des.delay (0.1 *. float_of_int (i mod 7));
+        Des.delay sim (0.1 *. float_of_int (i mod 7));
         let ws = Host.claim sim cluster in
         incr claimed;
         check_no_duplication ();
-        Des.delay (1.0 +. float_of_int (i mod 3));
+        Des.delay sim (1.0 +. float_of_int (i mod 3));
         decr claimed;
         Host.release_station sim cluster ws;
         check_no_duplication ())
@@ -225,7 +225,7 @@ let test_ethernet_active_drains () =
   let peak = ref 0 in
   for i = 1 to 12 do
     Des.spawn sim (fun () ->
-        Des.delay (0.05 *. float_of_int (i mod 5));
+        Des.delay sim (0.05 *. float_of_int (i mod 5));
         Net.transfer sim e ~bytes:(1e5 *. float_of_int (1 + (i mod 4)));
         peak := max !peak e.Net.active)
   done;
@@ -241,7 +241,7 @@ let prop_heap_order =
       let sim = Des.create () in
       let fired = ref [] in
       List.iter
-        (fun d -> Des.spawn sim (fun () -> Des.delay d; fired := d :: !fired))
+        (fun d -> Des.spawn sim (fun () -> Des.delay sim d; fired := d :: !fired))
         delays;
       ignore (Des.run sim);
       let fired = List.rev !fired in

@@ -235,7 +235,7 @@ let test_modsched_edges_hold () =
         then begin
           match Warp.Modsched.run ops with
           | r ->
-            let g = Warp.Ddg.build ~loop:true ops in
+            let g = Warp.Ddg.build ops in
             List.iter
               (fun (e : Warp.Ddg.edge) ->
                 incr checked;
@@ -997,13 +997,10 @@ let arb_block = QCheck.make ~print:print_block QCheck.Gen.(array_size (int_range
 let prop_ddg_matches_all_pairs =
   QCheck.Test.make ~name:"indexed DDG = all-pairs DDG, edge for edge" ~count:300 arb_block
     (fun ops ->
-      List.for_all
-        (fun loop ->
-          let g = Warp.Ddg.build ~loop ops and o = oracle_ddg ~loop ops in
-          g.Warp.Ddg.edges = o.Warp.Ddg.edges
-          && g.Warp.Ddg.succs = o.Warp.Ddg.succs
-          && g.Warp.Ddg.preds = o.Warp.Ddg.preds)
-        [ false; true ])
+      let g = Warp.Ddg.build ops and o = oracle_ddg ~loop:true ops in
+      g.Warp.Ddg.edges = o.Warp.Ddg.edges
+      && g.Warp.Ddg.succs = o.Warp.Ddg.succs
+      && g.Warp.Ddg.preds = o.Warp.Ddg.preds)
 
 let prop_hazard_matches_list_based =
   QCheck.Test.make ~name:"footprint hazard = list-based hazard" ~count:2000
@@ -1025,7 +1022,7 @@ let prop_listsched_matches_rescan =
 let prop_mii_matches_linear =
   QCheck.Test.make ~name:"bisected MII = linear MII, work included" ~count:300 arb_block
     (fun ops ->
-      let g = Warp.Ddg.build ~loop:true ops in
+      let g = Warp.Ddg.build ops in
       mii_outcome g = oracle_mii g)
 
 let test_mii_out_of_range () =
@@ -1034,7 +1031,7 @@ let test_mii_out_of_range () =
   let ops =
     Array.init 5 (fun k -> Ir.Bin (Ir.Idiv, (k + 1) mod 5, Ir.Reg k, Ir.Imm_int 2))
   in
-  let g = Warp.Ddg.build ~loop:true ops in
+  let g = Warp.Ddg.build ops in
   let per_test = (List.length g.Warp.Ddg.edges / 8) + 1 in
   Alcotest.(check bool) "same as linear" true (mii_outcome g = oracle_mii g);
   Alcotest.(check bool) "whole range charged" true
@@ -1061,6 +1058,47 @@ let test_paper_sizes_golden () =
         (Large, 1014, 1604, "cd820355eed9a0133b80a79bb4f897e7");
         (Huge, 1313, 1934, "9ed8ad188b0c20dd5a74a92762c5d70d");
       ]
+
+(* Image bytes and phase-3 work of whole programs at -O2: a two-copy
+   S_n of each paper size and the section-4.3 user program, recorded
+   before the list scheduler took the nearest-access graph.  A backend
+   speedup must leave every one of them alone. *)
+let test_program_images_golden () =
+  let programs =
+    List.map (fun size -> (W2.Gen.size_name size, W2.Gen.s_program ~size ~count:2 ())) W2.Gen.all_sizes
+    @ [ ("user", W2.Gen.user_program ()) ]
+  in
+  let golden =
+    [
+      ("f_tiny", [ ("sec1", "97be9aa6c56e0efcec3acfa3e15c6e5d", [ (3, 15); (3, 15) ]) ]);
+      ("f_small", [ ("sec1", "5d450339673830bfcfbf453e865bd08e", [ (1666, 152); (253, 151) ]) ]);
+      ("f_medium", [ ("sec1", "a8d0658feb06ad1e4c72347b8e5d01fa", [ (18285, 445); (20984, 471) ]) ]);
+      ("f_large", [ ("sec1", "6415334e796274262924d66118267a3d", [ (1012, 1508); (997, 1357) ]) ]);
+      ("f_huge", [ ("sec1", "245476a8c60d8e0d851d9e2e6ee90aa3", [ (1324, 1866); (1241, 1489) ]) ]);
+      ( "user",
+        [
+          ("stage1", "76735f395cf2ad1cfeca3502ca3afa2e", [ (1041, 1318); (25906, 141); (1063, 181) ]);
+          ("stage2", "26c5c9aa81d1243ba96aacd002d91315", [ (1102, 1486); (1401, 136); (103, 290) ]);
+          ("stage3", "36489e60878fdca0c2a7e3b66f7a8c46", [ (1065, 1309); (1262, 147); (21, 105) ]);
+        ] );
+    ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let mw = Driver.Compile.compile_module ~level:2 m in
+      let got =
+        List.map
+          (fun (sw : Driver.Compile.section_work) ->
+            ( sw.sw_name,
+              Digest.to_hex (Digest.string (Warp.Asm.encode sw.sw_image)),
+              List.map
+                (fun (fw : Driver.Compile.func_work) -> (fw.fw_sched_work, fw.fw_wides))
+                sw.sw_funcs ))
+          mw.Driver.Compile.mw_sections
+      in
+      Alcotest.(check (list (triple string string (list (pair int int)))))
+        name (List.assoc name golden) got)
+    programs
 
 (* Phase-2 work units and the optimized IR of the paper's five sizes at
    -O2 and -O3, recorded before liveness, DCE and value numbering were
@@ -1128,6 +1166,156 @@ let test_verify_rejects_same_cycle_cycle () =
   | [ v ] -> Alcotest.(check bool) v true (Tutil.contains v "irreconcilable")
   | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
+(* --- the nearest-access list-scheduling graph and the windowed image
+   verifier, against the all-pairs versions in backend_oracle.ml --- *)
+
+module B = Backend_oracle
+
+(* The call-free runs of a block: what the list scheduler sees once
+   calls have become terminators. *)
+let call_free_runs (b : Ir.block) : Ir.instr array list =
+  let flush run acc = if run = [] then acc else Array.of_list (List.rev run) :: acc in
+  let run, acc =
+    List.fold_left
+      (fun (run, acc) i -> match i with Ir.Call _ -> ([], flush run acc) | _ -> (i :: run, acc))
+      ([], []) b.Ir.instrs
+  in
+  List.rev (flush run acc)
+
+let runs_of (f : Ir.func) = List.concat_map call_free_runs (Array.to_list f.Ir.blocks)
+
+(* The blocks of each function of [m] as lowered, as optimized at
+   [level], and as register-allocated — with the allocated function,
+   whose registers and arrays the verifier checks. *)
+let backend_blocks ~level (m : W2.Ast.modul) : Ir.instr array list * (Ir.func * Ir.instr array list) list =
+  let lowered = ref [] and allocated = ref [] in
+  List.iter
+    (fun (sec : Ir.section) ->
+      List.iter
+        (fun (f : Ir.func) ->
+          lowered := runs_of f @ !lowered;
+          ignore (Opt.optimize ~level f);
+          lowered := runs_of f @ !lowered;
+          let a = (Warp.Regalloc.run f).Warp.Regalloc.func in
+          allocated := (a, runs_of a) :: !allocated)
+        sec.Ir.funcs)
+    (Lower.lower_module m);
+  (!lowered, !allocated)
+
+let same_schedule ops =
+  compare (Warp.Listsched.run ops) (B.Listsched.run ops) = 0
+
+let random_module (seed, size) =
+  W2.Gen.module_of_function (W2.Gen.random_function ~allow_channels:true ~seed ~size ())
+
+let arb_compiled =
+  QCheck.make
+    ~print:(fun ((seed, size), level) -> Printf.sprintf "seed %d size %d -O%d" seed size level)
+    QCheck.Gen.(pair (pair (int_bound 10_000) (int_range 1 39)) (int_range 0 3))
+
+let prop_listsched_nearest_on_compiled =
+  QCheck.Test.make ~name:"nearest-access list schedule = all-pairs one on compiled blocks"
+    ~count:60 arb_compiled
+    (fun (fn, level) ->
+      let lowered, allocated = backend_blocks ~level (random_module fn) in
+      List.for_all same_schedule (lowered @ List.concat_map snd allocated))
+
+let test_listsched_nearest_paper_sizes () =
+  let modules =
+    W2.Gen.user_program ()
+    :: List.map (fun size -> W2.Gen.s_program ~size ~count:2 ()) W2.Gen.all_sizes
+  in
+  List.iter
+    (fun m ->
+      let lowered, allocated = backend_blocks ~level:2 m in
+      List.iter
+        (fun ops ->
+          if not (same_schedule ops) then
+            Alcotest.failf "%s: %d-op block schedules differently" m.W2.Ast.mname (Array.length ops))
+        (lowered @ List.concat_map snd allocated))
+    modules
+
+(* A list schedule as (cycle, op) placements, perturbed [k] times: an op
+   moves up to four cycles either way (trading places with the op on
+   its unit there, if any), or two ops of one unit swap cycles.  Slots
+   stay consistent, so only dependence violations can appear. *)
+let perturbed rng ops k : Warp.Mcode.wide array =
+  let s = Warp.Listsched.run ops in
+  let cyc = Array.copy s.Warp.Listsched.issue in
+  let n = Array.length ops in
+  let fu i = Warp.Machine.fu_of ops.(i) in
+  let occupant c u =
+    let rec go i = if i >= n then None else if cyc.(i) = c && fu i = u then Some i else go (i + 1) in
+    go 0
+  in
+  let swap i j =
+    let c = cyc.(i) in
+    cyc.(i) <- cyc.(j);
+    cyc.(j) <- c
+  in
+  for _ = 1 to k do
+    let i = Random.State.int rng n in
+    if Random.State.bool rng then begin
+      let c = max 0 (cyc.(i) + Random.State.int rng 9 - 4) in
+      match occupant c (fu i) with Some j -> swap i j | None -> cyc.(i) <- c
+    end
+    else
+      match List.filter (fun j -> j <> i && fu j = fu i) (List.init n Fun.id) with
+      | [] -> ()
+      | same -> swap i (List.nth same (Random.State.int rng (List.length same)))
+  done;
+  let len = Array.fold_left max (Array.length s.Warp.Listsched.code - 1) cyc + 1 in
+  let code = Array.make len Warp.Mcode.empty_wide in
+  Array.iteri (fun i op -> code.(cyc.(i)) <- Warp.Mcode.with_slot code.(cyc.(i)) (fu i) op) ops;
+  code
+
+let perturbed_image rng (f : Ir.func) runs : Warp.Mcode.image =
+  let block ops =
+    let k = 1 + Random.State.int rng 4 in
+    { Warp.Mcode.code = perturbed rng ops k; mterm = Warp.Mcode.Tret None; mb_pipelined = false }
+  in
+  let mf =
+    {
+      Warp.Mcode.mf_name = f.Ir.name;
+      param_locs = [];
+      mf_arrays = f.Ir.arrays;
+      mblocks = Array.of_list (List.map block runs);
+    }
+  in
+  { Warp.Mcode.img_section = "s"; img_cells = 1; funcs = [| mf |]; symbols = [ (f.Ir.name, 0) ] }
+
+(* Old and new violation lists of the perturbed images of [m]'s
+   register-allocated blocks. *)
+let verify_pairs ~level ~rng m =
+  List.map
+    (fun (f, runs) ->
+      let img = perturbed_image rng f runs in
+      (List.map Warp.Verify.violation_to_string (Warp.Verify.image img), B.Verify.image img))
+    (snd (backend_blocks ~level m))
+
+let prop_verify_window_on_perturbed =
+  QCheck.Test.make ~name:"windowed verifier = all-pairs one on perturbed schedules" ~count:60
+    (QCheck.pair arb_compiled QCheck.small_nat)
+    (fun ((fn, level), pseed) ->
+      let rng = Random.State.make [| pseed |] in
+      List.for_all (fun (v, o) -> v = o) (verify_pairs ~level ~rng (random_module fn)))
+
+(* The property above is only as good as the violations it reaches: on
+   a fixed draw, dependence violations (the ones the window can miss)
+   appear, in the same lists.  Same-cycle pairs are always inside the
+   window. *)
+let test_verify_window_reaches_violations () =
+  let rng = Random.State.make [| 7 |] in
+  let dep = ref 0 in
+  for seed = 1 to 12 do
+    List.iter
+      (fun (v, o) ->
+        Alcotest.(check (list string)) "same violations" o v;
+        List.iter (fun x -> if Tutil.contains x "dependence violated" then incr dep) v)
+      (verify_pairs ~level:2 ~rng (random_module (seed, 30)))
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d dependence violations" !dep) true (!dep > 0)
+
 let oracle_suites =
   [
     ( "warp.oracles",
@@ -1139,8 +1327,15 @@ let oracle_suites =
         Alcotest.test_case "mii out of range" `Quick test_mii_out_of_range;
         Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
         Alcotest.test_case "paper sizes phase-2 golden" `Quick test_paper_sizes_phase2_golden;
+        Alcotest.test_case "program images golden" `Quick test_program_images_golden;
         Alcotest.test_case "verify: early consumer" `Quick test_verify_rejects_early_consumer;
         Alcotest.test_case "verify: same-cycle cycle" `Quick test_verify_rejects_same_cycle_cycle;
+        QCheck_alcotest.to_alcotest prop_listsched_nearest_on_compiled;
+        Alcotest.test_case "nearest-access list schedule: paper sizes" `Quick
+          test_listsched_nearest_paper_sizes;
+        QCheck_alcotest.to_alcotest prop_verify_window_on_perturbed;
+        Alcotest.test_case "verify window reaches violations" `Quick
+          test_verify_window_reaches_violations;
       ] );
   ]
 
