@@ -3,23 +3,9 @@
    BENCH_*.json sweeps.  `main.exe --help` lists the targets. *)
 
 open Parallel_cc
+module Json = Stats.Json
 
 (* --- one table printer for every figure and sweep --- *)
-
-let json_escape = W2.Sarif.escape
-
-let rec json_value = function
-  | Experiment.Int n -> string_of_int n
-  | Experiment.Fixed (decimals, x) -> Printf.sprintf "%.*f" decimals x
-  | Experiment.Exact x -> Printf.sprintf "%.17g" x
-  | Experiment.Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | Experiment.Obj row -> Printf.sprintf "{%s}" (json_fields row)
-
-and json_fields row =
-  String.concat ", "
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (json_value v))
-       row)
 
 (* One column per field; nested objects flatten to "key.field" columns
    over every row's fields, "-" where a row lacks one.  [notes] print
@@ -29,7 +15,7 @@ let print_rows ?(notes = []) title (rows : Experiment.row list) =
     List.concat_map
       (fun (k, v) ->
         match v with
-        | Experiment.Obj sub -> flat (prefix ^ k ^ ".") sub
+        | Json.Obj sub -> flat (prefix ^ k ^ ".") sub
         | v -> [ (prefix ^ k, v) ])
       row
   in
@@ -41,9 +27,9 @@ let print_rows ?(notes = []) title (rows : Experiment.row list) =
       [] rows
   in
   let cell = function
-    | Some (Experiment.Exact x) -> Printf.sprintf "%.3f" x
-    | Some (Experiment.Str s) -> s
-    | Some v -> json_value v
+    | Some (Json.Exact x) -> Printf.sprintf "%.3f" x
+    | Some (Json.Str s) -> s
+    | Some v -> String.trim (Json.to_string v)
     | None -> "-"
   in
   Stats.Table.print
@@ -59,7 +45,7 @@ let print_rows ?(notes = []) title (rows : Experiment.row list) =
 (* --- the paper's figures as rows --- *)
 
 (* Figure cells print with two decimals; times in minutes. *)
-let fixed x = Experiment.Fixed (2, x)
+let fixed x = Json.Fixed (2, x)
 let minutes x = fixed (x /. 60.0)
 
 (* Experiment results are deterministic; compute one series per size. *)
@@ -87,7 +73,7 @@ let time_series size =
         (fun (p : Experiment.point) ->
           let c = p.Experiment.comparison in
           [
-            ("functions", Experiment.Int p.Experiment.n_functions);
+            ("functions", Json.Int p.Experiment.n_functions);
             ("elapsed seq", minutes c.Timings.seq.Timings.elapsed);
             ("cpu seq", minutes (Timings.max_cpu c.Timings.seq));
             ("elapsed par", minutes c.Timings.par.Timings.elapsed);
@@ -105,7 +91,7 @@ let overheads ~relative sizes =
     fun () ->
       List.map
         (fun n ->
-          ("functions", Experiment.Int n)
+          ("functions", Json.Int n)
           :: List.concat_map
                (fun size ->
                  let c = (point_at size n).Experiment.comparison in
@@ -133,7 +119,7 @@ let figures =
         fun () ->
           List.map
             (fun n ->
-              ("functions", Experiment.Int n)
+              ("functions", Json.Int n)
               :: List.map
                    (fun size ->
                      (W2.Gen.size_name size, fixed (speedup (point_at size n))))
@@ -145,7 +131,7 @@ let figures =
         fun () ->
           List.map
             (fun size ->
-              ("lines", Experiment.Int (W2.Gen.size_lines size))
+              ("lines", Json.Int (W2.Gen.size_lines size))
               :: List.map
                    (fun n ->
                      ( Printf.sprintf "%d function(s)" n,
@@ -164,7 +150,7 @@ let figures =
             (fun (p : Experiment.point) ->
               let c = p.Experiment.comparison in
               [
-                ("processors", Experiment.Int p.Experiment.n_functions);
+                ("processors", Json.Int p.Experiment.n_functions);
                 ("elapsed seq (min)", minutes c.Timings.seq.Timings.elapsed);
                 ("elapsed par (min)", minutes c.Timings.par.Timings.elapsed);
                 ("speedup", fixed c.Timings.speedup);
@@ -189,7 +175,7 @@ let print_saturation () =
     (List.map
        (fun (stations, elapsed) ->
          [
-           ("stations", Experiment.Int stations);
+           ("stations", Json.Int stations);
            ("elapsed par (min)", minutes elapsed);
          ])
        (Experiment.saturation ()))
@@ -205,7 +191,7 @@ let print_ablations () =
        (fun (ab : Experiment.ablation) ->
          let cfg = ab.Experiment.ab_cfg in
          [
-           ("configuration", Experiment.Str ab.Experiment.ab_name);
+           ("configuration", Json.Str ab.Experiment.ab_name);
            ( "medium n=1 sys ov %",
              fixed (at ~cfg W2.Gen.Medium 1).Timings.rel_sys_overhead );
            ("tiny n=4 speedup", fixed (at ~cfg W2.Gen.Tiny 4).Timings.speedup);
@@ -221,8 +207,8 @@ let print_ablations () =
     (List.map
        (fun (policy, (c : Timings.comparison)) ->
          [
-           ("policy", Experiment.Str policy);
-           ("processors", Experiment.Int c.Timings.processors);
+           ("policy", Json.Str policy);
+           ("processors", Json.Int c.Timings.processors);
            ("speedup", fixed c.Timings.speedup);
          ])
        [
@@ -239,7 +225,7 @@ let print_make_study () =
     (List.map
        (fun (r : Makerun.result) ->
          [
-           ("strategy", Experiment.Str (Makerun.strategy_name r.Makerun.strategy));
+           ("strategy", Json.Str (Makerun.strategy_name r.Makerun.strategy));
            ("elapsed (min)", minutes r.Makerun.elapsed);
          ])
        (Experiment.run_make_study ()))
@@ -260,7 +246,7 @@ let print_grain_study () =
     (List.map
        (fun (g : Experiment.grain_point) ->
          [
-           ("stations", Experiment.Int g.Experiment.gp_stations);
+           ("stations", Json.Int g.Experiment.gp_stations);
            ("coarse (min)", minutes g.Experiment.coarse);
            ("fine (min)", minutes g.Experiment.fine);
          ])
@@ -274,8 +260,8 @@ let print_inlining_study () =
     (List.map
        (fun (variant, funcs, (c : Timings.comparison)) ->
          [
-           ("variant", Experiment.Str variant);
-           ("functions", Experiment.Int funcs);
+           ("variant", Json.Str variant);
+           ("functions", Json.Int funcs);
            ("seq (min)", minutes c.Timings.seq.Timings.elapsed);
            ("par (min)", minutes c.Timings.par.Timings.elapsed);
            ("speedup", fixed c.Timings.speedup);
@@ -301,7 +287,7 @@ let print_scaling () =
        (fun (u : Experiment.point) (c : Experiment.point) ->
          let n = u.Experiment.n_functions in
          [
-           ("functions", Experiment.Int n);
+           ("functions", Json.Int n);
            ("speedup (pool = n)", fixed (speedup u));
            ("efficiency", fixed (speedup u /. float_of_int n));
            ("speedup (pool <= 15)", fixed (speedup c));
@@ -337,9 +323,9 @@ let print_codegen_ablation () =
        (fun level ->
          let wides, cycles = measure level in
          [
-           ("level", Experiment.Str (Printf.sprintf "-O%d" level));
-           ("wide instrs", Experiment.Int wides);
-           ("cycles", Experiment.Int cycles);
+           ("level", Json.Str (Printf.sprintf "-O%d" level));
+           ("wide instrs", Json.Int wides);
+           ("cycles", Json.Int cycles);
            ( "cycles vs -O0",
              fixed (float_of_int cycles /. float_of_int base_cycles) );
          ])
@@ -369,32 +355,6 @@ let print_summary () =
    filename (which CI's regression gates key on). *)
 let out_override : string option ref = ref None
 
-let bpr b fmt = Printf.ksprintf (Buffer.add_string b) fmt
-
-let json_array b ~key items row =
-  bpr b ",\n  \"%s\": [\n" key;
-  let first = ref true in
-  List.iter
-    (fun x ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b "    ";
-      row x)
-    items;
-  Buffer.add_string b "\n  ]"
-
-let write_json ~schema ~default ~summary body =
-  let b = Buffer.create 4096 in
-  bpr b "{\n";
-  bpr b "  \"schema\": \"%s\"" (json_escape schema);
-  body b;
-  bpr b "\n}\n";
-  let path = Option.value !out_override ~default in
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "wrote %s (%s)\n\n" path summary
-
 (* A sweep target: its BENCH file's schema and name, the top-level
    fields written before the row arrays, and each array's key, console
    title and rows. *)
@@ -406,21 +366,29 @@ type sweep = {
 }
 
 let run_sweep s =
-  List.iter (fun (_, title, rows) -> print_rows title (Lazy.force rows)) s.groups;
-  write_json ~schema:s.schema ~default:s.file
-    ~summary:
-      (String.concat ", "
-         (List.map
-            (fun (key, _, rows) ->
-              Printf.sprintf "%d %s" (List.length (Lazy.force rows)) key)
-            s.groups))
-    (fun b ->
-      List.iter (fun (k, v) -> bpr b ",\n  \"%s\": %s" k (json_value v)) s.header;
-      List.iter
-        (fun (key, _, rows) ->
-          json_array b ~key (Lazy.force rows) (fun row ->
-              bpr b "{%s}" (json_fields row)))
-        s.groups)
+  let groups =
+    List.map
+      (fun (key, title, rows) ->
+        let rows = Lazy.force rows in
+        print_rows title rows;
+        (key, rows))
+      s.groups
+  in
+  let doc =
+    Json.Obj
+      ((("schema", Json.Str s.schema) :: s.header)
+      @ List.map
+          (fun (key, rows) -> (key, Json.List (List.map (fun r -> Json.Obj r) rows)))
+          groups)
+  in
+  let path = Option.value !out_override ~default:s.file in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string doc));
+  Printf.printf "wrote %s (%s)\n\n" path
+    (String.concat ", "
+       (List.map
+          (fun (key, rows) -> Printf.sprintf "%d %s" (List.length rows) key)
+          groups))
 
 let fault_rows = lazy (Experiment.fault_sweep ())
 
@@ -478,7 +446,7 @@ type action = Run of (unit -> unit) | Sweep of sweep
    derive from the table, so they cannot drift apart. *)
 let targets : (string * string * bool * action) list =
   let batch_threshold =
-    ("batch_threshold", Experiment.Fixed (1, Config.default.Config.batch_threshold))
+    ("batch_threshold", Json.Fixed (1, Config.default.Config.batch_threshold))
   in
   let points title sweep = [ ("points", title, lazy (sweep ())) ] in
   ( "figures",
@@ -540,7 +508,7 @@ let targets : (string * string * bool * action) list =
         {
           schema = "warpcc-bench-absint/1";
           file = "BENCH_absint.json";
-          header = [ ("pool", Experiment.Int 4) ];
+          header = [ ("pool", Json.Int 4) ];
           groups =
             points
               "Abstract-interpretation refinement (base analysis vs pruned; \
@@ -555,7 +523,7 @@ let targets : (string * string * bool * action) list =
           schema = "warpcc-bench-spec/1";
           file = "BENCH_spec.json";
           header =
-            [ ("spec_budget", Experiment.Int Config.default.Config.spec_budget) ];
+            [ ("spec_budget", Json.Int Config.default.Config.spec_budget) ];
           groups =
             points
               "Speculative dispatch (speedup = dag+lpt elapsed / dag+spec \

@@ -51,6 +51,21 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Write the document [text] builds to FILE, or to standard output for
+   "-"; a file write is confirmed with "wrote FILE" and [note]. *)
+let write_out ?(note = "") out text =
+  match out with
+  | None -> ()
+  | Some "-" -> print_string (text ())
+  | Some path ->
+    Out_channel.with_open_text path (fun oc -> output_string oc (text ()));
+    Printf.printf "wrote %s%s\n" path note
+
+let trace_note tr =
+  Printf.sprintf " (%d spans, %d instants, %d tracks)" (Trace.span_count tr)
+    (Trace.instant_count tr)
+    (List.length (Trace.used_tracks tr))
+
 (* Every rejection path exits 1 — parse, semantic, lint-as-error and
    verifier failures alike — so scripts and CI can tell "module
    rejected" (1) apart from command-line misuse (cmdliner's 124+).
@@ -419,22 +434,13 @@ let analyze_cmd =
   let action file project dot_out json_out sarif_out no_sound max_tracked
       no_absint absint_max_intervals werror =
     or_compile_error (fun () ->
-        let write what = function
-          | None -> ()
-          | Some "-" -> print_string what
-          | Some path ->
-            let oc = open_out path in
-            output_string oc what;
-            close_out oc;
-            Printf.printf "wrote %s\n" path
-        in
         let finish ~report ~dot ~json diags =
           (match (dot_out, json_out, sarif_out) with
           | None, None, None -> print_string (report ())
           | _ ->
-            write (dot ()) dot_out;
-            write (json ()) json_out;
-            write (W2.Sarif.to_string diags) sarif_out);
+            write_out dot_out dot;
+            write_out json_out json;
+            write_out sarif_out (fun () -> W2.Sarif.to_string diags));
           (* The analyzer's findings ride the same diagnostics channel
              as `check --lint`; under --Werror they reject the module
              with the shared exit code. *)
@@ -674,7 +680,8 @@ let batch_threshold =
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Replay one traced parallel run and write it as Chrome \
-               trace-event JSON (load in Perfetto or chrome://tracing)")
+               trace-event JSON (load in Perfetto or chrome://tracing; \
+               \"-\" = stdout)")
 
 let gantt =
   Arg.(value & flag & info [ "gantt" ]
@@ -829,14 +836,7 @@ let simulate_cmd =
         Printf.printf "per-station CPU (s): %s\n"
           (String.concat ", "
              (List.map (Printf.sprintf "%.0f") c.Timings.par.Timings.cpu_per_station));
-        (match json_out with
-        | Some "-" -> print_string (Timings.comparison_to_json c)
-        | Some path ->
-          let oc = open_out path in
-          output_string oc (Timings.comparison_to_json c);
-          close_out oc;
-          Printf.printf "wrote %s\n" path
-        | None -> ());
+        write_out json_out (fun () -> Timings.comparison_to_json c);
         (match fault_free with
         | Some free ->
           let faulty =
@@ -861,15 +861,8 @@ let simulate_cmd =
           let traced =
             (Parrun.run { cfg with Config.faults; trace = tr } mw plan).Parrun.run
           in
-          (match trace_out with
-          | Some path ->
-            let oc = open_out path in
-            output_string oc (Trace.to_chrome_json tr);
-            close_out oc;
-            Printf.printf "wrote %s (%d spans, %d instants, %d tracks)\n" path
-              (Trace.span_count tr) (Trace.instant_count tr)
-              (List.length (Trace.used_tracks tr))
-          | None -> ());
+          write_out ~note:(trace_note tr) trace_out (fun () ->
+              Trace.to_chrome_json tr);
           if gantt then begin
             print_newline ();
             Stats.Table.print (Trace.gantt ~width:gantt_width tr)
@@ -963,7 +956,8 @@ let profile_cmd =
   let prof_trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write the profiled run as Chrome trace-event JSON with the \
-                 critical path rendered as flow arrows between tracks")
+                 critical path rendered as flow arrows between tracks \
+                 (\"-\" = stdout)")
   in
   let action replay top_k what_if prof_json prof_trace =
     or_compile_error (fun () ->
@@ -1007,24 +1001,9 @@ let profile_cmd =
             ~policy:(Sched.policy_name sched) ~processors:n_fm ~top:top_k
             ~bound p
         in
-        (match prof_json with
-        | Some "-" -> print_string (json ())
-        | Some path ->
-          let oc = open_out path in
-          output_string oc (json ());
-          close_out oc;
-          Printf.printf "wrote %s\n" path
-        | None -> ());
-        match prof_trace with
-        | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Trace.to_chrome_json ~flows:(Critpath.path_flows p) tr);
-          close_out oc;
-          Printf.printf "wrote %s (%d spans, %d instants, %d tracks)\n" path
-            (Trace.span_count tr) (Trace.instant_count tr)
-            (List.length (Trace.used_tracks tr))
-        | None -> ())
+        write_out prof_json json;
+        write_out ~note:(trace_note tr) prof_trace (fun () ->
+            Trace.to_chrome_json ~flows:(Critpath.path_flows p) tr))
   in
   let term =
     Term.(

@@ -814,107 +814,46 @@ let to_dot (t : t) : string =
 
 (* --- JSON (schema warpcc-analyze/3) --- *)
 
-let json_escape = W2.Sarif.escape
-
-let json_strings items =
-  "[" ^ String.concat ", "
-          (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) items)
-  ^ "]"
-
-let json_effects (e : effects) =
-  Printf.sprintf
-    "{\"global_reads\": %s, \"global_writes\": %s, \"sends\": %s, \
-     \"recvs\": %s, \"calls\": %s, \"limited\": %b}"
-    (json_strings e.greads) (json_strings e.gwrites)
-    (json_strings (List.map Ast.channel_to_string e.sends))
-    (json_strings (List.map Ast.channel_to_string e.recvs))
-    (json_strings e.calls) e.limited
-
-let json_itv (i : Absint.itv) =
-  let bound = function Some n -> string_of_int n | None -> "null" in
-  Printf.sprintf "{\"lo\": %s, \"hi\": %s}" (bound i.Absint.lo)
-    (bound i.Absint.hi)
-
 let to_json (t : t) : string =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\n  \"schema\": \"warpcc-analyze/3\",\n  \"kind\": \"module\",\n\
-    \  \"module\": \"%s\",\n\
-    \  \"sound\": %b,\n  \"absint\": %b,\n  \"sections\": [\n"
-    (json_escape t.dp_module) t.dp_sound t.dp_absint;
-  let sections =
-    List.map
-      (fun si ->
-        let funcs =
-          Array.to_list si.si_funcs
-          |> List.map (fun fi ->
-                 Printf.sprintf
-                   "        {\"name\": \"%s\", \"index\": %d, \"scc\": %d, \
-                    \"arity\": %d, \"returns\": %b, \"inlinable\": %b,\n\
-                   \         \"purity\": %s, \"summary_hash\": \"%s\", \
-                    \"cost\": %s,\n\
-                   \         \"direct\": %s,\n\
-                   \         \"summary\": %s}"
-                   (json_escape fi.fi_name) fi.fi_index fi.fi_scc fi.fi_arity
-                   fi.fi_returns fi.fi_inlinable
-                   (match fi.fi_purity with
-                   | Some p ->
-                     Printf.sprintf "\"%s\"" (Absint.purity_to_string p)
-                   | None -> "null")
-                   fi.fi_hash
-                   (match fi.fi_cost with
-                   | Some c -> json_itv c
-                   | None -> "null")
-                   (json_effects fi.fi_direct)
-                   (json_effects fi.fi_summary))
-          |> String.concat ",\n"
-        in
-        let edges =
-          List.map
-            (fun (from_name, to_name, reasons) ->
-              Printf.sprintf
-                "        {\"from\": \"%s\", \"to\": \"%s\", \"reasons\": %s}"
-                (json_escape from_name) (json_escape to_name)
-                (json_strings (List.map reason_to_string reasons)))
-            (edges_by_name si)
-          |> String.concat ",\n"
-        in
-        let pruned =
-          List.map
-            (fun (from_name, to_name, reason, by) ->
-              Printf.sprintf
-                "        {\"from\": \"%s\", \"to\": \"%s\", \"reason\": \
-                 \"%s\", \"refuted_by\": \"%s\"}"
-                (json_escape from_name) (json_escape to_name)
-                (json_escape (reason_to_string reason))
-                (refuter_to_string by))
-            (pruned_by_name si)
-          |> String.concat ",\n"
-        in
-        let levels =
-          List.map
-            (fun level ->
-              json_strings
-                (List.map (fun i -> si.si_funcs.(i).fi_name) level))
-            si.si_levels
-          |> String.concat ", "
-        in
-        Printf.sprintf
-          "    {\"name\": \"%s\", \"cells\": %d,\n\
-          \     \"functions\": [\n%s\n      ],\n\
-          \     \"edges\": [\n%s\n      ],\n\
-          \     \"pruned\": [\n%s\n      ],\n\
-          \     \"disjoint_globals\": %s,\n\
-          \     \"levels\": [%s],\n\
-          \     \"fixpoint_sweeps\": %d,\n\
-          \     \"licensed_fraction\": %.6f}"
-          (json_escape si.si_name) si.si_cells funcs
-          (if si.si_edges = [] then "" else edges)
-          (if si.si_pruned = [] then "" else pruned)
-          (json_strings si.si_disjoint) levels si.si_fixpoint_sweeps
-          (licensed_fraction si))
-      t.dp_sections
+  let open Stats.Json in
+  let channels cs = strings (List.map Ast.channel_to_string cs) in
+  let effects (e : effects) =
+    Obj [ ("global_reads", strings e.greads); ("global_writes", strings e.gwrites);
+          ("sends", channels e.sends); ("recvs", channels e.recvs);
+          ("calls", strings e.calls); ("limited", Bool e.limited) ]
   in
-  Buffer.add_string b (String.concat ",\n" sections);
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let int n = Int n in
+  let cost (c : Absint.itv) = Obj [ ("lo", option int c.lo); ("hi", option int c.hi) ] in
+  let func fi =
+    Obj [ ("name", Str fi.fi_name); ("index", Int fi.fi_index); ("scc", Int fi.fi_scc);
+          ("arity", Int fi.fi_arity); ("returns", Bool fi.fi_returns);
+          ("inlinable", Bool fi.fi_inlinable);
+          ("purity", option (fun p -> Str (Absint.purity_to_string p)) fi.fi_purity);
+          ("summary_hash", Str fi.fi_hash); ("cost", option cost fi.fi_cost);
+          ("direct", effects fi.fi_direct); ("summary", effects fi.fi_summary) ]
+  in
+  let edge (from_name, to_name, reasons) =
+    Obj [ ("from", Str from_name); ("to", Str to_name);
+          ("reasons", strings (List.map reason_to_string reasons)) ]
+  in
+  let pruned (from_name, to_name, reason, by) =
+    Obj [ ("from", Str from_name); ("to", Str to_name);
+          ("reason", Str (reason_to_string reason));
+          ("refuted_by", Str (refuter_to_string by)) ]
+  in
+  let level si l = strings (List.map (fun i -> si.si_funcs.(i).fi_name) l) in
+  let section si =
+    Obj [ ("name", Str si.si_name); ("cells", Int si.si_cells);
+          ("functions", List (Array.to_list (Array.map func si.si_funcs)));
+          ("edges", List (List.map edge (edges_by_name si)));
+          ("pruned", List (List.map pruned (pruned_by_name si)));
+          ("disjoint_globals", strings si.si_disjoint);
+          ("levels", List (List.map (level si) si.si_levels));
+          ("fixpoint_sweeps", Int si.si_fixpoint_sweeps);
+          ("licensed_fraction", Fixed (6, licensed_fraction si)) ]
+  in
+  to_string
+    (Obj [ ("schema", Str "warpcc-analyze/3"); ("kind", Str "module");
+           ("module", Str t.dp_module); ("sound", Bool t.dp_sound);
+           ("absint", Bool t.dp_absint);
+           ("sections", List (List.map section t.dp_sections)) ])

@@ -275,10 +275,6 @@ val to_json : t -> string
     present under [--no-absint]: ["pruned"] and ["disjoint_globals"]
     are empty arrays, ["purity"] and ["cost"] are [null]. *)
 
-val json_strings : string list -> string
-(** A JSON array of string literals, items escaped by
-    {!W2.Sarif.escape} and separated by [", "]. *)
-
 (** {1 Building blocks shared with [Modan]}
 
     Both analyzers close set-based effect records over a call graph,

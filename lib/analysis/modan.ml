@@ -1016,82 +1016,46 @@ let to_dot link =
   line "}";
   Buffer.contents buf
 
-let json_escape = Sarif.escape
-let json_strings = Depan.json_strings
-
 let to_json link =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"warpcc-analyze/3\",\n  \"kind\": \"project\",\n";
-  add "  \"modules\": [\n";
-  List.iteri
-    (fun i (m : module_summary) ->
-      add "    {\"name\": \"%s\", \"file\": \"%s\", \"section\": \"%s\", \"cells\": %d,\n"
-        (json_escape m.ms_module) (json_escape m.ms_file)
-        (json_escape m.ms_section) m.ms_cells;
-      add "     \"globals\": %s,\n" (json_strings m.ms_globals);
-      add "     \"exports\": %s,\n"
-        (json_strings (List.map fst m.ms_exports));
-      add "     \"functions\": [\n";
-      Array.iteri
-        (fun j w ->
-          add
-            "       {\"name\": \"%s\", \"exported\": %b, \"xcalls\": %s, \"summary_hash\": \"%s\", \"key\": \"%s\"}%s\n"
-            (json_escape w.ws_name) w.ws_exported (json_strings w.ws_xcalls)
-            w.ws_hash w.ws_key
-            (if j = Array.length m.ms_funcs - 1 then "" else ","))
-        m.ms_funcs;
-      add "     ],\n";
-      add "     \"local_edges\": [%s]}%s\n"
-        (String.concat ", "
-           (List.map
-              (fun (f, t, rs) ->
-                spf "{\"from\": \"%s\", \"to\": \"%s\", \"reasons\": %s}"
-                  (json_escape f) (json_escape t)
-                  (json_strings (List.map Depan.reason_to_string rs)))
-              m.ms_edges))
-        (if i = List.length link.lk_modules - 1 then "" else ","))
-    link.lk_modules;
-  add "  ],\n";
-  add "  \"order\": %s,\n" (json_strings link.lk_order);
-  add "  \"sccs\": [%s],\n"
-    (String.concat ", " (List.map json_strings link.lk_sccs));
-  add "  \"missing\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (m, f) -> spf "[\"%s\", \"%s\"]" (json_escape m) (json_escape f))
-          link.lk_missing));
-  add "  \"edges\": [\n";
-  List.iteri
-    (fun i e ->
-      add
-        "    {\"from\": \"%s\", \"from_module\": \"%s\", \"to\": \"%s\", \"to_module\": \"%s\", \"confidence\": \"%s\", \"reasons\": %s}%s\n"
-        (json_escape e.x_from) (json_escape e.x_from_module)
-        (json_escape e.x_to) (json_escape e.x_to_module)
-        (Depan.confidence_to_string (xedge_confidence e))
-        (json_strings (List.map xreason_to_string e.x_reasons))
-        (if i = List.length link.lk_edges - 1 then "" else ","))
-    link.lk_edges;
-  add "  ],\n";
-  add "  \"levels\": [%s],\n"
-    (String.concat ", " (List.map json_strings link.lk_levels));
-  add "  \"module_levels\": [%s],\n"
-    (String.concat ", " (List.map json_strings link.lk_module_levels));
-  add "  \"licensed_fraction\": %.6f,\n" link.lk_licensed;
-  add "  \"diagnostics\": [\n";
-  List.iteri
-    (fun i (d : Diag.t) ->
-      add
-        "    {\"code\": \"%s\", \"severity\": \"%s\", \"file\": \"%s\", \"line\": %d, \"col\": %d, \"function\": %s, \"message\": \"%s\"}%s\n"
-        d.Diag.d_code
-        (Diag.severity_to_string d.Diag.d_severity)
-        (json_escape d.Diag.d_loc.Loc.file) d.Diag.d_loc.Loc.line
-        d.Diag.d_loc.Loc.col
-        (match d.Diag.d_func with
-        | Some f -> spf "\"%s\"" (json_escape f)
-        | None -> "null")
-        (json_escape d.Diag.d_message)
-        (if i = List.length link.lk_diags - 1 then "" else ","))
-    link.lk_diags;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let open Stats.Json in
+  let func w =
+    Obj [ ("name", Str w.ws_name); ("exported", Bool w.ws_exported);
+          ("xcalls", strings w.ws_xcalls); ("summary_hash", Str w.ws_hash);
+          ("key", Str w.ws_key) ]
+  in
+  let local_edge (f, t, rs) =
+    Obj [ ("from", Str f); ("to", Str t);
+          ("reasons", strings (List.map Depan.reason_to_string rs)) ]
+  in
+  let modul (m : module_summary) =
+    Obj [ ("name", Str m.ms_module); ("file", Str m.ms_file);
+          ("section", Str m.ms_section); ("cells", Int m.ms_cells);
+          ("globals", strings m.ms_globals);
+          ("exports", strings (List.map fst m.ms_exports));
+          ("functions", List (Array.to_list (Array.map func m.ms_funcs)));
+          ("local_edges", List (List.map local_edge m.ms_edges)) ]
+  in
+  let edge e =
+    Obj [ ("from", Str e.x_from); ("from_module", Str e.x_from_module);
+          ("to", Str e.x_to); ("to_module", Str e.x_to_module);
+          ("confidence", Str (Depan.confidence_to_string (xedge_confidence e)));
+          ("reasons", strings (List.map xreason_to_string e.x_reasons)) ]
+  in
+  let diag (d : Diag.t) =
+    Obj [ ("code", Str d.d_code);
+          ("severity", Str (Diag.severity_to_string d.d_severity));
+          ("file", Str d.d_loc.file); ("line", Int d.d_loc.line);
+          ("col", Int d.d_loc.col); ("function", option (fun f -> Str f) d.d_func);
+          ("message", Str d.d_message) ]
+  in
+  let groups gs = List (List.map strings gs) in
+  to_string
+    (Obj [ ("schema", Str "warpcc-analyze/3"); ("kind", Str "project");
+           ("modules", List (List.map modul link.lk_modules));
+           ("order", strings link.lk_order); ("sccs", groups link.lk_sccs);
+           ("missing", List (List.map (fun (m, f) -> strings [ m; f ]) link.lk_missing));
+           ("edges", List (List.map edge link.lk_edges));
+           ("levels", groups link.lk_levels);
+           ("module_levels", groups link.lk_module_levels);
+           ("licensed_fraction", Fixed (6, link.lk_licensed));
+           ("diagnostics", List (List.map diag link.lk_diags)) ])

@@ -141,44 +141,36 @@ let compile_section ?(level = 2) ?(verify_each = false)
     | None -> []
   in
   let lints = W2.Diag.sort (coupling @ !lints) in
-  let static_units_of (f : W2.Ast.func) =
+  (* Per function, by position ([si_funcs] is built in [sec.funcs]
+     order): the analyzer's static cost bound and its compile-cache
+     key.  Keys are derived from the section summary (hash +
+     dependence closure) under the configuration salt, so a function
+     master downstream can address its phase-2/3 artifact by content.
+     Without the analysis there are no keys and downstream lookups
+     always miss. *)
+  let analyzed =
     match depan with
-    | None -> None
-    | Some si ->
-      Array.to_list si.Analysis.Depan.si_funcs
-      |> List.find_opt (fun fi -> fi.Analysis.Depan.fi_name = f.W2.Ast.fname)
-      |> fun fi ->
-      Option.bind fi (fun fi ->
-          Option.map Analysis.Absint.cost_units fi.Analysis.Depan.fi_cost)
-  in
-  (* Compile-cache keys: derived from the analyzer's section summary
-     (hash + dependence closure) under the configuration salt, so a
-     function master downstream can address its phase-2/3 artifact by
-     content.  Without the analysis there are no keys and downstream
-     lookups always miss. *)
-  let key_of =
-    match depan with
-    | None -> fun _ -> None
+    | None -> List.map (fun _ -> (None, None)) sec.W2.Ast.funcs
     | Some si ->
       let keys =
         Analysis.Depan.cache_keys
           ~salt:(Analysis.Depan.cache_salt ~opt_level:level ~verify_each)
           si
       in
-      fun (f : W2.Ast.func) ->
-        Array.to_list si.Analysis.Depan.si_funcs
-        |> List.find_opt (fun fi -> fi.Analysis.Depan.fi_name = f.W2.Ast.fname)
-        |> Option.map (fun fi -> keys.(fi.Analysis.Depan.fi_index))
+      Array.to_list
+        (Array.mapi
+           (fun i (fi : Analysis.Depan.func_info) ->
+             (Option.map Analysis.Absint.cost_units fi.fi_cost, Some keys.(i)))
+           si.Analysis.Depan.si_funcs)
   in
   let results =
-    List.map
-      (fun (f : W2.Ast.func) ->
+    List.map2
+      (fun (f : W2.Ast.func) (static_units, key) ->
         compile_function ~level ~verify_each
           ~diags:(W2.Diag.for_func f.W2.Ast.fname lints)
-          ?static_units:(static_units_of f) ?key:(key_of f)
-          ~globals:sec.W2.Ast.globals
+          ?static_units ?key ~globals:sec.W2.Ast.globals
           ~func_rets ~section:sec.W2.Ast.sname f)
-      sec.W2.Ast.funcs
+      sec.W2.Ast.funcs analyzed
   in
   let ir_section =
     {

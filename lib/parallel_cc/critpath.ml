@@ -670,88 +670,41 @@ let whatif_table ?bound (p : profile) : Stats.Table.t =
 
 (* --- JSON (schema warpcc-profile/1) --- *)
 
-let json_escape = W2.Sarif.escape
-
-(* Buckets and elapsed print with %.17g so the exact-sum invariant
-   survives the round-trip: a consumer can re-add the buckets in schema
-   order and compare bit for bit (CI's profile-smoke job does). *)
+(* Every float prints with %.17g so the exact-sum invariant survives
+   the round-trip: a consumer can re-add the buckets in schema order
+   and compare bit for bit (CI's profile-smoke job does). *)
 let to_json ?(module_name = "") ?(policy = "") ?(processors = 0) ?top:(k = 10)
     ?bound (p : profile) : string =
-  let b = Buffer.create 4096 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let f = Printf.sprintf "%.17g" in
-  pr "{\n";
-  pr "  \"schema\": \"warpcc-profile/1\",\n";
-  pr "  \"module\": \"%s\",\n" (json_escape module_name);
-  pr "  \"policy\": \"%s\",\n" (json_escape policy);
-  pr "  \"processors\": %d,\n" processors;
-  pr "  \"elapsed\": %s,\n" (f p.p_elapsed);
-  pr "  \"buckets\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      pr "    \"%s\": %s%s\n" name (f v)
-        (if i = List.length p.p_buckets - 1 then "" else ","))
-    p.p_buckets;
-  pr "  },\n";
-  pr "  \"cpu_by_tag\": {\n";
-  let n_tags = List.length p.p_cpu_by_tag in
-  List.iteri
-    (fun i (tag, v) ->
-      pr "    \"%s\": %s%s\n" (json_escape tag) (f v)
-        (if i = n_tags - 1 then "" else ","))
-    p.p_cpu_by_tag;
-  pr "  },\n";
-  pr "  \"critical_path\": [\n";
-  let n_segs = List.length p.p_segments in
-  List.iteri
-    (fun i g ->
-      pr
-        "    {\"t0\": %s, \"t1\": %s, \"bucket\": \"%s\", \"track\": %d, \
-         \"detail\": \"%s\", \"task\": %s}%s\n"
-        (f g.g_t0) (f g.g_t1)
-        (bucket_name g.g_bucket)
-        g.g_track (json_escape g.g_detail)
-        (match g.g_task with
-        | Some l -> Printf.sprintf "\"%s\"" (json_escape l)
-        | None -> "null")
-        (if i = n_segs - 1 then "" else ","))
-    p.p_segments;
-  pr "  ],\n";
-  pr "  \"dep_edges\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun (a, c) ->
-            Printf.sprintf "[\"%s\", \"%s\"]" (json_escape a) (json_escape c))
-          p.p_dep_edges));
-  pr "  \"top\": [\n";
-  let hs = top ~k p in
-  let n_hs = List.length hs in
-  List.iteri
-    (fun i h ->
-      pr
-        "    {\"label\": \"%s\", \"bucket\": \"%s\", \"reason\": \"%s\", \
-         \"track\": %d, \"seconds\": %s, \"share\": %s}%s\n"
-        (json_escape h.h_label) h.h_bucket (json_escape h.h_reason) h.h_track
-        (f h.h_seconds) (f h.h_share)
-        (if i = n_hs - 1 then "" else ","))
-    hs;
-  pr "  ],\n";
-  pr "  \"what_if\": {\n";
-  let ws = what_ifs p in
-  let n_ws = List.length ws in
-  List.iteri
-    (fun i w ->
-      pr "    \"%s\": {\"removed\": %s, \"elapsed\": %s, \"speedup\": %s}%s\n"
-        (json_escape w.w_name) (f w.w_removed) (f w.w_elapsed)
-        (if Float.is_finite w.w_speedup then f w.w_speedup else "null")
-        (if i = n_ws - 1 then "" else ","))
-    ws;
-  pr "  }";
-  (match bound with
-  | None -> ()
-  | Some d ->
-    pr ",\n  \"dag_bound\": {\"max_levels\": %d, \"serial\": %s, \"chain\": %s, \
-        \"speedup\": %s}"
-      d.db_max_levels (f d.db_serial) (f d.db_chain) (f d.db_speedup));
-  pr "\n}\n";
-  Buffer.contents b
+  let open Stats.Json in
+  let seconds pairs = Obj (List.map (fun (name, v) -> (name, Exact v)) pairs) in
+  let segment g =
+    Obj [ ("t0", Exact g.g_t0); ("t1", Exact g.g_t1);
+          ("bucket", Str (bucket_name g.g_bucket)); ("track", Int g.g_track);
+          ("detail", Str g.g_detail); ("task", option (fun l -> Str l) g.g_task) ]
+  in
+  let hotspot h =
+    Obj [ ("label", Str h.h_label); ("bucket", Str h.h_bucket);
+          ("reason", Str h.h_reason); ("track", Int h.h_track);
+          ("seconds", Exact h.h_seconds); ("share", Exact h.h_share) ]
+  in
+  let what_if w =
+    ( w.w_name,
+      Obj [ ("removed", Exact w.w_removed); ("elapsed", Exact w.w_elapsed);
+            ("speedup", Exact w.w_speedup) ] )
+  in
+  let dag_bound d =
+    ( "dag_bound",
+      Obj [ ("max_levels", Int d.db_max_levels); ("serial", Exact d.db_serial);
+            ("chain", Exact d.db_chain); ("speedup", Exact d.db_speedup) ] )
+  in
+  to_string
+    (Obj
+       ([ ("schema", Str "warpcc-profile/1"); ("module", Str module_name);
+          ("policy", Str policy); ("processors", Int processors);
+          ("elapsed", Exact p.p_elapsed); ("buckets", seconds p.p_buckets);
+          ("cpu_by_tag", seconds p.p_cpu_by_tag);
+          ("critical_path", List (List.map segment p.p_segments));
+          ("dep_edges", List (List.map (fun (a, c) -> strings [ a; c ]) p.p_dep_edges));
+          ("top", List (List.map hotspot (top ~k p)));
+          ("what_if", Obj (List.map what_if (what_ifs p))) ]
+       @ Option.to_list (Option.map dag_bound bound)))

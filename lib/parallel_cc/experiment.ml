@@ -255,14 +255,9 @@ let run_scaling_study ?(cfg = Config.default) ?(size = W2.Gen.Large)
 
 (* --- sweep rows --- *)
 
-type value =
-  | Int of int
-  | Fixed of int * float
-  | Exact of float
-  | Str of string
-  | Obj of row
+type row = (string * Stats.Json.t) list
 
-and row = (string * value) list
+open Stats.Json
 
 (* Simulated seconds and ratios, at the precision every BENCH file
    writes them. *)

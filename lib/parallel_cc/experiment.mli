@@ -88,14 +88,7 @@ val run_grain_study :
     JSON object per row, fields in list order.  Every sweep is seeded
     (noise seed 3) and therefore reproducible bit for bit. *)
 
-type value =
-  | Int of int
-  | Fixed of int * float  (** written with that many decimals *)
-  | Exact of float  (** written [%.17g]: round-trips bit for bit *)
-  | Str of string
-  | Obj of row  (** a nested object *)
-
-and row = (string * value) list
+type row = (string * Stats.Json.t) list
 
 val speedup_row : W2.Gen.size -> point -> row
 (** One {!size_series} point as a [BENCH_parallel.json] speedup row. *)

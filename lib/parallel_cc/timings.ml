@@ -209,47 +209,30 @@ let comparison_table (c : comparison) : Stats.Table.t =
 let max_cpu (r : run) =
   match r.cpu_per_station with [] -> 0.0 | l -> Stats.maximum l
 
-(* Machine-readable comparison, in the style of BENCH_parallel.json
-   (hand-rolled: everything here is numbers, so no escaping needed).
-   Floats are printed with %.17g so they round-trip exactly. *)
+(* Machine-readable comparison.  Floats print with %.17g so they
+   round-trip exactly. *)
 let comparison_to_json (c : comparison) : string =
-  let b = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let f = Printf.sprintf "%.17g" in
-  let run_json indent (r : run) =
-    pr "%s{\n" indent;
-    pr "%s  \"elapsed\": %s,\n" indent (f r.elapsed);
-    pr "%s  \"master_cpu\": %s,\n" indent (f r.master_cpu);
-    pr "%s  \"section_cpu\": %s,\n" indent (f r.section_cpu);
-    pr "%s  \"extra_parse_cpu\": %s,\n" indent (f r.extra_parse_cpu);
-    pr "%s  \"stations_used\": %d,\n" indent r.stations_used;
-    pr "%s  \"dispatch_units\": %d,\n" indent r.dispatch_units;
-    pr "%s  \"retries\": %d,\n" indent r.retries;
-    pr "%s  \"stations_lost\": %d,\n" indent r.stations_lost;
-    pr "%s  \"fallback_tasks\": %d,\n" indent r.fallback_tasks;
-    pr "%s  \"wasted_cpu\": %s,\n" indent (f r.wasted_cpu);
-    pr "%s  \"spec_dispatched\": %d,\n" indent r.spec_dispatched;
-    pr "%s  \"spec_committed\": %d,\n" indent r.spec_committed;
-    pr "%s  \"spec_rolled_back\": %d,\n" indent r.spec_rolled_back;
-    pr "%s  \"cache_hits\": %d,\n" indent r.cache_hits;
-    pr "%s  \"cache_misses\": %d,\n" indent r.cache_misses;
-    pr "%s  \"cache_invalidated\": %d,\n" indent r.cache_invalidated;
-    pr "%s  \"cpu_per_station\": [%s]\n" indent
-      (String.concat ", " (List.map f r.cpu_per_station));
-    pr "%s}" indent
+  let open Stats.Json in
+  let run (r : run) =
+    Obj [ ("elapsed", Exact r.elapsed); ("master_cpu", Exact r.master_cpu);
+          ("section_cpu", Exact r.section_cpu);
+          ("extra_parse_cpu", Exact r.extra_parse_cpu);
+          ("stations_used", Int r.stations_used);
+          ("dispatch_units", Int r.dispatch_units); ("retries", Int r.retries);
+          ("stations_lost", Int r.stations_lost);
+          ("fallback_tasks", Int r.fallback_tasks); ("wasted_cpu", Exact r.wasted_cpu);
+          ("spec_dispatched", Int r.spec_dispatched);
+          ("spec_committed", Int r.spec_committed);
+          ("spec_rolled_back", Int r.spec_rolled_back);
+          ("cache_hits", Int r.cache_hits); ("cache_misses", Int r.cache_misses);
+          ("cache_invalidated", Int r.cache_invalidated);
+          ("cpu_per_station", List (List.map (fun x -> Exact x) r.cpu_per_station)) ]
   in
-  pr "{\n";
-  pr "  \"schema\": \"warpcc-simulate/3\",\n";
-  pr "  \"processors\": %d,\n" c.processors;
-  pr "  \"speedup\": %s,\n" (f c.speedup);
-  pr "  \"total_overhead\": %s,\n" (f c.total_overhead);
-  pr "  \"impl_overhead\": %s,\n" (f c.impl_overhead);
-  pr "  \"sys_overhead\": %s,\n" (f c.sys_overhead);
-  pr "  \"rel_total_overhead\": %s,\n" (f c.rel_total_overhead);
-  pr "  \"rel_sys_overhead\": %s,\n" (f c.rel_sys_overhead);
-  pr "  \"seq\":\n";
-  run_json "  " c.seq;
-  pr ",\n  \"par\":\n";
-  run_json "  " c.par;
-  pr "\n}\n";
-  Buffer.contents b
+  to_string
+    (Obj [ ("schema", Str "warpcc-simulate/3"); ("processors", Int c.processors);
+           ("speedup", Exact c.speedup); ("total_overhead", Exact c.total_overhead);
+           ("impl_overhead", Exact c.impl_overhead);
+           ("sys_overhead", Exact c.sys_overhead);
+           ("rel_total_overhead", Exact c.rel_total_overhead);
+           ("rel_sys_overhead", Exact c.rel_sys_overhead);
+           ("seq", run c.seq); ("par", run c.par) ])

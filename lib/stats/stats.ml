@@ -61,3 +61,4 @@ let geomean xs =
 (* Linear interpolation helper for calibration sweeps. *)
 let lerp a b t = a +. ((b -. a) *. t)
 module Table = Table
+module Json = Json

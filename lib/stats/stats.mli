@@ -60,3 +60,34 @@ module Table : sig
   val print : t -> unit
   (** [print t] writes {!render}[ t] to standard output. *)
 end
+
+(** JSON documents: the one value type and printer behind every
+    machine-readable writer ([BENCH_*.json], [analyze --json],
+    [simulate --json], [profile --json], SARIF, Chrome traces). *)
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Fixed of int * float  (** printed with that many decimals *)
+    | Exact of float  (** printed [%.17g]: round-trips bit for bit *)
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list  (** members in list order *)
+
+  val strings : string list -> t
+  (** A [List] of [Str]. *)
+
+  val option : ('a -> t) -> 'a option -> t
+  (** [option f x] is [f v] for [Some v], [Null] for [None]. *)
+
+  val to_string : t -> string
+  (** The document in one fixed layout: objects and arrays at nesting
+      depth 0 and 1 put one member per line, indented two spaces per
+      level; deeper ones print inline with [", "] between members and
+      [": "] after keys; empty containers print [[]] and [{}]; a
+      non-finite [Fixed] or [Exact] prints [null]; strings get the
+      short escapes for quote, backslash, newline and tab and
+      [\u00XX] for other control bytes.  The text ends with one
+      newline. *)
+end

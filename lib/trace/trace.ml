@@ -115,35 +115,15 @@ let used_tracks t =
 
 (* --- Chrome trace-event JSON --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let add_args b args =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      (* Emit numeric-looking values as JSON numbers so Perfetto can
-         aggregate them. *)
-      match float_of_string_opt v with
-      | Some f when Float.is_finite f ->
-        Buffer.add_string b (Printf.sprintf "\"%s\": %s" (json_escape k) v)
-      | _ ->
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)))
-    args;
-  Buffer.add_string b "}"
+(* Args that print back as themselves as an integer or a [farg] float
+   become JSON numbers, so Perfetto can aggregate them. *)
+let arg_value v : Stats.Json.t =
+  match int_of_string_opt v with
+  | Some n when string_of_int n = v -> Int n
+  | _ -> (
+    match float_of_string_opt v with
+    | Some f when Float.is_finite f && farg f = v -> Exact f
+    | _ -> Str v)
 
 (* Micro-seconds: the unit of the Chrome trace-event format. *)
 let usec t = t *. 1e6
@@ -169,99 +149,70 @@ let counter_points t select =
   in
   squash points
 
-let to_chrome_json ?(flows = []) ?(counters = true) t =
-  let b = Buffer.create 4096 in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n";
-    Buffer.add_string b "    "
+let to_chrome_json ?(flows = []) t =
+  let open Stats.Json in
+  let ts t = Fixed (3, usec t) in
+  let args kvs = Obj (List.map (fun (k, v) -> (k, arg_value v)) kvs) in
+  let event ph fields = Obj (("ph", Str ph) :: fields) in
+  let meta name tid arg =
+    event "M" [ ("name", Str name); ("pid", Int 0); ("tid", Int tid); ("args", Obj [ arg ]) ]
   in
-  Buffer.add_string b "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
-  Buffer.add_string b
-    "    {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": 0, \"tid\": 0, \
-     \"args\": {\"name\": \"warpcc simulated host\"}}";
-  first := false;
-  List.iteri
-    (fun i track ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": %d, \
-            \"args\": {\"name\": \"%s\"}}"
-           track
-           (json_escape (track_name track)));
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": 0, \
-            \"tid\": %d, \"args\": {\"sort_index\": %d}}"
-           track i))
-    (used_tracks t);
-  List.iter
-    (fun (s : span) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"%s\", \"ts\": %.3f, \
-            \"dur\": %.3f, \"pid\": 0, \"tid\": %d, \"args\": "
-           (json_escape s.name) (json_escape s.cat) (usec s.t0)
-           (usec (s.t1 -. s.t0))
-           s.track);
-      add_args b s.args;
-      Buffer.add_string b "}")
-    (spans t);
-  List.iter
-    (fun (i : instant) ->
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"i\", \"s\": \"t\", \"name\": \"%s\", \"cat\": \"%s\", \
-            \"ts\": %.3f, \"pid\": 0, \"tid\": %d, \"args\": "
-           (json_escape i.i_name) (json_escape i.i_cat) (usec i.at) i.i_track);
-      add_args b i.i_args;
-      Buffer.add_string b "}")
-    (instants t);
-  (if counters then
-     (* Perfetto counter tracks: cluster-wide time series derived from
-        the spans, so bottleneck shifts are visible at a glance. *)
-     List.iter
-       (fun (name, key, select) ->
-         List.iter
-           (fun (at, v) ->
-             sep ();
-             Buffer.add_string b
-               (Printf.sprintf
-                  "{\"ph\": \"C\", \"name\": \"%s\", \"pid\": 0, \"ts\": %.3f, \
-                   \"args\": {\"%s\": %d}}"
-                  name (usec at) key v))
-           (counter_points t select))
-       [
-         ( "stations-busy", "busy",
-           fun (s : span) -> s.cat = "cpu" && s.track < ether_track );
-         ("pool-queue-depth", "waiting", fun (s : span) -> s.cat = "pool");
-         ( "fs-in-flight", "requests",
-           fun (s : span) -> s.cat = "net" && s.track = fs_track );
-       ]);
-  List.iteri
-    (fun i (from_track, from_t, to_track, to_t) ->
-      (* A flow arrow: an "s"/"f" pair with a shared id, bound to the
-         enclosing slices at each end. *)
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"s\", \"id\": %d, \"name\": \"critical-path\", \"cat\": \
-            \"critpath\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
-           i from_track (usec from_t));
-      sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ph\": \"f\", \"bp\": \"e\", \"id\": %d, \"name\": \
-            \"critical-path\", \"cat\": \"critpath\", \"pid\": 0, \"tid\": %d, \
-            \"ts\": %.3f}"
-           i to_track (usec to_t)))
-    flows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let tracks =
+    List.concat
+      (List.mapi
+         (fun i track ->
+           [ meta "thread_name" track ("name", Str (track_name track));
+             meta "thread_sort_index" track ("sort_index", Int i) ])
+         (used_tracks t))
+  in
+  let span (s : span) =
+    event "X"
+      [ ("name", Str s.name); ("cat", Str s.cat); ("ts", ts s.t0);
+        ("dur", ts (s.t1 -. s.t0)); ("pid", Int 0); ("tid", Int s.track);
+        ("args", args s.args) ]
+  in
+  let instant (i : instant) =
+    event "i"
+      [ ("s", Str "t"); ("name", Str i.i_name); ("cat", Str i.i_cat);
+        ("ts", ts i.at); ("pid", Int 0); ("tid", Int i.i_track);
+        ("args", args i.i_args) ]
+  in
+  (* Perfetto counter tracks: cluster-wide time series derived from the
+     spans, so bottleneck shifts are visible at a glance. *)
+  let counter (name, key, select) =
+    List.map
+      (fun (at, v) ->
+        event "C"
+          [ ("name", Str name); ("pid", Int 0); ("ts", ts at);
+            ("args", Obj [ (key, Int v) ]) ])
+      (counter_points t select)
+  in
+  (* A flow arrow: an "s"/"f" pair with a shared id, bound to the
+     enclosing slices at each end. *)
+  let flow i (from_track, from_t, to_track, to_t) =
+    let hop bp track at =
+      bp
+      @ [ ("id", Int i); ("name", Str "critical-path"); ("cat", Str "critpath");
+          ("pid", Int 0); ("tid", Int track); ("ts", ts at) ]
+    in
+    [ event "s" (hop [] from_track from_t);
+      event "f" (hop [ ("bp", Str "e") ] to_track to_t) ]
+  in
+  to_string
+    (Obj
+       [ ("displayTimeUnit", Str "ms");
+         ( "traceEvents",
+           List
+             ((meta "process_name" 0 ("name", Str "warpcc simulated host") :: tracks)
+             @ List.map span (spans t)
+             @ List.map instant (instants t)
+             @ List.concat_map counter
+                 [ ( "stations-busy", "busy",
+                     fun (s : span) -> s.cat = "cpu" && s.track < ether_track );
+                   ("pool-queue-depth", "waiting", fun (s : span) -> s.cat = "pool");
+                   ( "fs-in-flight", "requests",
+                     fun (s : span) -> s.cat = "net" && s.track = fs_track ) ]
+             @ List.concat (List.mapi flow flows)) ) ])
 
 (* --- ASCII Gantt timeline --- *)
 

@@ -110,18 +110,17 @@ val counter_points : t -> (span -> bool) -> (float * int) list
     one [(time, value)] point per change, [-1] edges applying before
     [+1] at equal times (touching intervals do not overlap). *)
 
-val to_chrome_json :
-  ?flows:(int * float * int * float) list -> ?counters:bool -> t -> string
+val to_chrome_json : ?flows:(int * float * int * float) list -> t -> string
 (** The trace as Chrome trace-event JSON ([chrome://tracing] or
     Perfetto loadable): one thread per track, spans as ["X"] duration
-    events, instants as ["i"] events, numeric-looking args as JSON
-    numbers.  With [counters] (default [true]) three derived Perfetto
-    counter tracks ride along: [stations-busy] (concurrent CPU spans on
-    workstation tracks), [pool-queue-depth] (open claim-to-grant
-    waits) and [fs-in-flight] (open file-server operations).  [flows]
-    — [(from_track, from_t, to_track, to_t)] hops, e.g.
-    [Parallel_cc.Critpath.path_flows] — render as ["s"]/["f"]
-    flow-arrow pairs named [critical-path]. *)
+    events, instants as ["i"] events, args that print back as
+    themselves as an integer or a {!farg} float as JSON numbers.  Three
+    derived Perfetto counter tracks ride along: [stations-busy]
+    (concurrent CPU spans on workstation tracks), [pool-queue-depth]
+    (open claim-to-grant waits) and [fs-in-flight] (open file-server
+    operations).  [flows] — [(from_track, from_t, to_track, to_t)]
+    hops, e.g. [Parallel_cc.Critpath.path_flows] — render as
+    ["s"]/["f"] flow-arrow pairs named [critical-path]. *)
 
 val gantt : ?width:int -> t -> Stats.Table.t
 (** ASCII Gantt timeline: one row per track — infrastructure tracks

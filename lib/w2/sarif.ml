@@ -1,22 +1,6 @@
 (* SARIF 2.1.0 rendering of Diag diagnostics. *)
 
 let version = "2.1.0"
-let spf = Printf.sprintf
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (spf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Short rule descriptions, stable across runs so SARIF consumers can
    key fingerprints off them. *)
@@ -44,53 +28,39 @@ let level_of = function
 
 let is_dummy (l : Loc.t) = l.Loc.file = "" && l.Loc.line = 0
 
-let to_string ?(tool_name = "warpcc") ?(tool_version = "1.0.0") diags =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let codes =
-    List.sort_uniq compare (List.map (fun d -> d.Diag.d_code) diags)
+let to_string diags =
+  let open Stats.Json in
+  let rule code =
+    Obj [ ("id", Str code);
+          ("shortDescription", Obj [ ("text", Str (rule_description code)) ]) ]
   in
-  add "{\n";
-  add "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-  add "  \"version\": \"%s\",\n" version;
-  add "  \"runs\": [\n    {\n";
-  add "      \"tool\": {\n        \"driver\": {\n";
-  add "          \"name\": \"%s\",\n" (escape tool_name);
-  add "          \"version\": \"%s\",\n" (escape tool_version);
-  add "          \"informationUri\": \"https://github.com/warpcc/warpcc\",\n";
-  add "          \"rules\": [\n";
-  List.iteri
-    (fun i code ->
-      add
-        "            {\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}%s\n"
-        (escape code)
-        (escape (rule_description code))
-        (if i = List.length codes - 1 then "" else ","))
-    codes;
-  add "          ]\n        }\n      },\n";
-  add "      \"results\": [\n";
-  List.iteri
-    (fun i (d : Diag.t) ->
-      add "        {\n";
-      add "          \"ruleId\": \"%s\",\n" (escape d.Diag.d_code);
-      add "          \"level\": \"%s\",\n" (level_of d.Diag.d_severity);
-      add "          \"message\": {\"text\": \"%s\"}%s\n"
-        (escape
-           (match d.Diag.d_func with
-           | Some f -> spf "[%s] %s" f d.Diag.d_message
-           | None -> d.Diag.d_message))
-        (if is_dummy d.Diag.d_loc then "" else ",");
-      if not (is_dummy d.Diag.d_loc) then begin
-        add "          \"locations\": [\n";
-        add "            {\"physicalLocation\": {\n";
-        add "              \"artifactLocation\": {\"uri\": \"%s\"},\n"
-          (escape d.Diag.d_loc.Loc.file);
-        add "              \"region\": {\"startLine\": %d, \"startColumn\": %d}\n"
-          (max 1 d.Diag.d_loc.Loc.line)
-          (max 1 d.Diag.d_loc.Loc.col);
-        add "            }}\n          ]\n"
-      end;
-      add "        }%s\n" (if i = List.length diags - 1 then "" else ","))
-    diags;
-  add "      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
+  let location (l : Loc.t) =
+    let region =
+      Obj [ ("startLine", Int (max 1 l.line)); ("startColumn", Int (max 1 l.col)) ]
+    in
+    Obj [ ( "physicalLocation",
+            Obj [ ("artifactLocation", Obj [ ("uri", Str l.file) ]); ("region", region) ] ) ]
+  in
+  let result (d : Diag.t) =
+    let text =
+      match d.d_func with
+      | Some f -> Printf.sprintf "[%s] %s" f d.d_message
+      | None -> d.d_message
+    in
+    Obj
+      ([ ("ruleId", Str d.d_code); ("level", Str (level_of d.d_severity));
+         ("message", Obj [ ("text", Str text) ]) ]
+      @ if is_dummy d.d_loc then [] else [ ("locations", List [ location d.d_loc ]) ])
+  in
+  let codes = List.sort_uniq compare (List.map (fun (d : Diag.t) -> d.d_code) diags) in
+  let driver =
+    Obj [ ("name", Str "warpcc"); ("version", Str "1.0.0");
+          ("informationUri", Str "https://github.com/warpcc/warpcc");
+          ("rules", List (List.map rule codes)) ]
+  in
+  to_string
+    (Obj [ ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+           ("version", Str version);
+           ( "runs",
+             List [ Obj [ ("tool", Obj [ ("driver", driver) ]);
+                          ("results", List (List.map result diags)) ] ] ) ])

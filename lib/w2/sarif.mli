@@ -11,13 +11,7 @@
 val version : string
 (** ["2.1.0"]. *)
 
-val escape : string -> string
-(** The body of a JSON string literal: quotes, backslashes, newlines
-    and tabs get their short escapes, other control characters a
-    four-hex-digit unicode escape.  Every JSON writer outside
-    [lib/trace] uses this one. *)
-
-val to_string : ?tool_name:string -> ?tool_version:string -> Diag.t list -> string
+val to_string : Diag.t list -> string
 (** A complete SARIF log: rule metadata for every code that occurs,
     one result per diagnostic with its physical location (omitted for
     diagnostics at the dummy location), severities mapped

@@ -7,4 +7,5 @@ let () =
     @ Test_absint.suites @ Test_fuzz.suites @ Test_stats.suites
     @ Test_trace.suites @ Test_critpath.suites @ Test_cache.suites
     @ Test_modan.suites @ Test_lintfix.suites @ Test_digraph.suites
-    @ Test_ast.suites @ Test_frontend.suites @ Test_edges.suites)
+    @ Test_ast.suites @ Test_frontend.suites @ Test_edges.suites
+    @ Test_json.suites)

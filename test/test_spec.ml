@@ -101,17 +101,17 @@ let test_spec_sweep () =
     (fun (row : Experiment.row) ->
       let int key =
         match List.assoc key row with
-        | Experiment.Int n -> n
+        | Stats.Json.Int n -> n
         | _ -> Alcotest.failf "%s is not an Int" key
       in
       let float key =
         match List.assoc key row with
-        | Experiment.Fixed (_, x) | Experiment.Exact x -> x
+        | Stats.Json.Fixed (_, x) | Stats.Json.Exact x -> x
         | _ -> Alcotest.failf "%s is not a float" key
       in
       let series =
         match List.assoc "series" row with
-        | Experiment.Str s -> s
+        | Stats.Json.Str s -> s
         | _ -> Alcotest.fail "series is not a Str"
       in
       let spec = float "elapsed_spec" and lpt = float "elapsed_lpt" in
