@@ -119,9 +119,6 @@ val cost_units : itv -> int
     when the upper bound is infinite (an unbounded loop still dominates
     a straight line).  Always at least 1. *)
 
-val summary_to_string : summary -> string
-(** One-line canonical rendering — also the stable fingerprint input
-    for effect-summary hashes. *)
 
 (** {1 Analysis} *)
 

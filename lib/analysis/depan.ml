@@ -25,10 +25,6 @@ type effects = {
   limited : bool;
 }
 
-let no_effects =
-  { greads = []; gwrites = []; sends = []; recvs = []; calls = [];
-    limited = false }
-
 type reason =
   | Inline_of
   | Sig_agreement

@@ -34,8 +34,6 @@ type effects = {
           incomplete (see the [sound] analysis mode) *)
 }
 
-val no_effects : effects
-
 type reason =
   | Inline_of
       (** the target inlines the source, so the source's body is a

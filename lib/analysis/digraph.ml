@@ -132,7 +132,16 @@ let solve ?widen succs ~equal ~init ~step =
     incr sweeps;
     if List.fold_left (update k) false members then sweep (k + 1) members
   in
-  Array.iter (sweep 1) (members (sccs succs));
+  let solve_scc = function
+    | [ i ] when not (List.mem i succs.(i)) ->
+      (* Every node it reads is final, so one step is too.  The tally
+         still counts the sweep that would confirm a moved value, so it
+         stays the number of sweeps until one changes nothing. *)
+      incr sweeps;
+      if update 1 false i then incr sweeps
+    | members -> sweep 1 members
+  in
+  Array.iter solve_scc (members (sccs succs));
   (value, !sweeps)
 
 (* Stable Kahn: repeatedly emit the smallest-index ready node.  A

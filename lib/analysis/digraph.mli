@@ -49,8 +49,11 @@ val solve :
     SCCs are visited bottom-up, callees first, and each is swept in
     ascending member order, updating in place, until a sweep changes
     nothing.  With [~widen:(k, w)], from an SCC's [(k+1)]-th sweep on a
-    value that still moves becomes [w old fresh].  Returns the values
-    and the total number of sweeps. *)
+    value that still moves becomes [w old fresh].  A singleton SCC
+    without a self-loop reads only final values, so it is stepped once.
+    Returns the values and the total number of sweeps until each SCC's
+    last sweep changed nothing, counting the confirming sweep a
+    singleton's moved value would need. *)
 
 val stable_topo : int list array -> int list
 (** A topological order of a predecessor array that always emits the

@@ -48,5 +48,3 @@ let compute (f : Ir.func) : t =
 let dominates t a b =
   let rec walk b = if b = a then true else if b = Ir.entry_block then false else walk t.idom.(b) in
   if t.idom.(b) < 0 then false else walk b
-
-let immediate_dominator t b = t.idom.(b)

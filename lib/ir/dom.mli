@@ -9,6 +9,3 @@ val compute : Ir.func -> t
 val dominates : t -> int -> int -> bool
 (** [dominates t a b] — does block [a] dominate block [b]?  Unreachable
     blocks dominate nothing. *)
-
-val immediate_dominator : t -> int -> int
-(** The entry maps to itself; unreachable blocks map to [-1]. *)

@@ -18,21 +18,6 @@ let null_channels =
     send = (fun _ _ -> ());
   }
 
-(* Adapt the source-interpreter channels so that one scripted queue can
-   drive both interpreters in differential tests. *)
-let of_w2_channels (ch : W2.Interp.channels) =
-  let to_w2 = function Vi n -> W2.Interp.Vint n | Vf f -> W2.Interp.Vfloat f in
-  let of_w2 = function
-    | W2.Interp.Vint n -> Vi n
-    | W2.Interp.Vfloat f -> Vf f
-    | W2.Interp.Vbool b -> Vi (if b then 1 else 0)
-    | W2.Interp.Varray _ -> raise (Error "array on channel")
-  in
-  {
-    recv = (fun c -> of_w2 (ch.recv c));
-    send = (fun c v -> ch.send c (to_w2 v));
-  }
-
 let value_to_string = function
   | Vi n -> string_of_int n
   | Vf f -> Printf.sprintf "%.6g" f

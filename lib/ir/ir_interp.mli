@@ -17,10 +17,6 @@ type channels = {
 
 val null_channels : channels
 
-val of_w2_channels : W2.Interp.channels -> channels
-(** Adapt source-interpreter channels so one scripted queue can drive
-    both interpreters in a differential test. *)
-
 val value_to_string : value -> string
 
 val eval_bin : Ir.binop -> value -> value -> value

@@ -372,13 +372,3 @@ let check_calls (sec : Ir.section) : violation list =
    cross-function call agreement. *)
 let check_section (sec : Ir.section) : violation list =
   List.concat_map check_func sec.Ir.funcs @ check_calls sec
-
-(* Structured findings for the diagnostics spine.  The IR carries no
-   source locations, so findings are attributed by function name. *)
-let to_diags violations : W2.Diag.t list =
-  List.map
-    (fun v ->
-      W2.Diag.make ~func:v.vi_func ~code:"V100" ~severity:W2.Diag.Error
-        ~loc:W2.Loc.dummy
-        (violation_to_string v))
-    violations

@@ -33,7 +33,3 @@ val check_calls : Ir.section -> violation list
 
 val check_section : Ir.section -> violation list
 (** {!check_func} on every function plus {!check_calls}. *)
-
-val to_diags : violation list -> W2.Diag.t list
-(** Structured findings for the diagnostics spine (severity
-    {!W2.Diag.Error}, attributed by function name). *)

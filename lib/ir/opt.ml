@@ -126,10 +126,3 @@ let optimize ?(level = 2) ?(verify_each = false) (f : Ir.func) : stats =
 let optimize_section ?(level = 2) ?(verify_each = false) (sec : Ir.section) :
     stats list =
   List.map (optimize ~level ~verify_each) sec.funcs
-
-let stats_to_string s =
-  Printf.sprintf
-    "rounds=%d fold=%d lvn=%d gcp=%d gcse=%d dce=%d cfg=%d ifc=%d licm=%d sr=%d \
-     unroll=%d work=%d"
-    s.rounds s.folded s.numbered s.propagated s.cse_global s.eliminated
-    s.simplified s.if_converted s.hoisted s.reduced s.unrolled s.work

@@ -42,4 +42,3 @@ val optimize : ?level:int -> ?verify_each:bool -> Ir.func -> stats
 val optimize_section :
   ?level:int -> ?verify_each:bool -> Ir.section -> stats list
 
-val stats_to_string : stats -> string

@@ -63,12 +63,10 @@ type t = {
   mutable now : float;
   mutable seq : int;
   queue : Pq.t;
-  mutable events_processed : int;
 }
 
-let create () = { now = 0.0; seq = 0; queue = Pq.create (); events_processed = 0 }
+let create () = { now = 0.0; seq = 0; queue = Pq.create () }
 let now sim = sim.now
-let events_processed sim = sim.events_processed
 
 let schedule sim ~at action =
   if at < sim.now then invalid_arg "Des.schedule: time in the past";
@@ -86,10 +84,7 @@ type _ Effect.t +=
 let delay sim dt =
   if dt < 0.0 then invalid_arg "Des.delay: negative delay";
   let at = sim.now +. dt in
-  if sim.queue.Pq.size = 0 || sim.queue.Pq.data.(0).time > at then begin
-    sim.now <- at;
-    sim.events_processed <- sim.events_processed + 1
-  end
+  if sim.queue.Pq.size = 0 || sim.queue.Pq.data.(0).time > at then sim.now <- at
   else Effect.perform (Delay dt)
 
 (* [suspend register] parks the caller; [register] receives a [wake]
@@ -132,7 +127,6 @@ let run sim : float =
     | None -> ()
     | Some e ->
       sim.now <- e.time;
-      sim.events_processed <- sim.events_processed + 1;
       e.action ();
       loop ()
   in

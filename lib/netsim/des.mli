@@ -17,10 +17,6 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
-val events_processed : t -> int
-(** Events fired so far — a cheap health metric for the observability
-    layer (one traced run's simulation effort). *)
-
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Run a callback at absolute virtual time [at].
     @raise Invalid_argument if [at] is in the past. *)

@@ -24,11 +24,6 @@ type plan = { events : event list }
 let none = { events = [] }
 let is_none p = p.events = []
 
-let crash_count p =
-  List.fold_left
-    (fun acc e -> match e with Crash _ | Reclaim _ -> acc + 1 | _ -> acc)
-    0 p.events
-
 (* Crashes surface as a value, never as an OCaml exception escaping the
    DES event loop. *)
 type failure = { failed_station : int; failed_at : float }

@@ -37,9 +37,6 @@ type plan = { events : event list }
 val none : plan
 val is_none : plan -> bool
 
-val crash_count : plan -> int
-(** Number of stations the plan permanently removes (crash + reclaim). *)
-
 (** {1 Failure outcome}
 
     Crashes surface as a value — never as an OCaml exception escaping

@@ -68,11 +68,11 @@ let backoff_delay (cfg : t) ~step =
    +/- this fraction on CPU times. *)
 let noise_amplitude = 0.04
 
-let noise (cfg : t) : int -> float =
-  if cfg.noise_seed = 0 then fun _ -> 1.0
+let noise (cfg : t) : unit -> float =
+  if cfg.noise_seed = 0 then fun () -> 1.0
   else begin
     let state = ref (cfg.noise_seed land 0x3FFFFFFF) in
-    fun _salt ->
+    fun () ->
       state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
       let u = float_of_int !state /. 1073741824.0 in
       1.0 +. (noise_amplitude *. ((2.0 *. u) -. 1.0))

@@ -61,11 +61,11 @@ val backoff_delay : t -> step:int -> float
     prior re-dispatches.  Monotone non-decreasing in [step] for any
     non-negative base. *)
 
-val noise : t -> int -> float
+val noise : t -> unit -> float
 (** Deterministic multiplicative noise stream, mirroring the paper's
     repeated measurements (§4.2): a factor within ±4% of 1 on CPU
     times, or exactly 1 when [noise_seed = 0].  Each call advances the
-    stream; the argument is ignored. *)
+    stream. *)
 
 val cluster : t -> Netsim.Host.cluster
 (** A fresh cluster per the configuration. *)

@@ -75,8 +75,6 @@ let bucket_name = function
 let bucket_order =
   [ Cpu; Dependence_wait; Pool_wait; Ether; Fs; Backoff; Rollback; Master_serial ]
 
-let bucket_names = List.map bucket_name bucket_order
-
 type segment = {
   g_t0 : float;
   g_t1 : float;

@@ -39,8 +39,6 @@ val bucket_order : bucket list
     cpu, dependence_wait, pool_wait, ether, fs, backoff, rollback,
     master_serial. *)
 
-val bucket_names : string list
-
 type segment = {
   g_t0 : float;
   g_t1 : float;

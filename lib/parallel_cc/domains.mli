@@ -4,11 +4,13 @@
     The discrete-event simulation reproduces the paper's measurements
     on a period-accurate host; this driver demonstrates that the same
     orchestration runs the {e actual} compiler in parallel on today's
-    hardware: one domain per function master, FCFS over a bounded pool,
-    sections independent, phases 1 and 4 sequential — the structure of
-    the paper's figure 2.  The calling domain is one of the function
-    masters: it spawns [workers − 1] domains and compiles from the queue
-    itself until the queue is empty, then waits for the rest. *)
+    hardware: sections independent, phases 1 and 4 sequential — the
+    structure of the paper's figure 2.  Phase 1 fixes the task set, so
+    every function sits in one source-order array and the function
+    masters take tasks FCFS through one shared atomic index.  The
+    calling domain is one of the masters: it spawns [workers − 1]
+    domains, takes tasks like them until none is left, then joins
+    them. *)
 
 type result = { images : (string * Warp.Mcode.image) list (** per section *) }
 

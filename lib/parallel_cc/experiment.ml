@@ -84,10 +84,6 @@ let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
       { n_functions = count; comparison = measure ~cfg mw })
     function_counts
 
-(* Figures 6 and 7: speedup for every size and function count. *)
-let speedup_matrix ?(cfg = Config.default) () : (W2.Gen.size * point list) list =
-  List.map (fun size -> (size, size_series ~cfg size)) W2.Gen.all_sizes
-
 (* Figures 8-10 and 14-16 reuse the size series: overheads are already
    part of each comparison. *)
 

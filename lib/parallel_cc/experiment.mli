@@ -32,9 +32,6 @@ val function_counts : int list
 val size_series : ?cfg:Config.t -> W2.Gen.size -> point list
 (** Figures 3-5/12-13 (times) and the rows of 6-10/14-16. *)
 
-val speedup_matrix : ?cfg:Config.t -> unit -> (W2.Gen.size * point list) list
-(** Figures 6 and 7. *)
-
 val user_program : ?cfg:Config.t -> unit -> point list
 (** Figure 11: 2, 3, 5 and 9 processors on the section-4.3 program. *)
 

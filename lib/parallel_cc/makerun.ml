@@ -60,31 +60,23 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
         ~args:[ ("strategy", strategy_name strategy) ]
         ~t0 ~t1:(Netsim.Des.now sim) ()
   in
-  let seq_body ~salt mw =
-    traced mw (Seqrun.compile_process cfg sim cluster ~noise ~salt mw ~log ~on_finish)
+  let seq_body mw =
+    traced mw (Seqrun.compile_process cfg sim cluster ~noise mw ~log ~on_finish)
   in
-  let par_body ~salt mw =
+  let par_body mw =
     traced mw
-      (Parrun.master_process cfg sim cluster ~noise ~salt mw
+      (Parrun.master_process cfg sim cluster ~noise mw
          (Parrun.schedule cfg (Plan.one_per_station mw))
          ~log ~on_finish)
   in
   (match strategy with
   | Sequential ->
     (* One process runs the modules back to back. *)
-    Netsim.Des.spawn sim (fun () ->
-        List.iteri (fun i mw -> seq_body ~salt:(1000 * i) mw ()) modules)
-  | Parallel_make ->
-    List.iteri
-      (fun i mw -> Netsim.Des.spawn sim (seq_body ~salt:(1000 * i) mw))
-      modules
+    Netsim.Des.spawn sim (fun () -> List.iter (fun mw -> seq_body mw ()) modules)
+  | Parallel_make -> List.iter (fun mw -> Netsim.Des.spawn sim (seq_body mw)) modules
   | Parallel_cc ->
-    Netsim.Des.spawn sim (fun () ->
-        List.iteri (fun i mw -> par_body ~salt:(1000 * i) mw ()) modules)
-  | Combined ->
-    List.iteri
-      (fun i mw -> Netsim.Des.spawn sim (par_body ~salt:(1000 * i) mw))
-      modules);
+    Netsim.Des.spawn sim (fun () -> List.iter (fun mw -> par_body mw ()) modules)
+  | Combined -> List.iter (fun mw -> Netsim.Des.spawn sim (par_body mw)) modules);
   ignore (Netsim.Des.run sim);
   {
     strategy;

@@ -104,7 +104,7 @@ let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
    compiled concurrently on one cluster (the parallel-make study).
    [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
 let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
-    ~salt (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : Timings.log)
+    (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : Timings.log)
     ~on_finish () =
   let cost = cfg.Config.cost in
   let gating = Sched.gating cfg.Config.sched_policy in
@@ -164,10 +164,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
         (Printf.sprintf "Parrun: master workstation %d failed at %.1fs"
            f.Netsim.Fault.failed_station f.Netsim.Fault.failed_at)
   in
-  let compute_m ~tag seconds salt' =
+  let compute_m ~tag seconds =
     must
       (Netsim.Host.compute sim ws_m ~factor ~tag
-         ~seconds:(seconds *. noise (salt + salt')))
+         ~seconds:(seconds *. noise ()))
   in
   (* Implementation-overhead CPU on the master's workstation. *)
   let overhead_m kind ~tag seconds =
@@ -188,22 +188,22 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
   in
   set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
-  compute_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 11;
-  compute_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 12;
+  compute_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds;
+  compute_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw);
   overhead_m Master ~tag:"setup-parse"
-    (Driver.Cost.setup_parse_seconds cost mw *. noise (salt + 13));
+    (Driver.Cost.setup_parse_seconds cost mw *. noise ());
   (* Scheduling: derive the task placement directives. *)
   overhead_m Master ~tag:"sched"
-    (0.1 *. float_of_int (Plan.task_count plan) *. noise (salt + 14));
+    (0.1 *. float_of_int (Plan.task_count plan) *. noise ());
   (* Fork the section masters. *)
   let sections_done = Netsim.Sync.join (List.length plan.Plan.tasks_per_section) in
-  List.iteri
-    (fun si (section_name, tasks) ->
+  List.iter
+    (fun (section_name, tasks) ->
       Netsim.Des.spawn sim (fun () ->
           (* Section masters are C processes on the master's host. *)
           Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
           overhead_m Section ~tag:"sect-interpret"
-            (0.05 *. float_of_int (List.length tasks) *. noise (salt + 20 + si));
+            (0.05 *. float_of_int (List.length tasks) *. noise ());
           let tasks_done = Netsim.Sync.join (List.length tasks) in
           (* [deps] gates dispatch.  Under [Proven] gating only the
              proven edges gate; the speculative remainder ([spec_deps])
@@ -324,10 +324,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   spent := !spent +. (w.Netsim.Host.busy_seconds -. before);
                   check r
                 in
-                let compute_f ~tag w seconds salt' =
+                let compute_f ~tag w seconds =
                   charged w (fun () ->
                       Netsim.Host.compute sim w ~factor ~tag
-                        ~seconds:(seconds *. noise (salt + salt')))
+                        ~seconds:(seconds *. noise ()))
                 in
                 (* Locality-aware re-dispatch: on a retry under a
                    non-FCFS policy, prefer a pool station that already
@@ -379,7 +379,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    core image and initializes (a warm station maps the
                    image it already holds: same resident set, no
                    wire). *)
-                let start_lisp ws salt' =
+                let start_lisp ws =
                   (if cfg.Config.core_download && not (cache_hit ws core_file)
                    then begin
                      let t0 = Netsim.Des.now sim in
@@ -390,18 +390,17 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   alive ws;
                   set_resident ws cost.Driver.Cost.lisp_core_mb;
                   compute_f ~tag:"lisp-init" ws cost.Driver.Cost.lisp_init_seconds
-                    salt'
                 in
                 (* One phase over the task's functions on [ws], traced
                    as one span named by its tag; [cached] (a compile-
                    cache lookup) may skip a function's compute. *)
-                let phase ?(cached = fun _ -> false) ws ~tag seconds base =
+                let phase ?(cached = fun _ -> false) ws ~tag seconds =
                   let t0 = Netsim.Des.now sim in
-                  List.iteri
-                    (fun fi (fw : Driver.Compile.func_work) ->
+                  List.iter
+                    (fun (fw : Driver.Compile.func_work) ->
                       if not (cached fw) then begin
                         set_resident ws (Driver.Cost.function_master_mb cost fw);
-                        compute_f ~tag ws (seconds cost fw) (base + (31 * ti) + fi)
+                        compute_f ~tag ws (seconds cost fw)
                       end)
                     task.Plan.t_funcs;
                   lspan ws ~name:tag ~t0
@@ -425,7 +424,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 in
                 let speculative = pending <> [] in
                 if speculative then record ~attempt:attempt_n Spec_dispatch;
-                start_lisp ws (100 + ti);
+                start_lisp ws;
                 (* Read and re-parse its share of the source. *)
                 let t_parse = Netsim.Des.now sim in
                 (if not (cache_hit ws src_file) then
@@ -434,7 +433,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 alive ws;
                 let reparse =
                   cost.Driver.Cost.sec_per_token *. float_of_int task_tokens
-                  *. noise (salt + 200 + ti)
+                  *. noise ()
                 in
                 charged ws (fun () ->
                     Netsim.Host.compute sim ws ~factor ~tag:"reparse"
@@ -484,14 +483,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                         false)
                     | _ -> false
                   in
-                  phase ~cached ws ~tag:"phase23" Driver.Cost.phase23_seconds 300;
+                  phase ~cached ws ~tag:"phase23" Driver.Cost.phase23_seconds;
                   write_back ws
                 end
                 else begin
                   (* Fine grain: phase 2 here, then hand the IR to a
                      phase-3 master on a (possibly different) pool
                      station. *)
-                  phase ws ~tag:"phase2" Driver.Cost.phase2_seconds 300;
+                  phase ws ~tag:"phase2" Driver.Cost.phase2_seconds;
                   let ir_bytes =
                     List.fold_left
                       (fun acc fw -> acc +. Driver.Cost.ir_bytes fw)
@@ -506,13 +505,13 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   (* Phase-3 master: a fresh Lisp on a pool station. *)
                   let ir_file = "ir:" ^ task_label in
                   let ws3 = claim ~file:ir_file "#p3" in
-                  start_lisp ws3 (400 + ti);
+                  start_lisp ws3;
                   let t_fir = Netsim.Des.now sim in
                   (if not (cache_hit ws3 ir_file) then
                      fetch ~client:ws3.Netsim.Host.ws_id ~file:ir_file ir_bytes);
                   alive ws3;
                   lspan ws3 ~name:"fetch-ir" ~t0:t_fir;
-                  phase ws3 ~tag:"phase3" Driver.Cost.phase3_seconds 500;
+                  phase ws3 ~tag:"phase3" Driver.Cost.phase3_seconds;
                   write_back ws3
                 end;
                 pending
@@ -622,8 +621,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    token first so any straggler counts as wasted. *)
                 completed := true;
                 let t0 = Netsim.Des.now sim in
-                List.iteri
-                  (fun fi (fw : Driver.Compile.func_work) ->
+                List.iter
+                  (fun (fw : Driver.Compile.func_work) ->
                     let mb =
                       cost.Driver.Cost.data_mb_per_loc
                       *. float_of_int fw.Driver.Compile.fw_loc
@@ -634,7 +633,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                          ~tag:"fallback-phase23"
                          ~seconds:
                            (Driver.Cost.phase23_seconds cost fw
-                           *. noise (salt + 600 + (31 * ti) + fi)));
+                           *. noise ()));
                     Netsim.Host.remove_resident ws_m mb)
                   task.Plan.t_funcs;
                 store output_bytes;
@@ -723,7 +722,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                          mw.Driver.Compile.mw_sections)))
           in
           overhead_m Section ~tag:"combine"
-            (Driver.Cost.combine_seconds sw *. noise (salt + 40 + si));
+            (Driver.Cost.combine_seconds sw *. noise ());
           Netsim.Sync.signal sections_done))
     plan.Plan.tasks_per_section;
   Netsim.Sync.wait sections_done;
@@ -731,7 +730,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   set_resident ws_m
     (cost.Driver.Cost.lisp_core_mb +. ast_mb
     +. (cost.Driver.Cost.retained_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc));
-  compute_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw) 50;
+  compute_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw);
   store (float_of_int (Driver.Compile.total_image_bytes mw));
   set_resident ws_m 0.0;
   Netsim.Host.release_station sim cluster ws_m;
@@ -749,7 +748,7 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   let log = Timings.empty_log () in
   let scheduled = schedule cfg plan in
   Netsim.Des.spawn sim
-    (master_process cfg sim cluster ~noise ~salt:0 mw scheduled ~log
+    (master_process cfg sim cluster ~noise mw scheduled ~log
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
   let cpu = Netsim.Host.cpu_times cluster in

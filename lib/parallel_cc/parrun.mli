@@ -60,8 +60,7 @@ val master_process :
   Config.t ->
   Netsim.Des.t ->
   Netsim.Host.cluster ->
-  noise:(int -> float) ->
-  salt:int ->
+  noise:(unit -> float) ->
   Driver.Compile.module_work ->
   Plan.t ->
   log:Timings.log ->

@@ -16,10 +16,9 @@ let set_resident ws mb =
 
 (* One sequential compilation of [mw]: claims a workstation, runs the
    four phases, releases the station and reports its completion time.
-   [salt] decorrelates the noise of concurrent instances; the counted
-   events go to [log]. *)
+   The counted events go to [log]. *)
 let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
-    ~noise ~salt (mw : Driver.Compile.module_work) ~log ~on_finish () =
+    ~noise (mw : Driver.Compile.module_work) ~log ~on_finish () =
   let cost = cfg.Config.cost in
   let tr = cfg.Config.trace in
   (* The compile cache memoizes whole-function artifacts, which the
@@ -50,10 +49,10 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
   let factor w = Config.cluster_slowdown cfg cluster w in
   (* The sequential compiler has no recovery protocol: it is only run
      on fault-free stations (fault plans are a Parrun concern). *)
-  let compute ?tag seconds salt' =
+  let compute ?tag seconds =
     match
       Netsim.Host.compute sim ws ~factor ?tag
-        ~seconds:(seconds *. noise (salt + salt'))
+        ~seconds:(seconds *. noise ())
     with
     | Netsim.Fault.Completed -> ()
     | Netsim.Fault.Station_failed f ->
@@ -69,7 +68,7 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
      lspan ~name:"transfer" ~t0
    end);
   set_resident ws cost.Driver.Cost.lisp_core_mb;
-  compute ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds 1;
+  compute ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds;
   (* Read the source from the file server. *)
   let t_parse = Netsim.Des.now sim in
   Netsim.Net.fetch sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether
@@ -79,7 +78,7 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
   in
   set_resident ws (cost.Driver.Cost.lisp_core_mb +. ast_mb);
-  compute ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw) 2;
+  compute ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw);
   lspan ~name:"parse" ~t0:t_parse;
   (* Phases 2+3, function after function; the heap never shrinks. *)
   let t_p23 = Netsim.Des.now sim in
@@ -114,8 +113,7 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
           in
           if not hit then
             compute ~tag:"phase23"
-              (Driver.Cost.phase23_seconds cost fw)
-              (3 + !compiled_loc);
+              (Driver.Cost.phase23_seconds cost fw);
           compiled_loc := !compiled_loc + fw.Driver.Compile.fw_loc)
         sw.Driver.Compile.sw_funcs)
     mw.Driver.Compile.mw_sections;
@@ -123,7 +121,7 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
   (* Phase 4: assembly, linking, drivers; then write the outputs. *)
   set_resident ws
     (Driver.Cost.sequential_mb cost mw ~compiled_loc:!compiled_loc ~current_loc:0);
-  compute ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw) 99;
+  compute ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw);
   let t_wb = Netsim.Des.now sim in
   Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether
     ~bytes:(float_of_int (Driver.Compile.total_image_bytes mw));
@@ -150,7 +148,7 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) : Timings.run =
   let finish = ref 0.0 in
   let log = Timings.empty_log () in
   Netsim.Des.spawn sim
-    (compile_process cfg sim cluster ~noise ~salt:0 mw ~log
+    (compile_process cfg sim cluster ~noise mw ~log
        ~on_finish:(fun t -> finish := t));
   ignore (Netsim.Des.run sim);
   fst

@@ -11,8 +11,7 @@ val compile_process :
   Config.t ->
   Netsim.Des.t ->
   Netsim.Host.cluster ->
-  noise:(int -> float) ->
-  salt:int ->
+  noise:(unit -> float) ->
   Driver.Compile.module_work ->
   log:Timings.log ->
   on_finish:(float -> unit) ->
@@ -21,7 +20,7 @@ val compile_process :
 (** The spawnable body of one sequential compilation: claims a
     workstation, runs the four phases, releases it, and reports its
     completion time.  Reused by the parallel-make study, where several
-    instances share a cluster ([salt] decorrelates their noise).  Its
+    instances share a cluster and its [noise] stream.  Its
     compile-cache events are appended to [log], traced on the claimed
     station's track. *)
 

@@ -57,8 +57,5 @@ let geomean xs =
   | _ ->
     let logs = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (logs /. float_of_int (List.length xs))
-
-(* Linear interpolation helper for calibration sweeps. *)
-let lerp a b t = a +. ((b -. a) *. t)
 module Table = Table
 module Json = Json

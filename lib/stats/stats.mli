@@ -38,8 +38,6 @@ val geomean : float list -> float
 (** Geometric mean, used to summarise speedups across programs.
     @raise Invalid_argument on the empty list. *)
 
-val lerp : float -> float -> float -> float
-(** [lerp a b t] is the linear interpolation [a + (b - a) * t]. *)
 
 (** ASCII tables for the benchmark output. *)
 module Table : sig

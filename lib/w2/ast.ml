@@ -125,11 +125,6 @@ type modul = {
 let imported_sigs (m : modul) : import_sig list =
   List.concat_map (fun im -> im.im_sigs) m.imports
 
-let imports_function (m : modul) name =
-  List.exists
-    (fun im -> List.exists (fun s -> s.is_name = name) im.im_sigs)
-    m.imports
-
 let exports_function (m : modul) name =
   List.exists (fun e -> e.ex_name = name) m.exports
 
@@ -304,12 +299,6 @@ let section_lines sec =
     (fun acc f -> acc + func_lines f)
     (2 + List.length sec.globals)
     sec.funcs
-
-let module_lines m =
-  List.fold_left
-    (fun acc s -> acc + section_lines s)
-    (2 + List.length m.imports + List.length m.exports)
-    m.sections
 
 let func_count m =
   List.fold_left (fun acc s -> acc + List.length s.funcs) 0 m.sections

@@ -120,7 +120,6 @@ type modul = {
 val imported_sigs : modul -> import_sig list
 (** Every imported signature, in declaration order. *)
 
-val imports_function : modul -> string -> bool
 val exports_function : modul -> string -> bool
 
 val builtins : (string * (ty list * ty)) list
@@ -171,7 +170,6 @@ val func_lines : func -> int
     the exact rendered count). *)
 
 val section_lines : section -> int
-val module_lines : modul -> int
 
 val func_count : modul -> int
 (** Total functions over all sections: the parallel task count. *)

@@ -7,7 +7,6 @@ type t = { file : string; line : int; col : int }
 let make ~file ~line ~col = { file; line; col }
 let dummy = { file = "<none>"; line = 0; col = 0 }
 let to_string { file; line; col } = Printf.sprintf "%s:%d:%d" file line col
-let pp fmt loc = Format.pp_print_string fmt (to_string loc)
 
 (* Order by position within one file; used to sort merged diagnostics. *)
 let compare a b =

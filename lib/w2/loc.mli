@@ -12,7 +12,6 @@ val dummy : t
 val to_string : t -> string
 (** ["file:line:col"]. *)
 
-val pp : Format.formatter -> t -> unit
 
 val compare : t -> t -> int
 (** Order by file, then position. *)

@@ -26,7 +26,7 @@ let level_of = function
   | Diag.Warning -> "warning"
   | Diag.Error -> "error"
 
-let is_dummy (l : Loc.t) = l.Loc.file = "" && l.Loc.line = 0
+let is_dummy (l : Loc.t) = l = Loc.dummy
 
 let to_string diags =
   let open Stats.Json in

@@ -38,7 +38,6 @@ let num_regs = 64
 (* Registers reserved for spill-code temporaries. *)
 let num_scratch_regs = 4
 let num_allocatable = num_regs - num_scratch_regs
-let scratch_reg i = num_allocatable + i
 
 (* Capacity of the inter-cell queues (Warp's queues were small). *)
 let queue_capacity = 32

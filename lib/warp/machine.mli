@@ -24,8 +24,6 @@ val num_scratch_regs : int
 val num_allocatable : int
 (** [num_regs - num_scratch_regs]; the allocator's default budget. *)
 
-val scratch_reg : int -> int
-
 val queue_capacity : int
 (** Entries per inter-cell queue. *)
 

@@ -47,7 +47,7 @@ module Sarif = struct
     | Diag.Warning -> "warning"
     | Diag.Error -> "error"
 
-  let is_dummy (l : Loc.t) = l.Loc.file = "" && l.Loc.line = 0
+  let is_dummy (l : Loc.t) = l = Loc.dummy
 
   let to_string diags =
     let tool_name = "warpcc" and tool_version = "1.0.0" in

@@ -626,6 +626,45 @@ let prop_absint_last_round =
       let funcs = List.mapi (fun i (f : W2.Ast.func) -> { f with fname = Printf.sprintf "nest%d" i }) nests in
       same_summaries ~max_intervals (hoisted_section funcs))
 
+(* A nest the property once found (QCHECK_SEED=287487436): two
+   half-unbounded write slices of [g] merge into the whole line, which
+   the library kept as a [Slices] region while the oracle's extra body
+   run reached [All].  [All] is the only form of the unbounded
+   region. *)
+let test_absint_unbounded_merge () =
+  let m =
+    W2.Parser.module_of_string
+      "module t\n\
+      \  section s cells 1\n\
+      \  function nest0(n: int)\n\
+      \    var k : int;\n\
+      \    var m : int;\n\
+      \    var x : float;\n\
+      \    var g : array[16] of float;\n\
+      \    var h : array[16] of float;\n\
+      \  begin\n\
+      \    for i3 := n to (m + 3) do\n\
+      \      k := (k + 0);\n\
+      \      for i2 := (m + 1) to n do\n\
+      \        for i1 := 3 to (k + (0 - 2)) do\n\
+      \          m := i2;\n\
+      \          g[i2] := 1.0;\n\
+      \        end;\n\
+      \        g[(i2 + 2)] := 1.0;\n\
+      \      end;\n\
+      \      while (n > 0) do\n\
+      \        g[i3] := 1.0;\n\
+      \        receive(Y, x);\n\
+      \      end;\n\
+      \    end;\n\
+      \  end\n\
+      \  end\n\
+      end\n"
+  in
+  let sec = hoisted_section (List.hd m.W2.Ast.sections).W2.Ast.funcs in
+  Alcotest.(check bool) "library = oracle at 5 intervals" true
+    (same_summaries ~max_intervals:5 sec)
+
 let test_absint_last_round_skeletons () =
   let skeletons =
     List.map (fun size -> W2.Gen.sized_function ~name:(W2.Gen.size_name size) size) W2.Gen.all_sizes
@@ -669,6 +708,8 @@ let suites =
         Alcotest.test_case "caller of a widened cycle sees its final summary"
           `Quick test_caller_of_widened_cycle;
         QCheck_alcotest.to_alcotest prop_absint_last_round;
+        Alcotest.test_case "last-round loop usage: unbounded slices merge to all"
+          `Quick test_absint_unbounded_merge;
         Alcotest.test_case "last-round loop usage: skeletons and programs" `Quick
           test_absint_last_round_skeletons;
       ] );

@@ -100,6 +100,28 @@ let prop_solve_close =
       let values', sweeps' = O.close succs ~tally:true base in
       Array.for_all2 O.IS.equal values values' && sweeps = sweeps')
 
+(* A singleton SCC without a self-loop reads only final values, so the
+   solver steps it once where the old closure swept it again to see
+   nothing move; values and the sweep tally still match the closure. *)
+let prop_solve_singleton_once =
+  QCheck.Test.make ~name:"solve steps a non-recursive singleton once" ~count:500
+    arb_summaries (fun (g, base, _, _) ->
+      let succs = succs_of g in
+      let base = Array.map O.IS.of_list base in
+      let steps = Array.make (Array.length succs) 0 in
+      let values, sweeps =
+        D.solve succs ~equal:O.IS.equal ~init:(Array.get base)
+          ~step:(fun get i ->
+            steps.(i) <- steps.(i) + 1;
+            List.fold_left (fun acc j -> O.IS.union acc (get j)) base.(i) succs.(i))
+      in
+      let values', sweeps' = O.close succs ~tally:true base in
+      Array.for_all2 O.IS.equal values values'
+      && sweeps = sweeps'
+      && Array.for_all
+           (function [ i ] when not (List.mem i succs.(i)) -> steps.(i) = 1 | _ -> true)
+           (D.members (D.sccs succs)))
+
 (* Compose's way: resolve every call once, start a caller with an
    unresolvable call limited, then solve over the resolved calls. *)
 let prop_solve_round_robin =
@@ -168,5 +190,5 @@ let suites =
       ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_sccs; prop_levels; prop_reach; prop_solve_close;
-            prop_solve_round_robin ] );
+            prop_solve_singleton_once; prop_solve_round_robin ] );
   ]

@@ -161,19 +161,7 @@ let prop_expr_printer =
 
 (* --- lexer and parser inputs --- *)
 
-let example_dir () =
-  (* [dune runtest] runs in _build/default/test (examples are a sibling
-     via the dune deps); [dune exec] runs from the project root. *)
-  List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
-
-let examples =
-  lazy
-    (let dir = example_dir () in
-     Sys.readdir dir |> Array.to_list
-     |> List.filter (fun f -> Filename.check_suffix f ".w2")
-     |> List.sort compare
-     |> List.map (fun f ->
-            (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
+let examples = Tutil.examples
 
 (* Characters a mutation writes: every byte class the lexer branches on,
    then any byte at all. *)

@@ -33,16 +33,7 @@ let squeeze s =
 let same_document label ~oracle doc =
   Alcotest.(check string) label (squeeze oracle) (squeeze doc)
 
-let examples =
-  lazy
-    (let dir =
-       List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
-     in
-     Sys.readdir dir |> Array.to_list
-     |> List.filter (fun f -> Filename.check_suffix f ".w2")
-     |> List.sort compare
-     |> List.map (fun f ->
-            (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
+let examples = Tutil.examples
 
 let test_module_documents () =
   List.iter
@@ -165,10 +156,7 @@ let test_trace_arg_numbers () =
 
 (* --- SARIF pinned --- *)
 
-(* Sarif's dummy location: no file, line 0. *)
-let nowhere = W2.Loc.make ~file:"" ~line:0 ~col:0
-
-let diag ?func ?(loc = nowhere) code message =
+let diag ?func ?(loc = W2.Loc.dummy) code message =
   W2.Diag.make ?func ~code ~severity:W2.Diag.Warning ~loc message
 
 let sarif diags = W2.Sarif.to_string diags

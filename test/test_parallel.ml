@@ -319,12 +319,49 @@ let test_domains_equivalent () =
     Alcotest.(check (float 1e-9)) "same value" expected v
   | _ -> Alcotest.fail "domain-compiled image failed"
 
+(* Each section the function masters compile encodes to the same bytes
+   as the sequential compiler's image, whichever master took which
+   task: every shipped example, S_3 at every size, the section 4.3 and
+   5.1 programs, at one to three masters, plus a one-function module
+   with more masters than tasks. *)
+let test_domains_images_identical () =
+  let examples =
+    List.map
+      (fun (f, src) -> (f, W2.Parser.module_of_string src))
+      (Lazy.force Tutil.examples)
+  in
+  Alcotest.(check bool) "found example programs" true (List.length examples >= 15);
+  let generated =
+    List.map
+      (fun (name, size) -> (name, W2.Gen.s_program ~size ~count:3 ()))
+      W2.Gen.[ ("s3 tiny", Tiny); ("s3 small", Small); ("s3 medium", Medium);
+               ("s3 large", Large); ("s3 huge", Huge) ]
+    @ [ ("user", W2.Gen.user_program ()); ("helper", W2.Gen.helper_program ()) ]
+  in
+  let check (name, m) workers =
+    let encoded = List.map (fun (sec, image) -> (sec, Warp.Asm.encode image)) in
+    let seq =
+      (Driver.Compile.compile_module m).Driver.Compile.mw_sections
+      |> List.map (fun (sw : Driver.Compile.section_work) ->
+             (sw.Driver.Compile.sw_name, sw.Driver.Compile.sw_image))
+    in
+    Alcotest.(check (list (pair string string)))
+      (Printf.sprintf "%s, %d worker(s)" name workers)
+      (encoded seq)
+      (encoded (Domains.compile_parallel ~workers m).Domains.images)
+  in
+  List.iter
+    (fun prog -> List.iter (check prog) [ 1; 2; 3 ])
+    (examples @ generated);
+  let one = W2.Gen.s_program ~size:W2.Gen.Small ~count:1 () in
+  check ("one function", one) 4
+
 (* A function with more parameters than the register file holds passes
    semantic checking but fails in register allocation.  The parallel
    compiler must surface that failure like the sequential one instead
-   of losing it with the worker domain.  Two functions fail; the first
-   in source order is queued first, so the calling domain takes it, and
-   its exception is the one raised, with one function master or two. *)
+   of losing it with the worker domain.  Two functions fail, and either
+   master may take either of them; the first in source order is the
+   exception raised, with one function master or two. *)
 let test_domains_task_failure () =
   let params =
     String.concat ", " (List.init 80 (fun i -> Printf.sprintf "p%d: int" i))
@@ -361,6 +398,8 @@ let extension_suites =
         Alcotest.test_case "inlining study" `Slow test_inlining_study;
         Alcotest.test_case "domains equivalence" `Slow test_domains_equivalent;
         Alcotest.test_case "domains task failure" `Quick test_domains_task_failure;
+        Alcotest.test_case "domains images identical" `Slow
+          test_domains_images_identical;
       ] );
   ]
 

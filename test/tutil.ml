@@ -30,3 +30,17 @@ let value_testable : W2.Interp.value Alcotest.testable =
   Alcotest.testable
     (fun fmt v -> Format.pp_print_string fmt (W2.Interp.value_to_string v))
     eq
+
+(* The shipped examples as (file name, source), sorted by name.  [dune
+   runtest] runs in _build/default/test (examples are a sibling via the
+   dune deps); [dune exec] runs from the project root. *)
+let examples =
+  lazy
+    (let dir =
+       List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
+     in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".w2")
+     |> List.sort compare
+     |> List.map (fun f ->
+            (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
