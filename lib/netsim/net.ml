@@ -12,8 +12,6 @@ type ethernet = {
   contention_alpha : float; (* extra cost per concurrent transfer *)
   chunk_bytes : float;
   mutable active : int;
-  mutable total_bytes : float;
-  mutable transfers : int;
   mutable degrade : float -> float; (* fault plan: time -> factor (>= 1) *)
   mutable trace : Trace.t; (* span sink; [Trace.none] = no recording *)
   fetched : (int * string, unit) Hashtbl.t;
@@ -30,8 +28,6 @@ let ethernet ?(bytes_per_sec = 1.25e6) ?(contention_alpha = 0.6)
     contention_alpha;
     chunk_bytes;
     active = 0;
-    total_bytes = 0.0;
-    transfers = 0;
     degrade = (fun _ -> 1.0);
     trace = Trace.none;
     fetched = Hashtbl.create 64;
@@ -50,8 +46,6 @@ let transfer sim (e : ethernet) ~bytes =
   let t0 = Des.now sim in
   let concurrent = e.active in
   e.active <- e.active + 1;
-  e.transfers <- e.transfers + 1;
-  e.total_bytes <- e.total_bytes +. bytes;
   let remaining = ref bytes in
   while !remaining > 0.0 do
     let chunk = min e.chunk_bytes !remaining in
@@ -73,8 +67,6 @@ type fileserver = {
   disk : Sync.resource;
   seek_seconds : float;
   disk_bytes_per_sec : float;
-  mutable requests : int;
-  mutable bytes_served : float;
   mutable brownout : float -> float; (* fault plan: time -> factor (>= 1) *)
   mutable trace : Trace.t; (* span sink; [Trace.none] = no recording *)
 }
@@ -84,8 +76,6 @@ let fileserver ?(seek_seconds = 0.025) ?(disk_bytes_per_sec = 2.0e6) () =
     disk = Sync.resource 1;
     seek_seconds;
     disk_bytes_per_sec;
-    requests = 0;
-    bytes_served = 0.0;
     brownout = (fun _ -> 1.0);
     trace = Trace.none;
   }
@@ -94,8 +84,6 @@ let fileserver ?(seek_seconds = 0.025) ?(disk_bytes_per_sec = 2.0e6) () =
    traced span covers queueing behind other requests plus service. *)
 let disk_io sim (fs : fileserver) ~bytes =
   let t0 = Des.now sim in
-  fs.requests <- fs.requests + 1;
-  fs.bytes_served <- fs.bytes_served +. bytes;
   let service = fs.seek_seconds +. (bytes /. fs.disk_bytes_per_sec) in
   Sync.use sim fs.disk (service *. max 1.0 (fs.brownout (Des.now sim)));
   if Trace.enabled fs.trace then

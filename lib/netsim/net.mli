@@ -7,8 +7,6 @@ type ethernet = {
   contention_alpha : float; (** extra cost per concurrent transfer *)
   chunk_bytes : float;
   mutable active : int; (** transfers currently in flight *)
-  mutable total_bytes : float;
-  mutable transfers : int;
   mutable degrade : float -> float;
       (** fault plan: extra slowdown factor at a simulated time
           (identity — exactly 1.0 — when no plan is wired) *)
@@ -41,8 +39,6 @@ type fileserver = {
   disk : Sync.resource;
   seek_seconds : float;
   disk_bytes_per_sec : float;
-  mutable requests : int;
-  mutable bytes_served : float;
   mutable brownout : float -> float;
       (** fault plan: disk service-time factor at a simulated time *)
   mutable trace : Trace.t;

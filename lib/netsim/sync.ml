@@ -29,30 +29,15 @@ type resource = {
   capacity : int;
   mutable in_use : int;
   queue : (unit -> unit) Queue.t;
-  (* instrumentation *)
-  mutable total_wait : float;
-  mutable total_service : float;
-  mutable served : int;
 }
 
 let resource capacity =
   if capacity < 1 then invalid_arg "Sync.resource: capacity must be positive";
-  {
-    capacity;
-    in_use = 0;
-    queue = Queue.create ();
-    total_wait = 0.0;
-    total_service = 0.0;
-    served = 0;
-  }
+  { capacity; in_use = 0; queue = Queue.create () }
 
-let acquire sim (r : resource) =
+let acquire (r : resource) =
   if r.in_use < r.capacity then r.in_use <- r.in_use + 1
-  else begin
-    let t0 = Des.now sim in
-    Des.suspend (fun wake -> Queue.push (fun () -> wake ()) r.queue);
-    r.total_wait <- r.total_wait +. (Des.now sim -. t0)
-  end
+  else Des.suspend (fun wake -> Queue.push (fun () -> wake ()) r.queue)
 
 let release (r : resource) =
   match Queue.take_opt r.queue with
@@ -61,10 +46,8 @@ let release (r : resource) =
 
 (* Hold the resource for [amount] simulated seconds. *)
 let use sim (r : resource) amount =
-  acquire sim r;
+  acquire r;
   Des.delay sim amount;
-  r.total_service <- r.total_service +. amount;
-  r.served <- r.served + 1;
   release r
 
 (* --- one-shot event: set once, any number of waiters --- *)

@@ -23,16 +23,13 @@ type resource = {
   capacity : int;
   mutable in_use : int;
   queue : (unit -> unit) Queue.t;
-  mutable total_wait : float; (** accumulated queueing time *)
-  mutable total_service : float; (** accumulated service time *)
-  mutable served : int; (** completed [use] calls *)
 }
 (** A server pool with [capacity] slots and a FIFO wait queue. *)
 
 val resource : int -> resource
 (** @raise Invalid_argument when the capacity is not positive. *)
 
-val acquire : Des.t -> resource -> unit
+val acquire : resource -> unit
 (** Take a slot, blocking FCFS while all slots are busy. *)
 
 val release : resource -> unit
@@ -40,7 +37,7 @@ val release : resource -> unit
 
 val use : Des.t -> resource -> float -> unit
 (** [use sim r seconds] = acquire, hold for [seconds] of virtual time,
-    release; updates the instrumentation counters. *)
+    release. *)
 
 (** {1 One-shot events} *)
 

@@ -1,0 +1,136 @@
+(* The steps every simulated Common-Lisp process performs, and the
+   driver that runs a compilation on a fresh cluster.  Each step keeps
+   its noise draws and [Trace.enabled] guards where they were:
+   processes sharing a cluster share one noise stream, and an untraced
+   run builds no trace arguments. *)
+
+exception Lost of Netsim.Fault.failure
+
+let set_resident ws mb =
+  Netsim.Host.remove_resident ws ws.Netsim.Host.resident_mb;
+  Netsim.Host.add_resident ws mb
+
+let core_file = "core"
+
+let holds (cluster : Netsim.Host.cluster) ws file =
+  Netsim.Net.cached cluster.Netsim.Host.ether ~client:ws.Netsim.Host.ws_id ~file
+
+let span (cfg : Config.t) sim ws ~task ~attempt ~name ~t0 =
+  let tr = cfg.Config.trace in
+  if Trace.enabled tr then
+    Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
+      ~args:[ ("task", task); ("attempt", string_of_int attempt) ]
+      ~t0 ~t1:(Netsim.Des.now sim) ()
+
+let claim cfg sim cluster ~rank ~task ~attempt =
+  let t0 = Netsim.Des.now sim in
+  let ws =
+    match rank with
+    | Some rank -> Netsim.Host.claim_prefer ~rank sim cluster
+    | None -> Netsim.Host.claim sim cluster
+  in
+  span cfg sim ws ~task ~attempt ~name:"claim" ~t0;
+  ws
+
+(* Network operations do not touch the station's CPU, so a crash
+   under one is only noticed by asking afterwards. *)
+let alive sim ws =
+  match Netsim.Host.crashed ws ~now:(Netsim.Des.now sim) with
+  | Some f -> raise (Lost f)
+  | None -> ()
+
+let fetch sim (cluster : Netsim.Host.cluster) ~held ws ~file bytes =
+  if not (held ws file) then
+    Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file sim
+      cluster.Netsim.Host.fs cluster.Netsim.Host.ether ~bytes;
+  alive sim ws
+
+let compute cfg sim cluster ~noise ws ~tag seconds =
+  let seconds = seconds *. noise () in
+  match
+    Netsim.Host.compute sim ws ~factor:(Config.cluster_slowdown cfg cluster)
+      ~tag ~seconds
+  with
+  | Netsim.Fault.Completed -> seconds
+  | Netsim.Fault.Station_failed f -> raise (Lost f)
+
+(* A warm station maps the core image it already holds: same resident
+   set, no wire. *)
+let start (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise ~held
+    ~task ~attempt ws =
+  let cost = cfg.Config.cost in
+  (if cfg.Config.core_download && not (held ws core_file) then begin
+     let t0 = Netsim.Des.now sim in
+     Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file:core_file sim
+       cluster.Netsim.Host.fs cluster.Netsim.Host.ether
+       ~bytes:cost.Driver.Cost.lisp_core_bytes;
+     span cfg sim ws ~task ~attempt ~name:"transfer" ~t0
+   end);
+  alive sim ws;
+  set_resident ws cost.Driver.Cost.lisp_core_mb;
+  ignore
+    (compute cfg sim cluster ~noise ws ~tag:"lisp-init"
+       cost.Driver.Cost.lisp_init_seconds)
+
+(* The compile cache memoizes whole-function artifacts.  The
+   fine-grained split tasks hand IR between two masters and never
+   produce one, so they bypass the store — in both runners, so a
+   seq/par comparison is never half-cached.  [None] makes every lookup
+   and publication evaporate, leaving the event schedule bit-identical
+   to a cacheless build. *)
+let cache (cfg : Config.t) =
+  match cfg.Config.cache with
+  | Some c when not cfg.Config.fine_grained -> Some c
+  | _ -> None
+
+let lookup cfg sim cluster ~record (mw : Driver.Compile.module_work) ws
+    (fw : Driver.Compile.func_work) =
+  match (cache cfg, fw.Driver.Compile.fw_key) with
+  | Some c, Some key -> (
+    let func = fw.Driver.Compile.fw_name in
+    let owner = Cache.owner ~modul:mw.Driver.Compile.mw_name fw in
+    match Cache.find c ~owner ~key with
+    | Cache.Hit e ->
+      record (Timings.Cache_hit { func; key });
+      fetch sim cluster ~held:(holds cluster) ws ~file:("art:" ^ key)
+        (Cache.meta_bytes +. e.Cache.e_bytes);
+      true
+    | Cache.Miss { stale } ->
+      record (Timings.Cache_miss { func; key; invalidated = stale });
+      false)
+  | _ -> false
+
+let store sim (cluster : Netsim.Host.cluster) bytes =
+  Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether ~bytes
+
+(* Only newly stored artifacts cost anything: one store of payload and
+   index bytes, alongside the durable copy already written. *)
+let publish cfg sim cluster ~record (mw : Driver.Compile.module_work) funcs =
+  Option.iter
+    (fun c ->
+      Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record
+        ~store:(store sim cluster) funcs)
+    (cache cfg)
+
+let write_back cfg sim cluster ~record mw funcs bytes =
+  store sim cluster bytes;
+  publish cfg sim cluster ~record mw funcs
+
+let simulate cfg processes =
+  let sim = Netsim.Des.create () in
+  let cluster = Config.cluster cfg in
+  let noise = Config.noise cfg in
+  let log = Timings.empty_log () in
+  let finish = ref 0.0 in
+  List.iter (Netsim.Des.spawn sim)
+    (processes sim cluster ~noise ~log ~on_finish:(fun t -> finish := t));
+  ignore (Netsim.Des.run sim);
+  let cpu = Netsim.Host.cpu_times cluster in
+  Timings.tally log
+    {
+      Timings.zero with
+      elapsed = !finish;
+      cpu_per_station = cpu;
+      stations_used = List.length cpu;
+      stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
+    }

@@ -37,51 +37,45 @@ type result = {
 let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
     (strategy : strategy) : result =
   let cfg = { cfg with Config.stations } in
-  let sim = Netsim.Des.create () in
-  let cluster = Config.cluster cfg in
-  let noise = Config.noise cfg in
-  let finish = ref 0.0 in
-  let done_count = ref 0 in
-  let total = List.length modules in
-  let on_finish t =
-    incr done_count;
-    if !done_count = total then finish := t
+  let run, _ =
+    Lisp.simulate cfg (fun sim cluster ~noise ~log ~on_finish ->
+        (* One ["make"] span per module compilation on track 0, so a
+           traced study shows the per-module schedule of each
+           strategy. *)
+        let traced (mw : Driver.Compile.module_work) body () =
+          let tr = cfg.Config.trace in
+          let t0 = Netsim.Des.now sim in
+          body ();
+          if Trace.enabled tr then
+            Trace.span tr ~track:0 ~cat:"make"
+              ~name:("module " ^ mw.Driver.Compile.mw_name)
+              ~args:[ ("strategy", strategy_name strategy) ]
+              ~t0 ~t1:(Netsim.Des.now sim) ()
+        in
+        let seq mw =
+          traced mw
+            (Seqrun.compile_process cfg sim cluster ~noise mw ~log ~on_finish)
+        in
+        let par mw =
+          traced mw
+            (Parrun.master_process cfg sim cluster ~noise mw
+               (Parrun.schedule cfg (Plan.one_per_station mw))
+               ~log ~on_finish)
+        in
+        (* One process compiles the modules back to back. *)
+        let in_order body =
+          [ (fun () -> List.iter (fun mw -> body mw ()) modules) ]
+        in
+        match strategy with
+        | Sequential -> in_order seq
+        | Parallel_make -> List.map seq modules
+        | Parallel_cc -> in_order par
+        | Combined -> List.map par modules)
   in
-  let log = Timings.empty_log () in
-  (* One ["make"] span per module compilation on track 0, so a traced
-     study shows the per-module schedule of each strategy. *)
-  let traced (mw : Driver.Compile.module_work) body () =
-    let tr = cfg.Config.trace in
-    let t0 = Netsim.Des.now sim in
-    body ();
-    if Trace.enabled tr then
-      Trace.span tr ~track:0 ~cat:"make"
-        ~name:("module " ^ mw.Driver.Compile.mw_name)
-        ~args:[ ("strategy", strategy_name strategy) ]
-        ~t0 ~t1:(Netsim.Des.now sim) ()
-  in
-  let seq_body mw =
-    traced mw (Seqrun.compile_process cfg sim cluster ~noise mw ~log ~on_finish)
-  in
-  let par_body mw =
-    traced mw
-      (Parrun.master_process cfg sim cluster ~noise mw
-         (Parrun.schedule cfg (Plan.one_per_station mw))
-         ~log ~on_finish)
-  in
-  (match strategy with
-  | Sequential ->
-    (* One process runs the modules back to back. *)
-    Netsim.Des.spawn sim (fun () -> List.iter (fun mw -> seq_body mw ()) modules)
-  | Parallel_make -> List.iter (fun mw -> Netsim.Des.spawn sim (seq_body mw)) modules
-  | Parallel_cc ->
-    Netsim.Des.spawn sim (fun () -> List.iter (fun mw -> par_body mw ()) modules)
-  | Combined -> List.iter (fun mw -> Netsim.Des.spawn sim (par_body mw)) modules);
-  ignore (Netsim.Des.run sim);
   {
     strategy;
-    elapsed = !finish;
-    stations_used = List.length (Netsim.Host.cpu_times cluster);
+    elapsed = run.Timings.elapsed;
+    stations_used = run.Timings.stations_used;
   }
 
 let run_all (cfg : Config.t) ~stations modules : result list =

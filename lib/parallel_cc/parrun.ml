@@ -14,59 +14,18 @@
                    functions, then output write-back.
 
    The only communication is parent<->child messages (modelled by join
-   counters), as in the paper.
-
-   Scheduling.  Before the section masters fork, the plan passes
-   through [Sched.schedule]: [Config.sched_policy] selects the paper's
-   FCFS dispatch (plan physically unchanged, timings bit-identical),
-   LPT ordering, or LPT with tiny-function batching.  On a retry under
-   a non-FCFS policy, re-dispatch is locality-aware: the claim prefers
-   a pool station that already holds the module's source bytes or the
-   core image (the Ethernet's transfer history), and the granted
-   station skips re-downloading whatever it holds.
-
-   With [Config.fine_grained] set, each task is split into a phase-2
-   task and a phase-3 task connected by an IR file on the server (the
-   "finer grain parallelism" the paper's section 5 anticipates): the
-   phase-2 master releases its workstation before the phase-3 master
-   claims one, so stages of different tasks pipeline through a small
-   pool — at the price of a second Lisp startup and the IR shipping.
-
-   Fault tolerance.  Every task runs under a supervisor in its section
-   master, which detects crashes ([Fault.Station_failed] from the
-   attempt) and re-dispatches the task FCFS to another pool station
-   with exponential backoff, up to [Config.retry_budget] times.  Under
-   a fault plan each attempt also gets a deadline
-   ([Config.deadline_factor] times the cost-model estimate) enforced by
-   a watchdog process; without one no watchdog is armed, because a
-   fault-free attempt cannot be lost.  Write-back is idempotent: a
-   [completed] token makes the first finishing attempt win; stragglers
-   only add to the wasted-CPU account.  When the budget is exhausted
-   the task degrades to a sequential compile in the master's own Lisp
-   (whose workstation is never faulted), so every compilation
-   terminates with the same output — only slower.
-
-   Accounting.  Every counted event (overhead CPU, retries, timeouts,
-   lost and wasted attempts, fallbacks, speculation verdicts, compile-
-   cache lookups, placements) goes through one [record] call, which
-   appends it to the run log and emits its trace instant or span.
-   [Timings.run] is a fold over the log in append order. *)
-
-let set_resident = Seqrun.set_resident
+   counters), as in the paper.  A function master and the sequential
+   fallback are sequences of the same [Lisp] steps as the sequential
+   compiler; what the parallel compiler adds (forks, re-parsing,
+   combining, supervision) is its implementation overhead.  Scheduling,
+   fine grain, supervision, speculation and the accounting are
+   described in parrun.mli. *)
 
 type outcome = {
   run : Timings.run;
   station_of_task : (string * int) list; (* task head function -> station *)
   scheduled : Plan.t; (* the plan the master dispatched *)
 }
-
-(* A function-master attempt lost its station.  Raised and caught
-   within the same simulated process — it never escapes the DES. *)
-exception Lost of Netsim.Fault.failure
-
-let check = function
-  | Netsim.Fault.Completed -> ()
-  | Netsim.Fault.Station_failed f -> raise (Lost f)
 
 (* Supervision messages; attempt-numbered so a supervisor can ignore
    verdicts about attempts it has already given up on.  [Msg_aborted]
@@ -82,7 +41,6 @@ type sup_msg =
    (or quarantines an aborted one) on the file server: metadata only,
    the staged payload itself was already charged at staging time. *)
 let spec_meta_bytes = 256.0
-
 
 (* Apply the dispatch policy.  A pure plan-to-plan transformation:
    [Sched.Fcfs] (the default) returns the plan physically unchanged,
@@ -121,31 +79,6 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   let spec_mode = gating = Sched.Proven in
   let faulty = not (Netsim.Fault.is_none cfg.Config.faults) in
   let tr = cfg.Config.trace in
-  let ether = cluster.Netsim.Host.ether in
-  (* Fetches identify the client station and a file label so the
-     Ethernet keeps a transfer history ([Net.cached]); recording is
-     bookkeeping only, but the locality-aware re-dispatch below reads
-     it back on retries. *)
-  let fetch ?client ?file bytes =
-    Netsim.Net.fetch ?client ?file sim cluster.Netsim.Host.fs ether ~bytes
-  in
-  let store bytes =
-    Netsim.Net.store sim cluster.Netsim.Host.fs ether ~bytes
-  in
-  (* The content-addressed compile cache, when one is configured —
-     coarse grain only: the fine-grained split tasks hand IR between
-     two masters and never produce a whole-function artifact, so they
-     bypass the store.  [None] makes every lookup and publication below
-     evaporate, leaving the event schedule bit-identical to a cacheless
-     build. *)
-  let cache =
-    match cfg.Config.cache with
-    | Some c when not cfg.Config.fine_grained -> Some c
-    | _ -> None
-  in
-  (* File labels of the shared Lisp core image and this module's
-     source. *)
-  let core_file = "core" in
   let src_file = "src:" ^ mw.Driver.Compile.mw_name in
   let ws_m = Netsim.Host.claim sim cluster in
   (* The one place an event is counted and traced, on the master's
@@ -154,47 +87,32 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     Timings.record log tr ~track:ws_m.Netsim.Host.ws_id
       ~now:(Netsim.Des.now sim) ?task ?attempt ?t0 ev
   in
-  let factor w = Config.cluster_slowdown cfg cluster w in
+  let compute = Lisp.compute cfg sim cluster ~noise in
   (* The master's workstation is never faulted (Host wires station 0
-     out of the plan); anything else is a simulation bug. *)
-  let must = function
-    | Netsim.Fault.Completed -> ()
-    | Netsim.Fault.Station_failed f ->
-      failwith
-        (Printf.sprintf "Parrun: master workstation %d failed at %.1fs"
-           f.Netsim.Fault.failed_station f.Netsim.Fault.failed_at)
-  in
-  let compute_m ~tag seconds =
-    must
-      (Netsim.Host.compute sim ws_m ~factor ~tag
-         ~seconds:(seconds *. noise ()))
-  in
+     out of the plan), so its steps never raise [Lisp.Lost]. *)
+  let compute_m ~tag seconds = ignore (compute ws_m ~tag seconds) in
   (* Implementation-overhead CPU on the master's workstation. *)
   let overhead_m kind ~tag seconds =
-    must (Netsim.Host.compute sim ws_m ~factor ~tag ~seconds);
-    record (Overhead (kind, seconds))
+    record (Overhead (kind, compute ws_m ~tag seconds))
   in
+  let fetch_m = Lisp.fetch sim cluster ~held:(fun _ _ -> false) ws_m in
   (* C master: cheap startup, then read the source. *)
   Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
-  fetch ~client:ws_m.Netsim.Host.ws_id ~file:src_file
-    (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
+  fetch_m ~file:src_file (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
   (* The master's Lisp process: phase 1 proper plus the extra
      structure-discovering parse (the latter is implementation
      overhead). *)
   (if cfg.Config.core_download then
-     fetch ~client:ws_m.Netsim.Host.ws_id ~file:core_file
-       cost.Driver.Cost.lisp_core_bytes);
+     fetch_m ~file:Lisp.core_file cost.Driver.Cost.lisp_core_bytes);
   let ast_mb =
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
   in
-  set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
+  Lisp.set_resident ws_m (cost.Driver.Cost.lisp_core_mb +. ast_mb);
   compute_m ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds;
   compute_m ~tag:"phase1" (Driver.Cost.phase1_seconds cost mw);
-  overhead_m Master ~tag:"setup-parse"
-    (Driver.Cost.setup_parse_seconds cost mw *. noise ());
+  overhead_m Master ~tag:"setup-parse" (Driver.Cost.setup_parse_seconds cost mw);
   (* Scheduling: derive the task placement directives. *)
-  overhead_m Master ~tag:"sched"
-    (0.1 *. float_of_int (Plan.task_count plan) *. noise ());
+  overhead_m Master ~tag:"sched" (0.1 *. float_of_int (Plan.task_count plan));
   (* Fork the section masters. *)
   let sections_done = Netsim.Sync.join (List.length plan.Plan.tasks_per_section) in
   List.iter
@@ -203,7 +121,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
           (* Section masters are C processes on the master's host. *)
           Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
           overhead_m Section ~tag:"sect-interpret"
-            (0.05 *. float_of_int (List.length tasks) *. noise ());
+            (0.05 *. float_of_int (List.length tasks));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
           (* [deps] gates dispatch.  Under [Proven] gating only the
              proven edges gate; the speculative remainder ([spec_deps])
@@ -255,31 +173,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 match head_name with Some name -> name | None -> "<empty>"
               in
               let record = record ~task:task_label in
-              (* Task-lifecycle span: recorded on the executing
-                 station's track so Gantt/Chrome views show the
-                 claim → write-back chain per attempt. *)
-              let lspan ws ~name ~attempt_n ~t0 =
-                if Trace.enabled tr then
-                  Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
-                    ~args:
-                      [ ("task", task_label); ("attempt", string_of_int attempt_n) ]
-                    ~t0 ~t1:(Netsim.Des.now sim) ()
-              in
               (* Durable publication of this task's artifacts into the
-                 compile cache.  Called exactly where the task's output
-                 becomes durable — the winning attempt, a speculative
-                 commit, the sequential fallback — and never for a
-                 superseded straggler or a quarantined speculative
-                 artifact, so each key is stored at most once.  Only
-                 newly stored artifacts cost anything: one store of
-                 payload+index bytes, alongside the durable copy
-                 already written. *)
-              let cache_publish () =
-                Option.iter
-                  (fun c ->
-                    Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record
-                      ~store task.Plan.t_funcs)
-                  cache
+                 compile cache, by the winning attempt or a speculative
+                 commit (the fallback publishes in its write-back) —
+                 never by a superseded straggler or a quarantined
+                 speculative artifact, so each key is stored at most
+                 once. *)
+              let publish () =
+                Lisp.publish cfg sim cluster ~record mw task.Plan.t_funcs
               in
               (* Supervisor state: the completion token, the attempt
                  counter, and the commit oracle's aborts so far and
@@ -292,11 +193,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
               (* --- one function-master attempt ---
                  [noted] collects its placements; [spent] accumulates
                  the CPU it burned (for the wasted-work account if its
-                 output is lost).  [Lost] is raised when the attempt's
-                 station crashes (checked by [compute] during CPU work
-                 and explicitly after network operations, which do not
-                 touch the station's CPU).  On a fault-free host every
-                 check is a no-op.
+                 output is lost).  [Lisp.Lost] is raised when the
+                 attempt's station crashes.
 
                  [staged] tells the watchdog a speculative attempt has
                  parked its output on the server and is merely awaiting
@@ -307,27 +205,20 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                  commit protocol.  On every policy but dag+spec
                  [spec_deps] is all-empty, so the result always is. *)
               let attempt ~attempt_n ~noted ~spent ~staged =
-                let alive ws =
-                  match Netsim.Host.crashed ws ~now:(Netsim.Des.now sim) with
-                  | Some f -> raise (Lost f)
-                  | None -> ()
+                (* Task-lifecycle spans go on the executing station's
+                   track, so Gantt/Chrome views show the claim →
+                   write-back chain per attempt. *)
+                let span ws =
+                  Lisp.span cfg sim ws ~task:task_label ~attempt:attempt_n
                 in
-                let lspan ws ~name ~t0 = lspan ws ~name ~attempt_n ~t0 in
-                let note name id = noted := (name, id) :: !noted in
                 (* Pool stations are held exclusively, so the
-                   busy-seconds delta around one compute call is
-                   exactly this attempt's CPU (partial work of a
-                   crashed slice included). *)
-                let charged w thunk =
-                  let before = w.Netsim.Host.busy_seconds in
-                  let r = thunk () in
-                  spent := !spent +. (w.Netsim.Host.busy_seconds -. before);
-                  check r
-                in
-                let compute_f ~tag w seconds =
-                  charged w (fun () ->
-                      Netsim.Host.compute sim w ~factor ~tag
-                        ~seconds:(seconds *. noise ()))
+                   busy-seconds delta around a step is exactly this
+                   attempt's CPU (partial work of a crashed slice
+                   included). *)
+                let charged ws step =
+                  let before = ws.Netsim.Host.busy_seconds in
+                  Fun.protect step ~finally:(fun () ->
+                      spent := !spent +. (ws.Netsim.Host.busy_seconds -. before))
                 in
                 (* Locality-aware re-dispatch: on a retry under a
                    non-FCFS policy, prefer a pool station that already
@@ -339,11 +230,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 let locality =
                   attempt_n > 1 && cfg.Config.sched_policy <> Sched.Fcfs
                 in
-                let has w file =
-                  Netsim.Net.cached ether ~client:w.Netsim.Host.ws_id ~file
-                in
-                let cache_hit ws file =
-                  let hit = locality && has ws file in
+                let held ws file =
+                  let hit = locality && Lisp.holds cluster ws file in
                   if hit && Trace.enabled tr then
                     Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"task"
                       ~name:"cache-hit"
@@ -361,49 +249,55 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    noting the placement under the head name plus
                    [suffix]. *)
                 let claim ~file suffix =
-                  let t0 = Netsim.Des.now sim in
-                  let ws =
-                    if locality then
-                      Netsim.Host.claim_prefer sim cluster ~rank:(fun w ->
-                          (if has w file then 2 else 0)
-                          + (if has w core_file then 1 else 0))
-                    else Netsim.Host.claim sim cluster
+                  let rank w =
+                    (if Lisp.holds cluster w file then 2 else 0)
+                    + if Lisp.holds cluster w Lisp.core_file then 1 else 0
                   in
-                  lspan ws ~name:"claim" ~t0;
+                  let ws =
+                    Lisp.claim cfg sim cluster
+                      ~rank:(if locality then Some rank else None)
+                      ~task:task_label ~attempt:attempt_n
+                  in
                   (match head_name with
-                  | Some name -> note (name ^ suffix) ws.Netsim.Host.ws_id
+                  | Some name ->
+                    noted := (name ^ suffix, ws.Netsim.Host.ws_id) :: !noted
                   | None -> ());
                   ws
                 in
-                (* Lisp startup: every function master downloads the
-                   core image and initializes (a warm station maps the
-                   image it already holds: same resident set, no
-                   wire). *)
-                let start_lisp ws =
-                  (if cfg.Config.core_download && not (cache_hit ws core_file)
-                   then begin
-                     let t0 = Netsim.Des.now sim in
-                     fetch ~client:ws.Netsim.Host.ws_id ~file:core_file
-                       cost.Driver.Cost.lisp_core_bytes;
-                     lspan ws ~name:"transfer" ~t0
-                   end);
-                  alive ws;
-                  set_resident ws cost.Driver.Cost.lisp_core_mb;
-                  compute_f ~tag:"lisp-init" ws cost.Driver.Cost.lisp_init_seconds
+                let start ws =
+                  charged ws (fun () ->
+                      Lisp.start cfg sim cluster ~noise ~held ~task:task_label
+                        ~attempt:attempt_n ws)
+                in
+                let compute ws ~tag seconds =
+                  charged ws (fun () -> compute ws ~tag seconds)
                 in
                 (* One phase over the task's functions on [ws], traced
-                   as one span named by its tag; [cached] (a compile-
-                   cache lookup) may skip a function's compute. *)
-                let phase ?(cached = fun _ -> false) ws ~tag seconds =
+                   as one span named by its tag; a compile-cache hit
+                   skips a function's compute. *)
+                let phase ws ~tag seconds =
                   let t0 = Netsim.Des.now sim in
                   List.iter
                     (fun (fw : Driver.Compile.func_work) ->
-                      if not (cached fw) then begin
-                        set_resident ws (Driver.Cost.function_master_mb cost fw);
-                        compute_f ~tag ws (seconds cost fw)
+                      if not (Lisp.lookup cfg sim cluster ~record mw ws fw)
+                      then begin
+                        Lisp.set_resident ws
+                          (Driver.Cost.function_master_mb cost fw);
+                        ignore (compute ws ~tag (seconds cost fw))
                       end)
                     task.Plan.t_funcs;
-                  lspan ws ~name:tag ~t0
+                  span ws ~name:tag ~t0
+                in
+                (* Write bytes from [ws] to the server, spanned [name]. *)
+                let put ws ~name bytes =
+                  let t0 = Netsim.Des.now sim in
+                  Lisp.store sim cluster bytes;
+                  Lisp.alive sim ws;
+                  span ws ~name ~t0
+                in
+                let release ws =
+                  Lisp.set_resident ws 0.0;
+                  Netsim.Host.release_station sim cluster ws
                 in
                 (* --- the function master proper --- *)
                 let t_claim = Netsim.Des.now sim in
@@ -424,21 +318,16 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 in
                 let speculative = pending <> [] in
                 if speculative then record ~attempt:attempt_n Spec_dispatch;
-                start_lisp ws;
+                start ws;
                 (* Read and re-parse its share of the source. *)
                 let t_parse = Netsim.Des.now sim in
-                (if not (cache_hit ws src_file) then
-                   fetch ~client:ws.Netsim.Host.ws_id ~file:src_file
-                     (Driver.Cost.source_bytes cost task_loc));
-                alive ws;
+                Lisp.fetch sim cluster ~held ws ~file:src_file
+                  (Driver.Cost.source_bytes cost task_loc);
                 let reparse =
-                  cost.Driver.Cost.sec_per_token *. float_of_int task_tokens
-                  *. noise ()
+                  compute ws ~tag:"reparse"
+                    (cost.Driver.Cost.sec_per_token *. float_of_int task_tokens)
                 in
-                charged ws (fun () ->
-                    Netsim.Host.compute sim ws ~factor ~tag:"reparse"
-                      ~seconds:reparse);
-                lspan ws ~name:"parse" ~t0:t_parse;
+                span ws ~name:"parse" ~t0:t_parse;
                 record (Overhead (Reparse, reparse));
                 (* Output: staged into a versioned buffer when
                    speculative — the station is released immediately,
@@ -446,71 +335,38 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    speculation never holds a pool slot hostage — else
                    the durable write-back. *)
                 let write_back ws =
-                  let t0 = Netsim.Des.now sim in
-                  store output_bytes;
-                  alive ws;
+                  put ws
+                    ~name:(if speculative then "stage" else "write-back")
+                    output_bytes;
                   if speculative then begin
-                    lspan ws ~name:"stage" ~t0;
                     staged := true;
-                    lspan ws ~name:"spec-attempt" ~t0:t_claim
-                  end
-                  else lspan ws ~name:"write-back" ~t0;
-                  set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws
+                    span ws ~name:"spec-attempt" ~t0:t_claim
+                  end;
+                  release ws
                 in
                 if not cfg.Config.fine_grained then begin
-                  (* Coarse grain (the paper): phases 2+3 together.
-                     With the compile cache on, each function is first
-                     looked up by content key: a hit transfers the
-                     memoized artifact — free when this station's byte
-                     cache still holds it — instead of computing. *)
-                  let cached (fw : Driver.Compile.func_work) =
-                    let func = fw.Driver.Compile.fw_name in
-                    match (cache, fw.Driver.Compile.fw_key) with
-                    | Some c, Some key -> (
-                      let owner = Cache.owner ~modul:mw.Driver.Compile.mw_name fw in
-                      match Cache.find c ~owner ~key with
-                      | Cache.Hit e ->
-                        record (Cache_hit { func; key });
-                        let file = "art:" ^ key in
-                        (if not (has ws file) then
-                           fetch ~client:ws.Netsim.Host.ws_id ~file
-                             (Cache.meta_bytes +. e.Cache.e_bytes));
-                        alive ws;
-                        true
-                      | Cache.Miss { stale } ->
-                        record (Cache_miss { func; key; invalidated = stale });
-                        false)
-                    | _ -> false
-                  in
-                  phase ~cached ws ~tag:"phase23" Driver.Cost.phase23_seconds;
+                  (* Coarse grain (the paper): phases 2+3 together. *)
+                  phase ws ~tag:"phase23" Driver.Cost.phase23_seconds;
                   write_back ws
                 end
                 else begin
                   (* Fine grain: phase 2 here, then hand the IR to a
-                     phase-3 master on a (possibly different) pool
-                     station. *)
+                     phase-3 master, a fresh Lisp on a (possibly
+                     different) pool station. *)
                   phase ws ~tag:"phase2" Driver.Cost.phase2_seconds;
                   let ir_bytes =
                     List.fold_left
                       (fun acc fw -> acc +. Driver.Cost.ir_bytes fw)
                       0.0 task.Plan.t_funcs
                   in
-                  let t_ir = Netsim.Des.now sim in
-                  store ir_bytes;
-                  alive ws;
-                  lspan ws ~name:"write-ir" ~t0:t_ir;
-                  set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws;
-                  (* Phase-3 master: a fresh Lisp on a pool station. *)
+                  put ws ~name:"write-ir" ir_bytes;
+                  release ws;
                   let ir_file = "ir:" ^ task_label in
                   let ws3 = claim ~file:ir_file "#p3" in
-                  start_lisp ws3;
+                  start ws3;
                   let t_fir = Netsim.Des.now sim in
-                  (if not (cache_hit ws3 ir_file) then
-                     fetch ~client:ws3.Netsim.Host.ws_id ~file:ir_file ir_bytes);
-                  alive ws3;
-                  lspan ws3 ~name:"fetch-ir" ~t0:t_fir;
+                  Lisp.fetch sim cluster ~held ws3 ~file:ir_file ir_bytes;
+                  span ws3 ~name:"fetch-ir" ~t0:t_fir;
                   phase ws3 ~tag:"phase3" Driver.Cost.phase3_seconds;
                   write_back ws3
                 end;
@@ -557,7 +413,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    placements. *)
                 let win () =
                   completed := true;
-                  cache_publish ();
+                  publish ();
                   List.iter (fun p -> record (Placement p)) !noted;
                   Netsim.Sync.send sup Msg_completed
                 in
@@ -591,7 +447,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                         if !completed then wasted ()
                         else begin
                           let t0 = Netsim.Des.now sim in
-                          store spec_meta_bytes;
+                          Lisp.store sim cluster spec_meta_bytes;
                           record ~t0 Spec_abort;
                           wasted ();
                           Netsim.Sync.send sup (Msg_aborted n)
@@ -605,11 +461,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                              exactly once. *)
                           completed := true;
                           let t0 = Netsim.Des.now sim in
-                          store spec_meta_bytes;
+                          Lisp.store sim cluster spec_meta_bytes;
                           record ~t0 Spec_commit;
                           win ()
                         end)
-                    | exception Lost _ ->
+                    | exception Lisp.Lost _ ->
                       record Attempt_lost;
                       wasted ();
                       Netsim.Sync.send sup (Msg_failed n))
@@ -628,16 +484,12 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       *. float_of_int fw.Driver.Compile.fw_loc
                     in
                     Netsim.Host.add_resident ws_m mb;
-                    must
-                      (Netsim.Host.compute sim ws_m ~factor
-                         ~tag:"fallback-phase23"
-                         ~seconds:
-                           (Driver.Cost.phase23_seconds cost fw
-                           *. noise ()));
+                    compute_m ~tag:"fallback-phase23"
+                      (Driver.Cost.phase23_seconds cost fw);
                     Netsim.Host.remove_resident ws_m mb)
                   task.Plan.t_funcs;
-                store output_bytes;
-                cache_publish ();
+                Lisp.write_back cfg sim cluster ~record mw task.Plan.t_funcs
+                  output_bytes;
                 record ~attempt:(!attempt_no + 1) ~t0 Fallback;
                 match head_name with
                 | Some name -> record (Placement (name, ws_m.Netsim.Host.ws_id))
@@ -721,47 +573,29 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                            s.Driver.Compile.sw_name)
                          mw.Driver.Compile.mw_sections)))
           in
-          overhead_m Section ~tag:"combine"
-            (Driver.Cost.combine_seconds sw *. noise ());
+          overhead_m Section ~tag:"combine" (Driver.Cost.combine_seconds sw);
           Netsim.Sync.signal sections_done))
     plan.Plan.tasks_per_section;
   Netsim.Sync.wait sections_done;
   (* Phase 4 back in the master's Lisp process. *)
-  set_resident ws_m
+  Lisp.set_resident ws_m
     (cost.Driver.Cost.lisp_core_mb +. ast_mb
     +. (cost.Driver.Cost.retained_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc));
   compute_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw);
-  store (float_of_int (Driver.Compile.total_image_bytes mw));
-  set_resident ws_m 0.0;
+  Lisp.store sim cluster (float_of_int (Driver.Compile.total_image_bytes mw));
+  Lisp.set_resident ws_m 0.0;
   Netsim.Host.release_station sim cluster ws_m;
   on_finish (Netsim.Des.now sim)
 
 let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : outcome =
-  let sim = Netsim.Des.create () in
   let tr = cfg.Config.trace in
   let fresh_trace =
     Trace.enabled tr && Trace.span_count tr = 0 && Trace.instant_count tr = 0
   in
-  let cluster = Config.cluster cfg in
-  let noise = Config.noise cfg in
-  let finish = ref 0.0 in
-  let log = Timings.empty_log () in
   let scheduled = schedule cfg plan in
-  Netsim.Des.spawn sim
-    (master_process cfg sim cluster ~noise mw scheduled ~log
-       ~on_finish:(fun t -> finish := t));
-  ignore (Netsim.Des.run sim);
-  let cpu = Netsim.Host.cpu_times cluster in
   let run, placed =
-    Timings.tally log
-      {
-        Timings.zero with
-        elapsed = !finish;
-        cpu_per_station = cpu;
-        stations_used = List.length cpu;
-        dispatch_units = Plan.task_count scheduled;
-        stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
-      }
+    Lisp.simulate cfg (fun sim cluster ~noise ~log ~on_finish ->
+        [ master_process cfg sim cluster ~noise mw scheduled ~log ~on_finish ])
   in
   (* A gated schedule promises dependence order; when this run starts
      on an empty trace, let the trace prove it kept that promise
@@ -779,7 +613,7 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
          ("Parrun.run: dependence-order violation(s):\n"
          ^ String.concat "\n" (List.map Traceview.violation_to_string vs)));
   {
-    run;
+    run = { run with Timings.dispatch_units = Plan.task_count scheduled };
     scheduled;
     (* Placements report in (task, station) order rather than
        completion order, which under supervision depends on the racing

@@ -1,7 +1,12 @@
 (** The parallel compiler on the simulated host (paper, section 3.2):
     master → section masters → function masters, with FCFS workstation
     claiming, per-process Lisp startup, source re-parsing, result
-    combining and the sequential phases 1 and 4 in the master.
+    combining and the sequential phases 1 and 4 in the master.  A
+    function-master attempt runs the {!Lisp} steps in order — claim,
+    start Lisp, fetch the source (or skip it on a warm station),
+    re-parse, compute phases 2+3 with a compile-cache {!Lisp.lookup} per
+    function, then stage or write back — and the sequential fallback
+    is a {!Lisp.compute} per function and a {!Lisp.write_back}.
 
     The plan is passed through {!Sched.schedule} before the section
     masters fork: {!Config.t.sched_policy} selects FCFS dispatch (the
@@ -12,14 +17,19 @@
 
     With {!Config.t.fine_grained} set, each task splits into a phase-2
     and a phase-3 task connected by an IR file on the server — the
-    "finer grain parallelism" the paper's section 5 anticipates.
+    "finer grain parallelism" the paper's section 5 anticipates: the
+    phase-2 master releases its station before the phase-3 master
+    claims one, so stages of different tasks pipeline through a small
+    pool, at the price of a second Lisp startup and the IR shipping.
 
     Every task runs under a supervisor in its section master:
     crash detection, FCFS re-dispatch with exponential backoff up to
-    {!Config.t.retry_budget}, idempotent write-back, and — once the
-    budget is exhausted — sequential fallback in the master's own Lisp,
-    so the compilation terminates with identical output no matter the
-    fault plan.  When {!Config.t.faults} is non-empty, each attempt
+    {!Config.t.retry_budget}, idempotent write-back (the first
+    finishing attempt wins; stragglers only add to the wasted-CPU
+    account), and — once the budget is exhausted — sequential fallback
+    in the master's own Lisp, whose station is never faulted, so the
+    compilation terminates with identical output no matter the fault
+    plan.  When {!Config.t.faults} is non-empty, each attempt
     also gets a deadline from the cost model, enforced by a watchdog;
     a fault-free attempt cannot be lost, so none is armed without a
     fault plan.
@@ -73,10 +83,10 @@ val master_process :
     first. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
-(** One parallel compilation on a fresh cluster, its {!Timings.run}
-    folded from the run's log.  When the run starts on an empty trace,
-    the trace must show no {!Traceview.violations} of the policy's
-    gating.
+(** One parallel compilation under {!Lisp.simulate}, its
+    {!Timings.run} folded from the run's log.  When the run starts on
+    an empty trace, the trace must show no {!Traceview.violations} of
+    the policy's gating.
     @raise Invalid_argument under {!Sched.Dag_spec} with
     {!Config.t.spec_budget} below 1.
     @raise Failure listing the violations otherwise. *)

@@ -61,15 +61,6 @@ let policy_name = function
   | Dag_lpt -> "dag+lpt"
   | Dag_spec -> "dag+spec"
 
-let policy_of_string = function
-  | "fcfs" -> Some Fcfs
-  | "lpt" -> Some Lpt
-  | "lpt+batch" | "lpt-batch" -> Some Lpt_batch
-  | "dag" -> Some Dag
-  | "dag+lpt" | "dag-lpt" -> Some Dag_lpt
-  | "dag+spec" | "dag-spec" -> Some Dag_spec
-  | _ -> None
-
 (* The scheduler's cost signal: estimated phases-2+3 seconds of one
    task (summed in function order, so bit-stable across plans).  With
    [static] the measured work units are replaced by the abstract

@@ -75,10 +75,6 @@ val policy_name : policy -> string
     ["dag+spec"] — the names used by [warpcc simulate --sched] and the
     bench tables. *)
 
-val policy_of_string : string -> policy option
-(** Inverse of {!policy_name} (also accepts ["lpt-batch"],
-    ["dag-lpt"] and ["dag-spec"]). *)
-
 val task_cost : ?static:bool -> Driver.Cost.model -> Plan.task -> float
 (** Estimated phases-2+3 seconds of one task — the signal every policy
     ranks and batches by.  With [~static:true] the measured work units

@@ -4,9 +4,6 @@
     (the paper's explanation of the sequential compiler's own system
     overhead). *)
 
-val set_resident : Netsim.Host.workstation -> float -> unit
-(** Replace a station's resident set (helper shared with {!Parrun}). *)
-
 val compile_process :
   Config.t ->
   Netsim.Des.t ->
@@ -17,13 +14,14 @@ val compile_process :
   on_finish:(float -> unit) ->
   unit ->
   unit
-(** The spawnable body of one sequential compilation: claims a
-    workstation, runs the four phases, releases it, and reports its
-    completion time.  Reused by the parallel-make study, where several
-    instances share a cluster and its [noise] stream.  Its
-    compile-cache events are appended to [log], traced on the claimed
-    station's track. *)
+(** The spawnable body of one sequential compilation: the {!Lisp}
+    steps — claim a workstation, start Lisp, the four phases with a
+    compile-cache {!Lisp.lookup} per function, {!Lisp.write_back} —
+    then release the station and report the completion time.  Reused
+    by the parallel-make study, where several instances share a
+    cluster and its [noise] stream.  Its compile-cache events are
+    appended to [log], traced on the claimed station's track. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Timings.run
-(** One sequential compilation on a fresh cluster, its counters folded
-    from its run log by {!Timings.tally}. *)
+(** One sequential compilation under {!Lisp.simulate}, its counters
+    folded from its run log. *)

@@ -118,23 +118,6 @@ let to_table t =
 
 (* --- the standard derivation from a trace --- *)
 
-(* Maximum overlap of a set of intervals: the deepest the pool-wait
-   queue ever got. *)
-let max_overlap intervals =
-  let edges =
-    List.concat_map (fun (t0, t1) -> [ (t0, 1); (t1, -1) ]) intervals
-    (* ends sort before starts at equal times: touching intervals do
-       not overlap *)
-    |> List.sort (fun (a, da) (b, db) -> compare (a, da) (b, db))
-  in
-  let depth = ref 0 and best = ref 0 in
-  List.iter
-    (fun (_, d) ->
-      depth := !depth + d;
-      if !depth > !best then best := !depth)
-    edges;
-  !best
-
 let of_trace (tr : Trace.t) : t =
   let m = create () in
   let elapsed = Trace.end_time tr in
@@ -142,7 +125,6 @@ let of_trace (tr : Trace.t) : t =
   set_gauge m "tracks" (float_of_int (List.length (Trace.used_tracks tr)));
   incr m "spans" ~by:(float_of_int (Trace.span_count tr)) ();
   incr m "instants" ~by:(float_of_int (Trace.instant_count tr)) ();
-  let pool_waits = ref [] in
   List.iter
     (fun (s : Trace.span) ->
       let dur = s.Trace.t1 -. s.Trace.t0 in
@@ -176,9 +158,7 @@ let of_trace (tr : Trace.t) : t =
           incr m "fs_bytes" ~by:bytes ();
           observe m "fs_request_seconds" dur
         end
-      | "pool" ->
-        pool_waits := (s.Trace.t0, s.Trace.t1) :: !pool_waits;
-        observe m "pool_wait_seconds" dur
+      | "pool" -> observe m "pool_wait_seconds" dur
       | "task" -> (
         match s.Trace.name with
         | "fallback" -> incr m "fallback_tasks" ()
@@ -187,8 +167,13 @@ let of_trace (tr : Trace.t) : t =
         | _ -> ())
       | _ -> ())
     (Trace.spans tr);
+  (* The deepest the pool-wait queue ever got. *)
   set_gauge m "max_pool_queue_depth"
-    (float_of_int (max_overlap (List.rev !pool_waits)));
+    (float_of_int
+       (List.fold_left
+          (fun best (_, depth) -> max best depth)
+          0
+          (Trace.counter_points tr (fun s -> s.Trace.cat = "pool"))));
   let lost = Hashtbl.create 8 in
   List.iter
     (fun (i : Trace.instant) ->

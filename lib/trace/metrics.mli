@@ -39,9 +39,5 @@ val quantile : histogram -> float -> float
 val to_table : t -> Stats.Table.t
 (** Every metric as one row, sorted by kind then name. *)
 
-val max_overlap : (float * float) list -> int
-(** Maximum overlap of a set of [(t0, t1)] intervals — how deep the
-    pool-wait queue ever got.  Touching intervals do not overlap. *)
-
 val of_trace : Trace.t -> t
 (** The standard derivation from a trace (see module description). *)

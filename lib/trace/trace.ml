@@ -130,8 +130,7 @@ let usec t = t *. 1e6
 
 (* Step function of concurrent selected spans over time: +1/-1 edges,
    -1 applying before +1 at equal times (touching intervals do not
-   overlap — the Metrics.max_overlap convention), equal-time runs
-   collapsed to their final value. *)
+   overlap), equal-time runs collapsed to their final value. *)
 let counter_points t select =
   let edges =
     List.concat_map

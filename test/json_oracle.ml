@@ -38,8 +38,6 @@ module Sarif = struct
     | "W010" -> "Import declaration disagrees with the link"
     | "W011" -> "Cross-module write to a global another module localizes"
     | "W012" -> "Exported function never imported"
-    | code when String.length code > 0 && code.[0] = 'V' ->
-      "Intermediate-representation verifier finding"
     | _ -> "warpcc diagnostic"
 
   let level_of = function

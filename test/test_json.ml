@@ -173,7 +173,7 @@ let test_sarif_rules_sorted_unique () =
   Alcotest.(check bool) "sorted, de-duplicated rule ids" true
     (Tutil.contains doc
        "\"rules\": [{\"id\": \"V001\", \"shortDescription\": {\"text\": \
-        \"Intermediate-representation verifier finding\"}}, {\"id\": \"W001\", \
+        \"warpcc diagnostic\"}}, {\"id\": \"W001\", \
         \"shortDescription\": {\"text\": \"Unused variable\"}}, {\"id\": \"W008\", \
         \"shortDescription\": {\"text\": \"Section global written by one function \
         and accessed by a sibling\"}}]")

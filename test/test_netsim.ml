@@ -222,6 +222,7 @@ let test_cluster_claim_storm () =
 let test_ethernet_active_drains () =
   let sim = Des.create () in
   let e = Net.ethernet ~bytes_per_sec:1e6 () in
+  e.Net.trace <- Trace.create ();
   let peak = ref 0 in
   for i = 1 to 12 do
     Des.spawn sim (fun () ->
@@ -232,7 +233,12 @@ let test_ethernet_active_drains () =
   ignore (Des.run sim);
   Alcotest.(check bool) "transfers overlapped" true (!peak >= 1);
   Alcotest.(check int) "active drains to zero" 0 e.Net.active;
-  Alcotest.(check int) "all transfers counted" 12 e.Net.transfers
+  Alcotest.(check int) "all transfers traced" 12
+    (List.length
+       (List.filter
+          (fun (s : Trace.span) ->
+            s.Trace.track = Trace.ether_track && s.Trace.name = "transfer")
+          (Trace.spans e.Net.trace)))
 
 let prop_heap_order =
   QCheck.Test.make ~name:"events fire in time order" ~count:100

@@ -46,25 +46,13 @@ let plans () =
 
 (* --- the policy type --- *)
 
+(* The CLI's [--sched] enum maps each name back to its policy, so the
+   names must be distinct. *)
 let test_policy_names () =
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (Sched.policy_name p ^ " round-trips")
-        true
-        (Sched.policy_of_string (Sched.policy_name p) = Some p))
-    Sched.policies;
-  List.iter
-    (fun (alias, p) ->
-      Alcotest.(check bool) (alias ^ " alias") true
-        (Sched.policy_of_string alias = Some p))
-    [
-      ("lpt-batch", Sched.Lpt_batch);
-      ("dag-lpt", Sched.Dag_lpt);
-      ("dag-spec", Sched.Dag_spec);
-    ];
-  Alcotest.(check bool) "unknown rejected" true
-    (Sched.policy_of_string "sjf" = None)
+  let names = List.map Sched.policy_name Sched.policies in
+  Alcotest.(check int) "names are distinct"
+    (List.length names)
+    (List.length (List.sort_uniq compare names))
 
 (* --- purity: same functions, same sections, whatever the policy --- *)
 
@@ -209,6 +197,83 @@ let test_fcfs_golden_faulted () =
   Alcotest.(check int) "retries" golden_faulty_retries r.Timings.retries;
   Alcotest.(check (float 0.0)) "wasted cpu" golden_faulty_wasted
     r.Timings.wasted_cpu
+
+(* --- golden timings of the runs no BENCH file pins bit for bit ---
+
+   Recorded with [%.17g] before the runners shared their Lisp-process
+   steps; every noise draw, transfer and compute must stay where it
+   was.  Seqrun at noise seed 7 on S_6 f_small, without a cache, cold
+   against an empty store and warm against the populated one; Parrun
+   fine-grained on S_6 f_medium with a pool of 3, fault-free and then
+   under a rate-1.0 fault plan with LPT re-dispatch (every task retries
+   twice and falls back); and the four strategies of the section-3.4
+   make study. *)
+
+let golden_seq_plain = (724.12230394628114, [ 713.60736144628049 ])
+let golden_seq_cold = (724.16783354628114, [ 713.60736144628049 ])
+let golden_seq_warm = (45.879102387638056, [ 35.193630287637902 ])
+
+let golden_fine =
+  ( 1189.2066184939717,
+    [ 136.60570665580539; 802.10771780726623; 978.37830951812361;
+      863.5594507764464 ] )
+
+let golden_fine_faulted_elapsed = 9135.4556520015904
+let golden_fine_faulted_wasted = 7457.2117101802187
+
+let golden_make =
+  [
+    ("sequential", 6244.3400345342698);
+    ("parallel make", 2765.7391107762355);
+    ("parallel compiler", 3920.0418423427291);
+    ("make + parallel compiler", 2368.8789805591059);
+  ]
+
+let check_run what (elapsed, cpu) (r : Timings.run) =
+  Alcotest.(check (float 0.0)) (what ^ " elapsed") elapsed r.Timings.elapsed;
+  Alcotest.(check (list (float 0.0)))
+    (what ^ " cpu per station") cpu r.Timings.cpu_per_station
+
+let test_seqrun_golden () =
+  let mw = small 6 in
+  let cfg = { Config.default with Config.stations = 1; noise_seed = 7 } in
+  check_run "no cache" golden_seq_plain (Seqrun.run cfg mw);
+  let cfg = { cfg with Config.cache = Some (Cache.create ()) } in
+  let cold = Seqrun.run cfg mw in
+  check_run "cold" golden_seq_cold cold;
+  Alcotest.(check int) "cold misses" 6 cold.Timings.cache_misses;
+  let warm = Seqrun.run cfg mw in
+  check_run "warm" golden_seq_warm warm;
+  Alcotest.(check int) "warm hits" 6 warm.Timings.cache_hits
+
+let test_fine_grained_golden () =
+  let mw = Experiment.s_program_work ~size:W2.Gen.Medium ~count:6 () in
+  let plan = Plan.one_per_station mw in
+  let cfg =
+    { Config.default with Config.stations = 4; noise_seed = 7; fine_grained = true }
+  in
+  let fine = (Parrun.run cfg mw plan).Parrun.run in
+  check_run "fine-grained" golden_fine fine;
+  let faults =
+    Netsim.Fault.random ~seed:4 ~stations:4 ~rate:1.0
+      ~horizon:fine.Timings.elapsed ()
+  in
+  let cfg = { cfg with Config.faults; sched_policy = Sched.Lpt } in
+  let r = (Parrun.run cfg mw plan).Parrun.run in
+  Alcotest.(check (float 0.0)) "faulted elapsed" golden_fine_faulted_elapsed
+    r.Timings.elapsed;
+  Alcotest.(check (float 0.0)) "faulted wasted cpu" golden_fine_faulted_wasted
+    r.Timings.wasted_cpu;
+  Alcotest.(check int) "faulted retries" 12 r.Timings.retries;
+  Alcotest.(check int) "faulted fallbacks" 6 r.Timings.fallback_tasks
+
+let test_make_study_golden () =
+  Alcotest.(check (list (pair string (float 0.0))))
+    "strategy elapsed" golden_make
+    (List.map
+       (fun (r : Makerun.result) ->
+         (Makerun.strategy_name r.Makerun.strategy, r.Makerun.elapsed))
+       (Experiment.run_make_study ()))
 
 (* --- the policies only help on oversubscribed pools --- *)
 
@@ -384,6 +449,10 @@ let suites =
           test_fcfs_golden_fault_free;
         Alcotest.test_case "fcfs golden (faulted)" `Quick
           test_fcfs_golden_faulted;
+        Alcotest.test_case "seqrun golden (cold/warm cache)" `Quick
+          test_seqrun_golden;
+        Alcotest.test_case "fine-grained golden" `Quick test_fine_grained_golden;
+        Alcotest.test_case "make study golden" `Quick test_make_study_golden;
         Alcotest.test_case "batching beats fcfs on tiny" `Slow
           test_batching_beats_fcfs_on_tiny;
         Alcotest.test_case "no worse on large" `Slow

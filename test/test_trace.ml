@@ -150,13 +150,25 @@ let test_metrics_registry () =
     Alcotest.(check (float 0.0)) "min" 1.0 h.Metrics.h_min;
     Alcotest.(check (float 0.0)) "max" 4.0 h.Metrics.h_max
 
+(* The pool-queue depth is the peak of [Trace.counter_points] over the
+   pool-wait spans. *)
 let test_max_overlap () =
-  Alcotest.(check int) "empty" 0 (Metrics.max_overlap []);
-  Alcotest.(check int) "disjoint" 1 (Metrics.max_overlap [ (0.0, 1.0); (2.0, 3.0) ]);
+  let max_overlap intervals =
+    let tr = Trace.create () in
+    List.iter
+      (fun (t0, t1) -> Trace.span tr ~track:1 ~cat:"pool" ~name:"pool-wait" ~t0 ~t1 ())
+      intervals;
+    List.fold_left
+      (fun best (_, depth) -> max best depth)
+      0
+      (Trace.counter_points tr (fun s -> s.Trace.cat = "pool"))
+  in
+  Alcotest.(check int) "empty" 0 (max_overlap []);
+  Alcotest.(check int) "disjoint" 1 (max_overlap [ (0.0, 1.0); (2.0, 3.0) ]);
   Alcotest.(check int) "nested" 3
-    (Metrics.max_overlap [ (0.0, 10.0); (1.0, 5.0); (2.0, 3.0) ]);
+    (max_overlap [ (0.0, 10.0); (1.0, 5.0); (2.0, 3.0) ]);
   Alcotest.(check int) "touching intervals do not overlap" 1
-    (Metrics.max_overlap [ (0.0, 1.0); (1.0, 2.0) ])
+    (max_overlap [ (0.0, 1.0); (1.0, 2.0) ])
 
 let test_metrics_of_trace () =
   let tr, run = traced_run 4 in
