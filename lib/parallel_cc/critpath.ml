@@ -200,40 +200,28 @@ let of_trace ?plan ?elapsed (tr : Trace.t) : profile =
       None task_spans
     |> fun o -> Option.bind o (fun s -> List.assoc_opt "task" s.Trace.args)
   in
-  (* Plan context: function-level dependence edges projected to task
-     labels (head function of each task), for gap classification and
-     for naming the edges the path crosses.  Pass the *scheduled* plan:
-     batching merges tasks and the labels must match the dispatched
-     queues (same convention as Traceview.race_check). *)
+  (* Plan context: each task's predecessors by {!Plan.label}, for gap
+     classification and for naming the edges the path crosses.  Pass
+     the *scheduled* plan: batching merges tasks and the labels must
+     match the dispatched queues (same convention as
+     Traceview.violations). *)
   let preds_of : (string, string list) Hashtbl.t = Hashtbl.create 32 in
-  (match plan with
-  | None -> ()
-  | Some (p : Plan.t) ->
-    List.iter
-      (fun (section, tasks) ->
-        let owner = Hashtbl.create 16 in
-        List.iter
-          (fun (t : Plan.task) ->
-            match t.Plan.t_funcs with
-            | [] -> ()
-            | head :: _ ->
-              List.iter
-                (fun (fw : Driver.Compile.func_work) ->
-                  Hashtbl.replace owner fw.Driver.Compile.fw_name
-                    head.Driver.Compile.fw_name)
-                t.Plan.t_funcs)
-          tasks;
-        List.iter
-          (fun (a, b) ->
-            match (Hashtbl.find_opt owner a, Hashtbl.find_opt owner b) with
-            | Some la, Some lb when la <> lb ->
-              let prev =
-                match Hashtbl.find_opt preds_of lb with Some l -> l | None -> []
-              in
-              if not (List.mem la prev) then Hashtbl.replace preds_of lb (la :: prev)
-            | _ -> ())
-          (Plan.section_edges p section))
-      p.Plan.tasks_per_section);
+  Option.iter
+    (fun (p : Plan.t) ->
+      List.iter
+        (fun (section, tasks) ->
+          let arr = Array.of_list tasks in
+          Array.iteri
+            (fun j ds ->
+              if ds <> [] then
+                let l = Plan.label arr.(j) in
+                let prev = Option.value ~default:[] (Hashtbl.find_opt preds_of l) in
+                Hashtbl.replace preds_of l
+                  (List.sort_uniq compare
+                     (List.map (fun i -> Plan.label arr.(i)) ds @ prev)))
+            (Sched.task_deps (Plan.section_edges p section) tasks))
+        p.Plan.tasks_per_section)
+    plan;
   (* Gap context: retry instants mark backoff-window ends (the instant
      is emitted at the relaunch's own DES time); claim-span starts name
      the task whose dispatch the gap released. *)

@@ -138,7 +138,7 @@ val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> row list
     a no-op witness, each compiled with the {!Analysis.Absint}
     refinement off and on and both DAGs played under dag+lpt on a
     [pool]-station cluster (default 4).  [race_violations] counts
-    {!Traceview.race_check} violations on the pruned run; soundness of
+    {!Traceview.violations} of [Sched.All] gating on the pruned run; soundness of
     the refutations means it is always 0. *)
 
 (** {1 Speculative dispatch (dag+spec)} *)

@@ -121,16 +121,25 @@ let simulate cfg processes =
   let cluster = Config.cluster cfg in
   let noise = Config.noise cfg in
   let log = Timings.empty_log () in
-  let finish = ref 0.0 in
+  let finish = ref None in
   List.iter (Netsim.Des.spawn sim)
-    (processes sim cluster ~noise ~log ~on_finish:(fun t -> finish := t));
+    (processes sim cluster ~noise ~log ~on_finish:(fun t -> finish := Some t));
   ignore (Netsim.Des.run sim);
+  let finish =
+    match !finish with
+    | Some t -> t
+    | None ->
+      (* Every process parked: a deadlock, not a 0 s compile. *)
+      failwith
+        (Printf.sprintf "Lisp.simulate: quiet at %.3f s, nothing finished"
+           (Netsim.Des.now sim))
+  in
   let cpu = Netsim.Host.cpu_times cluster in
   Timings.tally log
     {
       Timings.zero with
-      elapsed = !finish;
+      elapsed = finish;
       cpu_per_station = cpu;
       stations_used = List.length cpu;
-      stations_lost = Netsim.Host.lost_stations cluster ~now:!finish;
+      stations_lost = Netsim.Host.lost_stations cluster ~now:finish;
     }

@@ -93,4 +93,6 @@ val simulate :
     processes in order, sharing one noise stream and one log, run to
     quiescence and {!Timings.tally} the log.  The elapsed time is the
     last [on_finish] report; the stations used are those that did any
-    work. *)
+    work.
+    @raise Failure when no process reported [on_finish] before the
+    simulation went quiet (every process parked: a deadlock). *)

@@ -28,14 +28,11 @@ type outcome = {
 }
 
 (* Supervision messages; attempt-numbered so a supervisor can ignore
-   verdicts about attempts it has already given up on.  [Msg_aborted]
-   is the commit oracle's verdict on a speculative attempt: the staged
-   output read stale state and was quarantined. *)
-type sup_msg =
-  | Msg_completed
-  | Msg_failed of int
-  | Msg_timed_out of int
-  | Msg_aborted of int
+   verdicts about attempts it has already given up on.  [Msg_lost]
+   reports a crashed or timed-out attempt; [Msg_aborted] is the commit
+   oracle's verdict on a speculative attempt: the staged output read
+   stale state and was quarantined. *)
+type sup_msg = Msg_completed | Msg_lost of int | Msg_aborted of int
 
 (* Bytes of the version-pointer flip that commits a staged artifact
    (or quarantines an aborted one) on the file server: metadata only,
@@ -146,11 +143,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                  hierarchies the paper complains about. *)
               Netsim.Des.delay sim cost.Driver.Cost.fm_fork_seconds;
               (* Per-task quantities (pure, shared by every attempt). *)
-              let head_name =
-                match task.Plan.t_funcs with
-                | fw :: _ -> Some fw.Driver.Compile.fw_name
-                | [] -> None
-              in
+              let task_label = Plan.label task in
               let task_loc = Plan.task_loc task in
               let task_tokens =
                 List.fold_left
@@ -169,9 +162,6 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 +. cost.Driver.Cost.diagnostic_bytes
                 +. Driver.Cost.task_diag_bytes task.Plan.t_funcs
               in
-              let task_label =
-                match head_name with Some name -> name | None -> "<empty>"
-              in
               let record = record ~task:task_label in
               (* Durable publication of this task's artifacts into the
                  compile cache, by the winning attempt or a speculative
@@ -183,13 +173,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 Lisp.publish cfg sim cluster ~record mw task.Plan.t_funcs
               in
               (* Supervisor state: the completion token, the attempt
-                 counter, and the commit oracle's aborts so far and
-                 whether the task's speculative edges have hardened to
-                 gated. *)
+                 counter and the commit oracle's aborts so far. *)
               let completed = ref false in
               let attempt_no = ref 0 in
               let spec_fails = ref 0 in
-              let hardened = ref false in
               (* --- one function-master attempt ---
                  [noted] collects its placements; [spent] accumulates
                  the CPU it burned (for the wasted-work account if its
@@ -201,9 +188,9 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                  the commit verdict.  The result is the speculative
                  predecessors still incomplete when the attempt claimed
                  its station: empty means the attempt wrote back
-                 durably, non-empty means the caller must run the
-                 commit protocol.  On every policy but dag+spec
-                 [spec_deps] is all-empty, so the result always is. *)
+                 durably, non-empty means it staged.  On every policy
+                 but dag+spec [spec_deps] is all-empty, so the result
+                 always is. *)
               let attempt ~attempt_n ~noted ~spent ~staged =
                 (* Task-lifecycle spans go on the executing station's
                    track, so Gantt/Chrome views show the claim →
@@ -258,10 +245,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       ~rank:(if locality then Some rank else None)
                       ~task:task_label ~attempt:attempt_n
                   in
-                  (match head_name with
-                  | Some name ->
-                    noted := (name ^ suffix, ws.Netsim.Host.ws_id) :: !noted
-                  | None -> ());
+                  noted := (task_label ^ suffix, ws.Netsim.Host.ws_id) :: !noted;
                   ws
                 in
                 let start ws =
@@ -306,15 +290,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    granted: any speculative predecessor not yet durably
                    complete makes this attempt speculative — its output
                    will be staged, not written back, and the commit
-                   oracle rules at predecessor write-back time.  A
-                   hardened task (past [Config.spec_budget]) no longer
+                   oracle rules at predecessor write-back time.  A task
+                   past [Config.spec_budget] relaunches only once every
+                   speculative predecessor is complete, so it no longer
                    speculates. *)
                 let pending =
-                  if spec_mode && not !hardened then
-                    List.filter
-                      (fun d -> not (Netsim.Sync.is_set completion.(d)))
-                      spec_deps.(ti)
-                  else []
+                  List.filter
+                    (fun d -> not (Netsim.Sync.is_set completion.(d)))
+                    spec_deps.(ti)
                 in
                 let speculative = pending <> [] in
                 if speculative then record ~attempt:attempt_n Spec_dispatch;
@@ -403,72 +386,60 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       Netsim.Des.delay sim deadline;
                       if (not !completed) && not !staged then begin
                         record Timeout;
-                        Netsim.Sync.send sup (Msg_timed_out n)
+                        Netsim.Sync.send sup (Msg_lost n)
                       end);
                 let noted = ref [] in
                 let spent = ref 0.0 in
                 let wasted () = record (Wasted !spent) in
-                (* The attempt's output became durable: claim the
-                   completion token, publish the output and its
-                   placements. *)
-                let win () =
-                  completed := true;
-                  publish ();
-                  List.iter (fun p -> record (Placement p)) !noted;
-                  Netsim.Sync.send sup Msg_completed
+                (* The version-pointer flip that commits or quarantines
+                   a staged artifact. *)
+                let flip ev =
+                  let t0 = Netsim.Des.now sim in
+                  Lisp.store sim cluster spec_meta_bytes;
+                  record ~t0 ev
                 in
                 Netsim.Des.spawn sim (fun () ->
                     match attempt ~attempt_n:n ~noted ~spent ~staged with
-                    | [] ->
-                      (* Durable write-back already happened inside the
-                         attempt. *)
-                      if !completed then
-                        (* A re-dispatch beat this straggler: its
-                           write-back is superseded, not repeated. *)
-                        wasted ()
-                      else win ()
-                    | pending -> (
-                      (* Commit protocol, off-station.  The online race
-                         check is per involved edge: a pending
-                         predecessor the attempt overlapped is a race
-                         exactly when the pair really shares state
-                         (hot); cold edges are conservative artifacts
-                         and commit without waiting. *)
-                      match
-                        List.filter (fun d -> List.mem d hot_deps.(ti)) pending
-                      with
-                      | d :: _ ->
-                        (* Conflict: rule at predecessor write-back time,
-                           then quarantine the stale staged artifact (a
-                           version-pointer flip on the file server) and
-                           surrender the attempt's CPU to the wasted
-                           account. *)
-                        Netsim.Sync.await completion.(d);
-                        if !completed then wasted ()
-                        else begin
-                          let t0 = Netsim.Des.now sim in
-                          Lisp.store sim cluster spec_meta_bytes;
-                          record ~t0 Spec_abort;
-                          wasted ();
-                          Netsim.Sync.send sup (Msg_aborted n)
-                        end
-                      | [] ->
-                        if !completed then wasted ()
-                        else begin
-                          (* Commit: claim the completion token before
-                             the pointer flip yields, so the staged
-                             artifact becomes the durable write-back
-                             exactly once. *)
-                          completed := true;
-                          let t0 = Netsim.Des.now sim in
-                          Lisp.store sim cluster spec_meta_bytes;
-                          record ~t0 Spec_commit;
-                          win ()
-                        end)
                     | exception Lisp.Lost _ ->
                       record Attempt_lost;
                       wasted ();
-                      Netsim.Sync.send sup (Msg_failed n))
+                      Netsim.Sync.send sup (Msg_lost n)
+                    | pending -> (
+                      (* The one settle point, off-station.  The online
+                         race check is per involved edge: a pending
+                         predecessor the attempt overlapped is a race
+                         exactly when the pair really shares state (hot),
+                         ruled on at that predecessor's write-back; cold
+                         edges are conservative artifacts and commit
+                         without waiting.  An attempt a re-dispatch or
+                         the fallback beat is superseded, not repeated. *)
+                      let conflict =
+                        List.find_opt (fun d -> List.mem d hot_deps.(ti)) pending
+                      in
+                      Option.iter
+                        (fun d -> Netsim.Sync.await completion.(d))
+                        conflict;
+                      if !completed then wasted ()
+                      else
+                        match conflict with
+                        | None ->
+                          (* Win: claim the completion token before the
+                             pointer flip yields, so a staged artifact
+                             becomes the durable write-back exactly once,
+                             then publish the output and its
+                             placements. *)
+                          completed := true;
+                          if pending <> [] then flip Spec_commit;
+                          publish ();
+                          List.iter (fun p -> record (Placement p)) !noted;
+                          Netsim.Sync.send sup Msg_completed
+                        | Some _ ->
+                          (* Abort: quarantine the stale staged artifact
+                             and surrender the attempt's CPU to the
+                             wasted account. *)
+                          flip Spec_abort;
+                          wasted ();
+                          Netsim.Sync.send sup (Msg_aborted n)))
               in
               let fallback () =
                 (* Budget exhausted: compile the task in the master's
@@ -491,9 +462,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 Lisp.write_back cfg sim cluster ~record mw task.Plan.t_funcs
                   output_bytes;
                 record ~attempt:(!attempt_no + 1) ~t0 Fallback;
-                match head_name with
-                | Some name -> record (Placement (name, ws_m.Netsim.Host.ws_id))
-                | None -> ()
+                record (Placement (task_label, ws_m.Netsim.Host.ws_id))
               in
               (* Dependence gating happens inside the spawned process,
                  so the section master keeps forking the rest of its
@@ -504,43 +473,40 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                   let rec await budget =
                     match Netsim.Sync.recv sup with
                     | Msg_completed -> ()
-                    | (Msg_failed n | Msg_timed_out n)
-                      when n = !attempt_no && not !completed ->
+                    | (Msg_lost n | Msg_aborted n)
+                      when n <> !attempt_no || !completed ->
+                      (* Stale attempt, or the task completed since
+                         this verdict was posted. *)
+                      await budget
+                    | Msg_lost _ ->
                       if budget > 0 then begin
                         let step = cfg.Config.retry_budget - budget in
                         Netsim.Des.delay sim (Config.backoff_delay cfg ~step);
                         (* A straggler may have finished during the
                            backoff; its Msg_completed is queued. *)
-                        if !completed then ()
-                        else begin
+                        if not !completed then begin
                           record ~attempt:(!attempt_no + 1) Retry;
                           launch ();
                           await (budget - 1)
                         end
                       end
                       else fallback ()
-                    | Msg_aborted n when n = !attempt_no && not !completed ->
+                    | Msg_aborted _ ->
                       (* Misspeculation.  The conflicting predecessor
                          just wrote back durably, so an immediate
                          relaunch cannot re-conflict on it: no backoff,
                          and the retry budget (which pays for faults,
                          not oracle verdicts) is untouched.  Past the
-                         speculation budget the task hardens: further
-                         launches gate on every erstwhile speculative
-                         edge, which is the dag+lpt discipline for this
+                         speculation budget the task awaits every
+                         speculative predecessor before relaunching,
+                         which is the dag+lpt discipline for this
                          task. *)
-                      spec_fails := !spec_fails + 1;
-                      if !spec_fails >= cfg.Config.spec_budget then begin
-                        hardened := true;
+                      incr spec_fails;
+                      if !spec_fails >= cfg.Config.spec_budget then
                         List.iter
                           (fun d -> Netsim.Sync.await completion.(d))
-                          spec_deps.(ti)
-                      end;
+                          spec_deps.(ti);
                       launch ();
-                      await budget
-                    | Msg_failed _ | Msg_timed_out _ | Msg_aborted _ ->
-                      (* Stale attempt, or the task completed since
-                         this verdict was posted. *)
                       await budget
                   in
                   await cfg.Config.retry_budget;

@@ -22,29 +22,30 @@
     claims one, so stages of different tasks pipeline through a small
     pool, at the price of a second Lisp startup and the IR shipping.
 
-    Every task runs under a supervisor in its section master:
-    crash detection, FCFS re-dispatch with exponential backoff up to
-    {!Config.t.retry_budget}, idempotent write-back (the first
-    finishing attempt wins; stragglers only add to the wasted-CPU
-    account), and — once the budget is exhausted — sequential fallback
-    in the master's own Lisp, whose station is never faulted, so the
-    compilation terminates with identical output no matter the fault
-    plan.  When {!Config.t.faults} is non-empty, each attempt
-    also gets a deadline from the cost model, enforced by a watchdog;
-    a fault-free attempt cannot be lost, so none is armed without a
-    fault plan.
+    Every task runs under a supervisor in its section master.  Each
+    attempt reports one of three verdicts: completed, lost (its station
+    crashed, or the watchdog's deadline passed — armed, from the cost
+    model, only under a non-empty {!Config.t.faults}) or aborted;
+    verdicts about an attempt the supervisor gave up on are ignored.
+    A lost attempt is re-dispatched FCFS with exponential backoff up to
+    {!Config.t.retry_budget}, then the task falls back to the master's
+    own Lisp, whose station is never faulted, so the compilation
+    terminates with identical output under any fault plan.  Write-back
+    is idempotent: every attempt ends at one settle point, where an
+    attempt beaten by another or by the fallback is superseded (its CPU
+    goes to [wasted_cpu]) and otherwise claims the completion token.
 
     Under {!Sched.Proven} gating ({!Sched.Dag_spec}) an attempt whose
     speculative predecessors are not all durably complete at claim
-    time stages its output in a versioned buffer on
-    the file server instead of writing back, and a commit protocol
-    rules on it — commit (a version-pointer flip promotes the staged
-    artifact, exactly once) when no genuinely conflicting ("hot")
-    predecessor was pending, abort (quarantine the stale version,
-    charge the attempt's CPU to [wasted_cpu], re-dispatch) at the first
-    hot predecessor's write-back.  After {!Config.t.spec_budget} aborts
-    a task hardens: further launches gate on every speculative edge,
-    dag+lpt style.
+    time stages its output in a versioned buffer on the file server.
+    The settle point first awaits the first genuinely conflicting
+    ("hot") predecessor still pending at claim time, if any, then
+    aborts (quarantines the stale version, charges the attempt's CPU,
+    relaunches at once without touching the retry budget) — or, with
+    no hot predecessor, commits (a version-pointer flip promotes the
+    staged artifact, exactly once).  After {!Config.t.spec_budget}
+    aborts the supervisor awaits every speculative predecessor before
+    relaunching, so the task no longer speculates (dag+lpt style).
 
     Every counted event is appended to a run {!Timings.log} by the
     same call that emits its trace instant or span, and
@@ -57,7 +58,8 @@ type outcome = {
           phase-3 placements appear as ["name#p3"] *)
   scheduled : Plan.t;
       (** the plan the master dispatched: {!schedule} of the input
-          plan, whose task labels the trace spans carry *)
+          plan, whose task labels ({!Plan.label}) the trace spans
+          carry *)
 }
 
 val schedule : Config.t -> Plan.t -> Plan.t

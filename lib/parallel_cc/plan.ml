@@ -16,11 +16,14 @@ type task = {
   t_funcs : Driver.Compile.func_work list; (* compiled together, in order *)
 }
 
+(* A task is named by its head function: both constructors and
+   [Sched.schedule] build only non-empty tasks. *)
+let label (t : task) = (List.hd t.t_funcs).Driver.Compile.fw_name
+
 type edge_class = Proven | Hot | Cold
 
 type t = {
   tasks_per_section : (string * task list) list;
-  estimate_used : bool;
   edges : (string * (string * string * edge_class) list) list;
   (* per section: the analyzer's function-level dependence edges,
      (compile-first, compile-second, class) by name, in analysis
@@ -76,7 +79,6 @@ let one_per_station (mw : Driver.Compile.module_work) : t =
               (fun fw -> { t_section = sw.Driver.Compile.sw_name; t_funcs = [ fw ] })
               sw.Driver.Compile.sw_funcs ))
         mw.Driver.Compile.mw_sections;
-    estimate_used = false;
     edges = edges_of mw.Driver.Compile.mw_analysis;
   }
 
@@ -151,7 +153,6 @@ let grouped (mw : Driver.Compile.module_work) ~processors : t =
         (fun (sw : Driver.Compile.section_work) bins ->
           (sw.Driver.Compile.sw_name, pack_section sw ~bins))
         sections bins_per_section;
-    estimate_used = true;
     edges = edges_of mw.Driver.Compile.mw_analysis;
   }
 

@@ -13,6 +13,11 @@ type task = {
   t_funcs : Driver.Compile.func_work list; (** compiled together, in order *)
 }
 
+val label : task -> string
+(** The task's identity: its head function's name.  Every task the
+    plan constructors and {!Sched.schedule} build is non-empty; trace
+    spans, placements and the trace oracles name a task by this. *)
+
 type edge_class =
   | Proven
       (** a structural edge ({!Analysis.Depan.Proven}): every DAG-aware
@@ -29,7 +34,6 @@ type edge_class =
 
 type t = {
   tasks_per_section : (string * task list) list;
-  estimate_used : bool;
   edges : (string * (string * string * edge_class) list) list;
       (** per section: the phase-1 analyzer's function-level dependence
           edges by name — compile the first before the second — each

@@ -236,7 +236,9 @@ let topo_fcfs (deps : int list array) (tasks : Plan.task list) :
    - without LPT, dispatch in stable topological order; with it, batch
      tiny tasks (threshold [neg_infinity] when the policy does not
      batch) and LPT-order them within each antichain level, then put
-     each unit's functions in dependence order.
+     each unit's functions in dependence order;
+   - under [Proven], merge the task cycles batching closed over the
+     non-cold edges.
    An ungated section is one level with no edges, so LPT and batching
    act on the whole queue. *)
 let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
@@ -261,16 +263,26 @@ let schedule ?(static = false) ~policy ~(cost : Driver.Cost.model) ~threshold
       if not lpt then topo_fcfs deps tasks
       else
         let arr = Array.of_list tasks in
-        Analysis.Digraph.levels deps
-        |> List.concat_map (fun level ->
-               let level_tasks = List.map (Array.get arr) level in
-               order_lpt costf
-                 (batch_tiny costf ~threshold ~max_bins level_tasks)
-               |> List.map (fun (t : Plan.task) ->
-                      {
-                        t with
-                        Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs;
-                      }))
+        let batched =
+          Analysis.Digraph.levels deps
+          |> List.concat_map (fun level ->
+                 let level_tasks = List.map (Array.get arr) level in
+                 order_lpt costf
+                   (batch_tiny costf ~threshold ~max_bins level_tasks)
+                 |> List.map (fun (t : Plan.task) ->
+                        {
+                          t with
+                          Plan.t_funcs = order_funcs_by_deps edges t.Plan.t_funcs;
+                        }))
+        in
+        (* Under [Proven] a level is an antichain of the proven edges
+           only, so batching can close a task cycle over the others;
+           staged attempts would await each other round a cycle of
+           non-cold edges, so merge those again. *)
+        let waits c = gating = Proven && c <> Plan.Cold in
+        merge_task_cycles edges
+          (task_deps (Plan.section_edges ~keep:waits plan section) batched)
+          batched
     in
     {
       plan with

@@ -41,7 +41,9 @@ type policy =
       (** [Dag_lpt] with optimistic dispatch past
           {!Analysis.Depan.Speculative} edges: levelling uses only the
           proven edges (task cycles are still merged over the full
-          set), so speculative successors dispatch immediately and
+          set, and after batching over the non-cold ones, so no two
+          staged attempts await each other), so speculative successors
+          dispatch immediately and
           {!Parrun} runs them under a staged write-back/commit/abort
           protocol bounded by {!Config.t.spec_budget} (at least 1).
           Worst case — every speculation aborts — degrades to [Dag_lpt]

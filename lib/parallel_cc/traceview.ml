@@ -16,7 +16,7 @@ type ordering_violation = {
   ov_before : string;
   ov_after : string;
   ov_finish : float; (* earliest durable write-back of [ov_before] *)
-  ov_start : float; (* first claim of [ov_after] *)
+  ov_start : float; (* first, or winning, claim of [ov_after] *)
 }
 
 let violation_to_string (v : ordering_violation) =
@@ -25,25 +25,18 @@ let violation_to_string (v : ordering_violation) =
      wrote back at %.6f"
     v.ov_section v.ov_after v.ov_start v.ov_before v.ov_finish
 
-(* Span args identify tasks by head-function label only, so a label
-   reused across sections cannot be attributed; skip such edges rather
-   than report phantom races. *)
-let label_of (t : Plan.task) =
-  match t.Plan.t_funcs with
-  | fw :: _ -> Some fw.Driver.Compile.fw_name
-  | [] -> None
-
+(* Span args identify tasks by {!Plan.label} only, so a label reused
+   across sections cannot be attributed; skip such edges rather than
+   report phantom races. *)
 let unambiguous_labels (plan : Plan.t) =
   let owners = Hashtbl.create 32 in
   List.iter
     (fun (_, tasks) ->
       List.iter
         (fun t ->
-          match label_of t with
-          | Some l ->
-            Hashtbl.replace owners l
-              (1 + Option.value ~default:0 (Hashtbl.find_opt owners l))
-          | None -> ())
+          let l = Plan.label t in
+          Hashtbl.replace owners l
+            (1 + Option.value ~default:0 (Hashtbl.find_opt owners l)))
         tasks)
     plan.Plan.tasks_per_section;
   fun l -> Hashtbl.find_opt owners l = Some 1
@@ -111,13 +104,9 @@ let edge_violations (m : marks) ~(plan : Plan.t) ~keep ~start_of :
         (fun j ds ->
           List.iter
             (fun i ->
-              match (label_of arr.(i), label_of arr.(j)) with
-              | Some before, Some after
-                when unambiguous before && unambiguous after -> (
-                match
-                  ( Hashtbl.find_opt m.m_durable before,
-                    start_of m after )
-                with
+              let before = Plan.label arr.(i) and after = Plan.label arr.(j) in
+              if unambiguous before && unambiguous after then
+                match (Hashtbl.find_opt m.m_durable before, start_of m after) with
                 | Some (finish, _), Some start when start < finish ->
                   violations :=
                     {
@@ -129,7 +118,6 @@ let edge_violations (m : marks) ~(plan : Plan.t) ~keep ~start_of :
                     }
                     :: !violations
                 | _ -> ())
-              | _ -> ())
             ds)
         deps)
     plan.Plan.tasks_per_section;
@@ -147,30 +135,26 @@ let winning_claim (m : marks) label =
   | None -> None
   | Some (_, attempt) -> Hashtbl.find_opt m.m_claim_of_attempt (label, attempt)
 
-let race_check (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
-  edge_violations (collect_marks tr) ~plan ~keep:(fun _ -> true)
-    ~start_of:first_claim
-
-(* The dag+spec promise is weaker than the gated one, and different per
-   edge class:
-   - proven edges are still gated: no attempt of the successor may
+(* The oracle matching what a policy's gating promises:
+   - ungated policies promise no order;
+   - under [All] every edge is gated: no attempt of the successor may
      claim before the predecessor's durable publication;
-   - hot speculative edges (pairs the uncapped effect summaries show
-     really conflict) may be overlapped by attempts that lose, but the
-     WINNING attempt — the one whose output readers see — must have
-     claimed after the predecessor published;
-   - cold speculative edges (conservative analysis artifacts between
-     pairs that share no state) are unconstrained. *)
-let race_check_spec (tr : Trace.t) ~(plan : Plan.t) : ordering_violation list =
-  let m = collect_marks tr in
-  edge_violations m ~plan ~keep:(( = ) Plan.Proven) ~start_of:first_claim
-  @ edge_violations m ~plan ~keep:(( = ) Plan.Hot) ~start_of:winning_claim
-
-(* The oracle matching what a policy's gating promises; ungated
-   policies promise no order. *)
+   - the dag+spec promise ([Proven]) is weaker, and different per edge
+     class.  Proven edges are still gated.  Hot speculative edges
+     (pairs the uncapped effect summaries show really conflict) may be
+     overlapped by attempts that lose, but the WINNING attempt — the
+     one whose output readers see — must have claimed after the
+     predecessor published.  Cold speculative edges (conservative
+     analysis artifacts between pairs that share no state) are
+     unconstrained. *)
 let violations (gating : Sched.gating) (tr : Trace.t) ~(plan : Plan.t) :
     ordering_violation list =
   match gating with
   | Sched.Ungated -> []
-  | Sched.All -> race_check tr ~plan
-  | Sched.Proven -> race_check_spec tr ~plan
+  | Sched.All ->
+    edge_violations (collect_marks tr) ~plan ~keep:(fun _ -> true)
+      ~start_of:first_claim
+  | Sched.Proven ->
+    let m = collect_marks tr in
+    edge_violations m ~plan ~keep:(( = ) Plan.Proven) ~start_of:first_claim
+    @ edge_violations m ~plan ~keep:(( = ) Plan.Hot) ~start_of:winning_claim

@@ -18,20 +18,7 @@ let chaos_seed () =
     match int_of_string_opt s with Some n when n <> 0 -> n | _ -> 7)
   | None -> 7
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let example name =
-  (* [dune runtest] runs in _build/default/test (examples are a sibling
-     via the dune deps); [dune exec] runs from the project root. *)
-  let dir =
-    List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
-  in
-  Driver.Compile.compile_source ~file:name
-    (read_file (Filename.concat dir name))
+let example = Tutil.example
 
 (* Pool of [pool] stations + the master's; mirrors the warpcc simulate
    derivation so `warpcc profile` reproduces the same traces. *)

@@ -15,7 +15,7 @@ open Parallel_cc
 (* --- the classified list projects onto the old lists --- *)
 
 let where keep (plan_edges : (string * (string * string * Plan.edge_class) list) list) =
-  let plan = { Plan.tasks_per_section = []; estimate_used = false; edges = plan_edges } in
+  let plan = { Plan.tasks_per_section = []; edges = plan_edges } in
   List.map (fun (s, _) -> (s, Plan.section_edges ~keep plan s)) plan_edges
 
 let all _ = true

@@ -245,6 +245,55 @@ let test_crash_retries_on_live_station () =
   Alcotest.(check int) "one station lost" 1 r.Timings.stations_lost;
   Alcotest.(check int) "no fallback needed" 0 r.Timings.fallback_tasks
 
+(* --- total pool loss: a golden recorded with [%.17g] ---
+
+   matvec one function master per station under the `warpcc simulate
+   --fault-seed 9 --fault-rate 1.0 --retries 1` derivation: every pool
+   station is lost, attempts time out (some verdicts arrive for
+   attempts already superseded), three tasks fall back to the master
+   and parked stragglers run past the end.  Pinned before the
+   supervisor's settle logic was folded into one place. *)
+
+let test_total_pool_loss_golden () =
+  let mw = Tutil.example "matvec.w2" in
+  let plan, n_fm = Plan.for_processors mw in
+  let cfg =
+    {
+      Config.default with
+      Config.stations = n_fm + 1;
+      noise_seed = 1 + (17 * n_fm);
+      retry_budget = 1;
+    }
+  in
+  let free = (Parrun.run cfg mw plan).Parrun.run in
+  let faults =
+    Netsim.Fault.random ~seed:9 ~stations:(n_fm + 1) ~rate:1.0
+      ~horizon:(free.Timings.elapsed *. 1.5) ()
+  in
+  let tr = Trace.create () in
+  let o = Parrun.run { cfg with Config.faults; trace = tr } mw plan in
+  let r = o.Parrun.run in
+  Alcotest.(check (float 0.0)) "elapsed" 1175.1298646610705 r.Timings.elapsed;
+  Alcotest.(check (float 0.0)) "wasted cpu" 184.53511815474826 r.Timings.wasted_cpu;
+  Alcotest.(check (list int)) "retries/lost/fallbacks" [ 3; 4; 3 ]
+    [ r.Timings.retries; r.Timings.stations_lost; r.Timings.fallback_tasks ];
+  Alcotest.(check (list (pair string int)))
+    "placements"
+    [ ("init", 0); ("main", 0); ("reduce", 3); ("wrap", 0) ]
+    o.Parrun.station_of_task;
+  let count name =
+    List.length
+      (List.filter
+         (fun (i : Trace.instant) -> i.Trace.i_cat = "task" && i.Trace.i_name = name)
+         (Trace.instants tr))
+  in
+  Alcotest.(check (list (pair string int)))
+    "supervision instants"
+    [ ("timeout", 6); ("attempt-lost", 1); ("retry", 3); ("wasted", 6) ]
+    (List.map
+       (fun n -> (n, count n))
+       [ "timeout"; "attempt-lost"; "retry"; "wasted" ])
+
 (* --- monotone inflation --- *)
 
 let test_inflation_monotone_in_rate () =
@@ -316,5 +365,7 @@ let suites =
         Alcotest.test_case "inflation monotone" `Slow
           test_inflation_monotone_in_rate;
         Alcotest.test_case "random chaos" `Slow test_random_chaos;
+        Alcotest.test_case "total pool loss golden" `Quick
+          test_total_pool_loss_golden;
       ] );
   ]

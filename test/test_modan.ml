@@ -605,7 +605,7 @@ let test_project_schedule_race_free () =
   let { Parrun.run = r; scheduled; _ } = Parrun.run cfg mw plan in
   Alcotest.(check bool) "made progress" true (r.Timings.elapsed > 0.0);
   Alcotest.(check int) "race oracle clean" 0
-    (List.length (Traceview.race_check tr ~plan:scheduled))
+    (List.length (Traceview.violations Sched.All tr ~plan:scheduled))
 
 (* --- outputs --- *)
 

@@ -241,6 +241,18 @@ let test_ablation_ideal_network () =
     (Printf.sprintf "ideal %.0fs < real %.0fs" ideal baseline)
     true (ideal < baseline)
 
+(* A run that never finishes must not pass for a 0 s compile: a
+   process parked on an event nobody sets leaves the simulation quiet
+   without an [on_finish] report. *)
+let test_unfinished_run_raises () =
+  let never = Netsim.Sync.event () in
+  match
+    Lisp.simulate Config.default (fun _ _ ~noise:_ ~log:_ ~on_finish:_ ->
+        [ (fun () -> Netsim.Sync.await never) ])
+  with
+  | (r, _) -> Alcotest.failf "reported elapsed %.3f s" r.Timings.elapsed
+  | exception Failure _ -> ()
+
 let suites =
   [
     ( "parallel.plan",
@@ -256,6 +268,7 @@ let suites =
         Alcotest.test_case "stations used" `Quick test_parrun_uses_stations;
         Alcotest.test_case "pool limits concurrency" `Quick test_parrun_pool_limits_concurrency;
         Alcotest.test_case "overhead decomposition" `Quick test_overhead_decomposition_consistent;
+        Alcotest.test_case "unfinished run raises" `Quick test_unfinished_run_raises;
       ] );
     ( "parallel.phenomena",
       [

@@ -224,6 +224,84 @@ let test_racy_artifact_schedule_independent () =
         (sa.Driver.Compile.sw_image = sb.Driver.Compile.sw_image))
     a.Driver.Compile.mw_sections b.Driver.Compile.mw_sections
 
+(* --- supervision goldens ---
+
+   Recorded with [%.17g] before the commit/abort protocol settled in
+   one place.  The racy module on a pool of 3: at speculation budget 1
+   every task hardens after its first abort (it then awaits every
+   speculative predecessor before relaunching), at budget 2 one task
+   aborts twice.  Elapsed, wasted CPU, the speculation counters and
+   the placements must not move. *)
+
+let golden_racy_budget =
+  [
+    ( 1,
+      ( 192.96592356277543,
+        91.101083492876853,
+        (2, 0, 2),
+        [ ("scatter_0", 1); ("scatter_1", 1); ("scatter_2", 2) ] ) );
+    ( 2,
+      ( 196.40874414967149,
+        137.2449349991027,
+        (3, 0, 3),
+        [ ("scatter_0", 1); ("scatter_1", 1); ("scatter_2", 3) ] ) );
+  ]
+
+let test_supervision_golden () =
+  let mw = racy () in
+  List.iter
+    (fun (budget, (elapsed, wasted, (dispatched, committed, rolled), placed)) ->
+      let what = Printf.sprintf "budget %d" budget in
+      let o =
+        Parrun.run
+          { (spec_cfg ~budget ()) with Config.trace = Trace.create () }
+          mw (Plan.one_per_station mw)
+      in
+      let r = o.Parrun.run in
+      Alcotest.(check (float 0.0)) (what ^ " elapsed") elapsed r.Timings.elapsed;
+      Alcotest.(check (float 0.0)) (what ^ " wasted cpu") wasted r.Timings.wasted_cpu;
+      Alcotest.(check (list int))
+        (what ^ " dispatched/committed/rolled back")
+        [ dispatched; committed; rolled ]
+        [ r.Timings.spec_dispatched; r.Timings.spec_committed;
+          r.Timings.spec_rolled_back ];
+      Alcotest.(check (list (pair string int)))
+        (what ^ " placements") placed o.Parrun.station_of_task)
+    golden_racy_budget
+
+(* Batching under dag+spec levels by the proven edges only, so it can
+   merge two tasks that a third couples to over hot edges in both
+   directions; the two staged attempts would then await each other.
+   Every width of the racy module must finish on every pool size, with
+   the speculation-aware race oracle (armed on the fresh trace) clean
+   and every unit written back exactly once. *)
+let test_racy_pools_finish () =
+  List.iter
+    (fun scatters ->
+      let mw =
+        Experiment.spec_program_work ~absint:true
+          ~name:(Printf.sprintf "racy%d" scatters) (fun () ->
+            W2.Gen.racy_program ~scatters ())
+      in
+      List.iter
+        (fun pool ->
+          let label = Printf.sprintf "racy%d pool %d" scatters pool in
+          let o =
+            Parrun.run
+              { (spec_cfg ~stations:(pool + 1) ()) with Config.trace = Trace.create () }
+              mw (Plan.one_per_station mw)
+          in
+          Alcotest.(check bool)
+            (label ^ ": finishes")
+            true
+            (o.Parrun.run.Timings.elapsed > 0.0);
+          Alcotest.(check (list string))
+            (label ^ ": every unit written back exactly once")
+            (spec_scheduled_heads ~stations:(pool + 1) mw)
+            (completed_heads o))
+        [ 2; 3; 4; 5; 6 ])
+    [ 3; 4; 5; 6 ]
+
 (* --- degradation: a dag+spec run must be allowed to speculate --- *)
 
 let test_budget_zero_rejected () =
@@ -385,6 +463,10 @@ let suites =
           test_budget_zero_rejected;
         Alcotest.test_case "non-spec policies keep zero counters" `Quick
           test_nonspec_policies_keep_zero_counters;
+        Alcotest.test_case "supervision golden (spec budget 1/2)" `Quick
+          test_supervision_golden;
+        Alcotest.test_case "racy finishes on every pool" `Quick
+          test_racy_pools_finish;
       ] );
     ( "spec.chaos",
       [ Alcotest.test_case "chaos matrix (dag+spec)" `Slow test_chaos_matrix_spec ] );

@@ -31,16 +31,21 @@ let value_testable : W2.Interp.value Alcotest.testable =
     (fun fmt v -> Format.pp_print_string fmt (W2.Interp.value_to_string v))
     eq
 
-(* The shipped examples as (file name, source), sorted by name.  [dune
-   runtest] runs in _build/default/test (examples are a sibling via the
-   dune deps); [dune exec] runs from the project root. *)
+(* [dune runtest] runs in _build/default/test (examples are a sibling
+   via the dune deps); [dune exec] runs from the project root. *)
+let examples_dir () =
+  List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
+
+let read_example f =
+  In_channel.with_open_bin (Filename.concat (examples_dir ()) f) In_channel.input_all
+
+(* The shipped examples as (file name, source), sorted by name. *)
 let examples =
   lazy
-    (let dir =
-       List.find Sys.file_exists [ Filename.concat ".." "examples"; "examples" ]
-     in
-     Sys.readdir dir |> Array.to_list
+    (Sys.readdir (examples_dir ()) |> Array.to_list
      |> List.filter (fun f -> Filename.check_suffix f ".w2")
      |> List.sort compare
-     |> List.map (fun f ->
-            (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)))
+     |> List.map (fun f -> (f, read_example f)))
+
+(* A shipped example compiled under its file name. *)
+let example name = Driver.Compile.compile_source ~file:name (read_example name)
