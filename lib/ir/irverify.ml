@@ -21,7 +21,12 @@
      are within the declared bounds;
    - within a section, calls resolve to a section function with
      matching arity, matching argument classes, and result/return
-     agreement. *)
+     agreement.
+
+   Valid IR is the common case, so a message and its context (the
+   rendered instruction) are built only when a violation is recorded;
+   the def-before-use dataflow runs on word bitsets, as [Liveness]
+   does. *)
 
 type violation = {
   vi_func : string;
@@ -73,9 +78,11 @@ let check_func ?pass (f : Ir.func) : violation list =
   end
   else begin
     let reg_ok r = r >= 0 && r < nregs in
+    (* [ctx ()] renders the context of a message: it runs only when a
+       violation is recorded. *)
     let check_reg bi ~ctx r =
       if not (reg_ok r) then
-        out bi (Printf.sprintf "%s: register r%d outside reg_ty (%d registers)" ctx r nregs)
+        out bi (Printf.sprintf "%s: register r%d outside reg_ty (%d registers)" (ctx ()) r nregs)
     in
     (* Class of an operand, when it is checkable: immediates fix their
        own class; an out-of-range register has none. *)
@@ -89,7 +96,7 @@ let check_func ?pass (f : Ir.func) : violation list =
       match operand_cls op with
       | Some k when k <> want ->
         out bi
-          (Printf.sprintf "%s: operand %s has class %s but %s was expected" ctx
+          (Printf.sprintf "%s: operand %s has class %s but %s was expected" (ctx ())
              (Ir.operand_to_string op) (cls_to_string k) (cls_to_string want))
       | Some _ | None -> ()
     in
@@ -97,12 +104,13 @@ let check_func ?pass (f : Ir.func) : violation list =
       check_reg bi ~ctx d;
       if reg_ok d && cls_of f.Ir.reg_ty.(d) <> want then
         out bi
-          (Printf.sprintf "%s: destination r%d has class %s but the result is %s" ctx
+          (Printf.sprintf "%s: destination r%d has class %s but the result is %s" (ctx ())
              d (cls_to_string (cls_of f.Ir.reg_ty.(d))) (cls_to_string want))
     in
     let array_decl name = List.find_opt (fun (a, _, _) -> a = name) f.Ir.arrays in
     let check_instr bi instr =
-      let ctx = Ir.instr_to_string instr in
+      let ctx () = Ir.instr_to_string instr in
+      let ctx_part part () = ctx () ^ part in
       match instr with
       | Ir.Bin (op, d, a, b) ->
         let want_in, want_out = binop_sig op in
@@ -119,13 +127,13 @@ let check_func ?pass (f : Ir.func) : violation list =
         | Some k, true ->
           if cls_of f.Ir.reg_ty.(d) <> k then
             out bi
-              (Printf.sprintf "%s: moving a %s value into %s register r%d" ctx
+              (Printf.sprintf "%s: moving a %s value into %s register r%d" (ctx ())
                  (cls_to_string k)
                  (cls_to_string (cls_of f.Ir.reg_ty.(d)))
                  d)
         | _ -> ())
       | Ir.Sel (d, c, a, b) ->
-        check_operand bi ~ctx:(ctx ^ " condition") ~want:KInt c;
+        check_operand bi ~ctx:(ctx_part " condition") ~want:KInt c;
         check_reg bi ~ctx d;
         if reg_ok d then begin
           let want = cls_of f.Ir.reg_ty.(d) in
@@ -135,11 +143,11 @@ let check_func ?pass (f : Ir.func) : violation list =
       | Ir.Load (d, name, index) -> (
         check_reg bi ~ctx d;
         (match array_decl name with
-        | None -> out bi (Printf.sprintf "%s: undeclared array '%s'" ctx name)
+        | None -> out bi (Printf.sprintf "%s: undeclared array '%s'" (ctx ()) name)
         | Some (_, size, elt) ->
           (if reg_ok d && cls_of f.Ir.reg_ty.(d) <> cls_of elt then
              out bi
-               (Printf.sprintf "%s: loading %s element into %s register r%d" ctx
+               (Printf.sprintf "%s: loading %s element into %s register r%d" (ctx ())
                   (cls_to_string (cls_of elt))
                   (cls_to_string (cls_of f.Ir.reg_ty.(d)))
                   d));
@@ -147,21 +155,21 @@ let check_func ?pass (f : Ir.func) : violation list =
           | Ir.Imm_int n when n < 0 || n >= size ->
             out bi
               (Printf.sprintf "%s: constant index %d out of bounds for '%s' (size %d)"
-                 ctx n name size)
+                 (ctx ()) n name size)
           | _ -> ());
-        check_operand bi ~ctx:(ctx ^ " index") ~want:KInt index)
+        check_operand bi ~ctx:(ctx_part " index") ~want:KInt index)
       | Ir.Store (name, index, v) -> (
         (match array_decl name with
-        | None -> out bi (Printf.sprintf "%s: undeclared array '%s'" ctx name)
+        | None -> out bi (Printf.sprintf "%s: undeclared array '%s'" (ctx ()) name)
         | Some (_, size, elt) ->
           check_operand bi ~ctx ~want:(cls_of elt) v;
           (match index with
           | Ir.Imm_int n when n < 0 || n >= size ->
             out bi
               (Printf.sprintf "%s: constant index %d out of bounds for '%s' (size %d)"
-                 ctx n name size)
+                 (ctx ()) n name size)
           | _ -> ()));
-        check_operand bi ~ctx:(ctx ^ " index") ~want:KInt index)
+        check_operand bi ~ctx:(ctx_part " index") ~want:KInt index)
       | Ir.Call (d, _, args) ->
         (* Signature agreement is a section-level check; here only the
            register indices can be validated. *)
@@ -183,13 +191,13 @@ let check_func ?pass (f : Ir.func) : violation list =
         match b.Ir.term with
         | Ir.Jump l -> check_target l
         | Ir.Branch (c, t, e) ->
-          check_operand bi ~ctx:"branch condition" ~want:KInt c;
+          check_operand bi ~ctx:(fun () -> "branch condition") ~want:KInt c;
           check_target t;
           check_target e
         | Ir.Ret None ->
           ()
         | Ir.Ret (Some v) -> (
-          (match v with Ir.Reg r -> check_reg bi ~ctx:"ret" r | _ -> ());
+          (match v with Ir.Reg r -> check_reg bi ~ctx:(fun () -> "ret") r | _ -> ());
           match (f.Ir.ret_ty, operand_cls v) with
           | Some ty, Some k when cls_of ty <> k ->
             out bi
@@ -225,46 +233,46 @@ let check_func ?pass (f : Ir.func) : violation list =
         | _ -> Ir.def_of instr
       in
       let reachable = Cfg.reachable f in
-      let param_regs = List.map (fun (_, _, r) -> r) f.Ir.params in
-      let top () =
-        let m = Array.make nregs true in
-        List.iter (fun r -> m.(r) <- false) param_regs;
-        m
+      (* Per block, the registers it initializes. *)
+      let kill =
+        Array.map
+          (fun (b : Ir.block) ->
+            let k = Liveness.create nregs in
+            List.iter
+              (fun instr ->
+                match uninit_def instr with
+                | Some d when reg_ok d -> Liveness.add k d
+                | Some _ | None -> ())
+              b.Ir.instrs;
+            k)
+          f.Ir.blocks
       in
       (* IN[entry] = all non-params maybe-uninit; IN[b] = union of OUT
-         of reachable predecessors (start from the empty set). *)
-      let in_sets =
-        Array.init nblocks (fun i ->
-            if i = Ir.entry_block then top () else Array.make nregs false)
-      in
-      let transfer src =
-        let m = Array.copy src in
-        fun (b : Ir.block) ->
-          List.iter
-            (fun instr ->
-              match uninit_def instr with
-              | Some d when reg_ok d -> m.(d) <- false
-              | Some _ | None -> ())
-            b.Ir.instrs;
-          m
-      in
+         of reachable predecessors (start from the empty set), where
+         OUT = IN − kill. *)
+      let in_sets = Array.init nblocks (fun _ -> Liveness.create nregs) in
+      let entry = in_sets.(Ir.entry_block) in
+      for r = 0 to nregs - 1 do
+        Liveness.add entry r
+      done;
+      List.iter (fun (_, _, r) -> Liveness.remove entry r) f.Ir.params;
       let changed = ref true in
       while !changed do
         changed := false;
         Array.iteri
           (fun i (b : Ir.block) ->
             if reachable.(i) then begin
-              let out_set = (transfer in_sets.(i)) b in
+              let inn = in_sets.(i) and kill = kill.(i) in
               List.iter
                 (fun s ->
                   let dst = in_sets.(s) in
-                  Array.iteri
-                    (fun r v ->
-                      if v && not dst.(r) then begin
-                        dst.(r) <- true;
-                        changed := true
-                      end)
-                    out_set)
+                  for w = 0 to Array.length dst - 1 do
+                    let x = dst.(w) lor (inn.(w) land lnot kill.(w)) in
+                    if x <> dst.(w) then begin
+                      dst.(w) <- x;
+                      changed := true
+                    end
+                  done)
                 (Ir.successors b.Ir.term)
             end)
           f.Ir.blocks
@@ -274,19 +282,19 @@ let check_func ?pass (f : Ir.func) : violation list =
           if reachable.(bi) then begin
             let m = Array.copy in_sets.(bi) in
             let use ctx r =
-              if reg_ok r && m.(r) then
+              if reg_ok r && Liveness.mem m r then
                 out bi
                   (Printf.sprintf "%s: use of possibly-uninitialized register r%d"
-                     ctx r)
+                     (ctx ()) r)
             in
             List.iter
               (fun instr ->
-                List.iter (use (Ir.instr_to_string instr)) (uninit_uses instr);
+                List.iter (use (fun () -> Ir.instr_to_string instr)) (uninit_uses instr);
                 match uninit_def instr with
-                | Some d when reg_ok d -> m.(d) <- false
+                | Some d when reg_ok d -> Liveness.remove m d
                 | Some _ | None -> ())
               b.Ir.instrs;
-            List.iter (use (Ir.term_to_string b.Ir.term)) (Ir.term_uses b.Ir.term)
+            List.iter (use (fun () -> Ir.term_to_string b.Ir.term)) (Ir.term_uses b.Ir.term)
           end)
         f.Ir.blocks
     end;
@@ -323,16 +331,16 @@ let check_calls (sec : Ir.section) : violation list =
             (fun instr ->
               match instr with
               | Ir.Call (dst, callee, args) -> (
-                let ctx = Ir.instr_to_string instr in
+                let ctx () = Ir.instr_to_string instr in
                 match Hashtbl.find_opt sigs callee with
                 | None ->
                   out bi
                     (Printf.sprintf "%s: call to '%s', which is not a function of section '%s'"
-                       ctx callee sec.Ir.sec_name)
+                       (ctx ()) callee sec.Ir.sec_name)
                 | Some (param_tys, ret_ty) ->
                   if List.length param_tys <> List.length args then
                     out bi
-                      (Printf.sprintf "%s: '%s' takes %d argument(s) but %d given" ctx
+                      (Printf.sprintf "%s: '%s' takes %d argument(s) but %d given" (ctx ())
                          callee (List.length param_tys) (List.length args))
                   else
                     List.iteri
@@ -342,7 +350,7 @@ let check_calls (sec : Ir.section) : violation list =
                           out bi
                             (Printf.sprintf
                                "%s: argument %d of '%s' has class %s but %s was expected"
-                               ctx (i + 1) callee (cls_to_string k)
+                               (ctx ()) (i + 1) callee (cls_to_string k)
                                (cls_to_string (cls_of pty)))
                         | Some _ | None -> ())
                       (List.combine param_tys args);
@@ -350,13 +358,14 @@ let check_calls (sec : Ir.section) : violation list =
                   | Some _, None ->
                     out bi
                       (Printf.sprintf "%s: '%s' returns no value but the result is used"
-                         ctx callee)
+                         (ctx ()) callee)
                   | Some d, Some rty
                     when d >= 0 && d < Ir.num_regs f
                          && cls_of f.Ir.reg_ty.(d) <> cls_of rty ->
                     out bi
                       (Printf.sprintf
-                         "%s: result register r%d has class %s but '%s' returns %s" ctx
+                         "%s: result register r%d has class %s but '%s' returns %s"
+                         (ctx ())
                          d
                          (cls_to_string (cls_of f.Ir.reg_ty.(d)))
                          callee

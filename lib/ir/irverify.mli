@@ -10,7 +10,8 @@
     [Sel]/[Icmp]/[Branch] condition typing), def-before-use via a
     forward may-be-uninitialized dataflow, declared arrays with
     constant indices in bounds, and — per section — call
-    arity/argument/result agreement. *)
+    arity/argument/result agreement.  A message, and the rendered
+    instruction it names, is built only when a violation is recorded. *)
 
 type violation = {
   vi_func : string;

@@ -10,8 +10,12 @@
 
 type set = int array
 
+val create : int -> set
+(** The empty set over [n] registers. *)
+
 val mem : set -> int -> bool
 val add : set -> int -> unit
+val remove : set -> int -> unit
 
 val iter : (int -> unit) -> set -> unit
 (** In increasing register order. *)

@@ -2,7 +2,8 @@
    produce and that the parallel host carries around.
 
    Phase 1 (the master) emits lint warnings alongside the semantic
-   checker; phases 2/3 (the function masters) emit IR-verifier findings.
+   checker.  IR-verifier findings are not diagnostics: they surface as
+   [verify-ir:] lines or as compile-error text.
    Each diagnostic records which function it belongs to so that a
    section master can merge per-function diagnostics back into file
    order when it "combines results and diagnostics" — the byte size of
@@ -12,7 +13,7 @@
 type severity = Note | Warning | Error
 
 type t = {
-  d_code : string; (* stable short code, e.g. "W003" or "V101" *)
+  d_code : string; (* stable short code, e.g. "W003" or "W010" *)
   d_severity : severity;
   d_loc : Loc.t;
   d_func : string option; (* originating function, if any *)

@@ -1,6 +1,8 @@
-(** Shared diagnostics: structured findings produced by the static
-    checks (the {!Lint} source linter in phase 1, the midend IR
-    verifier in phase 2) and carried through the compilation hierarchy.
+(** Shared diagnostics: structured findings produced by the {!Lint}
+    source linter (phase 1, with the cross-module W010–W012) and carried
+    through the compilation hierarchy.  IR-verifier findings are not
+    diagnostics: they surface as [verify-ir:] lines or as compile-error
+    text.
 
     Each diagnostic records the function it belongs to so a section
     master can merge per-function diagnostics back into file order when
@@ -10,7 +12,7 @@
 type severity = Note | Warning | Error
 
 type t = {
-  d_code : string; (** stable short code, e.g. ["W003"] or ["V100"] *)
+  d_code : string; (** stable short code, e.g. ["W003"] or ["W010"] *)
   d_severity : severity;
   d_loc : Loc.t;
   d_func : string option; (** originating function, if any *)

@@ -4,9 +4,10 @@
     interchange format code hosts and editors ingest for static
     analysis findings; exporting it lets [warpcc analyze] results
     surface as annotations in CI.  One run, one tool ([warpcc]), one
-    rule per distinct diagnostic code (the linter's W001–W009, the
-    cross-module W010–W012, and the IR verifier's V-codes pass through
-    with a generic description). *)
+    rule per distinct diagnostic code (the linter's W001–W009 and the
+    cross-module W010–W012; any other code passes through with a
+    generic description).  IR-verifier findings are not diagnostics and
+    never appear here. *)
 
 val version : string
 (** ["2.1.0"]. *)

@@ -45,11 +45,14 @@ let self_rec_mii (g : Ddg.t) : int =
     1 g.edges
 
 (* The edges as flat arrays, for the Bellman–Ford runs of the MII
-   search. *)
+   search, ordered by (dist, src).  Distance-0 edges run from earlier
+   to later ops, so in that order one round settles every distance-0
+   chain.  [Ddg.build] lists its edges in the reverse of that order;
+   the order moves only the number of rounds, never the answer. *)
 type flat = { src : int array; dst : int array; delay : int array; dist : int array }
 
 let flatten (g : Ddg.t) : flat =
-  let es = Array.of_list g.edges in
+  let es = Array.of_list (List.rev g.edges) in
   {
     src = Array.map (fun (e : Ddg.edge) -> e.src) es;
     dst = Array.map (fun (e : Ddg.edge) -> e.dst) es;
@@ -57,28 +60,63 @@ let flatten (g : Ddg.t) : flat =
     dist = Array.map (fun (e : Ddg.edge) -> e.dist) es;
   }
 
+(* Does the parent graph (each node to the predecessor that last
+   relaxed it, or -1) have a cycle?  Each walk towards a root marks the
+   unmarked nodes it passes with its start; meeting its own mark again
+   closes a cycle. *)
+let parent_cycle parent =
+  let n = Array.length parent in
+  let mark = Array.make n (-1) in
+  let cycle = ref false in
+  for start = 0 to n - 1 do
+    let v = ref start in
+    while !v >= 0 && mark.(!v) < 0 do
+      mark.(!v) <- start;
+      v := parent.(!v)
+    done;
+    if !v >= 0 && mark.(!v) = start then cycle := true
+  done;
+  !cycle
+
 (* Is [ii] consistent with every dependence cycle?  With edge weights
    delay − II·dist, a schedule exists iff the graph has no positive
-   cycle (Bellman–Ford).  This exact recurrence test lets the search
-   skip infeasible IIs without running the expensive placement loop. *)
+   cycle.  Bellman–Ford decides that: the longest distances settle
+   within n + 1 rounds iff there is none.  Each strict improvement
+   records the edge's source as the node's parent, and a cycle in that
+   parent graph always has positive weight (Cherkassky–Goldberg), so
+   the test stops at the first round that leaves one: the answer is
+   the full run's, usually after a few rounds instead of n + 1.  This
+   exact recurrence test lets the search skip infeasible IIs without
+   running the expensive placement loop. *)
 let feasible n (e : flat) ~ii : bool =
   let m = Array.length e.src in
   let weight = Array.init m (fun k -> e.delay.(k) - (ii * e.dist.(k))) in
   let longest = Array.make n 0 in
-  let changed = ref true in
+  let parent = Array.make n (-1) in
+  let changed = ref true and cycle = ref false in
   let rounds = ref 0 in
-  while !changed && !rounds <= n do
+  while !changed && (not !cycle) && !rounds <= n do
     changed := false;
     incr rounds;
     for k = 0 to m - 1 do
       let via = longest.(e.src.(k)) + weight.(k) in
       if via > longest.(e.dst.(k)) then begin
         longest.(e.dst.(k)) <- via;
+        parent.(e.dst.(k)) <- e.src.(k);
         changed := true
       end
-    done
+    done;
+    if !changed then cycle := parent_cycle parent
   done;
   not !changed
+
+(* Row of each unit in the modulo reservation table. *)
+let fu_index : Machine.fu -> int = function
+  | ALU -> 0
+  | FALU -> 1
+  | FMUL -> 2
+  | MEM -> 3
+  | QIO -> 4
 
 (* One scheduling attempt at a given II: iterative modulo scheduling
    with ejection (Rau).  When no slot in the window [estart, estart+II)
@@ -91,7 +129,11 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
   let n = Array.length g.ops in
   let sigma = Array.make n (-1) in
   let prev = Array.make n (-1) in
-  let table = Hashtbl.create 16 in (* (fu, slot mod ii) -> occupant op *)
+  (* The modulo reservation table: the occupant op of each
+     (fu, slot mod ii), at fu_index · ii + slot, or -1 when free. *)
+  let row = Array.map (fun op -> fu_index (Machine.fu_of op) * ii) g.ops in
+  let table = Array.make (List.length Machine.all_fus * ii) (-1) in
+  let cell i t = row.(i) + (t mod ii) in
   let scheduled = Array.make n false in
   let remaining = ref n in
   let budget = ref (20 * n * (1 + (n / 16))) in
@@ -99,7 +141,7 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
     if scheduled.(i) then begin
       scheduled.(i) <- false;
       remaining := !remaining + 1;
-      Hashtbl.remove table (Machine.fu_of g.ops.(i), sigma.(i) mod ii);
+      table.(cell i sigma.(i)) <- -1;
       sigma.(i) <- -1
     end
   in
@@ -108,7 +150,7 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
     prev.(i) <- t;
     scheduled.(i) <- true;
     remaining := !remaining - 1;
-    Hashtbl.replace table (Machine.fu_of g.ops.(i), t mod ii) i
+    table.(cell i t) <- i
   in
   let pick () =
     (* Highest critical-path height among unscheduled ops. *)
@@ -122,7 +164,6 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
   while !remaining > 0 && !budget > 0 do
     decr budget;
     let i = pick () in
-    let fu = Machine.fu_of g.ops.(i) in
     let estart =
       List.fold_left
         (fun acc (p, delay, dist) ->
@@ -131,7 +172,7 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
     in
     let ok t =
       incr attempts;
-      (not (Hashtbl.mem table (fu, t mod ii)))
+      table.(cell i t) < 0
       && List.for_all
            (fun (s, delay, dist) ->
              (not scheduled.(s)) || sigma.(s) >= t + delay - (ii * dist))
@@ -146,9 +187,8 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
     else begin
       (* Force placement and eject whoever is in the way. *)
       let t = max estart (prev.(i) + 1) in
-      (match Hashtbl.find_opt table (fu, t mod ii) with
-      | Some occupant -> eject occupant
-      | None -> ());
+      let occupant = table.(cell i t) in
+      if occupant >= 0 then eject occupant;
       List.iter
         (fun (s, delay, dist) ->
           if scheduled.(s) && sigma.(s) < t + delay - (ii * dist) then eject s)

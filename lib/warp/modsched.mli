@@ -10,9 +10,12 @@
     overlapped schedule of a constant-trip loop can be emitted flat.
 
     The search computes the exact recurrence-constrained MII with a
-    Bellman–Ford feasibility test, applies a profitability cut-off
-    (overlap must be able to recover at least half the critical path),
-    and bounds its total effort.  Feasibility is monotone in II (edge
+    Bellman–Ford feasibility test that stops at the first round whose
+    parent graph (each node to the predecessor that last relaxed it)
+    has a cycle: with strict improvements such a cycle has positive
+    weight, so the answer is the full run's.  It applies a
+    profitability cut-off (overlap must be able to recover at least half
+    the critical path), and bounds its total effort.  Feasibility is monotone in II (edge
     weights delay − II·dist only fall as II grows), so the MII is found
     by testing the top of the range and bisecting, while the work
     charged is that of a linear search up from the lower bound. *)

@@ -1,9 +1,11 @@
 (* Test-only oracles: the list scheduler over the all-pairs dependence
-   graph and the image verifier's all-pairs dependence check, as they
-   were before the list scheduler took the nearest-access graph
-   ([Warp.Ddg.straight]) and the verifier scanned only a latency window.
-   The differential properties in test_warp.ml check that the library's
-   versions agree with these bit for bit. *)
+   graph, the image verifier's all-pairs dependence check and the
+   modulo scheduler's placement over a [Hashtbl] reservation table, as
+   they were before the list scheduler took the nearest-access graph
+   ([Warp.Ddg.straight]), the verifier scanned only a latency window and
+   the reservation table became an array.  The differential properties
+   in test_warp.ml check that the library's versions agree with these
+   bit for bit. *)
 
 open Midend
 
@@ -142,4 +144,111 @@ module Verify = struct
           f.Warp.Mcode.mblocks)
       img.Warp.Mcode.funcs;
     List.rev !found
+end
+
+module Modsched = struct
+  (* Ejections performed, so a test can tell that its inputs reach the
+     forced-placement branch. *)
+  let ejections = ref 0
+
+  let attempt (g : Warp.Ddg.t) ~ii ~height ~attempts : int array option =
+    let n = Array.length g.ops in
+    let sigma = Array.make n (-1) in
+    let prev = Array.make n (-1) in
+    let table = Hashtbl.create 16 in (* (fu, slot mod ii) -> occupant op *)
+    let scheduled = Array.make n false in
+    let remaining = ref n in
+    let budget = ref (20 * n * (1 + (n / 16))) in
+    let eject i =
+      if scheduled.(i) then begin
+        incr ejections;
+        scheduled.(i) <- false;
+        remaining := !remaining + 1;
+        Hashtbl.remove table (Warp.Machine.fu_of g.ops.(i), sigma.(i) mod ii);
+        sigma.(i) <- -1
+      end
+    in
+    let place i t =
+      sigma.(i) <- t;
+      prev.(i) <- t;
+      scheduled.(i) <- true;
+      remaining := !remaining - 1;
+      Hashtbl.replace table (Warp.Machine.fu_of g.ops.(i), t mod ii) i
+    in
+    let pick () =
+      (* Highest critical-path height among unscheduled ops. *)
+      let best = ref (-1) in
+      for i = n - 1 downto 0 do
+        if not scheduled.(i) then
+          if !best < 0 || height.(i) > height.(!best) then best := i
+      done;
+      !best
+    in
+    while !remaining > 0 && !budget > 0 do
+      decr budget;
+      let i = pick () in
+      let fu = Warp.Machine.fu_of g.ops.(i) in
+      let estart =
+        List.fold_left
+          (fun acc (p, delay, dist) ->
+            if scheduled.(p) then max acc (sigma.(p) + delay - (ii * dist)) else acc)
+          0 g.preds.(i)
+      in
+      let ok t =
+        incr attempts;
+        (not (Hashtbl.mem table (fu, t mod ii)))
+        && List.for_all
+             (fun (s, delay, dist) ->
+               (not scheduled.(s)) || sigma.(s) >= t + delay - (ii * dist))
+             g.succs.(i)
+      in
+      let found = ref (-1) in
+      let t = ref estart in
+      while !found < 0 && !t < estart + ii do
+        if ok !t then found := !t else incr t
+      done;
+      if !found >= 0 then place i !found
+      else begin
+        (* Force placement and eject whoever is in the way. *)
+        let t = max estart (prev.(i) + 1) in
+        (match Hashtbl.find_opt table (fu, t mod ii) with
+        | Some occupant -> eject occupant
+        | None -> ());
+        List.iter
+          (fun (s, delay, dist) ->
+            if scheduled.(s) && sigma.(s) < t + delay - (ii * dist) then eject s)
+          g.succs.(i);
+        (* A forced slot may also break constraints of scheduled
+           predecessors (wrapped edges can point backwards). *)
+        List.iter
+          (fun (p, delay, dist) ->
+            if scheduled.(p) && t < sigma.(p) + delay - (ii * dist) then eject p)
+          g.preds.(i);
+        place i t
+      end
+    done;
+    if !remaining = 0 then Some sigma else None
+
+  (* [Warp.Modsched.run] with the placement above. *)
+  let run (ops : Ir.instr array) : Warp.Modsched.result =
+    let g = Warp.Ddg.build ops in
+    let height = Warp.Ddg.heights g in
+    let critical_path = Array.fold_left max 0 height in
+    let mii, work = Warp.Modsched.mii g in
+    let attempts = ref work in
+    if 2 * mii > critical_path then raise (Warp.Modsched.No_schedule !attempts);
+    let rec search ii =
+      if ii > mii + Warp.Modsched.max_ii_slack || !attempts > 300_000 then
+        raise (Warp.Modsched.No_schedule !attempts)
+      else
+        match attempt g ~ii ~height ~attempts with
+        | Some sigma ->
+          let makespan =
+            Array.to_list (Array.mapi (fun i op -> sigma.(i) + Warp.Machine.latency op) ops)
+            |> List.fold_left max ii
+          in
+          { Warp.Modsched.ii; sigma; makespan; attempts = !attempts }
+        | None -> search (ii + 1)
+    in
+    search mii
 end

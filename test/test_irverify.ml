@@ -188,6 +188,140 @@ let test_call_clean () =
   Alcotest.(check int) "no violations" 0
     (List.length (Irverify.check_calls (section_of [ caller; callee ])))
 
+(* --- the verifier against the eager-rendering one, on optimizer output --- *)
+
+module O = Phase2_oracle.Irverify
+
+type kind =
+  | Reg_range
+  | Class
+  | Uninit
+  | Uninit_sel
+  | Target
+  | Undeclared
+  | Index
+  | Arity
+  | Arg_class
+  | Result_class
+  | Unresolved
+
+let kinds =
+  [
+    (Reg_range, "register out of range");
+    (Class, "class mismatch");
+    (Uninit, "uninitialized use");
+    (Uninit_sel, "uninitialized use through a sel identity arm");
+    (Target, "bad branch target");
+    (Undeclared, "undeclared array");
+    (Index, "constant index out of bounds");
+    (Arity, "call arity");
+    (Arg_class, "call argument class");
+    (Result_class, "call result class");
+    (Unresolved, "call to no function of the section");
+  ]
+
+(* One injected fault: its kind, where it goes (block and position,
+   reduced modulo the function's shape), a free parameter, and the pass
+   name the verifier is called with. *)
+type fault = { kind : kind; at_block : int; at : int; k : int; pass : string option }
+
+let arb_fault =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun ((kind, at_block, at), (k, pass)) -> { kind; at_block; at; k; pass })
+      (pair
+         (triple (map fst (oneofl kinds)) small_nat small_nat)
+         (pair (int_bound 5) (opt (oneofl [ "lvn"; "licm" ]))))
+  in
+  QCheck.make gen ~print:(fun f ->
+      Printf.sprintf "%s at B%d/%d, k=%d, pass=%s" (List.assoc f.kind kinds) f.at_block f.at
+        f.k (Option.value ~default:"-" f.pass))
+
+(* [f] with the fault injected.  Three fresh registers are appended: an
+   int and a float one, and an int one no instruction defines. *)
+let inject (flt : fault) (f : Ir.func) : Ir.func =
+  let n = Ir.num_regs f in
+  let ri = n and rf = n + 1 and u = n + 2 in
+  let blocks = Array.copy f.Ir.blocks in
+  let nb = Array.length blocks in
+  let insert bi instrs =
+    let b = blocks.(bi) in
+    let pos = flt.at mod (List.length b.Ir.instrs + 1) in
+    let before = List.filteri (fun i _ -> i < pos) b.Ir.instrs in
+    let after = List.filteri (fun i _ -> i >= pos) b.Ir.instrs in
+    blocks.(bi) <- { b with Ir.instrs = before @ instrs @ after }
+  in
+  let set_term bi term = blocks.(bi) <- { (blocks.(bi)) with Ir.term } in
+  let bi = flt.at_block mod nb in
+  let odd = flt.k mod 2 = 1 in
+  (match flt.kind with
+  | Reg_range -> (
+    (* In each place a message names: an operand, an index, a
+       condition, a terminator, a destination. *)
+    let bad = Ir.Reg (u + 1 + flt.k) in
+    match flt.k with
+    | 0 -> insert bi [ Ir.Bin (Ir.Iadd, ri, bad, Ir.Imm_int 1) ]
+    | 1 -> insert bi [ Ir.Load (ri, "zz", bad) ]
+    | 2 -> insert bi [ Ir.Sel (ri, bad, Ir.Imm_int 1, Ir.Imm_int 2) ]
+    | 3 -> set_term bi (Ir.Branch (bad, 0, 0))
+    | 4 -> set_term bi (Ir.Ret (Some bad))
+    | _ -> insert bi [ Ir.Mov (u + 1 + flt.k, Ir.Imm_int 0) ])
+  | Class -> (
+    let fl = Ir.Imm_float 1.5 in
+    match flt.k with
+    | 0 -> insert bi [ Ir.Mov (ri, fl) ]
+    | 1 -> insert bi [ Ir.Bin (Ir.Fadd, ri, Ir.Reg rf, Ir.Reg rf) ]
+    | 2 -> insert bi [ Ir.Load (ri, "zz", fl) ]
+    | 3 -> insert bi [ Ir.Sel (ri, fl, Ir.Imm_int 1, Ir.Imm_int 2) ]
+    | 4 -> set_term bi (Ir.Branch (fl, 0, 0))
+    | _ -> insert bi [ Ir.Load (rf, "zz", Ir.Imm_int 0) ])
+  | Uninit -> insert Ir.entry_block [ Ir.Bin (Ir.Iadd, ri, Ir.Reg u, Ir.Imm_int 1) ]
+  | Uninit_sel ->
+    (* The use sits in the entry block or, when it has one, in its
+       first successor, so the identity arm must not initialize [u]
+       along the edge either. *)
+    let user =
+      match Ir.successors blocks.(Ir.entry_block).Ir.term with
+      | s :: _ when odd -> s
+      | _ -> Ir.entry_block
+    in
+    insert user [ Ir.Mov (ri, Ir.Reg u) ];
+    insert Ir.entry_block [ Ir.Sel (u, Ir.Imm_int 1, Ir.Imm_int 5, Ir.Reg u) ]
+  | Target ->
+    set_term bi (if odd then Ir.Branch (Ir.Imm_int 1, 0, -flt.k) else Ir.Jump (nb + flt.k))
+  | Undeclared ->
+    insert bi
+      [
+        (if odd then Ir.Store ("nowhere", Ir.Imm_int 0, Ir.Reg ri)
+         else Ir.Load (ri, "nowhere", Ir.Imm_int 0));
+      ]
+  | Index ->
+    insert bi [ Ir.Load (ri, "zz", Ir.Imm_int (if odd then -flt.k else 4 + flt.k)) ]
+  | Arity -> insert bi [ Ir.Call (Some ri, "callee", [ Ir.Imm_int 1; Ir.Reg ri ]) ]
+  | Arg_class ->
+    insert bi [ Ir.Call (Some ri, "callee", [ (if odd then Ir.Reg rf else Ir.Imm_float 1.0) ]) ]
+  | Result_class -> insert bi [ Ir.Call (Some rf, "callee", [ Ir.Imm_int 1 ]) ]
+  | Unresolved -> insert bi [ Ir.Call (None, "nowhere", []) ]);
+  {
+    f with
+    Ir.blocks;
+    reg_ty = Array.append f.Ir.reg_ty [| Ir.Int; Ir.Float; Ir.Int |];
+    arrays = f.Ir.arrays @ [ ("zz", 4, Ir.Int) ];
+  }
+
+let prop_verifier_matches_oracle =
+  QCheck.Test.make ~name:"verifier = eager-rendering verifier, clean and with one fault" ~count:300
+    (QCheck.pair Test_ir.arb_prefix_func arb_fault) (fun (input, flt) ->
+      let f = Test_ir.func_after_prefix input in
+      let run check_func check_calls g =
+        (check_func ?pass:flt.pass g, check_calls (section_of [ g; callee ]))
+      in
+      let lib = run Irverify.check_func Irverify.check_calls
+      and oracle = run O.check_func O.check_calls in
+      let g = inject flt f in
+      lib f = ([], []) && oracle f = ([], []) && lib g <> ([], []) && lib g = oracle g)
+
 let suites =
   [
     ( "irverify",
@@ -211,5 +345,6 @@ let suites =
         Alcotest.test_case "call unresolved" `Quick test_call_unresolved;
         Alcotest.test_case "call arity" `Quick test_call_arity_mismatch;
         Alcotest.test_case "call clean" `Quick test_call_clean;
+        QCheck_alcotest.to_alcotest prop_verifier_matches_oracle;
       ] );
   ]

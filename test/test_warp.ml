@@ -1037,6 +1037,109 @@ let test_mii_out_of_range () =
   Alcotest.(check bool) "whole range charged" true
     (mii_outcome g = Error ((Warp.Modsched.max_ii_slack + 1) * per_test))
 
+(* Loop bodies no II in range can schedule: a chain of 40-60 FALU adds
+   through one accumulator (r6, which [gen_instr] never touches) takes
+   at least 200 cycles round the loop, while the lower bound plus the
+   slack stays below 125.  Random ops are shuffled in, so the chain's
+   edges are spread over the block. *)
+let arb_long_recurrence =
+  let open QCheck.Gen in
+  let link = map (fun r -> Ir.Bin (Ir.Fadd, 6, Ir.Reg 6, Ir.Reg r)) (int_range 0 5) in
+  let body =
+    int_range 40 60 >>= fun k ->
+    list_repeat k link >>= fun chain ->
+    list_size (int_range 0 30) gen_instr >>= fun extra ->
+    map Array.of_list (shuffle_l (chain @ extra))
+  in
+  QCheck.make ~print:print_block body
+
+let prop_mii_matches_linear_infeasible =
+  QCheck.Test.make ~name:"out-of-range recurrences: bisected MII = linear MII, work included"
+    ~count:30 arb_long_recurrence (fun ops ->
+      let g = Warp.Ddg.build ops in
+      match mii_outcome g with
+      | Error _ as r -> r = oracle_mii g
+      | Ok _ -> false)
+
+(* The loop bodies code generation hands to the modulo scheduler: the
+   pipeline candidates of [fn] after -O2, register-allocated and with
+   block-local temporaries renamed, as in [Warp.Codegen.compile_function]. *)
+let pipelined_bodies (fn : W2.Ast.func) =
+  let sec = List.hd (Lower.lower_module (W2.Gen.module_of_function fn)) in
+  let f = List.hd sec.Ir.funcs in
+  ignore (Opt.optimize ~level:2 f);
+  let fp = (Warp.Regalloc.run f).Warp.Regalloc.func in
+  List.map
+    (fun ((c : Counted.t), _) ->
+      Warp.Rename_locals.run fp c.Counted.body_block;
+      Array.of_list fp.Ir.blocks.(c.Counted.body_block).Ir.instrs)
+    (Warp.Codegen.pipeline_candidates f)
+
+let test_mii_medium_bodies () =
+  (* f_medium's loop bodies have hundreds of ops and thousands of edges;
+     one of them is infeasible at the top of the range, the case where
+     the full Bellman-Ford run was most expensive. *)
+  let fn = W2.Gen.function_of_lines ~name:"f_medium" (W2.Gen.size_lines W2.Gen.Medium) in
+  let infeasible = ref 0 in
+  List.iter
+    (fun ops ->
+      let g = Warp.Ddg.build ops in
+      let r = mii_outcome g in
+      Alcotest.(check bool) "same as linear" true (r = oracle_mii g);
+      if Result.is_error r then incr infeasible)
+    (pipelined_bodies fn);
+  Alcotest.(check bool) (Printf.sprintf "%d infeasible bodies" !infeasible) true (!infeasible > 0)
+
+(* Loop bodies shaped like renamed ones: op k defines register k and
+   reads the few registers defined just before it (or its own, or the
+   next one's, across the back edge).  About half of them pass the
+   profitability cut, and most of those eject while placing. *)
+let gen_loop_body =
+  let open QCheck.Gen in
+  int_range 8 40 >>= fun n ->
+  let op k =
+    let opnd =
+      frequency
+        [
+          (6, map (fun d -> Ir.Reg (max 0 (min (n - 1) (k + d)))) (int_range (-4) 1));
+          (1, map (fun c -> Ir.Imm_int c) (int_range 0 3));
+        ]
+    in
+    let binop = oneofl Ir.[ Iadd; Isub; Imul; Fadd; Fmul; Fadd; Idiv ] in
+    frequency
+      [
+        (8, map2 (fun o (a, b) -> Ir.Bin (o, k, a, b)) binop (pair opnd opnd));
+        (2, map (fun i -> Ir.Load (k, "a", i)) opnd);
+        (1, map2 (fun i v -> Ir.Store ("a", i, v)) opnd opnd);
+      ]
+  in
+  let rec body k acc =
+    if k = n then return (Array.of_list (List.rev acc))
+    else op k >>= fun o -> body (k + 1) (o :: acc)
+  in
+  body 0 []
+
+let modsched_outcome run ops =
+  match run ops with
+  | (r : Warp.Modsched.result) -> Ok (r.ii, r.sigma, r.makespan, r.attempts)
+  | exception Warp.Modsched.No_schedule w -> Error w
+
+let prop_modsched_matches_hashtbl =
+  QCheck.Test.make ~name:"array reservation table = Hashtbl one, schedule and work" ~count:200
+    (QCheck.make ~print:print_block gen_loop_body) (fun ops ->
+      modsched_outcome Warp.Modsched.run ops = modsched_outcome Backend_oracle.Modsched.run ops)
+
+(* The property above is only as good as the ejections it reaches: on a
+   fixed draw, they happen. *)
+let test_modsched_oracle_reaches_ejections () =
+  let rand = Random.State.make [| 3 |] in
+  let before = !Backend_oracle.Modsched.ejections in
+  for _ = 1 to 20 do
+    ignore (modsched_outcome Backend_oracle.Modsched.run (QCheck.Gen.generate1 ~rand gen_loop_body))
+  done;
+  let ejected = !Backend_oracle.Modsched.ejections - before in
+  Alcotest.(check bool) (Printf.sprintf "%d ejections" ejected) true (ejected > 0)
+
 (* Work units and image bytes of the paper's five sizes, recorded before
    the schedulers' data structures were rebuilt: none may move. *)
 let test_paper_sizes_golden () =
@@ -1325,6 +1428,11 @@ let oracle_suites =
         QCheck_alcotest.to_alcotest prop_listsched_matches_rescan;
         QCheck_alcotest.to_alcotest prop_mii_matches_linear;
         Alcotest.test_case "mii out of range" `Quick test_mii_out_of_range;
+        QCheck_alcotest.to_alcotest prop_mii_matches_linear_infeasible;
+        Alcotest.test_case "mii on f_medium loop bodies" `Quick test_mii_medium_bodies;
+        QCheck_alcotest.to_alcotest prop_modsched_matches_hashtbl;
+        Alcotest.test_case "reservation-table oracle reaches ejections" `Quick
+          test_modsched_oracle_reaches_ejections;
         Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
         Alcotest.test_case "paper sizes phase-2 golden" `Quick test_paper_sizes_phase2_golden;
         Alcotest.test_case "program images golden" `Quick test_program_images_golden;
