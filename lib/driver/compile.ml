@@ -122,85 +122,111 @@ let func_rets_of (sec : W2.Ast.section) =
     sec.W2.Ast.funcs;
   table
 
-(* Phases 2-4 for one section.  Lint findings (phase 1, whole-section
-   context) are computed here — including the analyzer-fed coupling
-   warnings W008/W009 when a [depan] summary is supplied — and
-   distributed to the per-function work records; after all functions
-   are compiled, the cross-function call check of the IR verifier runs
-   over the section, followed by the analyzer's AST-vs-IR call
-   cross-check. *)
-let compile_section ?(level = 2) ?(verify_each = false)
-    ?(depan : Analysis.Depan.section_info option) (sec : W2.Ast.section) :
-    section_work =
+(* Function masters on real cores.  Phase 1 fixes the whole task set
+   before any master starts, so the masters need no queue: every task
+   sits in one source-order array, and each master takes the next one
+   with [fetch_and_add] on one shared index until none is left: FCFS,
+   as in the paper.  The calling domain is one of the masters, and
+   [Domain.join] is the only wait.  A task that raises does not take its
+   master down: its slot records the exception, and once every task has
+   ended the first failure in source order is re-raised, the exception
+   a one-domain compile raises.  Every slot starts as the constant
+   [Empty], so even a large task set forces no minor collection. *)
+type 'a slot = Empty | Todo of (unit -> 'a) | Done of 'a | Failed of exn
+
+let function_masters ?(masters = max_int) (groups : (unit -> 'a) list list) :
+    'a list list =
+  let n = List.fold_left (fun acc g -> acc + List.length g) 0 groups in
+  let slots = Array.make n Empty in
+  List.iteri (fun i task -> slots.(i) <- Todo task) (List.concat groups);
+  let next = Atomic.make 0 in
+  let rec master () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match slots.(i) with
+      | Todo task -> slots.(i) <- (try Done (task ()) with e -> Failed e)
+      | Empty | Done _ | Failed _ -> assert false);
+      master ()
+    end
+  in
+  let masters = min (min masters n) (Domain.recommended_domain_count ()) in
+  let spawned = List.init (max 0 (masters - 1)) (fun _ -> Domain.spawn master) in
+  master ();
+  List.iter Domain.join spawned;
+  let taken = ref 0 in
+  List.map
+    (List.map (fun _ ->
+         let i = !taken in
+         incr taken;
+         match slots.(i) with
+         | Done v -> v
+         | Failed e -> raise e
+         | Empty | Todo _ -> assert false))
+    groups
+
+(* The section master's part of phase 1, and what it does after the
+   section's function masters are done.  Phase 1 here is the section's
+   lints, with the analyzer-fed coupling warnings W008/W009, handed to
+   the per-function work records, and one phase-2/3 task per function.
+   Each function also gets the analyzer's static cost bound and its
+   compile-cache key, by position ([si_funcs] is built in [sec.funcs]
+   order).  Keys are derived from the section summary (hash +
+   dependence closure) under the configuration salt, so a function
+   master downstream can address its phase-2/3 artifact by content.
+   The returned [finish] is phase 4: the IR verifier's cross-function
+   call check over the optimized section, the analyzer's AST-vs-IR
+   call cross-check, then linking, the I/O driver and the encoded
+   size. *)
+let plan_section ~level ~verify_each (depan : Analysis.Depan.section_info)
+    (sec : W2.Ast.section) =
   let func_rets = func_rets_of sec in
   let lints = ref [] in
   W2.Lint.lint_section (fun d -> lints := d :: !lints) sec;
-  let coupling =
-    match depan with
-    | Some si -> Analysis.Depan.lint_section si
-    | None -> []
+  let lints = W2.Diag.sort (Analysis.Depan.lint_section depan @ !lints) in
+  let keys =
+    Analysis.Depan.cache_keys
+      ~salt:(Analysis.Depan.cache_salt ~opt_level:level ~verify_each)
+      depan
   in
-  let lints = W2.Diag.sort (coupling @ !lints) in
-  (* Per function, by position ([si_funcs] is built in [sec.funcs]
-     order): the analyzer's static cost bound and its compile-cache
-     key.  Keys are derived from the section summary (hash +
-     dependence closure) under the configuration salt, so a function
-     master downstream can address its phase-2/3 artifact by content.
-     Without the analysis there are no keys and downstream lookups
-     always miss. *)
-  let analyzed =
-    match depan with
-    | None -> List.map (fun _ -> (None, None)) sec.W2.Ast.funcs
-    | Some si ->
-      let keys =
-        Analysis.Depan.cache_keys
-          ~salt:(Analysis.Depan.cache_salt ~opt_level:level ~verify_each)
-          si
-      in
-      Array.to_list
-        (Array.mapi
-           (fun i (fi : Analysis.Depan.func_info) ->
-             (Option.map Analysis.Absint.cost_units fi.fi_cost, Some keys.(i)))
-           si.Analysis.Depan.si_funcs)
-  in
-  let results =
-    List.map2
-      (fun (f : W2.Ast.func) (static_units, key) ->
+  let tasks =
+    List.mapi
+      (fun i (f : W2.Ast.func) () ->
+        let fi = depan.Analysis.Depan.si_funcs.(i) in
         compile_function ~level ~verify_each
           ~diags:(W2.Diag.for_func f.W2.Ast.fname lints)
-          ?static_units ?key ~globals:sec.W2.Ast.globals
-          ~func_rets ~section:sec.W2.Ast.sname f)
-      sec.W2.Ast.funcs analyzed
+          ?static_units:(Option.map Analysis.Absint.cost_units fi.fi_cost)
+          ~key:keys.(i) ~globals:sec.W2.Ast.globals ~func_rets
+          ~section:sec.W2.Ast.sname f)
+      sec.W2.Ast.funcs
   in
-  let ir_section =
+  let finish results =
+    let ir_section =
+      {
+        Midend.Ir.sec_name = sec.W2.Ast.sname;
+        cells = sec.W2.Ast.cells;
+        funcs = List.map (fun (_, _, ir) -> ir) results;
+      }
+    in
+    (match Midend.Irverify.check_calls ir_section with
+    | [] -> ()
+    | violations -> raise (verify_failure violations));
+    (match Analysis.Depan.check_ir_calls depan ir_section with
+    | [] -> ()
+    | violations -> raise (verify_failure violations));
+    let image =
+      Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells
+        (List.map (fun (_, mfunc, _) -> mfunc) results)
+    in
     {
-      Midend.Ir.sec_name = sec.W2.Ast.sname;
-      cells = sec.W2.Ast.cells;
-      funcs = List.map (fun (_, _, ir) -> ir) results;
+      sw_name = sec.W2.Ast.sname;
+      sw_funcs = List.map (fun (fw, _, _) -> fw) results;
+      sw_image = image;
+      sw_image_bytes = Warp.Asm.encoded_size image;
+      sw_driver = Warp.Iodriver.generate image;
+      sw_diags = lints;
     }
   in
-  (match Midend.Irverify.check_calls ir_section with
-  | [] -> ()
-  | violations -> raise (verify_failure violations));
-  (match depan with
-  | None -> ()
-  | Some si -> (
-    match Analysis.Depan.check_ir_calls si ir_section with
-    | [] -> ()
-    | violations -> raise (verify_failure violations)));
-  let image =
-    Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells
-      (List.map (fun (_, mfunc, _) -> mfunc) results)
-  in
-  let driver = Warp.Iodriver.generate image in
-  {
-    sw_name = sec.W2.Ast.sname;
-    sw_funcs = List.map (fun (fw, _, _) -> fw) results;
-    sw_image = image;
-    sw_image_bytes = Warp.Asm.encoded_size image;
-    sw_driver = driver;
-    sw_diags = lints;
-  }
+  (tasks, finish)
 
 (* The whole compiler, from source text.  Raises [Compile_error] on
    phase-1 failure (the master aborts, as in the paper). *)
@@ -221,20 +247,24 @@ let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
     raise
       (Compile_error
          (String.concat "\n" (List.map W2.Semcheck.error_to_string errors))));
-  (* Interprocedural dependence analysis — still phase 1, still the
+  (* Interprocedural dependence analysis: still phase 1, still the
      sequential master; its section summaries feed the coupling lints
-     and the per-section IR cross-check below. *)
+     and the per-section IR cross-check. *)
   let analysis =
     Analysis.Depan.analyze ?max_tracked ~absint ~absint_max_intervals m
   in
+  let planned =
+    List.map2 (plan_section ~level ~verify_each)
+      analysis.Analysis.Depan.dp_sections m.W2.Ast.sections
+  in
+  (* Phases 2-3: every function of every section on one pool; then
+     phase 4, section by section. *)
+  let results = function_masters (List.map fst planned) in
   {
     mw_name = m.W2.Ast.mname;
     mw_loc = W2.Pretty.source_lines source;
     mw_tokens = count_tokens source;
-    mw_sections =
-      List.map2
-        (fun depan sec -> compile_section ~level ~verify_each ~depan sec)
-        analysis.Analysis.Depan.dp_sections m.W2.Ast.sections;
+    mw_sections = List.map2 (fun (_, finish) own -> finish own) planned results;
     mw_analysis = analysis;
   }
 

@@ -6,7 +6,10 @@
     seconds.  Phase 1 (parse + semantic check) and phase 4 (assembly,
     linking, I/O drivers) are module/section-level; phases 2 (flowgraph
     + optimizer) and 3 (software pipelining + code generation) are the
-    per-function work the parallel compiler distributes. *)
+    per-function work the parallel compiler distributes, and
+    {!compile_source} distributes it for real: its function masters
+    run on up to [Domain.recommended_domain_count ()] OCaml domains,
+    with output byte-identical to a one-domain compile. *)
 
 exception Compile_error of string
 (** Phase-1 failure: the master aborts the compilation. *)
@@ -90,18 +93,17 @@ val compile_function :
     @raise Compile_error when verification fails (a miscompiling
     pass). *)
 
-val compile_section :
-  ?level:int ->
-  ?verify_each:bool ->
-  ?depan:Analysis.Depan.section_info ->
-  W2.Ast.section ->
-  section_work
-(** Phases 2-4 for one section: lints the section (phase 1), compiles
-    every function, then runs the verifier's cross-function call check
-    over the optimized section.  With [depan] (the analyzer's summary
-    of this section) the lint stream also carries the coupling
-    warnings W008/W009, and the analyzer's AST-vs-IR call cross-check
-    runs after the verifier's. *)
+val function_masters : ?masters:int -> (unit -> 'a) list list -> 'a list list
+(** [function_masters groups] runs every task of [groups] (one group per
+    section) on the function-master pool and returns the results in the
+    same shape.  The tasks sit in one source-order array; each master
+    takes the next one through one shared atomic index (FCFS).  The
+    calling domain is one of the masters, and the pool runs
+    [min masters tasks (Domain.recommended_domain_count ())] of them
+    ([masters] defaults to no limit; below 1 it counts as 1).
+    A raising task does not stop the others: once every task has ended,
+    the first failure in source order is re-raised, the exception a
+    one-domain compile raises. *)
 
 val compile_source :
   ?level:int ->
@@ -112,7 +114,18 @@ val compile_source :
   ?absint_max_intervals:int ->
   string ->
   module_work
-(** The whole compiler, from source text.  [absint] (default [true])
+(** The whole compiler, from source text.  Phase 1 (parse, semantic
+    check, dependence analysis, each section's lints and cache keys)
+    runs on the calling domain.  Phases 2-3 of every function of every
+    section then run on {!function_masters}, up to
+    [Domain.recommended_domain_count ()] domains; the output is
+    byte-identical to a one-domain compile, since each function master
+    works on its own function only.  Phase 4 follows section by
+    section: the verifier's cross-function call check, the analyzer's
+    AST-vs-IR call cross-check, link, I/O driver and encoded size.  A
+    failing function master's exception is raised after every master
+    has ended, the first in source order, before any phase-4 step.
+    [absint] (default [true])
     runs the abstract-interpretation refinement inside the phase-1
     dependence analysis; with [~absint:false] the analysis — and every
     timing derived from it — is bit-identical to the pre-absint

@@ -228,6 +228,15 @@ let func_to_string f =
     f.blocks;
   Buffer.contents buf
 
+(* [Array.of_list] fills a new array with the list's head.  In OCaml 5
+   an array of more than 256 words whose fill value is still in the
+   minor heap forces a minor collection, which stops every domain; a
+   constant fill forces none. *)
+let instr_array instrs =
+  let a = Array.make (List.length instrs) (Mov (0, Imm_int 0)) in
+  List.iteri (fun i op -> a.(i) <- op) instrs;
+  a
+
 (* Total instruction count (including terminators): the basic size metric
    used by the compilation cost model. *)
 let instr_count f =

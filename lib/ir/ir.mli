@@ -112,3 +112,7 @@ val func_to_string : func -> string
 val instr_count : func -> int
 (** Instructions plus terminators: the basic size metric of the
     compilation cost model. *)
+
+val instr_array : instr list -> instr array
+(** [Array.of_list], filled from a constant so that a long block forces
+    no minor collection. *)

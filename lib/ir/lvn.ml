@@ -46,7 +46,9 @@ let set_vn st r v =
 let fresh st rep =
   let v = st.next_vn in
   if v = Array.length st.rep then
-    st.rep <- Array.append st.rep (Array.make (max 16 v) rep);
+    (* A constant fill: [rep] was just allocated, and a long array
+       filled with a young value forces a minor collection. *)
+    st.rep <- Array.append st.rep (Array.make (max 16 v) (Ir.Imm_int 0));
   st.rep.(v) <- rep;
   st.next_vn <- v + 1;
   v

@@ -93,7 +93,7 @@ let term_of = function
 (* After [split_calls], a block contains at most one call, and it is the
    last instruction; translate it to a [Tcall] terminator. *)
 let translate_term (b : Ir.block) : Ir.instr array * Mcode.mterm =
-  let instrs = Array.of_list b.instrs in
+  let instrs = Ir.instr_array b.instrs in
   let n = Array.length instrs in
   if n > 0 then
     match instrs.(n - 1) with
@@ -132,7 +132,7 @@ let compile_function ?(pipeline = true) ?reg_limit (fin : Ir.func) : compiled =
          over the registers the block does not touch, which relaxes the
          wrapped anti-dependences and lets iterations overlap. *)
       Rename_locals.run f bb;
-      let ops = Array.of_list f.blocks.(bb).instrs in
+      let ops = Ir.instr_array f.blocks.(bb).instrs in
       match Modsched.run ops with
       | result ->
         sched_work := !sched_work + result.Modsched.attempts;

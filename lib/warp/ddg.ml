@@ -61,6 +61,14 @@ let footprint (op : Ir.instr) : footprint =
     lat = Machine.latency op;
   }
 
+(* Filled from a constant rather than by [Array.map]: a long array
+   filled with a young footprint forces a minor collection. *)
+let footprints (ops : Ir.instr array) : footprint array =
+  let none = { def = -1; uses = [||]; arr = None; store = false; qio = false; lat = 0 } in
+  let fps = Array.make (Array.length ops) none in
+  Array.iteri (fun i op -> fps.(i) <- footprint op) ops;
+  fps
+
 let independent = min_int
 
 let reads r (f : footprint) =
@@ -89,11 +97,12 @@ let hazard (a : footprint) (b : footprint) : int =
 
 let max_reg fps = Array.fold_left (fun acc f -> Array.fold_left max (max acc f.def) f.uses) (-1) fps
 
-(* The ops that may have a hazard with op [i] in either order, in
-   ascending index order: writers of what [i] reads or writes, readers
-   of what [i] writes, the stores (or, for a store, every access) of
-   its array, and every queue op if [i] is one. *)
-let partners (fps : footprint array) : int -> int array =
+(* For each op [i], the ops that may have a hazard with it in either
+   order, in ascending index order: writers of what [i] reads or
+   writes, readers of what [i] writes, the stores (or, for a store,
+   every access) of its array, and every queue op if [i] is one.  The
+   outer array is filled from a constant, as in [footprints]. *)
+let partners (fps : footprint array) : int array array =
   let n = Array.length fps in
   let writers = Array.make (max_reg fps + 1) [] in
   let readers = Array.make (max_reg fps + 1) [] in
@@ -112,7 +121,7 @@ let partners (fps : footprint array) : int -> int array =
   done;
   let stamp = Array.make n (-1) in
   let buf = Array.make n 0 in
-  fun i ->
+  let of_op i =
     let k = ref 0 in
     let add =
       List.iter (fun j ->
@@ -137,6 +146,12 @@ let partners (fps : footprint array) : int -> int array =
     let found = Array.sub buf 0 !k in
     Array.sort Int.compare found;
     found
+  in
+  let all = Array.make n [||] in
+  for i = 0 to n - 1 do
+    all.(i) <- of_op i
+  done;
+  all
 
 let of_edges ops edges =
   let n = Array.length ops in
@@ -152,11 +167,13 @@ let of_edges ops edges =
 (* The loop graph: every hazard pair at distance 0, and every pair at
    distance 1.  Edges are produced in the order of a scan over all
    pairs (i, j) — distance 0 first, then distance 1 — because the order
-   of [succs] and [preds] steers the modulo scheduler's ejections. *)
+   of [succs] and [preds] steers the modulo scheduler's ejections.
+   Consing leaves [edges] in the reverse order; [of_edges] conses them
+   again, which puts [succs] and [preds] back in scan order. *)
 let build (ops : Ir.instr array) : t =
   let n = Array.length ops in
-  let fps = Array.map footprint ops in
-  let partners = Array.init n (partners fps) in
+  let fps = footprints ops in
+  let partners = partners fps in
   let edges = ref [] in
   let scan ~dist =
     for i = 0 to n - 1 do
@@ -189,7 +206,7 @@ let build (ops : Ir.instr array) : t =
    cycle: the list schedule, attempts included, is the all-pairs one. *)
 let straight (ops : Ir.instr array) : t =
   let n = Array.length ops in
-  let fps = Array.map footprint ops in
+  let fps = footprints ops in
   let nregs = max_reg fps + 1 in
   let last_writer = Array.make nregs (-1) in
   let readers = Array.make nregs [] in (* since the last writer *)

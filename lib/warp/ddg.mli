@@ -23,6 +23,9 @@ type footprint
 val footprint : Midend.Ir.instr -> footprint
 (** @raise Invalid_argument on a call (calls are control flow). *)
 
+val footprints : Midend.Ir.instr array -> footprint array
+(** {!footprint} of every op, in order. *)
+
 val independent : int
 (** What {!hazard} returns for an independent pair. *)
 
@@ -33,10 +36,13 @@ val hazard : footprint -> footprint -> int
 val build : Midend.Ir.instr array -> t
 (** The modulo scheduler's loop graph: every hazard pair at distance 0
     and the wrapped pairs at distance 1.  Each op is paired only with
-    the ops that share a register, an array or the queues with it; the
-    edges come out in the order of an all-pairs scan (distance 0, then
-    distance 1, each by ascending source and destination), which the
-    modulo scheduler's ejection order relies on. *)
+    the ops that share a register, an array or the queues with it.
+    [succs] and [preds] list each node's edges in the order of an
+    all-pairs scan (distance 0, then distance 1, each by ascending
+    source and destination), which the modulo scheduler's ejection order
+    relies on.  [edges] holds them in the reverse of that order:
+    distance 1 first, then distance 0, each by descending source and
+    destination. *)
 
 val straight : Midend.Ir.instr array -> t
 (** The list scheduler's graph, distance 0 only: each op keeps an edge,

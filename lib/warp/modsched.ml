@@ -52,13 +52,19 @@ let self_rec_mii (g : Ddg.t) : int =
 type flat = { src : int array; dst : int array; delay : int array; dist : int array }
 
 let flatten (g : Ddg.t) : flat =
-  let es = Array.of_list (List.rev g.edges) in
-  {
-    src = Array.map (fun (e : Ddg.edge) -> e.src) es;
-    dst = Array.map (fun (e : Ddg.edge) -> e.dst) es;
-    delay = Array.map (fun (e : Ddg.edge) -> e.delay) es;
-    dist = Array.map (fun (e : Ddg.edge) -> e.dist) es;
-  }
+  let m = List.length g.edges in
+  let f =
+    { src = Array.make m 0; dst = Array.make m 0; delay = Array.make m 0; dist = Array.make m 0 }
+  in
+  List.iteri
+    (fun k (e : Ddg.edge) ->
+      let k = m - 1 - k in
+      f.src.(k) <- e.src;
+      f.dst.(k) <- e.dst;
+      f.delay.(k) <- e.delay;
+      f.dist.(k) <- e.dist)
+    g.edges;
+  f
 
 (* Does the parent graph (each node to the predecessor that last
    relaxed it, or -1) have a cycle?  Each walk towards a root marks the

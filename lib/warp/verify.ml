@@ -87,15 +87,16 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
      per-iteration delays do not apply pairwise; for them only
      well-definedness is checked: no two writes to one register may
      land on the same cycle. *)
-  let ops = Array.of_list (List.rev !timed) in
+  let cycles = Array.of_list (List.rev_map fst !timed) in
+  let ops = Midend.Ir.instr_array (List.rev_map snd !timed) in
   let n = Array.length ops in
   if not b.Mcode.mb_pipelined then begin
-    let fps = Array.map (fun (_, op) -> Ddg.footprint op) ops in
-    let window = Array.fold_left (fun acc (_, op) -> max acc (Machine.latency op)) 0 ops in
+    let fps = Ddg.footprints ops in
+    let window = Array.fold_left (fun acc op -> max acc (Machine.latency op)) 0 ops in
     for i = 0 to n - 1 do
       let j = ref (i + 1) in
-      while !j < n && fst ops.(!j) < fst ops.(i) + window do
-        let ci, oi = ops.(i) and cj, oj = ops.(!j) in
+      while !j < n && cycles.(!j) < cycles.(i) + window do
+        let ci, oi = (cycles.(i), ops.(i)) and cj, oj = (cycles.(!j), ops.(!j)) in
         let fwd = Ddg.hazard fps.(i) fps.(!j) in
         if ci = cj then begin
           let bwd = Ddg.hazard fps.(!j) fps.(i) in
@@ -120,8 +121,8 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
     (* Well-definedness: writes to one register land at distinct
        cycles. *)
     let landings = Hashtbl.create 32 in
-    Array.iter
-      (fun (cycle, op) ->
+    Array.iter2
+      (fun cycle op ->
         match Midend.Ir.def_of op with
         | Some d ->
           let key = (d, cycle + Machine.latency op) in
@@ -131,7 +132,7 @@ let check_block (image : Mcode.image) (f : Mcode.mfunc) bi
                  d (cycle + Machine.latency op))
           else Hashtbl.replace landings key ()
         | None -> ())
-      ops
+      cycles ops
   end;
   (* Terminator sanity. *)
   let check_target l = if l < 0 || l >= nblocks then out (Printf.sprintf "branch target B%d out of range" l) in

@@ -370,11 +370,12 @@ let test_domains_images_identical () =
   check ("one function", one) 4
 
 (* A function with more parameters than the register file holds passes
-   semantic checking but fails in register allocation.  The parallel
-   compiler must surface that failure like the sequential one instead
-   of losing it with the worker domain.  Two functions fail, and either
-   master may take either of them; the first in source order is the
-   exception raised, with one function master or two. *)
+   semantic checking but fails in register allocation.  The compiler
+   must surface that failure instead of losing it with a worker domain,
+   and must not hang.  Two functions fail, and either master may take
+   either of them; the first in source order is the exception raised,
+   by [compile_source] on its own pool and by [Domains] with one
+   function master or two. *)
 let test_domains_task_failure () =
   let params =
     String.concat ", " (List.init 80 (fun i -> Printf.sprintf "p%d: int" i))
@@ -392,7 +393,7 @@ let test_domains_task_failure () =
     (List.length (W2.Semcheck.check_module m));
   let outcome f = try ignore (f ()); None with e -> Some e in
   let seq = outcome (fun () -> Driver.Compile.compile_source source) in
-  Alcotest.(check (option string)) "sequential raises"
+  Alcotest.(check (option string)) "compile_source raises"
     (Some (Printexc.to_string (Warp.Regalloc.Too_many_params "f")))
     (Option.map Printexc.to_string seq);
   List.iter

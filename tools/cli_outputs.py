@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the simulated-clock CLI outputs of every shipped example.
+"""Write the CLI outputs of every shipped example.
 
     python3 tools/cli_outputs.py OUTDIR
 
@@ -14,10 +14,18 @@ writes
     NAME/SET.profile.txt    stdout of `profile --what-if`
     NAME/SET.profile.json   its --json profile
 
-Every run is a seeded discrete-event simulation and every path the CLI
-sees is relative to OUTDIR, so two checkouts that simulate alike write
+and, for `compile` at -O 2 and at -O 3 --verify-ir,
+
+    NAME/compile-SET/compile.txt            its stdout
+    NAME/compile-SET/MODULE.SECTION.wobj    the object files
+    NAME/compile-SET/MODULE.SECTION.drv     and the I/O drivers
+
+Every simulation is seeded, the compiler's output does not depend on
+how many domains compiled it, and every path the CLI sees is relative
+to OUTDIR, so two checkouts that compile and simulate alike write
 identical trees: `diff -r` between the outputs of two commits is the
-identity check for a change meant to move no simulated-clock number.
+identity check for a change meant to move no compiled byte or
+simulated-clock number.
 A command that fails records its exit status and stderr instead, so a
 failure is part of the diff too.  Exit status: 0 = written, 2 = usage
 or build failure.
@@ -45,6 +53,12 @@ FLAG_SETS = [
     ("faults-spec-r0", ["--sched", "dag+spec", "--spec-budget", "1",
                         "--fault-seed", "7", "--fault-rate", "1.0",
                         "--retries", "0"]),
+]
+
+# (set name, flags) of the `compile` runs.
+COMPILE_SETS = [
+    ("O2", ["-O", "2"]),
+    ("O3-verify-ir", ["-O", "3", "--verify-ir"]),
 ]
 
 
@@ -80,6 +94,11 @@ def main(argv):
             run(exe, ["profile", *flags, "--what-if",
                       "--json", base + ".profile.json", src],
                 out, os.path.join(out, base + ".profile.txt"))
+        for set_name, flags in COMPILE_SETS:
+            obj_dir = os.path.join(name, "compile-" + set_name)
+            os.makedirs(os.path.join(out, obj_dir), exist_ok=True)
+            run(exe, ["compile", *flags, "-o", obj_dir, src],
+                out, os.path.join(out, obj_dir, "compile.txt"))
     return 0
 
 
