@@ -27,11 +27,8 @@
 
 open Midend
 
-type edge = { src : int; dst : int; delay : int; dist : int }
-
 type t = {
   ops : Ir.instr array;
-  edges : edge list;
   succs : (int * int * int) list array; (* dst, delay, dist *)
   preds : (int * int * int) list array; (* src, delay, dist *)
 }
@@ -153,35 +150,31 @@ let partners (fps : footprint array) : int array array =
   done;
   all
 
-let of_edges ops edges =
+(* A graph with no edges yet (filled from the constant [[]], as in
+   [footprints]), and [edge], which conses one edge onto its source's
+   [succs] and its destination's [preds]. *)
+let empty ops =
   let n = Array.length ops in
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  List.iter
-    (fun e ->
-      succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
-      preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
-    edges;
-  { ops; edges; succs; preds }
+  { ops; succs = Array.make n []; preds = Array.make n [] }
+
+let edge g ~src ~dst ~delay ~dist =
+  g.succs.(src) <- (dst, delay, dist) :: g.succs.(src);
+  g.preds.(dst) <- (src, delay, dist) :: g.preds.(dst)
 
 (* The loop graph: every hazard pair at distance 0, and every pair at
-   distance 1.  Edges are produced in the order of a scan over all
-   pairs (i, j) — distance 0 first, then distance 1 — because the order
-   of [succs] and [preds] steers the modulo scheduler's ejections.
-   Consing leaves [edges] in the reverse order; [of_edges] conses them
-   again, which puts [succs] and [preds] back in scan order. *)
+   distance 1. *)
 let build (ops : Ir.instr array) : t =
   let n = Array.length ops in
   let fps = footprints ops in
   let partners = partners fps in
-  let edges = ref [] in
+  let g = empty ops in
   let scan ~dist =
     for i = 0 to n - 1 do
       Array.iter
         (fun j ->
           if dist = 1 || j > i then begin
             let delay = hazard fps.(i) fps.(j) in
-            if delay <> independent then edges := { src = i; dst = j; delay; dist } :: !edges
+            if delay <> independent then edge g ~src:i ~dst:j ~delay ~dist
           end)
         partners.(i)
     done
@@ -189,7 +182,7 @@ let build (ops : Ir.instr array) : t =
   scan ~dist:0;
   (* (i, iter k) happens before (j, iter k+1) for every pair. *)
   scan ~dist:1;
-  of_edges ops !edges
+  g
 
 (* The straight-line graph: an edge into op j from the last writer of
    each register j reads or writes, from the readers since that writer
@@ -213,14 +206,14 @@ let straight (ops : Ir.instr array) : t =
   let mem = Hashtbl.create 8 in (* array -> last store, loads since *)
   let last_queue = ref (-1) in
   let stamp = Array.make n (-1) in
-  let edges = ref [] in
+  let g = empty ops in
   for j = 0 to n - 1 do
     let f = fps.(j) in
     let add i =
       if i >= 0 && stamp.(i) <> j then begin
         stamp.(i) <- j;
         let delay = hazard fps.(i) f in
-        if delay <> independent then edges := { src = i; dst = j; delay; dist = 0 } :: !edges
+        if delay <> independent then edge g ~src:i ~dst:j ~delay ~dist:0
       end
     in
     Array.iter (fun r -> add last_writer.(r)) f.uses;
@@ -245,19 +238,18 @@ let straight (ops : Ir.instr array) : t =
       last_queue := j
     end
   done;
-  of_edges ops !edges
+  g
 
 (* Critical-path height over distance-0 edges: the scheduling priority.
    The height of an op is its latency plus the maximum height reachable
-   through its same-iteration successors. *)
+   through its same-iteration successors.  Distance-0 edges all go
+   forward in program order, so the recursion cannot cycle. *)
 let heights (g : t) : int array =
   let n = Array.length g.ops in
   let height = Array.make n (-1) in
   let rec compute i =
     if height.(i) >= 0 then height.(i)
     else begin
-      (* Mark to guard against cycles (distance-0 edges are acyclic by
-         construction: they all go forward in program order). *)
       let best = ref (Machine.latency g.ops.(i)) in
       List.iter
         (fun (j, delay, dist) ->

@@ -5,13 +5,12 @@
     earlier than issue(a, iteration k) + delay.  Distance-0 edges order
     operations of one iteration; distance-1 edges wrap around the loop
     (any pair, either program order, self-edges included) and are what
-    the modulo scheduler prices. *)
-
-type edge = { src : int; dst : int; delay : int; dist : int }
+    the modulo scheduler prices.  Each edge is listed once in the
+    [succs] of its source and once in the [preds] of its destination;
+    neither list has a promised order. *)
 
 type t = {
   ops : Midend.Ir.instr array;
-  edges : edge list;
   succs : (int * int * int) list array; (** (dst, delay, dist) *)
   preds : (int * int * int) list array; (** (src, delay, dist) *)
 }
@@ -36,13 +35,7 @@ val hazard : footprint -> footprint -> int
 val build : Midend.Ir.instr array -> t
 (** The modulo scheduler's loop graph: every hazard pair at distance 0
     and the wrapped pairs at distance 1.  Each op is paired only with
-    the ops that share a register, an array or the queues with it.
-    [succs] and [preds] list each node's edges in the order of an
-    all-pairs scan (distance 0, then distance 1, each by ascending
-    source and destination), which the modulo scheduler's ejection order
-    relies on.  [edges] holds them in the reverse of that order:
-    distance 1 first, then distance 0, each by descending source and
-    destination. *)
+    the ops that share a register, an array or the queues with it. *)
 
 val straight : Midend.Ir.instr array -> t
 (** The list scheduler's graph, distance 0 only: each op keeps an edge,

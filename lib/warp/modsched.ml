@@ -39,32 +39,12 @@ let res_mii (ops : Ir.instr array) : int =
 
 (* Lower bound from self-edges (a → a, delay, 1): II ≥ delay. *)
 let self_rec_mii (g : Ddg.t) : int =
-  List.fold_left
-    (fun acc (e : Ddg.edge) ->
-      if e.src = e.dst && e.dist = 1 then max acc e.delay else acc)
-    1 g.edges
-
-(* The edges as flat arrays, for the Bellman–Ford runs of the MII
-   search, ordered by (dist, src).  Distance-0 edges run from earlier
-   to later ops, so in that order one round settles every distance-0
-   chain.  [Ddg.build] lists its edges in the reverse of that order;
-   the order moves only the number of rounds, never the answer. *)
-type flat = { src : int array; dst : int array; delay : int array; dist : int array }
-
-let flatten (g : Ddg.t) : flat =
-  let m = List.length g.edges in
-  let f =
-    { src = Array.make m 0; dst = Array.make m 0; delay = Array.make m 0; dist = Array.make m 0 }
-  in
-  List.iteri
-    (fun k (e : Ddg.edge) ->
-      let k = m - 1 - k in
-      f.src.(k) <- e.src;
-      f.dst.(k) <- e.dst;
-      f.delay.(k) <- e.delay;
-      f.dist.(k) <- e.dist)
-    g.edges;
-  f
+  let best = ref 1 in
+  Array.iteri
+    (fun i succs ->
+      List.iter (fun (j, delay, dist) -> if j = i && dist = 1 then best := max !best delay) succs)
+    g.succs;
+  !best
 
 (* Does the parent graph (each node to the predecessor that last
    relaxed it, or -1) have a cycle?  Each walk towards a root marks the
@@ -91,12 +71,13 @@ let parent_cycle parent =
    records the edge's source as the node's parent, and a cycle in that
    parent graph always has positive weight (Cherkassky–Goldberg), so
    the test stops at the first round that leaves one: the answer is
-   the full run's, usually after a few rounds instead of n + 1.  This
-   exact recurrence test lets the search skip infeasible IIs without
+   the full run's, usually after a few rounds instead of n + 1.  Each
+   round relaxes [succs] by ascending source; distance-0 edges go
+   forward, so one round settles every distance-0 chain.  This exact
+   recurrence test lets the search skip infeasible IIs without
    running the expensive placement loop. *)
-let feasible n (e : flat) ~ii : bool =
-  let m = Array.length e.src in
-  let weight = Array.init m (fun k -> e.delay.(k) - (ii * e.dist.(k))) in
+let feasible (g : Ddg.t) ~ii : bool =
+  let n = Array.length g.ops in
   let longest = Array.make n 0 in
   let parent = Array.make n (-1) in
   let changed = ref true and cycle = ref false in
@@ -104,13 +85,16 @@ let feasible n (e : flat) ~ii : bool =
   while !changed && (not !cycle) && !rounds <= n do
     changed := false;
     incr rounds;
-    for k = 0 to m - 1 do
-      let via = longest.(e.src.(k)) + weight.(k) in
-      if via > longest.(e.dst.(k)) then begin
-        longest.(e.dst.(k)) <- via;
-        parent.(e.dst.(k)) <- e.src.(k);
-        changed := true
-      end
+    for i = 0 to n - 1 do
+      List.iter
+        (fun (j, delay, dist) ->
+          let via = longest.(i) + delay - (ii * dist) in
+          if via > longest.(j) then begin
+            longest.(j) <- via;
+            parent.(j) <- i;
+            changed := true
+          end)
+        g.succs.(i)
     done;
     if !changed then cycle := parent_cycle parent
   done;
@@ -223,18 +207,17 @@ exception No_schedule of int
    is bisected.  The work charged is what a linear search upwards from
    the lower bound would spend, (nedges/8 + 1) per II tried. *)
 let mii (g : Ddg.t) : int * int =
-  let n = Array.length g.ops in
-  let e = flatten g in
-  let per_test = (Array.length e.src / 8) + 1 in
+  let nedges = Array.fold_left (fun acc succs -> acc + List.length succs) 0 g.succs in
+  let per_test = (nedges / 8) + 1 in
   let lower = max (res_mii g.ops) (self_rec_mii g) in
   let top = lower + max_ii_slack in
-  if not (feasible n e ~ii:top) then raise (No_schedule ((max_ii_slack + 1) * per_test));
+  if not (feasible g ~ii:top) then raise (No_schedule ((max_ii_slack + 1) * per_test));
   (* Invariant: [hi] is feasible; everything below [lo] is not. *)
   let rec bisect lo hi =
     if lo >= hi then hi
     else
       let mid = (lo + hi) / 2 in
-      if feasible n e ~ii:mid then bisect lo mid else bisect (mid + 1) hi
+      if feasible g ~ii:mid then bisect lo mid else bisect (mid + 1) hi
   in
   let ii = bisect lower top in
   (ii, (ii - lower + 1) * per_test)

@@ -15,21 +15,17 @@ module Listsched = struct
   let all_pairs (ops : Ir.instr array) : Warp.Ddg.t =
     let n = Array.length ops in
     let fps = Array.map Warp.Ddg.footprint ops in
-    let edges = ref [] in
+    let succs = Array.make n [] and preds = Array.make n [] in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         let delay = Warp.Ddg.hazard fps.(i) fps.(j) in
-        if delay <> Warp.Ddg.independent then
-          edges := { Warp.Ddg.src = i; dst = j; delay; dist = 0 } :: !edges
+        if delay <> Warp.Ddg.independent then begin
+          succs.(i) <- (j, delay, 0) :: succs.(i);
+          preds.(j) <- (i, delay, 0) :: preds.(j)
+        end
       done
     done;
-    let succs = Array.make n [] and preds = Array.make n [] in
-    List.iter
-      (fun (e : Warp.Ddg.edge) ->
-        succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
-        preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
-      !edges;
-    { Warp.Ddg.ops; edges = !edges; succs; preds }
+    { Warp.Ddg.ops; succs; preds }
 
   let run (ops : Ir.instr array) : Warp.Listsched.schedule =
     let n = Array.length ops in
@@ -229,9 +225,18 @@ module Modsched = struct
     done;
     if !remaining = 0 then Some sigma else None
 
+  (* Each node's edges in the order of an all-pairs scan: distance 0,
+     then distance 1, each by ascending other end.  [Warp.Ddg] promises
+     no order; converting once per graph, in [run], lets the property
+     that compares the two schedulers witness that the order of the
+     lists does not move a schedule. *)
+  let scan_order (g : Warp.Ddg.t) : Warp.Ddg.t =
+    let by_scan = List.sort (fun (a, _, d) (b, _, e) -> compare (d, a) (e, b)) in
+    { g with succs = Array.map by_scan g.succs; preds = Array.map by_scan g.preds }
+
   (* [Warp.Modsched.run] with the placement above. *)
   let run (ops : Ir.instr array) : Warp.Modsched.result =
-    let g = Warp.Ddg.build ops in
+    let g = scan_order (Warp.Ddg.build ops) in
     let height = Warp.Ddg.heights g in
     let critical_path = Array.fold_left max 0 height in
     let mii, work = Warp.Modsched.mii g in

@@ -20,6 +20,17 @@ let compile ?(level = 2) ?reg_limit ?pipeline (m : W2.Ast.modul) : Warp.Mcode.im
   in
   Warp.Link.link ~section:sec.Ir.sec_name ~cells:sec.Ir.cells compiled
 
+(* A graph's edges as sorted (dist, src, dst, delay) lists, read once
+   from [succs] and once from [preds]: [Warp.Ddg] promises no order
+   within either list. *)
+let edge_sets (g : Warp.Ddg.t) =
+  let collect lists edge =
+    Array.to_list (Array.mapi (fun i l -> List.map (edge i) l) lists)
+    |> List.concat |> List.sort compare
+  in
+  ( collect g.Warp.Ddg.succs (fun src (dst, delay, dist) -> (dist, src, dst, delay)),
+    collect g.Warp.Ddg.preds (fun dst (src, delay, dist) -> (dist, src, dst, delay)) )
+
 let vi n = Ir_interp.Vi n
 let vf f = Ir_interp.Vf f
 
@@ -237,14 +248,14 @@ let test_modsched_edges_hold () =
           | r ->
             let g = Warp.Ddg.build ops in
             List.iter
-              (fun (e : Warp.Ddg.edge) ->
+              (fun (dist, src, dst, delay) ->
                 incr checked;
                 Alcotest.(check bool)
-                  (Printf.sprintf "edge %d->%d delay %d dist %d" e.src e.dst e.delay e.dist)
+                  (Printf.sprintf "edge %d->%d delay %d dist %d" src dst delay dist)
                   true
-                  (r.Warp.Modsched.sigma.(e.dst)
-                   >= r.Warp.Modsched.sigma.(e.src) + e.delay - (r.Warp.Modsched.ii * e.dist)))
-              g.Warp.Ddg.edges
+                  (r.Warp.Modsched.sigma.(dst)
+                   >= r.Warp.Modsched.sigma.(src) + delay - (r.Warp.Modsched.ii * dist)))
+              (fst (edge_sets g))
           | exception Warp.Modsched.No_schedule _ -> ()
         end
       | None -> ())
@@ -859,10 +870,12 @@ let oracle_hazard_delay a b : int option =
 (* Oracle: the all-pairs DDG builder. *)
 let oracle_ddg ?(loop = false) (ops : Ir.instr array) : Warp.Ddg.t =
   let n = Array.length ops in
-  let edges = ref [] in
+  let succs = Array.make n [] and preds = Array.make n [] in
   let add ~dist i j =
     match oracle_hazard_delay ops.(i) ops.(j) with
-    | Some delay -> edges := { Warp.Ddg.src = i; dst = j; delay; dist } :: !edges
+    | Some delay ->
+      succs.(i) <- (j, delay, dist) :: succs.(i);
+      preds.(j) <- (i, delay, dist) :: preds.(j)
     | None -> ()
   in
   for i = 0 to n - 1 do
@@ -876,13 +889,7 @@ let oracle_ddg ?(loop = false) (ops : Ir.instr array) : Warp.Ddg.t =
         add ~dist:1 i j
       done
     done;
-  let succs = Array.make n [] and preds = Array.make n [] in
-  List.iter
-    (fun (e : Warp.Ddg.edge) ->
-      succs.(e.src) <- (e.dst, e.delay, e.dist) :: succs.(e.src);
-      preds.(e.dst) <- (e.src, e.delay, e.dist) :: preds.(e.dst))
-    !edges;
-  { Warp.Ddg.ops; edges = !edges; succs; preds }
+  { Warp.Ddg.ops; succs; preds }
 
 (* Oracle: the list scheduler that rescans every op on every cycle. *)
 let oracle_listsched (ops : Ir.instr array) : Warp.Listsched.schedule =
@@ -929,10 +936,12 @@ let oracle_listsched (ops : Ir.instr array) : Warp.Listsched.schedule =
     { Warp.Listsched.code; issue; attempts = !attempts }
   end
 
-(* Oracle: the linear MII search over the edge list.  [Ok (ii, work)],
-   or [Error work] when no II in range passes. *)
+(* Oracle: the linear MII search over the edge list, gathered once per
+   graph.  [Ok (ii, work)], or [Error work] when no II in range
+   passes. *)
 let oracle_mii (g : Warp.Ddg.t) : (int * int, int) result =
   let n = Array.length g.Warp.Ddg.ops in
+  let edges = fst (edge_sets g) in
   let feasible ii =
     let dist = Array.make n 0 in
     let changed = ref true and rounds = ref 0 in
@@ -940,17 +949,17 @@ let oracle_mii (g : Warp.Ddg.t) : (int * int, int) result =
       changed := false;
       incr rounds;
       List.iter
-        (fun (e : Warp.Ddg.edge) ->
-          let w = e.delay - (ii * e.dist) in
-          if dist.(e.src) + w > dist.(e.dst) then begin
-            dist.(e.dst) <- dist.(e.src) + w;
+        (fun (d, src, dst, delay) ->
+          let w = delay - (ii * d) in
+          if dist.(src) + w > dist.(dst) then begin
+            dist.(dst) <- dist.(src) + w;
             changed := true
           end)
-        g.Warp.Ddg.edges
+        edges
     done;
     not !changed
   in
-  let nedges = List.length g.Warp.Ddg.edges in
+  let nedges = List.length edges in
   let lower = max (Warp.Modsched.res_mii g.Warp.Ddg.ops) (Warp.Modsched.self_rec_mii g) in
   let work = ref 0 in
   let rec tighten ii =
@@ -998,9 +1007,8 @@ let prop_ddg_matches_all_pairs =
   QCheck.Test.make ~name:"indexed DDG = all-pairs DDG, edge for edge" ~count:300 arb_block
     (fun ops ->
       let g = Warp.Ddg.build ops and o = oracle_ddg ~loop:true ops in
-      g.Warp.Ddg.edges = o.Warp.Ddg.edges
-      && g.Warp.Ddg.succs = o.Warp.Ddg.succs
-      && g.Warp.Ddg.preds = o.Warp.Ddg.preds)
+      let gs, gp = edge_sets g and os, op = edge_sets o in
+      gs = os && gp = op && gs = gp)
 
 let prop_hazard_matches_list_based =
   QCheck.Test.make ~name:"footprint hazard = list-based hazard" ~count:2000
@@ -1032,7 +1040,7 @@ let test_mii_out_of_range () =
     Array.init 5 (fun k -> Ir.Bin (Ir.Idiv, (k + 1) mod 5, Ir.Reg k, Ir.Imm_int 2))
   in
   let g = Warp.Ddg.build ops in
-  let per_test = (List.length g.Warp.Ddg.edges / 8) + 1 in
+  let per_test = (List.length (fst (edge_sets g)) / 8) + 1 in
   Alcotest.(check bool) "same as linear" true (mii_outcome g = oracle_mii g);
   Alcotest.(check bool) "whole range charged" true
     (mii_outcome g = Error ((Warp.Modsched.max_ii_slack + 1) * per_test))
@@ -1139,6 +1147,19 @@ let test_modsched_oracle_reaches_ejections () =
   done;
   let ejected = !Backend_oracle.Modsched.ejections - before in
   Alcotest.(check bool) (Printf.sprintf "%d ejections" ejected) true (ejected > 0)
+
+(* [Warp.Ddg] promises no order within [succs] or [preds]: reversing
+   every list moves no height, no MII bound and no MII search, work
+   included. *)
+let prop_edge_order_free =
+  QCheck.Test.make ~name:"edge order is not a contract: heights and MII" ~count:300
+    (QCheck.make ~print:print_block QCheck.Gen.(oneof [ QCheck.gen arb_block; gen_loop_body ]))
+    (fun ops ->
+      let g = Warp.Ddg.build ops in
+      let r = { g with succs = Array.map List.rev g.succs; preds = Array.map List.rev g.preds } in
+      Warp.Ddg.heights r = Warp.Ddg.heights g
+      && Warp.Modsched.self_rec_mii r = Warp.Modsched.self_rec_mii g
+      && mii_outcome r = mii_outcome g)
 
 (* Work units and image bytes of the paper's five sizes, recorded before
    the schedulers' data structures were rebuilt: none may move. *)
@@ -1433,6 +1454,7 @@ let oracle_suites =
         QCheck_alcotest.to_alcotest prop_modsched_matches_hashtbl;
         Alcotest.test_case "reservation-table oracle reaches ejections" `Quick
           test_modsched_oracle_reaches_ejections;
+        QCheck_alcotest.to_alcotest prop_edge_order_free;
         Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
         Alcotest.test_case "paper sizes phase-2 golden" `Quick test_paper_sizes_phase2_golden;
         Alcotest.test_case "program images golden" `Quick test_program_images_golden;
