@@ -446,7 +446,7 @@ type action = Run of (unit -> unit) | Sweep of sweep
    derive from the table, so they cannot drift apart. *)
 let targets : (string * string * bool * action) list =
   let batch_threshold =
-    ("batch_threshold", Json.Fixed (1, Config.default.Config.batch_threshold))
+    ("batch_threshold", Json.Fixed (1, Sched.batch_threshold))
   in
   let points title sweep = [ ("points", title, lazy (sweep ())) ] in
   ( "figures",

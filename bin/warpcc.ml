@@ -15,14 +15,13 @@
          cell simulator (or the whole array with --array).
 
      warpcc simulate prog.w2 [--processors N] [--sched POLICY]
-            [--no-absint] [--static-cost] [--deadline-factor F]
-            [--retry-backoff S] [--spec-budget N]
+            [--no-absint] [--static-cost] [--spec-budget N]
          Replay sequential and parallel compilation of the module on the
          simulated 1989 workstation network and report the speedup and
          overhead decomposition of the paper.
 
      warpcc analyze prog.w2 [--dot FILE] [--json FILE] [--sarif FILE]
-            [--no-absint] [--absint-max-intervals N]
+            [--no-absint]
          Run the interprocedural dependence analyzer alone and print the
          per-section summaries, dependence edges, pruned edges and
          licensed-parallelism fraction (or emit Graphviz / JSON / SARIF).
@@ -84,7 +83,25 @@ let or_compile_error f =
     reject (Printf.sprintf "%s: %s" (W2.Loc.to_string loc) msg)
   | Sys_error msg -> reject msg
 
-(* --- shared diagnostic flags --- *)
+(* --- shared flags --- *)
+
+(* An integer argument in [lo, hi]: anything else is a usage error
+   (exit 124), not a crash deeper in the compiler or the simulator. *)
+let int_in lo hi =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when lo <= n && n <= hi -> Ok n
+        | _ when hi = max_int ->
+          Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+        | _ ->
+          Error
+            (`Msg (Printf.sprintf "expected an integer in %d..%d, got %S" lo hi s))),
+      Format.pp_print_int )
+
+let level =
+  Arg.(value & opt (int_in 0 3) 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL"
+         ~doc:"Optimization level (0-3)")
 
 let lint_flag =
   Arg.(value & flag
@@ -110,10 +127,6 @@ let emit_diags ~werror diags =
 let compile_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
-  in
-  let level =
-    Arg.(value & opt int 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL"
-           ~doc:"Optimization level (0-3)")
   in
   let dump_ir =
     Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the optimized IR of every function")
@@ -276,10 +289,6 @@ let check_cmd =
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
   in
-  let level =
-    Arg.(value & opt int 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL"
-           ~doc:"Optimization level used by --verify-ir (0-3)")
-  in
   let action file lint verify_ir werror level =
     static_check_action [ file ] lint verify_ir werror level
   in
@@ -345,7 +354,7 @@ let project_order heads =
   sweep heads;
   !result
 
-let analyze_project ~dir ~sound ~max_tracked ~absint ~absint_max_intervals =
+let analyze_project ~dir ~sound ~max_tracked ~absint =
   let order = project_order (project_heads dir) in
   let summaries = ref [] in
   let module_diags = ref [] in
@@ -361,7 +370,7 @@ let analyze_project ~dir ~sound ~max_tracked ~absint ~absint_max_intervals =
         exit 1);
       let s =
         Analysis.Modan.summarize ~deps:!summaries ~sound ~max_tracked ~absint
-          ~absint_max_intervals ~file:path m
+          ~file:path m
       in
       (* Per-module source lints.  W007 ("never called from its
          section") is suppressed for exported functions: their callers
@@ -425,14 +434,8 @@ let analyze_cmd =
                  channel protocols, static costs); the result is bit-identical \
                  to the flow-insensitive analyzer")
   in
-  let absint_max_intervals =
-    Arg.(value & opt int Analysis.Absint.default_max_intervals
-         & info [ "absint-max-intervals" ] ~docv:"N"
-           ~doc:"Disjoint element-index slices tracked per array region before \
-                 the region widens to the whole array")
-  in
   let action file project dot_out json_out sarif_out no_sound max_tracked
-      no_absint absint_max_intervals werror =
+      no_absint werror =
     or_compile_error (fun () ->
         let finish ~report ~dot ~json diags =
           (match (dot_out, json_out, sarif_out) with
@@ -456,7 +459,7 @@ let analyze_cmd =
         | Some dir, None ->
           let link, diags =
             analyze_project ~dir ~sound:(not no_sound) ~max_tracked
-              ~absint:(not no_absint) ~absint_max_intervals
+              ~absint:(not no_absint)
           in
           finish
             ~report:(fun () -> Analysis.Modan.report link)
@@ -475,7 +478,7 @@ let analyze_cmd =
             exit 1);
           let t =
             Analysis.Depan.analyze ~sound:(not no_sound) ~max_tracked
-              ~absint:(not no_absint) ~absint_max_intervals m
+              ~absint:(not no_absint) m
           in
           finish
             ~report:(fun () -> Analysis.Depan.report t)
@@ -487,8 +490,7 @@ let analyze_cmd =
     Term.(
       term_result
         (const action $ file $ project $ dot_out $ json_out $ sarif_out
-        $ no_sound $ max_tracked $ no_absint $ absint_max_intervals
-        $ werror_flag))
+        $ no_sound $ max_tracked $ no_absint $ werror_flag))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -526,9 +528,6 @@ let run_cmd =
   in
   let array =
     Arg.(value & flag & info [ "array" ] ~doc:"Run on the whole cell array (X flows host -> cell0 -> ... -> host)")
-  in
-  let level =
-    Arg.(value & opt int 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL" ~doc:"Optimization level")
   in
   let action file entry args_str input_x array level =
     or_compile_error (fun () ->
@@ -593,11 +592,10 @@ let file =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
 
 let processors =
-  Arg.(value & opt (some int) None & info [ "processors"; "p" ] ~docv:"N"
-         ~doc:"Workstations for function masters (default: one per function)")
-
-let level =
-  Arg.(value & opt int 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL" ~doc:"Optimization level")
+  Arg.(value & opt (some (int_in 1 max_int)) None
+       & info [ "processors"; "p" ] ~docv:"N"
+           ~doc:"Workstations for function masters, at least 1 (default: one \
+                 per function)")
 
 let fault_seed =
   Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"SEED"
@@ -611,38 +609,9 @@ let retries =
   Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N"
          ~doc:"Re-dispatches per task before sequential fallback")
 
-let deadline_factor =
-  Arg.(value
-       & opt float
-           Parallel_cc.Config.default.Parallel_cc.Config.deadline_factor
-       & info [ "deadline-factor" ] ~docv:"FACTOR"
-           ~doc:"A dispatched task is presumed lost after FACTOR times its \
-                 cost estimate and is re-dispatched (after the exponential \
-                 backoff; past $(b,--retries) it falls back to the \
-                 sequential path)")
-
-let retry_backoff =
-  Arg.(value
-       & opt float
-           Parallel_cc.Config.default.Parallel_cc.Config
-           .retry_backoff_seconds
-       & info [ "retry-backoff" ] ~docv:"SECONDS"
-           ~doc:"Base of the exponential backoff before re-dispatching a \
-                 timed-out task: the k-th re-dispatch of a task waits \
-                 SECONDS times 2^k")
-
 let spec_budget =
-  let at_least_one =
-    Arg.conv
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ ->
-            Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))),
-        Format.pp_print_int )
-  in
   Arg.(value
-       & opt at_least_one
+       & opt (int_in 1 max_int)
            Parallel_cc.Config.default.Parallel_cc.Config.spec_budget
        & info [ "spec-budget" ] ~docv:"N"
            ~doc:"Misspeculations (speculative-attempt aborts) per task \
@@ -670,12 +639,6 @@ let sched =
                  edges immediately, staging outputs and committing or \
                  rolling back when the predecessors write back; see \
                  $(b,--spec-budget))")
-
-let batch_threshold =
-  Arg.(value & opt float Parallel_cc.Config.default.Parallel_cc.Config.batch_threshold
-       & info [ "batch-threshold" ] ~docv:"SECONDS"
-           ~doc:"Estimated phase-2+3 seconds below which a function counts \
-                 as tiny for $(b,--sched lpt+batch)")
 
 let trace_out =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -709,23 +672,11 @@ let static_cost =
                statically bounded cost instead of the measured work units \
                (no effect under $(b,--sched fcfs))")
 
-let gantt_width =
-  Arg.(value & opt int 64 & info [ "gantt-width" ] ~docv:"COLS"
-         ~doc:"Time buckets (columns) of the $(b,--gantt) timeline")
-
 let use_cache =
   Arg.(value & flag & info [ "cache" ]
          ~doc:"After the comparison, replay a cold/warm/edited trio of \
                parallel runs against one content-addressed compile cache \
                (docs/CACHING.md) and print each run's hit/miss counters")
-
-let cache_seed_edit =
-  Arg.(value & opt (some string) None
-       & info [ "cache-seed-edit" ] ~docv:"FUNC"
-           ~doc:"Function the $(b,--cache) trio's third run edits (a \
-                 semantics-neutral touch that changes the source hash \
-                 but not the dependence DAG); default: the function \
-                 whose edit invalidates the widest closure")
 
 (* The replay [simulate] and [profile] share, so the profiled trace is
    the trace [simulate --trace] writes: the compiled module, its plan
@@ -748,8 +699,7 @@ type replay = {
 
 let replay_term =
   let setup file processors level fault_seed fault_rate retries sched
-      batch_threshold no_absint static_cost deadline_factor retry_backoff
-      spec_budget () =
+      no_absint static_cost spec_budget () =
     let open Parallel_cc in
     let compile =
       Driver.Compile.compile_source ~level ~file ~absint:(not no_absint)
@@ -760,10 +710,7 @@ let replay_term =
       {
         Config.default with
         Config.sched_policy = sched;
-        batch_threshold;
         static_cost;
-        deadline_factor;
-        retry_backoff_seconds = retry_backoff;
         spec_budget;
         stations = n_fm + 1;
         noise_seed = 1 + (17 * n_fm);
@@ -796,12 +743,10 @@ let replay_term =
   in
   Term.(
     const setup $ file $ processors $ level $ fault_seed $ fault_rate
-    $ retries $ sched $ batch_threshold $ no_absint $ static_cost
-    $ deadline_factor $ retry_backoff $ spec_budget)
+    $ retries $ sched $ no_absint $ static_cost $ spec_budget)
 
 let simulate_cmd =
-  let action replay trace_out gantt gantt_width metrics json_out use_cache
-      cache_seed_edit =
+  let action replay trace_out gantt metrics json_out use_cache =
     or_compile_error (fun () ->
         let { file; compile; mw; processors; plan; n_fm; cfg; fault_seed; faults;
               fault_free } =
@@ -865,7 +810,7 @@ let simulate_cmd =
               Trace.to_chrome_json tr);
           if gantt then begin
             print_newline ();
-            Stats.Table.print (Trace.gantt ~width:gantt_width tr)
+            Stats.Table.print (Trace.gantt tr)
           end;
           if metrics then begin
             print_newline ();
@@ -890,11 +835,7 @@ let simulate_cmd =
           in
           let cold = play mw in
           let warm = play mw in
-          let edited =
-            match cache_seed_edit with
-            | Some f -> f
-            | None -> Experiment.widest_edit mw
-          in
+          let edited = Experiment.widest_edit mw in
           let edited_src =
             let m = W2.Parser.module_of_string ~file (read_file file) in
             match W2.Gen.touch_in m edited with
@@ -927,8 +868,8 @@ let simulate_cmd =
   let term =
     Term.(
       term_result
-        (const action $ replay_term $ trace_out $ gantt $ gantt_width
-        $ metrics $ json_out $ use_cache $ cache_seed_edit))
+        (const action $ replay_term $ trace_out $ gantt $ metrics $ json_out
+        $ use_cache))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -1025,10 +966,6 @@ let () =
   let default =
     let files =
       Arg.(value & pos_all file [] & info [] ~docv:"FILE" ~doc:"W2 source modules")
-    in
-    let level =
-      Arg.(value & opt int 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL"
-             ~doc:"Optimization level used by --verify-ir (0-3)")
     in
     Term.(
       term_result

@@ -56,7 +56,7 @@ type region =
 
 val region_union : max_intervals:int -> region -> region -> region
 (** Normalized union; more than [max_intervals] disjoint slices widen
-    to {!All} (the [--absint-max-intervals] precision knob). *)
+    to {!All} (the precision knob). *)
 
 val regions_disjoint : region -> region -> bool
 (** No element is in both regions — the refutation {!Depan} needs to
@@ -123,7 +123,7 @@ val cost_units : itv -> int
 (** {1 Analysis} *)
 
 val default_max_intervals : int
-(** 8 — the default [--absint-max-intervals]. *)
+(** 8 — the slices per region the dependence analyzer runs with. *)
 
 val analyze_section :
   ?max_intervals:int -> W2.Ast.section -> (string * summary) list

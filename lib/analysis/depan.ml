@@ -454,11 +454,8 @@ let refute_reason a b = function
   | Summary_limit -> if Absint.conflict_free a b then Some Refuted_region else None
   | Inline_of | Sig_agreement -> None
 
-let refine_section ~max_intervals (sec : Ast.section) (si : section_info) :
-    section_info =
-  let sums =
-    Array.of_list (List.map snd (Absint.analyze_section ~max_intervals sec))
-  in
+let refine_section (sec : Ast.section) (si : section_info) : section_info =
+  let sums = Array.of_list (List.map snd (Absint.analyze_section sec)) in
   let n = Array.length si.si_funcs in
   let pruned = ref [] in
   let edges =
@@ -547,8 +544,7 @@ let refine_section ~max_intervals (sec : Ast.section) (si : section_info) :
   }
 
 let analyze ?(sound = true) ?(max_tracked = 64) ?(absint = true)
-    ?(absint_max_intervals = Absint.default_max_intervals) (m : Ast.modul) : t
-    =
+    (m : Ast.modul) : t =
   {
     dp_module = m.mname;
     dp_sound = sound;
@@ -557,9 +553,7 @@ let analyze ?(sound = true) ?(max_tracked = 64) ?(absint = true)
       List.map
         (fun sec ->
           let si = analyze_section ~sound ~max_tracked sec in
-          if absint then
-            refine_section ~max_intervals:absint_max_intervals sec si
-          else si)
+          if absint then refine_section sec si else si)
         m.sections;
   }
 

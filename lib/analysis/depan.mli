@@ -166,7 +166,6 @@ val analyze :
   ?sound:bool ->
   ?max_tracked:int ->
   ?absint:bool ->
-  ?absint_max_intervals:int ->
   W2.Ast.modul ->
   t
 (** Analyze a semantically checked module.  [sound] (default [true])
@@ -180,9 +179,9 @@ val analyze :
     their refuter), surviving [summary_limit] reasons are replaced by
     the targeted conflicts the abstract interpretation can actually
     name, levels and licensed fraction are recomputed over the pruned
-    DAG, and [fi_purity]/[fi_cost]/[si_disjoint] are filled in.
-    [absint_max_intervals] is the region-domain precision knob
-    ({!Absint.default_max_intervals}).  With [~absint:false] the result
+    DAG, and [fi_purity]/[fi_cost]/[si_disjoint] are filled in, at
+    {!Absint.default_max_intervals} slices per region.  With
+    [~absint:false] the result
     — edges, levels, lints, timings downstream — is bit-identical to
     the pre-absint analyzer. *)
 

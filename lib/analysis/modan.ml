@@ -43,13 +43,13 @@ type module_summary = {
 
 (* ---------- separate analysis ---------- *)
 
-let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true)
-    ?absint_max_intervals ?(file = "") (m : Ast.modul) =
+let summarize ?(deps = []) ?sound ?max_tracked ?(absint = true) ?(file = "")
+    (m : Ast.modul) =
   (match m.Ast.sections with
   | [ _ ] -> ()
   | _ -> invalid_arg "Modan.summarize: expected exactly one section");
   let sec = List.hd m.Ast.sections in
-  let dp = Depan.analyze ?sound ?max_tracked ~absint ?absint_max_intervals m in
+  let dp = Depan.analyze ?sound ?max_tracked ~absint m in
   let si = List.hd dp.Depan.dp_sections in
   let local = Hashtbl.create 16 in
   Array.iter

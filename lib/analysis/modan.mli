@@ -92,7 +92,6 @@ val summarize :
   ?sound:bool ->
   ?max_tracked:int ->
   ?absint:bool ->
-  ?absint_max_intervals:int ->
   ?file:string ->
   W2.Ast.modul ->
   module_summary

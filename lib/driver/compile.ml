@@ -231,9 +231,7 @@ let plan_section ~level ~verify_each (depan : Analysis.Depan.section_info)
 (* The whole compiler, from source text.  Raises [Compile_error] on
    phase-1 failure (the master aborts, as in the paper). *)
 let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
-    ?max_tracked ?(absint = true)
-    ?(absint_max_intervals = Analysis.Absint.default_max_intervals)
-    (source : string) : module_work =
+    ?max_tracked ?(absint = true) (source : string) : module_work =
   let m =
     try W2.Parser.module_of_string ~file source with
     | W2.Parser.Error (msg, loc) ->
@@ -250,9 +248,7 @@ let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
   (* Interprocedural dependence analysis: still phase 1, still the
      sequential master; its section summaries feed the coupling lints
      and the per-section IR cross-check. *)
-  let analysis =
-    Analysis.Depan.analyze ?max_tracked ~absint ~absint_max_intervals m
-  in
+  let analysis = Analysis.Depan.analyze ?max_tracked ~absint m in
   let planned =
     List.map2 (plan_section ~level ~verify_each)
       analysis.Analysis.Depan.dp_sections m.W2.Ast.sections

@@ -111,7 +111,6 @@ val compile_source :
   ?file:string ->
   ?max_tracked:int ->
   ?absint:bool ->
-  ?absint_max_intervals:int ->
   string ->
   module_work
 (** The whole compiler, from source text.  Phase 1 (parse, semantic

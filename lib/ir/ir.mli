@@ -101,9 +101,7 @@ val may_trap : instr -> bool
 val commutative : binop -> bool
 (** [op x y = op y x]: LVN and GCSE sort such operands. *)
 
-val cmp_to_string : cmp -> string
 val binop_to_string : binop -> string
-val unop_to_string : unop -> string
 val operand_to_string : operand -> string
 val instr_to_string : instr -> string
 val term_to_string : term -> string

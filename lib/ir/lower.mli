@@ -22,5 +22,4 @@ val lower_function :
     localized into per-activation storage (registers or arrays),
     default-initialized like locals. *)
 
-val lower_section : W2.Ast.section -> Ir.section
 val lower_module : W2.Ast.modul -> Ir.section list

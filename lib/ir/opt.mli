@@ -31,7 +31,6 @@ type stats = {
           simulated seconds *)
 }
 
-val empty_stats : unit -> stats
 val total_changes : stats -> int
 
 val optimize : ?level:int -> ?verify_each:bool -> Ir.func -> stats

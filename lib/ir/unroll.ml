@@ -1,116 +1,32 @@
 (* Full unrolling of constant-trip innermost loops.
 
-   Handles the canonical shape produced by lowering a [for] loop with
-   constant bounds (after constant propagation):
-
-     pre:  ... v := lo ... [limit := hi] ...  jump h
-     h:    c := icmp.le v, limit              branch c, bb, exit
-     bb:   <body including v := v + 1>        jump h
-
-   with body = {h, bb}.  The body block is replicated trip-count times
+   Handles the counted loops {!Counted.recognize} finds (the shape
+   produced by lowering a [for] loop) whose bounds are constant after
+   constant propagation.  The body block is replicated trip-count times
    (keeping the increments, so [v]'s final value is preserved) and the
    loop becomes straight-line code.  Registers need no renaming: the
    copies execute sequentially with exactly the per-iteration register
    semantics of the original loop. *)
 
-module Iset = Loops.Iset
-
 let max_trip = 16
 let max_growth = 512
 
-(* Last definition of [r] in a block, as an optional instruction. *)
-let last_def_in (b : Ir.block) r =
-  List.fold_left
-    (fun acc instr -> if Ir.def_of instr = Some r then Some instr else acc)
-    None b.instrs
-
-let uses_outside_branch (f : Ir.func) ~header c =
-  let used = ref false in
-  Array.iteri
-    (fun i (b : Ir.block) ->
-      List.iter
-        (fun instr -> if List.mem c (Ir.uses_of instr) then used := true)
-        b.instrs;
-      if i <> header && List.mem c (Ir.term_uses b.term) then used := true)
-    f.blocks;
-  !used
-
 let try_unroll (f : Ir.func) (l : Loops.loop) : bool =
-  match Iset.elements l.body with
-  | [ a; b ] -> (
-    let h = l.header in
-    let bb = if a = h then b else a in
-    let header_block = f.blocks.(h) in
-    let body_block = f.blocks.(bb) in
-    let preds = Cfg.predecessors f in
-    match (header_block.instrs, header_block.term, body_block.term) with
-    | ( [ Ir.Bin (Ir.Icmp Ir.Cle, c, Ir.Reg v, lim_op) ],
-        Ir.Branch (Ir.Reg c', bt, exit),
-        Ir.Jump back )
-      when c = c' && bt = bb && back = h
-           && (not (Iset.mem exit l.body))
-           && preds.(bb) = [ h ]
-           && not (uses_outside_branch f ~header:h c) -> (
-      (* v's definitions in the body: exactly one increment by one. *)
-      let v_defs =
-        List.filter (fun i -> Ir.def_of i = Some v) body_block.instrs
-      in
-      let step_ok =
-        match v_defs with
-        | [ Ir.Bin (Ir.Iadd, _, Ir.Reg v', Ir.Imm_int 1) ] -> v' = v
-        | _ -> false
-      in
-      if not step_ok then false
-      else
-        (* Constant bounds from the preheader. *)
-        let outside = List.filter (fun p -> not (Iset.mem p l.body)) preds.(h) in
-        match outside with
-        | [ pre ] -> (
-          let pre_block = f.blocks.(pre) in
-          let lo =
-            match last_def_in pre_block v with
-            | Some (Ir.Mov (_, Ir.Imm_int lo)) -> Some lo
-            | _ -> None
-          in
-          let hi =
-            match lim_op with
-            | Ir.Imm_int hi -> Some hi
-            | Ir.Reg limit -> (
-              (* The limit must be loop-invariant and constant. *)
-              let defined_in_loop =
-                List.exists
-                  (fun i -> Ir.def_of i = Some limit)
-                  body_block.instrs
-              in
-              if defined_in_loop then None
-              else
-                match last_def_in pre_block limit with
-                | Some (Ir.Mov (_, Ir.Imm_int hi)) -> Some hi
-                | _ -> None)
-            | Ir.Imm_float _ -> None
-          in
-          match (lo, hi) with
-          | Some lo, Some hi ->
-            let trip = max 0 (hi - lo + 1) in
-            let growth = trip * List.length body_block.instrs in
-            if trip > max_trip || growth > max_growth then false
-            else begin
-              if trip = 0 then begin
-                f.blocks.(h) <- { Ir.instrs = []; term = Ir.Jump exit }
-              end
-              else begin
-                let copies =
-                  List.concat (List.init trip (fun _ -> body_block.instrs))
-                in
-                f.blocks.(h) <- { Ir.instrs = []; term = Ir.Jump bb };
-                f.blocks.(bb) <- { Ir.instrs = copies; term = Ir.Jump exit }
-              end;
-              true
-            end
-          | _ -> false)
-        | _ -> false)
+  match Counted.recognize f l with
+  | None -> false
+  | Some c -> (
+    let body = f.blocks.(c.body_block).instrs in
+    match Counted.trip c with
+    | Some trip when trip <= max_trip && trip * List.length body <= max_growth ->
+      (if trip = 0 then
+         f.blocks.(c.header) <- { Ir.instrs = []; term = Ir.Jump c.exit }
+       else begin
+         let copies = List.concat (List.init trip (fun _ -> body)) in
+         f.blocks.(c.header) <- { Ir.instrs = []; term = Ir.Jump c.body_block };
+         f.blocks.(c.body_block) <- { Ir.instrs = copies; term = Ir.Jump c.exit }
+       end);
+      true
     | _ -> false)
-  | _ -> false
 
 let run (f : Ir.func) : int =
   let unrolled = ref 0 in

@@ -7,8 +7,5 @@
     and the increments are kept so the loop variable's final value is
     preserved. *)
 
-val max_trip : int
-val max_growth : int
-
 val run : Ir.func -> int
 (** Returns the number of loops unrolled. *)

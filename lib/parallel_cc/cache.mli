@@ -44,11 +44,6 @@ val owner : modul:string -> Driver.Compile.func_work -> string
     name) — what attributes a miss to invalidation rather than cold
     start. *)
 
-val artifact_bytes : Driver.Compile.func_work -> float
-(** Payload size of one function's phase-2/3 artifact: its code in wide
-    instructions, 16 bytes each — the same accounting the runners use
-    for output write-back. *)
-
 val find : t -> owner:string -> key:string -> lookup
 (** Consult the index.  Pure bookkeeping: callers charge the simulated
     lookup/transfer costs themselves. *)

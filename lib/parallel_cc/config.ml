@@ -8,18 +8,13 @@ type t = {
   core_download : bool; (* Lisp core image fetched over the network *)
   ideal_network : bool; (* no Ethernet contention, instant file server *)
   fine_grained : bool; (* split phases 2 and 3 into separate tasks *)
-  opt_level : int;
   noise_seed : int; (* 0 = no measurement noise *)
   sched_policy : Sched.policy; (* dispatch order/batching; [Fcfs] =
                                   the paper's behaviour, bit-identical *)
-  batch_threshold : float; (* tasks under this many estimated seconds
-                              are batched by [Sched.Lpt_batch] *)
   static_cost : bool; (* rank/batch by the absint statement-execution
                          bound instead of measured work units *)
   faults : Netsim.Fault.plan; (* station crashes etc.; [none] = ideal *)
-  deadline_factor : float; (* task deadline = factor * cost estimate *)
   retry_budget : int; (* re-dispatches before sequential fallback *)
-  retry_backoff_seconds : float; (* base of the exponential backoff *)
   spec_budget : int; (* misspeculations per task before its speculative
                         edges harden to gated; at least 1 under
                         dag+spec *)
@@ -40,28 +35,23 @@ let default =
     core_download = true;
     ideal_network = false;
     fine_grained = false;
-    opt_level = 2;
     noise_seed = 0;
-    (* FCFS keeps the paper's timings; 60 s separates f_tiny/f_small
-       tasks (≈10/78 estimated seconds) from everything the paper
-       calls worth a processor of its own. *)
-    sched_policy = Sched.Fcfs;
-    batch_threshold = 60.0;
+    sched_policy = Sched.Fcfs; (* the paper's timings *)
     static_cost = false;
     faults = Netsim.Fault.none;
-    deadline_factor = 6.0;
     retry_budget = 2;
-    retry_backoff_seconds = 30.0;
     spec_budget = 2;
     cache = None;
     trace = Trace.none;
   }
 
-(* Exponential backoff before re-dispatching a timed-out attempt:
-   [step] counts prior re-dispatches of the task (0 for the first
-   retry). *)
-let backoff_delay (cfg : t) ~step =
-  cfg.retry_backoff_seconds *. (2.0 ** float_of_int step)
+(* Supervision constants: a task is presumed lost after this many
+   times its cost estimate, and its k-th re-dispatch waits
+   [retry_backoff_seconds × 2^k] (k = 0 for the first retry). *)
+let deadline_factor = 6.0
+let retry_backoff_seconds = 30.0
+
+let backoff_delay ~step = retry_backoff_seconds *. (2.0 ** float_of_int step)
 
 (* Deterministic multiplicative noise, mirroring the paper's repeated
    measurements (individual runs deviate a few percent; section 4.2):

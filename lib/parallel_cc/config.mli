@@ -8,16 +8,12 @@ type t = {
   core_download : bool; (** Lisp core image fetched over the network *)
   ideal_network : bool; (** no contention, instant file server *)
   fine_grained : bool; (** split phases 2 and 3 into separate tasks *)
-  opt_level : int;
   noise_seed : int; (** 0 = no measurement noise *)
   sched_policy : Sched.policy;
       (** dispatch scheduling applied to the plan before the section
           masters fork ({!Sched.Fcfs}, the default, keeps the paper's
-          event schedule bit-identical) *)
-  batch_threshold : float;
-      (** {!Sched.Lpt_batch}'s cut-off: tasks estimated under this many
-          phase-2+3 seconds are merged into shared dispatch units
-          (default 60.0) *)
+          event schedule bit-identical; the batching policies batch
+          below {!Sched.batch_threshold}) *)
   static_cost : bool;
       (** rank and batch by the abstract interpretation's statically
           bounded cost ({!Sched.task_cost} with [~static:true]) instead
@@ -27,10 +23,7 @@ type t = {
       (** fault schedule wired into the cluster ({!Netsim.Fault.none} =
           the ideal host; anything else enables supervision in
           {!Parrun}) *)
-  deadline_factor : float;
-      (** a task is presumed lost after [factor × cost estimate] *)
   retry_budget : int; (** re-dispatches before sequential fallback *)
-  retry_backoff_seconds : float; (** base of the exponential backoff *)
   spec_budget : int;
       (** misspeculations (speculative-attempt aborts) per task before
           the task's speculative edges harden to gated dispatch
@@ -55,11 +48,17 @@ type t = {
 
 val default : t
 
-val backoff_delay : t -> step:int -> float
+val deadline_factor : float
+(** A dispatched task is presumed lost after [deadline_factor × cost
+    estimate] simulated seconds (6.0). *)
+
+val retry_backoff_seconds : float
+(** Base of the exponential backoff (30.0 s). *)
+
+val backoff_delay : step:int -> float
 (** Exponential backoff before re-dispatching a timed-out attempt:
     [retry_backoff_seconds × 2{^step}], where [step] counts the task's
-    prior re-dispatches.  Monotone non-decreasing in [step] for any
-    non-negative base. *)
+    prior re-dispatches. *)
 
 val noise : t -> unit -> float
 (** Deterministic multiplicative noise stream, mirroring the paper's

@@ -22,14 +22,14 @@ let memo tbl key compute =
 
 let cache : (string, Driver.Compile.module_work) Hashtbl.t = Hashtbl.create 32
 
-let s_program_work ?(level = 2) ~size ~count () : Driver.Compile.module_work =
+let s_program_work ~size ~count () : Driver.Compile.module_work =
   memo cache
-    (Printf.sprintf "s:%s:%d:%d" (W2.Gen.size_name size) count level)
-    (fun () -> Driver.Compile.compile_module ~level (W2.Gen.s_program ~size ~count ()))
+    (Printf.sprintf "s:%s:%d" (W2.Gen.size_name size) count)
+    (fun () -> Driver.Compile.compile_module (W2.Gen.s_program ~size ~count ()))
 
-let user_program_work ?(level = 2) () : Driver.Compile.module_work =
-  memo cache (Printf.sprintf "user:%d" level) (fun () ->
-      Driver.Compile.compile_module ~level (W2.Gen.user_program ()))
+let user_program_work () : Driver.Compile.module_work =
+  memo cache "user" (fun () ->
+      Driver.Compile.compile_module (W2.Gen.user_program ()))
 
 (* --- one measurement (sequential vs parallel), repeated and averaged --- *)
 
@@ -80,7 +80,7 @@ let function_counts = [ 1; 2; 4; 8 ]
 let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
   List.map
     (fun count ->
-      let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
+      let mw = s_program_work ~size ~count () in
       { n_functions = count; comparison = measure ~cfg mw })
     function_counts
 
@@ -91,7 +91,7 @@ let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
    of three functions), compiled on 2, 3, 5 and 9 processors with the
    load-balancing heuristic. *)
 let user_program ?(cfg = Config.default) () : point list =
-  let mw = user_program_work ~level:cfg.Config.opt_level () in
+  let mw = user_program_work () in
   List.map
     (fun p ->
       let total_functions = List.length (Driver.Compile.all_funcs mw) in
@@ -107,7 +107,7 @@ let user_program ?(cfg = Config.default) () : point list =
    workstation pool grows; past 8 stations nothing improves. *)
 let saturation ?(cfg = Config.default) ?(size = W2.Gen.Medium) () :
     (int * float) list =
-  let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count:8 () in
+  let mw = s_program_work ~size ~count:8 () in
   let plan = Plan.one_per_station mw in
   List.map
     (fun stations ->
@@ -148,7 +148,7 @@ type inlining_study = {
    parallel compiler". *)
 let run_inlining_study ?(cfg = Config.default) () : inlining_study =
   let m = W2.Gen.helper_program () in
-  let baseline_mw = Driver.Compile.compile_module ~level:cfg.Config.opt_level m in
+  let baseline_mw = Driver.Compile.compile_module m in
   let expanded, stats = W2.Inline.expand_module m in
   let roots =
     List.concat_map
@@ -169,7 +169,7 @@ let run_inlining_study ?(cfg = Config.default) () : inlining_study =
         List.map (W2.Inline.prune_section ~roots) expanded.W2.Ast.sections;
     }
   in
-  let inlined_mw = Driver.Compile.compile_module ~level:cfg.Config.opt_level pruned in
+  let inlined_mw = Driver.Compile.compile_module pruned in
   {
     baseline = measure ~cfg baseline_mw;
     inlined = measure ~cfg inlined_mw;
@@ -182,13 +182,13 @@ let run_inlining_study ?(cfg = Config.default) () : inlining_study =
 
 (* A small "system": several independent modules of mixed sizes, like a
    makefile with independent targets. *)
-let make_modules ?(level = 2) () : Driver.Compile.module_work list =
+let make_modules () : Driver.Compile.module_work list =
   List.map
     (fun (size, count, tag) ->
       memo cache
-        (Printf.sprintf "make:%s:%d:%d" (W2.Gen.size_name size) count level)
+        (Printf.sprintf "make:%s:%d" (W2.Gen.size_name size) count)
         (fun () ->
-          Driver.Compile.compile_module ~level
+          Driver.Compile.compile_module
             (W2.Gen.s_program ~name:tag ~size ~count ())))
     [
       (W2.Gen.Medium, 3, "libA");
@@ -200,7 +200,7 @@ let make_modules ?(level = 2) () : Driver.Compile.module_work list =
 (* Compare the four build strategies of [Makerun] on the mixed system. *)
 let run_make_study ?(cfg = Config.default) ?(stations = 10) () :
     Makerun.result list =
-  let modules = make_modules ~level:cfg.Config.opt_level () in
+  let modules = make_modules () in
   Makerun.run_all { cfg with Config.noise_seed = 5 } ~stations modules
 
 (* --- section 5: finer-grain parallelism (phase pipelining) --- *)
@@ -217,7 +217,7 @@ type grain_point = {
    startups and IR shipping. *)
 let run_grain_study ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
     : grain_point list =
-  let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
+  let mw = s_program_work ~size ~count () in
   let plan = Plan.one_per_station mw in
   List.map
     (fun stations ->
@@ -240,7 +240,7 @@ let run_scaling_study ?(cfg = Config.default) ?(size = W2.Gen.Large)
     ?max_stations () : point list =
   List.map
     (fun count ->
-      let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
+      let mw = s_program_work ~size ~count () in
       let comparison =
         match max_stations with
         | Some cap when count > cap -> measure ~cfg ~processors:cap mw
@@ -319,7 +319,7 @@ let count_edges keep (plan : Plan.t) =
    of the run. *)
 let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
     : row list =
-  let mw = s_program_work ~level:cfg.Config.opt_level ~size ~count () in
+  let mw = s_program_work ~size ~count () in
   let plan = Plan.one_per_station mw in
   List.concat_map
     (fun pool ->
@@ -361,7 +361,6 @@ let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
    sections hold one task each — a witness that per-section reordering
    is a no-op there. *)
 let sched_sweep ?(cfg = Config.default) () : row list =
-  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, mw, pool) ->
       List.map
@@ -379,14 +378,14 @@ let sched_sweep ?(cfg = Config.default) () : row list =
            [ Sched.Fcfs; Sched.Lpt; Sched.Lpt_batch ]
            mw (Plan.one_per_station mw)))
     [
-      ("tiny4p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:4 (), 2);
-      ("tiny8p2", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 2);
-      ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
-      ("tiny16p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:16 (), 4);
-      ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
-      ("large8p4", s_program_work ~level ~size:W2.Gen.Large ~count:8 (), 4);
-      ("huge8p4", s_program_work ~level ~size:W2.Gen.Huge ~count:8 (), 4);
-      ("user4", user_program_work ~level (), 4);
+      ("tiny4p2", s_program_work ~size:W2.Gen.Tiny ~count:4 (), 2);
+      ("tiny8p2", s_program_work ~size:W2.Gen.Tiny ~count:8 (), 2);
+      ("tiny8p4", s_program_work ~size:W2.Gen.Tiny ~count:8 (), 4);
+      ("tiny16p4", s_program_work ~size:W2.Gen.Tiny ~count:16 (), 4);
+      ("small8p4", s_program_work ~size:W2.Gen.Small ~count:8 (), 4);
+      ("large8p4", s_program_work ~size:W2.Gen.Large ~count:8 (), 4);
+      ("huge8p4", s_program_work ~size:W2.Gen.Huge ~count:8 (), 4);
+      ("user4", user_program_work (), 4);
     ]
 
 (* --- dependence-aware dispatch: FCFS vs DAG vs DAG + LPT --- *)
@@ -410,16 +409,15 @@ let module_licensed (t : Analysis.Depan.t) =
   in
   if pairs = 0.0 then 1.0 else licensed /. pairs
 
-let helper_program_work ?(level = 2) () : Driver.Compile.module_work =
-  memo cache (Printf.sprintf "helpers:%d" level) (fun () ->
-      Driver.Compile.compile_module ~level (W2.Gen.helper_program ()))
+let helper_program_work () : Driver.Compile.module_work =
+  memo cache "helpers" (fun () ->
+      Driver.Compile.compile_module (W2.Gen.helper_program ()))
 
 (* Three regimes for the dependence-aware policies: an edge-free S_n
    (the DAG is a no-op and must cost nothing), the helper program
    (whose call graph the analyzer turns into inline_of edges, the
    paper's section 5.1 coupling), and the section-4.3 user program. *)
 let dag_sweep ?(cfg = Config.default) () : row list =
-  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, (mw : Driver.Compile.module_work), pool) ->
       let analysis = mw.Driver.Compile.mw_analysis in
@@ -440,18 +438,18 @@ let dag_sweep ?(cfg = Config.default) () : row list =
            [ Sched.Fcfs; Sched.Dag; Sched.Dag_lpt ]
            mw (Plan.one_per_station mw)))
     [
-      ("tiny8p4", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 (), 4);
-      ("small8p4", s_program_work ~level ~size:W2.Gen.Small ~count:8 (), 4);
-      ("helpers4", helper_program_work ~level (), 4);
-      ("user4", user_program_work ~level (), 4);
+      ("tiny8p4", s_program_work ~size:W2.Gen.Tiny ~count:8 (), 4);
+      ("small8p4", s_program_work ~size:W2.Gen.Small ~count:8 (), 4);
+      ("helpers4", helper_program_work (), 4);
+      ("user4", user_program_work (), 4);
     ]
 
 (* --- abstract-interpretation refinement: pruned edges, end to end --- *)
 
-let absint_program_work ?(level = 2) ~absint ~name (make : unit -> W2.Ast.modul)
-    : Driver.Compile.module_work =
-  memo cache (Printf.sprintf "absint:%s:%d:%b" name level absint) (fun () ->
-      Driver.Compile.compile_source ~level ~absint
+let absint_program_work ~absint ~name (make : unit -> W2.Ast.modul) :
+    Driver.Compile.module_work =
+  memo cache (Printf.sprintf "absint:%s:%b" name absint) (fun () ->
+      Driver.Compile.compile_source ~absint
         (W2.Pretty.module_to_string (make ())))
 
 let module_pruned (t : Analysis.Depan.t) =
@@ -469,9 +467,8 @@ let module_pruned (t : Analysis.Depan.t) =
 let absint_sweep ?(cfg = Config.default) ?(pool = 4) () : row list =
   List.map
     (fun (name, make) ->
-      let level = cfg.Config.opt_level in
-      let off = absint_program_work ~level ~absint:false ~name make in
-      let on = absint_program_work ~level ~absint:true ~name make in
+      let off = absint_program_work ~absint:false ~name make in
+      let on = absint_program_work ~absint:true ~name make in
       let play_dag (mw : Driver.Compile.module_work) =
         play ~cfg ~pool Sched.Dag_lpt mw (Plan.one_per_station mw)
       in
@@ -500,13 +497,13 @@ let absint_sweep ?(cfg = Config.default) ?(pool = 4) () : row list =
 
 (* --- speculative dispatch (dag+spec) --- *)
 
-let spec_program_work ?(level = 2) ?max_tracked ~absint ~name
-    (make : unit -> W2.Ast.modul) : Driver.Compile.module_work =
+let spec_program_work ?max_tracked ~absint ~name (make : unit -> W2.Ast.modul)
+    : Driver.Compile.module_work =
   memo cache
-    (Printf.sprintf "spec:%s:%d:%b:%d" name level absint
+    (Printf.sprintf "spec:%s:%b:%d" name absint
        (Option.value ~default:(-1) max_tracked))
     (fun () ->
-      Driver.Compile.compile_source ~level ?max_tracked ~absint
+      Driver.Compile.compile_source ?max_tracked ~absint
         (W2.Pretty.module_to_string (make ())))
 
 (* The "blinded" programs are dynamically independent but compiled with
@@ -521,10 +518,7 @@ let spec_program_work ?(level = 2) ?max_tracked ~absint ~name
 let spec_sweep ?(cfg = Config.default) () : row list =
   List.map
     (fun (name, make, max_tracked, absint, pool) ->
-      let mw =
-        spec_program_work ~level:cfg.Config.opt_level ?max_tracked ~absint
-          ~name make
-      in
+      let mw = spec_program_work ?max_tracked ~absint ~name make in
       let plan = Plan.one_per_station mw in
       let lpt = play ~cfg ~pool Sched.Dag_lpt mw plan in
       let spec = play ~cfg ~pool Sched.Dag_spec mw plan in
@@ -564,7 +558,6 @@ let spec_sweep ?(cfg = Config.default) () : row list =
    than the task count, so shrinking the pool turns compute time into
    pool-wait time and the dominant bucket shifts. *)
 let profile_sweep ?(cfg = Config.default) () : row list =
-  let level = cfg.Config.opt_level in
   List.concat_map
     (fun (name, mw) ->
       let plan = Plan.one_per_station mw in
@@ -599,10 +592,10 @@ let profile_sweep ?(cfg = Config.default) () : row list =
             [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ])
         [ 2; 4; 8 ])
     [
-      ("tiny8", s_program_work ~level ~size:W2.Gen.Tiny ~count:8 ());
-      ("helpers", helper_program_work ~level ());
+      ("tiny8", s_program_work ~size:W2.Gen.Tiny ~count:8 ());
+      ("helpers", helper_program_work ());
       ( "blinded8",
-        spec_program_work ~level ~max_tracked:8 ~absint:false ~name:"blinded8"
+        spec_program_work ~max_tracked:8 ~absint:false ~name:"blinded8"
           (fun () -> W2.Gen.speculative_program ~workers:8 ~fanout:24 ()) );
     ]
 
@@ -639,15 +632,14 @@ let widest_edit (mw : Driver.Compile.module_work) : string =
     (Driver.Compile.all_funcs mw);
   fst !best
 
-let cache_program_work ?(level = 2) ~name ?edit (make : unit -> W2.Ast.modul) :
+let cache_program_work ~name ?edit (make : unit -> W2.Ast.modul) :
     Driver.Compile.module_work =
   memo cache
-    (Printf.sprintf "cachebench:%s:%d:%s" name level
-       (Option.value ~default:"" edit))
+    (Printf.sprintf "cachebench:%s:%s" name (Option.value ~default:"" edit))
     (fun () ->
       let m = make () in
       let m = match edit with None -> m | Some f -> W2.Gen.touch_in m f in
-      Driver.Compile.compile_module ~level m)
+      Driver.Compile.compile_module m)
 
 (* Cold, warm and one-edit runs against a single store, dag+lpt on a
    small pool.  The cold run populates (every lookup misses), the warm
@@ -660,10 +652,9 @@ let cache_program_work ?(level = 2) ~name ?edit (make : unit -> W2.Ast.modul) :
 let cache_sweep ?(cfg = Config.default) () : row list =
   List.map
     (fun (name, make, pool) ->
-      let level = cfg.Config.opt_level in
-      let mw = cache_program_work ~level ~name make in
+      let mw = cache_program_work ~name make in
       let edited = widest_edit mw in
-      let mw_edit = cache_program_work ~level ~name ~edit:edited make in
+      let mw_edit = cache_program_work ~name ~edit:edited make in
       let cfg = { cfg with Config.cache = Some (Cache.create ()) } in
       let run (mw' : Driver.Compile.module_work) =
         (fst (play ~cfg ~pool Sched.Dag_lpt mw' (Plan.one_per_station mw')))
@@ -757,15 +748,15 @@ let link_cache :
     (string, Driver.Compile.module_work * Analysis.Modan.link) Hashtbl.t =
   Hashtbl.create 8
 
-let link_program_work ?(level = 2) ~shape ~modules () :
+let link_program_work ~shape ~modules () :
     Driver.Compile.module_work * Analysis.Modan.link =
   memo link_cache
-    (Printf.sprintf "link:%s:%d:%d" (W2.Gen.shape_name shape) modules level)
+    (Printf.sprintf "link:%s:%d" (W2.Gen.shape_name shape) modules)
     (fun () ->
       let mods = W2.Gen.project_program ~modules ~seed:1 ~shape () in
       let link = Analysis.Modan.compose (link_summaries mods) in
       let merged = Analysis.Modan.inline_project mods in
-      ( Driver.Compile.compile_source ~level (W2.Pretty.module_to_string merged),
+      ( Driver.Compile.compile_source (W2.Pretty.module_to_string merged),
         link ))
 
 (* The project plan: one master per function over the inlined program,
@@ -806,7 +797,7 @@ let link_sched_sweep ?(cfg = Config.default) () : row list =
       List.concat_map
         (fun modules ->
           let mw, link =
-            link_program_work ~level:cfg.Config.opt_level ~shape ~modules ()
+            link_program_work ~shape ~modules ()
           in
           let plan = link_plan mw link in
           let pool = 8 in

@@ -10,13 +10,10 @@
 type point = { n_functions : int; comparison : Timings.comparison }
 
 val s_program_work :
-  ?level:int -> size:W2.Gen.size -> count:int -> unit -> Driver.Compile.module_work
+  size:W2.Gen.size -> count:int -> unit -> Driver.Compile.module_work
 (** The compiled-and-measured S_n program (cached). *)
 
-val user_program_work : ?level:int -> unit -> Driver.Compile.module_work
-
-val repetitions : int
-(** Measurements averaged per point (3). *)
+val user_program_work : unit -> Driver.Compile.module_work
 
 val measure :
   ?cfg:Config.t -> ?processors:int -> Driver.Compile.module_work ->
@@ -62,9 +59,6 @@ val run_inlining_study : ?cfg:Config.t -> unit -> inlining_study
 
 (** {1 Section 3.4: parallel make coexistence} *)
 
-val make_modules : ?level:int -> unit -> Driver.Compile.module_work list
-(** A mixed 4-module "system" (independent makefile targets). *)
-
 val run_make_study : ?cfg:Config.t -> ?stations:int -> unit -> Makerun.result list
 
 (** {1 Section 5: finer-grain parallelism} *)
@@ -104,12 +98,12 @@ val sched_sweep : ?cfg:Config.t -> unit -> row list
 (** Tiny/small/large/huge S_n programs and the user program on pools
     smaller than the task count, the regime where scheduling order and
     batching can matter, under [fcfs], [lpt] and [lpt+batch] with
-    [cfg]'s batch threshold.  Series names read e.g. ["tiny8p4"] = S_8 of tiny
+    {!Sched.batch_threshold}.  Series names read e.g. ["tiny8p4"] = S_8 of tiny
     functions, pool of 4; [speedup_vs_fcfs] is 1.0 for FCFS. *)
 
 (** {1 Dependence-aware dispatch} *)
 
-val helper_program_work : ?level:int -> unit -> Driver.Compile.module_work
+val helper_program_work : unit -> Driver.Compile.module_work
 (** The section-5.1 helper program (cached) — the sweep's coupled
     module: its call graph becomes inline_of dependence edges. *)
 
@@ -144,7 +138,6 @@ val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> row list
 (** {1 Speculative dispatch (dag+spec)} *)
 
 val spec_program_work :
-  ?level:int ->
   ?max_tracked:int ->
   absint:bool ->
   name:string ->
@@ -185,7 +178,6 @@ val widest_edit : Driver.Compile.module_work -> string
     sweep's deterministic "programmer edit" target. *)
 
 val cache_program_work :
-  ?level:int ->
   name:string ->
   ?edit:string ->
   (unit -> W2.Ast.modul) ->
@@ -208,7 +200,6 @@ val link_compose_sweep : unit -> row list
     artifact, then composed from the summaries alone (seed 1). *)
 
 val link_program_work :
-  ?level:int ->
   shape:W2.Gen.shape ->
   modules:int ->
   unit ->

@@ -53,7 +53,7 @@ let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
        speculation)";
   Sched.schedule ~static:cfg.Config.static_cost
     ~policy:cfg.Config.sched_policy ~cost:cfg.Config.cost
-    ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations plan
+    ~threshold:Sched.batch_threshold ~stations:cfg.Config.stations plan
 
 (* The master process body; spawnable so that several modules can be
    compiled concurrently on one cluster (the parallel-make study).
@@ -367,7 +367,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                     else 0.0)
                 +. 60.0 (* grace for downloads and queueing *)
               in
-              let deadline = cfg.Config.deadline_factor *. work_estimate in
+              let deadline = Config.deadline_factor *. work_estimate in
               let sup : sup_msg Netsim.Sync.mailbox = Netsim.Sync.mailbox () in
               let launch () =
                 incr attempt_no;
@@ -481,7 +481,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                     | Msg_lost _ ->
                       if budget > 0 then begin
                         let step = cfg.Config.retry_budget - budget in
-                        Netsim.Des.delay sim (Config.backoff_delay cfg ~step);
+                        Netsim.Des.delay sim (Config.backoff_delay ~step);
                         (* A straggler may have finished during the
                            backoff; its Msg_completed is queued. *)
                         if not !completed then begin

@@ -223,6 +223,8 @@ let topo_fcfs (deps : int list array) (tasks : Plan.task list) :
   let arr = Array.of_list tasks in
   List.map (Array.get arr) (Analysis.Digraph.stable_topo deps)
 
+let batch_threshold = 60.0
+
 (* Every policy but [Fcfs] runs one pipeline per section, switched by
    its traits:
    - merge task-level cycles over the gating edges (none when

@@ -91,6 +91,11 @@ val task_deps : (string * string) list -> Plan.task list -> int list array
     [j] may start.  Edges between functions of the same task vanish.
     {!Parrun} uses this to gate dispatch under the DAG policies. *)
 
+val batch_threshold : float
+(** The batching cut-off {!Parrun} schedules with: 60 estimated
+    seconds, which separates f_tiny tasks (≈10 s) from f_small (≈78 s)
+    and everything larger. *)
+
 val schedule :
   ?static:bool ->
   policy:policy ->

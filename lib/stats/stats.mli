@@ -9,11 +9,9 @@
 val mean : float list -> float
 (** Arithmetic mean.  @raise Invalid_argument on the empty list. *)
 
-val variance : float list -> float
-(** Sample variance (n-1 denominator); [0.] for fewer than two samples. *)
-
 val stddev : float list -> float
-(** Sample standard deviation. *)
+(** Sample standard deviation (n-1 denominator); [0.] for fewer than
+    two samples. *)
 
 val within_fraction : float -> float list -> bool
 (** [within_fraction frac xs] is [true] when every sample lies within

@@ -218,8 +218,8 @@ let to_chrome_json ?(flows = []) t =
 (* One row per track; the timeline shows, per time bucket, the dominant
    activity: CPU work (#), network transfer (~), pool/claim waiting (.),
    crash/reclaim aftermath (x), idle (space). *)
-let gantt ?(width = 64) t =
-  if width <= 0 then invalid_arg "Trace.gantt: width must be positive";
+let gantt t =
+  let width = 64 in
   let finish = end_time t in
   let finish = if finish <= 0.0 then 1.0 else finish in
   let bucket_len = finish /. float_of_int width in

@@ -122,11 +122,9 @@ val to_chrome_json : ?flows:(int * float * int * float) list -> t -> string
     hops, e.g. [Parallel_cc.Critpath.path_flows] — render as
     ["s"]/["f"] flow-arrow pairs named [critical-path]. *)
 
-val gantt : ?width:int -> t -> Stats.Table.t
+val gantt : t -> Stats.Table.t
 (** ASCII Gantt timeline: one row per track — infrastructure tracks
-    labelled by name ([ethernet], [file server]) — and [width] time
-    buckets (default 64; [warpcc simulate --gantt-width] plumbs this);
+    labelled by name ([ethernet], [file server]) — and 64 time buckets;
     ['#'] CPU, ['~'] network, ['.'] pool wait, ['x'] dead station.
     The busy column counts CPU seconds on workstation tracks and
-    transfer/disk seconds on the infrastructure tracks.
-    @raise Invalid_argument when [width <= 0]. *)
+    transfer/disk seconds on the infrastructure tracks. *)

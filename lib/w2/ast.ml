@@ -294,12 +294,6 @@ let rec max_loop_nesting stmts =
    targets this metric when synthesising the f_tiny..f_huge programs. *)
 let func_lines f = 2 + List.length f.locals + stmt_count f.body
 
-let section_lines sec =
-  List.fold_left
-    (fun acc f -> acc + func_lines f)
-    (2 + List.length sec.globals)
-    sec.funcs
-
 let func_count m =
   List.fold_left (fun acc s -> acc + List.length s.funcs) 0 m.sections
 

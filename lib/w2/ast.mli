@@ -169,8 +169,6 @@ val func_lines : func -> int
 (** Approximate source lines of a function (see {!Pretty.func_loc} for
     the exact rendered count). *)
 
-val section_lines : section -> int
-
 val func_count : modul -> int
 (** Total functions over all sections: the parallel task count. *)
 

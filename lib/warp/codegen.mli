@@ -15,9 +15,6 @@ type compiled = {
   wide_count : int; (** code size *)
 }
 
-val max_pipeline_trip : int
-val max_pipeline_ops : int
-
 val pipeline_candidates :
   Midend.Ir.func -> (Midend.Counted.t * int) list
 (** Counted loops eligible for software pipelining, with their trip

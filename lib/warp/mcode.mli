@@ -62,6 +62,4 @@ val find_func : image -> string -> mfunc option
 val wide_count : mfunc -> int
 val image_wide_count : image -> int
 
-val wide_to_string : wide -> string
-val mterm_to_string : mterm -> string
 val mfunc_to_string : mfunc -> string

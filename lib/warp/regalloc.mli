@@ -15,9 +15,6 @@ type result = {
 
 exception Too_many_params of string
 
-val spill_array : string
-(** The reserved array name spill slots live in. *)
-
 val copy_func : Midend.Ir.func -> Midend.Ir.func
 (** Structural copy (blocks and register table); allocation mutates its
     input copy, never the caller's function. *)

@@ -455,7 +455,7 @@ let run_dag ~policy ?(budget = Config.default.Config.retry_budget) mw faults =
 let scheduled_heads ?(static = false) ~policy mw =
   let cfg = dag_cfg policy in
   let scheduled =
-    Sched.schedule ~static ~policy ~cost ~threshold:cfg.Config.batch_threshold
+    Sched.schedule ~static ~policy ~cost ~threshold:Sched.batch_threshold
       ~stations:cfg.Config.stations (Plan.one_per_station mw)
   in
   List.concat_map

@@ -392,7 +392,7 @@ let test_lpt_tie_break () =
      must fall back to the original queue order — in full, not just as
      an unordered multiset. *)
   let plan = Plan.one_per_station (Experiment.s_program_work ~size:W2.Gen.Tiny ~count:8 ()) in
-  let threshold = Config.default.Config.batch_threshold in
+  let threshold = Sched.batch_threshold in
   let lpt = Sched.schedule ~policy:Sched.Lpt ~cost ~threshold ~stations:5 plan in
   Alcotest.(check bool) "all-ties LPT preserves FCFS order" true
     (section_names lpt = section_names plan);
@@ -428,7 +428,7 @@ let run_dag ~policy ?(budget = Config.default.Config.retry_budget) mw faults =
 let scheduled_heads ~policy mw =
   let cfg = dag_cfg policy in
   let scheduled =
-    Sched.schedule ~policy ~cost ~threshold:cfg.Config.batch_threshold
+    Sched.schedule ~policy ~cost ~threshold:Sched.batch_threshold
       ~stations:cfg.Config.stations (Plan.one_per_station mw)
   in
   List.concat_map

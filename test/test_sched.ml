@@ -15,7 +15,7 @@
 open Parallel_cc
 
 let cost = Driver.Cost.default
-let threshold = Config.default.Config.batch_threshold
+let threshold = Sched.batch_threshold
 
 let tiny n = Experiment.s_program_work ~size:W2.Gen.Tiny ~count:n ()
 let small n = Experiment.s_program_work ~size:W2.Gen.Small ~count:n ()
@@ -335,7 +335,7 @@ let scheduled_heads ~fine mw =
   let cfg = batch_cfg ~fine in
   let scheduled =
     Sched.schedule ~policy:cfg.Config.sched_policy ~cost
-      ~threshold:cfg.Config.batch_threshold ~stations:cfg.Config.stations
+      ~threshold:Sched.batch_threshold ~stations:cfg.Config.stations
       (Plan.one_per_station mw)
   in
   List.concat_map

@@ -20,6 +20,18 @@ and, for `compile` at -O 2 and at -O 3 --verify-ir,
     NAME/compile-SET/MODULE.SECTION.wobj    the object files
     NAME/compile-SET/MODULE.SECTION.drv     and the I/O drivers
 
+and, for `analyze`,
+
+    NAME/analyze.txt    its report
+    NAME/analyze.json   its --json document
+    NAME/analyze.sarif  its --sarif log
+
+It also emits the 16-module layered and clustered projects of
+tools/emit_project (seed 1) into OUTDIR/proj_SHAPE and writes
+
+    proj_SHAPE/analyze.txt   the `analyze --project` report
+    proj_SHAPE/analyze.json  its --json document
+
 Every simulation is seeded, the compiler's output does not depend on
 how many domains compiled it, and every path the CLI sees is relative
 to OUTDIR, so two checkouts that compile and simulate alike write
@@ -40,8 +52,7 @@ import sys
 # (set name, flags); each set runs under both simulate and profile.
 FLAG_SETS = [
     ("default", []),
-    ("p2-lpt-batch", ["--processors", "2", "--sched", "lpt+batch",
-                      "--batch-threshold", "60"]),
+    ("p2-lpt-batch", ["--processors", "2", "--sched", "lpt+batch"]),
     ("dag-lpt-static", ["--sched", "dag+lpt", "--static-cost"]),
     ("spec", ["--sched", "dag+spec"]),
     ("spec-budget1-p2", ["--sched", "dag+spec", "--spec-budget", "1",
@@ -61,6 +72,16 @@ COMPILE_SETS = [
     ("O3-verify-ir", ["-O", "3", "--verify-ir"]),
 ]
 
+# (file suffix, flags) of the `analyze` runs; each writes to stdout.
+ANALYZE_SETS = [
+    ("txt", []),
+    ("json", ["--json", "-"]),
+    ("sarif", ["--sarif", "-"]),
+]
+
+# Generated projects for `analyze --project`: (shape, modules, seed).
+PROJECTS = [("layered", 16, 1), ("clustered", 16, 1)]
+
 
 def run(exe, args, cwd, stdout_path):
     proc = subprocess.run([exe] + args, cwd=cwd, capture_output=True,
@@ -76,9 +97,11 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     out = os.path.abspath(argv[1])
-    if subprocess.run(["dune", "build", "bin/warpcc.exe"]).returncode != 0:
+    if subprocess.run(["dune", "build", "bin/warpcc.exe",
+                       "tools/emit_project/emit_project.exe"]).returncode != 0:
         return 2
     exe = os.path.abspath("_build/default/bin/warpcc.exe")
+    emit = os.path.abspath("_build/default/tools/emit_project/emit_project.exe")
     os.makedirs(os.path.join(out, "src"), exist_ok=True)
     for path in sorted(glob.glob("examples/*.w2")):
         name = os.path.splitext(os.path.basename(path))[0]
@@ -99,6 +122,17 @@ def main(argv):
             os.makedirs(os.path.join(out, obj_dir), exist_ok=True)
             run(exe, ["compile", *flags, "-o", obj_dir, src],
                 out, os.path.join(out, obj_dir, "compile.txt"))
+        for suffix, flags in ANALYZE_SETS:
+            run(exe, ["analyze", *flags, src],
+                out, os.path.join(out, name, "analyze." + suffix))
+    for shape, modules, seed in PROJECTS:
+        proj = "proj_" + shape
+        if subprocess.run([emit, os.path.join(out, proj), shape,
+                           str(modules), str(seed)]).returncode != 0:
+            return 2
+        for suffix, flags in ANALYZE_SETS[:2]:
+            run(exe, ["analyze", *flags, "--project", proj],
+                out, os.path.join(out, proj, "analyze." + suffix))
     return 0
 
 
