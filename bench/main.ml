@@ -508,12 +508,12 @@ let targets : (string * string * bool * action) list =
         {
           schema = "warpcc-bench-absint/1";
           file = "BENCH_absint.json";
-          header = [ ("pool", Json.Int 4) ];
+          header = [ ("pool", Json.Int Experiment.absint_pool) ];
           groups =
             points
               "Abstract-interpretation refinement (base analysis vs pruned; \
                elapsed under dag+lpt; races always 0)"
-              (fun () -> Experiment.absint_sweep ~pool:4 ());
+              Experiment.absint_sweep;
         } );
     ( "spec",
       "speculative-dispatch sweep + BENCH_spec.json",

@@ -99,6 +99,19 @@ let int_in lo hi =
             (`Msg (Printf.sprintf "expected an integer in %d..%d, got %S" lo hi s))),
       Format.pp_print_int )
 
+(* A number in [0, 1], the float counterpart of [int_in]. *)
+let fraction =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some x when 0.0 <= x && x <= 1.0 -> Ok x
+        | _ -> Error (`Msg (Printf.sprintf "expected a number in 0..1, got %S" s))),
+      Format.pp_print_float )
+
+(* The W2 source module every subcommand but [analyze] takes. *)
+let file =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
+
 let level =
   Arg.(value & opt (int_in 0 3) 2 & info [ "O"; "opt-level" ] ~docv:"LEVEL"
          ~doc:"Optimization level (0-3)")
@@ -125,9 +138,6 @@ let emit_diags ~werror diags =
 (* --- compile --- *)
 
 let compile_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
-  in
   let dump_ir =
     Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the optimized IR of every function")
   in
@@ -286,9 +296,6 @@ let static_check_action files lint verify_ir werror level =
       if not ok then exit 1)
 
 let check_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
-  in
   let action file lint verify_ir werror level =
     static_check_action [ file ] lint verify_ir werror level
   in
@@ -511,9 +518,6 @@ let parse_values s =
            | None -> Midend.Ir_interp.Vf (float_of_string tok))
 
 let run_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
-  in
   let entry =
     Arg.(required & opt (some string) None & info [ "entry" ] ~docv:"NAME"
            ~doc:"Entry function")
@@ -588,9 +592,6 @@ let run_cmd =
 
 (* Replay arguments shared by [simulate] and [profile]. *)
 
-let file =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"W2 source module")
-
 let processors =
   Arg.(value & opt (some (int_in 1 max_int)) None
        & info [ "processors"; "p" ] ~docv:"N"
@@ -602,12 +603,12 @@ let fault_seed =
          ~doc:"Seed of the injected fault plan (0 = no faults unless --fault-rate is set)")
 
 let fault_rate =
-  Arg.(value & opt float 0.0 & info [ "fault-rate" ] ~docv:"RATE"
+  Arg.(value & opt fraction 0.0 & info [ "fault-rate" ] ~docv:"RATE"
          ~doc:"Fault rate in [0,1]: fraction of pool stations hit by crashes/reclaims/slowdowns")
 
 let retries =
-  Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N"
-         ~doc:"Re-dispatches per task before sequential fallback")
+  Arg.(value & opt (int_in 0 max_int) 2 & info [ "retries" ] ~docv:"N"
+         ~doc:"Re-dispatches per task before sequential fallback, at least 0")
 
 let spec_budget =
   Arg.(value
@@ -652,7 +653,7 @@ let gantt =
 
 let metrics =
   Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Print the metrics registry of the traced run and its \
+         ~doc:"Print the metrics derived from the traced run and its \
                overhead decomposition")
 
 let json_out =
@@ -692,7 +693,7 @@ type replay = {
   plan : Parallel_cc.Plan.t;
   n_fm : int; (* function-master stations *)
   cfg : Parallel_cc.Config.t; (* fault-free *)
-  fault_seed : int;
+  fault_seed : int; (* the seed the fault plan was drawn from *)
   faults : Netsim.Fault.plan;
   fault_free : Parallel_cc.Timings.run option;
 }
@@ -717,13 +718,12 @@ let replay_term =
         retry_budget = retries;
       }
     in
+    let seed = if fault_seed = 0 then 1 else fault_seed in
     let faults, fault_free =
       if fault_seed = 0 && fault_rate <= 0.0 then (Netsim.Fault.none, None)
       else
         let free = (Parrun.run cfg mw plan).Parrun.run in
-        ( Netsim.Fault.random
-            ~seed:(if fault_seed = 0 then 1 else fault_seed)
-            ~stations:(n_fm + 1)
+        ( Netsim.Fault.random ~seed ~stations:(n_fm + 1)
             ~rate:(if fault_rate > 0.0 then fault_rate else 0.5)
             ~horizon:(free.Timings.elapsed *. 1.5) (),
           Some free )
@@ -736,7 +736,7 @@ let replay_term =
       plan;
       n_fm;
       cfg;
-      fault_seed;
+      fault_seed = seed;
       faults;
       fault_free;
     }
@@ -880,8 +880,8 @@ let simulate_cmd =
 
 let profile_cmd =
   let top_k =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N"
-           ~doc:"Rows of the bottleneck report")
+    Arg.(value & opt (int_in 1 max_int) 10 & info [ "top" ] ~docv:"N"
+           ~doc:"Rows of the bottleneck report, at least 1")
   in
   let what_if =
     Arg.(value & flag & info [ "what-if" ]

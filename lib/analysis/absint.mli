@@ -87,10 +87,7 @@ type summary = {
       (** abstract statement executions of one call, calls included *)
 }
 
-val read_region : summary -> string -> region
 val write_region : summary -> string -> region
-val access_region : summary -> string -> region
-(** Union of read and write regions (already normalized). *)
 
 val chan_silent : summary -> W2.Ast.channel -> bool
 (** The function provably performs zero operations on the channel:

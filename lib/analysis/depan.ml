@@ -39,6 +39,24 @@ let reason_to_string = function
   | Channel_pair c -> "channel_pair:" ^ Ast.channel_to_string c
   | Summary_limit -> "summary_limit"
 
+let reason_of_string s =
+  let prefixed p =
+    let pn = String.length p in
+    if String.length s > pn + 1 && String.sub s 0 (pn + 1) = p ^ ":" then
+      Some (String.sub s (pn + 1) (String.length s - pn - 1))
+    else None
+  in
+  match s with
+  | "inline_of" -> Some Inline_of
+  | "sig_agreement" -> Some Sig_agreement
+  | "summary_limit" -> Some Summary_limit
+  | _ -> (
+    match prefixed "global_conflict" with
+    | Some g -> Some (Global_conflict g)
+    | None ->
+      Option.bind (prefixed "channel_pair") (fun c ->
+          Option.map (fun c -> Channel_pair c) (Ast.channel_of_string c)))
+
 (* Display (and dedup) order: structural reasons first, then data
    reasons, then the conservative catch-all. *)
 let reason_key = function

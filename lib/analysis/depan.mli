@@ -54,6 +54,9 @@ type reason =
 
 val reason_to_string : reason -> string
 
+val reason_of_string : string -> reason option
+(** The inverse of {!reason_to_string}. *)
+
 type edge = {
   e_from : int; (** index into [si_funcs]: compile this first *)
   e_to : int;

@@ -182,10 +182,10 @@ let ret_parse = function "unit" -> None | s -> Some (ty_parse s)
 
 let chan_str = Ast.channel_to_string
 
-let chan_parse = function
-  | "X" -> Ast.Chan_x
-  | "Y" -> Ast.Chan_y
-  | s -> afail "bad channel %S" s
+let chan_parse s =
+  match Ast.channel_of_string s with
+  | Some c -> c
+  | None -> afail "bad channel %S" s
 
 let itv_str { Absint.lo; hi } =
   spf "[%s,%s]"
@@ -244,24 +244,10 @@ let eff_parse line =
     }
   | _ -> afail "bad effects line %S" line
 
-let reason_of_string s =
-  let prefixed p =
-    let pn = String.length p in
-    if String.length s > pn + 1 && String.sub s 0 (pn + 1) = p ^ ":" then
-      Some (String.sub s (pn + 1) (String.length s - pn - 1))
-    else None
-  in
-  match s with
-  | "inline_of" -> Depan.Inline_of
-  | "sig_agreement" -> Depan.Sig_agreement
-  | "summary_limit" -> Depan.Summary_limit
-  | _ -> (
-    match prefixed "global_conflict" with
-    | Some g -> Depan.Global_conflict g
-    | None -> (
-      match prefixed "channel_pair" with
-      | Some c -> Depan.Channel_pair (chan_parse c)
-      | None -> afail "bad edge reason %S" s))
+let reason_parse s =
+  match Depan.reason_of_string s with
+  | Some r -> r
+  | None -> afail "bad edge reason %S" s
 
 let loc_str (l : Loc.t) = spf "%d %d %S" l.Loc.line l.Loc.col l.Loc.file
 
@@ -484,7 +470,7 @@ let of_artifact text =
     | "edge", rest -> (
       match words rest with
       | [ f; t; rs ] ->
-        edges := (f, t, List.map reason_of_string (names_parse rs)) :: !edges
+        edges := (f, t, List.map reason_parse (names_parse rs)) :: !edges
       | [ f; t ] -> edges := (f, t, []) :: !edges
       | _ -> afail "bad edge line")
     | t, _ -> afail "unexpected line tag %S" t

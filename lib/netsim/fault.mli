@@ -73,5 +73,4 @@ val random :
     plan at a lower rate, so elapsed-time inflation can be studied
     monotonically.  [rate = 0.0] yields {!none}. *)
 
-val event_to_string : event -> string
 val describe : plan -> string list

@@ -63,8 +63,11 @@ let available ws ~now = now < ws.crash_at && now < ws.reclaim_at
    transient slowdown, so the effective time adapts as other processes
    come and go.  If the station crashes, the partial work is kept in
    [busy_seconds] (it really burned CPU) and the call reports
-   [Fault.Station_failed] instead of completing. *)
-let compute ?(slice = 1.0) ?(tag = "cpu") sim ws ~factor ~seconds =
+   [Fault.Station_failed] instead of completing.  A slice is one
+   nominal second, which bounds crash-detection latency. *)
+let slice = 1.0
+
+let compute ?(tag = "cpu") sim ws ~factor ~seconds =
   if seconds < 0.0 then invalid_arg "Host.compute: negative work";
   let t0 = Des.now sim in
   let remaining = ref seconds in

@@ -42,7 +42,6 @@ val available : workstation -> now:float -> bool
 (** False once the station crashed or its owner reclaimed it. *)
 
 val compute :
-  ?slice:float ->
   ?tag:string ->
   Des.t ->
   workstation ->
@@ -55,7 +54,7 @@ val compute :
     slowdown, so the effective time adapts as other processes come and
     go.  Returns [Fault.Station_failed] if the station crashes under
     the work (partial CPU is still charged to [busy_seconds]); the
-    slice length bounds detection latency.
+    slice length, one nominal second, bounds detection latency.
 
     When the station carries a trace, one ["cpu"] span is recorded per
     call, labelled [tag] (a phase name), with the requested nominal

@@ -10,7 +10,6 @@
 type ethernet = {
   bytes_per_sec : float;
   contention_alpha : float; (* extra cost per concurrent transfer *)
-  chunk_bytes : float;
   mutable active : int;
   mutable degrade : float -> float; (* fault plan: time -> factor (>= 1) *)
   mutable trace : Trace.t; (* span sink; [Trace.none] = no recording *)
@@ -21,12 +20,14 @@ type ethernet = {
          policy decision (locality-aware re-dispatch). *)
 }
 
-let ethernet ?(bytes_per_sec = 1.25e6) ?(contention_alpha = 0.6)
-    ?(chunk_bytes = 16384.0) () =
+(* Transfers move 16 KiB at a time; each chunk sees the contention of
+   its own moment. *)
+let chunk_bytes = 16384.0
+
+let ethernet ?(bytes_per_sec = 1.25e6) ?(contention_alpha = 0.6) () =
   {
     bytes_per_sec;
     contention_alpha;
-    chunk_bytes;
     active = 0;
     degrade = (fun _ -> 1.0);
     trace = Trace.none;
@@ -48,7 +49,7 @@ let transfer sim (e : ethernet) ~bytes =
   e.active <- e.active + 1;
   let remaining = ref bytes in
   while !remaining > 0.0 do
-    let chunk = min e.chunk_bytes !remaining in
+    let chunk = min chunk_bytes !remaining in
     let factor =
       (1.0 +. (e.contention_alpha *. float_of_int (e.active - 1)))
       *. max 1.0 (e.degrade (Des.now sim))

@@ -5,7 +5,6 @@
 type ethernet = {
   bytes_per_sec : float;
   contention_alpha : float; (** extra cost per concurrent transfer *)
-  chunk_bytes : float;
   mutable active : int; (** transfers currently in flight *)
   mutable degrade : float -> float;
       (** fault plan: extra slowdown factor at a simulated time
@@ -19,17 +18,13 @@ type ethernet = {
           {!cached}.  Bookkeeping only; it never affects the event
           schedule. *)
 }
-(** A shared segment.  Transfers proceed chunk by chunk; each chunk's
+(** A shared segment.  Transfers proceed in 16 KiB chunks; each chunk's
     effective rate is divided by [1 + alpha * (active - 1)] (collisions
     and exponential backoff). *)
 
 val ethernet :
-  ?bytes_per_sec:float ->
-  ?contention_alpha:float ->
-  ?chunk_bytes:float ->
-  unit ->
-  ethernet
-(** Defaults: 1.25 MB/s (10 Mbit/s), alpha 0.6, 16 KiB chunks. *)
+  ?bytes_per_sec:float -> ?contention_alpha:float -> unit -> ethernet
+(** Defaults: 1.25 MB/s (10 Mbit/s), alpha 0.6. *)
 
 val transfer : Des.t -> ethernet -> bytes:float -> unit
 (** Move [bytes] over the segment, blocking the calling process for the

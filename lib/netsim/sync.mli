@@ -29,15 +29,10 @@ type resource = {
 val resource : int -> resource
 (** @raise Invalid_argument when the capacity is not positive. *)
 
-val acquire : resource -> unit
-(** Take a slot, blocking FCFS while all slots are busy. *)
-
-val release : resource -> unit
-(** Free a slot (handing it directly to the oldest waiter, if any). *)
-
 val use : Des.t -> resource -> float -> unit
-(** [use sim r seconds] = acquire, hold for [seconds] of virtual time,
-    release. *)
+(** [use sim r seconds]: take a slot, blocking FCFS while all slots are
+    busy, hold it for [seconds] of virtual time, then free it (handing
+    it directly to the oldest waiter, if any). *)
 
 (** {1 One-shot events} *)
 

@@ -94,15 +94,8 @@ type profile = {
 
 let fail fmt = Printf.ksprintf (fun m -> failwith ("Critpath: " ^ m)) fmt
 
-let bucket_index = function
-  | Cpu -> 0
-  | Dependence_wait -> 1
-  | Pool_wait -> 2
-  | Ether -> 3
-  | Fs -> 4
-  | Backoff -> 5
-  | Rollback -> 6
-  | Master_serial -> 7
+(* A bucket's slot in [bucket_order]. *)
+let bucket_index b = Option.get (List.find_index (( = ) b) bucket_order)
 
 (* --- the backward chain walk --- *)
 
@@ -296,7 +289,7 @@ let of_trace ?plan ?elapsed (tr : Trace.t) : profile =
   done;
   let segments = !segs in
   (* Raw bucket sums, accumulated in path order. *)
-  let raw = Array.make 8 0.0 in
+  let raw = Array.make (List.length bucket_order) 0.0 in
   let tags : (string * float ref) list ref = ref [] in
   List.iter
     (fun g ->

@@ -77,11 +77,11 @@ let function_counts = [ 1; 2; 4; 8 ]
 
 (* Figures 3, 4, 5, 12, 13: total execution times (elapsed and
    per-processor CPU, sequential vs parallel) for one function size. *)
-let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
+let size_series (size : W2.Gen.size) : point list =
   List.map
     (fun count ->
       let mw = s_program_work ~size ~count () in
-      { n_functions = count; comparison = measure ~cfg mw })
+      { n_functions = count; comparison = measure mw })
     function_counts
 
 (* Figures 8-10 and 14-16 reuse the size series: overheads are already
@@ -90,28 +90,29 @@ let size_series ?(cfg = Config.default) (size : W2.Gen.size) : point list =
 (* Figure 11: the mechanical-engineering user program (three sections
    of three functions), compiled on 2, 3, 5 and 9 processors with the
    load-balancing heuristic. *)
-let user_program ?(cfg = Config.default) () : point list =
+let user_program () : point list =
   let mw = user_program_work () in
   List.map
     (fun p ->
       let total_functions = List.length (Driver.Compile.all_funcs mw) in
       let comparison =
-        if p >= total_functions then measure ~cfg mw
-        else measure ~cfg ~processors:p mw
+        if p >= total_functions then measure mw else measure ~processors:p mw
       in
       { n_functions = p; comparison })
     [ 2; 3; 5; 9 ]
 
 (* Section 4.2.2 (comparison with Katseff's parallel assembler):
    saturation — elapsed time of the 8-function program as the
-   workstation pool grows; past 8 stations nothing improves. *)
-let saturation ?(cfg = Config.default) ?(size = W2.Gen.Medium) () :
-    (int * float) list =
-  let mw = s_program_work ~size ~count:8 () in
+   workstation pool grows; past 8 stations nothing improves.  The
+   functions are f_medium. *)
+let saturation () : (int * float) list =
+  let mw = s_program_work ~size:W2.Gen.Medium ~count:8 () in
   let plan = Plan.one_per_station mw in
   List.map
     (fun stations ->
-      let cfg_run = { cfg with Config.stations = stations + 1; noise_seed = 7 } in
+      let cfg_run =
+        { Config.default with Config.stations = stations + 1; noise_seed = 7 }
+      in
       let par = (Parrun.run cfg_run mw plan).Parrun.run in
       (stations, par.Timings.elapsed))
     [ 1; 2; 3; 4; 5; 6; 8; 10; 12 ]
@@ -146,7 +147,7 @@ type inlining_study = {
    longer called).  The paper's claim: "the increase in size of each
    function operated upon will also improve the speedup obtained by the
    parallel compiler". *)
-let run_inlining_study ?(cfg = Config.default) () : inlining_study =
+let run_inlining_study () : inlining_study =
   let m = W2.Gen.helper_program () in
   let baseline_mw = Driver.Compile.compile_module m in
   let expanded, stats = W2.Inline.expand_module m in
@@ -171,8 +172,8 @@ let run_inlining_study ?(cfg = Config.default) () : inlining_study =
   in
   let inlined_mw = Driver.Compile.compile_module pruned in
   {
-    baseline = measure ~cfg baseline_mw;
-    inlined = measure ~cfg inlined_mw;
+    baseline = measure baseline_mw;
+    inlined = measure inlined_mw;
     baseline_functions = List.length (Driver.Compile.all_funcs baseline_mw);
     inlined_functions = List.length (Driver.Compile.all_funcs inlined_mw);
     calls_inlined = stats.W2.Inline.inlined;
@@ -197,11 +198,12 @@ let make_modules () : Driver.Compile.module_work list =
       (W2.Gen.Large, 1, "app");
     ]
 
-(* Compare the four build strategies of [Makerun] on the mixed system. *)
-let run_make_study ?(cfg = Config.default) ?(stations = 10) () :
-    Makerun.result list =
-  let modules = make_modules () in
-  Makerun.run_all { cfg with Config.noise_seed = 5 } ~stations modules
+(* Compare the four build strategies of [Makerun] on the mixed system
+   and a ten-station pool. *)
+let run_make_study () : Makerun.result list =
+  Makerun.run_all
+    { Config.default with Config.noise_seed = 5 }
+    ~stations:10 (make_modules ())
 
 (* --- section 5: finer-grain parallelism (phase pipelining) --- *)
 
@@ -214,16 +216,15 @@ type grain_point = {
 (* Throughput of the two granularities as the pool shrinks below the
    task count: fine grain pipelines phase-2 and phase-3 stages of
    different functions through the pool, at the price of extra Lisp
-   startups and IR shipping. *)
-let run_grain_study ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
-    : grain_point list =
-  let mw = s_program_work ~size ~count () in
+   startups and IR shipping.  The program is S_8 of f_medium. *)
+let run_grain_study () : grain_point list =
+  let mw = s_program_work ~size:W2.Gen.Medium ~count:8 () in
   let plan = Plan.one_per_station mw in
   List.map
     (fun stations ->
       let elapsed fine_grained =
         let cfg_run =
-          { cfg with Config.stations; fine_grained; noise_seed = 9 }
+          { Config.default with Config.stations; fine_grained; noise_seed = 9 }
         in
         (Parrun.run cfg_run mw plan).Parrun.run.Timings.elapsed
       in
@@ -235,16 +236,16 @@ let run_grain_study ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8)
 (* "For the style of parallelism exploited by this compiler, on the
    order of 8 to 16 processors can be used comfortably.  For our domain
    of application programs, extending the number of processors beyond
-   this range is unlikely to yield any additional speedup." *)
-let run_scaling_study ?(cfg = Config.default) ?(size = W2.Gen.Large)
-    ?max_stations () : point list =
+   this range is unlikely to yield any additional speedup."  The
+   functions are f_large. *)
+let run_scaling_study ?max_stations () : point list =
   List.map
     (fun count ->
-      let mw = s_program_work ~size ~count () in
+      let mw = s_program_work ~size:W2.Gen.Large ~count () in
       let comparison =
         match max_stations with
-        | Some cap when count > cap -> measure ~cfg ~processors:cap mw
-        | Some _ | None -> measure ~cfg mw
+        | Some cap when count > cap -> measure ~processors:cap mw
+        | Some _ | None -> measure mw
       in
       { n_functions = count; comparison })
     [ 1; 2; 4; 8; 12; 16; 24; 32 ]
@@ -295,11 +296,11 @@ let races ((o : Parrun.outcome), tr) policy =
 
 (* Each policy played on one point, paired with its elapsed-time
    speedup over FCFS on the same point. *)
-let versus_fcfs ?cfg ~pool policies mw plan =
-  let fcfs = play ?cfg ~pool Sched.Fcfs mw plan in
+let versus_fcfs ~pool policies mw plan =
+  let fcfs = play ~pool Sched.Fcfs mw plan in
   List.map
     (fun p ->
-      let run = if p = Sched.Fcfs then fcfs else play ?cfg ~pool p mw plan in
+      let run = if p = Sched.Fcfs then fcfs else play ~pool p mw plan in
       (p, run, elapsed fcfs /. elapsed run))
     policies
 
@@ -311,20 +312,18 @@ let count_edges keep (plan : Plan.t) =
 
 (* --- fault tolerance: elapsed-time inflation under faults --- *)
 
-(* In the spirit of the paper's S_n series: the same module compiled on
-   pools of 2/4/8/16 stations while the crash rate grows.  The plan for
-   one pool size is drawn once per rate from the same seed, so a higher
-   rate strictly adds faults; the fault horizon is 1.5x the fault-free
-   elapsed time, placing every event inside (or near) the useful part
-   of the run. *)
-let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
-    : row list =
-  let mw = s_program_work ~size ~count () in
+(* In the spirit of the paper's S_n series: the same module (S_8 of
+   f_medium) compiled under FCFS on pools of 2/4/8/16 stations while the
+   crash rate grows.  The plan for one pool size is drawn once per rate
+   from the same seed, so a higher rate strictly adds faults; the fault
+   horizon is 1.5x the fault-free elapsed time, placing every event
+   inside (or near) the useful part of the run. *)
+let fault_sweep () : row list =
+  let mw = s_program_work ~size:W2.Gen.Medium ~count:8 () in
   let plan = Plan.one_per_station mw in
   List.concat_map
     (fun pool ->
-      let cfg = { cfg with Config.faults = Netsim.Fault.none } in
-      let free = elapsed (play ~cfg ~pool cfg.Config.sched_policy mw plan) in
+      let free = elapsed (play ~pool Sched.Fcfs mw plan) in
       List.map
         (fun rate ->
           let faults =
@@ -334,7 +333,7 @@ let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
                 ~horizon:(free *. 1.5) ()
           in
           let o, _ =
-            play ~cfg:{ cfg with Config.faults } ~pool cfg.Config.sched_policy mw plan
+            play ~cfg:{ Config.default with Config.faults } ~pool Sched.Fcfs mw plan
           in
           let r = o.Parrun.run in
           [
@@ -360,7 +359,7 @@ let fault_sweep ?(cfg = Config.default) ?(size = W2.Gen.Medium) ?(count = 8) ()
    oversubscribed regime.  [user4] is the section-4.3 program, whose
    sections hold one task each — a witness that per-section reordering
    is a no-op there. *)
-let sched_sweep ?(cfg = Config.default) () : row list =
+let sched_sweep () : row list =
   List.concat_map
     (fun (name, mw, pool) ->
       List.map
@@ -374,7 +373,7 @@ let sched_sweep ?(cfg = Config.default) () : row list =
             ("elapsed", secs r.Timings.elapsed);
             ("speedup_vs_fcfs", ratio speedup);
           ])
-        (versus_fcfs ~cfg ~pool
+        (versus_fcfs ~pool
            [ Sched.Fcfs; Sched.Lpt; Sched.Lpt_batch ]
            mw (Plan.one_per_station mw)))
     [
@@ -417,7 +416,7 @@ let helper_program_work () : Driver.Compile.module_work =
    (the DAG is a no-op and must cost nothing), the helper program
    (whose call graph the analyzer turns into inline_of edges, the
    paper's section 5.1 coupling), and the section-4.3 user program. *)
-let dag_sweep ?(cfg = Config.default) () : row list =
+let dag_sweep () : row list =
   List.concat_map
     (fun (name, (mw : Driver.Compile.module_work), pool) ->
       let analysis = mw.Driver.Compile.mw_analysis in
@@ -434,7 +433,7 @@ let dag_sweep ?(cfg = Config.default) () : row list =
             ("elapsed", secs r.Timings.elapsed);
             ("speedup_vs_fcfs", ratio speedup);
           ])
-        (versus_fcfs ~cfg ~pool
+        (versus_fcfs ~pool
            [ Sched.Fcfs; Sched.Dag; Sched.Dag_lpt ]
            mw (Plan.one_per_station mw)))
     [
@@ -457,20 +456,22 @@ let module_pruned (t : Analysis.Depan.t) =
     (fun n si -> n + List.length si.Analysis.Depan.si_pruned)
     0 t.Analysis.Depan.dp_sections
 
+let absint_pool = 4
+
 (* Each program is compiled twice — refinement off and on — and both
-   DAGs are played under dag+lpt on a 4-station pool with the race
-   oracle armed: the pruned schedule must be faster (or at worst equal)
-   and every surviving edge must still be honoured dynamically.  The
-   helper program is a witness: every edge there is
+   DAGs are played under dag+lpt on an [absint_pool]-station pool with
+   the race oracle armed: the pruned schedule must be faster (or at
+   worst equal) and every surviving edge must still be honoured
+   dynamically.  The helper program is a witness: every edge there is
    inline_of/sig_agreement, which the refinement never touches, so the
    point must be a no-op. *)
-let absint_sweep ?(cfg = Config.default) ?(pool = 4) () : row list =
+let absint_sweep () : row list =
   List.map
     (fun (name, make) ->
       let off = absint_program_work ~absint:false ~name make in
       let on = absint_program_work ~absint:true ~name make in
       let play_dag (mw : Driver.Compile.module_work) =
-        play ~cfg ~pool Sched.Dag_lpt mw (Plan.one_per_station mw)
+        play ~pool:absint_pool Sched.Dag_lpt mw (Plan.one_per_station mw)
       in
       let run_off = play_dag off and run_on = play_dag on in
       let a_off = off.Driver.Compile.mw_analysis
@@ -515,13 +516,13 @@ let spec_program_work ?max_tracked ~absint ~name (make : unit -> W2.Ast.modul)
    Each program is played under dag+lpt and dag+spec on a pool matching
    its width; [Parrun.run] already asserts both runs race-free, the
    explicit count lands in the benchmark artifact. *)
-let spec_sweep ?(cfg = Config.default) () : row list =
+let spec_sweep () : row list =
   List.map
     (fun (name, make, max_tracked, absint, pool) ->
       let mw = spec_program_work ?max_tracked ~absint ~name make in
       let plan = Plan.one_per_station mw in
-      let lpt = play ~cfg ~pool Sched.Dag_lpt mw plan in
-      let spec = play ~cfg ~pool Sched.Dag_spec mw plan in
+      let lpt = play ~pool Sched.Dag_lpt mw plan in
+      let spec = play ~pool Sched.Dag_spec mw plan in
       let r = (fst spec).Parrun.run in
       [
         ("series", Str name);
@@ -557,7 +558,7 @@ let spec_sweep ?(cfg = Config.default) () : row list =
    blinded program.  One function master per function on pools smaller
    than the task count, so shrinking the pool turns compute time into
    pool-wait time and the dominant bucket shifts. *)
-let profile_sweep ?(cfg = Config.default) () : row list =
+let profile_sweep () : row list =
   List.concat_map
     (fun (name, mw) ->
       let plan = Plan.one_per_station mw in
@@ -565,7 +566,7 @@ let profile_sweep ?(cfg = Config.default) () : row list =
         (fun pool ->
           List.map
             (fun p ->
-              let ((o, tr) as run) = play ~cfg ~pool p mw plan in
+              let ((o, tr) as run) = play ~pool p mw plan in
               let prof =
                 Critpath.of_trace ~plan:o.Parrun.scheduled ~elapsed:(elapsed run) tr
               in
@@ -649,13 +650,13 @@ let cache_program_work ~name ?edit (make : unit -> W2.Ast.modul) :
    edge-free S_8 (closure of any edit = 1), the inline-coupled helper
    program (editing a shared helper invalidates its drivers), and the
    section-4.3 user program. *)
-let cache_sweep ?(cfg = Config.default) () : row list =
+let cache_sweep () : row list =
   List.map
     (fun (name, make, pool) ->
       let mw = cache_program_work ~name make in
       let edited = widest_edit mw in
       let mw_edit = cache_program_work ~name ~edit:edited make in
-      let cfg = { cfg with Config.cache = Some (Cache.create ()) } in
+      let cfg = { Config.default with Config.cache = Some (Cache.create ()) } in
       let run (mw' : Driver.Compile.module_work) =
         (fst (play ~cfg ~pool Sched.Dag_lpt mw' (Plan.one_per_station mw')))
           .Parrun.run
@@ -791,7 +792,7 @@ let link_plan (mw : Driver.Compile.module_work) (link : Analysis.Modan.link) :
 
 (* Every shape at 24 and 48 modules under FCFS, dag+lpt and dag+spec on
    an 8-station pool. *)
-let link_sched_sweep ?(cfg = Config.default) () : row list =
+let link_sched_sweep () : row list =
   List.concat_map
     (fun shape ->
       List.concat_map
@@ -820,7 +821,7 @@ let link_sched_sweep ?(cfg = Config.default) () : row list =
                 ("spec_rolled_back", Int r.Timings.spec_rolled_back);
                 ("wasted_cpu", secs r.Timings.wasted_cpu);
               ])
-            (versus_fcfs ~cfg ~pool [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ]
+            (versus_fcfs ~pool [ Sched.Fcfs; Sched.Dag_lpt; Sched.Dag_spec ]
                mw plan))
         [ 24; 48 ])
     W2.Gen.all_shapes

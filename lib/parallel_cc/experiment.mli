@@ -5,7 +5,11 @@
     measurement, cached — it is deterministic), then plays sequential
     and parallel compilation on the simulated 1989 host, repeating each
     measurement under the noise model and averaging (the paper's
-    protocol, section 4.2). *)
+    protocol, section 4.2).
+
+    Every driver but {!measure} plays the paper's fixed host,
+    {!Config.default}, and fixes its own program sizes, counts and pool
+    sizes, named in its description. *)
 
 type point = { n_functions : int; comparison : Timings.comparison }
 
@@ -26,15 +30,15 @@ val measure :
 val function_counts : int list
 (** The paper's x axis: 1, 2, 4, 8. *)
 
-val size_series : ?cfg:Config.t -> W2.Gen.size -> point list
+val size_series : W2.Gen.size -> point list
 (** Figures 3-5/12-13 (times) and the rows of 6-10/14-16. *)
 
-val user_program : ?cfg:Config.t -> unit -> point list
+val user_program : unit -> point list
 (** Figure 11: 2, 3, 5 and 9 processors on the section-4.3 program. *)
 
-val saturation :
-  ?cfg:Config.t -> ?size:W2.Gen.size -> unit -> (int * float) list
-(** Section 4.2.2: parallel elapsed time versus pool size for S_8. *)
+val saturation : unit -> (int * float) list
+(** Section 4.2.2: parallel elapsed time of S_8 of f_medium versus pool
+    size (1 to 12 stations). *)
 
 (** {1 Ablations (DESIGN.md section 5)} *)
 
@@ -53,13 +57,15 @@ type inlining_study = {
   calls_inlined : int;
 }
 
-val run_inlining_study : ?cfg:Config.t -> unit -> inlining_study
+val run_inlining_study : unit -> inlining_study
 (** The many-small-functions program, compiled as written and after
     inlining + pruning. *)
 
 (** {1 Section 3.4: parallel make coexistence} *)
 
-val run_make_study : ?cfg:Config.t -> ?stations:int -> unit -> Makerun.result list
+val run_make_study : unit -> Makerun.result list
+(** The four {!Makerun} build strategies on a four-module system and a
+    ten-station pool. *)
 
 (** {1 Section 5: finer-grain parallelism} *)
 
@@ -69,8 +75,9 @@ type grain_point = {
   fine : float; (** elapsed, phases 2 and 3 as separate tasks *)
 }
 
-val run_grain_study :
-  ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> grain_point list
+val run_grain_study : unit -> grain_point list
+(** S_8 of f_medium with phases 2+3 fused and split, on 3, 5 and 9
+    stations. *)
 
 (** {1 Sweep rows}
 
@@ -86,15 +93,16 @@ val speedup_row : W2.Gen.size -> point -> row
 
 (** {1 Fault tolerance} *)
 
-val fault_sweep : ?cfg:Config.t -> ?size:W2.Gen.size -> ?count:int -> unit -> row list
+val fault_sweep : unit -> row list
 (** Elapsed-time inflation (elapsed / fault-free elapsed), recovery work
-    and wasted CPU of the parallel compiler on 2/4/8/16-station pools
+    and wasted CPU of the parallel compiler compiling S_8 of f_medium
+    under FCFS on 2/4/8/16-station pools
     as the crash rate ({!Netsim.Fault.random}) grows through 0, 0.25,
     0.5 and 1.0. *)
 
 (** {1 Scheduling policies} *)
 
-val sched_sweep : ?cfg:Config.t -> unit -> row list
+val sched_sweep : unit -> row list
 (** Tiny/small/large/huge S_n programs and the user program on pools
     smaller than the task count, the regime where scheduling order and
     batching can matter, under [fcfs], [lpt] and [lpt+batch] with
@@ -107,7 +115,7 @@ val helper_program_work : unit -> Driver.Compile.module_work
 (** The section-5.1 helper program (cached) — the sweep's coupled
     module: its call graph becomes inline_of dependence edges. *)
 
-val dag_sweep : ?cfg:Config.t -> unit -> row list
+val dag_sweep : unit -> row list
 (** Edge-free S_8 programs (DAG dispatch must be free), the helper
     program and the user program under [fcfs], [dag] and [dag+lpt],
     with the module's dependence edges and
@@ -117,21 +125,23 @@ val dag_sweep : ?cfg:Config.t -> unit -> row list
 
 (** {1 Section 6: scaling limit} *)
 
-val run_scaling_study :
-  ?cfg:Config.t -> ?size:W2.Gen.size -> ?max_stations:int -> unit -> point list
-(** Speedup for 1..32 equal functions.  Without [max_stations], one
+val run_scaling_study : ?max_stations:int -> unit -> point list
+(** Speedup for 1..32 equal f_large functions.  Without [max_stations], one
     processor per function (efficiency decays past 8-16); with it, the
     paper's environment ("the number of processors that can be used in
     parallel is limited to 10-15", §3.3), where speedup plateaus. *)
 
 (** {1 Abstract-interpretation refinement} *)
 
-val absint_sweep : ?cfg:Config.t -> ?pool:int -> unit -> row list
+val absint_pool : int
+(** Function-master stations of every {!absint_sweep} run: 4. *)
+
+val absint_sweep : unit -> row list
 (** The partitioned lattice, the histogram and the dead-channel program
     (each with refutable couplings) plus the 4-driver helper program as
     a no-op witness, each compiled with the {!Analysis.Absint}
-    refinement off and on and both DAGs played under dag+lpt on a
-    [pool]-station cluster (default 4).  [race_violations] counts
+    refinement off and on and both DAGs played under dag+lpt on an
+    {!absint_pool}-station cluster.  [race_violations] counts
     {!Traceview.violations} of [Sched.All] gating on the pruned run; soundness of
     the refutations means it is always 0. *)
 
@@ -146,7 +156,7 @@ val spec_program_work :
 (** Compile one sweep program (cached on every knob that shapes the
     analysis, [max_tracked] and [absint] included). *)
 
-val spec_sweep : ?cfg:Config.t -> unit -> row list
+val spec_sweep : unit -> row list
 (** Two "blinded" programs — dynamically independent but compiled with
     the refinement off and the tracking cap below their write fan-out,
     so every pair is pinned by [summary_limit] — plus the deliberately
@@ -158,7 +168,7 @@ val spec_sweep : ?cfg:Config.t -> unit -> row list
 
 (** {1 Critical-path profile sweep} *)
 
-val profile_sweep : ?cfg:Config.t -> unit -> row list
+val profile_sweep : unit -> row list
 (** The overhead-dominated tiny S_8, the dependence-coupled helper
     program and the speculation-exercising blinded program, one master
     per function on 2/4/8-station pools under FCFS, dag+lpt and
@@ -185,7 +195,7 @@ val cache_program_work :
 (** Compile one sweep program (cached), optionally after
     {!W2.Gen.touch_in} on [edit]. *)
 
-val cache_sweep : ?cfg:Config.t -> unit -> row list
+val cache_sweep : unit -> row list
 (** Cold, warm and one-edit runs of an edge-free S_8, the helper
     program and the user program against a single {!Cache.t}, dag+lpt
     on a 4-station pool.  Warm elapsed is strictly below cold on every
@@ -215,7 +225,7 @@ val link_plan :
     {!Plan.Hot} exactly when the merged analysis classes the same
     oriented pair [Hot]. *)
 
-val link_sched_sweep : ?cfg:Config.t -> unit -> row list
+val link_sched_sweep : unit -> row list
 (** Every shape at 24 and 48 modules played under FCFS, dag+lpt and
     dag+spec on an 8-station pool, with the race oracle armed on the
     DAG-gated policies (0 violations: the composed DAG is a superset

@@ -1,17 +1,16 @@
-(* Metrics registry over the span store.
+(* Metrics derived from the span store.
 
-   Counters, gauges and histograms keyed by name, with a standard
-   derivation [of_trace] that recomputes operational metrics (pool wait
-   time, queue depth, per-phase CPU, paging-slowdown distribution,
-   recovery counters) purely from the recorded spans — nothing is
-   accumulated twice. *)
+   Counters, gauges and histograms keyed by name, built only by
+   [of_trace], which recomputes operational metrics (pool wait time,
+   queue depth, per-phase CPU, paging-slowdown distribution, recovery
+   counters) purely from the recorded spans — nothing is accumulated
+   twice. *)
 
 type histogram = {
   mutable h_count : int;
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
-  mutable h_rev_values : float list; (* newest first, for quantiles *)
 }
 
 type t = {
@@ -42,17 +41,14 @@ let observe t name v =
     match Hashtbl.find_opt t.histograms name with
     | Some h -> h
     | None ->
-      let h =
-        { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity; h_rev_values = [] }
-      in
+      let h = { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity } in
       Hashtbl.replace t.histograms name h;
       h
   in
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v;
   h.h_min <- Float.min h.h_min v;
-  h.h_max <- Float.max h.h_max v;
-  h.h_rev_values <- v :: h.h_rev_values
+  h.h_max <- Float.max h.h_max v
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0.0
@@ -63,17 +59,6 @@ let gauge t name =
 let histogram t name = Hashtbl.find_opt t.histograms name
 
 let mean h = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count
-
-(* Nearest-rank quantile over the observed values. *)
-let quantile h q =
-  match List.sort compare h.h_rev_values with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    let rank =
-      min (n - 1) (max 0 (int_of_float (ceil (q *. float_of_int n)) - 1))
-    in
-    List.nth sorted rank
 
 let names tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 

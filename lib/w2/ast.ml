@@ -167,6 +167,7 @@ let binop_to_string = function
   | Or -> "or"
 
 let channel_to_string = function Chan_x -> "X" | Chan_y -> "Y"
+let channel_of_string = function "X" -> Some Chan_x | "Y" -> Some Chan_y | _ -> None
 
 (* The one syntactic walk over bodies.  An indexed array is read by
    [Index] and written by [Lindex]; a for variable is written; an

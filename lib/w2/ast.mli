@@ -132,6 +132,9 @@ val ty_to_string : ty -> string
 val binop_to_string : binop -> string
 val channel_to_string : channel -> string
 
+val channel_of_string : string -> channel option
+(** The inverse of {!channel_to_string}. *)
+
 (** {1 Names, calls and channels}
 
     The one syntactic walk every analysis of a body shares.  It reports

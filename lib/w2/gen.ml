@@ -125,15 +125,11 @@ let benchmark_inits =
     assign "t1" (flt 0.5);
   ]
 
-(* A function of exactly [lines] lines (as counted by [Pretty.func_loc]),
-   provided [lines] is at least [min_benchmark_lines]. *)
+(* A function of exactly [lines] lines (as counted by [Pretty.func_loc]);
+   every caller asks for at least [min_benchmark_lines]. *)
 let min_benchmark_lines = 33
 
 let benchmark_function ~name ~lines =
-  if lines < min_benchmark_lines then
-    invalid_arg
-      (Printf.sprintf "Gen.benchmark_function: need at least %d lines"
-         min_benchmark_lines);
   let rng = rng_make (Hashtbl.hash (name, lines)) in
   let depth = if lines < 60 then 1 else if lines < 150 then 2 else 3 in
   let make fill =
@@ -381,8 +377,12 @@ let module_of_function f =
 (* A program in the style that motivates procedure inlining (section
    5.1): a few driver functions, each calling several small helpers.
    Compiled as-is, the parallel grain is tiny; after [Inline.expand] the
-   drivers absorb their helpers and the grain grows. *)
-let helper_program ?(drivers = 6) ?(helpers_per = 3) ?(helper_lines = 8) () =
+   drivers absorb their helpers and the grain grows.  Each driver calls
+   three helpers of eight lines. *)
+let helpers_per = 3
+let helper_lines = 8
+
+let helper_program ?(drivers = 6) () =
   let helper_name d h = Printf.sprintf "help_%d_%d" d h
   in
   let driver d =

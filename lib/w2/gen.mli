@@ -23,16 +23,6 @@ val sized_function : name:string -> size -> Ast.func
     Innermost loop bodies are branchless (like real systolic kernels),
     so they are software-pipelinable. *)
 
-val min_benchmark_lines : int
-(** Smallest size the Monte-Carlo skeleton supports. *)
-
-val benchmark_function : name:string -> lines:int -> Ast.func
-(** A Monte-Carlo function of exactly [lines] lines.
-    @raise Invalid_argument below {!min_benchmark_lines}. *)
-
-val tiny_function : name:string -> Ast.func
-(** The literal 4-line function standing in for f_tiny. *)
-
 val function_of_lines : name:string -> int -> Ast.func
 (** A function of (approximately, exactly where the skeletons allow)
     the requested line count, down to 4 lines. *)
@@ -49,10 +39,10 @@ val user_program : unit -> Ast.modul
     sections of three functions each — one of ~300 lines plus two small
     ones per section. *)
 
-val helper_program :
-  ?drivers:int -> ?helpers_per:int -> ?helper_lines:int -> unit -> Ast.modul
+val helper_program : ?drivers:int -> unit -> Ast.modul
 (** The many-small-functions program motivating procedure inlining
-    (section 5.1): driver functions calling tiny helpers. *)
+    (section 5.1): [drivers] (default 6) driver functions, each calling
+    three 8-line helpers of its own. *)
 
 val module_of_function : Ast.func -> Ast.modul
 (** Wrap a single function as a one-section module. *)

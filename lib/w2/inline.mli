@@ -21,13 +21,11 @@ val default_max_lines : int
 
 val inlinable : max_lines:int -> Ast.func -> bool
 
-val expand_section : ?max_lines:int -> Ast.section -> Ast.section * stats
-(** Expand eligible call sites throughout one section.  Inlined callees
-    are kept (they may still be called from skipped sites or serve as
-    entry points); see {!prune_section}. *)
-
 val expand_module : ?max_lines:int -> Ast.modul -> Ast.modul * stats
+(** Expand eligible call sites throughout every section.  Inlined
+    callees are kept (they may still be called from skipped sites or
+    serve as entry points); see {!prune_section}. *)
 
 val prune_section : roots:string list -> Ast.section -> Ast.section
 (** Drop functions unreachable (by direct calls) from [roots] — the
-    grain-coarsening companion of {!expand_section}. *)
+    grain-coarsening companion of {!expand_module}. *)

@@ -94,36 +94,6 @@ let to_string = function
   | INT n -> string_of_int n
   | FLOAT f -> string_of_float f
   | IDENT s -> s
-  | MODULE -> "module"
-  | IMPORT -> "import"
-  | EXPORT -> "export"
-  | SECTION -> "section"
-  | CELLS -> "cells"
-  | FUNCTION -> "function"
-  | BEGIN -> "begin"
-  | END -> "end"
-  | VAR -> "var"
-  | IF -> "if"
-  | THEN -> "then"
-  | ELSE -> "else"
-  | WHILE -> "while"
-  | DO -> "do"
-  | FOR -> "for"
-  | TO -> "to"
-  | RETURN -> "return"
-  | SEND -> "send"
-  | RECEIVE -> "receive"
-  | TRUE -> "true"
-  | FALSE -> "false"
-  | AND -> "and"
-  | OR -> "or"
-  | NOT -> "not"
-  | MOD -> "mod"
-  | TINT -> "int"
-  | TFLOAT -> "float"
-  | TBOOL -> "bool"
-  | ARRAY -> "array"
-  | OF -> "of"
   | LPAREN -> "("
   | RPAREN -> ")"
   | LBRACKET -> "["
@@ -143,3 +113,4 @@ let to_string = function
   | GT -> ">"
   | GE -> ">="
   | EOF -> "<eof>"
+  | keyword -> fst (List.find (fun (_, k) -> k = keyword) keyword_table)

@@ -193,7 +193,7 @@ let test_user_program_speedups () =
 
 let test_saturation () =
   (* Adding stations beyond the task count yields nothing. *)
-  let points = Experiment.saturation ~size:W2.Gen.Medium () in
+  let points = Experiment.saturation () in
   let at n = List.assoc n points in
   Alcotest.(check bool) "2 beats 1" true (at 2 < at 1);
   Alcotest.(check bool) "8 beats 4" true (at 8 < at 4);

@@ -1,5 +1,5 @@
-(* Tests for the observability layer: the span store, the metrics
-   registry, the exporters, and the trace-derived views that must agree
+(* Tests for the observability layer: the span store, the derived
+   metrics, the exporters, and the trace-derived views that must agree
    with the Timings bookkeeping — including the acceptance bar that
    tracing (enabled or not) never moves a simulated timing by a bit. *)
 
@@ -129,24 +129,43 @@ let test_gantt_render () =
       Alcotest.(check bool) (needle ^ " present") true (contains rendered needle))
     [ "station 0 (master)"; "station 4"; "ethernet"; "file server"; "#" ]
 
-(* --- metrics registry --- *)
+(* --- metrics derived from a trace --- *)
 
+(* A hand-built trace pins the derivation: counters accumulate over
+   spans and instants, an absent counter reads 0, the elapsed gauge is
+   the trace's end, and a histogram keeps count, sum, min and max. *)
 let test_metrics_registry () =
-  let m = Metrics.create () in
-  Metrics.incr m "c" ();
-  Metrics.incr m "c" ~by:2.0 ();
-  Alcotest.(check (float 0.0)) "counter" 3.0 (Metrics.counter m "c");
+  let tr = Trace.create () in
+  List.iter
+    (fun (t0, t1) ->
+      Trace.span tr ~track:1 ~cat:"cpu" ~name:"phase23"
+        ~args:
+          [
+            ("tag", "phase23");
+            ("done", Trace.farg (t1 -. t0));
+            ("actual", Trace.farg (t1 -. t0));
+          ]
+        ~t0 ~t1 ())
+    [ (0.0, 1.0); (1.0, 3.0) ];
+  List.iter
+    (fun wait ->
+      Trace.span tr ~track:2 ~cat:"pool" ~name:"pool-wait" ~t0:0.0 ~t1:wait ())
+    [ 4.0; 1.0; 3.0; 2.0 ];
+  List.iter
+    (fun at -> Trace.instant tr ~track:1 ~cat:"task" ~name:"retry" ~at ())
+    [ 1.0; 2.0 ];
+  let m = Metrics.of_trace tr in
+  Alcotest.(check (float 0.0)) "counter" 3.0 (Metrics.counter m "cpu.phase23_seconds");
+  Alcotest.(check (float 0.0)) "instant counter" 2.0 (Metrics.counter m "retries");
   Alcotest.(check (float 0.0)) "absent counter" 0.0 (Metrics.counter m "nope");
-  Metrics.set_gauge m "g" 4.0;
-  Alcotest.(check (option (float 0.0))) "gauge" (Some 4.0) (Metrics.gauge m "g");
-  List.iter (Metrics.observe m "h") [ 4.0; 1.0; 3.0; 2.0 ];
-  match Metrics.histogram m "h" with
+  Alcotest.(check (option (float 0.0))) "gauge" (Some 4.0)
+    (Metrics.gauge m "elapsed_seconds");
+  match Metrics.histogram m "pool_wait_seconds" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
     Alcotest.(check int) "count" 4 h.Metrics.h_count;
-    Alcotest.(check (float 1e-12)) "mean" 2.5 (Metrics.mean h);
-    Alcotest.(check (float 0.0)) "median" 2.0 (Metrics.quantile h 0.5);
-    Alcotest.(check (float 0.0)) "p100" 4.0 (Metrics.quantile h 1.0);
+    Alcotest.(check (float 1e-12)) "mean" 2.5
+      (h.Metrics.h_sum /. float_of_int h.Metrics.h_count);
     Alcotest.(check (float 0.0)) "min" 1.0 h.Metrics.h_min;
     Alcotest.(check (float 0.0)) "max" 4.0 h.Metrics.h_max
 
