@@ -600,11 +600,11 @@ let processors =
 
 let fault_seed =
   Arg.(value & opt int 0 & info [ "fault-seed" ] ~docv:"SEED"
-         ~doc:"Seed of the injected fault plan (0 = no faults unless --fault-rate is set)")
+         ~doc:"Seed of the injected fault plan (0 = no faults unless --fault-rate is given)")
 
 let fault_rate =
-  Arg.(value & opt fraction 0.0 & info [ "fault-rate" ] ~docv:"RATE"
-         ~doc:"Fault rate in [0,1]: fraction of pool stations hit by crashes/reclaims/slowdowns")
+  Arg.(value & opt (some fraction) None & info [ "fault-rate" ] ~docv:"RATE"
+         ~doc:"Fault rate in [0,1]: fraction of pool stations hit by crashes/reclaims/slowdowns (0.5 if only --fault-seed is given)")
 
 let retries =
   Arg.(value & opt (int_in 0 max_int) 2 & info [ "retries" ] ~docv:"N"
@@ -720,11 +720,11 @@ let replay_term =
     in
     let seed = if fault_seed = 0 then 1 else fault_seed in
     let faults, fault_free =
-      if fault_seed = 0 && fault_rate <= 0.0 then (Netsim.Fault.none, None)
+      if fault_seed = 0 && fault_rate = None then (Netsim.Fault.none, None)
       else
         let free = (Parrun.run cfg mw plan).Parrun.run in
         ( Netsim.Fault.random ~seed ~stations:(n_fm + 1)
-            ~rate:(if fault_rate > 0.0 then fault_rate else 0.5)
+            ~rate:(Option.value fault_rate ~default:0.5)
             ~horizon:(free.Timings.elapsed *. 1.5) (),
           Some free )
     in

@@ -35,8 +35,6 @@ let user_program_work () : Driver.Compile.module_work =
 
 let repetitions = 3
 
-let average xs = Stats.mean xs
-
 let measure ?(cfg = Config.default) ?processors (mw : Driver.Compile.module_work) :
     Timings.comparison =
   (* [processors] is the number of workstations available to function
@@ -58,14 +56,13 @@ let measure ?(cfg = Config.default) ?processors (mw : Driver.Compile.module_work
         (seq, par))
   in
   let avg_run (projection : (Timings.run * Timings.run) -> Timings.run) =
-    let sample = projection (List.hd runs) in
+    let mean field = Stats.mean (List.map (fun r -> field (projection r)) runs) in
     {
-      sample with
-      Timings.elapsed = average (List.map (fun r -> (projection r).Timings.elapsed) runs);
-      master_cpu = average (List.map (fun r -> (projection r).Timings.master_cpu) runs);
-      section_cpu = average (List.map (fun r -> (projection r).Timings.section_cpu) runs);
-      extra_parse_cpu =
-        average (List.map (fun r -> (projection r).Timings.extra_parse_cpu) runs);
+      (projection (List.hd runs)) with
+      Timings.elapsed = mean (fun r -> r.Timings.elapsed);
+      master_cpu = mean (fun r -> r.Timings.master_cpu);
+      section_cpu = mean (fun r -> r.Timings.section_cpu);
+      extra_parse_cpu = mean (fun r -> r.Timings.extra_parse_cpu);
     }
   in
   let seq = avg_run fst and par = avg_run snd in

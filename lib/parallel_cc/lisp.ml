@@ -1,10 +1,18 @@
 (* The steps every simulated Common-Lisp process performs, and the
    driver that runs a compilation on a fresh cluster.  Each step keeps
-   its noise draws and [Trace.enabled] guards where they were:
-   processes sharing a cluster share one noise stream, and an untraced
-   run builds no trace arguments. *)
+   its noise draws and [Trace.enabled] guards where they were: the
+   processes of one host share its noise stream, and an untraced run
+   builds no trace arguments. *)
 
 exception Lost of Netsim.Fault.failure
+
+type host = {
+  cfg : Config.t;
+  sim : Netsim.Des.t;
+  cluster : Netsim.Host.cluster;
+  noise : unit -> float;
+  log : Timings.log;
+}
 
 let set_resident ws mb =
   Netsim.Host.remove_resident ws ws.Netsim.Host.resident_mb;
@@ -12,65 +20,64 @@ let set_resident ws mb =
 
 let core_file = "core"
 
-let holds (cluster : Netsim.Host.cluster) ws file =
-  Netsim.Net.cached cluster.Netsim.Host.ether ~client:ws.Netsim.Host.ws_id ~file
+let holds h ws file =
+  Netsim.Net.cached h.cluster.Netsim.Host.ether ~client:ws.Netsim.Host.ws_id
+    ~file
 
-let span (cfg : Config.t) sim ws ~task ~attempt ~name ~t0 =
-  let tr = cfg.Config.trace in
+let span h ws ~task ~attempt ~name ~t0 =
+  let tr = h.cfg.Config.trace in
   if Trace.enabled tr then
     Trace.span tr ~track:ws.Netsim.Host.ws_id ~cat:"task" ~name
       ~args:[ ("task", task); ("attempt", string_of_int attempt) ]
-      ~t0 ~t1:(Netsim.Des.now sim) ()
+      ~t0 ~t1:(Netsim.Des.now h.sim) ()
 
-let claim cfg sim cluster ~rank ~task ~attempt =
-  let t0 = Netsim.Des.now sim in
+let claim h ~rank ~task ~attempt =
+  let t0 = Netsim.Des.now h.sim in
   let ws =
     match rank with
-    | Some rank -> Netsim.Host.claim_prefer ~rank sim cluster
-    | None -> Netsim.Host.claim sim cluster
+    | Some rank -> Netsim.Host.claim_prefer ~rank h.sim h.cluster
+    | None -> Netsim.Host.claim h.sim h.cluster
   in
-  span cfg sim ws ~task ~attempt ~name:"claim" ~t0;
+  span h ws ~task ~attempt ~name:"claim" ~t0;
   ws
 
 (* Network operations do not touch the station's CPU, so a crash
    under one is only noticed by asking afterwards. *)
-let alive sim ws =
-  match Netsim.Host.crashed ws ~now:(Netsim.Des.now sim) with
+let alive h ws =
+  match Netsim.Host.crashed ws ~now:(Netsim.Des.now h.sim) with
   | Some f -> raise (Lost f)
   | None -> ()
 
-let fetch sim (cluster : Netsim.Host.cluster) ~held ws ~file bytes =
+let fetch h ~held ws ~file bytes =
   if not (held ws file) then
-    Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file sim
-      cluster.Netsim.Host.fs cluster.Netsim.Host.ether ~bytes;
-  alive sim ws
+    Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file h.sim
+      h.cluster.Netsim.Host.fs h.cluster.Netsim.Host.ether ~bytes;
+  alive h ws
 
-let compute cfg sim cluster ~noise ws ~tag seconds =
-  let seconds = seconds *. noise () in
+let compute h ws ~tag seconds =
+  let seconds = seconds *. h.noise () in
   match
-    Netsim.Host.compute sim ws ~factor:(Config.cluster_slowdown cfg cluster)
-      ~tag ~seconds
+    Netsim.Host.compute h.sim ws
+      ~factor:(Config.cluster_slowdown h.cfg h.cluster) ~tag ~seconds
   with
   | Netsim.Fault.Completed -> seconds
   | Netsim.Fault.Station_failed f -> raise (Lost f)
 
 (* A warm station maps the core image it already holds: same resident
    set, no wire. *)
-let start (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise ~held
-    ~task ~attempt ws =
-  let cost = cfg.Config.cost in
-  (if cfg.Config.core_download && not (held ws core_file) then begin
-     let t0 = Netsim.Des.now sim in
-     Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file:core_file sim
-       cluster.Netsim.Host.fs cluster.Netsim.Host.ether
+let start h ~held ~task ~attempt ws =
+  let cost = h.cfg.Config.cost in
+  (if h.cfg.Config.core_download && not (held ws core_file) then begin
+     let t0 = Netsim.Des.now h.sim in
+     Netsim.Net.fetch ~client:ws.Netsim.Host.ws_id ~file:core_file h.sim
+       h.cluster.Netsim.Host.fs h.cluster.Netsim.Host.ether
        ~bytes:cost.Driver.Cost.lisp_core_bytes;
-     span cfg sim ws ~task ~attempt ~name:"transfer" ~t0
+     span h ws ~task ~attempt ~name:"transfer" ~t0
    end);
-  alive sim ws;
+  alive h ws;
   set_resident ws cost.Driver.Cost.lisp_core_mb;
   ignore
-    (compute cfg sim cluster ~noise ws ~tag:"lisp-init"
-       cost.Driver.Cost.lisp_init_seconds)
+    (compute h ws ~tag:"lisp-init" cost.Driver.Cost.lisp_init_seconds)
 
 (* The compile cache memoizes whole-function artifacts.  The
    fine-grained split tasks hand IR between two masters and never
@@ -83,16 +90,16 @@ let cache (cfg : Config.t) =
   | Some c when not cfg.Config.fine_grained -> Some c
   | _ -> None
 
-let lookup cfg sim cluster ~record (mw : Driver.Compile.module_work) ws
+let lookup h ~record (mw : Driver.Compile.module_work) ws
     (fw : Driver.Compile.func_work) =
-  match (cache cfg, fw.Driver.Compile.fw_key) with
+  match (cache h.cfg, fw.Driver.Compile.fw_key) with
   | Some c, Some key -> (
     let func = fw.Driver.Compile.fw_name in
     let owner = Cache.owner ~modul:mw.Driver.Compile.mw_name fw in
     match Cache.find c ~owner ~key with
     | Cache.Hit e ->
       record (Timings.Cache_hit { func; key });
-      fetch sim cluster ~held:(holds cluster) ws ~file:("art:" ^ key)
+      fetch h ~held:(holds h) ws ~file:("art:" ^ key)
         (Cache.meta_bytes +. e.Cache.e_bytes);
       true
     | Cache.Miss { stale } ->
@@ -100,21 +107,26 @@ let lookup cfg sim cluster ~record (mw : Driver.Compile.module_work) ws
       false)
   | _ -> false
 
-let store sim (cluster : Netsim.Host.cluster) bytes =
-  Netsim.Net.store sim cluster.Netsim.Host.fs cluster.Netsim.Host.ether ~bytes
+let store h bytes =
+  Netsim.Net.store h.sim h.cluster.Netsim.Host.fs h.cluster.Netsim.Host.ether
+    ~bytes
 
 (* Only newly stored artifacts cost anything: one store of payload and
    index bytes, alongside the durable copy already written. *)
-let publish cfg sim cluster ~record (mw : Driver.Compile.module_work) funcs =
+let publish h ~record (mw : Driver.Compile.module_work) funcs =
   Option.iter
     (fun c ->
-      Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record
-        ~store:(store sim cluster) funcs)
-    (cache cfg)
+      Cache.publish c ~modul:mw.Driver.Compile.mw_name ~record ~store:(store h)
+        funcs)
+    (cache h.cfg)
 
-let write_back cfg sim cluster ~record mw funcs bytes =
-  store sim cluster bytes;
-  publish cfg sim cluster ~record mw funcs
+let write_back h ~record mw funcs bytes =
+  store h bytes;
+  publish h ~record mw funcs
+
+let release h ws =
+  set_resident ws 0.0;
+  Netsim.Host.release_station h.sim h.cluster ws
 
 let simulate cfg processes =
   let sim = Netsim.Des.create () in
@@ -123,7 +135,8 @@ let simulate cfg processes =
   let log = Timings.empty_log () in
   let finish = ref None in
   List.iter (Netsim.Des.spawn sim)
-    (processes sim cluster ~noise ~log ~on_finish:(fun t -> finish := Some t));
+    (processes { cfg; sim; cluster; noise; log } ~on_finish:(fun t ->
+         finish := Some t));
   ignore (Netsim.Des.run sim);
   let finish =
     match !finish with

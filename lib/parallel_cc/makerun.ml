@@ -38,29 +38,26 @@ let run (cfg : Config.t) ~stations (modules : Driver.Compile.module_work list)
     (strategy : strategy) : result =
   let cfg = { cfg with Config.stations } in
   let run, _ =
-    Lisp.simulate cfg (fun sim cluster ~noise ~log ~on_finish ->
+    Lisp.simulate cfg (fun h ~on_finish ->
         (* One ["make"] span per module compilation on track 0, so a
            traced study shows the per-module schedule of each
            strategy. *)
         let traced (mw : Driver.Compile.module_work) body () =
           let tr = cfg.Config.trace in
-          let t0 = Netsim.Des.now sim in
+          let t0 = Netsim.Des.now h.sim in
           body ();
           if Trace.enabled tr then
             Trace.span tr ~track:0 ~cat:"make"
               ~name:("module " ^ mw.Driver.Compile.mw_name)
               ~args:[ ("strategy", strategy_name strategy) ]
-              ~t0 ~t1:(Netsim.Des.now sim) ()
+              ~t0 ~t1:(Netsim.Des.now h.sim) ()
         in
-        let seq mw =
-          traced mw
-            (Seqrun.compile_process cfg sim cluster ~noise mw ~log ~on_finish)
-        in
+        let seq mw = traced mw (Seqrun.compile_process h mw ~on_finish) in
         let par mw =
           traced mw
-            (Parrun.master_process cfg sim cluster ~noise mw
+            (Parrun.master_process h mw
                (Parrun.schedule cfg (Plan.one_per_station mw))
-               ~log ~on_finish)
+               ~on_finish)
         in
         (* One process compiles the modules back to back. *)
         let in_order body =

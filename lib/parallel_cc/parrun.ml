@@ -56,13 +56,12 @@ let schedule (cfg : Config.t) (plan : Plan.t) : Plan.t =
     ~threshold:Sched.batch_threshold ~stations:cfg.Config.stations plan
 
 (* The master process body; spawnable so that several modules can be
-   compiled concurrently on one cluster (the parallel-make study).
+   compiled concurrently on one host (the parallel-make study).
    [plan] is the scheduled plan ({!schedule}), dispatched as given. *)
-let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
-    (mw : Driver.Compile.module_work) (plan : Plan.t) ~(log : Timings.log)
-    ~on_finish () =
-  let cost = cfg.Config.cost in
-  let gating = Sched.gating cfg.Config.sched_policy in
+let master_process (h : Lisp.host) (mw : Driver.Compile.module_work)
+    (plan : Plan.t) ~on_finish () =
+  let cost = h.cfg.Config.cost in
+  let gating = Sched.gating h.cfg.Config.sched_policy in
   (* Under a DAG policy each task gets a one-shot completion event;
      dependent tasks await their predecessors' events before claiming
      a station.  Everything is a no-op for edge-free sections (and for
@@ -74,17 +73,17 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
      dispatched past speculative edges stage their write-back and run
      the commit protocol below. *)
   let spec_mode = gating = Sched.Proven in
-  let faulty = not (Netsim.Fault.is_none cfg.Config.faults) in
-  let tr = cfg.Config.trace in
+  let faulty = not (Netsim.Fault.is_none h.cfg.Config.faults) in
+  let tr = h.cfg.Config.trace in
   let src_file = "src:" ^ mw.Driver.Compile.mw_name in
-  let ws_m = Netsim.Host.claim sim cluster in
+  let ws_m = Netsim.Host.claim h.sim h.cluster in
   (* The one place an event is counted and traced, on the master's
      track. *)
   let record ?task ?attempt ?t0 ev =
-    Timings.record log tr ~track:ws_m.Netsim.Host.ws_id
-      ~now:(Netsim.Des.now sim) ?task ?attempt ?t0 ev
+    Timings.record h.log tr ~track:ws_m.Netsim.Host.ws_id
+      ~now:(Netsim.Des.now h.sim) ?task ?attempt ?t0 ev
   in
-  let compute = Lisp.compute cfg sim cluster ~noise in
+  let compute = Lisp.compute h in
   (* The master's workstation is never faulted (Host wires station 0
      out of the plan), so its steps never raise [Lisp.Lost]. *)
   let compute_m ~tag seconds = ignore (compute ws_m ~tag seconds) in
@@ -92,14 +91,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   let overhead_m kind ~tag seconds =
     record (Overhead (kind, compute ws_m ~tag seconds))
   in
-  let fetch_m = Lisp.fetch sim cluster ~held:(fun _ _ -> false) ws_m in
+  let fetch_m = Lisp.fetch h ~held:(fun _ _ -> false) ws_m in
   (* C master: cheap startup, then read the source. *)
-  Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
+  Netsim.Des.delay h.sim cost.Driver.Cost.c_process_seconds;
   fetch_m ~file:src_file (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
   (* The master's Lisp process: phase 1 proper plus the extra
      structure-discovering parse (the latter is implementation
      overhead). *)
-  (if cfg.Config.core_download then
+  (if h.cfg.Config.core_download then
      fetch_m ~file:Lisp.core_file cost.Driver.Cost.lisp_core_bytes);
   let ast_mb =
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
@@ -114,9 +113,9 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
   let sections_done = Netsim.Sync.join (List.length plan.Plan.tasks_per_section) in
   List.iter
     (fun (section_name, tasks) ->
-      Netsim.Des.spawn sim (fun () ->
+      Netsim.Des.spawn h.sim (fun () ->
           (* Section masters are C processes on the master's host. *)
-          Netsim.Des.delay sim cost.Driver.Cost.c_process_seconds;
+          Netsim.Des.delay h.sim cost.Driver.Cost.c_process_seconds;
           overhead_m Section ~tag:"sect-interpret"
             (0.05 *. float_of_int (List.length tasks));
           let tasks_done = Netsim.Sync.join (List.length tasks) in
@@ -141,7 +140,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
               (* Remote process creation is serialized in the forking
                  parent (rsh-style), a real cost of UNIX process
                  hierarchies the paper complains about. *)
-              Netsim.Des.delay sim cost.Driver.Cost.fm_fork_seconds;
+              Netsim.Des.delay h.sim cost.Driver.Cost.fm_fork_seconds;
               (* Per-task quantities (pure, shared by every attempt). *)
               let task_label = Plan.label task in
               let task_loc = Plan.task_loc task in
@@ -170,7 +169,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                  speculative artifact, so each key is stored at most
                  once. *)
               let publish () =
-                Lisp.publish cfg sim cluster ~record mw task.Plan.t_funcs
+                Lisp.publish h ~record mw task.Plan.t_funcs
               in
               (* Supervisor state: the completion token, the attempt
                  counter and the commit oracle's aborts so far. *)
@@ -196,7 +195,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    track, so Gantt/Chrome views show the claim →
                    write-back chain per attempt. *)
                 let span ws =
-                  Lisp.span cfg sim ws ~task:task_label ~attempt:attempt_n
+                  Lisp.span h ws ~task:task_label ~attempt:attempt_n
                 in
                 (* Pool stations are held exclusively, so the
                    busy-seconds delta around a step is exactly this
@@ -215,10 +214,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    and the FCFS policy never reach these branches, so
                    their schedule is untouched. *)
                 let locality =
-                  attempt_n > 1 && cfg.Config.sched_policy <> Sched.Fcfs
+                  attempt_n > 1 && h.cfg.Config.sched_policy <> Sched.Fcfs
                 in
                 let held ws file =
-                  let hit = locality && Lisp.holds cluster ws file in
+                  let hit = locality && Lisp.holds h ws file in
                   if hit && Trace.enabled tr then
                     Trace.instant tr ~track:ws_m.Netsim.Host.ws_id ~cat:"task"
                       ~name:"cache-hit"
@@ -229,7 +228,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                           ("file", file);
                           ("station", string_of_int ws.Netsim.Host.ws_id);
                         ]
-                      ~at:(Netsim.Des.now sim) ();
+                      ~at:(Netsim.Des.now h.sim) ();
                   hit
                 in
                 (* Claim a pool station for a master that reads [file],
@@ -237,11 +236,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    [suffix]. *)
                 let claim ~file suffix =
                   let rank w =
-                    (if Lisp.holds cluster w file then 2 else 0)
-                    + if Lisp.holds cluster w Lisp.core_file then 1 else 0
+                    (if Lisp.holds h w file then 2 else 0)
+                    + if Lisp.holds h w Lisp.core_file then 1 else 0
                   in
                   let ws =
-                    Lisp.claim cfg sim cluster
+                    Lisp.claim h
                       ~rank:(if locality then Some rank else None)
                       ~task:task_label ~attempt:attempt_n
                   in
@@ -250,7 +249,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 in
                 let start ws =
                   charged ws (fun () ->
-                      Lisp.start cfg sim cluster ~noise ~held ~task:task_label
+                      Lisp.start h ~held ~task:task_label
                         ~attempt:attempt_n ws)
                 in
                 let compute ws ~tag seconds =
@@ -260,10 +259,10 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    as one span named by its tag; a compile-cache hit
                    skips a function's compute. *)
                 let phase ws ~tag seconds =
-                  let t0 = Netsim.Des.now sim in
+                  let t0 = Netsim.Des.now h.sim in
                   List.iter
                     (fun (fw : Driver.Compile.func_work) ->
-                      if not (Lisp.lookup cfg sim cluster ~record mw ws fw)
+                      if not (Lisp.lookup h ~record mw ws fw)
                       then begin
                         Lisp.set_resident ws
                           (Driver.Cost.function_master_mb cost fw);
@@ -274,17 +273,13 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 in
                 (* Write bytes from [ws] to the server, spanned [name]. *)
                 let put ws ~name bytes =
-                  let t0 = Netsim.Des.now sim in
-                  Lisp.store sim cluster bytes;
-                  Lisp.alive sim ws;
+                  let t0 = Netsim.Des.now h.sim in
+                  Lisp.store h bytes;
+                  Lisp.alive h ws;
                   span ws ~name ~t0
                 in
-                let release ws =
-                  Lisp.set_resident ws 0.0;
-                  Netsim.Host.release_station sim cluster ws
-                in
                 (* --- the function master proper --- *)
-                let t_claim = Netsim.Des.now sim in
+                let t_claim = Netsim.Des.now h.sim in
                 let ws = claim ~file:src_file "" in
                 (* Speculation decision, made once the station is
                    granted: any speculative predecessor not yet durably
@@ -303,8 +298,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 if speculative then record ~attempt:attempt_n Spec_dispatch;
                 start ws;
                 (* Read and re-parse its share of the source. *)
-                let t_parse = Netsim.Des.now sim in
-                Lisp.fetch sim cluster ~held ws ~file:src_file
+                let t_parse = Netsim.Des.now h.sim in
+                Lisp.fetch h ~held ws ~file:src_file
                   (Driver.Cost.source_bytes cost task_loc);
                 let reparse =
                   compute ws ~tag:"reparse"
@@ -325,9 +320,9 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                     staged := true;
                     span ws ~name:"spec-attempt" ~t0:t_claim
                   end;
-                  release ws
+                  Lisp.release h ws
                 in
-                if not cfg.Config.fine_grained then begin
+                if not h.cfg.Config.fine_grained then begin
                   (* Coarse grain (the paper): phases 2+3 together. *)
                   phase ws ~tag:"phase23" Driver.Cost.phase23_seconds;
                   write_back ws
@@ -343,12 +338,12 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       0.0 task.Plan.t_funcs
                   in
                   put ws ~name:"write-ir" ir_bytes;
-                  release ws;
+                  Lisp.release h ws;
                   let ir_file = "ir:" ^ task_label in
                   let ws3 = claim ~file:ir_file "#p3" in
                   start ws3;
-                  let t_fir = Netsim.Des.now sim in
-                  Lisp.fetch sim cluster ~held ws3 ~file:ir_file ir_bytes;
+                  let t_fir = Netsim.Des.now h.sim in
+                  Lisp.fetch h ~held ws3 ~file:ir_file ir_bytes;
                   span ws3 ~name:"fetch-ir" ~t0:t_fir;
                   phase ws3 ~tag:"phase3" Driver.Cost.phase3_seconds;
                   write_back ws3
@@ -362,7 +357,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 cost.Driver.Cost.lisp_init_seconds
                 +. (cost.Driver.Cost.sec_per_token *. float_of_int task_tokens)
                 +. Driver.Cost.task_phase23_seconds cost task.Plan.t_funcs
-                +. (if cfg.Config.fine_grained then
+                +. (if h.cfg.Config.fine_grained then
                       cost.Driver.Cost.lisp_init_seconds
                     else 0.0)
                 +. 60.0 (* grace for downloads and queueing *)
@@ -382,8 +377,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    attempt; on a fault-free host the deadline would
                    only count time queued for a pool station. *)
                 if faulty then
-                  Netsim.Des.spawn sim (fun () ->
-                      Netsim.Des.delay sim deadline;
+                  Netsim.Des.spawn h.sim (fun () ->
+                      Netsim.Des.delay h.sim deadline;
                       if (not !completed) && not !staged then begin
                         record Timeout;
                         Netsim.Sync.send sup (Msg_lost n)
@@ -394,11 +389,11 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                 (* The version-pointer flip that commits or quarantines
                    a staged artifact. *)
                 let flip ev =
-                  let t0 = Netsim.Des.now sim in
-                  Lisp.store sim cluster spec_meta_bytes;
+                  let t0 = Netsim.Des.now h.sim in
+                  Lisp.store h spec_meta_bytes;
                   record ~t0 ev
                 in
-                Netsim.Des.spawn sim (fun () ->
+                Netsim.Des.spawn h.sim (fun () ->
                     match attempt ~attempt_n:n ~noted ~spent ~staged with
                     | exception Lisp.Lost _ ->
                       record Attempt_lost;
@@ -447,7 +442,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                    sequential degradation rung.  Claim the completion
                    token first so any straggler counts as wasted. *)
                 completed := true;
-                let t0 = Netsim.Des.now sim in
+                let t0 = Netsim.Des.now h.sim in
                 List.iter
                   (fun (fw : Driver.Compile.func_work) ->
                     let mb =
@@ -459,7 +454,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       (Driver.Cost.phase23_seconds cost fw);
                     Netsim.Host.remove_resident ws_m mb)
                   task.Plan.t_funcs;
-                Lisp.write_back cfg sim cluster ~record mw task.Plan.t_funcs
+                Lisp.write_back h ~record mw task.Plan.t_funcs
                   output_bytes;
                 record ~attempt:(!attempt_no + 1) ~t0 Fallback;
                 record (Placement (task_label, ws_m.Netsim.Host.ws_id))
@@ -467,7 +462,7 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
               (* Dependence gating happens inside the spawned process,
                  so the section master keeps forking the rest of its
                  queue while a gated task parks. *)
-              Netsim.Des.spawn sim (fun () ->
+              Netsim.Des.spawn h.sim (fun () ->
                   List.iter (fun d -> Netsim.Sync.await completion.(d)) deps.(ti);
                   launch ();
                   let rec await budget =
@@ -480,8 +475,8 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                       await budget
                     | Msg_lost _ ->
                       if budget > 0 then begin
-                        let step = cfg.Config.retry_budget - budget in
-                        Netsim.Des.delay sim (Config.backoff_delay ~step);
+                        let step = h.cfg.Config.retry_budget - budget in
+                        Netsim.Des.delay h.sim (Config.backoff_delay ~step);
                         (* A straggler may have finished during the
                            backoff; its Msg_completed is queued. *)
                         if not !completed then begin
@@ -502,14 +497,14 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
                          which is the dag+lpt discipline for this
                          task. *)
                       incr spec_fails;
-                      if !spec_fails >= cfg.Config.spec_budget then
+                      if !spec_fails >= h.cfg.Config.spec_budget then
                         List.iter
                           (fun d -> Netsim.Sync.await completion.(d))
                           spec_deps.(ti);
                       launch ();
                       await budget
                   in
-                  await cfg.Config.retry_budget;
+                  await h.cfg.Config.retry_budget;
                   (* The task's output is durably written back —
                      whether by a surviving attempt or the fallback —
                      only here, so the completion event fires exactly
@@ -548,10 +543,9 @@ let master_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster) ~noise
     (cost.Driver.Cost.lisp_core_mb +. ast_mb
     +. (cost.Driver.Cost.retained_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc));
   compute_m ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw);
-  Lisp.store sim cluster (float_of_int (Driver.Compile.total_image_bytes mw));
-  Lisp.set_resident ws_m 0.0;
-  Netsim.Host.release_station sim cluster ws_m;
-  on_finish (Netsim.Des.now sim)
+  Lisp.store h (float_of_int (Driver.Compile.total_image_bytes mw));
+  Lisp.release h ws_m;
+  on_finish (Netsim.Des.now h.sim)
 
 let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : outcome =
   let tr = cfg.Config.trace in
@@ -560,8 +554,8 @@ let run (cfg : Config.t) (mw : Driver.Compile.module_work) (plan : Plan.t) : out
   in
   let scheduled = schedule cfg plan in
   let run, placed =
-    Lisp.simulate cfg (fun sim cluster ~noise ~log ~on_finish ->
-        [ master_process cfg sim cluster ~noise mw scheduled ~log ~on_finish ])
+    Lisp.simulate cfg (fun h ~on_finish ->
+        [ master_process h mw scheduled ~on_finish ])
   in
   (* A gated schedule promises dependence order; when this run starts
      on an empty trace, let the trace prove it kept that promise

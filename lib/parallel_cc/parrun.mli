@@ -69,20 +69,11 @@ val schedule : Config.t -> Plan.t -> Plan.t
     {!Config.t.spec_budget} below 1. *)
 
 val master_process :
-  Config.t ->
-  Netsim.Des.t ->
-  Netsim.Host.cluster ->
-  noise:(unit -> float) ->
-  Driver.Compile.module_work ->
-  Plan.t ->
-  log:Timings.log ->
-  on_finish:(float -> unit) ->
-  unit ->
-  unit
-(** The spawnable master body; several can share a cluster (the
-    combined strategy of the parallel-make study) and a [log].  The
-    plan is dispatched as given, so pass it through {!schedule}
-    first. *)
+  Lisp.host -> Driver.Compile.module_work -> Plan.t ->
+  on_finish:(float -> unit) -> unit -> unit
+(** The spawnable master body; several can share one host (the
+    combined strategy of the parallel-make study).  The plan is
+    dispatched as given, so pass it through {!schedule} first. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Plan.t -> outcome
 (** One parallel compilation under {!Lisp.simulate}, its

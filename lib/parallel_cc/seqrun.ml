@@ -8,31 +8,30 @@
    sequential compiler's own system overhead).
 
    [compile_process] is the spawnable body, reused by the parallel-make
-   study where several sequential compilations share the cluster.  It
+   study where several sequential compilations share one host.  It
    has no recovery protocol, so it only runs on fault-free stations. *)
 
 let never _ _ = false
 
 (* One sequential compilation of [mw]: claims a workstation, runs the
    four phases, releases the station and reports its completion time.
-   The counted events go to [log], traced on the station's track. *)
-let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
-    ~noise (mw : Driver.Compile.module_work) ~log ~on_finish () =
-  let cost = cfg.Config.cost in
+   The counted events go to the host's log, traced on the station's
+   track. *)
+let compile_process (h : Lisp.host) (mw : Driver.Compile.module_work)
+    ~on_finish () =
+  let cost = h.cfg.Config.cost in
   let task = mw.Driver.Compile.mw_name in
-  let ws = Lisp.claim cfg sim cluster ~rank:None ~task ~attempt:1 in
-  let span = Lisp.span cfg sim ws ~task ~attempt:1 in
+  let ws = Lisp.claim h ~rank:None ~task ~attempt:1 in
+  let span = Lisp.span h ws ~task ~attempt:1 in
   let record ev =
-    Timings.record log cfg.Config.trace ~track:ws.Netsim.Host.ws_id
-      ~now:(Netsim.Des.now sim) ~task ev
+    Timings.record h.log h.cfg.Config.trace ~track:ws.Netsim.Host.ws_id
+      ~now:(Netsim.Des.now h.sim) ~task ev
   in
-  let compute ~tag seconds =
-    ignore (Lisp.compute cfg sim cluster ~noise ws ~tag seconds)
-  in
-  Lisp.start cfg sim cluster ~noise ~held:never ~task ~attempt:1 ws;
+  let compute ~tag seconds = ignore (Lisp.compute h ws ~tag seconds) in
+  Lisp.start h ~held:never ~task ~attempt:1 ws;
   (* Read the source, then phase 1 over the whole module. *)
-  let t_parse = Netsim.Des.now sim in
-  Lisp.fetch sim cluster ~held:never ws ~file:("src:" ^ task)
+  let t_parse = Netsim.Des.now h.sim in
+  Lisp.fetch h ~held:never ws ~file:("src:" ^ task)
     (Driver.Cost.source_bytes cost mw.Driver.Compile.mw_loc);
   let ast_mb =
     cost.Driver.Cost.ast_mb_per_loc *. float_of_int mw.Driver.Compile.mw_loc
@@ -44,14 +43,14 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
      retains the function's data whether it was recompiled or its
      artifact fetched, so residency grows identically on both paths —
      only the compute is skipped. *)
-  let t_p23 = Netsim.Des.now sim in
+  let t_p23 = Netsim.Des.now h.sim in
   let compiled_loc = ref 0 in
   List.iter
     (fun (fw : Driver.Compile.func_work) ->
       Lisp.set_resident ws
         (Driver.Cost.sequential_mb cost mw ~compiled_loc:!compiled_loc
            ~current_loc:fw.Driver.Compile.fw_loc);
-      if not (Lisp.lookup cfg sim cluster ~record mw ws fw) then
+      if not (Lisp.lookup h ~record mw ws fw) then
         compute ~tag:"phase23" (Driver.Cost.phase23_seconds cost fw);
       compiled_loc := !compiled_loc + fw.Driver.Compile.fw_loc)
     (Driver.Compile.all_funcs mw);
@@ -63,17 +62,15 @@ let compile_process (cfg : Config.t) sim (cluster : Netsim.Host.cluster)
     (Driver.Cost.sequential_mb cost mw ~compiled_loc:!compiled_loc
        ~current_loc:0);
   compute ~tag:"phase4" (Driver.Cost.phase4_seconds cost mw);
-  let t_wb = Netsim.Des.now sim in
-  Lisp.write_back cfg sim cluster ~record mw (Driver.Compile.all_funcs mw)
+  let t_wb = Netsim.Des.now h.sim in
+  Lisp.write_back h ~record mw (Driver.Compile.all_funcs mw)
     (float_of_int (Driver.Compile.total_image_bytes mw));
   span ~name:"write-back" ~t0:t_wb;
-  Lisp.set_resident ws 0.0;
-  Netsim.Host.release_station sim cluster ws;
-  on_finish (Netsim.Des.now sim)
+  Lisp.release h ws;
+  on_finish (Netsim.Des.now h.sim)
 
 let run (cfg : Config.t) (mw : Driver.Compile.module_work) : Timings.run =
   let run, _ =
-    Lisp.simulate cfg (fun sim cluster ~noise ~log ~on_finish ->
-        [ compile_process cfg sim cluster ~noise mw ~log ~on_finish ])
+    Lisp.simulate cfg (fun h ~on_finish -> [ compile_process h mw ~on_finish ])
   in
   { run with Timings.dispatch_units = 1 }

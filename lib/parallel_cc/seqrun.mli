@@ -5,22 +5,15 @@
     overhead). *)
 
 val compile_process :
-  Config.t ->
-  Netsim.Des.t ->
-  Netsim.Host.cluster ->
-  noise:(unit -> float) ->
-  Driver.Compile.module_work ->
-  log:Timings.log ->
-  on_finish:(float -> unit) ->
-  unit ->
-  unit
+  Lisp.host -> Driver.Compile.module_work -> on_finish:(float -> unit) ->
+  unit -> unit
 (** The spawnable body of one sequential compilation: the {!Lisp}
     steps — claim a workstation, start Lisp, the four phases with a
     compile-cache {!Lisp.lookup} per function, {!Lisp.write_back} —
-    then release the station and report the completion time.  Reused
-    by the parallel-make study, where several instances share a
-    cluster and its [noise] stream.  Its compile-cache events are
-    appended to [log], traced on the claimed station's track. *)
+    then {!Lisp.release} the station and report the completion time.
+    Reused by the parallel-make study, where several instances share
+    one host.  Its compile-cache events are appended to the host's log,
+    traced on the claimed station's track. *)
 
 val run : Config.t -> Driver.Compile.module_work -> Timings.run
 (** One sequential compilation under {!Lisp.simulate}, its counters

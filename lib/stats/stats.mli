@@ -2,24 +2,10 @@
     examples and the experiment driver.
 
     The paper (section 4.2) reports the arithmetic mean of repeated
-    measurements and notes that individual deviations stay within 10%
-    of the average; {!mean}, {!stddev} and {!within_fraction} implement
-    exactly the checks needed to mirror that protocol. *)
+    measurements; {!mean} is that average. *)
 
 val mean : float list -> float
 (** Arithmetic mean.  @raise Invalid_argument on the empty list. *)
-
-val stddev : float list -> float
-(** Sample standard deviation (n-1 denominator); [0.] for fewer than
-    two samples. *)
-
-val within_fraction : float -> float list -> bool
-(** [within_fraction frac xs] is [true] when every sample lies within
-    [frac] (relative) of the mean — the paper's acceptance criterion
-    for a measurement series. *)
-
-val minimum : float list -> float
-(** Smallest element.  @raise Invalid_argument on the empty list. *)
 
 val maximum : float list -> float
 (** Largest element.  @raise Invalid_argument on the empty list. *)
@@ -31,10 +17,6 @@ val speedup : sequential:float -> parallel:float -> float
 val percent_of : part:float -> total:float -> float
 (** [percent_of ~part ~total] is [100 * part / total] ([0.] when
     [total = 0.]) — the unit of the paper's figures 8-10. *)
-
-val geomean : float list -> float
-(** Geometric mean, used to summarise speedups across programs.
-    @raise Invalid_argument on the empty list. *)
 
 
 (** ASCII tables for the benchmark output. *)

@@ -242,13 +242,18 @@ let test_ablation_ideal_network () =
     true (ideal < baseline)
 
 (* A run that never finishes must not pass for a 0 s compile: a
-   process parked on an event nobody sets leaves the simulation quiet
-   without an [on_finish] report. *)
+   process that claims a station of its host, then parks on an event
+   nobody sets, leaves the simulation quiet without an [on_finish]
+   report. *)
 let test_unfinished_run_raises () =
   let never = Netsim.Sync.event () in
   match
-    Lisp.simulate Config.default (fun _ _ ~noise:_ ~log:_ ~on_finish:_ ->
-        [ (fun () -> Netsim.Sync.await never) ])
+    Lisp.simulate Config.default (fun h ~on_finish:_ ->
+        [
+          (fun () ->
+            ignore (Lisp.claim h ~rank:None ~task:"parked" ~attempt:1);
+            Netsim.Sync.await never);
+        ])
   with
   | (r, _) -> Alcotest.failf "reported elapsed %.3f s" r.Timings.elapsed
   | exception Failure _ -> ()
