@@ -791,6 +791,10 @@ let simulate_cmd =
           List.iter
             (fun line -> Printf.printf "  %s\n" line)
             (Netsim.Fault.describe faults);
+          Printf.printf
+            "fault-free elapsed : %8.1f s  (noise seed %d, the run the faults \
+             are measured against)\n"
+            free.Timings.elapsed cfg.Config.noise_seed;
           Printf.printf "faulty elapsed     : %8.1f s  (%.2fx fault-free)\n"
             faulty.Timings.elapsed
             (faulty.Timings.elapsed /. free.Timings.elapsed);

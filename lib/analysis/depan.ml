@@ -112,6 +112,7 @@ type func_info = {
   fi_direct : effects;
   fi_summary : effects;
   fi_hash : string;
+  fi_source : string;
   fi_purity : Absint.purity option;
   fi_cost : Absint.itv option;
   fi_absint : Absint.summary option;
@@ -404,9 +405,10 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
      already hashed — the keys of everything it calls.  Members of a
      call cycle reference each other by name (their own source is
      already under the digest, so the cycle stays stable). *)
-  let hash = Array.make n "" in
+  let hash = Array.make n "" and source = Array.make n "" in
   List.iter
     (fun i ->
+      source.(i) <- W2.Pretty.func_to_string funcs.(i);
       let callee_keys =
         SS.elements direct.(i).cs
         |> List.filter_map (fun name -> Hashtbl.find_opt by_name name)
@@ -418,7 +420,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
         Digest.to_hex
           (Digest.string
              (String.concat "\x00"
-                (W2.Pretty.func_to_string funcs.(i)
+                (source.(i)
                 :: effects_line (effects_of_eff summary.(i))
                 :: String.concat ","
                      (List.map
@@ -439,6 +441,7 @@ let analyze_section ~sound ~max_tracked (sec : Ast.section) : section_info =
       fi_direct = effects_of_eff direct.(i);
       fi_summary = effects_of_eff summary.(i);
       fi_hash = hash.(i);
+      fi_source = source.(i);
       fi_purity = None;
       fi_cost = None;
       fi_absint = None;

@@ -19,9 +19,12 @@
     DAG by construction even though some dependence reasons (global
     conflicts, channel pairing) are symmetric.
 
-    The analyzer reads only the AST: it charges no simulated time and
-    runs in phase 1, in the sequential master, before tasks are
-    dispatched. *)
+    The analyzer reads only the AST: it charges no simulated time and,
+    in the simulated compilation, runs in phase 1, in the sequential
+    master, before tasks are dispatched.  The real compiler
+    ([Driver.Compile.compile_source]) runs it on its pool of function
+    masters, as one task behind the functions, since only phase 4 reads
+    it. *)
 
 type effects = {
   greads : string list; (** section globals read, sorted *)
@@ -129,6 +132,10 @@ type func_info = {
           type, in section order) and its callees' hashes in rank
           order) — the groundwork for content-addressed compilation
           caching *)
+  fi_source : string;
+      (** the function's rendered source ({!W2.Pretty.func_to_string}),
+          as [fi_hash] covers it; the compiler takes the function's
+          size in lines and tokens from it *)
   fi_purity : Absint.purity option;
       (** abstract-interpretation verdict; [None] when absint is off *)
   fi_cost : Absint.itv option;

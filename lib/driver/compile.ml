@@ -6,7 +6,10 @@
    Phase 1 (parse + semantic check) and phase 4 (assembly, linking, I/O
    drivers) are module/section-level; phases 2 (flowgraph + optimizer)
    and 3 (software pipelining + code generation) are the per-function
-   work that the parallel compiler distributes. *)
+   work that the parallel compiler distributes.  [compile_source] runs
+   only parse and semantic check before its pool of function masters;
+   the dependence analysis, which only phase 4 reads, is one more pool
+   task behind the functions. *)
 
 exception Compile_error of string
 
@@ -49,9 +52,9 @@ type module_work = {
   mw_tokens : int; (* lexed tokens of the whole module: phase 1 *)
   mw_sections : section_work list;
   mw_analysis : Analysis.Depan.t;
-      (* whole-module dependence analysis, computed in phase 1 by the
-         sequential master; downstream, Plan derives the task DAG from
-         it and charges no simulated time for the analysis itself *)
+      (* whole-module dependence analysis; downstream, Plan derives the
+         task DAG from it and charges no simulated time for the
+         analysis itself *)
 }
 
 let all_diags (mw : module_work) : W2.Diag.t list =
@@ -69,14 +72,18 @@ let verify_failure violations =
     ^ String.concat "\n"
         (List.map Midend.Irverify.violation_to_string violations))
 
-(* Phases 2 and 3 for one function.  [diags] are the phase-1 lint
-   findings attributed to this function; the function master carries
-   them (plus anything the IR verifier reports) back up the hierarchy. *)
-let compile_function ?(level = 2) ?(verify_each = false) ?(diags = [])
-    ?(globals = []) ?static_units ?key ~func_rets ~section (f : W2.Ast.func) :
-    func_work * Warp.Mcode.mfunc * Midend.Ir.func =
+(* Phases 2 and 3 proper, as a function master runs them: lower,
+   optimize, verify, generate code. *)
+type phases23 = {
+  ir_instrs : int; (* after lowering *)
+  opt_work : int;
+  code : Warp.Codegen.compiled;
+  ir : Midend.Ir.func; (* optimized *)
+}
+
+let phases23 ~level ~verify_each ~globals ~func_rets (f : W2.Ast.func) =
   let ir = Midend.Lower.lower_function ~func_rets ~globals f in
-  let fw_ir_instrs = Midend.Ir.instr_count ir in
+  let ir_instrs = Midend.Ir.instr_count ir in
   let stats = Midend.Opt.optimize ~level ~verify_each ir in
   (* End of phase 2: the IR verifier always runs here; a violation means
      an optimization pass miscompiled, which aborts like a phase-1
@@ -84,28 +91,44 @@ let compile_function ?(level = 2) ?(verify_each = false) ?(diags = [])
   (match Midend.Irverify.check_func ir with
   | [] -> ()
   | violations -> raise (verify_failure violations));
-  let compiled = Warp.Codegen.compile_function ir in
-  (* The size figures come from one rendering of the function. *)
-  let text = W2.Pretty.func_to_string f in
-  let work =
+  let code = Warp.Codegen.compile_function ir in
+  { ir_instrs; opt_work = stats.Midend.Opt.work; code; ir }
+
+(* A function's work record: its size in source lines and tokens (of
+   [source], its rendering), what phase 1 found about it, and what
+   phases 2-3 measured.  The size is counted as soon as the function is
+   given, before the phase-2/3 results are. *)
+let work_record ~section ?static_units ?key ~diags ~source (f : W2.Ast.func) =
+  let loc = W2.Pretty.source_lines source and tokens = count_tokens source in
+  fun r ->
     {
       fw_name = f.W2.Ast.fname;
       fw_section = section;
-      fw_loc = W2.Pretty.source_lines text;
-      fw_tokens = count_tokens text;
+      fw_loc = loc;
+      fw_tokens = tokens;
       fw_ast_nodes = ast_nodes f;
-      fw_ir_instrs;
-      fw_opt_work = stats.Midend.Opt.work;
-      fw_sched_work = compiled.Warp.Codegen.sched_work;
-      fw_wides = compiled.Warp.Codegen.wide_count;
-      fw_pipelined = compiled.Warp.Codegen.pipelined;
-      fw_spilled = compiled.Warp.Codegen.spilled;
+      fw_ir_instrs = r.ir_instrs;
+      fw_opt_work = r.opt_work;
+      fw_sched_work = r.code.Warp.Codegen.sched_work;
+      fw_wides = r.code.Warp.Codegen.wide_count;
+      fw_pipelined = r.code.Warp.Codegen.pipelined;
+      fw_spilled = r.code.Warp.Codegen.spilled;
       fw_static_units = static_units;
       fw_key = key;
       fw_diags = diags;
     }
-  in
-  (work, compiled.Warp.Codegen.mfunc, ir)
+
+(* Phases 2 and 3 for one function.  [diags] are the phase-1 lint
+   findings attributed to this function; the function master carries
+   them (plus anything the IR verifier reports) back up the hierarchy. *)
+let compile_function ?(level = 2) ?(verify_each = false) ?(diags = [])
+    ?(globals = []) ?static_units ?key ~func_rets ~section (f : W2.Ast.func) :
+    func_work * Warp.Mcode.mfunc * Midend.Ir.func =
+  let r = phases23 ~level ~verify_each ~globals ~func_rets f in
+  ( work_record ~section ?static_units ?key ~diags
+      ~source:(W2.Pretty.func_to_string f) f r,
+    r.code.Warp.Codegen.mfunc,
+    r.ir )
 
 let func_rets_of (sec : W2.Ast.section) =
   let table = Hashtbl.create 8 in
@@ -164,69 +187,77 @@ let function_masters ?(masters = max_int) (groups : (unit -> 'a) list list) :
          | Empty | Todo _ -> assert false))
     groups
 
-(* The section master's part of phase 1, and what it does after the
-   section's function masters are done.  Phase 1 here is the section's
-   lints, with the analyzer-fed coupling warnings W008/W009, handed to
-   the per-function work records, and one phase-2/3 task per function.
-   Each function also gets the analyzer's static cost bound and its
-   compile-cache key, by position ([si_funcs] is built in [sec.funcs]
-   order).  Keys are derived from the section summary (hash +
-   dependence closure) under the configuration salt, so a function
-   master downstream can address its phase-2/3 artifact by content.
-   The returned [finish] is phase 4: the IR verifier's cross-function
-   call check over the optimized section, the analyzer's AST-vs-IR
-   call cross-check, then linking, the I/O driver and the encoded
-   size. *)
-let plan_section ~level ~verify_each (depan : Analysis.Depan.section_info)
+(* The section master's share of the analysis task, and what it does
+   once the section's function masters are done.  The share is the
+   section's lints, with the analyzer-fed coupling warnings W008/W009,
+   and each function's work record but for its phase-2/3 part: the
+   function's size (from the rendering the analysis hashes), its lints,
+   the analyzer's static cost bound and its compile-cache key.  Keys
+   are derived from the section summary (hash + dependence closure)
+   under the configuration salt, so a function master downstream can
+   address its phase-2/3 artifact by content.  [si_funcs] is built in
+   [sec.funcs] order, so facts go by position.  The returned function
+   is phase 4: the IR verifier's cross-function call check over the
+   optimized section, the analyzer's AST-vs-IR call cross-check, then
+   linking, the I/O driver and the encoded size. *)
+let plan_section ~level ~verify_each (si : Analysis.Depan.section_info)
     (sec : W2.Ast.section) =
-  let func_rets = func_rets_of sec in
   let lints = ref [] in
   W2.Lint.lint_section (fun d -> lints := d :: !lints) sec;
-  let lints = W2.Diag.sort (Analysis.Depan.lint_section depan @ !lints) in
+  let lints = W2.Diag.sort (Analysis.Depan.lint_section si @ !lints) in
   let keys =
     Analysis.Depan.cache_keys
       ~salt:(Analysis.Depan.cache_salt ~opt_level:level ~verify_each)
-      depan
+      si
   in
-  let tasks =
+  let records =
     List.mapi
-      (fun i (f : W2.Ast.func) () ->
-        let fi = depan.Analysis.Depan.si_funcs.(i) in
-        compile_function ~level ~verify_each
-          ~diags:(W2.Diag.for_func f.W2.Ast.fname lints)
+      (fun i (f : W2.Ast.func) ->
+        let fi = si.Analysis.Depan.si_funcs.(i) in
+        work_record ~section:sec.W2.Ast.sname
           ?static_units:(Option.map Analysis.Absint.cost_units fi.fi_cost)
-          ~key:keys.(i) ~globals:sec.W2.Ast.globals ~func_rets
-          ~section:sec.W2.Ast.sname f)
+          ~key:keys.(i)
+          ~diags:(W2.Diag.for_func f.W2.Ast.fname lints)
+          ~source:fi.fi_source f)
       sec.W2.Ast.funcs
   in
-  let finish results =
+  fun results ->
     let ir_section =
       {
         Midend.Ir.sec_name = sec.W2.Ast.sname;
         cells = sec.W2.Ast.cells;
-        funcs = List.map (fun (_, _, ir) -> ir) results;
+        funcs = List.map (fun r -> r.ir) results;
       }
     in
     (match Midend.Irverify.check_calls ir_section with
     | [] -> ()
     | violations -> raise (verify_failure violations));
-    (match Analysis.Depan.check_ir_calls depan ir_section with
+    (match Analysis.Depan.check_ir_calls si ir_section with
     | [] -> ()
     | violations -> raise (verify_failure violations));
     let image =
       Warp.Link.link ~section:sec.W2.Ast.sname ~cells:sec.W2.Ast.cells
-        (List.map (fun (_, mfunc, _) -> mfunc) results)
+        (List.map (fun r -> r.code.Warp.Codegen.mfunc) results)
     in
     {
       sw_name = sec.W2.Ast.sname;
-      sw_funcs = List.map (fun (fw, _, _) -> fw) results;
+      sw_funcs = List.map2 (fun record r -> record r) records results;
       sw_image = image;
       sw_image_bytes = Warp.Asm.encoded_size image;
       sw_driver = Warp.Iodriver.generate image;
       sw_diags = lints;
     }
-  in
-  (tasks, finish)
+
+(* What the analysis task hands back: the module's dependence analysis,
+   each section's phase 4 and the module's size. *)
+type analyzed = {
+  depan : Analysis.Depan.t;
+  finish : (phases23 list -> section_work) list;
+  loc : int; (* source lines *)
+  tokens : int;
+}
+
+type task_result = Compiled of phases23 | Analyzed of analyzed
 
 (* The whole compiler, from source text.  Raises [Compile_error] on
    phase-1 failure (the master aborts, as in the paper). *)
@@ -245,24 +276,49 @@ let compile_source ?(level = 2) ?(verify_each = false) ?(file = "<module>")
     raise
       (Compile_error
          (String.concat "\n" (List.map W2.Semcheck.error_to_string errors))));
-  (* Interprocedural dependence analysis: still phase 1, still the
-     sequential master; its section summaries feed the coupling lints
-     and the per-section IR cross-check. *)
-  let analysis = Analysis.Depan.analyze ?max_tracked ~absint m in
-  let planned =
-    List.map2 (plan_section ~level ~verify_each)
-      analysis.Analysis.Depan.dp_sections m.W2.Ast.sections
+  (* Phases 2-3 of every function of every section on one pool.  The
+     interprocedural dependence analysis, which only phase 4 reads, is
+     one more task behind them, so it never delays a function. *)
+  let functions =
+    List.map
+      (fun (sec : W2.Ast.section) ->
+        let func_rets = func_rets_of sec in
+        List.map
+          (fun f () ->
+            Compiled
+              (phases23 ~level ~verify_each ~globals:sec.W2.Ast.globals
+                 ~func_rets f))
+          sec.W2.Ast.funcs)
+      m.W2.Ast.sections
   in
-  (* Phases 2-3: every function of every section on one pool; then
-     phase 4, section by section. *)
-  let results = function_masters (List.map fst planned) in
-  {
-    mw_name = m.W2.Ast.mname;
-    mw_loc = W2.Pretty.source_lines source;
-    mw_tokens = count_tokens source;
-    mw_sections = List.map2 (fun (_, finish) own -> finish own) planned results;
-    mw_analysis = analysis;
-  }
+  let analysis () =
+    let depan = Analysis.Depan.analyze ?max_tracked ~absint m in
+    Analyzed
+      {
+        depan;
+        finish =
+          List.map2
+            (plan_section ~level ~verify_each)
+            depan.Analysis.Depan.dp_sections m.W2.Ast.sections;
+        loc = W2.Pretty.source_lines source;
+        tokens = count_tokens source;
+      }
+  in
+  let compiled = function Compiled r -> r | Analyzed _ -> assert false in
+  match List.rev (function_masters (functions @ [ [ analysis ] ])) with
+  | [ Analyzed a ] :: sections ->
+    (* Phase 4, section by section. *)
+    {
+      mw_name = m.W2.Ast.mname;
+      mw_loc = a.loc;
+      mw_tokens = a.tokens;
+      mw_sections =
+        List.map2
+          (fun finish own -> finish (List.map compiled own))
+          a.finish (List.rev sections);
+      mw_analysis = a.depan;
+    }
+  | _ -> assert false
 
 (* Convenience: compile an AST (pretty-printing it first so that the
    token count reflects a real source file). *)

@@ -9,7 +9,9 @@
     per-function work the parallel compiler distributes, and
     {!compile_source} distributes it for real: its function masters
     run on up to [Domain.recommended_domain_count ()] OCaml domains,
-    with output byte-identical to a one-domain compile. *)
+    with output byte-identical to a one-domain compile.  The dependence
+    analysis runs on the same pool, as one more task behind the
+    functions. *)
 
 exception Compile_error of string
 (** Phase-1 failure: the master aborts the compilation. *)
@@ -60,9 +62,8 @@ type module_work = {
   mw_tokens : int; (** lexed tokens of the whole module: phase 1 *)
   mw_sections : section_work list;
   mw_analysis : Analysis.Depan.t;
-      (** whole-module dependence analysis (phase 1, sequential
-          master): {!Plan} derives the task DAG from it; the analysis
-          itself charges no simulated time *)
+      (** whole-module dependence analysis: {!Plan} derives the task
+          DAG from it; the analysis itself charges no simulated time *)
 }
 
 val count_tokens : string -> int
@@ -113,20 +114,27 @@ val compile_source :
   ?absint:bool ->
   string ->
   module_work
-(** The whole compiler, from source text.  Phase 1 (parse, semantic
-    check, dependence analysis, each section's lints and cache keys)
-    runs on the calling domain.  Phases 2-3 of every function of every
-    section then run on {!function_masters}, up to
-    [Domain.recommended_domain_count ()] domains; the output is
-    byte-identical to a one-domain compile, since each function master
-    works on its own function only.  Phase 4 follows section by
-    section: the verifier's cross-function call check, the analyzer's
-    AST-vs-IR call cross-check, link, I/O driver and encoded size.  A
-    failing function master's exception is raised after every master
-    has ended, the first in source order, before any phase-4 step.
+(** The whole compiler, from source text.  Only parse and semantic
+    check run on the calling domain before the pool.  Phases 2-3 of
+    every function of every section (lower, optimize, verify, generate
+    code) then run on {!function_masters}, up to
+    [Domain.recommended_domain_count ()] domains, followed on the same
+    pool by one more task: the dependence analysis, each section's
+    lints and cache keys, each function's static cost bound and its
+    size in source lines and tokens (from the rendering the analysis
+    hashes), and the module's size.  Since that task comes after every
+    function, it never delays one; nothing but phase 4 reads it.  The
+    output is byte-identical to a one-domain compile, since each task
+    works on its own part only.  Phase 4 follows section by section:
+    the work records, the verifier's cross-function call check, the
+    analyzer's AST-vs-IR call cross-check, link, I/O driver and
+    encoded size.  A failing task's exception is raised after every
+    master has ended, the first in source order (a function before the
+    analysis), before any phase-4 step.  A module with one function
+    still makes two tasks, so the pool spawns a domain for it.
     [absint] (default [true])
-    runs the abstract-interpretation refinement inside the phase-1
-    dependence analysis; with [~absint:false] the analysis — and every
+    runs the abstract-interpretation refinement inside the dependence
+    analysis; with [~absint:false] the analysis — and every
     timing derived from it — is bit-identical to the pre-absint
     compiler.  [max_tracked] caps the analyzer's per-summary global
     tracking ({!Analysis.Depan.analyze}); lowering it manufactures

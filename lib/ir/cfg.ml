@@ -78,14 +78,25 @@ let thread_jumps (f : Ir.func) : int =
         if target <> l then incr changed;
         target
       in
-      let term = map_term_labels rewrite b.term in
-      (* A branch whose arms now coincide is a jump. *)
       let term =
-        match term with
-        | Ir.Branch (_, t, e) when t = e -> Ir.Jump t
-        | other -> other
+        match b.term with
+        | Ir.Jump l ->
+          let l' = rewrite l in
+          if l' = l then b.term else Ir.Jump l'
+        | Ir.Branch (c, t, e) ->
+          let t' = rewrite t in
+          let e' = rewrite e in
+          (* A branch whose arms now coincide is a jump; one whose arms
+             already did is an edit of its own. *)
+          if t' = e' then begin
+            if t = e then incr changed;
+            Ir.Jump t'
+          end
+          else if t' = t && e' = e then b.term
+          else Ir.Branch (c, t', e')
+        | Ir.Ret _ -> b.term
       in
-      f.blocks.(i) <- { b with Ir.term })
+      Ir.update_block f i b.instrs term)
     f.blocks;
   !changed
 

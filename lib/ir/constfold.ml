@@ -84,41 +84,51 @@ let fold_un op x =
 
 (* One folding sweep; returns the number of rewrites.  A rewrite that
    would leave [d := d] drops the instruction at once: a self-move in
-   the IR reads a register the verifier may see as uninitialized. *)
+   the IR reads a register the verifier may see as uninitialized.  A
+   block with nothing to fold is left as it is. *)
 let run (f : Ir.func) : int =
   let changed = ref 0 in
   let mov d v =
     incr changed;
     if v = Ir.Reg d then None else Some (Ir.Mov (d, v))
   in
+  let fold instr =
+    match instr with
+    | Ir.Bin (op, d, x, y) -> (
+      match fold_bin op x y with
+      | Some v -> mov d v
+      | None -> (
+        match identity op x y with
+        | Some v -> mov d v
+        | None -> Some instr))
+    | Ir.Un (op, d, x) -> (
+      match fold_un op x with
+      | Some v -> mov d v
+      | None -> Some instr)
+    | Ir.Mov (d, Ir.Reg s) when d = s ->
+      incr changed;
+      None
+    | Ir.Sel (d, Ir.Imm_int c, a, b) -> mov d (if c <> 0 then a else b)
+    | Ir.Sel (d, Ir.Imm_float c, a, b) -> mov d (if c <> 0.0 then a else b)
+    | Ir.Sel (d, Ir.Reg _, a, b) when a = b -> mov d a
+    | Ir.Sel _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ | Ir.Call _ | Ir.Send _
+    | Ir.Recv _ ->
+      Some instr
+  in
+  (* [List.filter_map fold], sharing the unchanged tail. *)
+  let rec fold_all = function
+    | [] as l -> l
+    | instr :: rest as l -> (
+      let folded = fold instr in
+      let rest' = fold_all rest in
+      match folded with
+      | Some i when i == instr && rest' == rest -> l
+      | Some i -> i :: rest'
+      | None -> rest')
+  in
   Array.iteri
     (fun i (b : Ir.block) ->
-      let instrs =
-        List.filter_map
-          (fun instr ->
-            match instr with
-            | Ir.Bin (op, d, x, y) -> (
-              match fold_bin op x y with
-              | Some v -> mov d v
-              | None -> (
-                match identity op x y with
-                | Some v -> mov d v
-                | None -> Some instr))
-            | Ir.Un (op, d, x) -> (
-              match fold_un op x with
-              | Some v -> mov d v
-              | None -> Some instr)
-            | Ir.Mov (d, Ir.Reg s) when d = s ->
-              incr changed;
-              None
-            | Ir.Sel (d, Ir.Imm_int c, a, b) -> mov d (if c <> 0 then a else b)
-            | Ir.Sel (d, Ir.Imm_float c, a, b) -> mov d (if c <> 0.0 then a else b)
-            | Ir.Sel (d, Ir.Reg _, a, b) when a = b -> mov d a
-            | Ir.Sel _ | Ir.Mov _ | Ir.Load _ | Ir.Store _ | Ir.Call _
-            | Ir.Send _ | Ir.Recv _ ->
-              Some instr)
-          b.instrs
-      in
+      let instrs = fold_all b.instrs in
       let term =
         match b.term with
         | Ir.Branch (Ir.Imm_int c, t, e) ->
@@ -129,6 +139,6 @@ let run (f : Ir.func) : int =
           Ir.Jump (if c <> 0.0 then t else e)
         | other -> other
       in
-      f.blocks.(i) <- { Ir.instrs; term })
+      Ir.update_block f i instrs term)
     f.blocks;
   !changed

@@ -7,14 +7,15 @@
 
    Each block takes one backward {!Liveness.sweep} over one mutable
    bitset.  A removed instruction's uses still count as live above it,
-   so one run removes only what is dead against the unedited block. *)
+   so one run removes only what is dead against the unedited block.
+   A block that loses nothing is left as it is. *)
 
 let run (f : Ir.func) : int =
   let removed = ref 0 in
   let liveness = Liveness.compute f in
   Array.iteri
     (fun i (b : Ir.block) ->
-      let keep = ref [] in
+      let keep = ref [] and before = !removed in
       Liveness.sweep liveness f i (fun instr after ->
           let dead =
             (not (Ir.has_side_effect instr))
@@ -24,6 +25,6 @@ let run (f : Ir.func) : int =
             | None -> false
           in
           if dead then incr removed else keep := instr :: !keep);
-      f.blocks.(i) <- { b with Ir.instrs = !keep })
+      if !removed > before then f.blocks.(i) <- { b with Ir.instrs = !keep })
     f.blocks;
   !removed

@@ -8,7 +8,6 @@
    cannot.) *)
 
 let run (f : Ir.func) : int =
-  let n = Array.length f.blocks in
   (* Count definitions and record the unique Mov-immediate defs along
      with their position. *)
   let def_count = Array.make (Ir.num_regs f) 0 in
@@ -27,57 +26,49 @@ let run (f : Ir.func) : int =
           | None -> ())
         b.instrs)
     f.blocks;
-  let dom = Dom.compute f in
-  let reachable = Cfg.reachable f in
-  let subst_of ~block ~index r =
-    if def_count.(r) <> 1 then None
-    else
-      match Hashtbl.find_opt def_site r with
-      | Some (db, dk, imm) ->
-        let dominated =
-          if db = block then dk < index
-          else reachable.(block) && reachable.(db) && Dom.dominates dom db block
+  (* With no single-definition Mov-immediate, nothing can change. *)
+  if not (Hashtbl.fold (fun d _ found -> found || def_count.(d) = 1) def_site false)
+  then 0
+  else begin
+    let dom = Dom.compute f in
+    let reachable = Cfg.reachable f in
+    let subst_of ~block ~index r =
+      if def_count.(r) <> 1 then None
+      else
+        match Hashtbl.find_opt def_site r with
+        | Some (db, dk, imm) ->
+          let dominated =
+            if db = block then dk < index
+            else reachable.(block) && reachable.(db) && Dom.dominates dom db block
+          in
+          if dominated then Some imm else None
+        | None -> None
+    in
+    let changed = ref 0 in
+    let rewrite_operand ~block ~index operand =
+      match operand with
+      | Ir.Reg r -> (
+        match subst_of ~block ~index r with
+        | Some imm ->
+          incr changed;
+          imm
+        | None -> operand)
+      | Ir.Imm_int _ | Ir.Imm_float _ -> operand
+    in
+    Array.iteri
+      (fun i (b : Ir.block) ->
+        let k = ref 0 in
+        let instrs =
+          Ir.map_shared
+            (fun instr ->
+              let instr = Ir.map_uses (rewrite_operand ~block:i ~index:!k) instr in
+              incr k;
+              instr)
+            b.instrs
         in
-        if dominated then Some imm else None
-      | None -> None
-  in
-  let changed = ref 0 in
-  let rewrite_operand ~block ~index operand =
-    match operand with
-    | Ir.Reg r -> (
-      match subst_of ~block ~index r with
-      | Some imm ->
-        incr changed;
-        imm
-      | None -> operand)
-    | Ir.Imm_int _ | Ir.Imm_float _ -> operand
-  in
-  for i = 0 to n - 1 do
-    let b = f.blocks.(i) in
-    let instrs =
-      List.mapi
-        (fun k instr ->
-          let rw = rewrite_operand ~block:i ~index:k in
-          match instr with
-          | Ir.Bin (op, d, x, y) -> Ir.Bin (op, d, rw x, rw y)
-          | Ir.Un (op, d, x) -> Ir.Un (op, d, rw x)
-          | Ir.Mov (d, x) -> Ir.Mov (d, rw x)
-          | Ir.Sel (d, c, a, b) -> Ir.Sel (d, rw c, rw a, rw b)
-          | Ir.Load (d, a, idx) -> Ir.Load (d, a, rw idx)
-          | Ir.Store (a, idx, v) -> Ir.Store (a, rw idx, rw v)
-          | Ir.Call (d, name, args) -> Ir.Call (d, name, List.map rw args)
-          | Ir.Send (c, v) -> Ir.Send (c, rw v)
-          | Ir.Recv _ -> instr)
-        b.instrs
-    in
-    (* Terminator uses sit after every instruction of the block. *)
-    let rw = rewrite_operand ~block:i ~index:(List.length instrs) in
-    let term =
-      match b.term with
-      | Ir.Branch (c, t, e) -> Ir.Branch (rw c, t, e)
-      | Ir.Ret (Some v) -> Ir.Ret (Some (rw v))
-      | (Ir.Jump _ | Ir.Ret None) as t -> t
-    in
-    f.blocks.(i) <- { Ir.instrs; term }
-  done;
-  !changed
+        (* Terminator uses sit after every instruction of the block. *)
+        let term = Ir.map_term_uses (rewrite_operand ~block:i ~index:!k) b.term in
+        Ir.update_block f i instrs term)
+      f.blocks;
+    !changed
+  end

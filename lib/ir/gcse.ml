@@ -28,6 +28,39 @@ type key =
   | Kun of Ir.unop * Ir.operand
   | Ksel of Ir.operand * Ir.operand * Ir.operand
 
+(* Keys hashed and compared field by field; equal exactly when the
+   polymorphic [compare] says so. *)
+module Keys = Keytbl.Make (struct
+  type t = key
+
+  let mix = Keytbl.mix
+
+  let same_operand a b =
+    match (a, b) with
+    | Ir.Reg x, Ir.Reg y | Ir.Imm_int x, Ir.Imm_int y -> x = y
+    | Ir.Imm_float x, Ir.Imm_float y -> Float.compare x y = 0
+    | (Ir.Reg _ | Ir.Imm_int _ | Ir.Imm_float _), _ -> false
+
+  let equal a b =
+    match (a, b) with
+    | Kbin (o, x, y), Kbin (o', x', y') ->
+      same_operand x x' && same_operand y y' && (o == o' || o = o')
+    | Kun (o, x), Kun (o', x') -> same_operand x x' && o = o'
+    | Ksel (c, x, y), Ksel (c', x', y') ->
+      same_operand c c' && same_operand x x' && same_operand y y'
+    | (Kbin _ | Kun _ | Ksel _), _ -> false
+
+  let operand h = function
+    | Ir.Reg r -> mix h r
+    | Ir.Imm_int n -> mix (mix h 1) n
+    | Ir.Imm_float f -> mix (mix h 2) (Hashtbl.hash f)
+
+  let hash = function
+    | Kbin (o, x, y) -> operand (operand (Hashtbl.hash o) x) y
+    | Kun (o, x) -> operand (mix 1 (Hashtbl.hash o)) x
+    | Ksel (c, x, y) -> operand (operand (operand 2 c) x) y
+end)
+
 let key_of = function
   | Ir.Bin (op, _, x, y) ->
     let x, y = if Ir.commutative op && x > y then (y, x) else (x, y) in
@@ -38,83 +71,99 @@ let key_of = function
     None
 
 let run (f : Ir.func) : int =
-  let n = Array.length f.Ir.blocks in
   (* Definition counts and single-def sites; parameters count as defined
      at function entry (before every instruction). *)
   let nregs = Ir.num_regs f in
   let def_count = Array.make nregs 0 in
-  let def_site : site option array = Array.make nregs None in
+  let def_block = Array.make nregs 0 and def_index = Array.make nregs 0 in
+  let define r bi k =
+    def_count.(r) <- def_count.(r) + 1;
+    def_block.(r) <- bi;
+    def_index.(r) <- k
+  in
   List.iter
     (fun (_, _, r) ->
-      def_count.(r) <- 1;
-      def_site.(r) <- Some { s_block = Ir.entry_block; s_index = -1 })
+      define r Ir.entry_block (-1);
+      def_count.(r) <- 1)
     f.Ir.params;
   Array.iteri
     (fun bi (b : Ir.block) ->
       List.iteri
-        (fun k instr ->
-          match Ir.def_of instr with
-          | Some d ->
-            def_count.(d) <- def_count.(d) + 1;
-            def_site.(d) <- Some { s_block = bi; s_index = k }
-          | None -> ())
+        (fun k instr -> Option.iter (fun d -> define d bi k) (Ir.def_of instr))
         b.Ir.instrs)
     f.Ir.blocks;
   let single r = def_count.(r) = 1 in
-  let dom = Dom.compute f in
-  let reachable = Cfg.reachable f in
+  (* Only an expression whose register operands all have one definition
+     can equal an eligible one, so no other is hashed. *)
+  let single_operand = function
+    | Ir.Reg r -> single r
+    | Ir.Imm_int _ | Ir.Imm_float _ -> true
+  in
+  let operands_single = function
+    | Ir.Bin (_, _, x, y) -> single_operand x && single_operand y
+    | Ir.Un (_, _, x) -> single_operand x
+    | Ir.Sel (_, c, a, b) -> single_operand c && single_operand a && single_operand b
+    | Ir.Mov _ | Ir.Load _ | Ir.Store _ | Ir.Call _ | Ir.Send _ | Ir.Recv _ ->
+      false
+  in
+  let dom = lazy (Dom.compute f) in
   (* First sweep: record each eligible expression's first dominating
-     definition.  Sweep in reverse postorder so dominators come first. *)
-  let table = Hashtbl.create 64 in
-  let order = Cfg.reverse_postorder f in
+     definition.  Sweep in reverse postorder so dominators come first.
+     A rewrite needs a dominating earlier definition of the same key,
+     which this sweep has recorded by the time it reaches the rewrite
+     site; so when no expression meets a recorded key, there is
+     nothing to rewrite. *)
+  let table = Keys.create () in
+  let repeated = ref false in
   List.iter
     (fun bi ->
       List.iteri
         (fun k instr ->
-          match (key_of instr, Ir.def_of instr) with
-          | Some key, Some d
-            when single d
-                 && (not (Ir.may_trap instr))
-                 && List.for_all
-                      (fun r ->
-                        single r
-                        &&
-                        match def_site.(r) with
-                        | Some s -> site_dominates dom s { s_block = bi; s_index = k }
-                        | None -> false)
-                      (Ir.uses_of instr) ->
-            if not (Hashtbl.mem table key) then
-              Hashtbl.replace table key (d, { s_block = bi; s_index = k })
+          match Ir.def_of instr with
+          | Some d when operands_single instr -> (
+            match key_of instr with
+            | Some key ->
+              if Keys.mem table key then repeated := true
+              else if
+                single d
+                && (not (Ir.may_trap instr))
+                && List.for_all
+                     (fun r ->
+                       site_dominates (Lazy.force dom)
+                         { s_block = def_block.(r); s_index = def_index.(r) }
+                         { s_block = bi; s_index = k })
+                     (Ir.uses_of instr)
+              then Keys.add table key (d, { s_block = bi; s_index = k })
+            | None -> ())
           | _ -> ())
         f.Ir.blocks.(bi).Ir.instrs)
-    order;
+    (Cfg.reverse_postorder f);
   (* Second sweep: rewrite dominated duplicates. *)
   let changed = ref 0 in
-  for bi = 0 to n - 1 do
-    if reachable.(bi) then begin
-      let b = f.Ir.blocks.(bi) in
-      let instrs =
-        List.mapi
-          (fun k instr ->
-            match (key_of instr, Ir.def_of instr) with
-            | Some key, Some d -> (
-              match Hashtbl.find_opt table key with
-              | Some (rep, def)
-                when rep <> d
-                     && site_dominates dom def { s_block = bi; s_index = k } ->
-                incr changed;
-                Ir.Mov (d, Ir.Reg rep)
-              | Some (rep, def)
-                when rep = d
-                     && not (def.s_block = bi && def.s_index = k) ->
-                (* A re-definition of the representative itself cannot
-                   happen (single-def), so this is the recording site. *)
-                instr
-              | _ -> instr)
-            | _ -> instr)
-          b.Ir.instrs
-      in
-      f.Ir.blocks.(bi) <- { b with Ir.instrs }
-    end
-  done;
+  if !repeated then begin
+    let dom = Lazy.force dom in
+    let reachable = Cfg.reachable f in
+    Array.iteri
+      (fun bi (b : Ir.block) ->
+        if reachable.(bi) then
+          let k = ref (-1) in
+          let instrs =
+            Ir.map_shared
+              (fun instr ->
+                incr k;
+                match (key_of instr, Ir.def_of instr) with
+                | Some key, Some d -> (
+                  match Keys.find_opt table key with
+                  | Some (rep, def)
+                    when rep <> d
+                         && site_dominates dom def { s_block = bi; s_index = !k } ->
+                    incr changed;
+                    Ir.Mov (d, Ir.Reg rep)
+                  | _ -> instr)
+                | _ -> instr)
+              b.Ir.instrs
+          in
+          Ir.update_block f bi instrs b.Ir.term)
+      f.Ir.blocks
+  end;
   !changed

@@ -48,31 +48,13 @@ let rename_arm (f : Ir.func) (instrs : Ir.instr list) =
     List.map
       (fun instr ->
         (* Operands first (they read the pre-instruction state). *)
-        let instr' =
-          match instr with
-          | Ir.Bin (op, d, x, y) ->
-            let x = operand x and y = operand y in
-            Ir.Bin (op, d, x, y)
-          | Ir.Un (op, d, x) -> Ir.Un (op, d, operand x)
-          | Ir.Mov (d, x) -> Ir.Mov (d, operand x)
-          | Ir.Sel (d, c, a, b) ->
-            let c = operand c and a = operand a and b = operand b in
-            Ir.Sel (d, c, a, b)
-          | Ir.Load _ | Ir.Store _ | Ir.Call _ | Ir.Send _ | Ir.Recv _ ->
-            assert false (* excluded by [arm_convertible] *)
-        in
+        let instr' = Ir.map_uses operand instr in
         match Ir.def_of instr' with
         | None -> instr'
         | Some d ->
           let d' = Ir.fresh_reg f f.Ir.reg_ty.(d) in
           Hashtbl.replace subst d d';
-          (match instr' with
-          | Ir.Bin (op, _, x, y) -> Ir.Bin (op, d', x, y)
-          | Ir.Un (op, _, x) -> Ir.Un (op, d', x)
-          | Ir.Mov (_, x) -> Ir.Mov (d', x)
-          | Ir.Sel (_, c, a, b) -> Ir.Sel (d', c, a, b)
-          | Ir.Load _ | Ir.Store _ | Ir.Call _ | Ir.Send _ | Ir.Recv _ ->
-            assert false))
+          Ir.map_def (fun _ -> d') instr')
       instrs
   in
   (rewritten, subst)

@@ -103,6 +103,20 @@ let uses_of instr =
   | Send (_, v) -> of_operand [] v
   | Recv _ -> []
 
+let iter_uses g instr =
+  let operand = function Reg r -> g r | Imm_int _ | Imm_float _ -> () in
+  match instr with
+  | Bin (_, _, a, b) | Store (_, a, b) ->
+    operand a;
+    operand b
+  | Sel (_, c, a, b) ->
+    operand c;
+    operand a;
+    operand b
+  | Un (_, _, a) | Mov (_, a) | Load (_, _, a) | Send (_, a) -> operand a
+  | Call (_, _, args) -> List.iter operand args
+  | Recv _ -> ()
+
 let term_uses = function
   | Jump _ | Ret None -> []
   | Branch (Reg r, _, _) -> [ r ]
@@ -143,6 +157,78 @@ let commutative = function
   | Icmp (Clt | Cle | Cgt | Cge)
   | Fcmp (Clt | Cle | Cgt | Cge) ->
     false
+
+(* --- rewriting without rebuilding --- *)
+
+(* [List.map f l], except that where [f] returns every element
+   physically unchanged the result shares the input's tail, and is [l]
+   itself when nothing changed.  [f] runs on the elements in order. *)
+let rec map_shared f = function
+  | [] as l -> l
+  | x :: rest as l ->
+    let y = f x in
+    let rest' = map_shared f rest in
+    if y == x && rest' == rest then l else y :: rest'
+
+(* [instr] with [g] applied, left to right, to every operand it reads;
+   [instr] itself when [g] returns each operand unchanged. *)
+let map_uses g instr =
+  match instr with
+  | Bin (op, d, x, y) ->
+    let x' = g x in
+    let y' = g y in
+    if x' == x && y' == y then instr else Bin (op, d, x', y')
+  | Un (op, d, x) ->
+    let x' = g x in
+    if x' == x then instr else Un (op, d, x')
+  | Mov (d, x) ->
+    let x' = g x in
+    if x' == x then instr else Mov (d, x')
+  | Sel (d, c, a, b) ->
+    let c' = g c in
+    let a' = g a in
+    let b' = g b in
+    if c' == c && a' == a && b' == b then instr else Sel (d, c', a', b')
+  | Load (d, arr, i) ->
+    let i' = g i in
+    if i' == i then instr else Load (d, arr, i')
+  | Store (arr, i, v) ->
+    let i' = g i in
+    let v' = g v in
+    if i' == i && v' == v then instr else Store (arr, i', v')
+  | Call (d, name, args) ->
+    let args' = map_shared g args in
+    if args' == args then instr else Call (d, name, args')
+  | Send (c, v) ->
+    let v' = g v in
+    if v' == v then instr else Send (c, v')
+  | Recv _ -> instr
+
+(* [instr] with [g] applied to the register it defines. *)
+let map_def g instr =
+  match instr with
+  | Bin (op, d, x, y) -> Bin (op, g d, x, y)
+  | Un (op, d, x) -> Un (op, g d, x)
+  | Mov (d, x) -> Mov (g d, x)
+  | Sel (d, c, a, b) -> Sel (g d, c, a, b)
+  | Load (d, arr, i) -> Load (g d, arr, i)
+  | Call (Some d, name, args) -> Call (Some (g d), name, args)
+  | Recv (c, d) -> Recv (c, g d)
+  | Call (None, _, _) | Store _ | Send _ -> instr
+
+let map_term_uses g term =
+  match term with
+  | Branch (c, t, e) ->
+    let c' = g c in
+    if c' == c then term else Branch (c', t, e)
+  | Ret (Some v) ->
+    let v' = g v in
+    if v' == v then term else Ret (Some v')
+  | Jump _ | Ret None -> term
+
+let update_block f i instrs term =
+  let b = f.blocks.(i) in
+  if instrs != b.instrs || term != b.term then f.blocks.(i) <- { instrs; term }
 
 (* --- printing --- *)
 

@@ -85,6 +85,10 @@ val def_of : instr -> reg option
 val uses_of : instr -> reg list
 (** Registers an instruction reads (with multiplicity). *)
 
+val iter_uses : (reg -> unit) -> instr -> unit
+(** Applies the function to every register {!uses_of} lists, without
+    building the list; the order is not promised. *)
+
 val term_uses : term -> reg list
 
 val successors : term -> int list
@@ -100,6 +104,33 @@ val may_trap : instr -> bool
 
 val commutative : binop -> bool
 (** [op x y = op y x]: LVN and GCSE sort such operands. *)
+
+(** {1 Rewriting without rebuilding}
+
+    A pass that changes nothing leaves every block, instruction list,
+    instruction and terminator physically as it found them. *)
+
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map f l], applying [f] in order, except that the result
+    shares the longest unchanged tail of [l], and is [l] itself when
+    [f] returns every element physically unchanged. *)
+
+val map_uses : (operand -> operand) -> instr -> instr
+(** The instruction with the function applied, left to right, to every
+    operand it reads; the instruction itself when every operand comes
+    back physically unchanged. *)
+
+val map_def : (reg -> reg) -> instr -> instr
+(** The instruction with the function applied to the register it
+    defines ({!def_of}); the instruction itself when it defines none.
+    [map_def g (map_uses h i)] renames uses before the definition. *)
+
+val map_term_uses : (operand -> operand) -> term -> term
+(** {!map_uses} for a terminator. *)
+
+val update_block : func -> int -> instr list -> term -> unit
+(** [update_block f i instrs term] gives block [i] these contents, with
+    a new block only when either differs physically from the old. *)
 
 val binop_to_string : binop -> string
 val operand_to_string : operand -> string

@@ -46,7 +46,7 @@ let compute (f : Ir.func) : t =
       let use_reg r = if not (mem def r) then add use r in
       List.iter
         (fun instr ->
-          List.iter use_reg (Ir.uses_of instr);
+          Ir.iter_uses use_reg instr;
           Option.iter (add def) (Ir.def_of instr))
         b.instrs;
       List.iter use_reg (Ir.term_uses b.term))
@@ -78,13 +78,17 @@ let compute (f : Ir.func) : t =
   done;
   { live_in; live_out }
 
+(* The recursion visits the block from its end without reversing it. *)
 let sweep t (f : Ir.func) i visit =
   let b = f.blocks.(i) in
   let live = Array.copy t.live_out.(i) in
   List.iter (add live) (Ir.term_uses b.term);
-  List.iter
-    (fun instr ->
+  let rec back = function
+    | [] -> ()
+    | instr :: rest ->
+      back rest;
       visit instr live;
       Option.iter (remove live) (Ir.def_of instr);
-      List.iter (add live) (Ir.uses_of instr))
-    (List.rev b.instrs)
+      Ir.iter_uses (add live) instr
+  in
+  back b.instrs

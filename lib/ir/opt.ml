@@ -62,62 +62,102 @@ let verify_after ~verify_each pass (f : Ir.func) =
     | [] -> ()
     | violations -> raise (Irverify.Invalid violations)
 
-let cleanup_round ?(verify_each = false) (f : Ir.func) (s : stats) : int =
-  let charge pass =
-    s.work <- s.work + Ir.instr_count f;
-    verify_after ~verify_each pass f
-  in
-  let c1 = Constfold.run f in
-  charge "constfold";
-  let c2 = Lvn.run f in
-  charge "lvn";
-  let c3 = Gcp.run f in
-  charge "gcp";
-  let c3b = Gcse.run f in
-  charge "gcse";
-  let c4 = Dce.run f in
-  charge "dce";
-  let c5 = Cfg.simplify f in
-  charge "cfg-simplify";
-  s.folded <- s.folded + c1;
-  s.numbered <- s.numbered + c2;
-  s.propagated <- s.propagated + c3;
-  s.cse_global <- s.cse_global + c3b;
-  s.eliminated <- s.eliminated + c4;
-  s.simplified <- s.simplified + c5;
-  c1 + c2 + c3 + c3b + c4 + c5
+(* The change stamp.  Every pass that reports a change bumps [stamp];
+   every cleanup pass that reports none records the stamp it saw in
+   [quiet].  A pass that reports no change leaves the IR as it found
+   it, so while the stamp is unchanged a quiet cleanup pass would find
+   the same IR and report nothing again: it is skipped.  A skipped pass
+   still charges the function's size, and with [verify_each] the
+   verifier still runs after it, so the work, the stats and what the
+   verifier sees are those of running it. *)
+type run = {
+  f : Ir.func;
+  s : stats;
+  verify_each : bool;
+  mutable stamp : int;
+  quiet : int array; (* per cleanup pass *)
+}
 
-let cleanup_fixpoint ?(verify_each = false) (f : Ir.func) (s : stats) =
+let note r changes =
+  if changes > 0 then r.stamp <- r.stamp + 1;
+  changes
+
+let charge r ?(times = 1) pass =
+  r.s.work <- r.s.work + (times * Ir.instr_count r.f);
+  verify_after ~verify_each:r.verify_each pass r.f
+
+let cleanup_passes =
+  [|
+    ("constfold", Constfold.run);
+    ("lvn", Lvn.run);
+    ("gcp", Gcp.run);
+    ("gcse", Gcse.run);
+    ("dce", Dce.run);
+    ("cfg-simplify", Cfg.simplify);
+  |]
+
+let cleanup_round r : int =
+  let counts =
+    Array.mapi
+      (fun k (pass, run) ->
+        let c =
+          if r.quiet.(k) = r.stamp then 0
+          else
+            let c = note r (run r.f) in
+            if c = 0 then r.quiet.(k) <- r.stamp;
+            c
+        in
+        charge r pass;
+        c)
+      cleanup_passes
+  in
+  let s = r.s in
+  s.folded <- s.folded + counts.(0);
+  s.numbered <- s.numbered + counts.(1);
+  s.propagated <- s.propagated + counts.(2);
+  s.cse_global <- s.cse_global + counts.(3);
+  s.eliminated <- s.eliminated + counts.(4);
+  s.simplified <- s.simplified + counts.(5);
+  Array.fold_left ( + ) 0 counts
+
+let cleanup_fixpoint r =
   let rec loop budget =
     if budget > 0 then begin
-      s.rounds <- s.rounds + 1;
-      if cleanup_round ~verify_each f s > 0 then loop (budget - 1)
+      r.s.rounds <- r.s.rounds + 1;
+      if cleanup_round r > 0 then loop (budget - 1)
     end
   in
   loop max_rounds
 
+(* A loop pass: its changes bump the stamp; [times] scales its charge. *)
+let loop_pass r ?times pass run =
+  let c = note r (run r.f) in
+  charge r ?times pass;
+  c
+
 let optimize ?(level = 2) ?(verify_each = false) (f : Ir.func) : stats =
   let s = empty_stats () in
   verify_after ~verify_each "lower" f;
+  let r =
+    {
+      f;
+      s;
+      verify_each;
+      stamp = 0;
+      quiet = Array.make (Array.length cleanup_passes) (-1);
+    }
+  in
   if level >= 1 then begin
-    cleanup_fixpoint ~verify_each f s;
+    cleanup_fixpoint r;
     if level >= 2 then begin
-      s.if_converted <- s.if_converted + Ifconv.run f;
-      s.work <- s.work + Ir.instr_count f;
-      verify_after ~verify_each "ifconv" f;
-      cleanup_fixpoint ~verify_each f s;
-      s.hoisted <- s.hoisted + Licm.run f;
-      s.work <- s.work + (2 * Ir.instr_count f);
-      verify_after ~verify_each "licm" f;
-      s.reduced <- s.reduced + Strength.run f;
-      s.work <- s.work + Ir.instr_count f;
-      verify_after ~verify_each "strength" f;
-      cleanup_fixpoint ~verify_each f s;
+      s.if_converted <- s.if_converted + loop_pass r "ifconv" Ifconv.run;
+      cleanup_fixpoint r;
+      s.hoisted <- s.hoisted + loop_pass r ~times:2 "licm" Licm.run;
+      s.reduced <- s.reduced + loop_pass r "strength" Strength.run;
+      cleanup_fixpoint r;
       if level >= 3 then begin
-        s.unrolled <- s.unrolled + Unroll.run f;
-        s.work <- s.work + (2 * Ir.instr_count f);
-        verify_after ~verify_each "unroll" f;
-        cleanup_fixpoint ~verify_each f s
+        s.unrolled <- s.unrolled + loop_pass r ~times:2 "unroll" Unroll.run;
+        cleanup_fixpoint r
       end
     end
   end;

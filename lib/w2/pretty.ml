@@ -14,10 +14,12 @@ let rec add_digits b n =
 
 let int b n = if n >= 0 then add_digits b n else str b (string_of_int n)
 
-let pad b indent =
-  for _ = 1 to indent do
-    Buffer.add_char b ' '
+let pad_with b c n =
+  for _ = 1 to n do
+    Buffer.add_char b c
   done
+
+let pad b indent = pad_with b ' ' indent
 
 (* [items] rendered by [add], separated by ", ". *)
 let comma_list add b = function
@@ -40,6 +42,52 @@ let rec add_ty b = function
     str b "] of ";
     add_ty b elt
 
+(* 5^k for k <= 20. *)
+let pow5 =
+  let a = Array.make 21 1 in
+  for k = 1 to 20 do
+    a.(k) <- a.(k - 1) * 5
+  done;
+  a
+
+(* Write [f] as "%.17g" writes it, without [Printf], when that is its
+   exact decimal expansion in fixed notation: [f] is at least 1e-4, has
+   at most 20 binary fraction digits (so [f] = m / 2^k = m * 5^k / 10^k
+   exactly) and at most 17 significant decimal digits.  Returns false,
+   having written nothing, otherwise.  Literals such as 0.375 are the
+   common case, and [Printf.sprintf] costs several times the rest of
+   rendering one. *)
+let add_short_decimal b f =
+  let rec scale k x =
+    if Float.is_integer x then k else if k = 20 then -1 else scale (k + 1) (x *. 2.)
+  in
+  f >= 1e-4
+  &&
+  let k = scale 0 f in
+  k > 0
+  &&
+  let m = Float.to_int (Float.ldexp f k) in
+  m <= max_int / pow5.(k)
+  &&
+  let rec strip n k = if n mod 10 = 0 then strip (n / 10) (k - 1) else (n, k) in
+  let n, k = strip (m * pow5.(k)) k in
+  let digits = string_of_int n in
+  let len = String.length digits in
+  len <= 17
+  && begin
+    if len > k then begin
+      Buffer.add_substring b digits 0 (len - k);
+      Buffer.add_char b '.';
+      Buffer.add_substring b digits (len - k) k
+    end
+    else begin
+      str b "0.";
+      pad_with b '0' (k - len);
+      str b digits
+    end;
+    true
+  end
+
 (* Render a float so that the lexer reads it back exactly: "%.1f" for
    integral values below 1e16 (digit by digit when non-negative), else
    "%.17g" with ".0" appended when that reads as an integer. *)
@@ -50,10 +98,11 @@ let add_float b f =
       add_digits b (int_of_float f);
       str b ".0"
     end
-  else
+  else if not (add_short_decimal b f) then begin
     let s = Printf.sprintf "%.17g" f in
     str b s;
     if not (String.contains s '.' || String.contains s 'e') then str b ".0"
+  end
 
 (* Expressions are printed fully parenthesised except at the top level of
    each operand; this keeps the printer simple and the output unambiguous

@@ -108,6 +108,23 @@ let fu_index : Machine.fu -> int = function
   | MEM -> 3
   | QIO -> 4
 
+(* The first slot the scheduled predecessors allow, at least [acc]. *)
+let rec earliest ~ii scheduled sigma acc = function
+  | [] -> acc
+  | (p, delay, dist) :: rest ->
+    let acc =
+      if scheduled.(p) then Int.max acc (sigma.(p) + delay - (ii * dist)) else acc
+    in
+    earliest ~ii scheduled sigma acc rest
+
+(* Does every scheduled successor still issue late enough for an op
+   placed at [t]? *)
+let rec succs_see ~ii scheduled sigma t = function
+  | [] -> true
+  | (s, delay, dist) :: rest ->
+    ((not scheduled.(s)) || sigma.(s) >= t + delay - (ii * dist))
+    && succs_see ~ii scheduled sigma t rest
+
 (* One scheduling attempt at a given II: iterative modulo scheduling
    with ejection (Rau).  When no slot in the window [estart, estart+II)
    is conflict-free, the op is force-placed and the conflicting ops —
@@ -154,24 +171,15 @@ let attempt (g : Ddg.t) ~ii ~height ~attempts : int array option =
   while !remaining > 0 && !budget > 0 do
     decr budget;
     let i = pick () in
-    let estart =
-      List.fold_left
-        (fun acc (p, delay, dist) ->
-          if scheduled.(p) then max acc (sigma.(p) + delay - (ii * dist)) else acc)
-        0 g.preds.(i)
-    in
-    let ok t =
-      incr attempts;
-      table.(cell i t) < 0
-      && List.for_all
-           (fun (s, delay, dist) ->
-             (not scheduled.(s)) || sigma.(s) >= t + delay - (ii * dist))
-           g.succs.(i)
-    in
+    let estart = earliest ~ii scheduled sigma 0 g.preds.(i) in
+    (* Each slot tried is one attempt. *)
     let found = ref (-1) in
     let t = ref estart in
     while !found < 0 && !t < estart + ii do
-      if ok !t then found := !t else incr t
+      incr attempts;
+      if table.(cell i !t) < 0 && succs_see ~ii scheduled sigma !t g.succs.(i) then
+        found := !t
+      else incr t
     done;
     if !found >= 0 then place i !found
     else begin

@@ -27,19 +27,20 @@ let spill_array = "$spill"
 
 type interval = {
   vreg : int;
-  mutable lo : int;
-  mutable hi : int; (* half open: [lo, hi) *)
+  lo : int;
+  hi : int; (* half open: [lo, hi) *)
   is_param : bool;
 }
 
+(* Intervals in order of [lo], then [vreg].  The bounds are gathered in
+   integer arrays: a register table of young records would be promoted
+   wholesale at the next minor collection. *)
 let intervals_of (f : Ir.func) : interval list =
-  let table = Array.make (Ir.num_regs f) None in
+  let nregs = Ir.num_regs f in
+  let lo = Array.make nregs max_int and hi = Array.make nregs min_int in
   let touch r pos =
-    match table.(r) with
-    | Some itv ->
-      itv.lo <- min itv.lo pos;
-      itv.hi <- max itv.hi (pos + 1)
-    | None -> table.(r) <- Some { vreg = r; lo = pos; hi = pos + 1; is_param = false }
+    if pos < lo.(r) then lo.(r) <- pos;
+    if pos + 1 > hi.(r) then hi.(r) <- pos + 1
   in
   let liveness = Liveness.compute f in
   let pos = ref 0 in
@@ -48,7 +49,7 @@ let intervals_of (f : Ir.func) : interval list =
       let block_start = !pos in
       List.iter
         (fun instr ->
-          List.iter (fun r -> touch r !pos) (Ir.uses_of instr);
+          Ir.iter_uses (fun r -> touch r !pos) instr;
           (match Ir.def_of instr with Some d -> touch d !pos | None -> ());
           incr pos)
         b.instrs;
@@ -60,61 +61,75 @@ let intervals_of (f : Ir.func) : interval list =
       Liveness.iter (fun r -> touch r block_end) liveness.Liveness.live_out.(bi))
     f.blocks;
   (* Parameters are live from function entry. *)
+  let param = Array.make nregs false in
   List.iter
     (fun (_, _, r) ->
-      let hi = match table.(r) with Some itv -> itv.hi | None -> 1 in
-      table.(r) <- Some { vreg = r; lo = 0; hi; is_param = true })
+      if lo.(r) = max_int then hi.(r) <- 1;
+      lo.(r) <- 0;
+      param.(r) <- true)
     f.params;
-  Array.to_list table
-  |> List.filter_map Fun.id
-  |> List.sort (fun a b -> compare (a.lo, a.vreg) (b.lo, b.vreg))
+  let intervals = ref [] in
+  for r = nregs - 1 downto 0 do
+    if lo.(r) <> max_int then
+      intervals := { vreg = r; lo = lo.(r); hi = hi.(r); is_param = param.(r) } :: !intervals
+  done;
+  List.stable_sort (fun a b -> Int.compare a.lo b.lo) !intervals
+
+(* [itv] inserted into [active] (sorted by [hi]) before the first
+   interval that ends no earlier: where a stable sort of
+   [itv :: active] by [hi] puts it. *)
+let rec insert_by_hi itv = function
+  | a :: rest when a.hi < itv.hi -> a :: insert_by_hi itv rest
+  | active -> itv :: active
+
+(* The first interval of the list with the furthest end. *)
+let furthest = function
+  | [] -> None
+  | first :: rest ->
+    Some (List.fold_left (fun best a -> if a.hi > best.hi then a else best) first rest)
 
 (* --- one allocation attempt --- *)
 
-type attempt = Assigned of (int, int) Hashtbl.t | Spill of int list
+(* A physical register for every virtual one that has an interval, or
+   -1; or the registers to spill. *)
+type attempt = Assigned of int array | Spill of int list
 
 let try_allocate ~reg_limit (f : Ir.func) : attempt =
   let intervals = intervals_of f in
-  let assignment = Hashtbl.create 64 in
+  let assignment = Array.make (Ir.num_regs f) (-1) in
   let free = Queue.create () in
   for r = 0 to reg_limit - 1 do
     Queue.push r free
   done;
   let active = ref [] in (* sorted by hi ascending *)
   let to_spill = ref [] in
-  let expire pos =
-    let expired, still = List.partition (fun itv -> itv.hi <= pos) !active in
-    List.iter
-      (fun itv -> Queue.push (Hashtbl.find assignment itv.vreg) free)
-      expired;
-    active := still
+  (* The expired intervals are the prefix that ends by [pos]. *)
+  let rec expire pos = function
+    | itv :: rest when itv.hi <= pos ->
+      Queue.push assignment.(itv.vreg) free;
+      expire pos rest
+    | still -> still
   in
   List.iter
     (fun itv ->
-      expire itv.lo;
+      active := expire itv.lo !active;
       if Queue.is_empty free then begin
         (* Spill the non-param interval with the furthest end. *)
-        let candidates =
-          List.filter (fun a -> not a.is_param) (itv :: !active)
-        in
-        match
-          List.sort (fun a b -> compare b.hi a.hi) candidates
-        with
-        | [] -> raise (Too_many_params f.Ir.name)
-        | victim :: _ ->
+        match furthest (List.filter (fun a -> not a.is_param) (itv :: !active)) with
+        | None -> raise (Too_many_params f.Ir.name)
+        | Some victim ->
           to_spill := victim.vreg :: !to_spill;
           if victim.vreg <> itv.vreg then begin
             (* Steal the victim's register for the new interval. *)
-            let preg = Hashtbl.find assignment victim.vreg in
-            Hashtbl.remove assignment victim.vreg;
-            Hashtbl.replace assignment itv.vreg preg;
-            active := itv :: List.filter (fun a -> a.vreg <> victim.vreg) !active;
-            active := List.sort (fun a b -> compare a.hi b.hi) !active
+            assignment.(itv.vreg) <- assignment.(victim.vreg);
+            assignment.(victim.vreg) <- -1;
+            active :=
+              insert_by_hi itv (List.filter (fun a -> a.vreg <> victim.vreg) !active)
           end
       end
       else begin
-        Hashtbl.replace assignment itv.vreg (Queue.pop free);
-        active := List.sort (fun a b -> compare a.hi b.hi) (itv :: !active)
+        assignment.(itv.vreg) <- Queue.pop free;
+        active := insert_by_hi itv !active
       end)
     intervals;
   if !to_spill = [] then Assigned assignment else Spill !to_spill
@@ -188,9 +203,8 @@ let insert_spill_code (f : Ir.func) spills slot_of =
 
 let rename (f : Ir.func) assignment =
   let map r =
-    match Hashtbl.find_opt assignment r with
-    | Some p -> p
-    | None -> 0 (* register never touched: dead, any physical reg works *)
+    let p = assignment.(r) in
+    if p >= 0 then p else 0 (* register never touched: dead, any physical reg works *)
   in
   let operand = function
     | Ir.Reg r -> Ir.Reg (map r)
@@ -198,29 +212,11 @@ let rename (f : Ir.func) assignment =
   in
   Array.iteri
     (fun bi (b : Ir.block) ->
-      let instrs =
-        List.map
-          (fun instr ->
-            match instr with
-            | Ir.Bin (op, d, x, y) -> Ir.Bin (op, map d, operand x, operand y)
-            | Ir.Un (op, d, x) -> Ir.Un (op, map d, operand x)
-            | Ir.Mov (d, x) -> Ir.Mov (map d, operand x)
-            | Ir.Sel (d, c, a, b) -> Ir.Sel (map d, operand c, operand a, operand b)
-            | Ir.Load (d, a, i) -> Ir.Load (map d, a, operand i)
-            | Ir.Store (a, i, v) -> Ir.Store (a, operand i, operand v)
-            | Ir.Call (d, name, args) ->
-              Ir.Call (Option.map map d, name, List.map operand args)
-            | Ir.Send (c, v) -> Ir.Send (c, operand v)
-            | Ir.Recv (c, d) -> Ir.Recv (c, map d))
-          b.instrs
-      in
-      let term =
-        match b.term with
-        | Ir.Branch (c, t, e) -> Ir.Branch (operand c, t, e)
-        | Ir.Ret (Some v) -> Ir.Ret (Some (operand v))
-        | (Ir.Jump _ | Ir.Ret None) as t -> t
-      in
-      f.Ir.blocks.(bi) <- { Ir.instrs; term })
+      f.Ir.blocks.(bi) <-
+        {
+          Ir.instrs = List.map (fun i -> Ir.map_def map (Ir.map_uses operand i)) b.instrs;
+          term = Ir.map_term_uses operand b.term;
+        })
     f.blocks
 
 let copy_func (f : Ir.func) =
@@ -252,7 +248,7 @@ let run ?(reg_limit = Machine.num_allocatable) (fin : Ir.func) : result =
   in
   let assignment = attempt 64 in
   let param_locs =
-    List.map (fun (_, _, r) -> Hashtbl.find assignment r) f.Ir.params
+    List.map (fun (_, _, r) -> assignment.(r)) f.Ir.params
   in
   rename f assignment;
   let arrays =

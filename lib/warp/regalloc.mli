@@ -15,6 +15,20 @@ type result = {
 
 exception Too_many_params of string
 
+type interval = {
+  vreg : int;
+  lo : int;
+  hi : int; (** half open: [\[lo, hi)] *)
+  is_param : bool;
+}
+(** A virtual register's live interval over the linearized blocks. *)
+
+val insert_by_hi : interval -> interval list -> interval list
+(** [insert_by_hi itv active], for [active] sorted by [hi], puts [itv]
+    where [List.stable_sort] by [hi] of [itv :: active] would: before
+    the first interval that ends no earlier.  The allocator keeps its
+    active set sorted this way instead of re-sorting it. *)
+
 val copy_func : Midend.Ir.func -> Midend.Ir.func
 (** Structural copy (blocks and register table); allocation mutates its
     input copy, never the caller's function. *)

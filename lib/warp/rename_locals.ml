@@ -35,28 +35,7 @@ let rewrite_instr ~use_of ~def_to instr =
     | Ir.Reg r -> Ir.Reg (use_of r)
     | (Ir.Imm_int _ | Ir.Imm_float _) as imm -> imm
   in
-  match instr with
-  | Ir.Bin (op, d, x, y) ->
-    let x = operand x and y = operand y in
-    Ir.Bin (op, def_to d, x, y)
-  | Ir.Un (op, d, x) ->
-    let x = operand x in
-    Ir.Un (op, def_to d, x)
-  | Ir.Mov (d, x) ->
-    let x = operand x in
-    Ir.Mov (def_to d, x)
-  | Ir.Sel (d, c, a, b) ->
-    let c = operand c and a = operand a and b = operand b in
-    Ir.Sel (def_to d, c, a, b)
-  | Ir.Load (d, a, i) ->
-    let i = operand i in
-    Ir.Load (def_to d, a, i)
-  | Ir.Store (a, i, v) -> Ir.Store (a, operand i, operand v)
-  | Ir.Call (d, name, args) ->
-    let args = List.map operand args in
-    Ir.Call (Option.map def_to d, name, args)
-  | Ir.Send (c, v) -> Ir.Send (c, operand v)
-  | Ir.Recv (c, d) -> Ir.Recv (c, def_to d)
+  Ir.map_def def_to (Ir.map_uses operand instr)
 
 (* Rename block [bi] of [f] in place. *)
 let run (f : Ir.func) bi =

@@ -682,11 +682,84 @@ let test_lvn_stale_representative () =
   Alcotest.(check bool) "r3 := r2" true
     (List.mem (Ir.Mov (3, Ir.Reg 2)) a.Ir.blocks.(0).Ir.instrs)
 
+(* A pass that reports no change changes nothing: the precondition of
+   the optimizer's change stamp, which skips a cleanup pass that found
+   nothing to do at the current stamp.  Each pass of the level-3
+   pipeline runs in turn on a lowered random function or skeleton, up
+   to a random prefix.  A cleanup pass returning 0 must leave every
+   block, instruction list and terminator physically as it was (it
+   rebuilds nothing); a loop pass returning 0 must leave the IR
+   printing the same. *)
+let named_pipeline =
+  let cleanup =
+    [
+      ("constfold", Constfold.run);
+      ("lvn", Lvn.run);
+      ("gcp", Gcp.run);
+      ("gcse", Gcse.run);
+      ("dce", Dce.run);
+      ("cfg-simplify", Cfg.simplify);
+    ]
+    |> List.map (fun (name, run) -> (name, run, `Cleanup))
+  in
+  let cleanups = cleanup @ cleanup in
+  let loop name run = (name, run, `Loop) in
+  cleanups @ [ loop "ifconv" Ifconv.run ] @ cleanups
+  @ [ loop "licm" Licm.run; loop "strength" Strength.run ]
+  @ cleanups @ [ loop "unroll" Unroll.run ] @ cleanups
+
+let arb_quiet_input =
+  QCheck.make
+    ~print:(fun (skeleton, seed, size, k) ->
+      Printf.sprintf "%s seed=%d size=%d prefix=%d"
+        (if skeleton then "skeleton" else "random") seed size k)
+    QCheck.Gen.(
+      quad bool small_nat (int_range 4 60) (int_range 1 (List.length named_pipeline)))
+
+let prop_quiet_pass_changes_nothing =
+  QCheck.Test.make ~name:"a pass that reports no change changes nothing" ~count:200
+    arb_quiet_input (fun (skeleton, seed, size, k) ->
+      let func =
+        if skeleton then
+          W2.Gen.function_of_lines ~name:(Printf.sprintf "s%d_m0_f0" seed) size
+        else W2.Gen.random_function ~allow_channels:true ~seed ~size ()
+      in
+      let f = List.hd (List.hd (Lower.lower_module (W2.Gen.module_of_function func))).Ir.funcs in
+      List.iteri
+        (fun i (name, run, kind) ->
+          if i < k then begin
+            let blocks = Array.copy f.Ir.blocks in
+            let parts = Array.map (fun (b : Ir.block) -> (b.Ir.instrs, b.Ir.term)) blocks in
+            let text = Ir.func_to_string f in
+            if run f = 0 then
+              let same =
+                match kind with
+                | `Cleanup ->
+                  Array.length f.Ir.blocks = Array.length blocks
+                  && Array.for_all2 ( == ) f.Ir.blocks blocks
+                  && Array.for_all2
+                       (fun (b : Ir.block) (instrs, term) ->
+                         b.Ir.instrs == instrs && b.Ir.term == term)
+                       f.Ir.blocks parts
+                | `Loop -> Ir.func_to_string f = text
+              in
+              if not same then
+                QCheck.Test.fail_reportf "pass %d (%s) reported no change but changed the IR"
+                  i name
+          end)
+        named_pipeline;
+      true)
+
 let suites =
   suites
   @ [
       ( "ir.oracles",
         Alcotest.test_case "lvn: stale representative" `Quick test_lvn_stale_representative
         :: List.map QCheck_alcotest.to_alcotest
-             [ prop_liveness_matches_sets; prop_dce_matches_oracle; prop_lvn_matches_oracle ] );
+             [
+               prop_liveness_matches_sets;
+               prop_dce_matches_oracle;
+               prop_lvn_matches_oracle;
+               prop_quiet_pass_changes_nothing;
+             ] );
     ]

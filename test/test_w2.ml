@@ -166,6 +166,31 @@ let prop_roundtrip_random =
       let reparsed = Parser.function_of_string printed in
       Pretty.func_to_string reparsed = printed)
 
+(* Float literals render as "%.17g" renders them ("%.1f" for integral
+   values), whichever path the printer takes: short dyadic fractions
+   such as 0.375, long ones, tiny and huge values. *)
+let prop_float_literal_rendering =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun m k -> Float.ldexp (Float.of_int m) (-k)) (int_range 1 (1 lsl 40)) (int_range 1 24);
+          map (fun m -> Float.of_int m /. 1024.) (int_range 1 1_000_000);
+          map (fun bits -> Float.abs (Int64.float_of_bits bits)) ui64;
+          float_range 0. 1e-3;
+        ])
+  in
+  QCheck.Test.make ~name:"float literals render as %.17g" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen) (fun f ->
+      QCheck.assume (Float.is_finite f);
+      let expected =
+        if Float.is_integer f && f < 1e16 then Printf.sprintf "%.1f" f
+        else
+          let s = Printf.sprintf "%.17g" f in
+          if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+      in
+      Pretty.expr_to_string { Ast.e = Ast.Float_lit f; eloc = Loc.dummy } = expected)
+
 (* --- semantic checker --- *)
 
 let check_src src = Semcheck.check_module (parse_ok src)
@@ -542,6 +567,7 @@ let suites =
       [
         Alcotest.test_case "roundtrip sample" `Quick test_roundtrip_sample;
         QCheck_alcotest.to_alcotest prop_roundtrip_random;
+        QCheck_alcotest.to_alcotest prop_float_literal_rendering;
       ] );
     ( "w2.semcheck",
       [

@@ -90,6 +90,27 @@ let test_regalloc_spills_under_pressure () =
   let alloc = Warp.Regalloc.run ~reg_limit:6 f in
   Alcotest.(check bool) "spilled" true (alloc.Warp.Regalloc.spilled > 0)
 
+(* The allocator's active set: inserting an interval into a list sorted
+   by [hi] gives the order a stable sort of the extended list gives.
+   Few distinct ends, so ties are common. *)
+let prop_insert_by_hi_is_stable_sort =
+  let arb =
+    QCheck.make
+      ~print:(fun (his, hi) ->
+        Printf.sprintf "active his [%s], new hi %d"
+          (String.concat "; " (List.map string_of_int his)) hi)
+      QCheck.Gen.(pair (list_size (int_range 0 30) (int_range 0 8)) (int_range 0 8))
+  in
+  QCheck.Test.make ~name:"regalloc: insertion by hi = stable sort by hi" ~count:500 arb
+    (fun (his, hi) ->
+      let itv vreg hi = { Warp.Regalloc.vreg; lo = 0; hi; is_param = false } in
+      let by_hi a b = Int.compare a.Warp.Regalloc.hi b.Warp.Regalloc.hi in
+      let active = List.stable_sort by_hi (List.mapi itv his) in
+      let fresh = itv (List.length his) hi in
+      let vregs = List.map (fun a -> a.Warp.Regalloc.vreg) in
+      vregs (Warp.Regalloc.insert_by_hi fresh active)
+      = vregs (List.stable_sort by_hi (fresh :: active)))
+
 (* --- list scheduler --- *)
 
 let test_listsched_dependences () =
@@ -604,6 +625,7 @@ let suites =
       [
         Alcotest.test_case "physical bounds" `Quick test_regalloc_bounds;
         Alcotest.test_case "spills under pressure" `Quick test_regalloc_spills_under_pressure;
+        QCheck_alcotest.to_alcotest prop_insert_by_hi_is_stable_sort;
       ] );
     ( "warp.listsched",
       [
@@ -1253,6 +1275,119 @@ let test_paper_sizes_phase2_golden () =
         (3, Huge, 47371, "392e0dab1005c75939c68e4e69b6540c");
       ]
 
+(* The optimizer and code generator on functions shaped like the
+   benchmark corpora: W2.Gen.function_of_lines skeletons of the coarse
+   size mix (f_medium, f_large, two f_small) and the fine mix (4 to 30
+   lines), named as the corpora's first module at seeds 1 and 2.  Per
+   function and level: the MD5 of the optimized IR, every Opt.stats
+   field (rounds, folded, numbered, propagated, cse_global, eliminated,
+   simplified, if_converted, hoisted, reduced, unrolled, work), then
+   sched_work and wide_count.  Recorded before the optimizer's change
+   stamp and its no-rebuild passes; they must not move. *)
+let test_corpora_optimizer_golden () =
+  List.iter
+    (fun (name, lines, level, md5, stats, sched_work, wides) ->
+      let f = W2.Gen.function_of_lines ~name lines in
+      let sec = List.hd (W2.Gen.module_of_function f).W2.Ast.sections in
+      let ir =
+        Lower.lower_function ~func_rets:(Driver.Compile.func_rets_of sec) ~globals:[] f
+      in
+      let s = Opt.optimize ~level ir in
+      let c = Warp.Codegen.compile_function ir in
+      let what = Printf.sprintf "%s (%d lines) -O%d" name lines level in
+      Alcotest.(check string) (what ^ " IR MD5") md5
+        (Digest.to_hex (Digest.string (Ir.func_to_string ir)));
+      Alcotest.(check (list int)) (what ^ " stats") stats
+        Opt.
+          [
+            s.rounds; s.folded; s.numbered; s.propagated; s.cse_global; s.eliminated;
+            s.simplified; s.if_converted; s.hoisted; s.reduced; s.unrolled; s.work;
+          ];
+      Alcotest.(check int) (what ^ " sched_work") sched_work c.Warp.Codegen.sched_work;
+      Alcotest.(check int) (what ^ " wides") wides c.Warp.Codegen.wide_count)
+    [
+      ("s1_m0_f0", 100, 0, "868b5cb477c354ddbb6c51d2d8c23d16", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 48487, 527);
+      ("s1_m0_f0", 100, 1, "19d1eb96e9ecec6dc11f2fd06b420a32", [ 2; 0; 138; 2; 0; 82; 1; 0; 0; 0; 0; 3477 ], 20906, 484);
+      ("s1_m0_f0", 100, 2, "0467ab9ae34c596e7783f441040c6f2e", [ 5; 0; 140; 2; 0; 86; 1; 1; 0; 0; 0; 9173 ], 20906, 471);
+      ("s1_m0_f0", 100, 3, "0467ab9ae34c596e7783f441040c6f2e", [ 6; 0; 140; 2; 0; 86; 1; 1; 0; 0; 0; 11237 ], 20906, 471);
+      ("s1_m0_f1", 280, 0, "8d046568cf2a0b39c290be3720490952", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 1502, 1346);
+      ("s1_m0_f1", 280, 1, "dc9073d78dc1b34f55a926c49ce51f7d", [ 2; 0; 687; 3; 0; 352; 1; 0; 0; 0; 0; 10809 ], 994, 1331);
+      ("s1_m0_f1", 280, 2, "1680dcec09e96d291806df340329e170", [ 5; 0; 689; 3; 0; 356; 1; 1; 2; 0; 0; 27967 ], 995, 1318);
+      ("s1_m0_f1", 280, 3, "1680dcec09e96d291806df340329e170", [ 6; 0; 689; 3; 0; 356; 1; 1; 2; 0; 0; 34199 ], 995, 1318);
+      ("s1_m0_f2", 35, 0, "19c960cdaf9d6440dacffa4dfd5df641", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 1319, 202);
+      ("s1_m0_f2", 35, 1, "34ea8470bbb2adfaae2b7b273c157a5d", [ 5; 2; 8; 3; 0; 18; 1; 0; 0; 0; 0; 1409 ], 544, 180);
+      ("s1_m0_f2", 35, 2, "938942eea71b12888e0f486ca429a0da", [ 8; 2; 10; 3; 0; 22; 1; 1; 0; 0; 0; 2287 ], 544, 167);
+      ("s1_m0_f2", 35, 3, "04c5d4b2d8ee69f2869fa271c584a366", [ 14; 9; 37; 3; 0; 54; 1; 1; 0; 0; 1; 5323 ], 78, 151);
+      ("s1_m0_f3", 35, 0, "70fe964c577632348df8bbc8b55a3f9d", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 1429, 213);
+      ("s1_m0_f3", 35, 1, "e7f23cb44ff49f25377f4b8a2316cb92", [ 2; 0; 7; 1; 0; 14; 1; 0; 0; 0; 0; 637 ], 2209, 194);
+      ("s1_m0_f3", 35, 2, "b0161086aba0982f9ca428f5d9b92f9a", [ 5; 0; 9; 1; 0; 18; 1; 1; 0; 0; 0; 1625 ], 2209, 181);
+      ("s1_m0_f3", 35, 3, "d1a5914c896ade0e8a0ade3ef40adf3c", [ 15; 9; 48; 1; 0; 68; 1; 1; 0; 0; 1; 6711 ], 79, 163);
+      ("s2_m0_f0", 100, 0, "55d2a276732e814dfd39324fdda76896", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 37440, 374);
+      ("s2_m0_f0", 100, 1, "efe56ce7d2b471eeaadddda4130ecd82", [ 5; 0; 176; 2; 0; 105; 1; 0; 0; 0; 0; 7043 ], 18400, 359);
+      ("s2_m0_f0", 100, 2, "e5b103e9756117fbe4da5b090f9c35df", [ 8; 0; 178; 2; 0; 109; 1; 1; 1; 0; 0; 11793 ], 17904, 352);
+      ("s2_m0_f0", 100, 3, "e5b103e9756117fbe4da5b090f9c35df", [ 9; 0; 178; 2; 0; 109; 1; 1; 1; 0; 0; 13513 ], 17904, 352);
+      ("s2_m0_f1", 280, 0, "dfeffa390f44eb3b83f4b586f4c4e020", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 1567, 1461);
+      ("s2_m0_f1", 280, 1, "46b3a66d2cfe95c736d2c5b40eedbbad", [ 2; 0; 755; 3; 0; 373; 1; 0; 0; 0; 0; 11325 ], 949, 1447);
+      ("s2_m0_f1", 280, 2, "5db4ecd05d1a78ae2f881943febd30de", [ 5; 0; 757; 3; 0; 377; 1; 1; 2; 0; 0; 29275 ], 948, 1440);
+      ("s2_m0_f1", 280, 3, "5db4ecd05d1a78ae2f881943febd30de", [ 6; 0; 757; 3; 0; 377; 1; 1; 2; 0; 0; 35795 ], 948, 1440);
+      ("s2_m0_f2", 35, 0, "8e3cfa7375ec973e06287a4ed644c028", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 2016, 178);
+      ("s2_m0_f2", 35, 1, "0962be0f56d78640f2e1faaba75eae8f", [ 2; 0; 6; 1; 0; 18; 1; 0; 0; 0; 0; 509 ], 1538, 157);
+      ("s2_m0_f2", 35, 2, "3afeb9eeda04f95876799187c9fa0c0a", [ 5; 0; 8; 1; 0; 22; 1; 1; 0; 0; 0; 1233 ], 1538, 144);
+      ("s2_m0_f2", 35, 3, "f1acf400b4a09031df1c2f8482465c63", [ 9; 5; 29; 1; 0; 45; 1; 1; 0; 0; 1; 2875 ], 64, 129);
+      ("s2_m0_f3", 35, 0, "26620858ec32d2bed6f88cca42671e80", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 720, 115);
+      ("s2_m0_f3", 35, 1, "b83d15510f093ca4ce041a5f4feedcf3", [ 5; 0; 5; 1; 0; 20; 1; 0; 0; 0; 0; 1429 ], 12113, 157);
+      ("s2_m0_f3", 35, 2, "091c9149ecf42a9c8cd961fad9dc743f", [ 8; 0; 7; 1; 0; 24; 1; 1; 0; 0; 0; 2285 ], 12113, 144);
+      ("s2_m0_f3", 35, 3, "0a34d2dc35490515efe9fb98d5d1b017", [ 13; 6; 37; 1; 0; 57; 1; 1; 0; 0; 1; 4723 ], 82, 129);
+      ("s1_m0_f0", 4, 0, "81ebc2eb1ae44a0b67e15c40a00fb62d", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 3, 15);
+      ("s1_m0_f0", 4, 1, "dab0b54e9e3f568315e7fb6de6091ccb", [ 2; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 53 ], 3, 15);
+      ("s1_m0_f0", 4, 2, "dab0b54e9e3f568315e7fb6de6091ccb", [ 4; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 117 ], 3, 15);
+      ("s1_m0_f0", 4, 3, "dab0b54e9e3f568315e7fb6de6091ccb", [ 5; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 149 ], 3, 15);
+      ("s1_m0_f1", 9, 0, "52a149853dac7fe76a44ceef2783bc2e", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 20, 52);
+      ("s1_m0_f1", 9, 1, "e6957fccb25fbaaac015a6fbeaf99ea3", [ 2; 0; 7; 0; 0; 5; 1; 0; 0; 0; 0; 181 ], 15, 48);
+      ("s1_m0_f1", 9, 2, "e6957fccb25fbaaac015a6fbeaf99ea3", [ 4; 0; 7; 0; 0; 5; 1; 0; 0; 0; 0; 389 ], 15, 48);
+      ("s1_m0_f1", 9, 3, "e6957fccb25fbaaac015a6fbeaf99ea3", [ 5; 0; 7; 0; 0; 5; 1; 0; 0; 0; 0; 493 ], 15, 48);
+      ("s1_m0_f2", 14, 0, "c7a7827885d90adbc574f28bf2562568", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 21, 64);
+      ("s1_m0_f2", 14, 1, "dbdda74a00d00b6fc6128b628d0ace30", [ 2; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 189 ], 11, 55);
+      ("s1_m0_f2", 14, 2, "dbdda74a00d00b6fc6128b628d0ace30", [ 4; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 381 ], 11, 55);
+      ("s1_m0_f2", 14, 3, "dbdda74a00d00b6fc6128b628d0ace30", [ 5; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 477 ], 11, 55);
+      ("s1_m0_f3", 19, 0, "cc7f3ec9c6f97f8672f8ea36e66ec146", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 31, 94);
+      ("s1_m0_f3", 19, 1, "2f06cdd6c6ddc584d1f27eef93c476f0", [ 2; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 269 ], 16, 80);
+      ("s1_m0_f3", 19, 2, "2f06cdd6c6ddc584d1f27eef93c476f0", [ 4; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 541 ], 16, 80);
+      ("s1_m0_f3", 19, 3, "2f06cdd6c6ddc584d1f27eef93c476f0", [ 5; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 677 ], 16, 80);
+      ("s1_m0_f4", 24, 0, "cc77c6c195331813e6ccf12904b4da1a", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 77, 304);
+      ("s1_m0_f4", 24, 1, "cd73bb5085e22abd0a2d4f93b16ae5b3", [ 2; 0; 37; 0; 0; 20; 1; 0; 0; 0; 0; 781 ], 57, 285);
+      ("s1_m0_f4", 24, 2, "cd73bb5085e22abd0a2d4f93b16ae5b3", [ 4; 0; 37; 0; 0; 20; 1; 0; 0; 0; 0; 1709 ], 57, 285);
+      ("s1_m0_f4", 24, 3, "cd73bb5085e22abd0a2d4f93b16ae5b3", [ 5; 0; 37; 0; 0; 20; 1; 0; 0; 0; 0; 2173 ], 57, 285);
+      ("s1_m0_f5", 30, 0, "03145255b58ba176c552c44ab5e84c55", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 53, 160);
+      ("s1_m0_f5", 30, 1, "19eac11131fbeaf67b40e484ad9cd55a", [ 2; 0; 25; 0; 0; 26; 1; 0; 0; 0; 0; 445 ], 27, 135);
+      ("s1_m0_f5", 30, 2, "19eac11131fbeaf67b40e484ad9cd55a", [ 4; 0; 25; 0; 0; 26; 1; 0; 0; 0; 0; 893 ], 27, 135);
+      ("s1_m0_f5", 30, 3, "19eac11131fbeaf67b40e484ad9cd55a", [ 5; 0; 25; 0; 0; 26; 1; 0; 0; 0; 0; 1117 ], 27, 135);
+      ("s2_m0_f0", 4, 0, "d6356dc70f093b252856f01ff90ec3be", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 3, 15);
+      ("s2_m0_f0", 4, 1, "9ea3f1b4df15963744401be9b5bfaabf", [ 2; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 53 ], 3, 15);
+      ("s2_m0_f0", 4, 2, "9ea3f1b4df15963744401be9b5bfaabf", [ 4; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 117 ], 3, 15);
+      ("s2_m0_f0", 4, 3, "9ea3f1b4df15963744401be9b5bfaabf", [ 5; 0; 0; 0; 0; 0; 1; 0; 0; 0; 0; 149 ], 3, 15);
+      ("s2_m0_f1", 9, 0, "237b7d13aaeb31712ccbe61536c0b033", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 11, 34);
+      ("s2_m0_f1", 9, 1, "693789ae6dbd986ad964abd443df2eff", [ 2; 0; 4; 0; 0; 5; 1; 0; 0; 0; 0; 109 ], 6, 30);
+      ("s2_m0_f1", 9, 2, "693789ae6dbd986ad964abd443df2eff", [ 4; 0; 4; 0; 0; 5; 1; 0; 0; 0; 0; 221 ], 6, 30);
+      ("s2_m0_f1", 9, 3, "693789ae6dbd986ad964abd443df2eff", [ 5; 0; 4; 0; 0; 5; 1; 0; 0; 0; 0; 277 ], 6, 30);
+      ("s2_m0_f2", 14, 0, "4d966dbb4fc2a65e7ce4664c6ffd78a8", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 21, 64);
+      ("s2_m0_f2", 14, 1, "b32beb1473dddda4031f8ab8a48cfb81", [ 2; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 189 ], 11, 55);
+      ("s2_m0_f2", 14, 2, "b32beb1473dddda4031f8ab8a48cfb81", [ 4; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 381 ], 11, 55);
+      ("s2_m0_f2", 14, 3, "b32beb1473dddda4031f8ab8a48cfb81", [ 5; 0; 9; 0; 0; 10; 1; 0; 0; 0; 0; 477 ], 11, 55);
+      ("s2_m0_f3", 19, 0, "7c20c91cc4518d92006ff0095de49a49", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 31, 94);
+      ("s2_m0_f3", 19, 1, "d06512614260bb49b9733b03a5c5d50f", [ 2; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 269 ], 16, 80);
+      ("s2_m0_f3", 19, 2, "d06512614260bb49b9733b03a5c5d50f", [ 4; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 541 ], 16, 80);
+      ("s2_m0_f3", 19, 3, "d06512614260bb49b9733b03a5c5d50f", [ 5; 0; 14; 0; 0; 15; 1; 0; 0; 0; 0; 677 ], 16, 80);
+      ("s2_m0_f4", 24, 0, "06f659eae9a9bc1ed70e295a0063a1e2", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 41, 124);
+      ("s2_m0_f4", 24, 1, "4d7ba5a335c286820f36823467f043ee", [ 2; 0; 19; 0; 0; 20; 1; 0; 0; 0; 0; 349 ], 21, 105);
+      ("s2_m0_f4", 24, 2, "4d7ba5a335c286820f36823467f043ee", [ 4; 0; 19; 0; 0; 20; 1; 0; 0; 0; 0; 701 ], 21, 105);
+      ("s2_m0_f4", 24, 3, "4d7ba5a335c286820f36823467f043ee", [ 5; 0; 19; 0; 0; 20; 1; 0; 0; 0; 0; 877 ], 21, 105);
+      ("s2_m0_f5", 30, 0, "19f04dfa437f9f06aea822f0136243d6", [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 ], 125, 304);
+      ("s2_m0_f5", 30, 1, "bc8871b91d53ca7814f1fe019d33b9cb", [ 2; 0; 49; 0; 0; 26; 1; 0; 0; 0; 0; 1021 ], 99, 279);
+      ("s2_m0_f5", 30, 2, "bc8871b91d53ca7814f1fe019d33b9cb", [ 4; 0; 49; 0; 0; 26; 1; 0; 0; 0; 0; 2237 ], 99, 279);
+      ("s2_m0_f5", 30, 3, "bc8871b91d53ca7814f1fe019d33b9cb", [ 5; 0; 49; 0; 0; 26; 1; 0; 0; 0; 0; 2845 ], 99, 279);
+    ]
+
 (* A one-block function whose ops issue at the given cycles. *)
 let verify_placed (placed : (int * Ir.instr) list) =
   let len = 1 + List.fold_left (fun acc (c, _) -> max acc c) 0 placed in
@@ -1458,6 +1593,8 @@ let oracle_suites =
         Alcotest.test_case "paper sizes golden" `Quick test_paper_sizes_golden;
         Alcotest.test_case "paper sizes phase-2 golden" `Quick test_paper_sizes_phase2_golden;
         Alcotest.test_case "program images golden" `Quick test_program_images_golden;
+        Alcotest.test_case "benchmark corpora optimizer golden" `Quick
+          test_corpora_optimizer_golden;
         Alcotest.test_case "verify: early consumer" `Quick test_verify_rejects_early_consumer;
         Alcotest.test_case "verify: same-cycle cycle" `Quick test_verify_rejects_same_cycle_cycle;
         QCheck_alcotest.to_alcotest prop_listsched_nearest_on_compiled;
